@@ -271,8 +271,8 @@ def _run_qi_roc(cfg: ScenarioConfig, outdir: Path) -> dict:
         detector=p["detector"],
         heterodyne=p["heterodyne"],
     )
-    qi = receiver.run_detection(scenario, cfg.parallelism)
-    ci = receiver.ci_baseline(scenario, cfg.parallelism)
+    qi = receiver.run_detection(scenario)
+    ci = receiver.ci_baseline(scenario)
     roc_qi = receiver.roc_curve(qi.h0, qi.h1)
     roc_ci = receiver.roc_curve(ci.h0, ci.h1)
     write_csv(

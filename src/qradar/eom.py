@@ -17,7 +17,7 @@ import numpy as np
 from scipy import constants, optimize
 
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
-from .errors import ConvergenceError, NoSteadyStateError, ValidationError
+from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .gaussian import GaussianState
 from .langevin import (
     BathSpec,
@@ -281,7 +281,7 @@ def sweep(
     def point(value: float) -> SweepPoint:
         try:
             reports = entanglement_report(_with_axis(params, axis, value))
-        except (NoSteadyStateError, ConvergenceError):
+        except (NoSteadyStateError, ConvergenceError, StiffnessError):
             return SweepPoint(value, None, False)
         return SweepPoint(value, reports, True)
 

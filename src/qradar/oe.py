@@ -19,7 +19,7 @@ from scipy import constants, optimize
 
 from .channels import GaussianChannel, round_trip
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
-from .errors import ConvergenceError, NoSteadyStateError, ValidationError
+from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .gaussian import GaussianState, apply_channel
 from .langevin import (
     BathSpec,
@@ -289,7 +289,7 @@ def entanglement_vs_detuning(
     def point(value: float) -> DetuningPoint:
         try:
             rep = direct_report(dataclasses.replace(params, delta_eg=value))
-        except (NoSteadyStateError, ConvergenceError):
+        except (NoSteadyStateError, ConvergenceError, StiffnessError):
             return DetuningPoint(value, None, False)
         return DetuningPoint(value, rep.two_eta, True)
 

@@ -1,19 +1,17 @@
 """Quantum-illumination signal processing: two-mode squeezed source,
-correlation coefficient, Monte-Carlo I/Q records, second-order-moment
-detection, matched-energy classical baseline, and ROC curves.
+correlation coefficient, second-order-moment detection, matched-energy
+classical baseline, and ROC curves.
 
-The digital receiver draws heterodyne-style quadrature records for the
-returned signal and the retained idler, forms a per-decision second-order
-statistic, and sweeps a threshold over the pooled statistics of the two
-hypotheses.  Decisions are seeded independently by counter-based splitting
-of the scenario seed, so parallel evaluation reproduces the serial lists
-exactly.
+The digital receiver reduces each decision to the mean of a quadratic form
+over heterodyne-style records of the return and the retained idler, and
+samples that statistic exactly: a Gaussian quadratic form is a weighted sum
+of independent noncentral chi-square variables (Imhof, Biometrika 48, 1961),
+so a decision costs a fixed number of draws whatever its record length.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -21,7 +19,7 @@ import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
 from .errors import DegenerateStateError, ValidationError
-from .gaussian import GaussianState, apply_channel, vacuum_state
+from .gaussian import GaussianState, _cholesky_with_jitter, apply_channel, vacuum_state
 
 __all__ = [
     "QiScenario",
@@ -92,6 +90,9 @@ class QiScenario:
     energy alone.
     ``heterodyne`` adds 1/2 to every measured quadrature variance (digital
     I/Q receiver emulation).
+    Each decision averages ``samples_per_decision`` records; the
+    ``n_decisions`` statistics of both hypotheses come from one generator
+    seeded with ``seed``, so a scenario always yields the same samples.
     """
 
     r: float
@@ -162,52 +163,44 @@ def _ci_moments(scenario: QiScenario):
     return joint(ret1), joint(ret0)
 
 
-def _statistic(records: np.ndarray, detector: str, conjugate: bool) -> float:
-    if detector == "energy_detector":
-        return float(np.mean(records[:, 0] ** 2 + records[:, 1] ** 2))
-    sign = -1.0 if conjugate else 1.0
-    return float(np.mean(records[:, 0] * records[:, 2] + sign * records[:, 1] * records[:, 3]))
+def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
+    """n exact draws of (1/k) sum_i x_i^T A x_i with x_i ~ N(mean, cov) i.i.d.
+
+    With cov = L L^T and L^T A L = U diag(lam) U^T, one record is
+    x^T A x = sum_j lam_j (w_j + c_j)^2 for w ~ N(0, I) and c = U^T L^-1 mean,
+    so over k records the j-th square sums to a noncentral chi-square variable
+    with k degrees of freedom and noncentrality k c_j^2.
+    """
+    chol = _cholesky_with_jitter(cov)
+    lam, u = np.linalg.eigh(chol.T @ form @ chol)
+    c = u.T @ np.linalg.solve(chol, mean)
+    return rng.noncentral_chisquare(k, k * c**2, size=(n, lam.size)) @ lam / k
 
 
-def _run(scenario: QiScenario, moments, conjugate: bool, parallelism: int) -> DetectionSamples:
-    (mean1, cov1), (mean0, cov0) = moments
-    chol1 = np.linalg.cholesky(cov1 + 1e-12 * np.eye(4))
-    chol0 = np.linalg.cholesky(cov0 + 1e-12 * np.eye(4))
-    children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_decisions)
-    k = scenario.samples_per_decision
-
-    def decide(child) -> tuple[float, float]:
-        rng = np.random.default_rng(child)
-        z1 = rng.standard_normal((k, 4))
-        z0 = rng.standard_normal((k, 4))
-        rec1 = mean1[None, :] + z1 @ chol1.T
-        rec0 = mean0[None, :] + z0 @ chol0.T
-        return (
-            _statistic(rec0, scenario.detector, conjugate),
-            _statistic(rec1, scenario.detector, conjugate),
-        )
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            pairs = list(pool.map(decide, children))
+def _run(scenario: QiScenario, moments, conjugate: bool) -> DetectionSamples:
+    if scenario.detector == "energy_detector":
+        form = np.diag([1.0, 1.0, 0.0, 0.0])
     else:
-        pairs = [decide(c) for c in children]
-    h0 = np.array([p[0] for p in pairs])
-    h1 = np.array([p[1] for p in pairs])
+        form = np.zeros((4, 4))
+        form[0, 2] = form[2, 0] = 0.5
+        form[1, 3] = form[3, 1] = -0.5 if conjugate else 0.5
+    rng = np.random.default_rng(scenario.seed)
+    k, n = scenario.samples_per_decision, scenario.n_decisions
+    h1, h0 = (_sample_statistic(rng, mean, cov, form, k, n) for mean, cov in moments)
     return DetectionSamples(h0=h0, h1=h1)
 
 
-def run_detection(scenario: QiScenario, parallelism: int = 1) -> DetectionSamples:
+def run_detection(scenario: QiScenario) -> DetectionSamples:
     """Quantum-illumination statistics under both hypotheses.
 
     Under H1 the signal arm of the two-mode squeezed source passes through
     the target channel; under H0 the return is replaced by the thermal
     background while the idler is still recorded.  Deterministic per seed.
     """
-    return _run(scenario, _qi_moments(scenario), conjugate=True, parallelism=parallelism)
+    return _run(scenario, _qi_moments(scenario), conjugate=True)
 
 
-def ci_baseline(scenario: QiScenario, parallelism: int = 1) -> DetectionSamples:
+def ci_baseline(scenario: QiScenario) -> DetectionSamples:
     """Classical-illumination comparator at equal mean signal photon number.
 
     The source is a coherent tone of sinh^2(r) photons; the retained arm is a
@@ -216,7 +209,7 @@ def ci_baseline(scenario: QiScenario, parallelism: int = 1) -> DetectionSamples:
     treatment).  The correlation detector pairs quadratures positively, as a
     classical cross-correlator does.
     """
-    return _run(scenario, _ci_moments(scenario), conjugate=False, parallelism=parallelism)
+    return _run(scenario, _ci_moments(scenario), conjugate=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,6 +136,12 @@ class TestDetuningSweep:
         assert not result.points[0].stable
         assert result.points[1].stable
 
+    def test_stiff_points_marked_unstable(self, reference):
+        # Within a few tens of rad/s of delta_eg = 0 the drift is so
+        # ill-conditioned that the Lyapunov residual gate rejects the solve.
+        result = entanglement_vs_detuning(reference, [-40.0, -20.0, 5e2])
+        assert [p.stable for p in result.points] == [False, False, True]
+
     def test_continuity_away_from_instability(self, reference):
         # No jumps larger than 10x the local grid slope on a stable segment.
         om0 = 2 * math.pi * 1e6

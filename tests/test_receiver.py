@@ -1,5 +1,6 @@
 """Detection chain: source covariance, correlation coefficient, Monte-Carlo
-statistics, ROC construction, and the classical baseline."""
+statistics against a record-drawing oracle, ROC construction, and the
+classical baseline."""
 
 import dataclasses
 import math
@@ -13,6 +14,8 @@ from qradar.errors import ValidationError
 from qradar.gaussian import apply_channel
 from qradar.receiver import (
     QiScenario,
+    _ci_moments,
+    _qi_moments,
     ci_baseline,
     correlation_coefficient,
     low_signal_channels,
@@ -34,6 +37,40 @@ def make_scenario(**overrides) -> QiScenario:
     )
     defaults.update(overrides)
     return QiScenario(**defaults)
+
+
+def _record_statistics(scenario: QiScenario, moments, conjugate: bool):
+    """Reference path: draw k records per decision and average the detector's
+    product over them, for both hypotheses."""
+    rng = np.random.default_rng(scenario.seed)
+    k, n = scenario.samples_per_decision, scenario.n_decisions
+    out = []
+    for mean, cov in moments:
+        records = mean + rng.standard_normal((n, k, 4)) @ np.linalg.cholesky(cov).T
+        x_r, p_r, x_i, p_i = np.moveaxis(records, -1, 0)
+        if scenario.detector == "energy_detector":
+            out.append(np.mean(x_r**2 + p_r**2, axis=1))
+        else:
+            sign = -1.0 if conjugate else 1.0
+            out.append(np.mean(x_r * x_i + sign * p_r * p_i, axis=1))
+    h1, h0 = out
+    return h0, h1
+
+
+def _form(detector: str, conjugate: bool) -> np.ndarray:
+    if detector == "energy_detector":
+        return np.diag([1.0, 1.0, 0.0, 0.0])
+    sign = -1.0 if conjugate else 1.0
+    return 0.5 * np.array([
+        [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, sign],
+        [1.0, 0.0, 0.0, 0.0], [0.0, sign, 0.0, 0.0],
+    ])
+
+
+_ILLUMINATIONS = {
+    "qi": (run_detection, _qi_moments, True),
+    "ci": (ci_baseline, _ci_moments, False),
+}
 
 
 class TestSource:
@@ -79,13 +116,6 @@ class TestRunDetection:
         a = run_detection(scenario)
         b = run_detection(scenario)
         assert np.array_equal(a.h0, b.h0) and np.array_equal(a.h1, b.h1)
-
-    def test_parallel_reproduces_serial(self):
-        scenario = make_scenario()
-        serial = run_detection(scenario, parallelism=1)
-        parallel = run_detection(scenario, parallelism=3)
-        assert np.array_equal(serial.h0, parallel.h0)
-        assert np.array_equal(serial.h1, parallel.h1)
 
     def test_null_scenario_distributions_identical(self):
         background = thermal_background_channel(10.0)
@@ -137,6 +167,42 @@ class TestRunDetection:
             for j in range(4):
                 se = math.sqrt((cov1[i, i] * cov1[j, j] + cov1[i, j] ** 2) / n)
                 assert abs(empirical[i, j] - cov1[i, j]) < 4 * se
+
+
+class TestExactStatistic:
+    @pytest.mark.parametrize("hypothesis", ["h0", "h1"])
+    @pytest.mark.parametrize("illumination", ["qi", "ci"])
+    @pytest.mark.parametrize("detector", ["covariance_detector", "energy_detector"])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_matches_record_oracle(self, k, detector, illumination, hypothesis):
+        run, moments, conjugate = _ILLUMINATIONS[illumination]
+        scenario = make_scenario(
+            r=math.asinh(0.5), samples_per_decision=k, n_decisions=3000, detector=detector,
+        )
+        exact = getattr(run(scenario), hypothesis)
+        oracle = _record_statistics(
+            dataclasses.replace(scenario, seed=scenario.seed + 1),
+            moments(scenario), conjugate,
+        )[hypothesis == "h1"]
+        assert stats.ks_2samp(exact, oracle).pvalue > 0.01
+
+    @pytest.mark.parametrize("illumination", ["qi", "ci"])
+    @pytest.mark.parametrize("detector", ["covariance_detector", "energy_detector"])
+    def test_moments_match_isserlis(self, detector, illumination):
+        # mean tr(A S) + m^T A m, variance (2 tr(A S A S) + 4 m^T A S A m)/k
+        run, moments, conjugate = _ILLUMINATIONS[illumination]
+        k, n = 2000, 4000
+        scenario = make_scenario(
+            r=math.asinh(1.0), samples_per_decision=k, n_decisions=n, detector=detector,
+        )
+        samples = run(scenario)
+        form = _form(detector, conjugate)
+        for values, (mean, cov) in zip((samples.h1, samples.h0), moments(scenario)):
+            a_s = form @ cov
+            mu = np.trace(a_s) + mean @ form @ mean
+            var = (2.0 * np.trace(a_s @ a_s) + 4.0 * mean @ a_s @ form @ mean) / k
+            assert abs(values.mean() - mu) < 5.0 * math.sqrt(var / n)
+            assert abs(values.var(ddof=1) / var - 1.0) < 5.0 * math.sqrt(2.0 / (n - 1))
 
 
 class TestRocCurve:
