@@ -113,16 +113,21 @@ def _invariants(blocks: BipartiteBlocks):
 
 
 def lambda_sph(blocks: BipartiteBlocks) -> float:
-    """Simon-Peres-Horodecki value; negative iff the state is entangled."""
+    """Simon-Peres-Horodecki value; negative iff the state is entangled.
+
+    Written as (det A - 1/4)(det B - 1/4) + det C^2 - |det C|/2 - tr(AJCJBJC^TJ),
+    which is exactly 0 on a product state.  Each local det - 1/4 is clamped at
+    the vacuum bound 0, which a validated state undershoots only by rounding.
+    """
     blocks.validate_physical()
     det_a, det_b, det_c, _ = _invariants(blocks)
     a, b, c = blocks.A, blocks.B, blocks.C
     trace_term = float(np.trace(a @ _J @ c @ _J @ b @ _J @ c.T @ _J))
     return (
-        det_a * det_b
-        + (0.25 - abs(det_c)) ** 2
+        max(det_a - 0.25, 0.0) * max(det_b - 0.25, 0.0)
+        + det_c**2
+        - 0.5 * abs(det_c)
         - trace_term
-        - 0.25 * (det_a + det_b)
     )
 
 

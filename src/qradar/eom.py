@@ -128,7 +128,7 @@ def _fixed_point_residual(params: EomParams, a_s, c_s, p_s, x_s) -> float:
     return max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
 
 
-def operating_point(params: EomParams, max_iter: int = 10_000) -> EomOperatingPoint:
+def operating_point(params: EomParams, max_iter: int = 1_000) -> EomOperatingPoint:
     """Solve the four coupled fixed-point relations.
 
     Damped fixed-point iteration from the zero-drive solution (which tracks
@@ -294,7 +294,7 @@ def threshold_temperature(
     resolution: float = 1e-3,
     t_max: float = 8.0,
 ) -> float | None:
-    """Temperature where lambda_SPH for ``pair`` crosses zero, by bisection.
+    """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
     Returns None when the pair is already separable at the base temperature;
     the bracket expands above ``t_max`` if needed.

@@ -1,8 +1,8 @@
 """Linear quantum Langevin machinery shared by the converter models.
 
 Assembles drift/diffusion matrices from bath specifications, decides
-stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
-Schur reduction and quasi-triangular back-substitution, and propagates
+stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 with
+scipy's Bartels-Stewart solver behind a residual gate, and propagates
 transient covariances.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
@@ -136,52 +136,12 @@ def is_stable(model: LinearLangevinModel) -> Stability:
     return Stability(max_re < -1e-12, max_re)
 
 
-def _schur_blocks(t: np.ndarray) -> list[slice]:
-    """Diagonal 1x1/2x2 block slices of a real quasi-triangular Schur factor."""
-    n = t.shape[0]
-    blocks = []
-    k = 0
-    while k < n:
-        if k + 1 < n and t[k + 1, k] != 0.0:
-            blocks.append(slice(k, k + 2))
-            k += 2
-        else:
-            blocks.append(slice(k, k + 1))
-            k += 1
-    return blocks
-
-
-def _solve_quasi_triangular_lyapunov(t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve T W + W T^T = C for quasi-upper-triangular T by back-substitution."""
-    n = t.shape[0]
-    w = np.zeros((n, n))
-    blocks = _schur_blocks(t)
-    for bj in reversed(blocks):
-        for bi in reversed(blocks):
-            rhs = c[bi, bj].copy()
-            after_i = slice(bi.stop, n)
-            after_j = slice(bj.stop, n)
-            if bi.stop < n:
-                rhs -= t[bi, after_i] @ w[after_i, bj]
-            if bj.stop < n:
-                rhs -= w[bi, after_j] @ t[bj, after_j].T
-            tii = t[bi, bi]
-            tjj = t[bj, bj]
-            mi = tii.shape[0]
-            nj = tjj.shape[0]
-            # Small Sylvester system T_ii W_ij + W_ij T_jj^T = rhs via Kronecker.
-            sys = np.kron(np.eye(nj), tii) + np.kron(tjj, np.eye(mi))
-            w[bi, bj] = np.linalg.solve(sys, rhs.flatten(order="F")).reshape(
-                (mi, nj), order="F"
-            )
-    return w
-
-
 def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
-    """Unique steady-state covariance of a stable model (Bartels-Stewart).
+    """Unique steady-state covariance of a stable model.
 
-    Solves A V + V A^T + D = 0 by real Schur reduction of the drift and
-    block back-substitution over the quasi-triangular factor.
+    Solves A V + V A^T + D = 0 with scipy's ``solve_continuous_lyapunov``
+    (Bartels-Stewart) and raises :class:`StiffnessError` when the residual
+    exceeds 1e-9 ||D||_inf.
     """
     stable, max_re = is_stable(model)
     if not stable:
@@ -189,10 +149,7 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
             f"drift is not strictly stable (max Re eigenvalue {max_re:.6e})",
             eigenvalue=max_re,
         )
-    t, u = linalg.schur(model.drift, output="real")
-    c = -(u.T @ model.diffusion @ u)
-    w = _solve_quasi_triangular_lyapunov(t, c)
-    v = u @ w @ u.T
+    v = linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
     v = 0.5 * (v + v.T)
     d_scale = abs(model.diffusion).max()
     residual = abs(model.drift @ v + v @ model.drift.T + model.diffusion).max()

@@ -162,7 +162,7 @@ def _residual(params: OeParams, a_s, c_s, p_s, x_s) -> float:
     return max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
 
 
-def operating_point(params: OeParams, max_iter: int = 10_000) -> OeOperatingPoint:
+def operating_point(params: OeParams, max_iter: int = 1_000) -> OeOperatingPoint:
     """Driven fixed point; the photodetector pair is singular at delta_eg = 0."""
     if params.delta_eg == 0.0:
         raise ConvergenceError(
@@ -325,7 +325,7 @@ def threshold_temperature(
     channel_spec: GaussianChannel | None = None,
     target_spec: GaussianChannel | None = None,
 ) -> float | None:
-    """Temperature where 2eta(OC-MC) crosses 1, by bisection to ``resolution``.
+    """Temperature where 2eta(OC-MC) crosses 1, to ``resolution``/2.
 
     With a channel/target pair the threshold of the backscattered mode c_b is
     located instead.

@@ -1,9 +1,12 @@
-"""Deterministic parallel grid evaluation and threshold bisection."""
+"""Deterministic parallel grid evaluation and threshold root-finding (Brent)."""
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
+
+from scipy import optimize
 
 from .errors import ValidationError
 
@@ -35,12 +38,15 @@ def bisect_threshold(
     resolution: float,
     max_expand: int = 12,
 ) -> float | None:
-    """Smallest x in [lo, hi-ish] where ``fn`` crosses from negative to >= 0.
+    """A sign change of ``fn`` from negative to >= 0, located to within
+    resolution/2.
 
     ``fn(lo)`` must be negative (else None is returned).  The bracket upper
-    end expands geometrically up to ``max_expand`` times while ``fn(hi)`` is
-    still negative; returns None if no crossing is found.
+    end doubles up to ``max_expand`` times while ``fn(hi)`` is still
+    negative; returns None if no sign change is found.  Brent's method then
+    locates a sign change inside [lo, hi]; each distinct x is evaluated once.
     """
+    fn = functools.cache(fn)
     if fn(lo) >= 0.0:
         return None
     for _ in range(max_expand):
@@ -49,10 +55,4 @@ def bisect_threshold(
         hi *= 2.0
     else:
         return None
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return optimize.brentq(fn, lo, hi, xtol=resolution / 2)

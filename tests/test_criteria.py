@@ -57,6 +57,18 @@ class TestLambdaSph:
         blocks = BipartiteBlocks(1.5 * np.eye(2), 1.5 * np.eye(2), np.zeros((2, 2)))
         assert lambda_sph(blocks) == 4.0
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_product_state_one_ulp_below_vacuum(self, swap):
+        # A decoupled converter's optical block as the Lyapunov solver returns
+        # it: one ulp below vacuum, next to a hot mode whose det is ~4e5.
+        near_vacuum = np.diag([0.49999999999999994, 0.5])
+        hot = 625.0987 * np.eye(2)
+        a, b = (hot, near_vacuum) if swap else (near_vacuum, hot)
+        report = gaussian_discord(BipartiteBlocks(a, b, np.zeros((2, 2))))
+        assert report.lambda_sph == 0.0
+        assert report.entangled_by_sph is False
+        assert report.entangled_by_ppt is False
+
     def test_unphysical_blocks_rejected(self):
         with pytest.raises(ValidationError):
             lambda_sph(BipartiteBlocks(0.1 * np.eye(2), 0.1 * np.eye(2), np.zeros((2, 2))))
