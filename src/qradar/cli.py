@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 numerical failure (instability
 or non-convergence; the reason lands in summary.json).  The default output
 directory comes from $QRADAR_OUTPUT_DIR when a config has no ``output_dir``.
-Outputs are deterministic for a fixed config and seed, including under
-``parallelism`` > 1; wall time is printed to stdout rather than written into
-summary.json to keep the artifacts byte-stable.
+Outputs are deterministic for a fixed config and seed; wall time is printed
+to stdout rather than written into summary.json to keep the artifacts
+byte-stable.  The ``parallelism`` key is accepted for compatibility but does
+not change execution: sweeps run serially.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
     params = _eom_params(p["eom"])
     axis = p["axis"]
-    points = eom.sweep(params, _AXIS_MAP[axis], p["grid"], cfg.parallelism)
+    points = eom.sweep(params, _AXIS_MAP[axis], p["grid"])
     rows = []
     for pt in points:
         if pt.stable:
@@ -126,7 +127,7 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
 def _run_oe_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
     params = _oe_params(p["oe"])
-    result = oe.entanglement_vs_detuning(params, p["delta_eg_grid_rad_s"], cfg.parallelism)
+    result = oe.entanglement_vs_detuning(params, p["delta_eg_grid_rad_s"])
     rows = [
         (pt.delta_eg, pt.two_eta if pt.stable else math.nan, pt.stable)
         for pt in result.points
@@ -155,7 +156,7 @@ def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
             return (temperature, math.nan, math.nan, False)
         return (temperature, direct, back, True)
 
-    rows = run_grid(point, p["temperature_grid_k"], cfg.parallelism)
+    rows = run_grid(point, p["temperature_grid_k"])
     write_csv(
         outdir / "oe_end_to_end.csv",
         ("temperature_k", "two_eta_direct", "two_eta_backscatter", "stable"),

@@ -4,7 +4,9 @@ One canonical format: a JSON object with ``kind``, ``seed``, ``parallelism``,
 optional ``output_dir``, and a kind-specific ``parameters`` table.  Physical
 quantities carry explicit unit suffixes in their key names.  Parsing is
 strict: unknown keys are rejected (with a nearest-key suggestion) and every
-validation error is collected, not just the first.
+validation error is collected, not just the first.  ``parallelism`` is
+validated and recorded in the normalized inputs (and so in the config hash)
+but changes nothing: every scenario runs serially.
 """
 
 from __future__ import annotations

@@ -14,23 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants, optimize
+from scipy import constants
 
+from .converter import OperatingPoint, solve_operating_point, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
-from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
-from .gaussian import GaussianState
-from .langevin import (
-    BathSpec,
-    LinearLangevinModel,
-    diffusion_from_baths,
-    is_stable,
-    steady_state_cov,
-)
+from .errors import ValidationError
+from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
+# Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
+from .langevin import steady_state_cov  # noqa: F401
 from .sweeps import bisect_threshold, run_grid
 
 __all__ = [
     "EomParams",
-    "EomOperatingPoint",
     "SweepPoint",
     "PAIR_NAMES",
     "operating_point",
@@ -102,87 +97,39 @@ class EomParams:
         )
 
 
-@dataclass(frozen=True)
-class EomOperatingPoint:
-    """DC fixed point of the driven converter; ``residual`` is relative."""
+def _update(params: EomParams, a, c, p, x):
+    """One undamped step of the fixed-point map."""
+    a_new = (params.e_c - 1j * params.g1 * p) / (1j * params.delta_c + params.kappa_c)
+    c_new = params.e_w / (1j * params.delta_w * (1.0 - params.g2 * x) + params.kappa_w)
+    p_new = -2.0 * params.g1 * a_new.real / params.omega_m
+    x_new = (
+        -params.gamma_m * p_new + params.delta_w * params.g2 * abs(c_new) ** 2
+    ) / params.omega_m
+    return a_new, c_new, p_new, x_new
 
-    a_s: complex
-    c_s: complex
-    p_s: float
-    x_s: float
-    residual: float
 
-
-def _fixed_point_residual(params: EomParams, a_s, c_s, p_s, x_s) -> float:
-    dc = params.delta_c
+def _equations(params: EomParams, a, c, p, x):
+    """The four DC equations, zero at the operating point."""
     dw = params.delta_w
-    f1 = -(1j * dc + params.kappa_c) * a_s - 1j * params.g1 * p_s + params.e_c
-    f2 = (
-        -(1j * dw + params.kappa_w) * c_s
-        + 1j * dw * params.g2 * x_s * c_s
-        + params.e_w
-    )
-    f3 = params.omega_m * p_s + 2.0 * params.g1 * a_s.real
-    f4 = -params.gamma_m * p_s - params.omega_m * x_s + dw * params.g2 * abs(c_s) ** 2
-    scale = max(1.0, abs(params.e_c), abs(params.e_w))
-    return max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
+    f1 = -(1j * params.delta_c + params.kappa_c) * a - 1j * params.g1 * p + params.e_c
+    f2 = -(1j * dw + params.kappa_w) * c + 1j * dw * params.g2 * x * c + params.e_w
+    f3 = params.omega_m * p + 2.0 * params.g1 * a.real
+    f4 = -params.gamma_m * p - params.omega_m * x + dw * params.g2 * abs(c) ** 2
+    return f1, f2, f3, f4
 
 
-def operating_point(params: EomParams, max_iter: int = 1_000) -> EomOperatingPoint:
+def operating_point(params: EomParams, max_iter: int = 1_000) -> OperatingPoint:
     """Solve the four coupled fixed-point relations.
 
     Damped fixed-point iteration from the zero-drive solution (which tracks
     the continuously connected branch), with a multidimensional root finder
     as fallback.  Converged relative residual <= 1e-9.
     """
-    dc = params.delta_c
-    dw = params.delta_w
-    a_s = 0.0 + 0.0j
-    c_s = 0.0 + 0.0j
-    p_s = 0.0
-    x_s = 0.0
-    damp = 0.5
-    for _ in range(max_iter):
-        a_new = (params.e_c - 1j * params.g1 * p_s) / (1j * dc + params.kappa_c)
-        c_new = params.e_w / (1j * dw * (1.0 - params.g2 * x_s) + params.kappa_w)
-        p_new = -2.0 * params.g1 * a_new.real / params.omega_m
-        x_new = (-params.gamma_m * p_new + dw * params.g2 * abs(c_new) ** 2) / params.omega_m
-        a_s = (1 - damp) * a_s + damp * a_new
-        c_s = (1 - damp) * c_s + damp * c_new
-        p_s = (1 - damp) * p_s + damp * p_new
-        x_s = (1 - damp) * x_s + damp * x_new
-        if _fixed_point_residual(params, a_s, c_s, p_s, x_s) <= 1e-9:
-            return EomOperatingPoint(
-                a_s, c_s, p_s, x_s, _fixed_point_residual(params, a_s, c_s, p_s, x_s)
-            )
-
-    def system(v):
-        a = v[0] + 1j * v[1]
-        c = v[2] + 1j * v[3]
-        p, x = v[4], v[5]
-        f1 = -(1j * dc + params.kappa_c) * a - 1j * params.g1 * p + params.e_c
-        f2 = -(1j * dw + params.kappa_w) * c + 1j * dw * params.g2 * x * c + params.e_w
-        f3 = params.omega_m * p + 2.0 * params.g1 * a.real
-        f4 = -params.gamma_m * p - params.omega_m * x + dw * params.g2 * abs(c) ** 2
-        return [f1.real, f1.imag, f2.real, f2.imag, f3, f4]
-
-    sol = optimize.root(
-        system, [a_s.real, a_s.imag, c_s.real, c_s.imag, p_s, x_s], method="hybr"
-    )
-    a_s = sol.x[0] + 1j * sol.x[1]
-    c_s = sol.x[2] + 1j * sol.x[3]
-    p_s, x_s = sol.x[4], sol.x[5]
-    residual = _fixed_point_residual(params, a_s, c_s, p_s, x_s)
-    if residual > 1e-9:
-        raise ConvergenceError(
-            f"operating point did not converge (relative residual {residual:.3e}); "
-            "the drive may sit in a bistable region",
-            residual=residual,
-        )
-    return EomOperatingPoint(a_s, c_s, p_s, x_s, residual)
+    scale = max(1.0, abs(params.e_c), abs(params.e_w))
+    return solve_operating_point(params, _update, _equations, scale, max_iter)
 
 
-def drift_matrix(params: EomParams, op_point: EomOperatingPoint) -> np.ndarray:
+def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:
     """Linearized 6x6 drift in (q_x, p_x, X_c, Y_c, X_w, Y_w) order.
 
     The MC frame phase is chosen so C_s is real and positive, which zeroes
@@ -232,15 +179,7 @@ def _pair_blocks(cov: np.ndarray, first: str, second: str) -> BipartiteBlocks:
 
 def entanglement_report(params: EomParams) -> dict[str, CriteriaReport]:
     """Steady-state criteria for the OC-MC, OC-MR and MR-MC pairs."""
-    model = build_model(params)
-    stable, max_re = is_stable(model)
-    if not stable:
-        raise NoSteadyStateError(
-            f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
-            eigenvalue=max_re,
-        )
-    cov = steady_state_cov(model)
-    GaussianState(3, np.zeros(6), cov).validate_physical(1e-6)
+    cov = steady_state(build_model(params))
     return {
         "oc_mc": gaussian_discord(_pair_blocks(cov, "oc", "mc")),
         "oc_mr": gaussian_discord(_pair_blocks(cov, "oc", "mr")),
@@ -267,25 +206,13 @@ def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
     raise ValidationError(f"unknown sweep axis {axis!r}")
 
 
-def sweep(
-    params: EomParams,
-    axis: str,
-    grid,
-    parallelism: int = 1,
-) -> list[SweepPoint]:
+def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     """One entanglement report per grid point; instabilities are marked, not fatal."""
     grid = [float(v) for v in grid]
     if sorted(grid) != grid:
         raise ValidationError("sweep grid must be ascending")
-
-    def point(value: float) -> SweepPoint:
-        try:
-            reports = entanglement_report(_with_axis(params, axis, value))
-        except (NoSteadyStateError, ConvergenceError, StiffnessError):
-            return SweepPoint(value, None, False)
-        return SweepPoint(value, reports, True)
-
-    return run_grid(point, grid, parallelism)
+    reports = run_grid(lambda v: entanglement_report(_with_axis(params, axis, v)), grid)
+    return [SweepPoint(v, r, r is not None) for v, r in zip(grid, reports)]
 
 
 def threshold_temperature(

@@ -15,24 +15,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants, optimize
+from scipy import constants
 
 from .channels import GaussianChannel, round_trip
+from .converter import OperatingPoint, solve_operating_point, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
-from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .gaussian import GaussianState, apply_channel
-from .langevin import (
-    BathSpec,
-    LinearLangevinModel,
-    diffusion_from_baths,
-    is_stable,
-    steady_state_cov,
-)
+from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
 __all__ = [
     "OeParams",
-    "OeOperatingPoint",
     "PdMaterialSpec",
     "DetuningSweep",
     "DetuningPoint",
@@ -85,15 +79,6 @@ class OeParams:
 
 
 @dataclass(frozen=True)
-class OeOperatingPoint:
-    a_s: complex
-    c_s: complex
-    p_s: float
-    x_s: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class PdMaterialSpec:
     """Photodetector material constants for the perturbative coupling rate."""
 
@@ -143,72 +128,35 @@ def gwp_from_mu_c(
     )
 
 
-def _residual(params: OeParams, a_s, c_s, p_s, x_s) -> float:
-    f1 = (
-        -(1j * (params.delta_c + params.g_op * p_s) + params.kappa_c) * a_s
-        + params.e_c
-    )
-    f2 = (
-        -(1j * (params.delta_w - params.g_wp * x_s) + params.kappa_w) * c_s
-        + params.e_w
-    )
-    f3 = params.delta_eg * p_s + params.g_op * abs(a_s) ** 2
-    f4 = (
-        -params.gamma_p * p_s
-        - params.delta_eg * x_s
-        + params.g_wp * abs(c_s) ** 2
-    )
-    scale = max(1.0, abs(params.e_c), abs(params.e_w))
-    return max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
+def _update(params: OeParams, a, c, p, x):
+    """One undamped step of the fixed-point map."""
+    a_new = params.e_c / (1j * (params.delta_c + params.g_op * p) + params.kappa_c)
+    c_new = params.e_w / (1j * (params.delta_w - params.g_wp * x) + params.kappa_w)
+    p_new = -params.g_op * abs(a_new) ** 2 / params.delta_eg
+    x_new = (params.g_wp * abs(c_new) ** 2 - params.gamma_p * p_new) / params.delta_eg
+    return a_new, c_new, p_new, x_new
 
 
-def operating_point(params: OeParams, max_iter: int = 1_000) -> OeOperatingPoint:
+def _equations(params: OeParams, a, c, p, x):
+    """The four DC equations, zero at the operating point."""
+    f1 = -(1j * (params.delta_c + params.g_op * p) + params.kappa_c) * a + params.e_c
+    f2 = -(1j * (params.delta_w - params.g_wp * x) + params.kappa_w) * c + params.e_w
+    f3 = params.delta_eg * p + params.g_op * abs(a) ** 2
+    f4 = -params.gamma_p * p - params.delta_eg * x + params.g_wp * abs(c) ** 2
+    return f1, f2, f3, f4
+
+
+def operating_point(params: OeParams, max_iter: int = 1_000) -> OperatingPoint:
     """Driven fixed point; the photodetector pair is singular at delta_eg = 0."""
     if params.delta_eg == 0.0:
         raise ConvergenceError(
             "operating point is singular at delta_eg = 0 (undamped static mediator)"
         )
-    a_s = 0.0 + 0.0j
-    c_s = 0.0 + 0.0j
-    p_s = 0.0
-    x_s = 0.0
-    damp = 0.5
-    for _ in range(max_iter):
-        a_new = params.e_c / (1j * (params.delta_c + params.g_op * p_s) + params.kappa_c)
-        c_new = params.e_w / (1j * (params.delta_w - params.g_wp * x_s) + params.kappa_w)
-        p_new = -params.g_op * abs(a_new) ** 2 / params.delta_eg
-        x_new = (params.g_wp * abs(c_new) ** 2 - params.gamma_p * p_new) / params.delta_eg
-        a_s = (1 - damp) * a_s + damp * a_new
-        c_s = (1 - damp) * c_s + damp * c_new
-        p_s = (1 - damp) * p_s + damp * p_new
-        x_s = (1 - damp) * x_s + damp * x_new
-        if _residual(params, a_s, c_s, p_s, x_s) <= 1e-9:
-            return OeOperatingPoint(a_s, c_s, p_s, x_s, _residual(params, a_s, c_s, p_s, x_s))
-
-    def system(v):
-        a = v[0] + 1j * v[1]
-        c = v[2] + 1j * v[3]
-        p, x = v[4], v[5]
-        f1 = -(1j * (params.delta_c + params.g_op * p) + params.kappa_c) * a + params.e_c
-        f2 = -(1j * (params.delta_w - params.g_wp * x) + params.kappa_w) * c + params.e_w
-        f3 = params.delta_eg * p + params.g_op * abs(a) ** 2
-        f4 = -params.gamma_p * p - params.delta_eg * x + params.g_wp * abs(c) ** 2
-        return [f1.real, f1.imag, f2.real, f2.imag, f3, f4]
-
-    sol = optimize.root(system, [a_s.real, a_s.imag, c_s.real, c_s.imag, p_s, x_s])
-    a_s = sol.x[0] + 1j * sol.x[1]
-    c_s = sol.x[2] + 1j * sol.x[3]
-    p_s, x_s = sol.x[4], sol.x[5]
-    residual = _residual(params, a_s, c_s, p_s, x_s)
-    if residual > 1e-9:
-        raise ConvergenceError(
-            f"operating point did not converge (relative residual {residual:.3e})",
-            residual=residual,
-        )
-    return OeOperatingPoint(a_s, c_s, p_s, x_s, residual)
+    scale = max(1.0, abs(params.e_c), abs(params.e_w))
+    return solve_operating_point(params, _update, _equations, scale, max_iter)
 
 
-def drift_matrix(params: OeParams, op_point: OeOperatingPoint) -> np.ndarray:
+def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:
     """Linearized 6x6 drift in (q_x, p_x, X_c, Y_c, X_w, Y_w) order.
 
     Both cavity frames are rotated so A_s and C_s are real and positive; the
@@ -246,15 +194,7 @@ def build_model(params: OeParams) -> LinearLangevinModel:
 
 def _oc_mc_state(params: OeParams) -> GaussianState:
     """Steady-state two-mode (OC, MC) reduced state."""
-    model = build_model(params)
-    stable, max_re = is_stable(model)
-    if not stable:
-        raise NoSteadyStateError(
-            f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
-            eigenvalue=max_re,
-        )
-    cov = steady_state_cov(model)
-    GaussianState(3, np.zeros(6), cov).validate_physical(1e-6)
+    cov = steady_state(build_model(params))
     return GaussianState(2, np.zeros(4), cov[2:6, 2:6])
 
 
@@ -278,22 +218,16 @@ class DetuningSweep:
     min_two_eta: float | None
 
 
-def entanglement_vs_detuning(
-    params: OeParams, delta_eg_grid, parallelism: int = 1
-) -> DetuningSweep:
+def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     """2eta(OC-MC) versus photodetector detuning, with instability markers."""
     grid = [float(v) for v in delta_eg_grid]
     if not all(math.isfinite(v) for v in grid):
         raise ValidationError("detuning grid must be finite")
-
-    def point(value: float) -> DetuningPoint:
-        try:
-            rep = direct_report(dataclasses.replace(params, delta_eg=value))
-        except (NoSteadyStateError, ConvergenceError, StiffnessError):
-            return DetuningPoint(value, None, False)
-        return DetuningPoint(value, rep.two_eta, True)
-
-    points = run_grid(point, grid, parallelism)
+    reports = run_grid(lambda v: direct_report(dataclasses.replace(params, delta_eg=v)), grid)
+    points = [
+        DetuningPoint(v, None, False) if r is None else DetuningPoint(v, r.two_eta, True)
+        for v, r in zip(grid, reports)
+    ]
     stable_pts = [p for p in points if p.stable]
     if stable_pts:
         best = min(stable_pts, key=lambda p: p.two_eta)

@@ -1,34 +1,40 @@
-"""Deterministic parallel grid evaluation and threshold root-finding (Brent)."""
+"""Grid evaluation with failed-point marking, and threshold root-finding
+(Brent).
+
+Sweeps run serially: a converter point is GIL-bound 4x4/6x6 algebra, so a
+thread pool only adds dispatch cost.
+"""
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from scipy import optimize
 
-from .errors import ValidationError
+from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 
 __all__ = ["run_grid", "bisect_threshold"]
 
 
-def run_grid(fn: Callable, grid: Sequence, parallelism: int = 1) -> list:
+def run_grid(fn: Callable, grid: Sequence) -> list:
     """Evaluate ``fn`` over ``grid``; output order follows the grid.
 
-    Each point must be a pure function of its value; with ``parallelism`` > 1
-    the points are dispatched to a bounded thread pool and reassembled by
-    grid index, so results are identical to the serial run.
+    A point where the converter has no steady state, no operating point or
+    no accurate Lyapunov solution (:class:`NoSteadyStateError`,
+    :class:`ConvergenceError`, :class:`StiffnessError`) yields None; any
+    other error propagates.
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("sweep grid must not be empty")
-    if parallelism < 1:
-        raise ValidationError("parallelism must be >= 1")
-    if parallelism == 1 or len(grid) == 1:
-        return [fn(v) for v in grid]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, grid))
+    out = []
+    for value in grid:
+        try:
+            out.append(fn(value))
+        except (NoSteadyStateError, ConvergenceError, StiffnessError):
+            out.append(None)
+    return out
 
 
 def bisect_threshold(

@@ -135,13 +135,6 @@ class TestSweep:
         with pytest.raises(ValidationError, match="axis"):
             sweep(reference, "flux_capacitance", [1.0])
 
-    def test_parallel_matches_serial(self, reference):
-        grid = list(np.linspace(0.01, 0.2, 6))
-        serial = sweep(reference, "temperature", grid, parallelism=1)
-        parallel = sweep(reference, "temperature", grid, parallelism=4)
-        for a, b in zip(serial, parallel):
-            assert a.reports["oc_mc"].lambda_sph == b.reports["oc_mc"].lambda_sph
-
 
 class TestThreshold:
     def test_threshold_exists_and_is_resolved(self, reference):

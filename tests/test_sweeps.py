@@ -1,11 +1,18 @@
-"""Threshold root-finding: accuracy, None results, bracket expansion and
-evaluation counts."""
+"""Grid evaluation (order, failed-point marking, error propagation) and
+threshold root-finding (accuracy, None results, bracket expansion and
+evaluation counts)."""
 
 import collections
 
 import pytest
 
-from qradar.sweeps import bisect_threshold
+from qradar.errors import (
+    ConvergenceError,
+    NoSteadyStateError,
+    StiffnessError,
+    ValidationError,
+)
+from qradar.sweeps import bisect_threshold, run_grid
 
 
 def counting(fn):
@@ -55,3 +62,32 @@ class TestBisectThreshold:
         bisect_threshold(fn, lo=0.0, hi=8.0, resolution=1e-3)
         assert calls
         assert set(calls.values()) == {1}
+
+
+class TestRunGrid:
+    def test_output_follows_grid_order(self):
+        grid = [3.0, -1.0, 2.5, 0.0]
+        assert run_grid(lambda v: 2.0 * v, grid) == [6.0, -2.0, 5.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "error",
+        [NoSteadyStateError("unstable"), ConvergenceError("stalled"), StiffnessError("stiff")],
+    )
+    def test_converter_failure_yields_none(self, error):
+        def fn(v):
+            if v == 2.0:
+                raise error
+            return v
+
+        assert run_grid(fn, [1.0, 2.0, 3.0]) == [1.0, None, 3.0]
+
+    def test_validation_error_propagates(self):
+        def fn(v):
+            raise ValidationError("bad input")
+
+        with pytest.raises(ValidationError, match="bad input"):
+            run_grid(fn, [1.0])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            run_grid(lambda v: v, [])
