@@ -30,7 +30,6 @@ from .criteria import (
 )
 from .gaussian import (
     GaussianState,
-    SymplecticForm,
     apply_channel,
     partial_transpose,
     sample,

@@ -149,14 +149,14 @@ def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
 
     def point(temperature: float):
         local = dataclasses.replace(params, temperature=temperature)
-        try:
-            direct = oe.direct_report(local).two_eta
-            back = oe.end_to_end_report(local, atmosphere, target).two_eta
-        except QradarError:
-            return (temperature, math.nan, math.nan, False)
-        return (temperature, direct, back, True)
+        direct = oe.direct_report(local).two_eta
+        return direct, oe.end_to_end_report(local, atmosphere, target).two_eta
 
-    rows = run_grid(point, p["temperature_grid_k"])
+    grid = p["temperature_grid_k"]
+    rows = [
+        (t, math.nan, math.nan, False) if r is None else (t, *r, True)
+        for t, r in zip(grid, run_grid(point, grid))
+    ]
     write_csv(
         outdir / "oe_end_to_end.csv",
         ("temperature_k", "two_eta_direct", "two_eta_backscatter", "stable"),

@@ -10,7 +10,7 @@ convention and log base 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +36,17 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @dataclass(frozen=True, eq=False)
 class BipartiteBlocks:
-    """2x2 blocks (A, B, C) of a two-mode covariance matrix [A, C; C^T, B]."""
+    """2x2 blocks (A, B, C) of a two-mode covariance matrix [A, C; C^T, B].
+
+    The blocks are assembled once into ``state``, a validated zero-mean
+    :class:`GaussianState`; ``A``, ``B`` and ``C`` are read-only views of its
+    covariance.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    state: GaussianState = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.A, dtype=float)
@@ -49,14 +55,12 @@ class BipartiteBlocks:
         for name, m in (("A", a), ("B", b), ("C", c)):
             if m.shape != (2, 2):
                 raise ValidationError(f"block {name} must be 2x2, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValidationError(f"block {name} must be finite")
-        for name, m in (("A", a), ("B", b)):
-            if abs(m - m.T).max() > 1e-10 * max(1.0, abs(m).max()):
-                raise ValidationError(f"block {name} must be symmetric")
-        object.__setattr__(self, "A", 0.5 * (a + a.T))
-        object.__setattr__(self, "B", 0.5 * (b + b.T))
-        object.__setattr__(self, "C", c)
+        state = GaussianState(2, np.zeros(4), np.block([[a, c], [c.T, b]]))
+        state.cov.setflags(write=False)  # validated once, so it must not change
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "A", state.cov[:2, :2])
+        object.__setattr__(self, "B", state.cov[2:, 2:])
+        object.__setattr__(self, "C", state.cov[:2, 2:])
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> "BipartiteBlocks":
@@ -66,13 +70,10 @@ class BipartiteBlocks:
         return cls(cov[:2, :2], cov[2:, 2:], cov[:2, 2:])
 
     def to_covariance(self) -> np.ndarray:
-        return np.block([[self.A, self.C], [self.C.T, self.B]])
-
-    def to_state(self) -> GaussianState:
-        return GaussianState(2, np.zeros(4), self.to_covariance())
+        return self.state.cov.copy()
 
     def validate_physical(self, tol: float = 1e-9) -> "BipartiteBlocks":
-        self.to_state().validate_physical(tol)
+        self.state.validate_physical(tol)
         return self
 
 
@@ -108,7 +109,7 @@ def _invariants(blocks: BipartiteBlocks):
     det_a = float(np.linalg.det(blocks.A))
     det_b = float(np.linalg.det(blocks.B))
     det_c = float(np.linalg.det(blocks.C))
-    det_v = float(np.linalg.det(blocks.to_covariance()))
+    det_v = float(np.linalg.det(blocks.state.cov))
     return det_a, det_b, det_c, det_v
 
 
@@ -156,7 +157,7 @@ def _nu_pair(blocks: BipartiteBlocks):
     Delta = det A + det B + 2 det C, evaluated through the eigensolver: the
     quadratic formula cancels catastrophically for near-pure states.
     """
-    nus = symplectic_eigenvalues(blocks.to_covariance())
+    nus = symplectic_eigenvalues(blocks.state)
     return float(nus[0]), float(nus[1])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SymplecticForm",
     "GaussianState",
     "symplectic_form",
     "vacuum_state",
@@ -55,17 +54,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SymplecticForm:
-    """The symplectic form Omega for ``n_modes`` modes (Omega^2 = -I, Omega^T = -Omega)."""
-
-    n_modes: int
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", symplectic_form(self.n_modes))
-
-
-@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Mean quadrature vector and real symmetric covariance matrix over N modes."""
 
@@ -90,15 +78,6 @@ class GaussianState:
             raise ValidationError("state invariant violated: cov is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-
-    def mode_block(self, mode: int) -> np.ndarray:
-        s = slice(2 * mode, 2 * mode + 2)
-        return self.cov[s, s]
-
-    def cross_block(self, mode_a: int, mode_b: int) -> np.ndarray:
-        sa = slice(2 * mode_a, 2 * mode_a + 2)
-        sb = slice(2 * mode_b, 2 * mode_b + 2)
-        return self.cov[sa, sb]
 
     def is_physical(self, tol: float = 1e-9) -> bool:
         return min(symplectic_eigenvalues(self)) >= VACUUM_VARIANCE - tol
@@ -129,18 +108,15 @@ def symplectic_eigenvalues(state: GaussianState | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending, length N.
 
     The eigenvalues of Omega V come in +-(i nu) pairs; the magnitudes are
-    collected, sorted, and the pairing halved.
+    collected, sorted, and the pairing halved.  A bare covariance is checked
+    by wrapping it in a zero-mean :class:`GaussianState`.
     """
-    cov = state.cov if isinstance(state, GaussianState) else np.asarray(state, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise ValidationError("covariance must be square 2N x 2N")
-    if not np.isfinite(cov).all():
-        raise ValidationError("state invariant violated: cov must be finite")
-    scale = max(1.0, abs(cov).max())
-    if abs(cov - cov.T).max() > 1e-10 * scale:
-        raise ValidationError("state invariant violated: cov is not symmetric")
-    n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ cov)
+    if not isinstance(state, GaussianState):
+        cov = np.asarray(state, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
+            raise ValidationError(f"covariance must be square 2N x 2N, N >= 1, got {cov.shape}")
+        state = GaussianState(cov.shape[0] // 2, np.zeros(cov.shape[0]), cov)
+    eigs = np.linalg.eigvals(symplectic_form(state.n_modes) @ state.cov)
     return np.sort(np.abs(eigs))[::2]
 
 

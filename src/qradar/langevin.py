@@ -106,8 +106,8 @@ class LinearLangevinModel:
             raise ValidationError(f"drift must be square 2N x 2N, got {a.shape}")
         if d.shape != a.shape:
             raise ValidationError("diffusion shape must match drift")
-        if not np.isfinite(a).all():
-            raise ValidationError("drift must be finite")
+        if not (np.isfinite(a).all() and np.isfinite(d).all()):
+            raise ValidationError("drift and diffusion must be finite")
         scale = max(1.0, abs(d).max())
         if abs(d - d.T).max() > 1e-10 * scale:
             raise ValidationError("diffusion must be symmetric")

@@ -21,7 +21,7 @@ from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, solve_operating_point, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
 from .errors import ConvergenceError, ValidationError
-from .gaussian import GaussianState, apply_channel
+from .gaussian import apply_channel
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
@@ -192,16 +192,14 @@ def build_model(params: OeParams) -> LinearLangevinModel:
     )
 
 
-def _oc_mc_state(params: OeParams) -> GaussianState:
-    """Steady-state two-mode (OC, MC) reduced state."""
-    cov = steady_state(build_model(params))
-    return GaussianState(2, np.zeros(4), cov[2:6, 2:6])
+def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
+    """Steady-state two-mode (OC, MC) reduced blocks."""
+    return BipartiteBlocks.from_covariance(steady_state(build_model(params))[2:6, 2:6])
 
 
 def direct_report(params: OeParams) -> CriteriaReport:
     """Criteria between the intracavity OC and MC modes."""
-    state = _oc_mc_state(params)
-    return gaussian_discord(BipartiteBlocks.from_covariance(state.cov))
+    return gaussian_discord(_oc_mc_blocks(params))
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,8 @@ def end_to_end_report(
     ``channel_spec``, scattered by ``target_spec``, and returned through the
     same medium.
     """
-    state = _oc_mc_state(params)
     composite = round_trip(channel_spec, target_spec, channel_spec)
-    returned = apply_channel(state, composite.expand(mode=1, n_modes=2))
+    returned = apply_channel(_oc_mc_blocks(params).state, composite.expand(mode=1, n_modes=2))
     return gaussian_discord(BipartiteBlocks.from_covariance(returned.cov))
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qradar import oe
 from qradar.cli import main, run_scenario
 from qradar.config import parse_config, validate_config
-from qradar.errors import ConfigError
+from qradar.errors import ConfigError, NoSteadyStateError, PhysicalityError
 from qradar.presets import SCENARIO_PRESETS
 
 
@@ -125,6 +126,45 @@ class TestCliCommands:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert "Threshold" in summary["reason"]
+
+
+class TestOeEndToEndFailures:
+    """Only the converter failures mark a point unstable; others abort the run."""
+
+    GRID = [0.01, 0.05, 0.1]
+
+    def _failing_at(self, monkeypatch, temperature, error):
+        real = oe.end_to_end_report
+
+        def fake(params, channel_spec, target_spec):
+            if params.temperature == temperature:
+                raise error
+            return real(params, channel_spec, target_spec)
+
+        monkeypatch.setattr(oe, "end_to_end_report", fake)
+
+    def _config(self, tmp_path):
+        parameters = {**SCENARIO_PRESETS["fig10"]["parameters"], "temperature_grid_k": self.GRID}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "oe_end_to_end", "parameters": parameters}))
+        return path
+
+    def test_no_steady_state_marks_row_unstable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        self._failing_at(monkeypatch, 0.05, NoSteadyStateError("unstable drift"))
+        assert main(["run", str(self._config(tmp_path))]) == 0
+        rows = read_csv(tmp_path / "out" / "oe_end_to_end.csv")
+        assert rows["stable"].tolist() == [1, 0, 1]
+        assert np.isnan(rows["two_eta_direct"][1]) and np.isnan(rows["two_eta_backscatter"][1])
+        assert np.isfinite(rows["two_eta_backscatter"][[0, 2]]).all()
+
+    def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        self._failing_at(monkeypatch, 0.05, PhysicalityError("nu below 1/2"))
+        assert main(["run", str(self._config(tmp_path))]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["reason"] == "PhysicalityError: nu below 1/2"
 
 
 class TestArtifacts:

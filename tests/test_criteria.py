@@ -43,6 +43,43 @@ def definition_level_discord(cov: np.ndarray) -> float:
     return s_b - s_ab + s_cond
 
 
+class TestBipartiteBlocks:
+    def test_rejects_wrong_block_shape(self):
+        with pytest.raises(ValidationError, match="block A must be 2x2"):
+            BipartiteBlocks(np.eye(3), np.eye(2), np.zeros((2, 2)))
+
+    def test_rejects_non_finite_entry(self):
+        c = np.zeros((2, 2))
+        c[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            BipartiteBlocks(np.eye(2), np.eye(2), c)
+
+    def test_rejects_asymmetric_block(self):
+        a = np.eye(2)
+        a[0, 1] = 1e-3
+        with pytest.raises(ValidationError, match="symmetric"):
+            BipartiteBlocks(a, np.eye(2), np.zeros((2, 2)))
+
+    def test_blocks_are_views_of_the_state(self, rng):
+        blocks = BipartiteBlocks.from_covariance(random_physical_two_mode(rng).cov)
+        cov = blocks.state.cov
+        assert np.shares_memory(blocks.A, cov)
+        assert np.array_equal(blocks.A, cov[:2, :2])
+        assert np.array_equal(blocks.B, cov[2:, 2:])
+        assert np.array_equal(blocks.C, cov[:2, 2:])
+        with pytest.raises(ValueError, match="read-only"):
+            blocks.A[0, 1] = 1.0
+
+    def test_to_covariance_returns_a_copy(self):
+        blocks = tmsv_blocks(0.5)
+        cov = blocks.to_covariance()
+        assert np.array_equal(cov, tmsv_cov(0.5))
+        cov[:] = 7.0
+        assert np.array_equal(blocks.to_covariance(), tmsv_cov(0.5))
+        assert np.array_equal(blocks.A, tmsv_cov(0.5)[:2, :2])
+        assert np.array_equal(blocks.C, tmsv_cov(0.5)[:2, 2:])
+
+
 class TestLambdaSph:
     def test_vacuum_boundary_exact(self):
         assert lambda_sph(vacuum_blocks()) == 0.0

@@ -56,6 +56,11 @@ class TestSymplecticEigenvalues:
                 symplectic_eigenvalues(state), rel=1e-9, abs=1e-11
             )
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (4,)])
+    def test_rejects_malformed_covariance(self, shape):
+        with pytest.raises(ValidationError, match="square 2N x 2N"):
+            symplectic_eigenvalues(np.zeros(shape))
+
     def test_rejects_asymmetric(self):
         cov = np.eye(2)
         cov[0, 1] = 1e-3

@@ -100,6 +100,15 @@ class TestStability:
         assert result.max_real_part == pytest.approx(0.0, abs=1e-12)
 
 
+class TestModelValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_diffusion(self, bad):
+        d = np.eye(2)
+        d[1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            LinearLangevinModel(-np.eye(2), d, ("a",))
+
+
 class TestSteadyState:
     def test_diagonal_balance(self):
         # drift -kappa I with D = 2 kappa (n + 1/2) I relaxes to (n + 1/2) I.

@@ -183,12 +183,12 @@ class TestEndToEnd:
         from qradar.channels import round_trip
         from qradar.criteria import BipartiteBlocks, gaussian_discord
         from qradar.gaussian import apply_channel
-        from qradar.oe import _oc_mc_state
+        from qradar.oe import _oc_mc_blocks
 
         atmosphere = channel_preset("fig10_atmosphere")
         target = channel_preset("fig10_target")
         reported = end_to_end_report(reference, atmosphere, target)
-        state = _oc_mc_state(reference)
+        state = _oc_mc_blocks(reference).state
         composite = round_trip(atmosphere, target, atmosphere).expand(1, 2)
         manual = gaussian_discord(
             BipartiteBlocks.from_covariance(apply_channel(state, composite).cov)
