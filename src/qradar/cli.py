@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -38,64 +39,25 @@ from .sweeps import run_grid
 
 __all__ = ["main", "run_scenario"]
 
-_EOM_KEYMAP = {
-    "omega_c_rad_s": "omega_c",
-    "omega_m_rad_s": "omega_m",
-    "omega_w_rad_s": "omega_w",
-    "kappa_c_rad_s": "kappa_c",
-    "gamma_m_rad_s": "gamma_m",
-    "kappa_w_rad_s": "kappa_w",
-    "delta_c_rad_s": "delta_c",
-    "delta_w_rad_s": "delta_w",
-    "g1_rad_s": "g1",
-    "g2_dimensionless": "g2",
-    "e_c_rad_s": "e_c",
-    "e_w_rad_s": "e_w",
-    "temperature_k": "temperature",
-}
-
-_OE_KEYMAP = {
-    "delta_c_rad_s": "delta_c",
-    "delta_w_rad_s": "delta_w",
-    "delta_eg_rad_s": "delta_eg",
-    "kappa_c_rad_s": "kappa_c",
-    "kappa_w_rad_s": "kappa_w",
-    "gamma_p_rad_s": "gamma_p",
-    "g_op_rad_s": "g_op",
-    "g_wp_rad_s": "g_wp",
-    "mu_c_dimensionless": "mu_c",
-    "temperature_k": "temperature",
-    "e_c_rad_s": "e_c",
-    "e_w_rad_s": "e_w",
-    "omega_c_rad_s": "omega_c",
-    "omega_w_rad_s": "omega_w",
-    "omega_eg_rad_s": "omega_eg",
-}
-
-_AXIS_MAP = {
-    "temperature_k": "temperature",
-    "wavelength_m": "wavelength",
-    "gamma_m_rad_s": "gamma_m",
-}
+# A converter override key (qradar.config's override tables) or eom_sweep axis
+# is the params field or sweep axis it names plus a unit suffix.
+_UNIT_SUFFIX = re.compile(r"_(rad_s|dimensionless|k|m)$")
 
 
-def _eom_params(overrides: dict) -> eom.EomParams:
-    return dataclasses.replace(
-        eom_reference(), **{_EOM_KEYMAP[k]: v for k, v in overrides.items()}
-    )
+def _field(key: str) -> str:
+    return _UNIT_SUFFIX.sub("", key)
 
 
-def _oe_params(overrides: dict) -> oe.OeParams:
-    return dataclasses.replace(
-        oe_reference(), **{_OE_KEYMAP[k]: v for k, v in overrides.items()}
-    )
+def _params(reference, overrides: dict):
+    """``reference`` (EomParams or OeParams) with the config overrides applied."""
+    return dataclasses.replace(reference, **{_field(k): v for k, v in overrides.items()})
 
 
 def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
-    params = _eom_params(p["eom"])
+    params = _params(eom_reference(), p["eom"])
     axis = p["axis"]
-    points = eom.sweep(params, _AXIS_MAP[axis], p["grid"])
+    points = eom.sweep(params, _field(axis), p["grid"])
     rows = []
     for pt in points:
         if pt.stable:
@@ -126,7 +88,7 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
 
 def _run_oe_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
-    params = _oe_params(p["oe"])
+    params = _params(oe_reference(), p["oe"])
     result = oe.entanglement_vs_detuning(params, p["delta_eg_grid_rad_s"])
     rows = [
         (pt.delta_eg, pt.two_eta if pt.stable else math.nan, pt.stable)
@@ -143,14 +105,13 @@ def _run_oe_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
 
 def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
-    params = _oe_params(p["oe"])
+    params = _params(oe_reference(), p["oe"])
     atmosphere = channels.attenuation_channel(p["kappa_atm_per_m"], p["distance_m"], p["n_env"])
     target = channels.target_channel(p["kappa_t_per_m"], p["target_thickness_m"], p["n_t"])
 
     def point(temperature: float):
         local = dataclasses.replace(params, temperature=temperature)
-        direct = oe.direct_report(local).two_eta
-        return direct, oe.end_to_end_report(local, atmosphere, target).two_eta
+        return oe.end_to_end_two_eta(local, atmosphere, target)
 
     grid = p["temperature_grid_k"]
     rows = [

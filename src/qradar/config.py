@@ -54,6 +54,8 @@ def _grid(required=True, ascending=True):
     return FieldSpec("grid", required, ascending=ascending)
 
 
+# Converter overrides: each key is an EomParams/OeParams field plus its unit
+# suffix, and qradar.cli derives the field by dropping the suffix.
 _EOM_OVERRIDES = {
     "omega_c_rad_s": _num(exclusive_minimum=0.0),
     "omega_m_rad_s": _num(exclusive_minimum=0.0),

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import constants
 
 from .converter import OperatingPoint, solve_operating_point, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
+from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, lambda_sph
 from .errors import ValidationError
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
@@ -170,7 +170,9 @@ def build_model(params: EomParams) -> LinearLangevinModel:
     )
 
 
-def _pair_blocks(cov: np.ndarray, first: str, second: str) -> BipartiteBlocks:
+def _pair_blocks(cov: np.ndarray, pair: str) -> BipartiteBlocks:
+    """Blocks of ``pair`` (one of :data:`PAIR_NAMES`), first mode first."""
+    first, second = pair.split("_")
     i = _MODE_INDEX[first]
     j = _MODE_INDEX[second]
     si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
@@ -180,11 +182,7 @@ def _pair_blocks(cov: np.ndarray, first: str, second: str) -> BipartiteBlocks:
 def entanglement_report(params: EomParams) -> dict[str, CriteriaReport]:
     """Steady-state criteria for the OC-MC, OC-MR and MR-MC pairs."""
     cov = steady_state(build_model(params))
-    return {
-        "oc_mc": gaussian_discord(_pair_blocks(cov, "oc", "mc")),
-        "oc_mr": gaussian_discord(_pair_blocks(cov, "oc", "mr")),
-        "mr_mc": gaussian_discord(_pair_blocks(cov, "mr", "mc")),
-    }
+    return {pair: gaussian_discord(_pair_blocks(cov, pair)) for pair in PAIR_NAMES}
 
 
 @dataclass(frozen=True)
@@ -223,14 +221,15 @@ def threshold_temperature(
 ) -> float | None:
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
-    Returns None when the pair is already separable at the base temperature;
-    the bracket expands above ``t_max`` if needed.
+    Each evaluation solves the steady state and scores lambda_SPH on that one
+    pair.  Returns None when the pair is already separable at the base
+    temperature; the bracket expands above ``t_max`` if needed.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
 
     def crossing(temperature: float) -> float:
         p = dataclasses.replace(params, temperature=temperature)
-        return entanglement_report(p)[pair].lambda_sph
+        return lambda_sph(_pair_blocks(steady_state(build_model(p)), pair))
 
     return bisect_threshold(crossing, lo=0.0, hi=t_max, resolution=resolution)

@@ -19,7 +19,7 @@ from scipy import constants
 
 from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, solve_operating_point, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord
+from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta
 from .errors import ConvergenceError, ValidationError
 from .gaussian import apply_channel
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
@@ -38,6 +38,7 @@ __all__ = [
     "direct_report",
     "entanglement_vs_detuning",
     "end_to_end_report",
+    "end_to_end_two_eta",
     "threshold_temperature",
 ]
 
@@ -197,6 +198,17 @@ def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
     return BipartiteBlocks.from_covariance(steady_state(build_model(params))[2:6, 2:6])
 
 
+def _returned_blocks(
+    blocks: BipartiteBlocks, channel_spec: GaussianChannel, target_spec: GaussianChannel
+) -> BipartiteBlocks:
+    """(OC, c_b) blocks: the MC mode of ``blocks`` sent out through
+    ``channel_spec``, scattered by ``target_spec`` and returned through the
+    same medium."""
+    composite = round_trip(channel_spec, target_spec, channel_spec)
+    returned = apply_channel(blocks.state, composite.expand(mode=1, n_modes=2))
+    return BipartiteBlocks.from_covariance(returned.cov)
+
+
 def direct_report(params: OeParams) -> CriteriaReport:
     """Criteria between the intracavity OC and MC modes."""
     return gaussian_discord(_oc_mc_blocks(params))
@@ -221,11 +233,10 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     grid = [float(v) for v in delta_eg_grid]
     if not all(math.isfinite(v) for v in grid):
         raise ValidationError("detuning grid must be finite")
-    reports = run_grid(lambda v: direct_report(dataclasses.replace(params, delta_eg=v)), grid)
-    points = [
-        DetuningPoint(v, None, False) if r is None else DetuningPoint(v, r.two_eta, True)
-        for v, r in zip(grid, reports)
-    ]
+    values = run_grid(
+        lambda v: two_eta(_oc_mc_blocks(dataclasses.replace(params, delta_eg=v))), grid
+    )
+    points = [DetuningPoint(v, e, e is not None) for v, e in zip(grid, values)]
     stable_pts = [p for p in points if p.stable]
     if stable_pts:
         best = min(stable_pts, key=lambda p: p.two_eta)
@@ -244,9 +255,18 @@ def end_to_end_report(
     ``channel_spec``, scattered by ``target_spec``, and returned through the
     same medium.
     """
-    composite = round_trip(channel_spec, target_spec, channel_spec)
-    returned = apply_channel(_oc_mc_blocks(params).state, composite.expand(mode=1, n_modes=2))
-    return gaussian_discord(BipartiteBlocks.from_covariance(returned.cov))
+    return gaussian_discord(_returned_blocks(_oc_mc_blocks(params), channel_spec, target_spec))
+
+
+def end_to_end_two_eta(
+    params: OeParams,
+    channel_spec: GaussianChannel,
+    target_spec: GaussianChannel,
+) -> tuple[float, float]:
+    """2eta of the direct (OC, MC) pair and of the backscattered (OC, c_b)
+    pair, both from one steady state."""
+    blocks = _oc_mc_blocks(params)
+    return two_eta(blocks), two_eta(_returned_blocks(blocks, channel_spec, target_spec))
 
 
 def threshold_temperature(
@@ -259,13 +279,16 @@ def threshold_temperature(
     """Temperature where 2eta(OC-MC) crosses 1, to ``resolution``/2.
 
     With a channel/target pair the threshold of the backscattered mode c_b is
-    located instead.
+    located instead; giving only one of the two is a :class:`ValidationError`.
+    Each evaluation solves the steady state and scores 2eta only.
     """
+    if (channel_spec is None) != (target_spec is None):
+        raise ValidationError("channel_spec and target_spec must be given together")
 
     def crossing(temperature: float) -> float:
-        p = dataclasses.replace(params, temperature=temperature)
-        if channel_spec is None:
-            return direct_report(p).two_eta - 1.0
-        return end_to_end_report(p, channel_spec, target_spec).two_eta - 1.0
+        blocks = _oc_mc_blocks(dataclasses.replace(params, temperature=temperature))
+        if channel_spec is not None:
+            blocks = _returned_blocks(blocks, channel_spec, target_spec)
+        return two_eta(blocks) - 1.0
 
     return bisect_threshold(crossing, lo=1e-4, hi=t_max, resolution=resolution)

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI subcommands, artifact schemas, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from qradar import oe
-from qradar.cli import main, run_scenario
-from qradar.config import parse_config, validate_config
+from qradar.cli import _params, main, run_scenario
+from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
 from qradar.errors import ConfigError, NoSteadyStateError, PhysicalityError
-from qradar.presets import SCENARIO_PRESETS
+from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
 
 def read_csv(path: Path):
@@ -134,14 +135,14 @@ class TestOeEndToEndFailures:
     GRID = [0.01, 0.05, 0.1]
 
     def _failing_at(self, monkeypatch, temperature, error):
-        real = oe.end_to_end_report
+        real = oe.end_to_end_two_eta
 
         def fake(params, channel_spec, target_spec):
             if params.temperature == temperature:
                 raise error
             return real(params, channel_spec, target_spec)
 
-        monkeypatch.setattr(oe, "end_to_end_report", fake)
+        monkeypatch.setattr(oe, "end_to_end_two_eta", fake)
 
     def _config(self, tmp_path):
         parameters = {**SCENARIO_PRESETS["fig10"]["parameters"], "temperature_grid_k": self.GRID}
@@ -165,6 +166,49 @@ class TestOeEndToEndFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == "PhysicalityError: nu below 1/2"
+
+    def test_one_converter_solve_per_point(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        monkeypatch.setattr(oe, "threshold_temperature", lambda *args, **kwargs: None)
+        calls = []
+        real = oe.build_model
+
+        def counting(params):
+            calls.append(params.temperature)
+            return real(params)
+
+        monkeypatch.setattr(oe, "build_model", counting)
+        assert main(["run", str(self._config(tmp_path))]) == 0
+        assert calls == self.GRID
+
+
+class TestConverterOverrides:
+    """Every converter override key reaches the params field it names."""
+
+    @pytest.mark.parametrize(
+        "kind, parameters, table, reference, unset",
+        [
+            ("eom_sweep", {"axis": "temperature_k", "grid": [0.01]}, "eom", eom_reference,
+             {"lambda_l"}),
+            ("oe_end_to_end", {"temperature_grid_k": [0.01]}, "oe", oe_reference, set()),
+        ],
+    )
+    def test_every_key_sets_its_field(self, kind, parameters, table, reference, unset):
+        base = reference()
+        fields = [f.name for f in dataclasses.fields(base)]
+        keys = list(PARAMETER_SCHEMAS[kind][table].table)
+        seen = set()
+        for i, key in enumerate(keys):
+            value = 1234.5 + i
+            cfg = validate_config({"kind": kind, "parameters": {**parameters, table: {key: value}}})
+            params = _params(base, cfg.parameters[table])
+            changed = [f for f in fields if getattr(params, f) != getattr(base, f)]
+            assert len(changed) == 1, (key, changed)
+            assert key.startswith(changed[0] + "_")
+            assert getattr(params, changed[0]) == value
+            seen.add(changed[0])
+        assert len(seen) == len(keys)
+        assert set(fields) - seen == unset
 
 
 class TestArtifacts:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qradar.eom import (
+    PAIR_NAMES,
     EomParams,
     drift_matrix,
     entanglement_report,
@@ -81,6 +82,22 @@ class TestEntanglementReport:
             assert reports[pair].lambda_sph < 0, pair
             assert reports[pair].entangled_by_sph == reports[pair].entangled_by_ppt
 
+    def test_pair_names_order_the_modes(self, reference):
+        # Discord is asymmetric, so the first-named mode of each pair must be
+        # the first block: mode order (mr, oc, mc) in the steady state.
+        from qradar.converter import steady_state
+        from qradar.criteria import BipartiteBlocks, gaussian_discord
+        from qradar.eom import build_model
+
+        cov = steady_state(build_model(reference))
+        reports = entanglement_report(reference)
+        index = {"mr": 0, "oc": 2, "mc": 4}
+        for pair in PAIR_NAMES:
+            i, j = (index[m] for m in pair.split("_"))
+            blocks = BipartiteBlocks(cov[i:i + 2, i:i + 2], cov[j:j + 2, j:j + 2],
+                                     cov[i:i + 2, j:j + 2])
+            assert reports[pair] == gaussian_discord(blocks), pair
+
     def test_zero_coupling_exactly_separable(self, reference):
         params = dataclasses.replace(reference, g1=0.0, g2=0.0)
         reports = entanglement_report(params)
@@ -137,16 +154,30 @@ class TestSweep:
 
 
 class TestThreshold:
+    # The reference thresholds are about 0.144 K (oc_mc), 0.016 K (oc_mr)
+    # and 0.032 K (mr_mc).
+    BOUNDS = {"oc_mc": (0.05, 0.5), "oc_mr": (0.005, 0.05), "mr_mc": (0.01, 0.1)}
+
     def test_threshold_exists_and_is_resolved(self, reference):
+        # The default pair is oc_mc.
         t_star = threshold_temperature(reference, resolution=1e-3)
+        self._check_resolved(reference, "oc_mc", t_star)
+
+    @pytest.mark.parametrize("pair", PAIR_NAMES)
+    def test_threshold_of_each_pair_is_resolved(self, reference, pair):
+        t_star = threshold_temperature(reference, pair, resolution=1e-3)
+        self._check_resolved(reference, pair, t_star)
+
+    def _check_resolved(self, reference, pair, t_star):
         assert t_star is not None
-        assert 0.05 < t_star < 0.5
+        lo, hi = self.BOUNDS[pair]
+        assert lo < t_star < hi
         below = entanglement_report(
             dataclasses.replace(reference, temperature=t_star - 2e-3)
-        )["oc_mc"].lambda_sph
+        )[pair].lambda_sph
         above = entanglement_report(
             dataclasses.replace(reference, temperature=t_star + 2e-3)
-        )["oc_mc"].lambda_sph
+        )[pair].lambda_sph
         assert below < 0 <= above
 
     def test_separable_input_returns_none(self, reference):

@@ -17,6 +17,7 @@ from qradar.oe import (
     direct_report,
     drift_matrix,
     end_to_end_report,
+    end_to_end_two_eta,
     entanglement_vs_detuning,
     gwp_from_mu_c,
     operating_point,
@@ -177,6 +178,14 @@ class TestEndToEnd:
         hot = dataclasses.replace(reference, temperature=t_back + 0.05)
         assert end_to_end_report(hot, atmosphere, target).two_eta >= 1.0
 
+    def test_two_eta_pair_matches_the_reports(self, reference):
+        atmosphere = channel_preset("fig10_atmosphere")
+        target = channel_preset("fig10_target")
+        assert end_to_end_two_eta(reference, atmosphere, target) == (
+            direct_report(reference).two_eta,
+            end_to_end_report(reference, atmosphere, target).two_eta,
+        )
+
     def test_cross_module_consistency_with_manual_channel(self, reference):
         # Applying the composed round-trip channel by hand reproduces the
         # converter's end-to-end report exactly.
@@ -201,6 +210,11 @@ class TestValidation:
     def test_negative_rate_rejected(self, reference):
         with pytest.raises(ValidationError):
             dataclasses.replace(reference, kappa_c=-1.0)
+
+    @pytest.mark.parametrize("given", ["channel_spec", "target_spec"])
+    def test_threshold_needs_channel_and_target_together(self, reference, given):
+        with pytest.raises(ValidationError, match="together"):
+            threshold_temperature(reference, **{given: channel_preset("fig10_atmosphere")})
 
     def test_material_spec_positive(self):
         with pytest.raises(ValidationError):
