@@ -23,10 +23,12 @@ from .criteria import (
     BipartiteBlocks,
     CriteriaReport,
     StandardFormParams,
+    discord_reports,
     gaussian_discord,
     lambda_sph,
     standard_form,
     two_eta,
+    two_eta_values,
 )
 from .gaussian import (
     GaussianState,

@@ -5,11 +5,15 @@ entangled), twice the smallest PPT symplectic eigenvalue (below 1 iff
 entangled), and Gaussian quantum discord with its classical-correlation and
 mutual-information companions.  All quantities use the global vacuum-1/2
 convention and log base 2.
+
+Each formula is written once, as a kernel over a stack of two-mode
+covariances: the single-pair functions score a stack of one, and
+:func:`discord_reports` / :func:`two_eta_values` score a whole sweep grid's
+pairs in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +23,7 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from .gaussian import GaussianState, entropy_term, symplectic_eigenvalues
+from .gaussian import GaussianState, _member, _symplectic_spectra, _validated_stack, entropy_term
 
 __all__ = [
     "BipartiteBlocks",
@@ -29,6 +33,8 @@ __all__ = [
     "two_eta",
     "standard_form",
     "gaussian_discord",
+    "discord_reports",
+    "two_eta_values",
 ]
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -105,12 +111,43 @@ class CriteriaReport:
     entangled_by_ppt: bool
 
 
-def _invariants(blocks: BipartiteBlocks):
-    det_a = float(np.linalg.det(blocks.A))
-    det_b = float(np.linalg.det(blocks.B))
-    det_c = float(np.linalg.det(blocks.C))
-    det_v = float(np.linalg.det(blocks.state.cov))
-    return det_a, det_b, det_c, det_v
+# The kernels below work on stacks of two-mode covariances, shape (n, 4, 4),
+# and are the only copy of each formula: the single-pair functions run them
+# on a stack of one.  np.float_power stands where the formulas square or take
+# roots of scalars: it keeps C pow's rounding, which ``**`` on arrays does not.
+
+
+def _blocks(covs: np.ndarray):
+    return covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2)
+
+
+def _grid(covs: np.ndarray) -> np.ndarray:
+    """(n, 2, 2, 2, 2) view whose [:, i, j] is 2x2 block (i, j) of each
+    member: A = [:, 0, 0], B = [:, 1, 1], C = [:, 0, 1]."""
+    return covs.reshape(-1, 2, 2, 2, 2).swapaxes(2, 3)
+
+
+def _local_dets(covs: np.ndarray):
+    """(det A, det B, det C) of each member, from one det call (det C^T unused)."""
+    dets = np.linalg.det(_grid(covs))
+    return dets[:, 0, 0], dets[:, 1, 1], dets[:, 0, 1]
+
+
+def _lambda_sph(covs: np.ndarray) -> np.ndarray:
+    det_a, det_b, det_c = _local_dets(covs)
+    a, b, c = _blocks(covs)
+    m = a @ _J @ c @ _J @ b @ _J @ _t(c) @ _J
+    trace_term = m[:, 0, 0] + m[:, 1, 1]
+    return (
+        np.maximum(det_a - 0.25, 0.0) * np.maximum(det_b - 0.25, 0.0)
+        + np.float_power(det_c, 2)
+        - 0.5 * np.abs(det_c)
+        - trace_term
+    )
 
 
 def lambda_sph(blocks: BipartiteBlocks) -> float:
@@ -121,75 +158,61 @@ def lambda_sph(blocks: BipartiteBlocks) -> float:
     the vacuum bound 0, which a validated state undershoots only by rounding.
     """
     blocks.validate_physical()
-    det_a, det_b, det_c, _ = _invariants(blocks)
-    a, b, c = blocks.A, blocks.B, blocks.C
-    trace_term = float(np.trace(a @ _J @ c @ _J @ b @ _J @ c.T @ _J))
-    return (
-        max(det_a - 0.25, 0.0) * max(det_b - 0.25, 0.0)
-        + det_c**2
-        - 0.5 * abs(det_c)
-        - trace_term
-    )
+    return float(_lambda_sph(blocks.state.cov[None])[0])
 
 
-def _pt_nu_min(blocks: BipartiteBlocks) -> float:
-    det_a, det_b, det_c, det_v = _invariants(blocks)
+def _pt_nu_min(covs: np.ndarray) -> np.ndarray:
+    det_a, det_b, det_c = _local_dets(covs)
+    det_v = np.linalg.det(covs)
     delta_t = det_a + det_b - 2.0 * det_c
-    disc = delta_t**2 - 4.0 * det_v
-    if disc < -1e-10 * max(1.0, delta_t**2):
+    delta_t2 = np.float_power(delta_t, 2)
+    disc = delta_t2 - 4.0 * det_v
+    degenerate = disc < -1e-10 * np.maximum(1.0, delta_t2)
+    if degenerate.any():
+        i = int(degenerate.argmax())
         raise NumericalDegeneracyError(
-            f"PPT discriminant negative beyond tolerance ({disc:.3e})"
+            f"{_member(covs, i)}PPT discriminant negative beyond tolerance ({disc[i]:.3e})"
         )
-    nu2 = 0.5 * (delta_t - math.sqrt(max(disc, 0.0)))
-    return math.sqrt(max(nu2, 0.0))
+    nu2 = 0.5 * (delta_t - np.sqrt(np.maximum(disc, 0.0)))
+    return np.sqrt(np.maximum(nu2, 0.0))
 
 
 def two_eta(blocks: BipartiteBlocks) -> float:
     """Twice the smallest PPT symplectic eigenvalue; >= 1 iff separable."""
     blocks.validate_physical()
-    return 2.0 * _pt_nu_min(blocks)
-
-
-def _nu_pair(blocks: BipartiteBlocks):
-    """Symplectic eigenvalues (nu-, nu+) of the (non-transposed) covariance.
-
-    These are the roots nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V))/2 with
-    Delta = det A + det B + 2 det C, evaluated through the eigensolver: the
-    quadratic formula cancels catastrophically for near-pure states.
-    """
-    nus = symplectic_eigenvalues(blocks.state)
-    return float(nus[0]), float(nus[1])
+    return float(2.0 * _pt_nu_min(blocks.state.cov[None])[0])
 
 
 def _single_mode_normalizer(m: np.ndarray) -> np.ndarray:
-    """Symplectic S with S m S^T = sqrt(det m) * I for a 2x2 PD matrix."""
+    """Symplectic S with S m S^T = sqrt(det m) * I for each 2x2 PD matrix of
+    ``m``, shape (n, k, 2, 2); an error names the offending member n."""
     lam, rot = np.linalg.eigh(m)
-    if np.linalg.det(rot) < 0:
-        rot = rot[:, ::-1]
-        lam = lam[::-1]
-    if lam[0] <= 0:
-        raise ValidationError("local covariance block is not positive definite")
-    squeeze = np.diag([(lam[1] / lam[0]) ** 0.25, (lam[0] / lam[1]) ** 0.25])
-    return squeeze @ rot.T
+    not_pd = (lam[..., 0] <= 0).any(axis=1)
+    if not_pd.any():
+        i = int(not_pd.argmax())
+        raise ValidationError(f"{_member(m, i)}local covariance block is not positive definite")
+    flip = np.linalg.det(rot) < 0
+    rot = np.where(flip[..., None, None], rot[..., ::-1], rot)
+    lam = np.where(flip[..., None], lam[..., ::-1], lam)
+    squeeze = np.float_power(lam[..., ::-1] / lam, 0.25)[..., None] * np.eye(2)
+    return squeeze @ _t(rot)
 
 
-def _local_normal_form(blocks: BipartiteBlocks):
+def _local_normal_form(covs: np.ndarray):
     """Reduce (A, B, C) to (a I, b I, C_n) by local symplectics."""
-    s_a = _single_mode_normalizer(blocks.A)
-    s_b = _single_mode_normalizer(blocks.B)
-    a = math.sqrt(max(float(np.linalg.det(blocks.A)), 0.0))
-    b = math.sqrt(max(float(np.linalg.det(blocks.B)), 0.0))
-    c_n = s_a @ blocks.C @ s_b.T
-    return a, b, c_n
+    grid = _grid(covs)
+    det_a, det_b, _ = _local_dets(covs)
+    s = _single_mode_normalizer(grid[:, [0, 1], [0, 1]])  # S_A and S_B
+    a = np.sqrt(np.maximum(det_a, 0.0))
+    b = np.sqrt(np.maximum(det_b, 0.0))
+    return a, b, s[:, 0] @ grid[:, 0, 1] @ _t(s[:, 1])
 
 
 def _signed_cross_diagonal(c_n: np.ndarray):
     """Rotate C_n to diag(c_plus, c_minus) with c_plus >= |c_minus|."""
     u, s, vt = np.linalg.svd(c_n)
-    sign = float(np.sign(np.linalg.det(u) * np.linalg.det(vt)))
-    if sign == 0.0:
-        sign = 1.0
-    return float(s[0]), float(sign * s[1])
+    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    return s[:, 0], np.where(sign == 0.0, 1.0, sign) * s[:, 1]
 
 
 def standard_form(blocks: BipartiteBlocks) -> StandardFormParams:
@@ -199,8 +222,9 @@ def standard_form(blocks: BipartiteBlocks) -> StandardFormParams:
     (reducible to) proportional to diag(1, -1) within 1e-8.
     """
     blocks.validate_physical()
-    a, b, c_n = _local_normal_form(blocks)
+    a, b, c_n = _local_normal_form(blocks.state.cov[None])
     c_plus, c_minus = _signed_cross_diagonal(c_n)
+    a, b, c_plus, c_minus = float(a[0]), float(b[0]), float(c_plus[0]), float(c_minus[0])
     residual = abs(c_plus + c_minus)
     if residual > 1e-8 * max(1.0, c_plus):
         raise NonStandardFormError(
@@ -222,11 +246,38 @@ def standard_form(blocks: BipartiteBlocks) -> StandardFormParams:
     return StandardFormParams(a=a, b=b, tau=tau, eta_param=a - b * tau)
 
 
-def _heterodyne_conditional_nu(a: float, b: float, c_n: np.ndarray) -> float:
+def _heterodyne_conditional_nu(a: np.ndarray, b: np.ndarray, c_n: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalue of mode A after heterodyne detection of mode B."""
-    cond = a * np.eye(2) - (c_n @ c_n.T) / (b + 0.5)
-    det = float(np.linalg.det(cond))
-    return math.sqrt(max(det, 0.0))
+    cond = a[:, None, None] * np.eye(2) - (c_n @ _t(c_n)) / (b + 0.5)[:, None, None]
+    return np.sqrt(np.maximum(np.linalg.det(cond), 0.0))
+
+
+def _entropic(covs: np.ndarray, nus: np.ndarray):
+    """(discord, classical correlation, mutual information) in bits, from the
+    stack and its symplectic spectra."""
+    a, b, c_n = _local_normal_form(covs)
+    nu_cond = _heterodyne_conditional_nu(a, b, c_n)
+    h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
+        np.stack((a, b, nu_cond, nus[:, 0], nus[:, 1]))
+    )
+    joint = h_minus + h_plus
+    return (
+        np.maximum(h_b - joint + h_cond, 0.0),
+        np.maximum(h_a - h_cond, 0.0),
+        np.maximum(h_a + h_b - joint, 0.0),
+    )
+
+
+def _report(lam: float, eta2: float, discord: float, classical: float, mutual: float):
+    return CriteriaReport(
+        lambda_sph=lam,
+        two_eta=eta2,
+        discord=discord,
+        classical_corr=classical,
+        mutual_info=mutual,
+        entangled_by_sph=lam < 0.0,
+        entangled_by_ppt=eta2 < 1.0,
+    )
 
 
 def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
@@ -239,19 +290,26 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     blocks.validate_physical()
     lam = lambda_sph(blocks)
     eta2 = two_eta(blocks)
-    nu_minus, nu_plus = _nu_pair(blocks)
-    a, b, c_n = _local_normal_form(blocks)
-    nu_cond = _heterodyne_conditional_nu(a, b, c_n)
-    joint = entropy_term(nu_minus) + entropy_term(nu_plus)
-    discord = max(entropy_term(b) - joint + entropy_term(nu_cond), 0.0)
-    classical = max(entropy_term(a) - entropy_term(nu_cond), 0.0)
-    mutual = max(entropy_term(a) + entropy_term(b) - joint, 0.0)
-    return CriteriaReport(
-        lambda_sph=lam,
-        two_eta=eta2,
-        discord=discord,
-        classical_corr=classical,
-        mutual_info=mutual,
-        entangled_by_sph=lam < 0.0,
-        entangled_by_ppt=eta2 < 1.0,
-    )
+    covs = blocks.state.cov[None]
+    discord, classical, mutual = _entropic(covs, _symplectic_spectra(covs))
+    return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
+
+
+def discord_reports(covs) -> list[CriteriaReport]:
+    """:func:`gaussian_discord` of each member of a stack of two-mode
+    covariances, shape (n, 4, 4), in stack order.
+
+    The stack is checked once, as a :class:`BipartiteBlocks` is (finite,
+    symmetric, nu_min >= 1/2 - 1e-9); an error about a stack of several names
+    the offending member.
+    """
+    covs, nus = _validated_stack(covs, 2)
+    columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs, nus))
+    return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
+def two_eta_values(covs) -> np.ndarray:
+    """:func:`two_eta` of each member of a stack of two-mode covariances,
+    shape (n, 4, 4), checked once as :func:`discord_reports` checks it."""
+    covs, _ = _validated_stack(covs, 2)
+    return 2.0 * _pt_nu_min(covs)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import constants
 
 from .converter import OperatingPoint, solve_operating_point, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, lambda_sph
+from .criteria import BipartiteBlocks, CriteriaReport, discord_reports, gaussian_discord, lambda_sph
 from .errors import ValidationError
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
@@ -179,6 +179,13 @@ def _pair_blocks(cov: np.ndarray, pair: str) -> BipartiteBlocks:
     return BipartiteBlocks(cov[si, si], cov[sj, sj], cov[si, sj])
 
 
+def _pair_stack(covs: np.ndarray, pair: str) -> np.ndarray:
+    """The (n, 4, 4) covariances of ``pair`` in a stack of steady states."""
+    i, j = (_MODE_INDEX[mode] for mode in pair.split("_"))
+    index = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    return covs[:, index][:, :, index]
+
+
 def entanglement_report(params: EomParams) -> dict[str, CriteriaReport]:
     """Steady-state criteria for the OC-MC, OC-MR and MR-MC pairs."""
     cov = steady_state(build_model(params))
@@ -205,12 +212,22 @@ def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
 
 
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
-    """One entanglement report per grid point; instabilities are marked, not fatal."""
+    """One entanglement report per grid point; instabilities are marked, not fatal.
+
+    Each stable point's report equals :func:`entanglement_report` there; the
+    stable points' pairs are scored together, one stacked call per pair.
+    """
     grid = [float(v) for v in grid]
     if sorted(grid) != grid:
         raise ValidationError("sweep grid must be ascending")
-    reports = run_grid(lambda v: entanglement_report(_with_axis(params, axis, v)), grid)
-    return [SweepPoint(v, r, r is not None) for v, r in zip(grid, reports)]
+    covs = run_grid(lambda v: steady_state(build_model(_with_axis(params, axis, v))), grid)
+    stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
+    by_pair = [discord_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
+    reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))
+    return [
+        SweepPoint(v, None, False) if cov is None else SweepPoint(v, next(reports), True)
+        for v, cov in zip(grid, covs)
+    ]
 
 
 def threshold_temperature(

@@ -73,8 +73,7 @@ class GaussianState:
             raise ValidationError(f"cov must be {dim}x{dim}, got {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValidationError("state invariant violated: mean/cov must be finite")
-        scale = max(1.0, abs(cov).max())
-        if abs(cov - cov.T).max() > 1e-10 * scale:
+        if _asymmetric(cov):
             raise ValidationError("state invariant violated: cov is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -85,11 +84,60 @@ class GaussianState:
     def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
         nu_min = min(symplectic_eigenvalues(self))
         if nu_min < VACUUM_VARIANCE - tol:
-            raise PhysicalityError(
-                "state invariant violated: cov + (i/2)Omega not PSD "
-                f"(min symplectic eigenvalue {nu_min:.3e} < 1/2)"
-            )
+            raise _unphysical(nu_min)
         return self
+
+
+def _asymmetric(covs: np.ndarray) -> np.ndarray:
+    """Per member of a finite (..., d, d) stack: asymmetric by more than 1e-10
+    of its largest entry (and of 1)."""
+    asymmetry = np.abs(covs - covs.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return asymmetry > 1e-10 * np.abs(covs).max(axis=(-2, -1), initial=1.0)
+
+
+def _member(covs: np.ndarray, i: int) -> str:
+    """Prefix naming member ``i`` in an error about a stack of several."""
+    return f"stack member {i}: " if len(covs) > 1 else ""
+
+
+def _unphysical(nu_min: float, where: str = "") -> PhysicalityError:
+    return PhysicalityError(
+        f"{where}state invariant violated: cov + (i/2)Omega not PSD "
+        f"(min symplectic eigenvalue {nu_min:.3e} < 1/2)"
+    )
+
+
+def _validated_stack(covs, n_modes: int, tol: float = 1e-9):
+    """Check a stack of covariances as :class:`GaussianState` and
+    :meth:`~GaussianState.validate_physical` check one.
+
+    ``covs`` has shape (n, 2N, 2N) with N = ``n_modes``; every member must be
+    finite, symmetric and obey nu_min >= 1/2 - ``tol``.  Errors name the index
+    of the first offending member of a stack of several.  Returns the symmetrised stack and its
+    symplectic spectra, shape (n, N), ascending along the last axis.
+    """
+    dim = 2 * n_modes
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
+        raise ValidationError(f"expected a stack of {dim}x{dim} covariances, got {covs.shape}")
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"{_member(covs, int(finite.argmin()))}state invariant violated: cov must be finite"
+        )
+    asymmetric = _asymmetric(covs)
+    if asymmetric.any():
+        raise ValidationError(
+            f"{_member(covs, int(asymmetric.argmax()))}"
+            "state invariant violated: cov is not symmetric"
+        )
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    nus = _symplectic_spectra(covs)
+    unphysical = nus[:, 0] < VACUUM_VARIANCE - tol
+    if unphysical.any():
+        i = int(unphysical.argmax())
+        raise _unphysical(nus[i, 0], _member(covs, i))
+    return covs, nus
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
@@ -116,8 +164,13 @@ def symplectic_eigenvalues(state: GaussianState | np.ndarray) -> np.ndarray:
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
             raise ValidationError(f"covariance must be square 2N x 2N, N >= 1, got {cov.shape}")
         state = GaussianState(cov.shape[0] // 2, np.zeros(cov.shape[0]), cov)
-    eigs = np.linalg.eigvals(symplectic_form(state.n_modes) @ state.cov)
-    return np.sort(np.abs(eigs))[::2]
+    return _symplectic_spectra(state.cov)
+
+
+def _symplectic_spectra(covs: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of a (..., 2N, 2N) stack, ascending along the last axis."""
+    eigs = np.linalg.eigvals(_omega(covs.shape[-1] // 2) @ covs)
+    return np.sort(np.abs(eigs), axis=-1)[..., ::2]
 
 
 def partial_transpose(state: GaussianState, mode_index: int) -> GaussianState:
@@ -131,23 +184,26 @@ def partial_transpose(state: GaussianState, mode_index: int) -> GaussianState:
     return GaussianState(state.n_modes, t * state.mean, t[:, None] * state.cov * t[None, :])
 
 
-def entropy_term(nu: float) -> float:
+def entropy_term(nu):
     """h(x) = (x+1/2) log2(x+1/2) - (x-1/2) log2(x-1/2), with h(1/2) = 0.
 
-    Arguments are clamped to [1/2, inf); values within 1e-12 of 1/2 are
-    treated as exactly pure (floating-point eigenvalues dip microscopically
-    below the vacuum bound).
+    Elementwise on arrays; a scalar argument gives a float.  Arguments are
+    clamped to [1/2, inf); values within 1e-12 of 1/2 are treated as exactly
+    pure (floating-point eigenvalues dip microscopically below the vacuum
+    bound).
     """
-    x = max(float(nu), 0.5)
-    if x - 0.5 < 1e-12:
-        return 0.0
-    return (x + 0.5) * math.log2(x + 0.5) - (x - 0.5) * math.log2(x - 0.5)
+    lo = np.maximum(np.asarray(nu, dtype=float), 0.5) - 0.5
+    pure = lo < 1e-12
+    lo = np.where(pure, 0.5, lo)  # any point where log2 is finite; masked below
+    hi = lo + 1.0
+    h = np.where(pure, 0.0, hi * np.log2(hi) - lo * np.log2(lo))
+    return float(h) if h.ndim == 0 else h
 
 
 def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy in bits: sum of h over the symplectic spectrum."""
     state.validate_physical()
-    return float(sum(entropy_term(nu) for nu in symplectic_eigenvalues(state)))
+    return float(entropy_term(symplectic_eigenvalues(state)).sum())
 
 
 def wigner(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:

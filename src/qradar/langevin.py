@@ -14,6 +14,7 @@ its own input-output relation and builds its diffusion directly.)
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
@@ -141,7 +142,9 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
 
     Solves A V + V A^T + D = 0 with scipy's ``solve_continuous_lyapunov``
     (Bartels-Stewart) and raises :class:`StiffnessError` when the residual
-    exceeds 1e-9 ||D||_inf.
+    exceeds 1e-9 ||D||_inf.  The residual gate, not a solver warning, decides:
+    warnings raised by the solve are kept out of the caller's warning stream
+    and quoted in the :class:`StiffnessError` message.
     """
     stable, max_re = is_stable(model)
     if not stable:
@@ -149,14 +152,17 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
             f"drift is not strictly stable (max Re eigenvalue {max_re:.6e})",
             eigenvalue=max_re,
         )
-    v = linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v = linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
     v = 0.5 * (v + v.T)
     d_scale = abs(model.diffusion).max()
     residual = abs(model.drift @ v + v @ model.drift.T + model.diffusion).max()
     if d_scale > 0 and residual > 1e-9 * d_scale:
+        solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * ||D||_inf "
-            f"(severely ill-conditioned drift)"
+            f"(severely ill-conditioned drift){solver_said}"
         )
     return v
 

@@ -19,7 +19,7 @@ from scipy import constants
 
 from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, solve_operating_point, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta
+from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta, two_eta_values
 from .errors import ConvergenceError, ValidationError
 from .gaussian import apply_channel
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
@@ -193,9 +193,12 @@ def build_model(params: OeParams) -> LinearLangevinModel:
     )
 
 
+_OC_MC = np.s_[2:6, 2:6]  # the (OC, MC) rows and columns of the steady state
+
+
 def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
     """Steady-state two-mode (OC, MC) reduced blocks."""
-    return BipartiteBlocks.from_covariance(steady_state(build_model(params))[2:6, 2:6])
+    return BipartiteBlocks.from_covariance(steady_state(build_model(params))[_OC_MC])
 
 
 def _returned_blocks(
@@ -233,10 +236,15 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     grid = [float(v) for v in delta_eg_grid]
     if not all(math.isfinite(v) for v in grid):
         raise ValidationError("detuning grid must be finite")
-    values = run_grid(
-        lambda v: two_eta(_oc_mc_blocks(dataclasses.replace(params, delta_eg=v))), grid
+    covs = run_grid(
+        lambda v: steady_state(build_model(dataclasses.replace(params, delta_eg=v))), grid
     )
-    points = [DetuningPoint(v, e, e is not None) for v, e in zip(grid, values)]
+    stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
+    values = iter(two_eta_values(stable).tolist())
+    points = [
+        DetuningPoint(v, None, False) if cov is None else DetuningPoint(v, next(values), True)
+        for v, cov in zip(grid, covs)
+    ]
     stable_pts = [p for p in points if p.stable]
     if stable_pts:
         best = min(stable_pts, key=lambda p: p.two_eta)

@@ -9,12 +9,14 @@ import pytest
 from qradar.channels import attenuation_channel
 from qradar.criteria import (
     BipartiteBlocks,
+    discord_reports,
     gaussian_discord,
     lambda_sph,
     standard_form,
     two_eta,
+    two_eta_values,
 )
-from qradar.errors import NonStandardFormError, ValidationError
+from qradar.errors import NonStandardFormError, PhysicalityError, ValidationError
 from qradar.gaussian import (
     GaussianState,
     apply_channel,
@@ -212,6 +214,55 @@ class TestGaussianDiscord:
             assert report.entangled_by_ppt == (report.two_eta < 1)
             assert report.discord >= 0
             assert report.mutual_info >= report.classical_corr >= 0
+
+
+class TestStackEntryPoints:
+    def test_rows_match_the_single_pair_functions(self, rng):
+        covs = np.array([random_physical_two_mode(rng).cov for _ in range(60)])
+        reports = discord_reports(covs)
+        values = two_eta_values(covs)
+        assert len(reports) == len(values) == len(covs)
+        for cov, report, value in zip(covs, reports, values):
+            blocks = BipartiteBlocks.from_covariance(cov)
+            single = gaussian_discord(blocks)
+            assert value == report.two_eta == two_eta(blocks) == single.two_eta
+            assert report.lambda_sph == single.lambda_sph
+            assert report.entangled_by_sph == single.entangled_by_sph
+            assert report.entangled_by_ppt == single.entangled_by_ppt
+            for field in ("discord", "classical_corr", "mutual_info"):
+                assert getattr(report, field) == pytest.approx(
+                    getattr(single, field), rel=1e-12, abs=1e-15
+                ), field
+
+    def test_empty_stack(self):
+        assert discord_reports(np.empty((0, 4, 4))) == []
+        assert two_eta_values(np.empty((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("entry", [discord_reports, two_eta_values])
+    def test_unphysical_member_named(self, entry):
+        covs = np.array([tmsv_cov(0.3), tmsv_cov(0.5), 0.4 * np.eye(4)])
+        with pytest.raises(PhysicalityError, match="stack member 2:"):
+            entry(covs)
+
+    def test_non_positive_definite_local_block_named(self):
+        # -V has the symplectic spectrum of V, so it passes the nu >= 1/2
+        # test; the local normal form must still refuse it.
+        covs = np.array([tmsv_cov(0.3), -tmsv_cov(0.5), tmsv_cov(0.7)])
+        with pytest.raises(ValidationError, match="stack member 1: local covariance block"):
+            discord_reports(covs)
+
+    @pytest.mark.parametrize(
+        "covs, match",
+        [
+            (np.eye(4), "stack of 4x4"),
+            (np.array([np.eye(4), np.diag([1.0, 1.0, np.nan, 1.0])]), "member 1: .*finite"),
+            (np.array([np.eye(4), np.eye(4) + np.triu(np.ones((4, 4)), 1)]),
+             "member 1: .*symmetric"),
+        ],
+    )
+    def test_malformed_stack_rejected(self, covs, match):
+        with pytest.raises(ValidationError, match=match):
+            two_eta_values(covs)
 
 
 class TestLocalSymplecticInvariance:

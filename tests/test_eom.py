@@ -125,6 +125,22 @@ class TestSweep:
         direct = entanglement_report(dataclasses.replace(reference, temperature=0.05))
         assert points[0].reports["oc_mc"].lambda_sph == direct["oc_mc"].lambda_sph
 
+    def test_stacked_points_match_reports(self, reference):
+        # delta_w = -8e6 rad/s is unstable (max Re ~3e4) between stable points.
+        grid = [-9e6, -8e6, -7e6]
+        points = sweep(reference, "delta_w", grid)
+        assert [p.stable for p in points] == [True, False, True]
+        assert points[1].reports is None
+        for point in (points[0], points[2]):
+            direct = entanglement_report(dataclasses.replace(reference, delta_w=point.axis_value))
+            for pair in PAIR_NAMES:
+                got, want = point.reports[pair], direct[pair]
+                assert (got.lambda_sph, got.two_eta) == (want.lambda_sph, want.two_eta)
+                for field in ("discord", "classical_corr", "mutual_info"):
+                    assert getattr(got, field) == pytest.approx(
+                        getattr(want, field), rel=1e-12, abs=0.0
+                    ), (pair, field)
+
     def test_gamma_m_degrades_oc_mr(self, reference):
         grid = [2 * math.pi * g for g in (5.0, 50.0, 500.0, 5000.0)]
         points = sweep(reference, "gamma_m", grid)

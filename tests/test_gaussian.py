@@ -129,6 +129,15 @@ class TestEntropy:
     def test_entropy_term_nonnegative(self, x):
         assert entropy_term(x) >= 0.0
 
+    def test_entropy_term_elementwise(self):
+        nus = np.array([0.3, 0.5, 0.5 + 1e-13, 1.5, 40.0, np.nan])
+        values = entropy_term(nus)
+        assert values.shape == nus.shape
+        assert list(values[:3]) == [0.0, 0.0, 0.0]
+        assert values[3] == pytest.approx(2.0, abs=1e-12)
+        assert values[4] == entropy_term(40.0) and isinstance(entropy_term(40.0), float)
+        assert math.isnan(values[5])
+
 
 class TestWigner:
     def test_vacuum_peak(self):
