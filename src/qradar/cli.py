@@ -58,27 +58,17 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     params = _params(eom_reference(), p["eom"])
     axis = p["axis"]
     points = eom.sweep(params, _field(axis), p["grid"])
-    rows = []
-    for pt in points:
-        if pt.stable:
-            rows.append((
-                pt.axis_value,
-                pt.reports["oc_mc"].lambda_sph,
-                pt.reports["oc_mr"].lambda_sph,
-                pt.reports["mr_mc"].lambda_sph,
-                True,
-            ))
-        else:
-            rows.append((pt.axis_value, math.nan, math.nan, math.nan, False))
-    write_csv(
-        outdir / "eom_sweep.csv",
-        (axis, "lambda_sph_oc_mc", "lambda_sph_oc_mr", "lambda_sph_mr_mc", "stable"),
-        rows,
-    )
-    stable_lams = [r[1] for r in rows if r[4]]
+    columns = {axis: [pt.axis_value for pt in points]}
+    for pair in ("oc_mc", "oc_mr", "mr_mc"):
+        columns[f"lambda_sph_{pair}"] = [
+            pt.reports[pair].lambda_sph if pt.stable else math.nan for pt in points
+        ]
+    columns["stable"] = [pt.stable for pt in points]
+    write_csv(outdir / "eom_sweep.csv", columns)
+    stable_lams = [pt.reports["oc_mc"].lambda_sph for pt in points if pt.stable]
     summary = {
-        "n_points": len(rows),
-        "n_stable": sum(1 for r in rows if r[4]),
+        "n_points": len(points),
+        "n_stable": len(stable_lams),
         "lambda_sph_oc_mc_min": min(stable_lams) if stable_lams else None,
     }
     if axis == "temperature_k" and stable_lams and stable_lams[0] < 0.0:
@@ -90,14 +80,16 @@ def _run_oe_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
     params = _params(oe_reference(), p["oe"])
     result = oe.entanglement_vs_detuning(params, p["delta_eg_grid_rad_s"])
-    rows = [
-        (pt.delta_eg, pt.two_eta if pt.stable else math.nan, pt.stable)
-        for pt in result.points
-    ]
-    write_csv(outdir / "oe_sweep.csv", ("delta_eg_rad_s", "two_eta", "stable"), rows)
+    points = result.points
+    stable = [pt.stable for pt in points]
+    write_csv(outdir / "oe_sweep.csv", {
+        "delta_eg_rad_s": [pt.delta_eg for pt in points],
+        "two_eta": [pt.two_eta if pt.stable else math.nan for pt in points],
+        "stable": stable,
+    })
     return {
-        "n_points": len(rows),
-        "n_stable": sum(1 for r in rows if r[2]),
+        "n_points": len(points),
+        "n_stable": sum(stable),
         "argmin_delta_eg_rad_s": result.argmin_delta_eg,
         "min_two_eta": result.min_two_eta,
     }
@@ -114,17 +106,18 @@ def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
         return oe.end_to_end_two_eta(local, atmosphere, target)
 
     grid = p["temperature_grid_k"]
-    rows = [
-        (t, math.nan, math.nan, False) if r is None else (t, *r, True)
-        for t, r in zip(grid, run_grid(point, grid))
-    ]
-    write_csv(
-        outdir / "oe_end_to_end.csv",
-        ("temperature_k", "two_eta_direct", "two_eta_backscatter", "stable"),
-        rows,
-    )
+    results = run_grid(point, grid)
+    direct, backscatter = np.array(
+        [(math.nan, math.nan) if r is None else r for r in results], dtype=float
+    ).T
+    write_csv(outdir / "oe_end_to_end.csv", {
+        "temperature_k": grid,
+        "two_eta_direct": direct,
+        "two_eta_backscatter": backscatter,
+        "stable": [r is not None for r in results],
+    })
     summary = {
-        "n_points": len(rows),
+        "n_points": len(grid),
         "threshold_direct_k": oe.threshold_temperature(params),
         "threshold_backscatter_k": oe.threshold_temperature(
             params, channel_spec=atmosphere, target_spec=target
@@ -140,28 +133,27 @@ def _run_jpa_gain(cfg: ScenarioConfig, outdir: Path) -> dict:
     params = jpa.build_params(
         p["e_j_rad_s"], p["capacitance_f"], p["kappa_rad_s"], omega_p, p["epsilon_rad_s"]
     )
-    rows = []
-    for w in p["omega_grid_rad_s"]:
-        s = jpa.scattering_matrix(params, w)
-        sig = float(abs(s[0, 0]) ** 2)
-        idl = float(abs(s[0, 1]) ** 2)
-        rows.append((w, sig, idl, sig - idl - 1.0))
-    write_csv(
-        outdir / "jpa_gain_vs_omega.csv",
-        ("omega_rad_s", "signal_power_gain", "idler_power_gain", "bogoliubov_residual"),
-        rows,
-    )
-    pump_rows = []
-    for f in p["pump_fraction_grid"]:
-        synthetic = dataclasses.replace(
-            params, delta0=0.0, lambda1=f * 0.5 * params.kappa
-        )
-        pump_rows.append((f, jpa.signal_power_gain(synthetic)))
-    write_csv(
-        outdir / "jpa_gain_vs_pump.csv",
-        ("pump_fraction_of_threshold", "signal_power_gain"),
-        pump_rows,
-    )
+    omega = p["omega_grid_rad_s"]
+    s = [jpa.scattering_matrix(params, w) for w in omega]
+    # Scalar abs: numpy's vectorised complex abs differs in the last bit.
+    sig = np.array([abs(m[0, 0]) ** 2 for m in s])
+    idl = np.array([abs(m[0, 1]) ** 2 for m in s])
+    write_csv(outdir / "jpa_gain_vs_omega.csv", {
+        "omega_rad_s": omega,
+        "signal_power_gain": sig,
+        "idler_power_gain": idl,
+        "bogoliubov_residual": sig - idl - 1.0,
+    })
+    fractions = p["pump_fraction_grid"]
+    write_csv(outdir / "jpa_gain_vs_pump.csv", {
+        "pump_fraction_of_threshold": fractions,
+        "signal_power_gain": [
+            jpa.signal_power_gain(
+                dataclasses.replace(params, delta0=0.0, lambda1=f * 0.5 * params.kappa)
+            )
+            for f in fractions
+        ],
+    })
     return {
         "omega0_rad_s": omega0,
         "e_c_rad_s": e_c,
@@ -182,13 +174,8 @@ def _run_jpa_wigner(cfg: ScenarioConfig, outdir: Path) -> dict:
         q = np.linspace(-half, half, n)
         w = wigner(GaussianState(1, np.zeros(2), cov), q, q)
         step = q[1] - q[0]
-        rows = [
-            (q[i], q[j], w[i, j])
-            for i in range(n)
-            for j in range(n)
-        ]
         name = f"jpa_wigner_g{g:.4f}.csv"
-        write_csv(outdir / name, ("q", "p", "w"), rows)
+        write_csv(outdir / name, {"q": np.repeat(q, n), "p": np.tile(q, n), "w": w.ravel()})
         summary["fields"].append({
             "g": float(g),
             "file": name,
@@ -200,23 +187,24 @@ def _run_jpa_wigner(cfg: ScenarioConfig, outdir: Path) -> dict:
 
 def _run_channel_neff(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
-    rows = []
-    worst = 0.0
-    for l0 in p["l0_grid_m"]:
+    grid = p["l0_grid_m"]
+    closed, general = [], []
+    for l0 in grid:
         profile = channels.ThermalProfile(
             n_in=p["n_in"], n_out=p["n_out"],
             mu_in=p["mu_in_per_m"], mu_out=p["mu_out_per_m"],
             l0=l0, length=p["length_m"],
         )
-        closed = channels.n_eff_closed(profile)
-        general = channels.n_eff_general(
+        closed.append(channels.n_eff_closed(profile))
+        general.append(channels.n_eff_general(
             profile.absorption_at, profile.occupation_at, profile.length,
             p["quadrature_points"], breakpoints=(profile.l0,),
-        )
-        worst = max(worst, abs(closed - general))
-        rows.append((l0, closed, general))
-    write_csv(outdir / "channel_neff.csv", ("l0_m", "n_eff_closed", "n_eff_general"), rows)
-    return {"n_points": len(rows), "max_abs_difference": worst}
+        ))
+    write_csv(outdir / "channel_neff.csv", {
+        "l0_m": grid, "n_eff_closed": closed, "n_eff_general": general,
+    })
+    worst = max(0.0, *(abs(c - g) for c, g in zip(closed, general)))
+    return {"n_points": len(grid), "max_abs_difference": worst}
 
 
 def _run_qi_roc(cfg: ScenarioConfig, outdir: Path) -> dict:
@@ -237,14 +225,8 @@ def _run_qi_roc(cfg: ScenarioConfig, outdir: Path) -> dict:
     ci = receiver.ci_baseline(scenario)
     roc_qi = receiver.roc_curve(qi.h0, qi.h1)
     roc_ci = receiver.roc_curve(ci.h0, ci.h1)
-    write_csv(
-        outdir / "roc_qi.csv", ("threshold", "pfa", "pd"),
-        zip(roc_qi.thresholds, roc_qi.pfa, roc_qi.pd),
-    )
-    write_csv(
-        outdir / "roc_ci.csv", ("threshold", "pfa", "pd"),
-        zip(roc_ci.thresholds, roc_ci.pfa, roc_ci.pd),
-    )
+    for name, roc in (("roc_qi.csv", roc_qi), ("roc_ci.csv", roc_ci)):
+        write_csv(outdir / name, {"threshold": roc.thresholds, "pfa": roc.pfa, "pd": roc.pd})
     source = receiver.tmsv_cm(r)
     draws = sample(source, p["rho_samples"], np.random.SeedSequence((cfg.seed, 1)))
     rho_emp = float(np.corrcoef(draws[:, 0], draws[:, 2])[0, 1])

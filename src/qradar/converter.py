@@ -8,6 +8,7 @@ module solves the operating point and gates the steady state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,8 @@ def solve_operating_point(
     zero-drive solution (which tracks the continuously connected branch),
     with Powell's hybrid root finder on the same equations as fallback after
     ``max_iter`` steps.  The relative residual is max|f| / ``scale``; above
-    1e-9 a :class:`ConvergenceError` carrying it is raised.
+    1e-9 a :class:`ConvergenceError` carrying it is raised, at once when the
+    iteration overflows to a non-finite residual.
     """
     # Four scalar locals: packing them into a tuple per step costs more than
     # the arithmetic of one step.
@@ -63,6 +65,11 @@ def solve_operating_point(
         residual = max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
         if residual <= 1e-9:
             return OperatingPoint(a, c, p, x, residual)
+        if not math.isfinite(residual):
+            raise ConvergenceError(
+                f"operating point iteration diverged (relative residual {residual})",
+                residual=residual,
+            )
 
     def system(v):
         f1, f2, f3, f4 = equations(params, v[0] + 1j * v[1], v[2] + 1j * v[3], v[4], v[5])
@@ -74,7 +81,7 @@ def solve_operating_point(
     p, x = sol.x[4], sol.x[5]
     f1, f2, f3, f4 = equations(params, a, c, p, x)
     residual = max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # NaN-safe
         raise ConvergenceError(
             f"operating point did not converge (relative residual {residual:.3e}); "
             "the drive may sit in a bistable region",
@@ -87,8 +94,8 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     """Steady-state covariance of a converter model, checked physical.
 
     Raises :class:`NoSteadyStateError` when the drift is unstable and
-    :class:`~qradar.errors.PhysicalityError` when the covariance violates
-    the uncertainty bound by more than 1e-6.
+    :class:`~qradar.errors.PhysicalityError` when the covariance is not
+    positive definite or violates the uncertainty bound by more than 1e-6.
     """
     stable, max_re = is_stable(model)
     if not stable:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .channels import GaussianChannel
 from .errors import (
@@ -79,9 +80,13 @@ class GaussianState:
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
     def is_physical(self, tol: float = 1e-9) -> bool:
+        if not _positive_definite(self.cov):
+            return False
         return min(symplectic_eigenvalues(self)) >= VACUUM_VARIANCE - tol
 
     def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
+        if not _positive_definite(self.cov):
+            raise _not_positive_definite()
         nu_min = min(symplectic_eigenvalues(self))
         if nu_min < VACUUM_VARIANCE - tol:
             raise _unphysical(nu_min)
@@ -100,6 +105,21 @@ def _member(covs: np.ndarray, i: int) -> str:
     return f"stack member {i}: " if len(covs) > 1 else ""
 
 
+def _positive_definite(cov: np.ndarray) -> bool:
+    """Whether a symmetric matrix has a Cholesky factor.
+
+    The symplectic spectrum, taken from |eig(Omega V)|, is the same for V and
+    -V and can pass an indefinite V, so physicality needs this test too.
+    LAPACK's potrf is called directly: ``np.linalg.cholesky`` costs about
+    five times as much on one 4x4 or 6x6 matrix.
+    """
+    return lapack.dpotrf(cov, lower=1, clean=0)[1] == 0
+
+
+def _not_positive_definite(where: str = "") -> PhysicalityError:
+    return PhysicalityError(f"{where}state invariant violated: cov is not positive definite")
+
+
 def _unphysical(nu_min: float, where: str = "") -> PhysicalityError:
     return PhysicalityError(
         f"{where}state invariant violated: cov + (i/2)Omega not PSD "
@@ -112,9 +132,10 @@ def _validated_stack(covs, n_modes: int, tol: float = 1e-9):
     :meth:`~GaussianState.validate_physical` check one.
 
     ``covs`` has shape (n, 2N, 2N) with N = ``n_modes``; every member must be
-    finite, symmetric and obey nu_min >= 1/2 - ``tol``.  Errors name the index
-    of the first offending member of a stack of several.  Returns the symmetrised stack and its
-    symplectic spectra, shape (n, N), ascending along the last axis.
+    finite, symmetric, positive definite and obey nu_min >= 1/2 - ``tol``.
+    Errors name the index of the first offending member of a stack of several.
+    Returns the symmetrised stack and its symplectic spectra, shape (n, N),
+    ascending along the last axis.
     """
     dim = 2 * n_modes
     covs = np.asarray(covs, dtype=float)
@@ -132,6 +153,9 @@ def _validated_stack(covs, n_modes: int, tol: float = 1e-9):
             "state invariant violated: cov is not symmetric"
         )
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    for i, cov in enumerate(covs):
+        if not _positive_definite(cov):
+            raise _not_positive_definite(_member(covs, i))
     nus = _symplectic_spectra(covs)
     unphysical = nus[:, 0] < VACUUM_VARIANCE - tol
     if unphysical.any():

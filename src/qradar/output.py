@@ -1,7 +1,11 @@
 """Deterministic CSV/JSON artifact writers.
 
-Floats are rendered with 17 significant digits in scientific notation so
-repeated runs are byte-identical; JSON is sorted and indented.
+A CSV is written column-wise from an ordered mapping of header to 1-d
+column: a float64 column is rendered with ``%.16e`` (17 significant digits;
+``nan``, ``inf`` and ``-inf`` as such), a bool column as 1/0.  Each distinct
+bit pattern of a column is formatted once, so repeated runs are
+byte-identical and ``-0.0`` stays apart from ``0.0``.  JSON is sorted and
+indented.
 """
 
 from __future__ import annotations
@@ -11,38 +15,46 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from .errors import ValidationError
+
 FORMAT_VERSION = 1
 
-__all__ = ["FORMAT_VERSION", "format_float", "write_csv", "write_json", "config_hash"]
+__all__ = ["FORMAT_VERSION", "write_csv", "write_json", "config_hash"]
 
 
-def format_float(value: float) -> str:
-    if value != value:
-        return "nan"
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return f"{value:.16e}"
+def _column_text(name: str, values) -> np.ndarray:
+    """The cells of one column as an object array of str."""
+    column = np.asarray(values)
+    if column.ndim != 1 or column.dtype not in (np.float64, np.bool_):
+        raise ValidationError(
+            f"CSV column {name!r} must be 1-d float64 or bool, "
+            f"got {column.dtype} of shape {column.shape}"
+        )
+    # Floats are keyed on their bit pattern: as values, -0.0 == 0.0.
+    spec, key = ("%d", column) if column.dtype == np.bool_ else ("%.16e", column.view(np.int64))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    text = ((spec + "\n") * len(first) % tuple(column[first].tolist())).split("\n")
+    text.pop()
+    return np.array(text, dtype=object)[inverse]
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if value is None:
-        return "nan"
-    return str(value)
+def write_csv(path: Path, columns) -> None:
+    """Write ``columns``, an ordered mapping of header to 1-d column, as CSV.
 
-
-def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Raises :class:`ValidationError` unless there is at least one column, all
+    columns have one length and each is float64 or bool.
+    """
+    cells = [_column_text(name, values) for name, values in columns.items()]
+    if len({len(c) for c in cells}) != 1:
+        raise ValidationError(
+            f"CSV columns must be at least one and of equal length, got lengths "
+            f"{[len(c) for c in cells]}"
+        )
+    row = ",".join(["%s"] * len(cells)) + "\n"
+    body = row * len(cells[0]) % tuple(np.column_stack(cells).ravel().tolist())
+    path.write_text(",".join(columns) + "\n" + body, encoding="utf-8")
 
 
 def _json_safe(obj):
@@ -53,7 +65,7 @@ def _json_safe(obj):
     if isinstance(obj, float):
         # NaN/inf are not valid JSON; store as strings.
         if obj != obj or obj in (math.inf, -math.inf):
-            return _cell(obj)
+            return str(obj)
         return obj
     return obj
 

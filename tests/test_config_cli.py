@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qradar import oe
+from qradar import oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
 from qradar.errors import ConfigError, NoSteadyStateError, PhysicalityError
@@ -244,6 +245,43 @@ class TestArtifacts:
         order = np.lexsort((rows["pd"], rows["pfa"]))
         auc = float(np.trapezoid(rows["pd"][order], rows["pfa"][order]))
         assert abs(auc - summary["summary"]["auc_qi"]) <= 1e-12
+
+    def test_qi_roc_preset_csvs_pinned(self, tmp_path):
+        raw = {**SCENARIO_PRESETS["qi_roc_low_signal"], "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())["summary"]
+
+        cfg = validate_config(raw)
+        p = cfg.parameters
+        signal, background = receiver.low_signal_channels(p["n_background"], p["transmissivity"])
+        scenario = receiver.QiScenario(
+            r=math.asinh(math.sqrt(p["mean_signal_photons"])),
+            signal_channel=signal,
+            background_channel=background,
+            samples_per_decision=p["samples_per_decision"],
+            n_decisions=p["n_decisions"],
+            seed=cfg.seed,
+            detector=p["detector"],
+            heterodyne=p["heterodyne"],
+        )
+        for name, run in (("qi", receiver.run_detection), ("ci", receiver.ci_baseline)):
+            rows = read_csv(tmp_path / f"roc_{name}.csv")
+            t, pfa, pd = rows["threshold"], rows["pfa"], rows["pd"]
+            assert tuple(rows[0]) == (-np.inf, 1.0, 1.0)
+            assert tuple(rows[-1]) == (np.inf, 0.0, 0.0)
+            assert (np.diff(t) > 0).all()
+            assert (np.diff(pfa) <= 0).all() and (np.diff(pd) <= 0).all()
+            order = np.lexsort((pd, pfa))
+            auc = float(np.trapezoid(pd[order], pfa[order]))
+            assert abs(auc - summary[f"auc_{name}"]) <= 1e-12
+            # The .16e text round-trips to the exact in-process curve.
+            stats = run(scenario)
+            curve = receiver.roc_curve(stats.h0, stats.h1)
+            assert np.array_equal(t, curve.thresholds)
+            assert np.array_equal(pfa, curve.pfa)
+            assert np.array_equal(pd, curve.pd)
 
     def test_run_twice_byte_identical(self, tmp_path):
         base = SCENARIO_PRESETS["channel_neff_line"]

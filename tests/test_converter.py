@@ -40,3 +40,21 @@ def test_no_root_raises_with_residual():
     with pytest.raises(ConvergenceError, match="did not converge") as info:
         solve_operating_point(None, update, equations, scale=1.0, max_iter=5)
     assert info.value.residual > 1e-9
+
+
+def test_non_finite_residual_raises_at_once(monkeypatch):
+    # The iterate overflows to inf on the second step, so its residual is NaN.
+    def update(params, a, c, p, x):
+        return a * 1e300 + 1e300, c, p, x
+
+    calls = []
+
+    def equations(params, a, c, p, x):
+        calls.append(a)
+        return a - a + 1.0, c, p, x
+
+    monkeypatch.setattr(scipy.optimize, "root", pytest.fail)
+    with pytest.raises(ConvergenceError, match="diverged") as info:
+        solve_operating_point(None, update, equations, scale=1.0, max_iter=1000)
+    assert len(calls) == 2
+    assert info.value.residual != info.value.residual

@@ -216,6 +216,13 @@ class TestGaussianDiscord:
             assert report.mutual_info >= report.classical_corr >= 0
 
 
+def _with_non_positive_definite_member():
+    """Stacks whose member 1 passes the nu >= 1/2 test but is no covariance:
+    -V has the symplectic spectrum of V, and diag(1, -1, 1, 1) has nu = (1, 1)."""
+    for bad in (-tmsv_cov(0.5), np.diag([1.0, -1.0, 1.0, 1.0])):
+        yield np.array([tmsv_cov(0.3), bad, tmsv_cov(0.7)])
+
+
 class TestStackEntryPoints:
     def test_rows_match_the_single_pair_functions(self, rng):
         covs = np.array([random_physical_two_mode(rng).cov for _ in range(60)])
@@ -244,12 +251,20 @@ class TestStackEntryPoints:
         with pytest.raises(PhysicalityError, match="stack member 2:"):
             entry(covs)
 
-    def test_non_positive_definite_local_block_named(self):
-        # -V has the symplectic spectrum of V, so it passes the nu >= 1/2
-        # test; the local normal form must still refuse it.
-        covs = np.array([tmsv_cov(0.3), -tmsv_cov(0.5), tmsv_cov(0.7)])
-        with pytest.raises(ValidationError, match="stack member 1: local covariance block"):
-            discord_reports(covs)
+    def test_non_positive_definite_member_named(self):
+        for covs in _with_non_positive_definite_member():
+            for entry in (discord_reports, two_eta_values):
+                with pytest.raises(
+                    PhysicalityError, match="stack member 1: .*not positive definite"
+                ):
+                    entry(covs)
+
+    def test_non_positive_definite_pair_rejected(self):
+        for covs in _with_non_positive_definite_member():
+            blocks = BipartiteBlocks.from_covariance(covs[1])
+            for score in (lambda_sph, two_eta, gaussian_discord):
+                with pytest.raises(PhysicalityError, match="^state invariant .*not positive"):
+                    score(blocks)
 
     @pytest.mark.parametrize(
         "covs, match",

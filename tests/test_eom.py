@@ -3,6 +3,7 @@ steady-state entanglement, and sweeps."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestSweep:
         wild = dataclasses.replace(reference, e_w=reference.e_w * 3.0)
         points = sweep(wild, "temperature", [0.01, 0.02])
         assert all(not p.stable and p.reports is None for p in points)
+
+    def test_diverging_operating_points_marked_unstable(self, reference):
+        # Below about 3e6 rad/s the damped iteration overflows (NaN residual)
+        # or stalls; those points are unstable, the rest are scored as alone.
+        grid = np.geomspace(1e5, 1e8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = sweep(reference, "omega_m", grid)
+        assert [p.stable for p in points] == [False] * 4 + [True] * 4
+        alone = sweep(reference, "omega_m", grid[4:])
+        for point, want in zip(points[4:], alone):
+            assert point.reports == want.reports
 
     def test_unsorted_grid_rejected(self, reference):
         with pytest.raises(ValidationError, match="ascending"):

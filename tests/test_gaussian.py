@@ -76,6 +76,16 @@ class TestSymplecticEigenvalues:
         with pytest.raises(PhysicalityError):
             squeezed_too_far.validate_physical()
 
+    @pytest.mark.parametrize("cov", [-0.5 * np.eye(2), np.diag([1.0, -1.0])])
+    def test_non_positive_definite_rejected(self, cov):
+        # Both have nu = (1/2 or 1) from |eig(Omega V)|, so only the
+        # definiteness test tells them from a covariance.
+        state = GaussianState(1, np.zeros(2), cov)
+        assert symplectic_eigenvalues(state)[0] >= 0.5
+        assert not state.is_physical()
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            state.validate_physical()
+
 
 class TestPartialTranspose:
     def test_vacuum_invariant(self):
