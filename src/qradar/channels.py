@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, UndefinedQuantityError, ValidationError
+from .gaussian import _asymmetric
 
 __all__ = [
     "GaussianChannel",
@@ -48,7 +49,7 @@ class GaussianChannel:
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError("channel matrices must be finite")
-        if not np.allclose(y, y.T, rtol=0.0, atol=1e-10 * max(1.0, abs(y).max())):
+        if _asymmetric(y):
             raise ValidationError("channel noise matrix Y must be symmetric")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", 0.5 * (y + y.T))

@@ -4,32 +4,25 @@ One canonical format: a JSON object with ``kind``, ``seed``, ``parallelism``,
 optional ``output_dir``, and a kind-specific ``parameters`` table.  Physical
 quantities carry explicit unit suffixes in their key names.  Parsing is
 strict: unknown keys are rejected (with a nearest-key suggestion) and every
-validation error is collected, not just the first.  ``parallelism`` is
-validated and recorded in the normalized inputs (and so in the config hash)
-but changes nothing: every scenario runs serially.
+validation error is collected, not just the first, one per key.  One walker
+checks every table, the top level included, against its schema; the
+``parameters`` table is checked against its kind's schema once ``kind`` is
+valid.  Numbers and grid values must be finite, and grids ascending.
+``parallelism`` is validated and recorded in the normalized inputs (and so in
+the config hash) but changes nothing: every scenario runs serially.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
 
 __all__ = ["ScenarioConfig", "FieldSpec", "KINDS", "parse_config", "validate_config"]
-
-KINDS = (
-    "eom_sweep",
-    "oe_sweep",
-    "oe_end_to_end",
-    "jpa_gain",
-    "jpa_wigner",
-    "channel_neff",
-    "qi_roc",
-)
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -42,16 +35,15 @@ class FieldSpec:
     maximum: float | None = None
     exclusive_minimum: float | None = None
     choices: tuple | None = None
-    ascending: bool = False
-    table: dict | None = None      # nested schema for kind == "table"
+    table: dict | None = None      # nested schema for kind == "table"; None: unchecked
 
 
 def _num(required=False, default=None, minimum=None, maximum=None, exclusive_minimum=None):
     return FieldSpec("number", required, default, minimum, maximum, exclusive_minimum)
 
 
-def _grid(required=True, ascending=True):
-    return FieldSpec("grid", required, ascending=ascending)
+def _grid():
+    return FieldSpec("grid", required=True)
 
 
 # Converter overrides: each key is an EomParams/OeParams field plus its unit
@@ -149,12 +141,14 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
 }
 
+KINDS = tuple(PARAMETER_SCHEMAS)
+
 _TOP_LEVEL = {
     "kind": FieldSpec("string", required=True, choices=KINDS),
     "seed": FieldSpec("integer", default=0, minimum=0),
     "parallelism": FieldSpec("integer", default=1, minimum=1),
     "output_dir": FieldSpec("string"),
-    "parameters": FieldSpec("table", required=True),
+    "parameters": FieldSpec("table"),  # replaced by the kind's schema in validate_config
 }
 
 
@@ -191,7 +185,7 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
             errors.append(f"{path}: expected a number, got {type(value).__name__}")
             return None
         value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             errors.append(f"{path}: must be finite")
             return None
         if spec.minimum is not None and value < spec.minimum:
@@ -229,37 +223,40 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
             return None
         out = []
         for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 errors.append(f"{path}[{i}]: expected a finite number")
                 return None
             out.append(float(v))
-        if spec.ascending and sorted(out) != out:
+        if sorted(out) != out:
             errors.append(f"{path}: grid values must be ascending")
         return out
     raise AssertionError(f"unhandled spec kind {spec.kind}")
 
 
 def _check_table(path: str, schema: dict, obj, errors: list) -> dict:
+    """Check one table against ``schema`` (``path`` "" is the top level): one
+    error per present key that is unknown or invalid, and one per absent
+    required key; an absent key with a default gets it."""
     if not isinstance(obj, dict):
         errors.append(f"{path}: expected an object")
         return {}
+    prefix = f"{path}." if path else ""
     out = {}
     for key, value in obj.items():
-        if key not in schema:
-            errors.append(f"{path}.{key}: unknown key" + _suggest(key, schema))
-            continue
-        spec = schema[key]
-        if spec.kind == "table":
-            out[key] = _check_table(f"{path}.{key}", spec.table or {}, value, errors)
-        else:
-            checked = _check_value(f"{path}.{key}", spec, value, errors)
+        spec = schema.get(key)
+        if spec is None:
+            errors.append(f"{prefix}{key}: unknown key" + _suggest(key, schema))
+        elif spec.kind != "table":
+            checked = _check_value(prefix + key, spec, value, errors)
             if checked is not None:
                 out[key] = checked
+        elif spec.table is not None:
+            out[key] = _check_table(prefix + key, spec.table, value, errors)
     for key, spec in schema.items():
-        if key in out:
+        if key in obj:
             continue
         if spec.required:
-            errors.append(f"{path}.{key}: required key is missing")
+            errors.append(f"{prefix}{key}: required key is missing")
         elif spec.default is not None:
             out[key] = spec.default
         elif spec.kind == "table" and spec.table is not None:
@@ -269,43 +266,23 @@ def _check_table(path: str, schema: dict, obj, errors: list) -> dict:
 
 def validate_config(obj) -> ScenarioConfig:
     """Validate a decoded JSON object; raises ConfigError with all problems."""
-    errors: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    top = {}
-    for key, value in obj.items():
-        if key not in _TOP_LEVEL:
-            errors.append(f"{key}: unknown key" + _suggest(key, _TOP_LEVEL))
-            continue
-        if key == "parameters":
-            continue  # validated against the kind-specific schema below
-        checked = _check_value(key, _TOP_LEVEL[key], value, errors)
-        if checked is not None:
-            top[key] = checked
-    for key, spec in _TOP_LEVEL.items():
-        if key == "parameters":
-            continue
-        if key not in top:
-            if spec.required:
-                errors.append(f"{key}: required key is missing")
-            elif spec.default is not None:
-                top[key] = spec.default
-    kind = top.get("kind")
-    params = {}
-    if kind in PARAMETER_SCHEMAS:
-        raw = obj.get("parameters")
-        if raw is None:
-            errors.append("parameters: required key is missing")
-        else:
-            params = _check_table("parameters", PARAMETER_SCHEMAS[kind], raw, errors)
+    schema = _TOP_LEVEL
+    kind = obj.get("kind")
+    if isinstance(kind, str) and kind in PARAMETER_SCHEMAS:
+        parameters = FieldSpec("table", required=True, table=PARAMETER_SCHEMAS[kind])
+        schema = {**_TOP_LEVEL, "parameters": parameters}
+    errors: list[str] = []
+    top = _check_table("", schema, obj, errors)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        kind=kind,
+        kind=top["kind"],
         seed=top["seed"],
         parallelism=top["parallelism"],
         output_dir=top.get("output_dir"),
-        parameters=params,
+        parameters=top["parameters"],
     )
 
 

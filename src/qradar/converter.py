@@ -33,6 +33,16 @@ class OperatingPoint:
     residual: float
 
 
+def _relative_residual(f, scale: float) -> float:
+    """max|f_i| / ``scale`` of the four DC equations, NaN when any f_i is NaN:
+    Python's max skips a NaN that is not its first argument, a sum does not."""
+    f1, f2, f3, f4 = f
+    m1, m2, m3, m4 = abs(f1), abs(f2), abs(f3), abs(f4)
+    if math.isnan(m1 + m2 + m3 + m4):
+        return math.nan
+    return max(m1, m2, m3, m4) / scale
+
+
 def solve_operating_point(
     params,
     update: Callable,
@@ -61,8 +71,7 @@ def solve_operating_point(
         c = 0.5 * c + 0.5 * c_new
         p = 0.5 * p + 0.5 * p_new
         x = 0.5 * x + 0.5 * x_new
-        f1, f2, f3, f4 = equations(params, a, c, p, x)
-        residual = max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
+        residual = _relative_residual(equations(params, a, c, p, x), scale)
         if residual <= 1e-9:
             return OperatingPoint(a, c, p, x, residual)
         if not math.isfinite(residual):
@@ -79,8 +88,7 @@ def solve_operating_point(
     a = sol.x[0] + 1j * sol.x[1]
     c = sol.x[2] + 1j * sol.x[3]
     p, x = sol.x[4], sol.x[5]
-    f1, f2, f3, f4 = equations(params, a, c, p, x)
-    residual = max(abs(f1), abs(f2), abs(f3), abs(f4)) / scale
+    residual = _relative_residual(equations(params, a, c, p, x), scale)
     if not residual <= 1e-9:  # NaN-safe
         raise ConvergenceError(
             f"operating point did not converge (relative residual {residual:.3e}); "

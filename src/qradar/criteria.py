@@ -184,13 +184,10 @@ def two_eta(blocks: BipartiteBlocks) -> float:
 
 
 def _single_mode_normalizer(m: np.ndarray) -> np.ndarray:
-    """Symplectic S with S m S^T = sqrt(det m) * I for each 2x2 PD matrix of
-    ``m``, shape (n, k, 2, 2); an error names the offending member n."""
+    """Symplectic S with S m S^T = sqrt(det m) * I for each 2x2 matrix of
+    ``m``, shape (n, k, 2, 2): diagonal blocks of validated covariances, which
+    are positive definite because the covariances are."""
     lam, rot = np.linalg.eigh(m)
-    not_pd = (lam[..., 0] <= 0).any(axis=1)
-    if not_pd.any():
-        i = int(not_pd.argmax())
-        raise ValidationError(f"{_member(m, i)}local covariance block is not positive definite")
     flip = np.linalg.det(rot) < 0
     rot = np.where(flip[..., None, None], rot[..., ::-1], rot)
     lam = np.where(flip[..., None], lam[..., ::-1], lam)
@@ -300,8 +297,8 @@ def discord_reports(covs) -> list[CriteriaReport]:
     covariances, shape (n, 4, 4), in stack order.
 
     The stack is checked once, as a :class:`BipartiteBlocks` is (finite,
-    symmetric, nu_min >= 1/2 - 1e-9); an error about a stack of several names
-    the offending member.
+    symmetric, positive definite, nu_min >= 1/2 - 1e-9); an error about a
+    stack of several names the offending member.
     """
     covs, nus = _validated_stack(covs, 2)
     columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs, nus))

@@ -3,6 +3,12 @@
 Conventions, fixed globally for the whole toolkit:
     x = (a + a^dag)/sqrt(2),  p = -i(a - a^dag)/sqrt(2),  hbar = 1,
     vacuum variance 1/2, quadrature ordering (x1, p1, x2, p2, ...).
+
+Each covariance rule is written once here, over one (d, d) matrix or an
+(n, d, d) stack alike: the structural rule (finite, and symmetric within
+1e-10 of max(1, largest entry), a test the Langevin diffusion and the channel
+noise matrix share) and the physical rule (positive definite, and
+nu_min >= 1/2 - tol).
 """
 
 from __future__ import annotations
@@ -10,17 +16,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .channels import GaussianChannel
 from .errors import (
     DegenerateStateError,
     PhysicalityError,
     UnphysicalChannelError,
     ValidationError,
 )
+
+if TYPE_CHECKING:  # channels imports the symmetry rule from this module
+    from .channels import GaussianChannel
 
 __all__ = [
     "GaussianState",
@@ -72,96 +81,96 @@ class GaussianState:
             raise ValidationError(f"mean must have length {dim}, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise ValidationError(f"cov must be {dim}x{dim}, got {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValidationError("state invariant violated: mean/cov must be finite")
-        if _asymmetric(cov):
-            raise ValidationError("state invariant violated: cov is not symmetric")
+        if not np.isfinite(mean).all():
+            raise ValidationError("state invariant violated: mean must be finite")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", _symmetrised(cov))
 
     def is_physical(self, tol: float = 1e-9) -> bool:
-        if not _positive_definite(self.cov):
+        try:
+            self.validate_physical(tol)
+        except PhysicalityError:
             return False
-        return min(symplectic_eigenvalues(self)) >= VACUUM_VARIANCE - tol
+        return True
 
     def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
-        if not _positive_definite(self.cov):
-            raise _not_positive_definite()
-        nu_min = min(symplectic_eigenvalues(self))
-        if nu_min < VACUUM_VARIANCE - tol:
-            raise _unphysical(nu_min)
+        _physical_spectra(self.cov, tol)
         return self
 
 
 def _asymmetric(covs: np.ndarray) -> np.ndarray:
-    """Per member of a finite (..., d, d) stack: asymmetric by more than 1e-10
+    """Per member of a finite (..., d, d) array: asymmetric by more than 1e-10
     of its largest entry (and of 1)."""
-    asymmetry = np.abs(covs - covs.swapaxes(-1, -2)).max(axis=(-2, -1))
+    asymmetry = np.abs(covs - covs.mT).max(axis=(-2, -1))
     return asymmetry > 1e-10 * np.abs(covs).max(axis=(-2, -1), initial=1.0)
 
 
 def _member(covs: np.ndarray, i: int) -> str:
     """Prefix naming member ``i`` in an error about a stack of several."""
-    return f"stack member {i}: " if len(covs) > 1 else ""
+    return f"stack member {i}: " if covs.ndim > 2 and len(covs) > 1 else ""
 
 
-def _positive_definite(cov: np.ndarray) -> bool:
-    """Whether a symmetric matrix has a Cholesky factor.
+def _symmetrised(covs: np.ndarray) -> np.ndarray:
+    """The structural rule on a (d, d) covariance or an (n, d, d) stack: each
+    must be finite and not :func:`_asymmetric`.  Returns it symmetrised.
+
+    Python's ``any`` over ``.flat`` reduces the per-member flags (and ``min``
+    the spectra in :func:`_physical_spectra`): on one matrix they are numpy
+    scalars, whose ``.any()`` costs more than the check itself.
+    """
+    if not np.isfinite(covs).all():
+        i = int(np.argmin(np.isfinite(covs).all(axis=(-2, -1))))
+        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov must be finite")
+    asymmetric = _asymmetric(covs)
+    if any(asymmetric.flat):
+        raise ValidationError(
+            f"{_member(covs, int(np.argmax(asymmetric)))}"
+            "state invariant violated: cov is not symmetric"
+        )
+    return 0.5 * (covs + covs.mT)
+
+
+def _physical_spectra(covs: np.ndarray, tol: float) -> np.ndarray:
+    """The physical rule on a symmetric (2N, 2N) covariance or (n, 2N, 2N)
+    stack: each must be positive definite with nu_min >= 1/2 - ``tol``.
+    Returns the symplectic spectra, ascending along the last axis.
 
     The symplectic spectrum, taken from |eig(Omega V)|, is the same for V and
-    -V and can pass an indefinite V, so physicality needs this test too.
-    LAPACK's potrf is called directly: ``np.linalg.cholesky`` costs about
-    five times as much on one 4x4 or 6x6 matrix.
+    -V and can pass an indefinite V, so definiteness is tested first, by
+    LAPACK's potrf: ``np.linalg.cholesky`` costs about five times as much on
+    one 4x4 or 6x6 matrix.
     """
-    return lapack.dpotrf(cov, lower=1, clean=0)[1] == 0
-
-
-def _not_positive_definite(where: str = "") -> PhysicalityError:
-    return PhysicalityError(f"{where}state invariant violated: cov is not positive definite")
-
-
-def _unphysical(nu_min: float, where: str = "") -> PhysicalityError:
-    return PhysicalityError(
-        f"{where}state invariant violated: cov + (i/2)Omega not PSD "
-        f"(min symplectic eigenvalue {nu_min:.3e} < 1/2)"
-    )
+    for i, cov in enumerate(covs if covs.ndim == 3 else (covs,)):
+        if lapack.dpotrf(cov, lower=1, clean=0)[1]:
+            raise PhysicalityError(
+                f"{_member(covs, i)}state invariant violated: cov is not positive definite"
+            )
+    nus = _symplectic_spectra(covs)
+    if min(nus.flat, default=math.inf) < VACUUM_VARIANCE - tol:
+        nu_min = nus[..., 0]
+        i = int(np.argmax(nu_min < VACUUM_VARIANCE - tol))
+        raise PhysicalityError(
+            f"{_member(covs, i)}state invariant violated: cov + (i/2)Omega not PSD "
+            f"(min symplectic eigenvalue {nu_min.flat[i]:.3e} < 1/2)"
+        )
+    return nus
 
 
 def _validated_stack(covs, n_modes: int, tol: float = 1e-9):
     """Check a stack of covariances as :class:`GaussianState` and
     :meth:`~GaussianState.validate_physical` check one.
 
-    ``covs`` has shape (n, 2N, 2N) with N = ``n_modes``; every member must be
-    finite, symmetric, positive definite and obey nu_min >= 1/2 - ``tol``.
-    Errors name the index of the first offending member of a stack of several.
-    Returns the symmetrised stack and its symplectic spectra, shape (n, N),
-    ascending along the last axis.
+    ``covs`` has shape (n, 2N, 2N) with N = ``n_modes``.  Errors name the
+    index of the first offending member of a stack of several.  Returns the
+    symmetrised stack and its symplectic spectra, shape (n, N), ascending
+    along the last axis.
     """
     dim = 2 * n_modes
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
         raise ValidationError(f"expected a stack of {dim}x{dim} covariances, got {covs.shape}")
-    finite = np.isfinite(covs).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(
-            f"{_member(covs, int(finite.argmin()))}state invariant violated: cov must be finite"
-        )
-    asymmetric = _asymmetric(covs)
-    if asymmetric.any():
-        raise ValidationError(
-            f"{_member(covs, int(asymmetric.argmax()))}"
-            "state invariant violated: cov is not symmetric"
-        )
-    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    for i, cov in enumerate(covs):
-        if not _positive_definite(cov):
-            raise _not_positive_definite(_member(covs, i))
-    nus = _symplectic_spectra(covs)
-    unphysical = nus[:, 0] < VACUUM_VARIANCE - tol
-    if unphysical.any():
-        i = int(unphysical.argmax())
-        raise _unphysical(nus[i, 0], _member(covs, i))
-    return covs, nus
+    covs = _symmetrised(covs)
+    return covs, _physical_spectra(covs, tol)
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:

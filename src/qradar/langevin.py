@@ -22,6 +22,7 @@ import numpy as np
 from scipy import constants, integrate, linalg
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError
+from .gaussian import _asymmetric
 
 __all__ = [
     "BathSpec",
@@ -39,6 +40,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0."""
     if omega <= 0:
         raise ValidationError("thermal_occupation requires omega > 0")
+    if not math.isfinite(temperature):
+        raise ValidationError(f"temperature must be finite, got {temperature}")
     if temperature < 0:
         raise ValidationError("temperature must be non-negative")
     thermal_energy = constants.k * temperature
@@ -109,11 +112,10 @@ class LinearLangevinModel:
             raise ValidationError("diffusion shape must match drift")
         if not (np.isfinite(a).all() and np.isfinite(d).all()):
             raise ValidationError("drift and diffusion must be finite")
-        scale = max(1.0, abs(d).max())
-        if abs(d - d.T).max() > 1e-10 * scale:
+        if _asymmetric(d):
             raise ValidationError("diffusion must be symmetric")
         d = 0.5 * (d + d.T)
-        if np.linalg.eigvalsh(d).min() < -1e-10 * scale:
+        if np.linalg.eigvalsh(d).min() < -1e-10 * max(1.0, abs(d).max()):
             raise ValidationError("diffusion must be positive semidefinite")
         if len(self.mode_labels) != a.shape[0] // 2:
             raise ValidationError("one mode label per mode is required")

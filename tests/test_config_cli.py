@@ -74,6 +74,64 @@ class TestParsing:
             validate_config(raw)
         assert any("ascending" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize(
+        "raw, errors",
+        [
+            ({}, ["kind: required key is missing"]),
+            ({"kind": "qi_roc"}, ["parameters: required key is missing"]),
+            # A present key is reported by its value, never as missing.
+            ({"kind": "qi_roc", "parameters": None}, ["parameters: expected an object"]),
+            ({"kind": "qi_roc", "parameters": [1]}, ["parameters: expected an object"]),
+            (
+                {"kind": "teleport", "parameters": {"x": 1}},
+                ["kind: 'teleport' is not one of ['channel_neff', 'eom_sweep', 'jpa_gain', "
+                 "'jpa_wigner', 'oe_end_to_end', 'oe_sweep', 'qi_roc']"],
+            ),
+            (
+                {"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [0.1], "eom": 3}},
+                ["parameters.eom: expected an object"],
+            ),
+            (
+                {"kind": "qi_roc", "sed": 1, "parameters": {}},
+                ["sed: unknown key (did you mean 'seed'?)"],
+            ),
+            ({"kind": 3, "parameters": {}}, ["kind: expected a string, got int"]),
+            (
+                {
+                    "kind": "channel_neff",
+                    "parameters": {
+                        "n_in": "x", "n_out": 0, "mu_in_per_m": 0, "mu_out_per_m": 0,
+                        "length_m": 1, "l0_grid_m": [0.0],
+                    },
+                },
+                ["parameters.n_in: expected a number, got str"],
+            ),
+            (
+                {"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [0.01, math.inf]}},
+                ["parameters.grid[1]: expected a finite number"],
+            ),
+            (
+                {"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [-math.inf, 0.01]}},
+                ["parameters.grid[0]: expected a finite number"],
+            ),
+        ],
+        ids=[
+            "empty", "parameters_missing", "parameters_null", "parameters_list",
+            "unknown_kind", "eom_not_object", "misspelled_top_level", "kind_not_string",
+            "n_in_not_number", "grid_inf", "grid_minus_inf",
+        ],
+    )
+    def test_error_lists_pinned(self, raw, errors):
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.errors == errors
+
+    def test_infinite_grid_text_rejected(self):
+        # Python's json reads the non-standard token Infinity as inf.
+        text = '{"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [0.01, Infinity]}}'
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text)
+
     def test_fig10_preset_published_values(self):
         cfg = validate_config(SCENARIO_PRESETS["fig10"])
         assert cfg.kind == "oe_end_to_end"

@@ -43,18 +43,22 @@ def test_no_root_raises_with_residual():
 
 
 def test_non_finite_residual_raises_at_once(monkeypatch):
-    # The iterate overflows to inf on the second step, so its residual is NaN.
+    # The iterate overflows to inf on the second step, so a - a is NaN.  The
+    # NaN goes in f1 and in f3, where Python's max(abs(f1), ...) skipped it.
     def update(params, a, c, p, x):
         return a * 1e300 + 1e300, c, p, x
 
-    calls = []
-
-    def equations(params, a, c, p, x):
-        calls.append(a)
-        return a - a + 1.0, c, p, x
-
     monkeypatch.setattr(scipy.optimize, "root", pytest.fail)
-    with pytest.raises(ConvergenceError, match="diverged") as info:
-        solve_operating_point(None, update, equations, scale=1.0, max_iter=1000)
-    assert len(calls) == 2
-    assert info.value.residual != info.value.residual
+    for position in (0, 2):
+        calls = []
+
+        def equations(params, a, c, p, x):
+            calls.append(a)
+            f = [1.0, c, p, x]
+            f[position] = a - a + 1.0
+            return f
+
+        with pytest.raises(ConvergenceError, match="diverged") as info:
+            solve_operating_point(None, update, equations, scale=1.0, max_iter=1000)
+        assert len(calls) == 2
+        assert info.value.residual != info.value.residual

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel, identity_channel
+from qradar.criteria import discord_reports, two_eta_values
 from qradar.errors import (
     DegenerateStateError,
     PhysicalityError,
@@ -28,6 +29,7 @@ from qradar.gaussian import (
     von_neumann_entropy,
     wigner,
 )
+from qradar.langevin import LinearLangevinModel
 
 from conftest import random_physical_two_mode, random_symplectic, tmsv_cov
 
@@ -85,6 +87,58 @@ class TestSymplecticEigenvalues:
         assert not state.is_physical()
         with pytest.raises(PhysicalityError, match="not positive definite"):
             state.validate_physical()
+
+
+# Every boundary that takes a symmetric 4x4 matrix, through the one symmetry
+# rule: asymmetric by more than 1e-10 * max(1, largest entry) is rejected.
+SYMMETRIC_4X4_BOUNDARIES = {
+    "GaussianState": lambda m: GaussianState(2, np.zeros(4), m),
+    "discord_reports": lambda m: discord_reports(np.array([tmsv_cov(0.3), m])),
+    "two_eta_values": lambda m: two_eta_values(np.array([tmsv_cov(0.3), m])),
+    "LinearLangevinModel.diffusion": lambda m: LinearLangevinModel(-np.eye(4), m, ("a", "b")),
+    "GaussianChannel.Y": lambda m: GaussianChannel(np.eye(4), m),
+}
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric 2x2 or 4x4 matrices: A A^T + shift I (physical or not),
+    its negative -V, and indefinite A + A^T."""
+    dim = 2 * draw(st.integers(1, 2))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    a = np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+    a = a.reshape(dim, dim)
+    shape = draw(st.sampled_from(["gram", "negative", "indefinite"]))
+    gram = a @ a.T + draw(st.floats(0.0, 2.0)) * np.eye(dim)
+    return {"gram": gram, "negative": -gram, "indefinite": a + a.T}[shape]
+
+
+class TestCovarianceRules:
+    @pytest.mark.parametrize("scale", [0.75, 1e3])
+    @pytest.mark.parametrize("boundary", list(SYMMETRIC_4X4_BOUNDARIES))
+    def test_one_symmetry_tolerance_at_every_boundary(self, boundary, scale):
+        build = SYMMETRIC_4X4_BOUNDARIES[boundary]
+        tolerance = 1e-10 * max(1.0, scale)
+        accepted = scale * np.eye(4)
+        accepted[0, 1] += 0.5 * tolerance
+        build(accepted)
+        rejected = scale * np.eye(4)
+        rejected[0, 1] += 2.0 * tolerance
+        with pytest.raises(ValidationError, match="symmetric"):
+            build(rejected)
+
+    @given(symmetric_matrices(), st.sampled_from([0.0, 1e-9, 1e-6, 0.1]))
+    def test_is_physical_iff_validate_physical_passes(self, cov, tol):
+        state = GaussianState(len(cov) // 2, np.zeros(len(cov)), cov)
+        try:
+            state.validate_physical(tol)
+        except PhysicalityError:
+            valid = False
+        else:
+            valid = True
+        assert state.is_physical(tol) == valid
+        if valid:  # -V has the symplectic spectrum of V but is no covariance
+            assert not GaussianState(state.n_modes, state.mean, -cov).is_physical(tol)
 
 
 class TestPartialTranspose:

@@ -54,6 +54,12 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError):
             thermal_occupation(0.0, 1.0)
 
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_non_finite_temperature_rejected(self, temperature):
+        # inf used to divide by expm1(0) = 0, and NaN returned NaN.
+        with pytest.raises(ValidationError, match="temperature must be finite"):
+            thermal_occupation(1e9, temperature)
+
     @given(
         st.floats(min_value=1e3, max_value=1e15),
         st.floats(min_value=0.0, max_value=400.0),
