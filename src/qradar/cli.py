@@ -59,7 +59,7 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     axis = p["axis"]
     points = eom.sweep(params, _field(axis), p["grid"])
     columns = {axis: [pt.axis_value for pt in points]}
-    for pair in ("oc_mc", "oc_mr", "mr_mc"):
+    for pair in eom.PAIR_NAMES:
         columns[f"lambda_sph_{pair}"] = [
             pt.reports[pair].lambda_sph if pt.stable else math.nan for pt in points
         ]

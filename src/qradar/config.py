@@ -179,13 +179,22 @@ def _suggest(key: str, valid) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
+def _finite(value) -> float | None:
+    """A JSON number as a finite float; None for inf, NaN or an integer beyond
+    float range (on which ``math.isfinite`` raises OverflowError)."""
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:
+        return None
+
+
 def _check_value(path: str, spec: FieldSpec, value, errors: list):
     if spec.kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number, got {type(value).__name__}")
             return None
-        value = float(value)
-        if not math.isfinite(value):
+        value = _finite(value)
+        if value is None:
             errors.append(f"{path}: must be finite")
             return None
         if spec.minimum is not None and value < spec.minimum:
@@ -223,10 +232,11 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
             return None
         out = []
         for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            v = None if isinstance(v, bool) or not isinstance(v, (int, float)) else _finite(v)
+            if v is None:
                 errors.append(f"{path}[{i}]: expected a finite number")
                 return None
-            out.append(float(v))
+            out.append(v)
         if sorted(out) != out:
             errors.append(f"{path}: grid values must be ascending")
         return out

@@ -202,8 +202,6 @@ class SweepPoint:
 
 
 def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
-    if axis == "temperature":
-        return dataclasses.replace(params, temperature=value)
     if axis == "wavelength":
         return params.at_wavelength(value)
     if axis in {f.name for f in dataclasses.fields(EomParams)}:

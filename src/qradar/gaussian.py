@@ -261,16 +261,13 @@ def wigner(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    scale = max(1.0, abs(cov).max())
-    for jitter in (0.0, 1e-15, 1e-13, 1e-12):
-        try:
-            return np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise ValidationError(
-        "covariance is not positive semidefinite within the 1e-12 jitter budget"
-    )
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``cov`` itself: a covariance that numpy cannot
+    factor is an error, never a nudged nearby state."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateStateError(f"covariance is numerically singular: {exc}") from exc
 
 
 def sample(
@@ -288,7 +285,7 @@ def sample(
         raise ValidationError("n_samples must be >= 1")
     state.validate_physical()
     cov = state.cov + (0.25 * np.eye(2 * state.n_modes) if measurement_noise else 0.0)
-    chol = _cholesky_with_jitter(cov)
+    chol = _cholesky(cov)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, 2 * state.n_modes))
     return state.mean[None, :] + z @ chol.T

@@ -112,8 +112,7 @@ class JpaParams:
 
     All energies/rates in rad/s.  ``delta0`` is the Kerr-shifted detuning
     omega_0 + 4 |alpha|^2 Lambda - omega_p and ``lambda1 = 2 alpha^2 Lambda``
-    the effective parametric pump strength; ``mu0`` belongs to the dropped
-    nonlinear correction and is stored unused.
+    the effective parametric pump strength.
     """
 
     e_j: float
@@ -126,7 +125,6 @@ class JpaParams:
     alpha: complex
     delta0: float
     lambda1: complex
-    mu0: complex
     branch_count: int
 
     @property
@@ -140,13 +138,12 @@ def build_params(
     kappa: float,
     omega_p: float,
     epsilon: complex,
-    self_consistent: bool = True,
 ) -> JpaParams:
     """Assemble the operating point from circuit values and the pump."""
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
     e_c, omega0, kerr = derived_params(e_j, capacitance)
-    field = classical_field(omega0, kerr, kappa, omega_p, epsilon, self_consistent)
+    field = classical_field(omega0, kerr, kappa, omega_p, epsilon)
     alpha = field.alpha
     return JpaParams(
         e_j=e_j,
@@ -159,7 +156,6 @@ def build_params(
         alpha=alpha,
         delta0=omega0 + 4.0 * abs(alpha) ** 2 * kerr - omega_p,
         lambda1=2.0 * alpha**2 * kerr,
-        mu0=2.0 * alpha**2 * kerr,
         branch_count=field.branch_count,
     )
 
@@ -230,8 +226,9 @@ def output_two_mode_cm(
     return blocks.validate_physical()
 
 
-def intracavity_cov(g: float, n_input: float = 0.0) -> np.ndarray:
-    """Steady-state intracavity covariance at pump fraction g = |lambda1|/kappa.
+def intracavity_cov(g: float) -> np.ndarray:
+    """Steady-state intracavity covariance at pump fraction g = |lambda1|/kappa,
+    vacuum input.
 
     Solved through the Langevin machinery with the sqrt(kappa) noise
     convention; the squeezed/anti-squeezed variances are 1/(2(1 +- 2g)) on
@@ -242,7 +239,7 @@ def intracavity_cov(g: float, n_input: float = 0.0) -> np.ndarray:
     kappa = 1.0
     lam = g * kappa
     drift = np.array([[-0.5 * kappa, -lam], [-lam, -0.5 * kappa]])
-    diffusion = kappa * (n_input + 0.5) * np.eye(2)
+    diffusion = 0.5 * kappa * np.eye(2)
     model = LinearLangevinModel(drift, diffusion, ("jpa",))
     return steady_state_cov(model)
 

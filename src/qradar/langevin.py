@@ -38,7 +38,7 @@ __all__ = [
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0."""
-    if omega <= 0:
+    if not omega > 0:  # NaN fails this test too
         raise ValidationError("thermal_occupation requires omega > 0")
     if not math.isfinite(temperature):
         raise ValidationError(f"temperature must be finite, got {temperature}")

@@ -138,24 +138,19 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [start + i * step for i in range(num)]
 
 
-# Runnable scenario configs for the CLI (see qradar.config for the schema).
+# Runnable scenario configs for the CLI (see qradar.config for the schema);
+# a key left out takes its schema default (seed 0, parallelism 1).
 SCENARIO_PRESETS: dict[str, dict] = {
     "eom_fig2a_temperature": {
         "kind": "eom_sweep",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {"axis": "temperature_k", "grid": _linspace(0.001, 0.351, 15)},
     },
     "eom_fig2b_wavelength": {
         "kind": "eom_sweep",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {"axis": "wavelength_m", "grid": _linspace(8.0e-7, 1.6e-6, 9)},
     },
     "eom_fig2d_gamma_m": {
         "kind": "eom_sweep",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {
             "axis": "gamma_m_rad_s",
             "grid": [2.0 * math.pi * g for g in (5.0, 15.0, 50.0, 150.0, 500.0, 1500.0)],
@@ -163,14 +158,10 @@ SCENARIO_PRESETS: dict[str, dict] = {
     },
     "oe_fig12_detuning": {
         "kind": "oe_sweep",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {"delta_eg_grid_rad_s": _linspace(-3.0e7, 3.0e7, 25)},
     },
     "fig10": {
         "kind": "oe_end_to_end",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {
             "temperature_grid_k": _linspace(0.01, 0.33, 9),
             "kappa_atm_per_m": FIG10_KAPPA_ATM,
@@ -183,8 +174,6 @@ SCENARIO_PRESETS: dict[str, dict] = {
     },
     "jpa_gain": {
         "kind": "jpa_gain",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {
             "omega_grid_rad_s": _linspace(-6.0e7, 6.0e7, 41),
             "pump_fraction_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.98],
@@ -192,14 +181,10 @@ SCENARIO_PRESETS: dict[str, dict] = {
     },
     "jpa_wigner_fig13": {
         "kind": "jpa_wigner",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {"g_values": [0.3, 0.4, 0.45], "grid_points_per_axis": 101},
     },
     "channel_neff_line": {
         "kind": "channel_neff",
-        "seed": 0,
-        "parallelism": 1,
         "parameters": {
             "n_in": 0.05,
             "n_out": 624.0,
@@ -212,7 +197,6 @@ SCENARIO_PRESETS: dict[str, dict] = {
     "qi_roc_low_signal": {
         "kind": "qi_roc",
         "seed": 20260809,
-        "parallelism": 1,
         "parameters": {
             "mean_signal_photons": 0.01,
             "n_background": 10.0,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
 from .errors import DegenerateStateError, ValidationError
-from .gaussian import GaussianState, _cholesky_with_jitter, apply_channel, vacuum_state
+from .gaussian import GaussianState, _cholesky, apply_channel, vacuum_state
 
 __all__ = [
     "QiScenario",
@@ -171,7 +171,7 @@ def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
     so over k records the j-th square sums to a noncentral chi-square variable
     with k degrees of freedom and noncentrality k c_j^2.
     """
-    chol = _cholesky_with_jitter(cov)
+    chol = _cholesky(cov)
     lam, u = np.linalg.eigh(chol.T @ form @ chol)
     c = u.T @ np.linalg.solve(chol, mean)
     return rng.noncentral_chisquare(k, k * c**2, size=(n, lam.size)) @ lam / k

@@ -114,11 +114,29 @@ class TestParsing:
                 {"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [-math.inf, 0.01]}},
                 ["parameters.grid[0]: expected a finite number"],
             ),
+            # json.loads reads a 401-digit integer as an int beyond float range.
+            (
+                {"kind": "eom_sweep", "parameters": {"axis": "temperature_k", "grid": [0.01, 10**400]}},
+                ["parameters.grid[1]: expected a finite number"],
+            ),
+            (
+                {"kind": "qi_roc", "parameters": {"n_background": 10**400}},
+                ["parameters.n_background: must be finite"],
+            ),
+            (
+                {"kind": "qi_roc", "parameters": {"n_background": math.inf}},
+                ["parameters.n_background: must be finite"],
+            ),
+            (
+                {"kind": "qi_roc", "parameters": {"heterodyne": "yes"}},
+                ["parameters.heterodyne: expected a boolean, got str"],
+            ),
         ],
         ids=[
             "empty", "parameters_missing", "parameters_null", "parameters_list",
             "unknown_kind", "eom_not_object", "misspelled_top_level", "kind_not_string",
-            "n_in_not_number", "grid_inf", "grid_minus_inf",
+            "n_in_not_number", "grid_inf", "grid_minus_inf", "grid_int_overflow",
+            "number_int_overflow", "number_inf", "boolean_not_bool",
         ],
     )
     def test_error_lists_pinned(self, raw, errors):

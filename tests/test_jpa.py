@@ -28,7 +28,7 @@ from qradar.jpa import (
 def synthetic_params(kappa: float, lambda1: complex, delta0: float = 0.0) -> JpaParams:
     return JpaParams(
         e_j=1.0, e_c=1.0, omega0=1.0, kerr=-0.5, kappa=kappa, omega_p=1.0,
-        epsilon=0.0, alpha=0.0, delta0=delta0, lambda1=lambda1, mu0=0.0,
+        epsilon=0.0, alpha=0.0, delta0=delta0, lambda1=lambda1,
         branch_count=1,
     )
 

@@ -54,6 +54,11 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError):
             thermal_occupation(0.0, 1.0)
 
+    def test_nan_omega_rejected(self):
+        # omega <= 0 is False for NaN, which used to return NaN.
+        with pytest.raises(ValidationError, match="omega > 0"):
+            thermal_occupation(math.nan, 1.0)
+
     @pytest.mark.parametrize("temperature", [math.inf, math.nan])
     def test_non_finite_temperature_rejected(self, temperature):
         # inf used to divide by expm1(0) = 0, and NaN returned NaN.

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from qradar.channels import attenuation_channel, thermal_background_channel
-from qradar.errors import ValidationError
+from qradar.errors import DegenerateStateError, ValidationError
 from qradar.gaussian import apply_channel
 from qradar.receiver import (
     QiScenario,
@@ -146,6 +146,18 @@ class TestRunDetection:
         se = samples.h1.std(ddof=1) / math.sqrt(samples.h1.size)
         assert abs(samples.h1.mean() - analytic) < 4 * se
         assert abs(samples.h0.mean()) < 4 * samples.h0.std(ddof=1) / math.sqrt(samples.h0.size)
+
+    def test_unfactorable_covariance_raises(self):
+        # At r = 12 without heterodyne noise the squeezed eigenvalue
+        # e^{-2r}/2 ~ 2e-11 sits below double precision against the 6.6e9
+        # photon diagonal: the record covariance must be refused, not
+        # replaced by a nearby state.
+        signal, background = low_signal_channels(0.0, 1.0)
+        scenario = make_scenario(
+            r=12.0, signal_channel=signal, background_channel=background, heterodyne=False,
+        )
+        with pytest.raises(DegenerateStateError):
+            run_detection(scenario)
 
     def test_energy_detector_ignores_idler(self):
         scenario = make_scenario(detector="energy_detector", n_decisions=200)
