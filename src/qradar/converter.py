@@ -3,21 +3,24 @@
 Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
 (A_s, C_s, P_s, X_s) and a linearized Langevin model.  Each model supplies
 its fixed-point map, its four DC equations, its drift and its baths; this
-module solves the operating point and gates the steady state.
+module solves the operating point and gates the steady state, at one
+temperature or, through one Lyapunov basis per bath, at any temperature.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from .errors import ConvergenceError, NoSteadyStateError
 from .gaussian import GaussianState
-from .langevin import LinearLangevinModel, is_stable, steady_state_cov
+from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, is_stable
+from .langevin import _check_residual, steady_state_cov
 
 __all__ = ["OperatingPoint", "solve_operating_point", "steady_state"]
 
@@ -98,6 +101,20 @@ def solve_operating_point(
     return OperatingPoint(a, c, p, x, residual)
 
 
+def _require_stable(model: LinearLangevinModel) -> None:
+    stable, max_re = is_stable(model)
+    if not stable:
+        raise NoSteadyStateError(
+            f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
+            eigenvalue=max_re,
+        )
+
+
+def _check_physical(cov: np.ndarray) -> None:
+    n_modes = cov.shape[0] // 2
+    GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(1e-6)
+
+
 def steady_state(model: LinearLangevinModel) -> np.ndarray:
     """Steady-state covariance of a converter model, checked physical.
 
@@ -105,12 +122,42 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     :class:`~qradar.errors.PhysicalityError` when the covariance is not
     positive definite or violates the uncertainty bound by more than 1e-6.
     """
-    stable, max_re = is_stable(model)
-    if not stable:
-        raise NoSteadyStateError(
-            f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
-            eigenvalue=max_re,
-        )
+    _require_stable(model)
     cov = steady_state_cov(model)
-    GaussianState(model.n_modes, np.zeros(2 * model.n_modes), cov).validate_physical(1e-6)
+    _check_physical(cov)
     return cov
+
+
+def _thermal_steady_state(
+    model: LinearLangevinModel, baths: Sequence[BathSpec]
+) -> Callable[[float], np.ndarray]:
+    """T -> the :func:`steady_state` of ``model`` with every bath at T.
+
+    ``baths`` are the model's baths, one per mode in mode order.  Temperature
+    enters only through their weights: D(T) = sum_b (2 N_b(T) + 1) D_b, and
+    the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
+    with A V_b + V_b A^T + D_b = 0.  The drift (and so the operating point it
+    came from) and its stability are settled once, and each V_b is one
+    :func:`~qradar.langevin.steady_state_cov` solve; a temperature then costs
+    the weighted sum, gated as :func:`steady_state` gates a solve: residual
+    against D(T) within 1e-9 ||D(T)||_inf, and physical to 1e-6.
+    """
+    _require_stable(model)
+    cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
+    basis = []
+    for i in range(len(baths)):
+        block = np.s_[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+        d_b = np.zeros_like(cold)
+        d_b[block] = cold[block]
+        basis.append(steady_state_cov(LinearLangevinModel(model.drift, d_b, model.mode_labels)))
+    basis = np.array(basis).reshape(len(baths), -1)
+
+    def at(temperature: float) -> np.ndarray:
+        hot = [dataclasses.replace(b, temperature=temperature) for b in baths]
+        weights = np.array([2.0 * b.occupation() + 1.0 for b in hot])
+        cov = (weights @ basis).reshape(cold.shape)
+        _check_residual(model.drift, diffusion_from_baths(hot), cov)
+        _check_physical(cov)
+        return cov
+
+    return at

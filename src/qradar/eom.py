@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .converter import OperatingPoint, solve_operating_point, steady_state
+from .converter import OperatingPoint, _thermal_steady_state, solve_operating_point, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, discord_reports, gaussian_discord, lambda_sph
 from .errors import ValidationError
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
@@ -157,16 +157,20 @@ def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def build_model(params: EomParams) -> LinearLangevinModel:
-    """Drift + bath diffusion as a ready-to-solve Langevin model."""
-    op = operating_point(params)
-    baths = [
+def _baths(params: EomParams) -> list[BathSpec]:
+    """The mechanical, optical and microwave baths, in mode order."""
+    return [
         BathSpec(params.omega_m, params.gamma_m, params.temperature, "mechanical"),
         BathSpec(params.omega_c, params.kappa_c, params.temperature, "cavity"),
         BathSpec(params.omega_w, params.kappa_w, params.temperature, "cavity"),
     ]
+
+
+def build_model(params: EomParams) -> LinearLangevinModel:
+    """Drift + bath diffusion as a ready-to-solve Langevin model."""
+    op = operating_point(params)
     return LinearLangevinModel(
-        drift_matrix(params, op), diffusion_from_baths(baths), ("mr", "oc", "mc")
+        drift_matrix(params, op), diffusion_from_baths(_baths(params)), ("mr", "oc", "mc")
     )
 
 
@@ -236,15 +240,17 @@ def threshold_temperature(
 ) -> float | None:
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
-    Each evaluation solves the steady state and scores lambda_SPH on that one
-    pair.  Returns None when the pair is already separable at the base
-    temperature; the bracket expands above ``t_max`` if needed.
+    The operating point and the Lyapunov basis are solved once; each
+    evaluation forms the gated steady state at its temperature and scores
+    lambda_SPH on that one pair.  Returns None when the pair is already
+    separable at zero temperature; the bracket expands above ``t_max`` if
+    needed.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
+    cov_at = _thermal_steady_state(build_model(params), _baths(params))
 
     def crossing(temperature: float) -> float:
-        p = dataclasses.replace(params, temperature=temperature)
-        return lambda_sph(_pair_blocks(steady_state(build_model(p)), pair))
+        return lambda_sph(_pair_blocks(cov_at(temperature), pair))
 
     return bisect_threshold(crossing, lo=0.0, hi=t_max, resolution=resolution)

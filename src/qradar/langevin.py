@@ -38,8 +38,8 @@ __all__ = [
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0."""
-    if not omega > 0:  # NaN fails this test too
-        raise ValidationError("thermal_occupation requires omega > 0")
+    if not 0 < omega < math.inf:  # NaN fails this test too
+        raise ValidationError("thermal_occupation requires a finite omega > 0")
     if not math.isfinite(temperature):
         raise ValidationError(f"temperature must be finite, got {temperature}")
     if temperature < 0:
@@ -158,15 +158,22 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
         warnings.simplefilter("always")
         v = linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
     v = 0.5 * (v + v.T)
-    d_scale = abs(model.diffusion).max()
-    residual = abs(model.drift @ v + v @ model.drift.T + model.diffusion).max()
+    _check_residual(model.drift, model.diffusion, v, caught)
+    return v
+
+
+def _check_residual(drift, diffusion, v, caught=()) -> None:
+    """The steady-state gate: :class:`StiffnessError` when
+    ||A V + V A^T + D||_inf exceeds 1e-9 ||D||_inf, quoting the solver
+    warnings ``caught``."""
+    d_scale = abs(diffusion).max()
+    residual = abs(drift @ v + v @ drift.T + diffusion).max()
     if d_scale > 0 and residual > 1e-9 * d_scale:
         solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * ||D||_inf "
             f"(severely ill-conditioned drift){solver_said}"
         )
-    return v
 
 
 def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import constants
 
 from .channels import GaussianChannel, round_trip
-from .converter import OperatingPoint, solve_operating_point, steady_state
+from .converter import OperatingPoint, _thermal_steady_state, solve_operating_point, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta, two_eta_values
 from .errors import ConvergenceError, ValidationError
 from .gaussian import apply_channel
@@ -181,15 +181,19 @@ def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def build_model(params: OeParams) -> LinearLangevinModel:
-    op = operating_point(params)
-    baths = [
+def _baths(params: OeParams) -> list[BathSpec]:
+    """The photodetector, optical and microwave baths, in mode order."""
+    return [
         BathSpec(params.omega_eg, params.gamma_p, params.temperature, "mechanical"),
         BathSpec(params.omega_c, params.kappa_c, params.temperature, "cavity"),
         BathSpec(params.omega_w, params.kappa_w, params.temperature, "cavity"),
     ]
+
+
+def build_model(params: OeParams) -> LinearLangevinModel:
+    op = operating_point(params)
     return LinearLangevinModel(
-        drift_matrix(params, op), diffusion_from_baths(baths), ("pd", "oc", "mc")
+        drift_matrix(params, op), diffusion_from_baths(_baths(params)), ("pd", "oc", "mc")
     )
 
 
@@ -201,15 +205,15 @@ def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
     return BipartiteBlocks.from_covariance(steady_state(build_model(params))[_OC_MC])
 
 
-def _returned_blocks(
-    blocks: BipartiteBlocks, channel_spec: GaussianChannel, target_spec: GaussianChannel
-) -> BipartiteBlocks:
-    """(OC, c_b) blocks: the MC mode of ``blocks`` sent out through
-    ``channel_spec``, scattered by ``target_spec`` and returned through the
-    same medium."""
-    composite = round_trip(channel_spec, target_spec, channel_spec)
-    returned = apply_channel(blocks.state, composite.expand(mode=1, n_modes=2))
-    return BipartiteBlocks.from_covariance(returned.cov)
+def _backscatter(channel_spec: GaussianChannel, target_spec: GaussianChannel) -> GaussianChannel:
+    """The (OC, MC) register's channel: MC sent out through ``channel_spec``,
+    scattered by ``target_spec`` and returned through the same medium."""
+    return round_trip(channel_spec, target_spec, channel_spec).expand(mode=1, n_modes=2)
+
+
+def _returned_blocks(blocks: BipartiteBlocks, backscatter: GaussianChannel) -> BipartiteBlocks:
+    """(OC, c_b) blocks: ``blocks`` after the :func:`_backscatter` channel."""
+    return BipartiteBlocks.from_covariance(apply_channel(blocks.state, backscatter).cov)
 
 
 def direct_report(params: OeParams) -> CriteriaReport:
@@ -263,7 +267,8 @@ def end_to_end_report(
     ``channel_spec``, scattered by ``target_spec``, and returned through the
     same medium.
     """
-    return gaussian_discord(_returned_blocks(_oc_mc_blocks(params), channel_spec, target_spec))
+    returned = _returned_blocks(_oc_mc_blocks(params), _backscatter(channel_spec, target_spec))
+    return gaussian_discord(returned)
 
 
 def end_to_end_two_eta(
@@ -274,7 +279,8 @@ def end_to_end_two_eta(
     """2eta of the direct (OC, MC) pair and of the backscattered (OC, c_b)
     pair, both from one steady state."""
     blocks = _oc_mc_blocks(params)
-    return two_eta(blocks), two_eta(_returned_blocks(blocks, channel_spec, target_spec))
+    returned = _returned_blocks(blocks, _backscatter(channel_spec, target_spec))
+    return two_eta(blocks), two_eta(returned)
 
 
 def threshold_temperature(
@@ -288,15 +294,19 @@ def threshold_temperature(
 
     With a channel/target pair the threshold of the backscattered mode c_b is
     located instead; giving only one of the two is a :class:`ValidationError`.
-    Each evaluation solves the steady state and scores 2eta only.
+    The operating point, the Lyapunov basis and the round-trip channel are
+    built once; each evaluation forms the gated steady state at its
+    temperature and scores 2eta only.
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
+    cov_at = _thermal_steady_state(build_model(params), _baths(params))
+    backscatter = None if channel_spec is None else _backscatter(channel_spec, target_spec)
 
     def crossing(temperature: float) -> float:
-        blocks = _oc_mc_blocks(dataclasses.replace(params, temperature=temperature))
-        if channel_spec is not None:
-            blocks = _returned_blocks(blocks, channel_spec, target_spec)
+        blocks = BipartiteBlocks.from_covariance(cov_at(temperature)[_OC_MC])
+        if backscatter is not None:
+            blocks = _returned_blocks(blocks, backscatter)
         return two_eta(blocks) - 1.0
 
     return bisect_threshold(crossing, lo=1e-4, hi=t_max, resolution=resolution)

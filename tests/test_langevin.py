@@ -59,6 +59,12 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError, match="omega > 0"):
             thermal_occupation(math.nan, 1.0)
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    def test_infinite_omega_rejected(self, temperature):
+        # An infinite frequency used to pass as a cold bath (0 photons).
+        with pytest.raises(ValidationError, match="omega > 0"):
+            thermal_occupation(math.inf, temperature)
+
     @pytest.mark.parametrize("temperature", [math.inf, math.nan])
     def test_non_finite_temperature_rejected(self, temperature):
         # inf used to divide by expm1(0) = 0, and NaN returned NaN.

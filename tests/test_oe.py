@@ -224,7 +224,9 @@ class TestValidation:
             dataclasses.replace(reference, kappa_c=-1.0)
 
     @pytest.mark.parametrize("given", ["channel_spec", "target_spec"])
-    def test_threshold_needs_channel_and_target_together(self, reference, given):
+    def test_threshold_needs_channel_and_target_together(self, reference, given, monkeypatch):
+        # Rejected before any solve.
+        monkeypatch.setattr("qradar.oe.operating_point", pytest.fail)
         with pytest.raises(ValidationError, match="together"):
             threshold_temperature(reference, **{given: channel_preset("fig10_atmosphere")})
 
