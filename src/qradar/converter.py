@@ -1,10 +1,11 @@
 """Operating-point solver and steady-state gate shared by the converter models.
 
 Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
-(A_s, C_s, P_s, X_s) and a linearized Langevin model.  Each model supplies
-its fixed-point map, its four DC equations, its drift and its baths; this
-module solves the operating point and gates the steady state, at one
-temperature or, through one Lyapunov basis per bath, at any temperature.
+(A_s, C_s, P_s, X_s) and a linearized Langevin model.  Each model reduces its
+DC equations to the radiation-pressure bistability cubics, whose real roots
+this module supplies, and hands the terms of its four DC equations to the
+operating point's residual gate; this module also gates the steady state, at
+one temperature or, through one Lyapunov basis per bath, at any temperature.
 """
 
 from __future__ import annotations
@@ -15,90 +16,102 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .errors import ConvergenceError, NoSteadyStateError
+from .errors import ConvergenceError, NoSteadyStateError, ValidationError
 from .gaussian import GaussianState
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, is_stable
 from .langevin import _check_residual, steady_state_cov
 
-__all__ = ["OperatingPoint", "solve_operating_point", "steady_state"]
+__all__ = ["OperatingPoint", "steady_state"]
 
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """DC fixed point of a driven converter; ``residual`` is relative."""
+    """DC fixed point of a driven converter.
+
+    ``residual`` is the largest per-equation relative residual: each DC
+    equation's |sum of terms| over its largest |term|.  ``branches`` counts
+    the real operating points at these parameters; more than one means the
+    drive sits in a bistable region.
+    """
 
     a_s: complex
     c_s: complex
     p_s: float
     x_s: float
     residual: float
+    branches: int
 
 
-def _relative_residual(f, scale: float) -> float:
-    """max|f_i| / ``scale`` of the four DC equations, NaN when any f_i is NaN:
-    Python's max skips a NaN that is not its first argument, a sum does not."""
-    f1, f2, f3, f4 = f
-    m1, m2, m3, m4 = abs(f1), abs(f2), abs(f3), abs(f4)
-    if math.isnan(m1 + m2 + m3 + m4):
-        return math.nan
-    return max(m1, m2, m3, m4) / scale
+def _require_finite(params) -> None:
+    """:class:`ValidationError` naming the first non-finite field of a
+    converter's parameters (NaN passes every ordering check after it)."""
+    for name, value in vars(params).items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite")
 
 
-def solve_operating_point(
-    params,
-    update: Callable,
-    equations: Callable,
-    scale: float,
-    max_iter: int,
-) -> OperatingPoint:
-    """Solve ``equations(params, a, c, p, x) == (0, 0, 0, 0)``.
+def _response_roots(k: float, h: float, g: float, rhs: float) -> list[float]:
+    """Real roots v of v (k^2 + (h - g v)^2) = rhs, nearest zero first.
 
-    Damped fixed-point iteration of ``update(params, a, c, p, x)`` from the
-    zero-drive solution (which tracks the continuously connected branch),
-    with Powell's hybrid root finder on the same equations as fallback after
-    ``max_iter`` steps.  The relative residual is max|f| / ``scale``; above
-    1e-9 a :class:`ConvergenceError` carrying it is raised, at once when the
-    iteration overflows to a non-finite residual.
+    The steady state of a driven Lorentzian response whose detuning is pulled
+    by the response itself (radiation pressure, Kerr): a cubic, linear when
+    g = 0.  In w = g v / |k + ih| it reads w^3 + a w^2 + w = r with O(1)
+    coefficients; Cardano's formula (one real root) or its trigonometric form
+    (three) gives the roots, each polished by Newton steps.  The root nearest
+    zero is the branch continuously connected to zero drive.
     """
-    # Four scalar locals: packing them into a tuple per step costs more than
-    # the arithmetic of one step.
-    a = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    p = 0.0
-    x = 0.0
-    for _ in range(max_iter):
-        a_new, c_new, p_new, x_new = update(params, a, c, p, x)
-        a = 0.5 * a + 0.5 * a_new
-        c = 0.5 * c + 0.5 * c_new
-        p = 0.5 * p + 0.5 * p_new
-        x = 0.5 * x + 0.5 * x_new
-        residual = _relative_residual(equations(params, a, c, p, x), scale)
-        if residual <= 1e-9:
-            return OperatingPoint(a, c, p, x, residual)
-        if not math.isfinite(residual):
-            raise ConvergenceError(
-                f"operating point iteration diverged (relative residual {residual})",
-                residual=residual,
-            )
+    z2 = k * k + h * h
+    if z2 == 0.0:
+        raise ConvergenceError("no isolated operating point: a mode is undamped and on resonance")
+    if g == 0.0:
+        return [rhs / z2]
+    z = math.sqrt(z2)
+    a = -2.0 * h / z
+    r = g * rhs / z2 / z
+    # Depressed cubic t^3 + p t + q = 0 in t = w + a/3.
+    p = 1.0 - a * a / 3.0
+    q = a * (2.0 * a * a / 27.0 - 1.0 / 3.0) - r
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if not disc < 0.0:  # one real root (NaN drive included)
+        u = math.copysign((0.5 * abs(q) + math.sqrt(disc)) ** (1.0 / 3.0), -q)
+        roots = [(u - p / (3.0 * u) if u else 0.0) - a / 3.0]
+    else:
+        rad = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * rad))))
+        roots = [rad * math.cos((phi - 2.0 * math.pi * j) / 3.0) - a / 3.0 for j in range(3)]
+    scale = z / g
+    return sorted((scale * _polish(w, a, r) for w in roots), key=abs)
 
-    def system(v):
-        f1, f2, f3, f4 = equations(params, v[0] + 1j * v[1], v[2] + 1j * v[3], v[4], v[5])
-        return [f1.real, f1.imag, f2.real, f2.imag, f3, f4]
 
-    sol = optimize.root(system, [a.real, a.imag, c.real, c.imag, p, x], method="hybr")
-    a = sol.x[0] + 1j * sol.x[1]
-    c = sol.x[2] + 1j * sol.x[3]
-    p, x = sol.x[4], sol.x[5]
-    residual = _relative_residual(equations(params, a, c, p, x), scale)
-    if not residual <= 1e-9:  # NaN-safe
+def _polish(w: float, a: float, r: float) -> float:
+    """Newton steps on w^3 + a w^2 + w - r while they shrink its value."""
+    f = ((w + a) * w + 1.0) * w - r
+    for _ in range(4):
+        slope = (3.0 * w + 2.0 * a) * w + 1.0
+        if slope == 0.0:
+            break
+        w_new = w - f / slope
+        f_new = ((w_new + a) * w_new + 1.0) * w_new - r
+        if not abs(f_new) < abs(f):
+            break
+        w, f = w_new, f_new
+    return w
+
+
+def _gated_point(a, c, p, x, branches: int, equations) -> OperatingPoint:
+    """The operating point (a, c, p, x), once each DC equation, given as its
+    terms at the point in ``equations``, holds to |sum| / largest |term| <=
+    1e-12; else a :class:`ConvergenceError` carries the largest ratio (NaN
+    when a term is not finite)."""
+    ratios = [abs(sum(terms)) / (max(map(abs, terms)) or 1.0) for terms in equations]
+    residual = max(ratios) if all(r == r for r in ratios) else math.nan
+    if not residual <= 1e-12:
         raise ConvergenceError(
-            f"operating point did not converge (relative residual {residual:.3e}); "
-            "the drive may sit in a bistable region",
+            f"no accurate finite operating point (relative residual {residual:.3e})",
             residual=residual,
         )
-    return OperatingPoint(a, c, p, x, residual)
+    return OperatingPoint(a, c, p, x, residual, branches)
 
 
 def _require_stable(model: LinearLangevinModel) -> None:

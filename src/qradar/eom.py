@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .converter import OperatingPoint, _thermal_steady_state, solve_operating_point, steady_state
+from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
+from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, discord_reports, gaussian_discord, lambda_sph
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
@@ -66,6 +67,7 @@ class EomParams:
     lambda_l: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("omega_c", "omega_m", "omega_w"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -97,36 +99,41 @@ class EomParams:
         )
 
 
-def _update(params: EomParams, a, c, p, x):
-    """One undamped step of the fixed-point map."""
-    a_new = (params.e_c - 1j * params.g1 * p) / (1j * params.delta_c + params.kappa_c)
-    c_new = params.e_w / (1j * params.delta_w * (1.0 - params.g2 * x) + params.kappa_w)
-    p_new = -2.0 * params.g1 * a_new.real / params.omega_m
-    x_new = (
-        -params.gamma_m * p_new + params.delta_w * params.g2 * abs(c_new) ** 2
-    ) / params.omega_m
-    return a_new, c_new, p_new, x_new
-
-
 def _equations(params: EomParams, a, c, p, x):
-    """The four DC equations, zero at the operating point."""
+    """Each DC equation's terms, which sum to zero at the operating point."""
     dw = params.delta_w
-    f1 = -(1j * params.delta_c + params.kappa_c) * a - 1j * params.g1 * p + params.e_c
-    f2 = -(1j * dw + params.kappa_w) * c + 1j * dw * params.g2 * x * c + params.e_w
-    f3 = params.omega_m * p + 2.0 * params.g1 * a.real
-    f4 = -params.gamma_m * p - params.omega_m * x + dw * params.g2 * abs(c) ** 2
-    return f1, f2, f3, f4
+    return (
+        (-1j * params.delta_c * a, -params.kappa_c * a, -1j * params.g1 * p, params.e_c),
+        (-1j * dw * c, -params.kappa_w * c, 1j * dw * params.g2 * x * c, params.e_w),
+        (params.omega_m * p, 2.0 * params.g1 * a.real),
+        (-params.gamma_m * p, -params.omega_m * x, dw * params.g2 * abs(c) * abs(c)),
+    )
 
 
-def operating_point(params: EomParams, max_iter: int = 1_000) -> OperatingPoint:
-    """Solve the four coupled fixed-point relations.
+def operating_point(params: EomParams) -> OperatingPoint:
+    """DC operating point in closed form.
 
-    Damped fixed-point iteration from the zero-drive solution (which tracks
-    the continuously connected branch), with a multidimensional root finder
-    as fallback.  Converged relative residual <= 1e-9.
+    The optical and displacement equations are linear in (A_s, P_s), which
+    gives P_s.  X_s is the root of the cubic
+    (omega_m X + gamma_m P_s)(kappa_w^2 + delta_w^2 (1 - g2 X)^2) = delta_w g2 e_w^2
+    nearest its zero-drive value -gamma_m P_s / omega_m: the branch
+    continuously connected to zero drive.  Raises :class:`ConvergenceError`
+    where no finite root exists.
     """
-    scale = max(1.0, abs(params.e_c), abs(params.e_w))
-    return solve_operating_point(params, _update, _equations, scale, max_iter)
+    kc, dc, dw = params.kappa_c, params.delta_c, params.delta_w
+    wm, g1, g2, gm = params.omega_m, params.g1, params.g2, params.gamma_m
+    denominator = wm * (kc * kc + dc * dc) - 2.0 * g1 * g1 * dc
+    if denominator == 0.0:
+        raise ConvergenceError("no finite operating point: P_s diverges")
+    p = -2.0 * g1 * params.e_c * kc / denominator
+    a = (params.e_c - 1j * g1 * p) / (kc + 1j * dc)
+    # The cubic in v = omega_m X + gamma_m P_s, whose zero-drive root is v = 0.
+    e_w = params.e_w
+    shifted = dw * (1.0 + g2 * gm * p / wm)
+    roots = _response_roots(params.kappa_w, shifted, dw * g2 / wm, dw * g2 * e_w * e_w)
+    x = (roots[0] - gm * p) / wm
+    c = e_w / (params.kappa_w + 1j * dw * (1.0 - g2 * x))
+    return _gated_point(a, c, p, x, len(roots), _equations(params, a, c, p, x))
 
 
 def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:

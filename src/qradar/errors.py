@@ -38,7 +38,8 @@ class StiffnessError(QradarError):
 
 
 class ConvergenceError(QradarError):
-    """An iterative solve (operating point, quadrature) did not converge."""
+    """No operating point (delta_eg = 0, no finite root, or a DC residual
+    above its gate), or a quadrature that did not converge."""
 
     def __init__(self, message: str, residual=None):
         super().__init__(message)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
+from .converter import _response_roots
 from .criteria import BipartiteBlocks
 from .errors import ThresholdError, ValidationError
 from .gaussian import GaussianState, wigner
@@ -71,10 +72,11 @@ def classical_field(
 ) -> ClassicalField:
     """Solve alpha (j(omega0 - omega_p + 4 Lambda |alpha|^2) + kappa/2) = -j eps.
 
-    The modulus condition is a cubic in |alpha|^2; the smallest positive real
-    root (the branch continuously connected to zero drive) is returned, with
-    the number of coexisting branches reported.  ``self_consistent=False``
-    drops the Kerr shift from the solve (documented linear option).
+    The modulus condition is a cubic in |alpha|^2 whose real roots are all
+    positive; the smallest (the branch continuously connected to zero drive)
+    is returned, with the number of coexisting branches reported.
+    ``self_consistent=False`` drops the Kerr shift from the solve (documented
+    linear option).
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
@@ -84,26 +86,15 @@ def classical_field(
     delta = omega0 - omega_p
     kerr_eff = 4.0 * kerr if self_consistent else 0.0
     # |alpha|^2 [(delta + 4 Lambda |alpha|^2)^2 + kappa^2/4] = |eps|^2
-    coeffs = [
-        kerr_eff**2,
-        2.0 * delta * kerr_eff,
-        delta**2 + 0.25 * kappa**2,
-        -abs(eps) ** 2,
-    ]
-    roots = np.roots(coeffs)
-    real = [
-        float(r.real)
-        for r in roots
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and r.real > 0.0
-    ]
-    if not real:
+    roots = _response_roots(0.5 * kappa, delta, -kerr_eff, abs(eps) ** 2)
+    intensity = roots[0]
+    if not intensity > 0.0:
         raise ValidationError("no positive intensity root (cubic solve failed)")
-    intensity = min(real)
     alpha = -1j * eps / (1j * (delta + kerr_eff * intensity) + 0.5 * kappa)
     residual = abs(
         alpha * (1j * (delta + kerr_eff * abs(alpha) ** 2) + 0.5 * kappa) + 1j * eps
     ) / abs(eps)
-    return ClassicalField(alpha, len(set(np.round(real, 12))), residual)
+    return ClassicalField(alpha, len(roots), residual)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ import numpy as np
 from scipy import constants
 
 from .channels import GaussianChannel, round_trip
-from .converter import OperatingPoint, _thermal_steady_state, solve_operating_point, steady_state
+from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
+from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta, two_eta_values
 from .errors import ConvergenceError, ValidationError
 from .gaussian import apply_channel
@@ -69,6 +70,7 @@ class OeParams:
     omega_eg: float = 2.332e15
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("kappa_c", "kappa_w", "gamma_p", "g_op", "g_wp", "mu_c", "e_c", "e_w"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
@@ -129,32 +131,44 @@ def gwp_from_mu_c(
     )
 
 
-def _update(params: OeParams, a, c, p, x):
-    """One undamped step of the fixed-point map."""
-    a_new = params.e_c / (1j * (params.delta_c + params.g_op * p) + params.kappa_c)
-    c_new = params.e_w / (1j * (params.delta_w - params.g_wp * x) + params.kappa_w)
-    p_new = -params.g_op * abs(a_new) ** 2 / params.delta_eg
-    x_new = (params.g_wp * abs(c_new) ** 2 - params.gamma_p * p_new) / params.delta_eg
-    return a_new, c_new, p_new, x_new
-
-
 def _equations(params: OeParams, a, c, p, x):
-    """The four DC equations, zero at the operating point."""
-    f1 = -(1j * (params.delta_c + params.g_op * p) + params.kappa_c) * a + params.e_c
-    f2 = -(1j * (params.delta_w - params.g_wp * x) + params.kappa_w) * c + params.e_w
-    f3 = params.delta_eg * p + params.g_op * abs(a) ** 2
-    f4 = -params.gamma_p * p - params.delta_eg * x + params.g_wp * abs(c) ** 2
-    return f1, f2, f3, f4
+    """Each DC equation's terms, which sum to zero at the operating point."""
+    g_op, g_wp = params.g_op, params.g_wp
+    return (
+        (-1j * params.delta_c * a, -1j * g_op * p * a, -params.kappa_c * a, params.e_c),
+        (-1j * params.delta_w * c, 1j * g_wp * x * c, -params.kappa_w * c, params.e_w),
+        (params.delta_eg * p, g_op * abs(a) * abs(a)),
+        (-params.gamma_p * p, -params.delta_eg * x, g_wp * abs(c) * abs(c)),
+    )
 
 
-def operating_point(params: OeParams, max_iter: int = 1_000) -> OperatingPoint:
-    """Driven fixed point; the photodetector pair is singular at delta_eg = 0."""
-    if params.delta_eg == 0.0:
-        raise ConvergenceError(
-            "operating point is singular at delta_eg = 0 (undamped static mediator)"
-        )
-    scale = max(1.0, abs(params.e_c), abs(params.e_w))
-    return solve_operating_point(params, _update, _equations, scale, max_iter)
+def operating_point(params: OeParams) -> OperatingPoint:
+    """DC operating point in closed form.
+
+    P_s is a root of P (kappa_c^2 + (delta_c + g_op P)^2) = -g_op e_c^2 / delta_eg
+    and X_s one of (delta_eg X + gamma_p P_s)(kappa_w^2 + (delta_w - g_wp X)^2)
+    = g_wp e_w^2, each the root nearest its zero-drive value (P = 0,
+    X = -gamma_p P_s / delta_eg): the branch continuously connected to zero
+    drive.  Raises :class:`ConvergenceError` at delta_eg = 0, where the
+    photodetector pair is singular, and where no finite root exists.
+    """
+    deg = params.delta_eg
+    if deg == 0.0:
+        raise ConvergenceError("operating point is singular at delta_eg = 0")
+    e_c, e_w, g_op, g_wp = params.e_c, params.e_w, params.g_op, params.g_wp
+    p_roots = _response_roots(params.kappa_c, params.delta_c, -g_op, -g_op * e_c * e_c / deg)
+    # One cubic in v = delta_eg X + gamma_p P per P root; v = 0 at zero drive.
+    g, rhs = g_wp / deg, g_wp * e_w * e_w
+    x_roots = [
+        _response_roots(params.kappa_w, params.delta_w + g * params.gamma_p * p, g, rhs)
+        for p in p_roots
+    ]
+    p = p_roots[0]
+    x = (x_roots[0][0] - params.gamma_p * p) / deg
+    a = e_c / (params.kappa_c + 1j * (params.delta_c + g_op * p))
+    c = e_w / (params.kappa_w + 1j * (params.delta_w - g_wp * x))
+    branches = sum(len(roots) for roots in x_roots)
+    return _gated_point(a, c, p, x, branches, _equations(params, a, c, p, x))
 
 
 def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:

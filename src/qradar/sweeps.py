@@ -20,10 +20,10 @@ __all__ = ["run_grid", "bisect_threshold"]
 def run_grid(fn: Callable, grid: Sequence) -> list:
     """Evaluate ``fn`` over ``grid``; output order follows the grid.
 
-    A point where the converter has no steady state, no operating point or
-    no accurate Lyapunov solution (:class:`NoSteadyStateError`,
-    :class:`ConvergenceError`, :class:`StiffnessError`) yields None; any
-    other error propagates.
+    A point where the converter has no steady state (:class:`NoSteadyStateError`),
+    no operating point (:class:`ConvergenceError`: delta_eg = 0, or no finite
+    root) or no accurate Lyapunov solution (:class:`StiffnessError`) yields
+    None; any other error propagates.
     """
     grid = list(grid)
     if not grid:

@@ -1,73 +1,108 @@
-"""Shared converter pipeline: the root-finder fallback of the operating-point
-solver, reached through both converter models, and its failure report; the
+"""Shared converter pipeline: the closed-form operating point, reached
+through both converter models, its residual gate and failure report; the
 temperature-affine steady state the thresholds bisect, and its properties."""
 
 import dataclasses
+import math
+import warnings
 
+import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qradar import eom, oe
-from qradar.converter import _thermal_steady_state, solve_operating_point, steady_state
+from qradar.converter import _response_roots, _thermal_steady_state, steady_state
 from qradar.criteria import BipartiteBlocks, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
 
-@pytest.mark.parametrize("model, params", [(eom, eom_reference()), (oe, oe_reference())])
-def test_fallback_agrees_with_fixed_point(model, params, monkeypatch):
+def _record_cubics(model, monkeypatch) -> list:
+    """Collects the (k, h, g, rhs) of every cubic ``model`` solves from now on."""
     calls = []
-    root = scipy.optimize.root
 
-    def counted_root(*args, **kwargs):
-        calls.append(1)
-        return root(*args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return _response_roots(*args)
 
-    monkeypatch.setattr(scipy.optimize, "root", counted_root)
-    default = model.operating_point(params)
-    assert calls == []
-    # Ten damped steps are far from converged, so the root finder finishes.
-    fallback = model.operating_point(params, max_iter=10)
-    assert len(calls) == 1
-    assert fallback.residual <= 1e-9
-    assert fallback.c_s == pytest.approx(default.c_s, rel=1e-9)
-    assert fallback.a_s == pytest.approx(default.a_s, rel=1e-5)
+    monkeypatch.setattr(model, "_response_roots", recording)
+    return calls
 
 
-def test_no_root_raises_with_residual():
-    def update(params, a, c, p, x):
-        return a + 1.0, c, p, x
+@pytest.mark.parametrize("model, params", [(eom, eom_reference()), (oe, oe_reference())])
+def test_cubic_roots_agree_with_companion_eigenvalues(model, params, monkeypatch):
+    # The OE reference drive is bistable: its P cubic has three real roots.
+    cubics = _record_cubics(model, monkeypatch)
+    model.operating_point(params)
+    assert cubics
+    for k, h, g, rhs in cubics:
+        roots = _response_roots(k, h, g, rhs)
+        companion = np.roots([g * g, -2.0 * g * h, k * k + h * h, -rhs])
+        real = np.sort(companion[abs(companion.imag) <= 1e-9 * abs(companion)].real)
+        assert sorted(roots) == pytest.approx(real, rel=1e-9)
+        assert abs(roots[0]) == min(abs(r) for r in roots)
 
-    def equations(params, a, c, p, x):
-        return 1.0 + abs(a) ** 2 + 0j, c, p, x
 
-    with pytest.raises(ConvergenceError, match="did not converge") as info:
-        solve_operating_point(None, update, equations, scale=1.0, max_iter=5)
-    assert info.value.residual > 1e-9
+@pytest.mark.parametrize("model, params", [(eom, eom_reference()), (oe, oe_reference())])
+def test_inexact_root_raises_with_residual(model, params, monkeypatch):
+    def perturbed(*args):
+        return [r * (1.0 + 1e-9) for r in _response_roots(*args)]
+
+    monkeypatch.setattr(model, "_response_roots", perturbed)
+    with pytest.raises(ConvergenceError, match="relative residual") as info:
+        model.operating_point(params)
+    assert 1e-12 < info.value.residual < 1e-6
 
 
 def test_non_finite_residual_raises_at_once(monkeypatch):
-    # The iterate overflows to inf on the second step, so a - a is NaN.  The
-    # NaN goes in f1 and in f3, where Python's max(abs(f1), ...) skipped it.
-    def update(params, a, c, p, x):
-        return a * 1e300 + 1e300, c, p, x
+    # e_w^2 overflows to inf: the gate reports the NaN residual after one
+    # cubic solve, with no RuntimeWarning on the way.
+    cubics = _record_cubics(eom, monkeypatch)
+    params = dataclasses.replace(eom_reference(), e_w=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="relative residual nan") as info:
+            eom.operating_point(params)
+    assert len(cubics) == 1
+    assert info.value.residual != info.value.residual
 
-    monkeypatch.setattr(scipy.optimize, "root", pytest.fail)
-    for position in (0, 2):
-        calls = []
 
-        def equations(params, a, c, p, x):
-            calls.append(a)
-            f = [1.0, c, p, x]
-            f[position] = a - a + 1.0
-            return f
+@pytest.mark.parametrize(
+    "model, changes",
+    [
+        # omega_m (kappa_c^2 + delta_c^2) = 2 g1^2 delta_c: P_s is not finite.
+        (eom, {"kappa_c": 0.0, "delta_c": 0.0}),
+        # An undamped microwave cavity on resonance.
+        (oe, {"kappa_w": 0.0, "delta_w": 0.0, "gamma_p": 0.0}),
+    ],
+)
+def test_no_isolated_root_raises(model, changes):
+    params = dataclasses.replace({eom: eom_reference(), oe: oe_reference()}[model], **changes)
+    with pytest.raises(ConvergenceError, match="operating point"):
+        model.operating_point(params)
 
-        with pytest.raises(ConvergenceError, match="diverged") as info:
-            solve_operating_point(None, update, equations, scale=1.0, max_iter=1000)
-        assert len(calls) == 2
-        assert info.value.residual != info.value.residual
+
+@pytest.mark.parametrize(
+    "model, changes",
+    [
+        (eom, {"g1": 0.0, "g2": 0.0}),
+        (oe, {"g_op": 0.0}),
+        (oe, {"g_wp": 0.0}),
+        (oe, {"g_op": 0.0, "g_wp": 0.0}),
+    ],
+)
+def test_zero_coupling_is_linear(model, changes):
+    params = dataclasses.replace({eom: eom_reference(), oe: oe_reference()}[model], **changes)
+    op = model.operating_point(params)
+    assert op.residual <= 1e-12
+    if model is eom:
+        assert op.p_s == 0.0 and op.x_s == 0.0 and op.branches == 1
+        return
+    if params.g_op == 0.0:
+        assert op.p_s == 0.0 and op.branches == 1
+    if params.g_wp == 0.0:
+        assert op.x_s == pytest.approx(-params.gamma_p * op.p_s / params.delta_eg, rel=1e-15)
 
 
 def _thresholds():
@@ -153,3 +188,76 @@ class TestTemperatureAffineSteadyState:
             before = two_eta(_blocks(model, cold, pair))
             after = two_eta(_blocks(model, hot, pair))
             assert after >= before * (1.0 - 1e-12), pair
+
+
+def _dc_equations(model, q, op):
+    """The terms of each DC equation at ``op``, written out independently of
+    the models' own ``_equations``."""
+    a, c, p, x = op.a_s, op.c_s, op.p_s, op.x_s
+    if model is eom:
+        return [
+            [-1j * q.delta_c * a, -q.kappa_c * a, -1j * q.g1 * p, q.e_c],
+            [-1j * q.delta_w * (1.0 - q.g2 * x) * c, -q.kappa_w * c, q.e_w],
+            [q.omega_m * p, 2.0 * q.g1 * a.real],
+            [-q.gamma_m * p, -q.omega_m * x, q.delta_w * q.g2 * abs(c) ** 2],
+        ]
+    return [
+        [-1j * (q.delta_c + q.g_op * p) * a, -q.kappa_c * a, q.e_c],
+        [-1j * (q.delta_w - q.g_wp * x) * c, -q.kappa_w * c, q.e_w],
+        [q.delta_eg * p, q.g_op * abs(a) ** 2],
+        [-q.gamma_p * p, -q.delta_eg * x, q.g_wp * abs(c) ** 2],
+    ]
+
+
+def _worst_relative_residual(equations) -> float:
+    """Largest |sum of terms| / largest |term|; an all-zero equation holds."""
+    return max(abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300) for terms in equations)
+
+
+# The presets' and the benchmark's ranges: lambda_L 0.8-1.6 um, gamma_m
+# 2 pi (5-1500) rad/s, delta_eg of either sign up to 3e7 rad/s and exactly 0,
+# the rates jittered by 5% and the drives off or scaled from 1e-6 to 3 times
+# the reference (overdriven points are bistable or unstable).  Drives far
+# weaker, near 1e-300 of the reference, make the unknowns subnormal, where
+# float arithmetic no longer holds a relative residual of 1e-12.
+_drives = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=3.0))
+_detunings = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=1.0, max_value=math.log10(3e7)),
+    ),
+)
+
+
+class TestOperatingPointProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        _factors,
+        _drives,
+        st.floats(min_value=0.8e-6, max_value=1.6e-6),
+        st.floats(min_value=math.log(2 * math.pi * 5), max_value=math.log(2 * math.pi * 1500)),
+    )
+    def test_eom_solves_each_equation(self, factors, drive, lambda_l, log_gamma_m):
+        base = _jittered(eom, factors)
+        params = dataclasses.replace(
+            base, e_c=drive * base.e_c, e_w=drive * base.e_w, gamma_m=math.exp(log_gamma_m)
+        ).at_wavelength(lambda_l)
+        op = eom.operating_point(params)
+        assert _worst_relative_residual(_dc_equations(eom, params, op)) <= 1e-12
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_factors, _drives, _detunings)
+    def test_oe_fails_only_at_zero_detuning(self, factors, drive, delta_eg):
+        base = _jittered(oe, factors)
+        params = dataclasses.replace(
+            base, e_c=drive * base.e_c, e_w=drive * base.e_w, delta_eg=delta_eg
+        )
+        try:
+            op = oe.operating_point(params)
+        except ConvergenceError:
+            assert delta_eg == 0.0
+            return
+        assert delta_eg != 0.0
+        assert _worst_relative_residual(_dc_equations(oe, params, op)) <= 1e-12

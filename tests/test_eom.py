@@ -8,16 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
+from qradar.converter import steady_state
 from qradar.eom import (
     PAIR_NAMES,
     EomParams,
+    build_model,
     drift_matrix,
     entanglement_report,
     operating_point,
     sweep,
     threshold_temperature,
 )
-from qradar.errors import ValidationError
+from qradar.errors import NoSteadyStateError, ValidationError
 from qradar.langevin import LinearLangevinModel, is_stable
 from qradar.presets import eom_reference
 
@@ -44,7 +46,15 @@ class TestOperatingPoint:
 
     def test_reference_residual(self, reference):
         op = operating_point(reference)
-        assert op.residual <= 1e-9
+        assert op.residual <= 1e-12
+        assert op.branches == 1
+
+    def test_unstable_wavelength_reports_no_steady_state(self, reference):
+        # A unique root with an unstable drift, not a solver failure.
+        params = reference.at_wavelength(2e-6)
+        assert operating_point(params).residual <= 1e-12
+        with pytest.raises(NoSteadyStateError, match="unstable"):
+            steady_state(build_model(params))
 
 
 class TestDriftMatrix:
@@ -162,13 +172,17 @@ class TestSweep:
         assert all(not p.stable and p.reports is None for p in points)
 
     def test_diverging_operating_points_marked_unstable(self, reference):
-        # Below about 3e6 rad/s the damped iteration overflows (NaN residual)
-        # or stalls; those points are unstable, the rest are scored as alone.
+        # Below about 3e6 rad/s the operating point exists but the drift is
+        # unstable (max Re lambda up to +1.76e6); those points are marked
+        # unstable, the rest are scored as alone.
         grid = np.geomspace(1e5, 1e8, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             points = sweep(reference, "omega_m", grid)
         assert [p.stable for p in points] == [False] * 4 + [True] * 4
+        for omega_m in grid[:4]:
+            with pytest.raises(NoSteadyStateError, match="unstable"):
+                steady_state(build_model(dataclasses.replace(reference, omega_m=omega_m)))
         alone = sweep(reference, "omega_m", grid[4:])
         for point, want in zip(points[4:], alone):
             assert point.reports == want.reports
@@ -180,6 +194,11 @@ class TestSweep:
     def test_unknown_axis_rejected(self, reference):
         with pytest.raises(ValidationError, match="axis"):
             sweep(reference, "flux_capacitance", [1.0])
+
+    @pytest.mark.parametrize("axis, value", [("kappa_w", math.nan), ("e_w", math.inf)])
+    def test_non_finite_point_rejected(self, reference, axis, value):
+        with pytest.raises(ValidationError, match=f"{axis} must be finite"):
+            sweep(reference, axis, [value])
 
 
 class TestThreshold:

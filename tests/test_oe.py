@@ -11,7 +11,7 @@ from scipy import constants
 
 from qradar.channels import identity_channel
 from qradar.converter import steady_state
-from qradar.errors import ConvergenceError, StiffnessError, ValidationError
+from qradar.errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from qradar.oe import (
     OeParams,
     PdMaterialSpec,
@@ -77,7 +77,31 @@ class TestGwpFromMuC:
 class TestOperatingPoint:
     def test_residual(self, reference):
         op = operating_point(reference)
-        assert op.residual <= 1e-9
+        assert op.residual <= 1e-12
+
+    def test_bistable_reference_counts_branches(self, reference):
+        # The reference drive has three real P roots; the one nearest zero is
+        # taken, and each P root carries one real X root.
+        assert operating_point(reference).branches == 3
+
+    # Entries of np.geomspace(10, 3e7, 60) in the band where a damped
+    # fixed-point iteration does not contract; each has one real root and a
+    # stable drift.
+    @pytest.mark.parametrize(
+        "delta_eg, want",
+        [(115325.0094115204, 1.0000002), (191199.57874131584, 1.0000002),
+         (316993.5046821221, 1.0000022)],
+    )
+    def test_recovered_points_are_stable(self, reference, delta_eg, want):
+        (point,) = entanglement_vs_detuning(reference, [delta_eg]).points
+        assert point.stable
+        assert point.two_eta == pytest.approx(want, abs=1e-7)
+
+    def test_unstable_point_reports_no_steady_state(self, reference):
+        params = dataclasses.replace(reference, delta_eg=408161.5397764463)
+        assert operating_point(params).residual <= 1e-12
+        with pytest.raises(NoSteadyStateError, match="unstable"):
+            steady_state(build_model(params))
 
     def test_zero_detuning_singular(self, reference):
         with pytest.raises(ConvergenceError):
@@ -222,6 +246,12 @@ class TestValidation:
     def test_negative_rate_rejected(self, reference):
         with pytest.raises(ValidationError):
             dataclasses.replace(reference, kappa_c=-1.0)
+
+    @pytest.mark.parametrize("field", ["kappa_w", "e_w", "delta_eg", "omega_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, reference, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            dataclasses.replace(reference, **{field: value})
 
     @pytest.mark.parametrize("given", ["channel_spec", "target_spec"])
     def test_threshold_needs_channel_and_target_together(self, reference, given, monkeypatch):
