@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, UndefinedQuantityError, ValidationError
 from .gaussian import _asymmetric
@@ -216,6 +215,8 @@ def n_eff_general(
     if inside:
         edges = np.unique(np.concatenate([edges, inside]))
     quadrature_points = len(edges) - 1
+    from scipy import integrate  # loaded on first use: only this profile path needs it
+
     cum = np.zeros(quadrature_points + 1)
     err_budget = 0.0
     with warnings.catch_warnings():

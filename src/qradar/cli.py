@@ -35,7 +35,6 @@ from .errors import ConfigError, QradarError
 from .gaussian import GaussianState, sample, wigner
 from .output import FORMAT_VERSION, config_hash, write_csv, write_json
 from .presets import SCENARIO_PRESETS, eom_reference, oe_reference
-from .sweeps import run_grid
 
 __all__ = ["main", "run_scenario"]
 
@@ -101,12 +100,8 @@ def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
     atmosphere = channels.attenuation_channel(p["kappa_atm_per_m"], p["distance_m"], p["n_env"])
     target = channels.target_channel(p["kappa_t_per_m"], p["target_thickness_m"], p["n_t"])
 
-    def point(temperature: float):
-        local = dataclasses.replace(params, temperature=temperature)
-        return oe.end_to_end_two_eta(local, atmosphere, target)
-
     grid = p["temperature_grid_k"]
-    results = run_grid(point, grid)
+    results = oe.end_to_end_vs_temperature(params, atmosphere, target, grid)
     direct, backscatter = np.array(
         [(math.nan, math.nan) if r is None else r for r in results], dtype=float
     ).T

@@ -5,7 +5,8 @@ Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
 DC equations to the radiation-pressure bistability cubics, whose real roots
 this module supplies, and hands the terms of its four DC equations to the
 operating point's residual gate; this module also gates the steady state, at
-one temperature or, through one Lyapunov basis per bath, at any temperature.
+one temperature or, through one Lyapunov basis per bath, at any temperature
+(a grid of models is gated as one stack by :func:`qradar.sweeps.run_grid`).
 """
 
 from __future__ import annotations
@@ -123,9 +124,13 @@ def _require_stable(model: LinearLangevinModel) -> None:
         )
 
 
+# A converter steady state may sit this far below the uncertainty bound.
+_PHYSICAL_TOL = 1e-6
+
+
 def _check_physical(cov: np.ndarray) -> None:
     n_modes = cov.shape[0] // 2
-    GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(1e-6)
+    GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(_PHYSICAL_TOL)
 
 
 def steady_state(model: LinearLangevinModel) -> np.ndarray:

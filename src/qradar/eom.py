@@ -223,13 +223,15 @@ def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     """One entanglement report per grid point; instabilities are marked, not fatal.
 
-    Each stable point's report equals :func:`entanglement_report` there; the
-    stable points' pairs are scored together, one stacked call per pair.
+    Each stable point's report equals :func:`entanglement_report` there.  The
+    grid's steady states come from one stacked :func:`~qradar.sweeps.run_grid`
+    step, and the stable points' pairs are scored together, one stacked call
+    per pair.
     """
     grid = [float(v) for v in grid]
     if sorted(grid) != grid:
         raise ValidationError("sweep grid must be ascending")
-    covs = run_grid(lambda v: steady_state(build_model(_with_axis(params, axis, v))), grid)
+    covs = run_grid(lambda v: build_model(_with_axis(params, axis, v)), grid)
     stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
     by_pair = [discord_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
     reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))

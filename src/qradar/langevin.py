@@ -3,7 +3,8 @@
 Assembles drift/diffusion matrices from bath specifications, decides
 stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 with
 scipy's Bartels-Stewart solver behind a residual gate, and propagates
-transient covariances.
+transient covariances.  The stability test, the solve and the residual gate
+each work over one model or a stack of drifts alike.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
 a lone cavity block gets D = kappa (2 N + 1) I and relaxes to variance
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy import constants, integrate, linalg
+from scipy import constants, linalg
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError
 from .gaussian import _asymmetric
@@ -133,10 +134,18 @@ class Stability(NamedTuple):
     max_real_part: float
 
 
+def _stability(drifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strict Hurwitz test over a (..., d, d) drift or stack of drifts:
+    whether every eigenvalue has real part < -1e-12, and the largest real
+    part, per member."""
+    max_re = np.linalg.eigvals(drifts).real.max(axis=-1)
+    return max_re < -1e-12, max_re
+
+
 def is_stable(model: LinearLangevinModel) -> Stability:
     """Strict Hurwitz test: every drift eigenvalue has real part < -1e-12."""
-    max_re = float(np.linalg.eigvals(model.drift).real.max())
-    return Stability(max_re < -1e-12, max_re)
+    stable, max_re = _stability(model.drift)
+    return Stability(bool(stable), float(max_re))
 
 
 def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
@@ -154,21 +163,39 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
             f"drift is not strictly stable (max Re eigenvalue {max_re:.6e})",
             eigenvalue=max_re,
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        v = linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
-    v = 0.5 * (v + v.T)
+    v, caught = _solve_lyapunov(model.drift, model.diffusion)
     _check_residual(model.drift, model.diffusion, v, caught)
     return v
 
 
+def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray):
+    """The symmetrised solution V of A V + V A^T + D = 0 for one (d, d) pair
+    or each member of (n, d, d) stacks, and the warnings the solves raised,
+    kept out of the caller's warning stream."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if drifts.ndim == 2:
+            v = linalg.solve_continuous_lyapunov(drifts, -diffusions)
+        else:
+            v = [linalg.solve_continuous_lyapunov(a, -d) for a, d in zip(drifts, diffusions)]
+            v = np.array(v).reshape(drifts.shape)
+    return 0.5 * (v + v.mT), caught
+
+
+def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
+    """The steady-state rule over (..., d, d) stacks: per member, the residual
+    ||A V + V A^T + D||_inf and whether it is within 1e-9 ||D||_inf (always,
+    when D = 0)."""
+    d_scale = np.abs(diffusions).max(axis=(-2, -1))
+    residual = np.abs(drifts @ v + v @ drifts.mT + diffusions).max(axis=(-2, -1))
+    return residual, ~((d_scale > 0) & (residual > 1e-9 * d_scale))
+
+
 def _check_residual(drift, diffusion, v, caught=()) -> None:
-    """The steady-state gate: :class:`StiffnessError` when
-    ||A V + V A^T + D||_inf exceeds 1e-9 ||D||_inf, quoting the solver
-    warnings ``caught``."""
-    d_scale = abs(diffusion).max()
-    residual = abs(drift @ v + v @ drift.T + diffusion).max()
-    if d_scale > 0 and residual > 1e-9 * d_scale:
+    """:class:`StiffnessError` when one steady state fails
+    :func:`_residual_gate`, quoting the solver warnings ``caught``."""
+    residual, accurate = _residual_gate(drift, diffusion, v)
+    if not accurate:
         solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * ||D||_inf "
@@ -185,6 +212,8 @@ def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.nd
         raise ValidationError(f"V0 must match the drift shape {model.drift.shape}")
     if t == 0.0:
         return v0.copy()
+    from scipy import integrate  # loaded on first use: only this path needs it
+
     a = model.drift
     d = model.diffusion
     dim = a.shape[0]

@@ -39,7 +39,7 @@ __all__ = [
     "direct_report",
     "entanglement_vs_detuning",
     "end_to_end_report",
-    "end_to_end_two_eta",
+    "end_to_end_vs_temperature",
     "threshold_temperature",
 ]
 
@@ -250,13 +250,16 @@ class DetuningSweep:
 
 
 def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
-    """2eta(OC-MC) versus photodetector detuning, with instability markers."""
+    """2eta(OC-MC) versus photodetector detuning, with instability markers.
+
+    The grid's steady states come from one stacked
+    :func:`~qradar.sweeps.run_grid` step, and the stable points' OC-MC pairs
+    are scored in one :func:`~qradar.criteria.two_eta_values` call.
+    """
     grid = [float(v) for v in delta_eg_grid]
     if not all(math.isfinite(v) for v in grid):
         raise ValidationError("detuning grid must be finite")
-    covs = run_grid(
-        lambda v: steady_state(build_model(dataclasses.replace(params, delta_eg=v))), grid
-    )
+    covs = run_grid(lambda v: build_model(dataclasses.replace(params, delta_eg=v)), grid)
     stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
     values = iter(two_eta_values(stable).tolist())
     points = [
@@ -285,16 +288,29 @@ def end_to_end_report(
     return gaussian_discord(returned)
 
 
-def end_to_end_two_eta(
+def end_to_end_vs_temperature(
     params: OeParams,
     channel_spec: GaussianChannel,
     target_spec: GaussianChannel,
-) -> tuple[float, float]:
+    temperature_grid,
+) -> list[tuple[float, float] | None]:
     """2eta of the direct (OC, MC) pair and of the backscattered (OC, c_b)
-    pair, both from one steady state."""
-    blocks = _oc_mc_blocks(params)
-    returned = _returned_blocks(blocks, _backscatter(channel_spec, target_spec))
-    return two_eta(blocks), two_eta(returned)
+    pair at each temperature, both from one steady state; None where the
+    converter has no steady state there.
+
+    The grid's steady states come from one stacked
+    :func:`~qradar.sweeps.run_grid` step; the round-trip channel is built once.
+    """
+    backscatter = _backscatter(channel_spec, target_spec)
+    covs = run_grid(
+        lambda t: build_model(dataclasses.replace(params, temperature=t)), temperature_grid
+    )
+
+    def pair(cov: np.ndarray) -> tuple[float, float]:
+        blocks = BipartiteBlocks.from_covariance(cov[_OC_MC])
+        return two_eta(blocks), two_eta(_returned_blocks(blocks, backscatter))
+
+    return [None if cov is None else pair(cov) for cov in covs]
 
 
 def threshold_temperature(

@@ -3,15 +3,20 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qradar
 from qradar import oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
-from qradar.errors import ConfigError, NoSteadyStateError, PhysicalityError
+from qradar.errors import ConfigError
+from qradar.langevin import LinearLangevinModel
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
 
@@ -159,6 +164,20 @@ class TestParsing:
 
 
 class TestCliCommands:
+    def test_import_leaves_optimize_and_integrate_unloaded(self):
+        # Only thresholds, n_eff_general and propagate_cov use them, and each
+        # imports its module on first use.
+        code = (
+            "import sys, qradar.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+        )
+        src = str(Path(qradar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0
         out = capsys.readouterr().out.split()
@@ -211,15 +230,15 @@ class TestOeEndToEndFailures:
 
     GRID = [0.01, 0.05, 0.1]
 
-    def _failing_at(self, monkeypatch, temperature, error):
-        real = oe.end_to_end_two_eta
+    def _failing_at(self, monkeypatch, temperature, broken):
+        """The converter model at ``temperature`` is replaced by ``broken(model)``."""
+        real = oe.build_model
 
-        def fake(params, channel_spec, target_spec):
-            if params.temperature == temperature:
-                raise error
-            return real(params, channel_spec, target_spec)
+        def fake(params):
+            model = real(params)
+            return broken(model) if params.temperature == temperature else model
 
-        monkeypatch.setattr(oe, "end_to_end_two_eta", fake)
+        monkeypatch.setattr(oe, "build_model", fake)
 
     def _config(self, tmp_path):
         parameters = {**SCENARIO_PRESETS["fig10"]["parameters"], "temperature_grid_k": self.GRID}
@@ -229,7 +248,10 @@ class TestOeEndToEndFailures:
 
     def test_no_steady_state_marks_row_unstable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        self._failing_at(monkeypatch, 0.05, NoSteadyStateError("unstable drift"))
+        # The reversed drift has every eigenvalue in the right half-plane.
+        self._failing_at(
+            monkeypatch, 0.05, lambda m: LinearLangevinModel(-m.drift, m.diffusion, m.mode_labels)
+        )
         assert main(["run", str(self._config(tmp_path))]) == 0
         rows = read_csv(tmp_path / "out" / "oe_end_to_end.csv")
         assert rows["stable"].tolist() == [1, 0, 1]
@@ -238,11 +260,19 @@ class TestOeEndToEndFailures:
 
     def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        self._failing_at(monkeypatch, 0.05, PhysicalityError("nu below 1/2"))
+        # Without noise the steady state is V = 0, which is not positive definite.
+        self._failing_at(
+            monkeypatch,
+            0.05,
+            lambda m: LinearLangevinModel(m.drift, 0 * m.diffusion, m.mode_labels),
+        )
         assert main(["run", str(self._config(tmp_path))]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
-        assert summary["reason"] == "PhysicalityError: nu below 1/2"
+        assert summary["reason"] == (
+            "PhysicalityError: grid point 1 (0.05): "
+            "state invariant violated: cov is not positive definite"
+        )
 
     def test_one_converter_solve_per_point(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))

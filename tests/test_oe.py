@@ -20,7 +20,7 @@ from qradar.oe import (
     direct_report,
     drift_matrix,
     end_to_end_report,
-    end_to_end_two_eta,
+    end_to_end_vs_temperature,
     entanglement_vs_detuning,
     gwp_from_mu_c,
     operating_point,
@@ -215,12 +215,17 @@ class TestEndToEnd:
         assert end_to_end_report(hot, atmosphere, target).two_eta >= 1.0
 
     def test_two_eta_pair_matches_the_reports(self, reference):
+        # Each grid point's pair equals the single-point reports there.
         atmosphere = channel_preset("fig10_atmosphere")
         target = channel_preset("fig10_target")
-        assert end_to_end_two_eta(reference, atmosphere, target) == (
-            direct_report(reference).two_eta,
-            end_to_end_report(reference, atmosphere, target).two_eta,
-        )
+        grid = [0.01, reference.temperature, 0.2]
+        pairs = end_to_end_vs_temperature(reference, atmosphere, target, grid)
+        for temperature, pair in zip(grid, pairs, strict=True):
+            params = dataclasses.replace(reference, temperature=temperature)
+            assert pair == (
+                direct_report(params).two_eta,
+                end_to_end_report(params, atmosphere, target).two_eta,
+            )
 
     def test_cross_module_consistency_with_manual_channel(self, reference):
         # Applying the composed round-trip channel by hand reproduces the
