@@ -2,8 +2,10 @@
 # Report which preset artifacts change bytes between a base revision and the
 # working tree.  Every shipped preset runs through the CLI, each run in a
 # fresh process, once in a worktree of the base revision and once in this
-# checkout; `diff -rq` then names each file that differs.  Report only: the
-# exit status is 0 whenever both sets of runs succeed, whatever the diff says.
+# checkout; `diff -rq` then names each file that differs, and for each JSON
+# file that differs, the flattened keys (e.g. `inputs.seed`) whose values
+# change.  Report only: the exit status is 0 whenever both sets of runs
+# succeed, whatever the diff says.
 #
 #   .github/scripts/artifact-delta.sh <base-revision>
 #
@@ -28,4 +30,32 @@ run_presets "$work/base-checkout" "$work/base"
 run_presets "$root" "$work/head"
 if diff -rq "$work/base" "$work/head"; then
   echo "every preset artifact is byte-identical to $base"
+else
+  python - "$work/base" "$work/head" <<'PY'
+import json, sys
+from pathlib import Path
+
+def flat(obj, prefix=""):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = ((f"[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return {prefix: obj}
+    out = {}
+    for key, value in items:
+        sep = "" if not prefix or key.startswith("[") else "."
+        out.update(flat(value, f"{prefix}{sep}{key}"))
+    return out
+
+base, head = map(Path, sys.argv[1:])
+for old in sorted(base.rglob("*.json")):
+    new = head / old.relative_to(base)
+    if not new.is_file() or old.read_bytes() == new.read_bytes():
+        continue
+    a, b = (flat(json.loads(p.read_text(encoding="utf-8"))) for p in (old, new))
+    missing = object()
+    changed = sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
+    print(f"{old.relative_to(base)}: keys changed: {', '.join(changed)}")
+PY
 fi

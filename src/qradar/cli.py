@@ -11,8 +11,8 @@ or non-convergence; the reason lands in summary.json).  The default output
 directory comes from $QRADAR_OUTPUT_DIR when a config has no ``output_dir``.
 Outputs are deterministic for a fixed config and seed; wall time is printed
 to stdout rather than written into summary.json to keep the artifacts
-byte-stable.  The ``parallelism`` key is accepted for compatibility but does
-not change execution: sweeps run serially.
+byte-stable.  Every scenario runs serially; a ``parallelism`` key is
+accepted for compatibility, then dropped, so it never reaches the artifacts.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "validate":
-        print(f"valid: kind={cfg.kind} seed={cfg.seed} parallelism={cfg.parallelism}")
+        print(f"valid: kind={cfg.kind} seed={cfg.seed}")
         return 0
 
     start = time.perf_counter()

@@ -1,15 +1,15 @@
 """Strict scenario-configuration parsing.
 
-One canonical format: a JSON object with ``kind``, ``seed``, ``parallelism``,
-optional ``output_dir``, and a kind-specific ``parameters`` table.  Physical
+One canonical format: a JSON object with ``kind``, ``seed``, optional
+``output_dir``, and a kind-specific ``parameters`` table.  Physical
 quantities carry explicit unit suffixes in their key names.  Parsing is
 strict: unknown keys are rejected (with a nearest-key suggestion) and every
 validation error is collected, not just the first, one per key.  One walker
 checks every table, the top level included, against its schema; the
 ``parameters`` table is checked against its kind's schema once ``kind`` is
 valid.  Numbers and grid values must be finite, and grids ascending.
-``parallelism`` is validated and recorded in the normalized inputs (and so in
-the config hash) but changes nothing: every scenario runs serially.
+A ``parallelism`` key (an integer >= 1) is still accepted so that older
+configs run, but it is neither kept nor hashed: every scenario runs serially.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ KINDS = tuple(PARAMETER_SCHEMAS)
 _TOP_LEVEL = {
     "kind": FieldSpec("string", required=True, choices=KINDS),
     "seed": FieldSpec("integer", default=0, minimum=0),
-    "parallelism": FieldSpec("integer", default=1, minimum=1),
+    "parallelism": FieldSpec("integer", minimum=1),  # checked, then dropped
     "output_dir": FieldSpec("string"),
     "parameters": FieldSpec("table"),  # replaced by the kind's schema in validate_config
 }
@@ -154,11 +154,10 @@ _TOP_LEVEL = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: kind, seed, parallelism, output dir, parameters."""
+    """Validated scenario: kind, seed, output dir, parameters."""
 
     kind: str
     seed: int
-    parallelism: int
     output_dir: str | None
     parameters: dict = field(default_factory=dict)
 
@@ -166,7 +165,6 @@ class ScenarioConfig:
         out = {
             "kind": self.kind,
             "seed": self.seed,
-            "parallelism": self.parallelism,
             "parameters": self.parameters,
         }
         if self.output_dir is not None:
@@ -290,7 +288,6 @@ def validate_config(obj) -> ScenarioConfig:
     return ScenarioConfig(
         kind=top["kind"],
         seed=top["seed"],
-        parallelism=top["parallelism"],
         output_dir=top.get("output_dir"),
         parameters=top["parameters"],
     )

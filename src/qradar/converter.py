@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError, NoSteadyStateError, ValidationError
 from .gaussian import GaussianState
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, is_stable
-from .langevin import _check_residual, steady_state_cov
+from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
 __all__ = ["OperatingPoint", "steady_state"]
 
@@ -155,26 +155,27 @@ def _thermal_steady_state(
     enters only through their weights: D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift (and so the operating point it
-    came from) and its stability are settled once, and each V_b is one
-    :func:`~qradar.langevin.steady_state_cov` solve; a temperature then costs
-    the weighted sum, gated as :func:`steady_state` gates a solve: residual
-    against D(T) within 1e-9 ||D(T)||_inf, and physical to 1e-6.
+    came from) and its stability are settled once, and the V_b are one
+    stacked Lyapunov solve, each held to the residual rule; a temperature
+    then costs the weighted sums of V_b and D_b, gated as
+    :func:`steady_state` gates a solve: residual against D(T) within
+    1e-9 ||D(T)||_inf, and physical to 1e-6.
     """
     _require_stable(model)
     cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
-    basis = []
-    for i in range(len(baths)):
-        block = np.s_[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        d_b = np.zeros_like(cold)
-        d_b[block] = cold[block]
-        basis.append(steady_state_cov(LinearLangevinModel(model.drift, d_b, model.mode_labels)))
-    basis = np.array(basis).reshape(len(baths), -1)
+    # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
+    mode = np.arange(len(cold)) // 2
+    d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
+    v_basis, caught = _solve_lyapunov(np.broadcast_to(model.drift, d_basis.shape), d_basis)
+    for d_b, v_b in zip(d_basis, v_basis):
+        _check_residual(model.drift, d_b, v_b, caught)
+    d_basis = d_basis.reshape(len(baths), -1)
+    v_basis = v_basis.reshape(len(baths), -1)
 
     def at(temperature: float) -> np.ndarray:
-        hot = [dataclasses.replace(b, temperature=temperature) for b in baths]
-        weights = np.array([2.0 * b.occupation() + 1.0 for b in hot])
-        cov = (weights @ basis).reshape(cold.shape)
-        _check_residual(model.drift, diffusion_from_baths(hot), cov)
+        weights = np.array([2.0 * thermal_occupation(b.omega, temperature) + 1.0 for b in baths])
+        cov = (weights @ v_basis).reshape(cold.shape)
+        _check_residual(model.drift, (weights @ d_basis).reshape(cold.shape), cov)
         _check_physical(cov)
         return cov
 

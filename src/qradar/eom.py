@@ -245,15 +245,14 @@ def threshold_temperature(
     params: EomParams,
     pair: str = "oc_mc",
     resolution: float = 1e-3,
-    t_max: float = 8.0,
 ) -> float | None:
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
     The operating point and the Lyapunov basis are solved once; each
     evaluation forms the gated steady state at its temperature and scores
     lambda_SPH on that one pair.  Returns None when the pair is already
-    separable at zero temperature; the bracket expands above ``t_max`` if
-    needed.
+    separable at zero temperature; the bracket starts at [0, 8] K and
+    expands as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
@@ -262,4 +261,4 @@ def threshold_temperature(
     def crossing(temperature: float) -> float:
         return lambda_sph(_pair_blocks(cov_at(temperature), pair))
 
-    return bisect_threshold(crossing, lo=0.0, hi=t_max, resolution=resolution)
+    return bisect_threshold(crossing, lo=0.0, hi=8.0, resolution=resolution)

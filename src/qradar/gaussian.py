@@ -270,22 +270,18 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
         raise DegenerateStateError(f"covariance is numerically singular: {exc}") from exc
 
 
-def sample(
-    state: GaussianState,
-    n_samples: int,
-    seed,
-    measurement_noise: bool = False,
-) -> np.ndarray:
-    """Draw i.i.d. quadrature records; deterministic for a fixed seed.
+def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
+    """Draw i.i.d. quadrature records of ``state``; deterministic for a fixed
+    seed.
 
     ``seed`` may be an int, ``numpy.random.SeedSequence`` or ``Generator``.
-    With ``measurement_noise`` the sampled covariance is cov + I/4.
+    Records carry no added measurement noise: to draw with noise of
+    covariance N, sample the state whose covariance is cov + N.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     state.validate_physical()
-    cov = state.cov + (0.25 * np.eye(2 * state.n_modes) if measurement_noise else 0.0)
-    chol = _cholesky(cov)
+    chol = _cholesky(state.cov)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, 2 * state.n_modes))
     return state.mean[None, :] + z @ chol.T

@@ -68,15 +68,14 @@ def classical_field(
     kappa: float,
     omega_p: float,
     epsilon: complex,
-    self_consistent: bool = True,
 ) -> ClassicalField:
     """Solve alpha (j(omega0 - omega_p + 4 Lambda |alpha|^2) + kappa/2) = -j eps.
 
-    The modulus condition is a cubic in |alpha|^2 whose real roots are all
-    positive; the smallest (the branch continuously connected to zero drive)
-    is returned, with the number of coexisting branches reported.
-    ``self_consistent=False`` drops the Kerr shift from the solve (documented
-    linear option).
+    The field is always Kerr-shifted.  The modulus condition is a cubic in
+    |alpha|^2 whose real roots are all positive; the smallest (the branch
+    continuously connected to zero drive) is returned, with the number of
+    coexisting branches reported.  At ``kerr`` = 0 it is the linear response
+    alpha = -j eps / (j (omega0 - omega_p) + kappa/2), one branch.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
@@ -84,7 +83,7 @@ def classical_field(
     if eps == 0:
         return ClassicalField(0.0 + 0.0j, 1, 0.0)
     delta = omega0 - omega_p
-    kerr_eff = 4.0 * kerr if self_consistent else 0.0
+    kerr_eff = 4.0 * kerr
     # |alpha|^2 [(delta + 4 Lambda |alpha|^2)^2 + kappa^2/4] = |eps|^2
     roots = _response_roots(0.5 * kappa, delta, -kerr_eff, abs(eps) ** 2)
     intensity = roots[0]

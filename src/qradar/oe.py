@@ -316,7 +316,6 @@ def end_to_end_vs_temperature(
 def threshold_temperature(
     params: OeParams,
     resolution: float = 1e-3,
-    t_max: float = 8.0,
     channel_spec: GaussianChannel | None = None,
     target_spec: GaussianChannel | None = None,
 ) -> float | None:
@@ -326,7 +325,8 @@ def threshold_temperature(
     located instead; giving only one of the two is a :class:`ValidationError`.
     The operating point, the Lyapunov basis and the round-trip channel are
     built once; each evaluation forms the gated steady state at its
-    temperature and scores 2eta only.
+    temperature and scores 2eta only.  The bracket starts at [1e-4, 8] K and
+    expands as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
@@ -339,4 +339,4 @@ def threshold_temperature(
             blocks = _returned_blocks(blocks, backscatter)
         return two_eta(blocks) - 1.0
 
-    return bisect_threshold(crossing, lo=1e-4, hi=t_max, resolution=resolution)
+    return bisect_threshold(crossing, lo=1e-4, hi=8.0, resolution=resolution)

@@ -139,7 +139,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 # Runnable scenario configs for the CLI (see qradar.config for the schema);
-# a key left out takes its schema default (seed 0, parallelism 1).
+# a key left out takes its schema default (seed 0).
 SCENARIO_PRESETS: dict[str, dict] = {
     "eom_fig2a_temperature": {
         "kind": "eom_sweep",

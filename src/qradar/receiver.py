@@ -127,19 +127,25 @@ def _measured(cov: np.ndarray, heterodyne: bool) -> np.ndarray:
     return cov + (0.5 * np.eye(cov.shape[0]) if heterodyne else 0.0)
 
 
+def _joint(ret: GaussianState, ref_mean, ref_cov, heterodyne: bool):
+    """(mean, cov) of a (return, reference) record whose two arms are
+    uncorrelated: the return ``ret`` beside a retained arm of moments
+    (``ref_mean``, ``ref_cov``)."""
+    mean = np.concatenate([ret.mean, ref_mean])
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = ret.cov
+    cov[2:, 2:] = ref_cov
+    return mean, _measured(cov, heterodyne)
+
+
 def _qi_moments(scenario: QiScenario):
     """(mean, cov) under H1 and H0 for the (return, idler) record."""
     source = tmsv_cm(scenario.r)
     h1 = apply_channel(source, scenario.signal_channel.expand(0, 2))
     ret0 = apply_channel(vacuum_state(1), scenario.background_channel)
-    cov0 = np.zeros((4, 4))
-    cov0[:2, :2] = ret0.cov
-    cov0[2:, 2:] = source.cov[2:, 2:]
-    mean1 = h1.mean
-    mean0 = np.concatenate([ret0.mean, np.zeros(2)])
     return (
-        (mean1, _measured(h1.cov, scenario.heterodyne)),
-        (mean0, _measured(cov0, scenario.heterodyne)),
+        (h1.mean, _measured(h1.cov, scenario.heterodyne)),
+        _joint(ret0, np.zeros(2), source.cov[2:, 2:], scenario.heterodyne),
     )
 
 
@@ -152,15 +158,7 @@ def _ci_moments(scenario: QiScenario):
     ret0 = apply_channel(vacuum_state(1), scenario.background_channel)
     ref_mean = np.array([math.sqrt(2.0) * alpha, 0.0])
     ref_cov = 0.5 * np.eye(2)
-
-    def joint(ret: GaussianState):
-        mean = np.concatenate([ret.mean, ref_mean])
-        cov = np.zeros((4, 4))
-        cov[:2, :2] = ret.cov
-        cov[2:, 2:] = ref_cov
-        return mean, _measured(cov, scenario.heterodyne)
-
-    return joint(ret1), joint(ret0)
+    return tuple(_joint(ret, ref_mean, ref_cov, scenario.heterodyne) for ret in (ret1, ret0))
 
 
 def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:

@@ -78,14 +78,13 @@ def bisect_threshold(
     lo: float,
     hi: float,
     resolution: float,
-    max_expand: int = 12,
 ) -> float | None:
     """A sign change of ``fn`` from negative to >= 0, located to within
     resolution/2.
 
     ``fn(lo)`` must be negative (else None is returned).  The bracket upper
-    end doubles up to ``max_expand`` times while ``fn(hi)`` is still
-    negative; returns None if no sign change is found.  Brent's method then
+    end doubles, at most 12 times, while ``fn(hi)`` is still negative;
+    returns None if no sign change is found by then.  Brent's method then
     locates a sign change inside [lo, hi]; each distinct x is evaluated once.
     """
     from scipy import optimize  # loaded on first use: only thresholds need it
@@ -93,7 +92,7 @@ def bisect_threshold(
     fn = functools.cache(fn)
     if fn(lo) >= 0.0:
         return None
-    for _ in range(max_expand):
+    for _ in range(12):
         if fn(hi) >= 0.0:
             break
         hi *= 2.0

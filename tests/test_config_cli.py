@@ -28,7 +28,7 @@ class TestParsing:
     def test_minimal_qi_roc_defaults_filled(self):
         cfg = parse_config(json.dumps({"kind": "qi_roc", "parameters": {}}))
         assert cfg.seed == 0
-        assert cfg.parallelism == 1
+        assert "parallelism" not in cfg.normalized()
         assert cfg.parameters["mean_signal_photons"] == 0.01
         assert cfg.parameters["n_background"] == 10.0
         assert cfg.parameters["detector"] == "covariance_detector"
@@ -410,6 +410,18 @@ class TestArtifacts:
                 assert a == b
             else:
                 assert outputs[0][name] == outputs[1][name]
+
+    def test_parallelism_is_ignored(self, tmp_path):
+        # Accepted and range-checked, then dropped: not in the inputs, not
+        # hashed, so every artifact's bytes match the run without the key.
+        base = {**SCENARIO_PRESETS["eom_fig2d_gamma_m"], "output_dir": str(tmp_path)}
+        with pytest.raises(ConfigError, match="parallelism: must be >= 1"):
+            validate_config({**base, "parallelism": 0})
+        outputs = []
+        for extra in ({}, {"parallelism": 8}):
+            assert run_scenario(validate_config({**base, **extra}))[0] == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "env_out"))

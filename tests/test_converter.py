@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qradar import eom, oe
 from qradar.converter import _response_roots, _thermal_steady_state, steady_state
-from qradar.criteria import BipartiteBlocks, two_eta
-from qradar.errors import ConvergenceError, NoSteadyStateError
+from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
+from qradar.errors import ConvergenceError, NoSteadyStateError, StiffnessError
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
 
@@ -168,6 +168,47 @@ def _blocks(model, cov, pair):
     return BipartiteBlocks.from_covariance(cov[oe._OC_MC])
 
 
+# Converter points across the presets' ranges: lambda_L 0.8-1.6 um, gamma_m
+# 2 pi (5-1500) rad/s and delta_w within 3 omega_m for the EOM, delta_eg of
+# either sign within 10-3e7 rad/s for the OE, each with the rates jittered as
+# above.  Some points have no steady state; the properties hold on the others.
+def _log_uniform(lo: float, hi: float):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+def _eom_point(factors, lambda_l, gamma_m, delta_w_factor):
+    params = _jittered(eom, factors)
+    delta_w = delta_w_factor * params.omega_m
+    return dataclasses.replace(params, gamma_m=gamma_m, delta_w=delta_w).at_wavelength(lambda_l)
+
+
+_eom_points = st.builds(
+    _eom_point,
+    _factors,
+    st.floats(min_value=0.8e-6, max_value=1.6e-6),
+    _log_uniform(2 * math.pi * 5, 2 * math.pi * 1500),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+_oe_points = st.builds(
+    lambda factors, sign, magnitude: dataclasses.replace(
+        _jittered(oe, factors), delta_eg=sign * magnitude
+    ),
+    _factors,
+    st.sampled_from([-1.0, 1.0]),
+    _log_uniform(10.0, 3e7),
+)
+_points = st.one_of(st.tuples(st.just(eom), _eom_points), st.tuples(st.just(oe), _oe_points))
+
+
+def _cov_at(model, params):
+    """The temperature-affine steady state of ``params``; None where the
+    point has no steady state."""
+    try:
+        return _thermal_steady_state(model.build_model(params), model._baths(params))
+    except (ConvergenceError, NoSteadyStateError, StiffnessError):
+        return None
+
+
 class TestTemperatureAffineSteadyState:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_models, _factors, _temperatures)
@@ -179,15 +220,38 @@ class TestTemperatureAffineSteadyState:
         assert abs(cov_at(temperature) - solved).max() <= 1e-9 * abs(solved).max()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(_models, _factors, _temperatures, _temperatures)
-    def test_two_eta_does_not_decrease_with_temperature(self, model, factors, t1, t2):
-        params = _jittered(model, factors)
-        cov_at = _thermal_steady_state(model.build_model(params), model._baths(params))
+    @given(_points, _temperatures, _temperatures)
+    def test_two_eta_does_not_decrease_with_temperature(self, point, t1, t2):
+        # V(T2) - V(T1) = sum_b 2 (N_b(T2) - N_b(T1)) V_b is positive
+        # semidefinite: heating adds classical noise, which cannot create
+        # entanglement, so each threshold is the one crossing its bracket finds.
+        cov_at = _cov_at(*point)
+        if cov_at is None:
+            return
+        model = point[0]
         cold, hot = cov_at(min(t1, t2)), cov_at(max(t1, t2))
         for pair in _PAIRS[model]:
             before = two_eta(_blocks(model, cold, pair))
             after = two_eta(_blocks(model, hot, pair))
             assert after >= before * (1.0 - 1e-12), pair
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_points, _temperatures)
+    def test_sph_and_ppt_agree(self, point, temperature):
+        # For two modes, Simon's criterion and the partial-transpose
+        # symplectic eigenvalue are the same test: lambda_SPH < 0 iff 2eta < 1.
+        # On the boundary itself they round apart: a product state with a
+        # vacuum mode (delta_w = 0 decouples the microwave cavity) has
+        # lambda_SPH = 0 exactly but 2eta = 1 - 2e-16.
+        cov_at = _cov_at(*point)
+        if cov_at is None:
+            return
+        model, cov = point[0], cov_at(temperature)
+        for pair in _PAIRS[model]:
+            blocks = _blocks(model, cov, pair)
+            eta2 = two_eta(blocks)
+            if abs(eta2 - 1.0) > 1e-12:
+                assert (lambda_sph(blocks) < 0.0) == (eta2 < 1.0), pair
 
 
 def _dc_equations(model, q, op):

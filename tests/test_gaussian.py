@@ -258,10 +258,6 @@ class TestSampling:
         se = (1 - math.tanh(1.0) ** 2) / math.sqrt(n)
         assert abs(rho - math.tanh(1.0)) < 3 * se
 
-    def test_measurement_noise_augmentation(self):
-        draws = sample(vacuum_state(1), 200_000, seed=3, measurement_noise=True)
-        assert draws.var(axis=0, ddof=1) == pytest.approx([0.75, 0.75], rel=0.02)
-
 
 class TestApplyChannel:
     def test_identity(self, rng):

@@ -75,10 +75,14 @@ class TestClassicalField:
         assert field.residual <= 1e-10
 
     def test_linear_solve_option(self):
-        full = classical_field(1e10, -6e7, 1e7, 1e10, 5e5)
-        linear = classical_field(1e10, -6e7, 1e7, 1e10, 5e5, self_consistent=False)
-        assert linear.alpha == pytest.approx(-2j * 5e5 / 1e7, rel=1e-12)
-        assert full.alpha != linear.alpha
+        # kerr = 0 is the linear response, off resonance too: one branch,
+        # alpha = -j eps / (j delta + kappa/2), delta = omega0 - omega_p.
+        kappa, eps, delta = 1e7, 5e5, 3e6
+        linear = classical_field(1e10, 0.0, kappa, 1e10 - delta, eps)
+        assert linear.alpha == pytest.approx(-1j * eps / (1j * delta + 0.5 * kappa), rel=1e-12)
+        assert linear.branch_count == 1
+        assert linear.residual <= 1e-12
+        assert classical_field(1e10, -6e7, kappa, 1e10 - delta, eps).alpha != linear.alpha
 
 
 class TestScattering:

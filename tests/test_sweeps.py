@@ -57,10 +57,11 @@ class TestBisectThreshold:
         assert bisect_threshold(lambda t: 1.0, lo=0.0, hi=8.0, resolution=1e-3) is None
 
     def test_none_when_no_crossing_within_max_expand(self):
-        fn, calls = counting(lambda t: t - 100.0)
-        assert bisect_threshold(fn, lo=0.0, hi=1.0, resolution=1e-3, max_expand=6) is None
-        # lo, then hi = 1, 2, ..., 32: the last doubling to 64 is never evaluated.
-        assert sorted(calls) == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        fn, calls = counting(lambda t: t - 1e4)
+        assert bisect_threshold(fn, lo=0.0, hi=1.0, resolution=1e-3) is None
+        # lo, then hi = 1, 2, ..., 2048: the 12th doubling, to 4096, is never
+        # evaluated.
+        assert sorted(calls) == [0.0] + [2.0**i for i in range(12)]
 
     def test_expansion_finds_root_above_initial_hi(self):
         root = 37.5
