@@ -2,10 +2,12 @@
 # Report which preset artifacts change bytes between a base revision and the
 # working tree.  Every shipped preset runs through the CLI, each run in a
 # fresh process, once in a worktree of the base revision and once in this
-# checkout; `diff -rq` then names each file that differs, and for each JSON
-# file that differs, the flattened keys (e.g. `inputs.seed`) whose values
-# change.  Report only: the exit status is 0 whenever both sets of runs
-# succeed, whatever the diff says.
+# checkout; `diff -rq` then names each file that differs.  For each CSV or
+# JSON file that differs, it also prints the largest relative change
+# |a - b| / max(|a|, |b|) over the numeric CSV cells or JSON numbers present
+# at both revisions, and where it falls; for JSON, also the flattened keys
+# (e.g. `inputs.seed`) whose values change.  Report only: the exit status is
+# 0 whenever both sets of runs succeed, whatever the diff says.
 #
 #   .github/scripts/artifact-delta.sh <base-revision>
 #
@@ -32,7 +34,7 @@ if diff -rq "$work/base" "$work/head"; then
   echo "every preset artifact is byte-identical to $base"
 else
   python - "$work/base" "$work/head" <<'PY'
-import json, sys
+import csv, json, math, sys
 from pathlib import Path
 
 def flat(obj, prefix=""):
@@ -48,14 +50,53 @@ def flat(obj, prefix=""):
         out.update(flat(value, f"{prefix}{sep}{key}"))
     return out
 
+def cell(text):
+    """A CSV cell's number (NaN and inf included); None for a non-numeric cell."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+def cells(path):
+    """A CSV file's cells as numbers (None where not numeric), keyed
+    "row <i> <column header>", data rows counted from 1."""
+    with path.open(newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f)) or [[]]
+    return {f"row {i} {name}": cell(text)
+            for i, row in enumerate(rows, 1) for name, text in zip(header, row)}
+
+def numbers(values):
+    """The JSON numbers among flattened values (JSON keeps NaN and inf as strings)."""
+    return {k: float(v) for k, v in values.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+def relative(a, b):
+    if a == b or (a != a and b != b):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
 base, head = map(Path, sys.argv[1:])
-for old in sorted(base.rglob("*.json")):
+for old in sorted(p for p in base.rglob("*") if p.suffix in (".csv", ".json")):
     new = head / old.relative_to(base)
     if not new.is_file() or old.read_bytes() == new.read_bytes():
         continue
-    a, b = (flat(json.loads(p.read_text(encoding="utf-8"))) for p in (old, new))
-    missing = object()
-    changed = sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
-    print(f"{old.relative_to(base)}: keys changed: {', '.join(changed)}")
+    name = old.relative_to(base)
+    if old.suffix == ".json":
+        a, b = (flat(json.loads(p.read_text(encoding="utf-8"))) for p in (old, new))
+        missing = object()
+        changed = sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
+        print(f"{name}: keys changed: {', '.join(changed)}")
+        a, b = numbers(a), numbers(b)
+    else:
+        a, b = cells(old), cells(new)
+    both = (k for k in a.keys() & b.keys() if a[k] is not None and b[k] is not None)
+    changes = [(relative(a[k], b[k]), k) for k in both]
+    if changes:
+        worst, where = max(changes)
+        print(f"{name}: largest relative change {worst:.3e} ({where})")
+    else:
+        print(f"{name}: no numeric value present at both revisions")
 PY
 fi

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NoSteadyStateError, ValidationError
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _physical_spectra, _symmetrised
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
@@ -133,6 +133,15 @@ def _check_physical(cov: np.ndarray) -> None:
     GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(_PHYSICAL_TOL)
 
 
+def _physical(covs: np.ndarray) -> np.ndarray:
+    """The structural rule and the physical rule to 1e-6 on a converter steady
+    state or a stack of them, as :func:`_check_physical` applies them to one,
+    without building a state.  Returns it symmetrised."""
+    covs = _symmetrised(covs)
+    _physical_spectra(covs, _PHYSICAL_TOL)
+    return covs
+
+
 def steady_state(model: LinearLangevinModel) -> np.ndarray:
     """Steady-state covariance of a converter model, checked physical.
 
@@ -149,7 +158,8 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
 def _thermal_steady_state(
     model: LinearLangevinModel, baths: Sequence[BathSpec]
 ) -> Callable[[float], np.ndarray]:
-    """T -> the :func:`steady_state` of ``model`` with every bath at T.
+    """T -> the :func:`steady_state` of ``model`` with every bath at T,
+    symmetrised.
 
     ``baths`` are the model's baths, one per mode in mode order.  Temperature
     enters only through their weights: D(T) = sum_b (2 N_b(T) + 1) D_b, and
@@ -159,7 +169,10 @@ def _thermal_steady_state(
     stacked Lyapunov solve, each held to the residual rule; a temperature
     then costs the weighted sums of V_b and D_b, gated as
     :func:`steady_state` gates a solve: residual against D(T) within
-    1e-9 ||D(T)||_inf, and physical to 1e-6.
+    1e-9 ||D(T)||_inf, then the structural rule and physical to 1e-6.  A
+    caller slicing a mode pair from the result needs only the pair's own
+    physical rule: the slice of a checked symmetric matrix passes the
+    structural rule.
     """
     _require_stable(model)
     cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
@@ -176,7 +189,6 @@ def _thermal_steady_state(
         weights = np.array([2.0 * thermal_occupation(b.omega, temperature) + 1.0 for b in baths])
         cov = (weights @ v_basis).reshape(cold.shape)
         _check_residual(model.drift, (weights @ d_basis).reshape(cold.shape), cov)
-        _check_physical(cov)
-        return cov
+        return _physical(cov)
 
     return at

@@ -18,8 +18,10 @@ from scipy import constants
 
 from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
 from .converter import _thermal_steady_state, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, discord_reports, gaussian_discord, lambda_sph
+from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
+from .criteria import gaussian_discord
 from .errors import ConvergenceError, ValidationError
+from .gaussian import _physical_spectra
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
@@ -249,16 +251,20 @@ def threshold_temperature(
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
     The operating point and the Lyapunov basis are solved once; each
-    evaluation forms the gated steady state at its temperature and scores
-    lambda_SPH on that one pair.  Returns None when the pair is already
-    separable at zero temperature; the bracket starts at [0, 8] K and
-    expands as :func:`~qradar.sweeps.bisect_threshold` does.
+    evaluation forms the gated steady state at its temperature, holds the
+    pair sliced from it to the physical rule at 1e-9, as
+    :func:`~qradar.criteria.lambda_sph` would, and scores lambda_SPH on that
+    pair alone, with no state or blocks built.  Returns None when the pair
+    is already separable at zero temperature; the bracket starts at
+    [0, 8] K and expands as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
     cov_at = _thermal_steady_state(build_model(params), _baths(params))
 
     def crossing(temperature: float) -> float:
-        return lambda_sph(_pair_blocks(cov_at(temperature), pair))
+        covs = _pair_stack(cov_at(temperature)[None], pair)
+        _physical_spectra(covs, 1e-9)
+        return float(_lambda_sph(covs)[0])
 
     return bisect_threshold(crossing, lo=0.0, hi=8.0, resolution=resolution)

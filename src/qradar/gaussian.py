@@ -287,28 +287,29 @@ def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
     return state.mean[None, :] + z @ chol.T
 
 
-def _cp_defect(channel: GaussianChannel) -> float:
-    """Most negative eigenvalue of Y + (i/2)(Omega - X Omega X^T); >= 0 is CP."""
+def _require_cp(channel: GaussianChannel) -> None:
+    """:class:`UnphysicalChannelError` unless ``channel`` meets the
+    complete-positivity bound Y + (i/2)(Omega - X Omega X^T) >= 0 within 1e-9."""
     omega = symplectic_form(channel.n_modes)
     m = channel.Y + 0.5j * (omega - channel.X @ omega @ channel.X.T)
-    return float(np.linalg.eigvalsh(m).min())
+    defect = float(np.linalg.eigvalsh(m).min())
+    if defect < -1e-9:
+        raise UnphysicalChannelError(
+            f"channel violates complete positivity (defect {defect:.3e}): {channel.description!r}"
+        )
 
 
 def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     """Gaussian channel action: mean -> X mean, cov -> X cov X^T + Y.
 
     The channel is checked against the complete-positivity bound
-    Y + (i/2)(Omega - X Omega X^T) >= 0 before application.
+    (:func:`_require_cp`) before application.
     """
     if channel.X.shape[0] != 2 * state.n_modes:
         raise ValidationError(
             f"channel acts on {channel.n_modes} modes but state has {state.n_modes}"
         )
-    defect = _cp_defect(channel)
-    if defect < -1e-9:
-        raise UnphysicalChannelError(
-            f"channel violates complete positivity (defect {defect:.3e}): {channel.description!r}"
-        )
+    _require_cp(channel)
     mean = channel.X @ state.mean
     cov = channel.X @ state.cov @ channel.X.T + channel.Y
     return GaussianState(state.n_modes, mean, cov)

@@ -20,9 +20,9 @@ from scipy import constants
 from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
 from .converter import _thermal_steady_state, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, gaussian_discord, two_eta, two_eta_values
+from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
 from .errors import ConvergenceError, ValidationError
-from .gaussian import apply_channel
+from .gaussian import _physical_spectra, _require_cp, apply_channel
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
@@ -225,9 +225,11 @@ def _backscatter(channel_spec: GaussianChannel, target_spec: GaussianChannel) ->
     return round_trip(channel_spec, target_spec, channel_spec).expand(mode=1, n_modes=2)
 
 
-def _returned_blocks(blocks: BipartiteBlocks, backscatter: GaussianChannel) -> BipartiteBlocks:
-    """(OC, c_b) blocks: ``blocks`` after the :func:`_backscatter` channel."""
-    return BipartiteBlocks.from_covariance(apply_channel(blocks.state, backscatter).cov)
+def _returned(pairs: np.ndarray, backscatter: GaussianChannel) -> np.ndarray:
+    """(OC, c_b) covariances: a stack of (OC, MC) pairs after the
+    :func:`_backscatter` channel, X V X^T + Y, once the caller has checked the
+    channel with :func:`~qradar.gaussian._require_cp`."""
+    return backscatter.X @ pairs @ backscatter.X.T + backscatter.Y
 
 
 def direct_report(params: OeParams) -> CriteriaReport:
@@ -284,8 +286,8 @@ def end_to_end_report(
     ``channel_spec``, scattered by ``target_spec``, and returned through the
     same medium.
     """
-    returned = _returned_blocks(_oc_mc_blocks(params), _backscatter(channel_spec, target_spec))
-    return gaussian_discord(returned)
+    returned = apply_channel(_oc_mc_blocks(params).state, _backscatter(channel_spec, target_spec))
+    return gaussian_discord(BipartiteBlocks.from_covariance(returned.cov))
 
 
 def end_to_end_vs_temperature(
@@ -299,18 +301,20 @@ def end_to_end_vs_temperature(
     converter has no steady state there.
 
     The grid's steady states come from one stacked
-    :func:`~qradar.sweeps.run_grid` step; the round-trip channel is built once.
+    :func:`~qradar.sweeps.run_grid` step; the round-trip channel is built and
+    checked completely positive once, and the stable points' direct and
+    returned pairs are scored as two stacks, one
+    :func:`~qradar.criteria.two_eta_values` call each.
     """
     backscatter = _backscatter(channel_spec, target_spec)
     covs = run_grid(
         lambda t: build_model(dataclasses.replace(params, temperature=t)), temperature_grid
     )
-
-    def pair(cov: np.ndarray) -> tuple[float, float]:
-        blocks = BipartiteBlocks.from_covariance(cov[_OC_MC])
-        return two_eta(blocks), two_eta(_returned_blocks(blocks, backscatter))
-
-    return [None if cov is None else pair(cov) for cov in covs]
+    _require_cp(backscatter)
+    pairs = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
+    returned = _returned(pairs, backscatter)
+    values = zip(two_eta_values(pairs).tolist(), two_eta_values(returned).tolist())
+    return [None if cov is None else next(values) for cov in covs]
 
 
 def threshold_temperature(
@@ -324,19 +328,27 @@ def threshold_temperature(
     With a channel/target pair the threshold of the backscattered mode c_b is
     located instead; giving only one of the two is a :class:`ValidationError`.
     The operating point, the Lyapunov basis and the round-trip channel are
-    built once; each evaluation forms the gated steady state at its
-    temperature and scores 2eta only.  The bracket starts at [1e-4, 8] K and
-    expands as :func:`~qradar.sweeps.bisect_threshold` does.
+    built once, and the channel checked completely positive once; each
+    evaluation forms the gated steady state at its temperature and scores
+    2eta only, on the (OC, MC) pair sliced from it, held to the physical rule
+    at 1e-9, or on the returned pair, held to the structural and physical
+    rules at 1e-9, as :func:`~qradar.criteria.two_eta` would hold them, with
+    no state or blocks built.  The bracket starts at [1e-4, 8] K and expands
+    as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
     cov_at = _thermal_steady_state(build_model(params), _baths(params))
-    backscatter = None if channel_spec is None else _backscatter(channel_spec, target_spec)
+    backscatter = None
+    if channel_spec is not None:
+        backscatter = _backscatter(channel_spec, target_spec)
+        _require_cp(backscatter)
 
     def crossing(temperature: float) -> float:
-        blocks = BipartiteBlocks.from_covariance(cov_at(temperature)[_OC_MC])
-        if backscatter is not None:
-            blocks = _returned_blocks(blocks, backscatter)
-        return two_eta(blocks) - 1.0
+        pairs = cov_at(temperature)[_OC_MC][None]
+        if backscatter is None:
+            _physical_spectra(pairs, 1e-9)
+            return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0
+        return float(two_eta_values(_returned(pairs, backscatter))[0]) - 1.0
 
     return bisect_threshold(crossing, lo=1e-4, hi=8.0, resolution=resolution)

@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .converter import _PHYSICAL_TOL
+from .converter import _physical
 from .errors import ConvergenceError, ValidationError
-from .gaussian import _physical_spectra, _symmetrised
 from .langevin import LinearLangevinModel, _residual_gate, _solve_lyapunov, _stability
 
 __all__ = ["run_grid", "bisect_threshold"]
@@ -60,11 +59,11 @@ def run_grid(
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
     try:
-        _physical_spectra(_symmetrised(covs), _PHYSICAL_TOL)
+        _physical(covs)
     except ValidationError:
         for i, cov in zip(index, covs):  # name the first failing point
             try:
-                _physical_spectra(_symmetrised(cov), _PHYSICAL_TOL)
+                _physical(cov)
             except ValidationError as exc:
                 raise type(exc)(f"grid point {i} ({grid[i]!r}): {exc}") from exc
         raise

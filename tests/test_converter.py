@@ -1,6 +1,7 @@
 """Shared converter pipeline: the closed-form operating point, reached
 through both converter models, its residual gate and failure report; the
-temperature-affine steady state the thresholds bisect, and its properties."""
+temperature-affine steady state the thresholds bisect, its properties, and
+the checks each threshold step still makes on it."""
 
 import dataclasses
 import math
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qradar import eom, oe
-from qradar.converter import _response_roots, _thermal_steady_state, steady_state
+from qradar import eom, gaussian, oe
+from qradar.converter import _physical, _response_roots, _thermal_steady_state, steady_state
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
-from qradar.errors import ConvergenceError, NoSteadyStateError, StiffnessError
+from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
+from qradar.langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
 
@@ -115,6 +117,30 @@ def _thresholds():
     return cases
 
 
+def _public_crossing(model, params, kwargs, temperature):
+    """The value a threshold bisects, from the public per-point report."""
+    params = dataclasses.replace(params, temperature=temperature)
+    if model is eom:
+        return eom.entanglement_report(params)[kwargs["pair"]].lambda_sph
+    if kwargs:
+        return oe.end_to_end_report(params, **kwargs).two_eta - 1.0
+    return oe.direct_report(params).two_eta - 1.0
+
+
+def _count_cp_checks(monkeypatch) -> list:
+    """Collects the channel of every complete-positivity check from now on."""
+    calls = []
+    check = gaussian._require_cp
+
+    def counted(channel):
+        calls.append(channel)
+        return check(channel)
+
+    for module in (gaussian, oe):
+        monkeypatch.setattr(module, "_require_cp", counted)
+    return calls
+
+
 class TestThresholdSolvesOnce:
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
     def test_one_operating_point_per_threshold(self, model, params, kwargs, monkeypatch):
@@ -128,6 +154,53 @@ class TestThresholdSolvesOnce:
         monkeypatch.setattr(model, "operating_point", counted)
         assert model.threshold_temperature(params, **kwargs) is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("model, params, kwargs", _thresholds())
+    def test_steps_build_no_blocks_and_check_the_channel_once(
+        self, model, params, kwargs, monkeypatch
+    ):
+        built = []
+        init = BipartiteBlocks.__post_init__
+
+        def counted(blocks):
+            built.append(blocks)
+            return init(blocks)
+
+        monkeypatch.setattr(BipartiteBlocks, "__post_init__", counted)
+        cp_checks = _count_cp_checks(monkeypatch)
+        assert model.threshold_temperature(params, **kwargs) is not None
+        assert built == []
+        assert len(cp_checks) == (1 if "channel_spec" in kwargs else 0)
+
+    def test_grid_checks_the_channel_once(self, monkeypatch):
+        cp_checks = _count_cp_checks(monkeypatch)
+        atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        grid = np.linspace(0.0, 1.0, 5)
+        values = oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, grid)
+        assert len(cp_checks) == 1
+        assert all(v is not None for v in values)
+
+    @pytest.mark.parametrize("model, params, kwargs", _thresholds())
+    def test_step_scores_the_public_value(self, model, params, kwargs, monkeypatch):
+        # The function each threshold hands to Brent, captured, equals the
+        # per-point report's criterion at the same temperature.
+        captured = []
+        monkeypatch.setattr(model, "bisect_threshold", lambda fn, **_: captured.append(fn))
+        model.threshold_temperature(params, **kwargs)
+        (crossing,) = captured
+        for temperature in np.geomspace(1e-4, 0.5, 5):
+            expected = _public_crossing(model, params, kwargs, float(temperature))
+            assert crossing(float(temperature)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model, params, kwargs", _thresholds())
+    def test_step_holds_the_pair_to_its_own_rule(self, model, params, kwargs, monkeypatch):
+        # nu_min = 1/2 - 1e-7 on every mode passes the converter's 1e-6 gate
+        # but not the 1e-9 rule of the scored pair (or, behind the channel,
+        # of the returned pair, whose OC mode the channel leaves alone).
+        cov = (0.5 - 1e-7) * np.eye(6)
+        monkeypatch.setattr(model, "_thermal_steady_state", lambda *_: lambda t: _physical(cov))
+        with pytest.raises(PhysicalityError, match="min symplectic eigenvalue"):
+            model.threshold_temperature(params, **kwargs)
 
     @pytest.mark.parametrize(
         "model, params",
@@ -210,6 +283,15 @@ def _cov_at(model, params):
 
 
 class TestTemperatureAffineSteadyState:
+    def test_each_temperature_is_held_to_the_physical_rule(self):
+        # Damping that outruns its baths' noise leaves V = 0.4995 I, below
+        # the vacuum bound by more than the converter's 1e-6.
+        baths = [BathSpec(1e10, 0.999, 0.0)] * 3
+        model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths), ("a", "b", "c"))
+        cov_at = _thermal_steady_state(model, baths)
+        with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 4.995e-01"):
+            cov_at(0.0)
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_models, _factors, _temperatures)
     def test_matches_the_solve_at_that_temperature(self, model, factors, temperature):
