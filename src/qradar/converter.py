@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NoSteadyStateError, ValidationError
 from .gaussian import GaussianState, _physical_spectra, _symmetrised
-from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, is_stable
+from .langevin import BathSpec, LinearLangevinModel, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
 __all__ = ["OperatingPoint", "steady_state"]
@@ -115,8 +115,7 @@ def _gated_point(a, c, p, x, branches: int, equations) -> OperatingPoint:
     return OperatingPoint(a, c, p, x, residual, branches)
 
 
-def _require_stable(model: LinearLangevinModel) -> None:
-    stable, max_re = is_stable(model)
+def _require_stable(stable: bool, max_re: float) -> None:
     if not stable:
         raise NoSteadyStateError(
             f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
@@ -149,17 +148,17 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     :class:`~qradar.errors.PhysicalityError` when the covariance is not
     positive definite or violates the uncertainty bound by more than 1e-6.
     """
-    _require_stable(model)
+    _require_stable(*is_stable(model))
     cov = steady_state_cov(model)
     _check_physical(cov)
     return cov
 
 
 def _thermal_steady_state(
-    model: LinearLangevinModel, baths: Sequence[BathSpec]
+    drift: np.ndarray, baths: Sequence[BathSpec]
 ) -> Callable[[float], np.ndarray]:
-    """T -> the :func:`steady_state` of ``model`` with every bath at T,
-    symmetrised.
+    """T -> the :func:`steady_state` of the model with this ``drift`` and
+    every bath at T, symmetrised.
 
     ``baths`` are the model's baths, one per mode in mode order.  Temperature
     enters only through their weights: D(T) = sum_b (2 N_b(T) + 1) D_b, and
@@ -174,21 +173,21 @@ def _thermal_steady_state(
     physical rule: the slice of a checked symmetric matrix passes the
     structural rule.
     """
-    _require_stable(model)
+    _require_stable(*_stability(drift))
     cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
     # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
-    v_basis, caught = _solve_lyapunov(np.broadcast_to(model.drift, d_basis.shape), d_basis)
+    v_basis, caught = _solve_lyapunov(np.broadcast_to(drift, d_basis.shape), d_basis)
     for d_b, v_b in zip(d_basis, v_basis):
-        _check_residual(model.drift, d_b, v_b, caught)
+        _check_residual(drift, d_b, v_b, caught)
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = v_basis.reshape(len(baths), -1)
 
     def at(temperature: float) -> np.ndarray:
         weights = np.array([2.0 * thermal_occupation(b.omega, temperature) + 1.0 for b in baths])
         cov = (weights @ v_basis).reshape(cold.shape)
-        _check_residual(model.drift, (weights @ d_basis).reshape(cold.shape), cov)
+        _check_residual(drift, (weights @ d_basis).reshape(cold.shape), cov)
         return _physical(cov)
 
     return at

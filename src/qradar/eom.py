@@ -260,7 +260,7 @@ def threshold_temperature(
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
-    cov_at = _thermal_steady_state(build_model(params), _baths(params))
+    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
 
     def crossing(temperature: float) -> float:
         covs = _pair_stack(cov_at(temperature)[None], pair)

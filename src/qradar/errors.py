@@ -34,7 +34,10 @@ class NoSteadyStateError(QradarError):
 
 
 class StiffnessError(QradarError):
-    """Covariance ODE integration failed; steady_state_cov is the alternative."""
+    """A covariance was not computed accurately: the covariance ODE
+    integration failed, or a Lyapunov solution misses A V + V A^T + D = 0 by
+    more than 1e-9 ||D||_inf (steady states, at one temperature or across
+    the temperatures of a threshold search)."""
 
 
 class ConvergenceError(QradarError):

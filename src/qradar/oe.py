@@ -338,7 +338,7 @@ def threshold_temperature(
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
-    cov_at = _thermal_steady_state(build_model(params), _baths(params))
+    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
     backscatter = None
     if channel_spec is not None:
         backscatter = _backscatter(channel_spec, target_spec)

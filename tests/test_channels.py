@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from qradar.channels import (
     ThermalProfile,
@@ -18,10 +21,21 @@ from qradar.channels import (
     thermal_background_channel,
 )
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
-from qradar.errors import UndefinedQuantityError, ValidationError
+from qradar.errors import ConvergenceError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import GaussianState, apply_channel, vacuum_state
 
 from conftest import tmsv_cov
+
+
+_PROFILE = dict(n_in=0.05, n_out=624.0, mu_in=0.5, mu_out=2.0, l0=0.3141, length=1.0)
+
+
+class TestThermalProfile:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", sorted(_PROFILE))
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ThermalProfile(**{**_PROFILE, field: value})
 
 
 class TestNeffClosed:
@@ -55,6 +69,27 @@ class TestNeffClosed:
             assert min(p.n_in, p.n_out) - 1e-12 <= val <= max(p.n_in, p.n_out) + 1e-12
 
 
+@st.composite
+def _smooth_absorption(draw):
+    """mu(x) = a + b sin(k x + phi) with |b| < a, and its integral from 0."""
+    a = draw(st.floats(0.05, 3.0))
+    b = a * draw(st.floats(-0.99, 0.99))
+    k = draw(st.floats(0.1, 10.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    mu = lambda x: a + b * np.sin(k * x + phi)
+    absorbed = lambda x: a * x + b / k * (math.cos(phi) - math.cos(k * x + phi))
+    return mu, absorbed
+
+
+@st.composite
+def _quadratic_occupation(draw):
+    """n(x) = c + d (x - x0)^2 with c + d (x - x0)^2 >= 0 for |x - x0| <= 5."""
+    c = draw(st.floats(0.0, 10.0))
+    d = draw(st.floats(-c / 25.0, 10.0))
+    x0 = draw(st.floats(0.0, 5.0))
+    return lambda x: c + d * (x - x0) ** 2
+
+
 class TestNeffGeneral:
     def test_step_profile_matches_closed_form(self, rng):
         for _ in range(10):
@@ -75,6 +110,36 @@ class TestNeffGeneral:
         n_fn = lambda x: 0.2 + 1.1 * x
         val = n_eff_general(lambda x: 0.8, n_fn, 1.0)
         assert n_fn(0.0) < val < n_fn(1.0)
+
+    def test_step_off_the_panel_edges_fails_the_order_check(self):
+        # Without the breakpoint the step at l0 falls inside a panel, where a
+        # fixed rule cannot resolve it: the 8- and 16-point results disagree.
+        p = ThermalProfile(**_PROFILE)
+        with pytest.raises(ConvergenceError):
+            n_eff_general(p.absorption_at, p.occupation_at, p.length)
+        general = n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
+        assert general == pytest.approx(n_eff_closed(p), rel=1e-14)
+
+    def test_nan_absorption_raises(self):
+        with pytest.raises(ConvergenceError):
+            n_eff_general(lambda x: math.nan, lambda x: 0.9, 1.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_smooth_absorption(), _quadratic_occupation(), st.floats(0.1, 5.0))
+    def test_smooth_profile_matches_adaptive_reference(self, mu, n, length):
+        mu_fn, absorbed = mu
+        total = absorbed(length)
+        numerator, _ = integrate.quad(
+            lambda x: mu_fn(x) * n(x) * math.exp(absorbed(x) - total),
+            0.0, length, epsabs=0.0, epsrel=1e-13, limit=500,
+        )
+        reference = numerator / -math.expm1(-total)
+        assert abs(n_eff_general(mu_fn, n, length) - reference) <= 1e-12 * reference
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_smooth_absorption(), st.floats(0.0, 1e3), st.floats(0.1, 5.0))
+    def test_uniform_occupation_is_returned(self, mu, n, length):
+        assert abs(n_eff_general(mu[0], lambda x: n, length) - n) <= 1e-12 * n
 
 
 class TestAttenuation:

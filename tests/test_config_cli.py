@@ -163,20 +163,34 @@ class TestParsing:
         assert cfg.parameters["distance_m"] == 20.0
 
 
+def _optimize_and_integrate_loaded_after(code: str, **env) -> str:
+    """Which of scipy.optimize and scipy.integrate a fresh interpreter has
+    loaded after running ``code``."""
+    code += "; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    src = str(Path(qradar.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout.strip()
+
+
 class TestCliCommands:
     def test_import_leaves_optimize_and_integrate_unloaded(self):
-        # Only thresholds, n_eff_general and propagate_cov use them, and each
-        # imports its module on first use.
+        # Only thresholds and propagate_cov use them, and each imports its
+        # module on first use.
+        assert _optimize_and_integrate_loaded_after("import sys, qradar.cli") == "[]"
+
+    def test_channel_preset_leaves_optimize_and_integrate_unloaded(self, tmp_path):
         code = (
-            "import sys, qradar.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+            "import sys; from qradar.cli import run_scenario; "
+            "from qradar.config import validate_config; "
+            "from qradar.presets import SCENARIO_PRESETS; "
+            "assert run_scenario(validate_config(SCENARIO_PRESETS['channel_neff_line']))[0] == 0"
         )
-        src = str(Path(qradar.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert done.stdout.strip() == "[]"
+        loaded = _optimize_and_integrate_loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path))
+        assert loaded == "[]"
+        assert (tmp_path / "channel_neff.csv").exists()
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0

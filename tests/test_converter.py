@@ -277,7 +277,7 @@ def _cov_at(model, params):
     """The temperature-affine steady state of ``params``; None where the
     point has no steady state."""
     try:
-        return _thermal_steady_state(model.build_model(params), model._baths(params))
+        return _thermal_steady_state(model.build_model(params).drift, model._baths(params))
     except (ConvergenceError, NoSteadyStateError, StiffnessError):
         return None
 
@@ -288,7 +288,7 @@ class TestTemperatureAffineSteadyState:
         # the vacuum bound by more than the converter's 1e-6.
         baths = [BathSpec(1e10, 0.999, 0.0)] * 3
         model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths), ("a", "b", "c"))
-        cov_at = _thermal_steady_state(model, baths)
+        cov_at = _thermal_steady_state(model.drift, baths)
         with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 4.995e-01"):
             cov_at(0.0)
 
@@ -296,7 +296,7 @@ class TestTemperatureAffineSteadyState:
     @given(_models, _factors, _temperatures)
     def test_matches_the_solve_at_that_temperature(self, model, factors, temperature):
         params = _jittered(model, factors)
-        cov_at = _thermal_steady_state(model.build_model(params), model._baths(params))
+        cov_at = _thermal_steady_state(model.build_model(params).drift, model._baths(params))
         hot = dataclasses.replace(params, temperature=temperature)
         solved = steady_state(model.build_model(hot))
         assert abs(cov_at(temperature) - solved).max() <= 1e-9 * abs(solved).max()

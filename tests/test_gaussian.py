@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel, identity_channel
@@ -127,6 +127,7 @@ class TestCovarianceRules:
         with pytest.raises(ValidationError, match="symmetric"):
             build(rejected)
 
+    @settings(max_examples=100, derandomize=True)
     @given(symmetric_matrices(), st.sampled_from([0.0, 1e-9, 1e-6, 0.1]))
     def test_is_physical_iff_validate_physical_passes(self, cov, tol):
         state = GaussianState(len(cov) // 2, np.zeros(len(cov)), cov)
@@ -189,6 +190,7 @@ class TestEntropy:
             pure = all(abs(nu - 0.5) <= 1e-9 for nu in symplectic_eigenvalues(state))
             assert (s == 0.0) == pure
 
+    @settings(max_examples=100, derandomize=True)
     @given(st.floats(min_value=0.5, max_value=1e6))
     def test_entropy_term_nonnegative(self, x):
         assert entropy_term(x) >= 0.0
