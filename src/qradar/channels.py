@@ -203,7 +203,7 @@ def n_eff_general(
     (1 - e^{-int_0^L mu}).  (This orientation is the one the step-profile
     closed form specializes; it agrees with :func:`n_eff_closed` to better
     than 1e-8.)  ``mu_fn`` and ``n_fn`` take an array of depths and return
-    the profile at each, or one scalar for a uniform profile.
+    the profile at each (finite and non-negative), or one uniform scalar.
 
     The integrals are fixed-order composite Gauss-Legendre on
     ``quadrature_points`` equal panels, split further at ``breakpoints``;
@@ -243,13 +243,16 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     left = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
     x = left + half * (t + 1.0)
-    mu = mu_fn(x)
-    before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
-    total = before[-1]
     span = 0.5 * (x - left)  # half the width of [panel edge, node]
     nested = left[..., None] + span[..., None] * (t + 1.0)
-    absorbed = before[:-1, None] + span * (mu_fn(nested) * w).sum(axis=-1)
+    mu, mu_nested, n = mu_fn(x), mu_fn(nested), n_fn(x)
+    for name, values in (("mu", mu), ("mu", mu_nested), ("n", n)):
+        if not np.all((values >= 0.0) & (values < math.inf)):
+            raise ValidationError(f"{name} must be finite and non-negative at every node")
+    before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
+    total = before[-1]
+    absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
     denom = 1.0 - math.exp(-total)
     if denom < 1e-300:
         raise UndefinedQuantityError("n_eff is 0/0: total absorption vanishes")
-    return math.fsum((half * w * mu * n_fn(x) * np.exp(absorbed - total)).ravel()) / denom
+    return math.fsum((half * w * mu * n * np.exp(absorbed - total)).ravel()) / denom

@@ -5,8 +5,8 @@ Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
 DC equations to the radiation-pressure bistability cubics, whose real roots
 this module supplies, and hands the terms of its four DC equations to the
 operating point's residual gate; this module also gates the steady state, at
-one temperature or, through one Lyapunov basis per bath, at any temperature
-(a grid of models is gated as one stack by :func:`qradar.sweeps.run_grid`).
+one temperature or, through one Lyapunov basis per bath, at every temperature
+of a threshold or temperature grid (:func:`qradar.sweeps.run_grid` the rest).
 """
 
 from __future__ import annotations
@@ -154,24 +154,28 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     return cov
 
 
+def _thermal_weights(baths: Sequence[BathSpec], grid: Sequence[float]) -> np.ndarray:
+    """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
+    if len(grid) == 0:
+        raise ValidationError("temperature grid must not be empty")
+    return np.array([[2.0 * thermal_occupation(b.omega, t) + 1.0 for b in baths] for t in grid])
+
+
 def _thermal_steady_state(
     drift: np.ndarray, baths: Sequence[BathSpec]
-) -> Callable[[float], np.ndarray]:
-    """T -> the :func:`steady_state` of the model with this ``drift`` and
-    every bath at T, symmetrised.
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """Temperatures -> the (n, d, d) stack of :func:`steady_state` of the
+    model with this ``drift`` and every bath at each temperature.
 
     ``baths`` are the model's baths, one per mode in mode order.  Temperature
-    enters only through their weights: D(T) = sum_b (2 N_b(T) + 1) D_b, and
+    enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
-    with A V_b + V_b A^T + D_b = 0.  The drift (and so the operating point it
-    came from) and its stability are settled once, and the V_b are one
-    stacked Lyapunov solve, each held to the residual rule; a temperature
-    then costs the weighted sums of V_b and D_b, gated as
-    :func:`steady_state` gates a solve: residual against D(T) within
-    1e-9 ||D(T)||_inf, then the structural rule and physical to 1e-6.  A
-    caller slicing a mode pair from the result needs only the pair's own
-    physical rule: the slice of a checked symmetric matrix passes the
-    structural rule.
+    with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
+    stacked solve, each held to the residual rule) are settled once; a stack
+    of temperatures is then held, as :func:`steady_state` holds a solve, to
+    the residual rule against D(T) (naming the first temperature that fails
+    it), then to the structural and physical (1e-6) rules, and returned
+    symmetrised.  A pair sliced from it needs only its own physical rule.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
@@ -179,15 +183,14 @@ def _thermal_steady_state(
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
     v_basis, caught = _solve_lyapunov(np.broadcast_to(drift, d_basis.shape), d_basis)
-    for d_b, v_b in zip(d_basis, v_basis):
-        _check_residual(drift, d_b, v_b, caught)
+    _check_residual(drift, d_basis, v_basis, caught)
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = v_basis.reshape(len(baths), -1)
 
-    def at(temperature: float) -> np.ndarray:
-        weights = np.array([2.0 * thermal_occupation(b.omega, temperature) + 1.0 for b in baths])
-        cov = (weights @ v_basis).reshape(cold.shape)
-        _check_residual(drift, (weights @ d_basis).reshape(cold.shape), cov)
-        return _physical(cov)
+    def at(temperatures: Sequence[float]) -> np.ndarray:
+        weights = _thermal_weights(baths, temperatures)
+        covs = (weights @ v_basis).reshape(-1, *cold.shape)
+        _check_residual(drift, (weights @ d_basis).reshape(covs.shape), covs, (), temperatures)
+        return _physical(covs)
 
     return at

@@ -17,10 +17,10 @@ import numpy as np
 from scipy import constants
 
 from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
-from .converter import _thermal_steady_state, steady_state
+from .converter import _thermal_steady_state, _thermal_weights, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
 from .criteria import gaussian_discord
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .gaussian import _physical_spectra
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
@@ -183,26 +183,18 @@ def build_model(params: EomParams) -> LinearLangevinModel:
     )
 
 
-def _pair_blocks(cov: np.ndarray, pair: str) -> BipartiteBlocks:
-    """Blocks of ``pair`` (one of :data:`PAIR_NAMES`), first mode first."""
-    first, second = pair.split("_")
-    i = _MODE_INDEX[first]
-    j = _MODE_INDEX[second]
-    si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
-    return BipartiteBlocks(cov[si, si], cov[sj, sj], cov[si, sj])
-
-
 def _pair_stack(covs: np.ndarray, pair: str) -> np.ndarray:
-    """The (n, 4, 4) covariances of ``pair`` in a stack of steady states."""
+    """The 4x4 covariance of ``pair`` (first mode first) in a steady state or a stack."""
     i, j = (_MODE_INDEX[mode] for mode in pair.split("_"))
     index = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    return covs[:, index][:, :, index]
+    return covs[..., index, :][..., index]
 
 
 def entanglement_report(params: EomParams) -> dict[str, CriteriaReport]:
     """Steady-state criteria for the OC-MC, OC-MR and MR-MC pairs."""
     cov = steady_state(build_model(params))
-    return {pair: gaussian_discord(_pair_blocks(cov, pair)) for pair in PAIR_NAMES}
+    return {pair: gaussian_discord(BipartiteBlocks.from_covariance(_pair_stack(cov, pair)))
+            for pair in PAIR_NAMES}
 
 
 @dataclass(frozen=True)
@@ -225,15 +217,24 @@ def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     """One entanglement report per grid point; instabilities are marked, not fatal.
 
-    Each stable point's report equals :func:`entanglement_report` there.  The
-    grid's steady states come from one stacked :func:`~qradar.sweeps.run_grid`
-    step, and the stable points' pairs are scored together, one stacked call
-    per pair.
+    Each stable point's report equals :func:`entanglement_report` there (to
+    rounding on a temperature grid, which weighs one Lyapunov basis and so is
+    stable at every point or at none); other axes take one stacked
+    :func:`~qradar.sweeps.run_grid` step.  Pairs are scored one stack each.
     """
     grid = [float(v) for v in grid]
     if sorted(grid) != grid:
         raise ValidationError("sweep grid must be ascending")
-    covs = run_grid(lambda v: build_model(_with_axis(params, axis, v)), grid)
+    if axis != "temperature":
+        covs = run_grid(lambda v: build_model(_with_axis(params, axis, v)), grid)
+    else:
+        try:
+            drift = drift_matrix(params, operating_point(params))
+            cov_at = _thermal_steady_state(drift, _baths(params))
+        except (ConvergenceError, NoSteadyStateError, StiffnessError):
+            covs = [None] * len(_thermal_weights(_baths(params), grid))  # still checks the grid
+        else:
+            covs = list(cov_at(grid))
     stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
     by_pair = [discord_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
     reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))
@@ -263,7 +264,7 @@ def threshold_temperature(
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
 
     def crossing(temperature: float) -> float:
-        covs = _pair_stack(cov_at(temperature)[None], pair)
+        covs = _pair_stack(cov_at([temperature]), pair)
         _physical_spectra(covs, 1e-9)
         return float(_lambda_sph(covs)[0])
 

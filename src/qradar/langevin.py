@@ -191,14 +191,16 @@ def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     return residual, ~((d_scale > 0) & (residual > 1e-9 * d_scale))
 
 
-def _check_residual(drift, diffusion, v, caught=()) -> None:
-    """:class:`StiffnessError` when one steady state fails
-    :func:`_residual_gate`, quoting the solver warnings ``caught``."""
+def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
+    """:class:`StiffnessError` if ``v``, or a member of a stack, fails :func:`_residual_gate`,
+    quoting the ``caught`` solver warnings and the first failing member's ``temperatures``."""
     residual, accurate = _residual_gate(drift, diffusion, v)
-    if not accurate:
+    if not accurate.all():
+        i = int(np.argmin(accurate))
+        at = "" if temperatures is None else f" at temperature {temperatures[i]!r} K"
         solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
-            f"Lyapunov residual {residual:.3e} exceeds 1e-9 * ||D||_inf "
+            f"Lyapunov residual {np.ravel(residual)[i]:.3e} exceeds 1e-9 * ||D||_inf{at} "
             f"(severely ill-conditioned drift){solver_said}"
         )
 

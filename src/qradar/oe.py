@@ -211,7 +211,7 @@ def build_model(params: OeParams) -> LinearLangevinModel:
     )
 
 
-_OC_MC = np.s_[2:6, 2:6]  # the (OC, MC) rows and columns of the steady state
+_OC_MC = np.s_[..., 2:6, 2:6]  # the (OC, MC) rows and columns of a steady state or stack
 
 
 def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
@@ -295,26 +295,21 @@ def end_to_end_vs_temperature(
     channel_spec: GaussianChannel,
     target_spec: GaussianChannel,
     temperature_grid,
-) -> list[tuple[float, float] | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """2eta of the direct (OC, MC) pair and of the backscattered (OC, c_b)
-    pair at each temperature, both from one steady state; None where the
-    converter has no steady state there.
+    pair at each temperature, both from one steady state.
 
-    The grid's steady states come from one stacked
-    :func:`~qradar.sweeps.run_grid` step; the round-trip channel is built and
-    checked completely positive once, and the stable points' direct and
-    returned pairs are scored as two stacks, one
-    :func:`~qradar.criteria.two_eta_values` call each.
+    The steady states are one gated stack from one Lyapunov basis
+    (:func:`~qradar.converter._thermal_steady_state`), and raise where the
+    converter has none, as its thresholds do.  The round-trip channel is
+    built and CP-checked once; the direct and returned pairs are scored as two
+    stacks, one :func:`~qradar.criteria.two_eta_values` call each.
     """
     backscatter = _backscatter(channel_spec, target_spec)
-    covs = run_grid(
-        lambda t: build_model(dataclasses.replace(params, temperature=t)), temperature_grid
-    )
+    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+    pairs = cov_at([float(t) for t in temperature_grid])[_OC_MC]
     _require_cp(backscatter)
-    pairs = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
-    returned = _returned(pairs, backscatter)
-    values = zip(two_eta_values(pairs).tolist(), two_eta_values(returned).tolist())
-    return [None if cov is None else next(values) for cov in covs]
+    return two_eta_values(pairs), two_eta_values(_returned(pairs, backscatter))
 
 
 def threshold_temperature(
@@ -345,7 +340,7 @@ def threshold_temperature(
         _require_cp(backscatter)
 
     def crossing(temperature: float) -> float:
-        pairs = cov_at(temperature)[_OC_MC][None]
+        pairs = cov_at([temperature])[_OC_MC]
         if backscatter is None:
             _physical_spectra(pairs, 1e-9)
             return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0

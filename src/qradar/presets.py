@@ -118,7 +118,7 @@ def oe_reference(mu_c: float = 2e-4, temperature: float = 0.03) -> OeParams:
 def channel_preset(
     name: str, n_env: float = 0.0, n_t: float = FIG10_TARGET_OCCUPATION
 ) -> GaussianChannel:
-    """Named single-mode channels addressable from scenario files."""
+    """Named single-mode channels for library callers (no scenario key selects one)."""
     if name == "fig10_atmosphere":
         return attenuation_channel(FIG10_KAPPA_ATM, FIG10_DISTANCE, n_env)
     if name == "fig10_target":

@@ -1,12 +1,12 @@
 """Converter grids as one stacked steady-state step, and threshold
 root-finding (Brent).
 
-A grid builds one Langevin model per point, then decides stability with one
-eigensolve over the stack of drifts, solves each stable member's Lyapunov
-equation and applies the residual and physical rules once over the stack:
-the same rules, in the same order, as :func:`qradar.converter.steady_state`
-applies to one model.  Points run serially: a converter point is GIL-bound
-6x6 algebra, so a thread pool only adds dispatch cost.
+A grid on any axis but temperature (which weighs the thresholds' Lyapunov
+basis instead) builds one Langevin model per point, decides stability with
+one eigensolve over the stack of drifts, solves each stable member's
+Lyapunov equation and applies the residual and physical rules once over the
+stack, as :func:`qradar.converter.steady_state` does for one model.  Points
+run serially: GIL-bound 6x6 algebra gains only dispatch cost from threads.
 """
 
 from __future__ import annotations

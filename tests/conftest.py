@@ -1,12 +1,19 @@
-"""Shared test helpers: random symplectics and random physical states."""
+"""Shared test helpers: random symplectics and random physical states; and
+the Hypothesis profile every property runs under."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import expm
 
 from qradar.gaussian import GaussianState, symplectic_form
+
+# Every property, present or future, draws the same examples on every run;
+# each still sets its own max_examples (and deadline, where it needs one).
+settings.register_profile("qradar", derandomize=True)
+settings.load_profile("qradar")
 
 
 def random_symplectic(rng: np.random.Generator, n_modes: int, scale: float = 0.6) -> np.ndarray:

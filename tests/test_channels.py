@@ -121,10 +121,29 @@ class TestNeffGeneral:
         assert general == pytest.approx(n_eff_closed(p), rel=1e-14)
 
     def test_nan_absorption_raises(self):
-        with pytest.raises(ConvergenceError):
+        # An invalid profile value, caught at the nodes before any quadrature.
+        with pytest.raises(ValidationError, match="mu must be finite"):
             n_eff_general(lambda x: math.nan, lambda x: 0.9, 1.0)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @pytest.mark.parametrize(
+        "mu, n, name",
+        [
+            (-1000.0, 0.9, "mu"),  # once overflowed exp() with a bare OverflowError
+            (math.inf, 0.9, "mu"),  # once an inf - inf exponent
+            (0.8, -3.0, "n"),  # once returned n_eff = -3 silently
+            (0.8, math.inf, "n"),
+            (0.8, math.nan, "n"),
+        ],
+    )
+    def test_invalid_profile_value_rejected(self, mu, n, name):
+        # Bad only past x = 0.5, so the check must see every node.
+        with pytest.raises(ValidationError, match=f"{name} must be finite and non-negative"):
+            n_eff_general(
+                lambda x: np.where(x < 0.5, 0.8, mu), lambda x: np.where(x < 0.5, 0.9, n), 1.0,
+                breakpoints=(0.5,),
+            )
+
+    @settings(max_examples=100, deadline=None)
     @given(_smooth_absorption(), _quadratic_occupation(), st.floats(0.1, 5.0))
     def test_smooth_profile_matches_adaptive_reference(self, mu, n, length):
         mu_fn, absorbed = mu
@@ -136,7 +155,7 @@ class TestNeffGeneral:
         reference = numerator / -math.expm1(-total)
         assert abs(n_eff_general(mu_fn, n, length) - reference) <= 1e-12 * reference
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_smooth_absorption(), st.floats(0.0, 1e3), st.floats(0.1, 5.0))
     def test_uniform_occupation_is_returned(self, mu, n, length):
         assert abs(n_eff_general(mu[0], lambda x: n, length) - n) <= 1e-12 * n

@@ -16,7 +16,6 @@ from qradar import oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
 from qradar.errors import ConfigError
-from qradar.langevin import LinearLangevinModel
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
 
@@ -240,67 +239,63 @@ class TestCliCommands:
 
 
 class TestOeEndToEndFailures:
-    """Only the converter failures mark a point unstable; others abort the run."""
+    """A converter with no steady state, or an unphysical one, fails the run:
+    temperature moves neither, so the grid has one for every point or none."""
 
     GRID = [0.01, 0.05, 0.1]
 
-    def _failing_at(self, monkeypatch, temperature, broken):
-        """The converter model at ``temperature`` is replaced by ``broken(model)``."""
-        real = oe.build_model
-
-        def fake(params):
-            model = real(params)
-            return broken(model) if params.temperature == temperature else model
-
-        monkeypatch.setattr(oe, "build_model", fake)
-
-    def _config(self, tmp_path):
+    def _config(self, tmp_path, oe_overrides=None):
         parameters = {**SCENARIO_PRESETS["fig10"]["parameters"], "temperature_grid_k": self.GRID}
+        if oe_overrides:
+            parameters["oe"] = oe_overrides
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "oe_end_to_end", "parameters": parameters}))
         return path
 
-    def test_no_steady_state_marks_row_unstable(self, tmp_path, monkeypatch):
+    def test_unstable_converter_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        # The reversed drift has every eigenvalue in the right half-plane.
-        self._failing_at(
-            monkeypatch, 0.05, lambda m: LinearLangevinModel(-m.drift, m.diffusion, m.mode_labels)
+        # A blue-detuned optical cavity: the drift is unstable at every temperature.
+        path = self._config(tmp_path, {"delta_c_rad_s": -oe_reference().delta_c})
+        assert main(["run", str(path)]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["reason"] == (
+            "NoSteadyStateError: converter drift is unstable at these parameters "
+            "(max Re 4.067e+05)"
         )
-        assert main(["run", str(self._config(tmp_path))]) == 0
-        rows = read_csv(tmp_path / "out" / "oe_end_to_end.csv")
-        assert rows["stable"].tolist() == [1, 0, 1]
-        assert np.isnan(rows["two_eta_direct"][1]) and np.isnan(rows["two_eta_backscatter"][1])
-        assert np.isfinite(rows["two_eta_backscatter"][[0, 2]]).all()
 
     def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        # Without noise the steady state is V = 0, which is not positive definite.
-        self._failing_at(
-            monkeypatch,
-            0.05,
-            lambda m: LinearLangevinModel(m.drift, 0 * m.diffusion, m.mode_labels),
+        # Undamped baths inject no noise: the steady state is V = 0, which is
+        # not positive definite.
+        real = oe._baths
+        monkeypatch.setattr(
+            oe, "_baths", lambda p: [dataclasses.replace(b, damping=0.0) for b in real(p)]
         )
         assert main(["run", str(self._config(tmp_path))]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "PhysicalityError: grid point 1 (0.05): "
-            "state invariant violated: cov is not positive definite"
+            "PhysicalityError: stack member 0: state invariant violated: "
+            "cov is not positive definite"
         )
 
-    def test_one_converter_solve_per_point(self, tmp_path, monkeypatch):
+    def test_one_operating_point_per_grid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         monkeypatch.setattr(oe, "threshold_temperature", lambda *args, **kwargs: None)
         calls = []
-        real = oe.build_model
+        real = oe.operating_point
 
         def counting(params):
-            calls.append(params.temperature)
+            calls.append(params)
             return real(params)
 
-        monkeypatch.setattr(oe, "build_model", counting)
+        monkeypatch.setattr(oe, "operating_point", counting)
         assert main(["run", str(self._config(tmp_path))]) == 0
-        assert calls == self.GRID
+        assert len(calls) == 1
+        rows = read_csv(tmp_path / "out" / "oe_end_to_end.csv")
+        assert rows["stable"].tolist() == [1, 1, 1]
+        assert np.isfinite(rows["two_eta_backscatter"]).all()
 
 
 class TestConverterOverrides:

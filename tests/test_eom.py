@@ -132,9 +132,14 @@ class TestEntanglementReport:
 
 class TestSweep:
     def test_singleton_matches_report(self, reference):
+        # The grid weighs one Lyapunov basis, the report solves at 0.05 K:
+        # the two agree to rounding, not bit for bit.
         points = sweep(reference, "temperature", [0.05])
         direct = entanglement_report(dataclasses.replace(reference, temperature=0.05))
-        assert points[0].reports["oc_mc"].lambda_sph == direct["oc_mc"].lambda_sph
+        for pair in PAIR_NAMES:
+            assert points[0].reports[pair].lambda_sph == pytest.approx(
+                direct[pair].lambda_sph, rel=1e-12, abs=0.0
+            ), pair
 
     def test_stacked_points_match_reports(self, reference):
         # delta_w = -8e6 rad/s is unstable (max Re ~3e4) between stable points.

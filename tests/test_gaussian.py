@@ -127,7 +127,7 @@ class TestCovarianceRules:
         with pytest.raises(ValidationError, match="symmetric"):
             build(rejected)
 
-    @settings(max_examples=100, derandomize=True)
+    @settings(max_examples=100)
     @given(symmetric_matrices(), st.sampled_from([0.0, 1e-9, 1e-6, 0.1]))
     def test_is_physical_iff_validate_physical_passes(self, cov, tol):
         state = GaussianState(len(cov) // 2, np.zeros(len(cov)), cov)
@@ -190,7 +190,7 @@ class TestEntropy:
             pure = all(abs(nu - 0.5) <= 1e-9 for nu in symplectic_eigenvalues(state))
             assert (s == 0.0) == pure
 
-    @settings(max_examples=100, derandomize=True)
+    @settings(max_examples=100)
     @given(st.floats(min_value=0.5, max_value=1e6))
     def test_entropy_term_nonnegative(self, x):
         assert entropy_term(x) >= 0.0

@@ -71,7 +71,7 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError, match="temperature must be finite"):
             thermal_occupation(1e9, temperature)
 
-    @settings(max_examples=100, derandomize=True)
+    @settings(max_examples=100)
     @given(
         st.floats(min_value=1e3, max_value=1e15),
         st.floats(min_value=0.0, max_value=400.0),

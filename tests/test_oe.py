@@ -215,17 +215,18 @@ class TestEndToEnd:
         assert end_to_end_report(hot, atmosphere, target).two_eta >= 1.0
 
     def test_two_eta_pair_matches_the_reports(self, reference):
-        # Each grid point's pair equals the single-point reports there.
+        # Each grid point's pair equals the single-point reports there, to
+        # rounding: the grid weighs one Lyapunov basis, a report solves anew.
         atmosphere = channel_preset("fig10_atmosphere")
         target = channel_preset("fig10_target")
         grid = [0.01, reference.temperature, 0.2]
-        pairs = end_to_end_vs_temperature(reference, atmosphere, target, grid)
-        for temperature, pair in zip(grid, pairs, strict=True):
+        direct, returned = end_to_end_vs_temperature(reference, atmosphere, target, grid)
+        for temperature, pair in zip(grid, zip(direct, returned), strict=True):
             params = dataclasses.replace(reference, temperature=temperature)
-            assert pair == (
+            assert pair == pytest.approx((
                 direct_report(params).two_eta,
                 end_to_end_report(params, atmosphere, target).two_eta,
-            )
+            ), rel=1e-12, abs=0.0)
 
     def test_cross_module_consistency_with_manual_channel(self, reference):
         # Applying the composed round-trip channel by hand reproduces the

@@ -68,7 +68,7 @@ def assert_matches_oracle(x, y, flag):
     assert written(columns) == oracle_csv(columns, zip(x, y, flag))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(floats, floats, st.booleans()), max_size=40))
 def test_random_bit_patterns_match_oracle(rows):
     x, y, flag = ([row[i] for row in rows] for i in range(3))

@@ -179,7 +179,7 @@ def assert_grid_matches_points(build, grid):
 class TestGridMatchesPoints:
     """The stacked grid step and the single-point path stay the same gate."""
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_eom_grid(self, data):
         axis = data.draw(st.sampled_from(sorted(_EOM_AXES)))
@@ -193,7 +193,7 @@ class TestGridMatchesPoints:
 
         assert_grid_matches_points(build, grid)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.lists(_OE_DETUNINGS, min_size=1, max_size=6))
     def test_oe_detuning_grid(self, grid):
         base = oe_reference()
