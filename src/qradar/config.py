@@ -7,7 +7,9 @@ strict: unknown keys are rejected (with a nearest-key suggestion) and every
 validation error is collected, not just the first, one per key.  One walker
 checks every table, the top level included, against its schema; the
 ``parameters`` table is checked against its kind's schema once ``kind`` is
-valid.  Numbers and grid values must be finite, and grids ascending.
+valid.  Numbers and grid values must be finite, and grids ascending; a
+grid's values meet the rule of the field it sweeps (an ``eom_sweep`` grid,
+the rule of its axis).
 A ``parallelism`` key (an integer >= 1) is still accepted so that older
 configs run, but it is neither kept nor hashed: every scenario runs serially.
 """
@@ -42,8 +44,8 @@ def _num(required=False, default=None, minimum=None, maximum=None, exclusive_min
     return FieldSpec("number", required, default, minimum, maximum, exclusive_minimum)
 
 
-def _grid():
-    return FieldSpec("grid", required=True)
+def _grid(minimum=None, exclusive_minimum=None):
+    return FieldSpec("grid", required=True, minimum=minimum, exclusive_minimum=exclusive_minimum)
 
 
 # Converter overrides: each key is an EomParams/OeParams field plus its unit
@@ -82,14 +84,17 @@ _OE_OVERRIDES = {
     "omega_eg_rad_s": _num(exclusive_minimum=0.0),
 }
 
+# The rule each eom_sweep axis's grid values meet: that of the field it sweeps.
+_EOM_AXES = {
+    "temperature_k": _EOM_OVERRIDES["temperature_k"],
+    "wavelength_m": _num(exclusive_minimum=0.0),
+    "gamma_m_rad_s": _EOM_OVERRIDES["gamma_m_rad_s"],
+}
+
 PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "eom_sweep": {
-        "axis": FieldSpec(
-            "string",
-            required=True,
-            choices=("temperature_k", "wavelength_m", "gamma_m_rad_s"),
-        ),
-        "grid": _grid(),
+        "axis": FieldSpec("string", required=True, choices=tuple(_EOM_AXES)),
+        "grid": _grid(),  # checked against its axis's rule in validate_config
         "eom": FieldSpec("table", table=_EOM_OVERRIDES),
     },
     "oe_sweep": {
@@ -97,7 +102,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "oe": FieldSpec("table", table=_OE_OVERRIDES),
     },
     "oe_end_to_end": {
-        "temperature_grid_k": _grid(),
+        "temperature_grid_k": _grid(minimum=0.0),
         "kappa_atm_per_m": _num(default=2e-6, minimum=0.0),
         "distance_m": _num(default=20.0, minimum=0.0),
         "kappa_t_per_m": _num(default=18.2, minimum=0.0),
@@ -195,12 +200,7 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
         if value is None:
             errors.append(f"{path}: must be finite")
             return None
-        if spec.minimum is not None and value < spec.minimum:
-            errors.append(f"{path}: must be >= {spec.minimum}, got {value}")
-        if spec.exclusive_minimum is not None and value <= spec.exclusive_minimum:
-            errors.append(f"{path}: must be > {spec.exclusive_minimum}, got {value}")
-        if spec.maximum is not None and value > spec.maximum:
-            errors.append(f"{path}: must be <= {spec.maximum}, got {value}")
+        _check_bounds(path, spec, value, errors)
         return value
     if spec.kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -237,8 +237,27 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
             out.append(v)
         if sorted(out) != out:
             errors.append(f"{path}: grid values must be ascending")
+        _check_grid_bounds(path, spec, out, errors)
         return out
     raise AssertionError(f"unhandled spec kind {spec.kind}")
+
+
+def _check_bounds(path: str, spec: FieldSpec, value: float, errors: list) -> None:
+    if spec.minimum is not None and value < spec.minimum:
+        errors.append(f"{path}: must be >= {spec.minimum}, got {value}")
+    if spec.exclusive_minimum is not None and value <= spec.exclusive_minimum:
+        errors.append(f"{path}: must be > {spec.exclusive_minimum}, got {value}")
+    if spec.maximum is not None and value > spec.maximum:
+        errors.append(f"{path}: must be <= {spec.maximum}, got {value}")
+
+
+def _check_grid_bounds(path: str, spec: FieldSpec, grid: list, errors: list) -> None:
+    """The errors of the first value of a finite ``grid`` out of ``spec``'s bounds."""
+    for i, value in enumerate(grid):
+        found = len(errors)
+        _check_bounds(f"{path}[{i}]", spec, value, errors)
+        if len(errors) > found:
+            return
 
 
 def _check_table(path: str, schema: dict, obj, errors: list) -> dict:
@@ -283,6 +302,9 @@ def validate_config(obj) -> ScenarioConfig:
         schema = {**_TOP_LEVEL, "parameters": parameters}
     errors: list[str] = []
     top = _check_table("", schema, obj, errors)
+    parameters = top.get("parameters", {})
+    if kind == "eom_sweep" and parameters.get("axis") in _EOM_AXES and "grid" in parameters:
+        _check_grid_bounds("parameters.grid", _EOM_AXES[parameters["axis"]], parameters["grid"], errors)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(

@@ -132,12 +132,22 @@ def _check_physical(cov: np.ndarray) -> None:
     GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(_PHYSICAL_TOL)
 
 
-def _physical(covs: np.ndarray) -> np.ndarray:
+def _physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
     """The structural rule and the physical rule to 1e-6 on a converter steady
     state or a stack of them, as :func:`_check_physical` applies them to one,
-    without building a state.  Returns it symmetrised."""
-    covs = _symmetrised(covs)
-    _physical_spectra(covs, _PHYSICAL_TOL)
+    without building a state.  Returns it symmetrised.  On a stack, ``name``
+    maps a member's index to the prefix naming it in the error."""
+    try:
+        covs = _symmetrised(covs)
+        _physical_spectra(covs, _PHYSICAL_TOL)
+    except ValidationError:
+        if name is not None:
+            for i, cov in enumerate(covs):  # name the first failing member
+                try:
+                    _physical(cov)
+                except ValidationError as exc:
+                    raise type(exc)(f"{name(i)}: {exc}") from exc
+        raise
     return covs
 
 
@@ -171,18 +181,19 @@ def _thermal_steady_state(
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
-    stacked solve, each held to the residual rule) are settled once; a stack
-    of temperatures is then held, as :func:`steady_state` holds a solve, to
-    the residual rule against D(T) (naming the first temperature that fails
-    it), then to the structural and physical (1e-6) rules, and returned
-    symmetrised.  A pair sliced from it needs only its own physical rule.
+    solve on one Schur form of the drift, each held to the residual rule) are
+    settled once; a stack of temperatures is then held, as
+    :func:`steady_state` holds a solve, to the residual rule against D(T),
+    then to the structural and physical (1e-6) rules, naming the first
+    temperature that fails either, and returned symmetrised.  A pair sliced
+    from it needs only its own physical rule.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
     # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
-    v_basis, caught = _solve_lyapunov(np.broadcast_to(drift, d_basis.shape), d_basis)
+    v_basis, caught = _solve_lyapunov(drift, d_basis)
     _check_residual(drift, d_basis, v_basis, caught)
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = v_basis.reshape(len(baths), -1)
@@ -191,6 +202,6 @@ def _thermal_steady_state(
         weights = _thermal_weights(baths, temperatures)
         covs = (weights @ v_basis).reshape(-1, *cold.shape)
         _check_residual(drift, (weights @ d_basis).reshape(covs.shape), covs, (), temperatures)
-        return _physical(covs)
+        return _physical(covs, lambda i: f"temperature {temperatures[i]!r} K")
 
     return at

@@ -1,10 +1,17 @@
 """Linear quantum Langevin machinery shared by the converter models.
 
 Assembles drift/diffusion matrices from bath specifications, decides
-stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 with
-scipy's Bartels-Stewart solver behind a residual gate, and propagates
-transient covariances.  The stability test, the solve and the residual gate
-each work over one model or a stack of drifts alike.
+stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
+Bartels-Stewart behind a residual gate, and propagates transient covariances.
+The stability test, the solve and the residual gate each work over one model
+or a stack of drifts alike.
+
+The solve calls LAPACK directly: ``dgees`` for the real Schur form of the
+drift, once per distinct drift, and ``dtrsyl`` for each diffusion, in the
+operation order of scipy.linalg's continuous Lyapunov solver, so the result
+is bit-identical to it.  That wrapper's own overhead (a second ``gees`` call
+per solve to size the workspace, finiteness checks of validated inputs, n-d
+batching) costs about three times the two LAPACK calls on a 6x6 model.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
 a lone cavity block gets D = kappa (2 N + 1) I and relaxes to variance
@@ -14,13 +21,15 @@ its own input-output relation and builds its diffusion directly.)
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy import constants, linalg
+from scipy import constants
+from scipy.linalg import lapack
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError
 from .gaussian import _asymmetric
@@ -151,11 +160,13 @@ def is_stable(model: LinearLangevinModel) -> Stability:
 def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
     """Unique steady-state covariance of a stable model.
 
-    Solves A V + V A^T + D = 0 with scipy's ``solve_continuous_lyapunov``
-    (Bartels-Stewart) and raises :class:`StiffnessError` when the residual
-    exceeds 1e-9 ||D||_inf.  The residual gate, not a solver warning, decides:
-    warnings raised by the solve are kept out of the caller's warning stream
-    and quoted in the :class:`StiffnessError` message.
+    Solves A V + V A^T + D = 0 by Bartels-Stewart with LAPACK ``dgees`` (real
+    Schur form of A) and ``dtrsyl`` (the quasi-triangular Sylvester equation),
+    called directly to skip scipy's wrapper overhead, and raises
+    :class:`StiffnessError` when the Schur form is not found or the residual
+    is not finite or exceeds 1e-9 ||D||_inf.  The residual gate, not a solver
+    warning, decides: warnings raised by the solve are kept out of the
+    caller's warning stream and quoted in the :class:`StiffnessError` message.
     """
     stable, max_re = is_stable(model)
     if not stable:
@@ -169,26 +180,65 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
 
 
 def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray):
-    """The symmetrised solution V of A V + V A^T + D = 0 for one (d, d) pair
-    or each member of (n, d, d) stacks, and the warnings the solves raised,
-    kept out of the caller's warning stream."""
+    """The symmetrised solution V of A V + V A^T + D = 0 for each (A, D) pair
+    of (n, d, d) stacks, or for one (d, d) drift and one (d, d) diffusion or
+    each of an (n, d, d) stack (the drift factored once), and the warnings the
+    solves raised, kept out of the caller's warning stream."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if drifts.ndim == 2:
-            v = linalg.solve_continuous_lyapunov(drifts, -diffusions)
+            v = _bartels_stewart(drifts, diffusions)
         else:
-            v = [linalg.solve_continuous_lyapunov(a, -d) for a, d in zip(drifts, diffusions)]
-            v = np.array(v).reshape(drifts.shape)
+            v = [_bartels_stewart(a, d) for a, d in zip(drifts, diffusions)]
+            v = np.array(v).reshape(diffusions.shape)  # (0, d, d) for an empty stack
     return 0.5 * (v + v.mT), caught
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """The optimal ``dgees`` workspace for an n x n matrix (one LAPACK query;
+    it depends on n only)."""
+    return int(lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _no_sort(wr, wi):  # dgees requires a select callback; sort_t=0 never calls it
+    return 0
+
+
+def _bartels_stewart(drift: np.ndarray, diffusions: np.ndarray) -> np.ndarray:
+    """scipy.linalg's Lyapunov solution for (drift, -D), step for step, for a
+    (d, d) diffusion D or each member of an (n, d, d) stack, with one real
+    Schur factorization A = U T U^T of the drift."""
+    t, _, _, _, u, _, info = lapack.dgees(_no_sort, drift, lwork=_gees_lwork(len(drift)))
+    if info > 0:  # a NaN solution, which the residual gate rejects, quoting this warning
+        warnings.warn(f"no real Schur form of the drift (LAPACK dgees info {info})", RuntimeWarning)
+        return np.full(diffusions.shape, np.nan)
+    if diffusions.ndim == 2:
+        return _schur_solve(t, u, diffusions)
+    return np.array([_schur_solve(t, u, d) for d in diffusions])
+
+
+def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """V = U Y U^T with T Y + Y T^T = U^T (-D) U (``dtrsyl``), warning as scipy
+    does when it had to perturb T."""
+    y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
+    if info == 1:
+        warnings.warn(
+            'Input "a" has an eigenvalue pair whose sum is very close to or exactly '
+            "zero. The solution is obtained via perturbing the coefficients.",
+            RuntimeWarning,
+        )
+    y *= scale
+    return u.dot(y).dot(u.T)
 
 
 def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     """The steady-state rule over (..., d, d) stacks: per member, the residual
-    ||A V + V A^T + D||_inf and whether it is within 1e-9 ||D||_inf (always,
-    when D = 0)."""
+    ||A V + V A^T + D||_inf and whether it is within 1e-9 ||D||_inf (when
+    D = 0, whether it is finite; a NaN residual is never within)."""
     d_scale = np.abs(diffusions).max(axis=(-2, -1))
     residual = np.abs(drifts @ v + v @ drifts.mT + diffusions).max(axis=(-2, -1))
-    return residual, ~((d_scale > 0) & (residual > 1e-9 * d_scale))
+    return residual, (residual <= 1e-9 * d_scale) | ((d_scale == 0) & np.isfinite(residual))
 
 
 def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
@@ -200,7 +250,7 @@ def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
         at = "" if temperatures is None else f" at temperature {temperatures[i]!r} K"
         solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
-            f"Lyapunov residual {np.ravel(residual)[i]:.3e} exceeds 1e-9 * ||D||_inf{at} "
+            f"Lyapunov residual {np.ravel(residual)[i]:.3e} is not within 1e-9 * ||D||_inf{at} "
             f"(severely ill-conditioned drift){solver_said}"
         )
 

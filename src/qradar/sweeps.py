@@ -58,15 +58,7 @@ def run_grid(
     covs = _solve_lyapunov(drifts, diffusions)[0]
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
-    try:
-        _physical(covs)
-    except ValidationError:
-        for i, cov in zip(index, covs):  # name the first failing point
-            try:
-                _physical(cov)
-            except ValidationError as exc:
-                raise type(exc)(f"grid point {i} ({grid[i]!r}): {exc}") from exc
-        raise
+    _physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r})")
     for i, cov in zip(index, covs):
         out[i] = cov
     return out

@@ -1,5 +1,6 @@
-"""Shared test helpers: random symplectics and random physical states; and
-the Hypothesis profile every property runs under."""
+"""Shared test helpers: random symplectics and random physical states, a
+damped oscillator model; and the Hypothesis profile every property runs
+under."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import settings
 from scipy.linalg import expm
 
 from qradar.gaussian import GaussianState, symplectic_form
+from qradar.langevin import LinearLangevinModel
 
 # Every property, present or future, draws the same examples on every run;
 # each still sets its own max_examples (and deadline, where it needs one).
@@ -40,6 +42,13 @@ def tmsv_cov(r: float) -> np.ndarray:
     c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
     sz = np.diag([1.0, -1.0])
     return 0.5 * np.block([[c2 * np.eye(2), s2 * sz], [s2 * sz, c2 * np.eye(2)]])
+
+
+def damped(v: float) -> LinearLangevinModel:
+    """A damped oscillator rotating at ``v`` whose steady state is (|v| + 1/2) I."""
+    return LinearLangevinModel(
+        np.array([[-1.0, v], [-v, -1.0]]), (2.0 * abs(v) + 1.0) * np.eye(2), ("a",)
+    )
 
 
 @pytest.fixture

@@ -216,6 +216,41 @@ class TestCliCommands:
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "parameters, error",
+        [
+            (
+                {"temperature_grid_k": [-0.1, 0.1]},
+                "parameters.temperature_grid_k[0]: must be >= 0.0, got -0.1",
+            ),
+            (
+                {"axis": "temperature_k", "grid": [-0.1, 0.1]},
+                "parameters.grid[0]: must be >= 0.0, got -0.1",
+            ),
+            (
+                {"axis": "gamma_m_rad_s", "grid": [-5, 10]},
+                "parameters.grid[0]: must be >= 0.0, got -5.0",
+            ),
+            (
+                {"axis": "wavelength_m", "grid": [-1e-6, 1e-6]},
+                "parameters.grid[0]: must be > 0.0, got -1e-06",
+            ),
+        ],
+        ids=["oe_end_to_end_temperature", "eom_temperature", "eom_gamma_m", "eom_wavelength"],
+    )
+    def test_grid_outside_its_field_rule_exits_1_without_artifacts(
+        self, parameters, error, tmp_path, monkeypatch, capsys
+    ):
+        # A grid value outside its field's rule is a config error: exit 1
+        # before any artifact is written, not a failure in the model (exit 2).
+        kind = "oe_end_to_end" if "temperature_grid_k" in parameters else "eom_sweep"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(path)]) == 1
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/cfg.json"]) == 1
 
@@ -276,7 +311,7 @@ class TestOeEndToEndFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "PhysicalityError: stack member 0: state invariant violated: "
+            "PhysicalityError: temperature 0.01 K: state invariant violated: "
             "cov is not positive definite"
         )
 

@@ -361,7 +361,7 @@ class TestTemperatureGrids:
             return solve_point(params)
 
         def counted_lyapunov(drifts, diffusions):
-            solves.append(len(drifts))
+            solves.append(len(diffusions))
             return solve_lyapunov(drifts, diffusions)
 
         monkeypatch.setattr(model, "operating_point", counted_point)

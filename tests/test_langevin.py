@@ -1,5 +1,6 @@
 """Langevin machinery: thermal occupations, diffusion assembly, stability,
-the Lyapunov steady state, and transient propagation."""
+the Lyapunov steady state (the LAPACK Bartels-Stewart kernel, bit-equal to
+scipy's solver, and the residual gate around it), and transient propagation."""
 
 import math
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import constants
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import lapack, solve_continuous_lyapunov
 
-from qradar.errors import NoSteadyStateError, ValidationError
+from conftest import damped
+from qradar import converter, eom, langevin, sweeps
+from qradar.errors import NoSteadyStateError, StiffnessError, ValidationError
 from qradar.gaussian import GaussianState
 from qradar.langevin import (
     BathSpec,
@@ -21,6 +25,7 @@ from qradar.langevin import (
     steady_state_cov,
     thermal_occupation,
 )
+from qradar.presets import eom_reference
 
 
 def random_stable_model(rng, dim=6):
@@ -166,6 +171,118 @@ class TestSteadyState:
         with pytest.raises(NoSteadyStateError) as err:
             steady_state_cov(m)
         assert err.value.eigenvalue == pytest.approx(1.0)
+
+
+@st.composite
+def _hurwitz(draw, dim):
+    """A random drift shifted left until every eigenvalue has Re <= -margin."""
+    a = draw(arrays(np.float64, (dim, dim), elements=st.floats(-1.0, 1.0)))
+    margin = draw(st.floats(0.01, 2.0))
+    return a - (max(float(np.linalg.eigvals(a).real.max()), 0.0) + margin) * np.eye(dim)
+
+
+@st.composite
+def _psd(draw, dim, max_rank):
+    """B B^T for a random dim x rank B, rank <= max_rank: singular below dim."""
+    rank = draw(st.integers(1, max_rank))
+    b = draw(arrays(np.float64, (dim, rank), elements=st.floats(-2.0, 2.0)))
+    return b @ b.T
+
+
+@st.composite
+def _lyapunov_inputs(draw):
+    """(drifts, diffusions) as a single pair, a stack of pairs, or one drift
+    shared by a stack of singular diffusions (a per-bath basis)."""
+    dim = draw(st.sampled_from([2, 4, 6]))
+    layout = draw(st.sampled_from(["single", "stack", "shared"]))
+    if layout == "single":
+        return draw(_hurwitz(dim)), draw(_psd(dim, dim))
+    n = draw(st.integers(1, 4))
+    if layout == "stack":
+        drifts = np.array([draw(_hurwitz(dim)) for _ in range(n)])
+        return drifts, np.array([draw(_psd(dim, dim)) for _ in range(n)])
+    return draw(_hurwitz(dim)), np.array([draw(_psd(dim, dim - 1)) for _ in range(n)])
+
+
+def _scipy_solution(drift, diffusion):
+    v = solve_continuous_lyapunov(drift, -diffusion)
+    return 0.5 * (v + v.T)
+
+
+class TestLyapunovKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_lyapunov_inputs())
+    def test_bit_equal_to_scipy(self, inputs):
+        drifts, diffusions = inputs
+        v, caught = langevin._solve_lyapunov(drifts, diffusions)
+        if drifts.ndim == 3:
+            expected = [_scipy_solution(a, d) for a, d in zip(drifts, diffusions)]
+        elif diffusions.ndim == 3:
+            expected = [_scipy_solution(drifts, d) for d in diffusions]
+        else:
+            expected = _scipy_solution(drifts, diffusions)
+        assert np.array_equal(v, np.array(expected))
+        assert not caught
+
+    def test_one_factorization_per_distinct_drift(self, monkeypatch):
+        factored, real = [], lapack.dgees
+
+        def counting(select, a, lwork):
+            if lwork != -1:  # a workspace query factors nothing
+                factored.append(a)
+            return real(select, a, lwork=lwork)
+
+        drift, baths = _reference_basis_inputs()
+        monkeypatch.setattr(lapack, "dgees", counting)
+        converter._thermal_steady_state(drift, baths)
+        assert len(factored) == 1  # three baths, one Schur form
+
+        del factored[:]
+        grid = [0.5, 1.0, 1.5, 2.0, 2.5]
+        covs = sweeps.run_grid(damped, grid)
+        assert all(cov is not None for cov in covs)
+        assert len(factored) == len(grid)
+
+    def test_non_finite_residual_fails_the_gate(self):
+        # A NaN residual compares False with any bound; it must still fail.
+        with pytest.raises(StiffnessError, match="residual nan"):
+            langevin._check_residual(-np.eye(2), np.eye(2), np.full((2, 2), math.nan))
+        with pytest.raises(StiffnessError, match="residual nan"):  # and when D = 0
+            langevin._check_residual(-np.eye(2), np.zeros((2, 2)), np.full((2, 2), math.nan))
+
+    def test_non_finite_solution_rejected_on_every_path(self, monkeypatch):
+        def nan_solve(drifts, diffusions):
+            return np.full(np.broadcast_shapes(drifts.shape, diffusions.shape), math.nan), []
+
+        for module in (langevin, converter, sweeps):
+            monkeypatch.setattr(module, "_solve_lyapunov", nan_solve)
+        with pytest.raises(StiffnessError, match="residual nan"):
+            steady_state_cov(damped(1.0))
+        with pytest.raises(StiffnessError, match="residual nan"):
+            converter._thermal_steady_state(*_reference_basis_inputs())
+        assert sweeps.run_grid(damped, [1.0, 2.0]) == [None, None]
+
+    def test_schur_failure_is_a_stiffness_error(self, monkeypatch):
+        # dgees info > 0: the QR algorithm failed to find the Schur form.
+        real = lapack.dgees
+        failing = damped(2.0).drift
+
+        def fails_on_one_drift(select, a, lwork):
+            out = real(select, a, lwork=lwork)
+            return (*out[:-1], 3) if lwork != -1 and np.array_equal(a, failing) else out
+
+        monkeypatch.setattr(lapack, "dgees", fails_on_one_drift)
+        with pytest.raises(StiffnessError, match=r"residual nan .*LAPACK dgees info 3\)"):
+            steady_state_cov(damped(2.0))
+        covs = sweeps.run_grid(damped, [1.0, 2.0, 3.0])
+        assert covs[1] is None
+        assert np.array_equal(covs[0], steady_state_cov(damped(1.0)))
+
+
+def _reference_basis_inputs():
+    """The EOM reference drift and its three baths."""
+    params = eom_reference()
+    return eom.drift_matrix(params, eom.operating_point(params)), eom._baths(params)
 
 
 class TestPropagation:

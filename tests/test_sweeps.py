@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import damped
 from qradar import eom, oe
 from qradar.converter import steady_state
 from qradar.errors import (
@@ -73,13 +74,6 @@ class TestBisectThreshold:
         bisect_threshold(fn, lo=0.0, hi=8.0, resolution=1e-3)
         assert calls
         assert set(calls.values()) == {1}
-
-
-def damped(v: float) -> LinearLangevinModel:
-    """A damped oscillator rotating at ``v`` whose steady state is (|v| + 1/2) I."""
-    return LinearLangevinModel(
-        np.array([[-1.0, v], [-v, -1.0]]), (2.0 * abs(v) + 1.0) * np.eye(2), ("a",)
-    )
 
 
 # Drifts that fail in each way a grid marks a point from its model.
