@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Report which preset artifacts change bytes between a base revision and the
 # working tree.  Every shipped preset runs through the CLI, each run in a
-# fresh process, once in a worktree of the base revision and once in this
-# checkout; `diff -rq` then names each file that differs.  For each CSV or
+# fresh process, once on the base revision's src/ and once on this
+# checkout's; `diff -rq` then names each file that differs.  For each CSV or
 # JSON file that differs, it also prints the largest relative change
 # |a - b| / max(|a|, |b|) over the numeric CSV cells or JSON numbers present
 # at both revisions, and where it falls; for JSON, also the flattened keys
@@ -16,8 +16,11 @@ set -euo pipefail
 base=${1:?usage: artifact-delta.sh <base-revision>}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-trap 'git -C "$root" worktree remove --force "$work/base-checkout" 2>/dev/null || true; rm -rf "$work"' EXIT
-git -C "$root" worktree add --detach --quiet "$work/base-checkout" "$base"
+trap 'rm -rf "$work"' EXIT
+# The base revision's src/ only, extracted with git archive: nothing is
+# written into the checkout's .git.
+mkdir "$work/base-checkout"
+git -C "$root" archive "$base" src | tar -x -C "$work/base-checkout"
 
 run_presets() {  # <checkout> <output directory>
   local src=$1/src out=$2 preset

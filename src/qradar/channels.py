@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .converter import _require_finite
+from .converter import _param, _require_valid
 from .errors import ConvergenceError, UndefinedQuantityError, ValidationError
 from .gaussian import _asymmetric
 
@@ -156,21 +156,17 @@ class ThermalProfile:
     ``n_out`` / ``mu_out``.
     """
 
-    n_in: float
-    n_out: float
-    mu_in: float
-    mu_out: float
-    l0: float
-    length: float
+    n_in: float = _param(sign="non-negative")
+    n_out: float = _param(sign="non-negative")
+    mu_in: float = _param(sign="non-negative")
+    mu_out: float = _param(sign="non-negative")
+    l0: float = _param(sign="non-negative")
+    length: float = _param(sign="positive")
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.n_in < 0 or self.n_out < 0:
-            raise ValidationError("thermal occupations must be non-negative")
-        if self.mu_in < 0 or self.mu_out < 0:
-            raise ValidationError("absorption coefficients must be non-negative")
-        if not (0.0 <= self.l0 <= self.length) or self.length <= 0:
-            raise ValidationError("profile lengths must satisfy 0 <= l0 <= length, length > 0")
+        _require_valid(self)
+        if self.l0 > self.length:
+            raise ValidationError("l0 must not exceed length")
 
     def occupation_at(self, x: np.ndarray) -> np.ndarray:
         return np.where(x < self.l0, self.n_in, self.n_out)

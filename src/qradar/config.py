@@ -8,8 +8,10 @@ validation error is collected, not just the first, one per key.  One walker
 checks every table, the top level included, against its schema; the
 ``parameters`` table is checked against its kind's schema once ``kind`` is
 valid.  Numbers and grid values must be finite, and grids ascending; a
-grid's values meet the rule of the field it sweeps (an ``eom_sweep`` grid,
-the rule of its axis).
+grid's values meet the rule of the model they feed (an ``eom_sweep`` grid,
+that of its axis's field; ``l0_grid_m``, ``ThermalProfile.l0``'s and <=
+``length_m``; ``g_values`` [0, 0.5) and ``pump_fraction_grid`` (-1, 1), below
+threshold).  Field rules come from the params' declarations (qradar.converter._param).
 A ``parallelism`` key (an integer >= 1) is still accepted so that older
 configs run, but it is neither kept nor hashed: every scenario runs serially.
 """
@@ -19,10 +21,13 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
+from .channels import ThermalProfile
+from .eom import EomParams
 from .errors import ConfigError
+from .oe import OeParams
 
 __all__ = ["ScenarioConfig", "FieldSpec", "KINDS", "parse_config", "validate_config"]
 
@@ -36,58 +41,42 @@ class FieldSpec:
     minimum: float | None = None
     maximum: float | None = None
     exclusive_minimum: float | None = None
+    exclusive_maximum: float | None = None
     choices: tuple | None = None
     table: dict | None = None      # nested schema for kind == "table"; None: unchecked
 
 
-def _num(required=False, default=None, minimum=None, maximum=None, exclusive_minimum=None):
-    return FieldSpec("number", required, default, minimum, maximum, exclusive_minimum)
+def _num(required=False, default=None, **bounds):
+    return FieldSpec("number", required, default, **bounds)
 
 
-def _grid(minimum=None, exclusive_minimum=None):
-    return FieldSpec("grid", required=True, minimum=minimum, exclusive_minimum=exclusive_minimum)
+def _grid(**bounds):
+    return FieldSpec("grid", required=True, **bounds)
 
 
-# Converter overrides: each key is an EomParams/OeParams field plus its unit
-# suffix, and qradar.cli derives the field by dropping the suffix.
-_EOM_OVERRIDES = {
-    "omega_c_rad_s": _num(exclusive_minimum=0.0),
-    "omega_m_rad_s": _num(exclusive_minimum=0.0),
-    "omega_w_rad_s": _num(exclusive_minimum=0.0),
-    "kappa_c_rad_s": _num(minimum=0.0),
-    "gamma_m_rad_s": _num(minimum=0.0),
-    "kappa_w_rad_s": _num(minimum=0.0),
-    "delta_c_rad_s": _num(),
-    "delta_w_rad_s": _num(),
-    "g1_rad_s": _num(minimum=0.0),
-    "g2_dimensionless": _num(minimum=0.0),
-    "e_c_rad_s": _num(minimum=0.0),
-    "e_w_rad_s": _num(minimum=0.0),
-    "temperature_k": _num(minimum=0.0),
-}
+def _rule(cls, name: str) -> dict:
+    """The bounds of the sign rule declared on a params field (qradar.converter._param)."""
+    sign = next(f for f in fields(cls) if f.name == name).metadata.get("sign")
+    return {"positive": {"exclusive_minimum": 0.0}, "non-negative": {"minimum": 0.0}}.get(sign, {})
 
-_OE_OVERRIDES = {
-    "delta_c_rad_s": _num(),
-    "delta_w_rad_s": _num(),
-    "delta_eg_rad_s": _num(),
-    "kappa_c_rad_s": _num(minimum=0.0),
-    "kappa_w_rad_s": _num(minimum=0.0),
-    "gamma_p_rad_s": _num(minimum=0.0),
-    "g_op_rad_s": _num(minimum=0.0),
-    "g_wp_rad_s": _num(minimum=0.0),
-    "mu_c_dimensionless": _num(minimum=0.0),
-    "temperature_k": _num(minimum=0.0),
-    "e_c_rad_s": _num(minimum=0.0),
-    "e_w_rad_s": _num(minimum=0.0),
-    "omega_c_rad_s": _num(exclusive_minimum=0.0),
-    "omega_w_rad_s": _num(exclusive_minimum=0.0),
-    "omega_eg_rad_s": _num(exclusive_minimum=0.0),
-}
+
+def _overrides(cls) -> dict[str, FieldSpec]:
+    """A converter's overrides: one key per field with a unit, the field plus
+    its unit suffix (qradar.cli derives the field by dropping the suffix),
+    bounded by the field's sign rule."""
+    return {
+        f"{f.name}_{f.metadata['unit']}": _num(**_rule(cls, f.name))
+        for f in fields(cls) if f.metadata.get("unit")
+    }
+
+
+_EOM_OVERRIDES = _overrides(EomParams)
+_OE_OVERRIDES = _overrides(OeParams)
 
 # The rule each eom_sweep axis's grid values meet: that of the field it sweeps.
 _EOM_AXES = {
     "temperature_k": _EOM_OVERRIDES["temperature_k"],
-    "wavelength_m": _num(exclusive_minimum=0.0),
+    "wavelength_m": _num(**_rule(EomParams, "lambda_l")),
     "gamma_m_rad_s": _EOM_OVERRIDES["gamma_m_rad_s"],
 }
 
@@ -102,7 +91,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "oe": FieldSpec("table", table=_OE_OVERRIDES),
     },
     "oe_end_to_end": {
-        "temperature_grid_k": _grid(minimum=0.0),
+        "temperature_grid_k": _grid(**_rule(OeParams, "temperature")),
         "kappa_atm_per_m": _num(default=2e-6, minimum=0.0),
         "distance_m": _num(default=20.0, minimum=0.0),
         "kappa_t_per_m": _num(default=18.2, minimum=0.0),
@@ -118,20 +107,21 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "epsilon_rad_s": _num(default=1.8e6, minimum=0.0),
         "omega_p_rad_s": _num(exclusive_minimum=0.0),
         "omega_grid_rad_s": _grid(),
-        "pump_fraction_grid": _grid(),
+        # |lambda1| = f kappa/2 must stay below threshold kappa/2.
+        "pump_fraction_grid": _grid(exclusive_minimum=-1.0, exclusive_maximum=1.0),
     },
     "jpa_wigner": {
-        "g_values": _grid(),
+        "g_values": _grid(minimum=0.0, exclusive_maximum=0.5),  # jpa.intracavity_cov's domain
         "grid_points_per_axis": FieldSpec("integer", default=101, minimum=11),
         "grid_half_width": _num(exclusive_minimum=0.0),
     },
     "channel_neff": {
-        "n_in": _num(required=True, minimum=0.0),
-        "n_out": _num(required=True, minimum=0.0),
-        "mu_in_per_m": _num(required=True, minimum=0.0),
-        "mu_out_per_m": _num(required=True, minimum=0.0),
-        "length_m": _num(required=True, exclusive_minimum=0.0),
-        "l0_grid_m": _grid(),
+        "n_in": _num(required=True, **_rule(ThermalProfile, "n_in")),
+        "n_out": _num(required=True, **_rule(ThermalProfile, "n_out")),
+        "mu_in_per_m": _num(required=True, **_rule(ThermalProfile, "mu_in")),
+        "mu_out_per_m": _num(required=True, **_rule(ThermalProfile, "mu_out")),
+        "length_m": _num(required=True, **_rule(ThermalProfile, "length")),
+        "l0_grid_m": _grid(),  # checked against l0's rule and length_m in validate_config
         "quadrature_points": FieldSpec("integer", default=64, minimum=1),
     },
     "qi_roc": {
@@ -249,6 +239,8 @@ def _check_bounds(path: str, spec: FieldSpec, value: float, errors: list) -> Non
         errors.append(f"{path}: must be > {spec.exclusive_minimum}, got {value}")
     if spec.maximum is not None and value > spec.maximum:
         errors.append(f"{path}: must be <= {spec.maximum}, got {value}")
+    if spec.exclusive_maximum is not None and value >= spec.exclusive_maximum:
+        errors.append(f"{path}: must be < {spec.exclusive_maximum}, got {value}")
 
 
 def _check_grid_bounds(path: str, spec: FieldSpec, grid: list, errors: list) -> None:
@@ -305,6 +297,9 @@ def validate_config(obj) -> ScenarioConfig:
     parameters = top.get("parameters", {})
     if kind == "eom_sweep" and parameters.get("axis") in _EOM_AXES and "grid" in parameters:
         _check_grid_bounds("parameters.grid", _EOM_AXES[parameters["axis"]], parameters["grid"], errors)
+    if kind == "channel_neff" and "l0_grid_m" in parameters:
+        l0 = FieldSpec("grid", maximum=parameters.get("length_m"), **_rule(ThermalProfile, "l0"))
+        _check_grid_bounds("parameters.l0_grid_m", l0, parameters["l0_grid_m"], errors)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(

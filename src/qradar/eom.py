@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
+from .converter import OperatingPoint, _gated_point, _param, _require_valid, _response_roots
 from .converter import _thermal_steady_state, _thermal_weights, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
 from .criteria import gaussian_discord
@@ -53,33 +53,23 @@ class EomParams:
     :meth:`at_wavelength` to move along the wavelength axis.
     """
 
-    omega_c: float
-    omega_m: float
-    omega_w: float
-    kappa_c: float
-    gamma_m: float
-    kappa_w: float
-    delta_c: float
-    delta_w: float
-    g1: float
-    g2: float
-    e_c: float
-    e_w: float
-    temperature: float
-    lambda_l: float | None = None
+    omega_c: float = _param("rad_s", "positive")
+    omega_m: float = _param("rad_s", "positive")
+    omega_w: float = _param("rad_s", "positive")
+    kappa_c: float = _param("rad_s", "non-negative")
+    gamma_m: float = _param("rad_s", "non-negative")
+    kappa_w: float = _param("rad_s", "non-negative")
+    delta_c: float = _param("rad_s")
+    delta_w: float = _param("rad_s")
+    g1: float = _param("rad_s", "non-negative")
+    g2: float = _param("dimensionless", "non-negative")
+    e_c: float = _param("rad_s", "non-negative")
+    e_w: float = _param("rad_s", "non-negative")
+    temperature: float = _param("k", "non-negative")
+    lambda_l: float | None = _param(sign="positive", default=None)
 
     def __post_init__(self):
-        _require_finite(self)
-        for name in ("omega_c", "omega_m", "omega_w"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        for name in ("kappa_c", "gamma_m", "kappa_w", "g1", "g2", "e_c", "e_w"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        if self.temperature < 0:
-            raise ValidationError("temperature must be non-negative")
-        if self.lambda_l is not None and self.lambda_l <= 0:
-            raise ValidationError("lambda_l must be positive")
+        _require_valid(self)
 
     def at_wavelength(self, lambda_l: float) -> "EomParams":
         """Re-derive the drive-wavelength dependence.

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import constants
 
 from .channels import GaussianChannel, round_trip
-from .converter import OperatingPoint, _gated_point, _require_finite, _response_roots
+from .converter import OperatingPoint, _gated_point, _param, _require_valid, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
 from .errors import ConvergenceError, ValidationError
@@ -53,47 +53,37 @@ class OeParams:
     The absolute frequencies are needed for the bath occupations.
     """
 
-    delta_c: float
-    delta_w: float
-    delta_eg: float
-    kappa_c: float
-    kappa_w: float
-    gamma_p: float
-    g_op: float
-    g_wp: float
-    mu_c: float
-    temperature: float
-    e_c: float
-    e_w: float
-    omega_c: float = 2.332e15          # 808 nm
-    omega_w: float = 2 * math.pi * 10e9
-    omega_eg: float = 2.332e15
+    delta_c: float = _param("rad_s")
+    delta_w: float = _param("rad_s")
+    delta_eg: float = _param("rad_s")
+    kappa_c: float = _param("rad_s", "non-negative")
+    kappa_w: float = _param("rad_s", "non-negative")
+    gamma_p: float = _param("rad_s", "non-negative")
+    g_op: float = _param("rad_s", "non-negative")
+    g_wp: float = _param("rad_s", "non-negative")
+    mu_c: float = _param("dimensionless", "non-negative")
+    temperature: float = _param("k", "non-negative")
+    e_c: float = _param("rad_s", "non-negative")
+    e_w: float = _param("rad_s", "non-negative")
+    omega_c: float = _param("rad_s", "positive", default=2.332e15)  # 808 nm
+    omega_w: float = _param("rad_s", "positive", default=2 * math.pi * 10e9)
+    omega_eg: float = _param("rad_s", "positive", default=2.332e15)
 
     def __post_init__(self):
-        _require_finite(self)
-        for name in ("kappa_c", "kappa_w", "gamma_p", "g_op", "g_wp", "mu_c", "e_c", "e_w"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        for name in ("omega_c", "omega_w", "omega_eg"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.temperature < 0:
-            raise ValidationError("temperature must be non-negative")
+        _require_valid(self)
 
 
 @dataclass(frozen=True)
 class PdMaterialSpec:
     """Photodetector material constants for the perturbative coupling rate."""
 
-    dipole_moment: float        # C m
-    density_of_states: float    # 1/(J m^3), evaluated at hbar omega_eg
-    lorentzian_width: float     # rad/s (half width)
-    mode_volume: float          # m^3
+    dipole_moment: float = _param(sign="positive")  # C m
+    density_of_states: float = _param(sign="positive")  # 1/(J m^3), at hbar omega_eg
+    lorentzian_width: float = _param(sign="positive")  # rad/s (half width)
+    mode_volume: float = _param(sign="positive")  # m^3
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValidationError(f"{f.name} must be positive")
+        _require_valid(self)
 
 
 def coupling_gop(spec: PdMaterialSpec, omega_c: float, omega_eg: float) -> float:

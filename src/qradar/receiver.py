@@ -233,8 +233,8 @@ def roc_curve(h0_samples, h1_samples) -> RocCurve:
     pfa = np.concatenate([[1.0], pfa, [0.0]])
     pd = np.concatenate([[1.0], pd, [0.0]])
     thresholds = np.concatenate([[-np.inf], thresholds, [np.inf]])
-    # Trapezoid over the parametric curve; ties in pfa traverse vertical
-    # segments in ascending pd so they contribute zero width.
-    order = np.lexsort((pd, pfa))
-    auc = float(np.trapezoid(pd[order], pfa[order]))
+    # Trapezoid over the parametric curve.  Both rates fall as the threshold
+    # rises, so reversed they ascend in (pfa, pd) order: ties in pfa traverse
+    # vertical segments in ascending pd and contribute zero width.
+    auc = float(np.trapezoid(pd[::-1], pfa[::-1]))
     return RocCurve(pfa=pfa, pd=pd, thresholds=thresholds, auc=auc)

@@ -37,6 +37,22 @@ class TestThermalProfile:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             ThermalProfile(**{**_PROFILE, field: value})
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n_in": -1.0}, "n_in must be non-negative"),
+            ({"n_out": -1.0}, "n_out must be non-negative"),
+            ({"mu_in": -1.0}, "mu_in must be non-negative"),
+            ({"mu_out": -1.0}, "mu_out must be non-negative"),
+            ({"l0": -1.0}, "l0 must be non-negative"),
+            ({"length": 0.0, "l0": 0.0}, "length must be positive"),
+            ({"l0": 1.5}, "l0 must not exceed length"),
+        ],
+    )
+    def test_each_rule_names_its_field(self, changes, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ThermalProfile(**{**_PROFILE, **changes})
+
 
 class TestNeffClosed:
     def test_uniform_bath(self):

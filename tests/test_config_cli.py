@@ -15,7 +15,7 @@ import qradar
 from qradar import oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
-from qradar.errors import ConfigError
+from qradar.errors import ConfigError, ValidationError
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
 
@@ -251,6 +251,45 @@ class TestCliCommands:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, parameters, error",
+        [
+            ("channel_neff", {"l0_grid_m": [-1.0, 0.5]}, "parameters.l0_grid_m[0]: must be >= 0.0, got -1.0"),
+            ("channel_neff", {"l0_grid_m": [0.5, 2.0]}, "parameters.l0_grid_m[1]: must be <= 1.0, got 2.0"),
+            ("jpa_wigner", {"g_values": [-1.0, 2.0]}, "parameters.g_values[0]: must be >= 0.0, got -1.0"),
+            ("jpa_wigner", {"g_values": [0.1, 0.5]}, "parameters.g_values[1]: must be < 0.5, got 0.5"),
+            (
+                "jpa_gain",
+                {"pump_fraction_grid": [0.5, 1.0]},
+                "parameters.pump_fraction_grid[1]: must be < 1.0, got 1.0",
+            ),
+            (
+                "jpa_gain",
+                {"pump_fraction_grid": [-2.0, 0.5]},
+                "parameters.pump_fraction_grid[0]: must be > -1.0, got -2.0",
+            ),
+        ],
+        ids=[
+            "l0_negative", "l0_beyond_length", "g_negative", "g_at_threshold",
+            "pump_at_threshold", "pump_below_minus_threshold",
+        ],
+    )
+    def test_grid_outside_its_domain_exits_1_without_artifacts(
+        self, kind, parameters, error, tmp_path, monkeypatch, capsys
+    ):
+        # Each grid stops where its model does: l0 in [0, length_m] (the
+        # preset's length_m is 1), the squeezing fraction g in [0, 0.5), the
+        # pump fraction in (-1, 1).
+        preset = {"channel_neff": "channel_neff_line", "jpa_wigner": "jpa_wigner_fig13"}.get(kind, kind)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"kind": kind, "parameters": {**SCENARIO_PRESETS[preset]["parameters"], **parameters}}
+        ))
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/cfg.json"]) == 1
 
@@ -360,6 +399,43 @@ class TestConverterOverrides:
             seen.add(changed[0])
         assert len(seen) == len(keys)
         assert set(fields) - seen == unset
+
+
+def _override_cases():
+    """(table, key, value, accepted) for each converter override: a value
+    just outside its schema bound (0 when the bound is > 0, -1 when >= 0) and
+    one just inside it (the smallest positive float, 0; -1 when unbounded)."""
+    cases = []
+    for kind, table in (("eom_sweep", "eom"), ("oe_end_to_end", "oe")):
+        for key, spec in PARAMETER_SCHEMAS[kind][table].table.items():
+            if spec.exclusive_minimum == 0.0:
+                cases += [(table, key, 0.0, False), (table, key, math.ulp(0.0), True)]
+            elif spec.minimum == 0.0:
+                cases += [(table, key, -1.0, False), (table, key, 0.0, True)]
+            else:
+                assert spec.minimum is None and spec.exclusive_minimum is None, key
+                cases.append((table, key, -1.0, True))
+    return cases
+
+
+class TestOverrideRules:
+    """The CLI and the library accept the same converter values."""
+
+    @pytest.mark.parametrize("table, key, value, accepted", _override_cases())
+    def test_schema_and_params_agree(self, table, key, value, accepted):
+        kind, parameters, reference = {
+            "eom": ("eom_sweep", {"axis": "temperature_k", "grid": [0.01]}, eom_reference),
+            "oe": ("oe_end_to_end", {"temperature_grid_k": [0.01]}, oe_reference),
+        }[table]
+        raw = {"kind": kind, "parameters": {**parameters, table: {key: value}}}
+        if accepted:
+            _params(reference(), validate_config(raw).parameters[table])
+        else:
+            with pytest.raises(ConfigError) as err:
+                validate_config(raw)
+            assert err.value.errors[0].startswith(f"parameters.{table}.{key}: must be ")
+            with pytest.raises(ValidationError, match="must be (positive|non-negative)"):
+                _params(reference(), {key: value})
 
 
 class TestArtifacts:

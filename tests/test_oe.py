@@ -269,3 +269,12 @@ class TestValidation:
     def test_material_spec_positive(self):
         with pytest.raises(ValidationError):
             PdMaterialSpec(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_material_spec_finite(self, index, value):
+        args = [1.0] * 4
+        args[index] = value
+        name = dataclasses.fields(PdMaterialSpec)[index].name
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            PdMaterialSpec(*args)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qradar.channels import attenuation_channel, thermal_background_channel
@@ -248,6 +250,19 @@ class TestRocCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             roc_curve([], [1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h0=st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
+        h1=st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
+    )
+    def test_auc_equals_the_lexsorted_trapezoid(self, h0, h1):
+        # Heavily tied samples give runs of equal pfa and of equal pd; the
+        # curve reversed is already in (pfa, pd) order, so the AUC is the
+        # same bits as the trapezoid over the lexsorted points.
+        roc = roc_curve(h0, h1)
+        order = np.lexsort((roc.pd, roc.pfa))
+        assert roc.auc == float(np.trapezoid(roc.pd[order], roc.pfa[order]))
 
 
 class TestCiBaseline:
