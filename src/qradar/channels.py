@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .converter import _param, _require_valid
-from .errors import ConvergenceError, UndefinedQuantityError, ValidationError
+from .errors import ConvergenceError, UndefinedQuantityError, ValidationError, _param, _require_valid
 from .gaussian import _asymmetric
 
 __all__ = [

@@ -13,6 +13,8 @@ Outputs are deterministic for a fixed config and seed; wall time is printed
 to stdout rather than written into summary.json to keep the artifacts
 byte-stable.  Every scenario runs serially; a ``parallelism`` key is
 accepted for compatibility, then dropped, so it never reaches the artifacts.
+Converter overrides and ``eom_sweep`` axes reach their params fields and
+sweep axes through qradar.config's maps, built from the field declarations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, eom, jpa, oe, receiver
-from .config import ScenarioConfig, parse_config
+from .config import EOM_AXES, OVERRIDE_FIELDS, ScenarioConfig, parse_config, wigner_file
 from .errors import ConfigError, QradarError
 from .gaussian import GaussianState, sample, wigner
 from .output import FORMAT_VERSION, config_hash, write_csv, write_json
@@ -38,25 +39,17 @@ from .presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
 __all__ = ["main", "run_scenario"]
 
-# A converter override key (qradar.config's override tables) or eom_sweep axis
-# is the params field or sweep axis it names plus a unit suffix.
-_UNIT_SUFFIX = re.compile(r"_(rad_s|dimensionless|k|m)$")
-
-
-def _field(key: str) -> str:
-    return _UNIT_SUFFIX.sub("", key)
-
-
 def _params(reference, overrides: dict):
     """``reference`` (EomParams or OeParams) with the config overrides applied."""
-    return dataclasses.replace(reference, **{_field(k): v for k, v in overrides.items()})
+    names = OVERRIDE_FIELDS[type(reference)]
+    return dataclasses.replace(reference, **{names[k]: v for k, v in overrides.items()})
 
 
 def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
     params = _params(eom_reference(), p["eom"])
     axis = p["axis"]
-    points = eom.sweep(params, _field(axis), p["grid"])
+    points = eom.sweep(params, EOM_AXES[axis][0], p["grid"])
     columns = {axis: [pt.axis_value for pt in points]}
     for pair in eom.PAIR_NAMES:
         columns[f"lambda_sph_{pair}"] = [
@@ -165,7 +158,7 @@ def _run_jpa_wigner(cfg: ScenarioConfig, outdir: Path) -> dict:
         q = np.linspace(-half, half, n)
         w = wigner(GaussianState(1, np.zeros(2), cov), q, q)
         step = q[1] - q[0]
-        name = f"jpa_wigner_g{g:.4f}.csv"
+        name = wigner_file(g)
         write_csv(outdir / name, {"q": np.repeat(q, n), "p": np.tile(q, n), "w": w.ravel()})
         summary["fields"].append({
             "g": float(g),

@@ -11,7 +11,10 @@ valid.  Numbers and grid values must be finite, and grids ascending; a
 grid's values meet the rule of the model they feed (an ``eom_sweep`` grid,
 that of its axis's field; ``l0_grid_m``, ``ThermalProfile.l0``'s and <=
 ``length_m``; ``g_values`` [0, 0.5) and ``pump_fraction_grid`` (-1, 1), below
-threshold).  Field rules come from the params' declarations (qradar.converter._param).
+threshold), and no two ``g_values`` name the same artifact.  Field rules come
+from the records' declarations (qradar.errors._param); this module also maps
+each override key to the field it sets and each ``eom_sweep`` axis key to the
+axis it sweeps, which qradar.cli applies.
 A ``parallelism`` key (an integer >= 1) is still accepted so that older
 configs run, but it is neither kept nor hashed: every scenario runs serially.
 """
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import difflib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .channels import ThermalProfile
 from .eom import EomParams
-from .errors import ConfigError
+from .errors import ConfigError, _finite, _rules
 from .oe import OeParams
+from .receiver import DETECTORS
 
 __all__ = ["ScenarioConfig", "FieldSpec", "KINDS", "parse_config", "validate_config"]
 
@@ -55,40 +58,40 @@ def _grid(**bounds):
 
 
 def _rule(cls, name: str) -> dict:
-    """The bounds of the sign rule declared on a params field (qradar.converter._param)."""
-    sign = next(f for f in fields(cls) if f.name == name).metadata.get("sign")
+    """The bounds of the sign rule declared on a record field (qradar.errors._param)."""
+    sign = dict(_rules(cls))[name]
     return {"positive": {"exclusive_minimum": 0.0}, "non-negative": {"minimum": 0.0}}.get(sign, {})
 
 
-def _overrides(cls) -> dict[str, FieldSpec]:
-    """A converter's overrides: one key per field with a unit, the field plus
-    its unit suffix (qradar.cli derives the field by dropping the suffix),
-    bounded by the field's sign rule."""
-    return {
-        f"{f.name}_{f.metadata['unit']}": _num(**_rule(cls, f.name))
-        for f in fields(cls) if f.metadata.get("unit")
-    }
+# Each converter's override keys, mapped to the params fields they set: one
+# key per field with a unit, the field's name plus its unit suffix.
+OVERRIDE_FIELDS = {
+    cls: {f"{f.name}_{f.metadata['unit']}": f.name for f in fields(cls) if f.metadata.get("unit")}
+    for cls in (EomParams, OeParams)
+}
+# Each converter's override table: its keys, bounded by their fields' sign rules.
+_OVERRIDES = {
+    cls: {key: _num(**_rule(cls, name)) for key, name in keys.items()}
+    for cls, keys in OVERRIDE_FIELDS.items()
+}
 
-
-_EOM_OVERRIDES = _overrides(EomParams)
-_OE_OVERRIDES = _overrides(OeParams)
-
-# The rule each eom_sweep axis's grid values meet: that of the field it sweeps.
-_EOM_AXES = {
-    "temperature_k": _EOM_OVERRIDES["temperature_k"],
-    "wavelength_m": _num(**_rule(EomParams, "lambda_l")),
-    "gamma_m_rad_s": _EOM_OVERRIDES["gamma_m_rad_s"],
+# Each eom_sweep axis key: the eom.sweep axis it names, and the params field
+# whose rule its grid values meet.
+EOM_AXES = {
+    "temperature_k": ("temperature", "temperature"),
+    "wavelength_m": ("wavelength", "lambda_l"),
+    "gamma_m_rad_s": ("gamma_m", "gamma_m"),
 }
 
 PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "eom_sweep": {
-        "axis": FieldSpec("string", required=True, choices=tuple(_EOM_AXES)),
+        "axis": FieldSpec("string", required=True, choices=tuple(EOM_AXES)),
         "grid": _grid(),  # checked against its axis's rule in validate_config
-        "eom": FieldSpec("table", table=_EOM_OVERRIDES),
+        "eom": FieldSpec("table", table=_OVERRIDES[EomParams]),
     },
     "oe_sweep": {
         "delta_eg_grid_rad_s": _grid(),
-        "oe": FieldSpec("table", table=_OE_OVERRIDES),
+        "oe": FieldSpec("table", table=_OVERRIDES[OeParams]),
     },
     "oe_end_to_end": {
         "temperature_grid_k": _grid(**_rule(OeParams, "temperature")),
@@ -98,7 +101,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "target_thickness_m": _num(default=0.01, exclusive_minimum=0.0),
         "n_env": _num(default=0.0, minimum=0.0),
         "n_t": _num(default=0.05, minimum=0.0),
-        "oe": FieldSpec("table", table=_OE_OVERRIDES),
+        "oe": FieldSpec("table", table=_OVERRIDES[OeParams]),
     },
     "jpa_gain": {
         "e_j_rad_s": _num(default=3.141592653589793e11, exclusive_minimum=0.0),  # 2 pi x 50 GHz
@@ -130,7 +133,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "transmissivity": _num(default=0.2, exclusive_minimum=0.0, maximum=1.0),
         "samples_per_decision": FieldSpec("integer", default=2000, minimum=1),
         "n_decisions": FieldSpec("integer", default=2000, minimum=1),
-        "detector": FieldSpec("string", default="covariance_detector", choices=("covariance_detector", "energy_detector")),
+        "detector": FieldSpec("string", default="covariance_detector", choices=DETECTORS),
         "heterodyne": FieldSpec("boolean", default=True),
         "rho_samples": FieldSpec("integer", default=100_000, minimum=1000),
     },
@@ -167,18 +170,14 @@ class ScenarioConfig:
         return out
 
 
+def wigner_file(g: float) -> str:
+    """The artifact a jpa_wigner run writes for squeezing fraction ``g``."""
+    return f"jpa_wigner_g{g:.4f}.csv"
+
+
 def _suggest(key: str, valid) -> str:
     close = difflib.get_close_matches(key, list(valid), n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
-
-
-def _finite(value) -> float | None:
-    """A JSON number as a finite float; None for inf, NaN or an integer beyond
-    float range (on which ``math.isfinite`` raises OverflowError)."""
-    try:
-        return float(value) if math.isfinite(value) else None
-    except OverflowError:
-        return None
 
 
 def _check_value(path: str, spec: FieldSpec, value, errors: list):
@@ -295,11 +294,17 @@ def validate_config(obj) -> ScenarioConfig:
     errors: list[str] = []
     top = _check_table("", schema, obj, errors)
     parameters = top.get("parameters", {})
-    if kind == "eom_sweep" and parameters.get("axis") in _EOM_AXES and "grid" in parameters:
-        _check_grid_bounds("parameters.grid", _EOM_AXES[parameters["axis"]], parameters["grid"], errors)
+    if kind == "eom_sweep" and parameters.get("axis") in EOM_AXES and "grid" in parameters:
+        _, name = EOM_AXES[parameters["axis"]]
+        _check_grid_bounds("parameters.grid", _num(**_rule(EomParams, name)), parameters["grid"], errors)
     if kind == "channel_neff" and "l0_grid_m" in parameters:
         l0 = FieldSpec("grid", maximum=parameters.get("length_m"), **_rule(ThermalProfile, "l0"))
         _check_grid_bounds("parameters.l0_grid_m", l0, parameters["l0_grid_m"], errors)
+    if kind == "jpa_wigner" and "g_values" in parameters:
+        names = [wigner_file(g) for g in parameters["g_values"]]
+        shared = next((i for i, name in enumerate(names) if name in names[:i]), None)
+        if shared is not None:
+            errors.append(f"parameters.g_values[{shared}]: writes {names[shared]}, as an earlier value does")
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(

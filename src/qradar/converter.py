@@ -7,13 +7,11 @@ this module supplies, and hands the terms of its four DC equations to the
 operating point's residual gate; this module also gates the steady state, at
 one temperature or, through one Lyapunov basis per bath, at every temperature
 of a threshold or temperature grid (:func:`qradar.sweeps.run_grid` the rest).
-Each params field declares its config unit and sign rule here (:func:`_param`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,32 +42,6 @@ class OperatingPoint:
     x_s: float
     residual: float
     branches: int
-
-
-def _param(unit: str | None = None, sign: str | None = None, **kwargs):
-    """A params field with its config unit suffix (the override key is
-    ``f"{name}_{unit}"``; None: no override) and its sign rule ("positive",
-    "non-negative" or None), read by :func:`_require_valid` and qradar.config."""
-    return dataclasses.field(metadata={"unit": unit, "sign": sign}, **kwargs)
-
-
-@functools.cache
-def _rules(cls) -> tuple[tuple[str, str | None], ...]:
-    return tuple((f.name, f.metadata.get("sign")) for f in dataclasses.fields(cls))
-
-
-def _require_valid(params) -> None:
-    """:class:`ValidationError` naming the first field of ``params``, in
-    declaration order, that is not finite (None passes) or breaks its
-    declared sign rule."""
-    for name, sign in _rules(type(params)):
-        value = getattr(params, name)
-        if value is None:
-            continue
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite")
-        if sign == "positive" and value <= 0 or sign == "non-negative" and value < 0:
-            raise ValidationError(f"{name} must be {sign}")
 
 
 def _response_roots(k: float, h: float, g: float, rhs: float) -> list[float]:

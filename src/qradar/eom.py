@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .converter import OperatingPoint, _gated_point, _param, _require_valid, _response_roots
+from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, _thermal_weights, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
 from .criteria import gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
+from .errors import _param, _require_valid
 from .gaussian import _physical_spectra
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
@@ -78,8 +79,7 @@ class EomParams:
         wavelength enters through the optical frequency: the coupling and
         drive rate carry the 1/sqrt(omega_c) zero-point scaling.
         """
-        if lambda_l <= 0:
-            raise ValidationError("lambda_l must be positive")
+        _require_valid(self, {"lambda_l": lambda_l})  # before dividing by it
         omega_new = 2.0 * math.pi * constants.c / lambda_l
         scale = math.sqrt(self.omega_c / omega_new)
         return dataclasses.replace(

@@ -1,8 +1,14 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the parameter rules below every model.
 
 Every error raised on purpose derives from :class:`QradarError`, so callers
 (and the CLI) can separate validation problems from numerical failures.
+A record declares each numeric field's config unit and sign rule once, with
+:func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`.
 """
+
+import dataclasses
+import functools
+import math
 
 
 class QradarError(Exception):
@@ -11,6 +17,45 @@ class QradarError(Exception):
 
 class ValidationError(QradarError):
     """An input violated a documented invariant; the message names it."""
+
+
+def _finite(value) -> float | None:
+    """A number as a finite float; None for inf, NaN or an integer beyond
+    float range (on which ``math.isfinite`` raises OverflowError)."""
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:
+        return None
+
+
+def _param(unit: str | None = None, sign: str | None = None, **kwargs):
+    """A record field with its config unit suffix (None: no config override)
+    and its sign rule ("positive", "non-negative" or None), read by
+    :func:`_require_valid` and qradar.config."""
+    return dataclasses.field(metadata={"unit": unit, "sign": sign}, **kwargs)
+
+
+@functools.cache
+def _rules(cls) -> tuple[tuple[str, str | None], ...]:
+    """(name, sign rule) of each field of ``cls`` declared with :func:`_param`."""
+    return tuple((f.name, f.metadata["sign"]) for f in dataclasses.fields(cls) if "sign" in f.metadata)
+
+
+def _require_valid(record, values: dict | None = None) -> None:
+    """:class:`ValidationError` naming the first declared field of ``record``,
+    in declaration order, whose value is not finite (None passes) or breaks
+    its sign rule.  ``values`` (field name -> value) checks those values, in
+    place of all of ``record``'s own, before they are set."""
+    values = vars(record) if values is None else values
+    for name, sign in _rules(type(record)):
+        value = values.get(name)
+        if value is None:
+            continue
+        value = _finite(value)
+        if value is None:
+            raise ValidationError(f"{name} must be finite")
+        if sign == "positive" and value <= 0 or sign == "non-negative" and value < 0:
+            raise ValidationError(f"{name} must be {sign}")
 
 
 class PhysicalityError(ValidationError):

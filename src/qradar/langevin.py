@@ -31,7 +31,7 @@ import numpy as np
 from scipy import constants
 from scipy.linalg import lapack
 
-from .errors import NoSteadyStateError, StiffnessError, ValidationError
+from .errors import NoSteadyStateError, StiffnessError, ValidationError, _param, _require_valid
 from .gaussian import _asymmetric
 
 __all__ = [
@@ -72,18 +72,13 @@ class BathSpec:
     entering on the momentum quadrature only.
     """
 
-    omega: float
-    damping: float
-    temperature: float
+    omega: float = _param(sign="positive")
+    damping: float = _param(sign="non-negative")
+    temperature: float = _param(sign="non-negative")
     kind: Literal["cavity", "mechanical"] = "cavity"
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValidationError("bath frequency must be positive")
-        if self.damping < 0:
-            raise ValidationError("bath damping must be non-negative")
-        if self.temperature < 0:
-            raise ValidationError("bath temperature must be non-negative")
+        _require_valid(self)
         if self.kind not in ("cavity", "mechanical"):
             raise ValidationError(f"unknown bath kind {self.kind!r}")
 

@@ -18,10 +18,10 @@ import numpy as np
 from scipy import constants
 
 from .channels import GaussianChannel, round_trip
-from .converter import OperatingPoint, _gated_point, _param, _require_valid, _response_roots
+from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _param, _require_valid
 from .gaussian import _physical_spectra, _require_cp, apply_channel
 from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid

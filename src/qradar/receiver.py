@@ -18,10 +18,11 @@ from typing import Literal
 import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
-from .errors import DegenerateStateError, ValidationError
+from .errors import DegenerateStateError, ValidationError, _param, _require_valid
 from .gaussian import GaussianState, _cholesky, apply_channel, vacuum_state
 
 __all__ = [
+    "DETECTORS",
     "QiScenario",
     "DetectionSamples",
     "RocCurve",
@@ -32,6 +33,9 @@ __all__ = [
     "ci_baseline",
     "roc_curve",
 ]
+
+# The per-decision statistics a QiScenario can select.
+DETECTORS = ("covariance_detector", "energy_detector")
 
 _SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -95,23 +99,22 @@ class QiScenario:
     seeded with ``seed``, so a scenario always yields the same samples.
     """
 
-    r: float
+    r: float = _param(sign="non-negative")
     signal_channel: GaussianChannel
     background_channel: GaussianChannel
-    samples_per_decision: int
-    n_decisions: int
-    seed: int
+    samples_per_decision: int = _param(sign="positive")
+    n_decisions: int = _param(sign="positive")
+    seed: int  # not declared: any int >= 0 is a seed, one beyond float range too
     detector: Literal["covariance_detector", "energy_detector"] = "covariance_detector"
     heterodyne: bool = True
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValidationError("squeezing parameter must be non-negative")
-        if self.samples_per_decision < 1 or self.n_decisions < 1:
-            raise ValidationError("sample and decision counts must be >= 1")
+        _require_valid(self)
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.signal_channel.n_modes != 1 or self.background_channel.n_modes != 1:
             raise ValidationError("scenario channels must be single-mode")
-        if self.detector not in ("covariance_detector", "energy_detector"):
+        if self.detector not in DETECTORS:
             raise ValidationError(f"unknown detector {self.detector!r}")
 
 

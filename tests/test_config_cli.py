@@ -180,6 +180,11 @@ class TestCliCommands:
         # module on first use.
         assert _optimize_and_integrate_loaded_after("import sys, qradar.cli") == "[]"
 
+    def test_channels_import_leaves_converter_unloaded(self):
+        # The record rules live in qradar.errors, below every model.
+        code = "import sys, qradar.channels; assert 'qradar.converter' not in sys.modules"
+        assert _optimize_and_integrate_loaded_after(code) == "[]"
+
     def test_channel_preset_leaves_optimize_and_integrate_unloaded(self, tmp_path):
         code = (
             "import sys; from qradar.cli import run_scenario; "
@@ -259,6 +264,16 @@ class TestCliCommands:
             ("jpa_wigner", {"g_values": [-1.0, 2.0]}, "parameters.g_values[0]: must be >= 0.0, got -1.0"),
             ("jpa_wigner", {"g_values": [0.1, 0.5]}, "parameters.g_values[1]: must be < 0.5, got 0.5"),
             (
+                "jpa_wigner",
+                {"g_values": [0.10001, 0.10002], "grid_points_per_axis": 11},
+                "parameters.g_values[1]: writes jpa_wigner_g0.1000.csv, as an earlier value does",
+            ),
+            (
+                "jpa_wigner",
+                {"g_values": [0.2, 0.2]},
+                "parameters.g_values[1]: writes jpa_wigner_g0.2000.csv, as an earlier value does",
+            ),
+            (
                 "jpa_gain",
                 {"pump_fraction_grid": [0.5, 1.0]},
                 "parameters.pump_fraction_grid[1]: must be < 1.0, got 1.0",
@@ -271,6 +286,7 @@ class TestCliCommands:
         ],
         ids=[
             "l0_negative", "l0_beyond_length", "g_negative", "g_at_threshold",
+            "g_sharing_a_file_name", "g_repeated",
             "pump_at_threshold", "pump_below_minus_threshold",
         ],
     )
@@ -471,6 +487,16 @@ class TestArtifacts:
         order = np.lexsort((rows["pd"], rows["pfa"]))
         auc = float(np.trapezoid(rows["pd"][order], rows["pfa"][order]))
         assert abs(auc - summary["summary"]["auc_qi"]) <= 1e-12
+
+    def test_qi_roc_seed_beyond_float_range_runs(self, tmp_path):
+        # Any int >= 0 seeds the generator, one beyond float range too.
+        cfg = validate_config({
+            "kind": "qi_roc",
+            "seed": 10**400,
+            "output_dir": str(tmp_path),
+            "parameters": {"n_decisions": 20, "samples_per_decision": 16, "rho_samples": 1000},
+        })
+        assert run_scenario(cfg)[0] == 0
 
     def test_qi_roc_preset_csvs_pinned(self, tmp_path):
         raw = {**SCENARIO_PRESETS["qi_roc_low_signal"], "output_dir": str(tmp_path)}

@@ -57,6 +57,19 @@ class TestOperatingPoint:
             steady_state(build_model(params))
 
 
+class TestParams:
+    def test_int_beyond_float_range_is_not_finite(self, reference):
+        with pytest.raises(ValidationError, match="^e_c must be finite$"):
+            dataclasses.replace(reference, e_c=10**400)
+
+    @pytest.mark.parametrize(
+        "value, message", [(math.inf, "finite"), (math.nan, "finite"), (0.0, "positive"), (-1.0, "positive")]
+    )
+    def test_at_wavelength_checks_lambda_l(self, reference, value, message):
+        with pytest.raises(ValidationError, match=f"^lambda_l must be {message}$"):
+            reference.at_wavelength(value)
+
+
 class TestDriftMatrix:
     def test_harmonic_skew_pair(self, reference):
         a = drift_matrix(reference, operating_point(reference))

@@ -88,7 +88,28 @@ class TestThermalOccupation:
         )
 
 
+_BATH = dict(omega=1e9, damping=1.0, temperature=0.1)
+
+
 class TestDiffusionFromBaths:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [(field, value, f"{field} must be finite") for field in _BATH for value in (math.nan, math.inf)]
+        + [
+            ("omega", 0.0, "omega must be positive"),
+            ("damping", -1.0, "damping must be non-negative"),
+            ("temperature", -1.0, "temperature must be non-negative"),
+        ],
+    )
+    def test_bath_field_rules(self, field, value, message):
+        # A bath breaking its declared rule never reaches the diffusion matrix.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            diffusion_from_baths([BathSpec(**{**_BATH, field: value})])
+
+    def test_unknown_bath_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown bath kind 'phonon'"):
+            BathSpec(**_BATH, kind="phonon")
+
     def test_cold_cavity(self):
         d = diffusion_from_baths([BathSpec(1e9, 1.0, 0.0, "cavity")])
         assert np.array_equal(d, np.eye(2))

@@ -303,6 +303,25 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             make_scenario(n_decisions=0)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"r": math.nan}, "r must be finite"),
+            ({"r": math.inf}, "r must be finite"),
+            ({"r": -0.1}, "r must be non-negative"),
+            ({"samples_per_decision": 0}, "samples_per_decision must be positive"),
+            ({"n_decisions": 0}, "n_decisions must be positive"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+    )
+    def test_field_rules(self, changes, message):
+        # Rejected at construction, with no RuntimeWarning (an error here).
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_scenario(**changes)
+
+    def test_seed_beyond_float_range_accepted(self):
+        assert make_scenario(seed=10**400).seed == 10**400
+
     def test_detector_choices(self):
         with pytest.raises(ValidationError):
             make_scenario(detector="telepathy")
