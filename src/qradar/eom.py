@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import constants
@@ -21,9 +22,9 @@ from .converter import _thermal_steady_state, _thermal_weights, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
 from .criteria import gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
-from .errors import _param, _require_valid
+from .errors import _grid_values, _param, _require_valid
 from .gaussian import _physical_spectra
-from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
+from .langevin import BathSpec, LinearLangevinModel, _diffusion, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
 from .sweeps import bisect_threshold, run_grid
@@ -156,13 +157,20 @@ def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def _baths(params: EomParams) -> list[BathSpec]:
-    """The mechanical, optical and microwave baths, in mode order."""
+def _modes(params: EomParams) -> list[tuple]:
+    """The mechanical, optical and microwave baths, in mode order, each as
+    (omega, damping, temperature, kind)."""
+    t = params.temperature
     return [
-        BathSpec(params.omega_m, params.gamma_m, params.temperature, "mechanical"),
-        BathSpec(params.omega_c, params.kappa_c, params.temperature, "cavity"),
-        BathSpec(params.omega_w, params.kappa_w, params.temperature, "cavity"),
+        (params.omega_m, params.gamma_m, t, "mechanical"),
+        (params.omega_c, params.kappa_c, t, "cavity"),
+        (params.omega_w, params.kappa_w, t, "cavity"),
     ]
+
+
+def _baths(params: EomParams) -> list[BathSpec]:
+    """The baths of :func:`_modes` as records."""
+    return [BathSpec(*mode) for mode in _modes(params)]
 
 
 def build_model(params: EomParams) -> LinearLangevinModel:
@@ -196,27 +204,43 @@ class SweepPoint:
     stable: bool
 
 
-def _with_axis(params: EomParams, axis: str, value: float) -> EomParams:
-    if axis == "wavelength":
-        return params.at_wavelength(value)
-    if axis in {f.name for f in dataclasses.fields(EomParams)}:
-        return dataclasses.replace(params, **{axis: value})
-    raise ValidationError(f"unknown sweep axis {axis!r}")
+def _axis_field(axis: str) -> str:
+    """The params field a sweep axis sets (lambda_l on the wavelength axis)."""
+    field = "lambda_l" if axis == "wavelength" else axis
+    if field not in {f.name for f in dataclasses.fields(EomParams)}:
+        raise ValidationError(f"unknown sweep axis {axis!r}")
+    return field
+
+
+def _grid_point(params: EomParams, axis: str) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """The :func:`~qradar.sweeps.run_grid` builder of :func:`sweep` on ``axis``
+    (not temperature): a checked axis value -> the drift and diffusion of
+    :func:`build_model` there, with no bath or model record built."""
+
+    def arrays(value: float) -> tuple[np.ndarray, np.ndarray]:
+        if axis == "wavelength":
+            point = params.at_wavelength(value)
+        else:
+            point = dataclasses.replace(params, **{axis: value})
+        return drift_matrix(point, operating_point(point)), _diffusion(_modes(point))
+
+    return arrays
 
 
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     """One entanglement report per grid point; instabilities are marked, not fatal.
 
+    The grid values are held once to the rule of the field ``axis`` sets.
     Each stable point's report equals :func:`entanglement_report` there (to
     rounding on a temperature grid, which weighs one Lyapunov basis and so is
     stable at every point or at none); other axes take one stacked
     :func:`~qradar.sweeps.run_grid` step.  Pairs are scored one stack each.
     """
-    grid = [float(v) for v in grid]
+    grid = _grid_values(EomParams, _axis_field(axis), grid)
     if sorted(grid) != grid:
         raise ValidationError("sweep grid must be ascending")
     if axis != "temperature":
-        covs = run_grid(lambda v: build_model(_with_axis(params, axis, v)), grid)
+        covs = run_grid(_grid_point(params, axis), grid)
     else:
         try:
             drift = drift_matrix(params, operating_point(params))

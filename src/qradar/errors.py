@@ -3,7 +3,9 @@
 Every error raised on purpose derives from :class:`QradarError`, so callers
 (and the CLI) can separate validation problems from numerical failures.
 A record declares each numeric field's config unit and sign rule once, with
-:func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`.
+:func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`;
+a converter sweep holds its grid values to the axis field's rule once, with
+:func:`_grid_values`.
 """
 
 import dataclasses
@@ -41,6 +43,17 @@ def _rules(cls) -> tuple[tuple[str, str | None], ...]:
     return tuple((f.name, f.metadata["sign"]) for f in dataclasses.fields(cls) if "sign" in f.metadata)
 
 
+def _valid(name: str, sign: str | None, value) -> float:
+    """``value`` as a float, or :class:`ValidationError` naming ``name`` if it
+    is not finite or breaks the sign rule ``sign``."""
+    number = _finite(value)
+    if number is None:
+        raise ValidationError(f"{name} must be finite")
+    if sign == "positive" and number <= 0 or sign == "non-negative" and number < 0:
+        raise ValidationError(f"{name} must be {sign}")
+    return number
+
+
 def _require_valid(record, values: dict | None = None) -> None:
     """:class:`ValidationError` naming the first declared field of ``record``,
     in declaration order, whose value is not finite (None passes) or breaks
@@ -49,13 +62,15 @@ def _require_valid(record, values: dict | None = None) -> None:
     values = vars(record) if values is None else values
     for name, sign in _rules(type(record)):
         value = values.get(name)
-        if value is None:
-            continue
-        value = _finite(value)
-        if value is None:
-            raise ValidationError(f"{name} must be finite")
-        if sign == "positive" and value <= 0 or sign == "non-negative" and value < 0:
-            raise ValidationError(f"{name} must be {sign}")
+        if value is not None:
+            _valid(name, sign, value)
+
+
+def _grid_values(cls, name: str, grid) -> list[float]:
+    """A grid for the declared field ``name`` of ``cls``: each value as a
+    float, held once to the field's rule."""
+    sign = dict(_rules(cls))[name]
+    return [_valid(name, sign, value) for value in grid]
 
 
 class PhysicalityError(ValidationError):

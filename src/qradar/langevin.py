@@ -1,6 +1,7 @@
 """Linear quantum Langevin machinery shared by the converter models.
 
-Assembles drift/diffusion matrices from bath specifications, decides
+Assembles diffusion matrices from baths (one diagonal formula, for bath
+records and for a converter grid's plain per-point values alike), decides
 stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
 Bartels-Stewart behind a residual gate, and propagates transient covariances.
 The stability test, the solve and the residual gate each work over one model
@@ -47,7 +48,9 @@ __all__ = [
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0."""
+    """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0.
+    :class:`ValidationError` where N exceeds float range, as when
+    hbar w / kB T underflows to 0."""
     if not 0 < omega < math.inf:  # NaN fails this test too
         raise ValidationError("thermal_occupation requires a finite omega > 0")
     if not math.isfinite(temperature):
@@ -60,7 +63,13 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = constants.hbar * omega / thermal_energy
     if x > 60.0:
         return math.exp(-x) if x < 700.0 else 0.0
-    return 1.0 / math.expm1(x)
+    occupation = 1.0 / math.expm1(x) if x else math.inf  # x = 0: hbar w / kB T underflowed
+    if occupation == math.inf:
+        raise ValidationError(
+            f"thermal occupation at omega {omega!r} rad/s and temperature {temperature!r} K "
+            "exceeds float range"
+        )
+    return occupation
 
 
 @dataclass(frozen=True)
@@ -88,16 +97,25 @@ class BathSpec:
 
 def diffusion_from_baths(baths: Sequence[BathSpec]) -> np.ndarray:
     """Block-diagonal diffusion matrix, one 2x2 block per bath/mode."""
-    n = len(baths)
-    d = np.zeros((2 * n, 2 * n))
-    for i, bath in enumerate(baths):
-        weight = bath.damping * (2.0 * bath.occupation() + 1.0)
-        if bath.kind == "cavity":
-            d[2 * i, 2 * i] = weight
-            d[2 * i + 1, 2 * i + 1] = weight
-        else:
-            d[2 * i + 1, 2 * i + 1] = weight
-    return d
+    return _diffusion([(b.omega, b.damping, b.temperature, b.kind) for b in baths])
+
+
+def _diffusion(modes) -> np.ndarray:
+    """The diagonal diffusion of one bath per mode, each given as (omega,
+    damping, temperature, kind) that meet :class:`BathSpec`'s rules: the
+    weight damping (2 N(omega, T) + 1) on both quadratures of a cavity mode,
+    on the momentum of a mechanical one.  :class:`ValidationError` if a
+    weight is not finite."""
+    diagonal = []
+    for omega, damping, temperature, kind in modes:
+        weight = damping * (2.0 * thermal_occupation(omega, temperature) + 1.0)
+        if not math.isfinite(weight):
+            raise ValidationError(
+                f"bath noise weight damping * (2 N + 1) is not finite (damping {damping!r}, "
+                f"omega {omega!r} rad/s, temperature {temperature!r} K)"
+            )
+        diagonal += (weight if kind == "cavity" else 0.0, weight)
+    return np.diag(diagonal)
 
 
 @dataclass(frozen=True, eq=False)

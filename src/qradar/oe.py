@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import constants
@@ -21,9 +22,9 @@ from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
-from .errors import ConvergenceError, ValidationError, _param, _require_valid
+from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid
 from .gaussian import _physical_spectra, _require_cp, apply_channel
-from .langevin import BathSpec, LinearLangevinModel, diffusion_from_baths
+from .langevin import BathSpec, LinearLangevinModel, _diffusion, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
 __all__ = [
@@ -185,13 +186,32 @@ def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def _baths(params: OeParams) -> list[BathSpec]:
-    """The photodetector, optical and microwave baths, in mode order."""
+def _modes(params: OeParams) -> list[tuple]:
+    """The photodetector, optical and microwave baths, in mode order, each as
+    (omega, damping, temperature, kind)."""
+    t = params.temperature
     return [
-        BathSpec(params.omega_eg, params.gamma_p, params.temperature, "mechanical"),
-        BathSpec(params.omega_c, params.kappa_c, params.temperature, "cavity"),
-        BathSpec(params.omega_w, params.kappa_w, params.temperature, "cavity"),
+        (params.omega_eg, params.gamma_p, t, "mechanical"),
+        (params.omega_c, params.kappa_c, t, "cavity"),
+        (params.omega_w, params.kappa_w, t, "cavity"),
     ]
+
+
+def _baths(params: OeParams) -> list[BathSpec]:
+    """The baths of :func:`_modes` as records."""
+    return [BathSpec(*mode) for mode in _modes(params)]
+
+
+def _detuning_point(params: OeParams) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """The :func:`~qradar.sweeps.run_grid` builder of
+    :func:`entanglement_vs_detuning`: a checked delta_eg -> the drift and
+    diffusion of :func:`build_model` there, with no bath or model record built."""
+
+    def arrays(delta_eg: float) -> tuple[np.ndarray, np.ndarray]:
+        point = dataclasses.replace(params, delta_eg=delta_eg)
+        return drift_matrix(point, operating_point(point)), _diffusion(_modes(point))
+
+    return arrays
 
 
 def build_model(params: OeParams) -> LinearLangevinModel:
@@ -244,14 +264,13 @@ class DetuningSweep:
 def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     """2eta(OC-MC) versus photodetector detuning, with instability markers.
 
-    The grid's steady states come from one stacked
-    :func:`~qradar.sweeps.run_grid` step, and the stable points' OC-MC pairs
-    are scored in one :func:`~qradar.criteria.two_eta_values` call.
+    The grid values are held once to delta_eg's rule; the grid's steady
+    states come from one stacked :func:`~qradar.sweeps.run_grid` step, and
+    the stable points' OC-MC pairs are scored in one
+    :func:`~qradar.criteria.two_eta_values` call.
     """
-    grid = [float(v) for v in delta_eg_grid]
-    if not all(math.isfinite(v) for v in grid):
-        raise ValidationError("detuning grid must be finite")
-    covs = run_grid(lambda v: build_model(dataclasses.replace(params, delta_eg=v)), grid)
+    grid = _grid_values(OeParams, "delta_eg", delta_eg_grid)
+    covs = run_grid(_detuning_point(params), grid)
     stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
     values = iter(two_eta_values(stable).tolist())
     points = [

@@ -2,11 +2,14 @@
 root-finding (Brent).
 
 A grid on any axis but temperature (which weighs the thresholds' Lyapunov
-basis instead) builds one Langevin model per point, decides stability with
-one eigensolve over the stack of drifts, solves each stable member's
-Lyapunov equation and applies the residual and physical rules once over the
-stack, as :func:`qradar.converter.steady_state` does for one model.  Points
-run serially: GIL-bound 6x6 algebra gains only dispatch cost from threads.
+basis instead) checks its axis values once, against their field's declared
+rule, where the converter takes the grid.  Its builder then gives each
+point's drift and diffusion as arrays, with no bath or model record; the
+stack is checked finite once, stability is decided with one eigensolve over
+the drifts, each stable member's Lyapunov equation is solved, and the
+residual and physical rules are applied once over the stack, as
+:func:`qradar.converter.steady_state` does for one model.  Points run
+serially: GIL-bound 6x6 algebra gains only dispatch cost from threads.
 """
 
 from __future__ import annotations
@@ -18,19 +21,22 @@ import numpy as np
 
 from .converter import _physical
 from .errors import ConvergenceError, ValidationError
-from .langevin import LinearLangevinModel, _residual_gate, _solve_lyapunov, _stability
+from .langevin import _residual_gate, _solve_lyapunov, _stability
 
 __all__ = ["run_grid", "bisect_threshold"]
 
 
 def run_grid(
-    build: Callable[[float], LinearLangevinModel], grid: Sequence[float]
+    build: Callable[[float], tuple[np.ndarray, np.ndarray]], grid: Sequence[float]
 ) -> list[np.ndarray | None]:
-    """The steady-state covariance of ``build(value)`` at each grid value, in
-    grid order, each equal to :func:`~qradar.converter.steady_state` of that
-    model alone.
+    """The steady-state covariance of the drift and diffusion ``build(value)``
+    returns at each grid value, in grid order, each equal to
+    :func:`~qradar.converter.steady_state` of the model made of them.
 
-    A point yields None where it has no operating point (``build`` raises
+    ``build`` gives a (d, d) drift and a diagonal, non-negative (d, d)
+    diffusion; the stack of them is checked finite once, and a point that
+    is not raises :class:`ValidationError` naming the grid point.  A point
+    yields None where it has no operating point (``build`` raises
     :class:`ConvergenceError`: delta_eg = 0, or no finite root), no steady
     state (a drift eigenvalue with real part >= -1e-12) or no accurate
     Lyapunov solution (residual above 1e-9 ||D||_inf).  Any other error
@@ -41,18 +47,22 @@ def run_grid(
     grid = list(grid)
     if not grid:
         raise ValidationError("sweep grid must not be empty")
-    models = {}
+    points = {}
     for i, value in enumerate(grid):
         try:
-            models[i] = build(value)
+            points[i] = build(value)
         except ConvergenceError:
             pass
     out = [None] * len(grid)
-    if not models:
+    if not points:
         return out
-    index = np.array(list(models))
-    drifts = np.array([m.drift for m in models.values()])
-    diffusions = np.array([m.diffusion for m in models.values()])
+    index = np.array(list(points))
+    drifts = np.array([drift for drift, _ in points.values()])
+    diffusions = np.array([diffusion for _, diffusion in points.values()])
+    finite = np.isfinite(drifts).all(axis=(1, 2)) & np.isfinite(diffusions).all(axis=(1, 2))
+    if not finite.all():
+        i = index[np.argmin(finite)]
+        raise ValidationError(f"grid point {i} ({grid[i]!r}): drift and diffusion must be finite")
     stable = _stability(drifts)[0]
     index, drifts, diffusions = index[stable], drifts[stable], diffusions[stable]
     covs = _solve_lyapunov(drifts, diffusions)[0]

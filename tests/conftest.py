@@ -1,6 +1,6 @@
 """Shared test helpers: random symplectics and random physical states, a
-damped oscillator model; and the Hypothesis profile every property runs
-under."""
+damped oscillator model (and its arrays, for grids); and the Hypothesis
+profile every property runs under."""
 
 import math
 
@@ -49,6 +49,12 @@ def damped(v: float) -> LinearLangevinModel:
     return LinearLangevinModel(
         np.array([[-1.0, v], [-v, -1.0]]), (2.0 * abs(v) + 1.0) * np.eye(2), ("a",)
     )
+
+
+def damped_arrays(v: float) -> tuple[np.ndarray, np.ndarray]:
+    """The drift and diffusion of :func:`damped`, as a grid builder gives them."""
+    model = damped(v)
+    return model.drift, model.diffusion
 
 
 @pytest.fixture

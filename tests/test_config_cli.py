@@ -327,6 +327,21 @@ class TestCliCommands:
         assert summary["status"] == "failed"
         assert "Threshold" in summary["reason"]
 
+    def test_bath_occupation_beyond_float_range_fails_the_run(self, tmp_path, monkeypatch):
+        # A positive omega_w so small that hbar w / kB T underflows to 0 used to
+        # end in a ZeroDivisionError traceback.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        parameters = {**SCENARIO_PRESETS["oe_fig12_detuning"]["parameters"], "oe": {"omega_w_rad_s": 5e-324}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "oe_sweep", "parameters": parameters}))
+        assert main(["run", str(path)]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["reason"] == (
+            "ValidationError: thermal occupation at omega 5e-324 rad/s and temperature 0.03 K "
+            "exceeds float range"
+        )
+
 
 class TestOeEndToEndFailures:
     """A converter with no steady state, or an unphysical one, fails the run:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import constants
 from scipy.linalg import lapack, solve_continuous_lyapunov
 
-from conftest import damped
+from conftest import damped, damped_arrays
 from qradar import converter, eom, langevin, sweeps
 from qradar.errors import NoSteadyStateError, StiffnessError, ValidationError
 from qradar.gaussian import GaussianState
@@ -76,6 +76,13 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError, match="temperature must be finite"):
             thermal_occupation(1e9, temperature)
 
+    @pytest.mark.parametrize("omega, temperature", [(1e-300, 1e10), (5e-324, 1e300)])
+    def test_occupation_beyond_float_range_rejected(self, omega, temperature):
+        # Valid baths whose hbar w / kB T underflows to 0 used to divide by
+        # expm1(0) = 0 and raise a bare ZeroDivisionError.
+        with pytest.raises(ValidationError, match="thermal occupation .* exceeds float range"):
+            BathSpec(omega, 1.0, temperature).occupation()
+
     @settings(max_examples=100)
     @given(
         st.floats(min_value=1e3, max_value=1e15),
@@ -120,6 +127,17 @@ class TestDiffusionFromBaths:
         temperature = constants.hbar * omega / (constants.k * math.log(1.5))
         d = diffusion_from_baths([BathSpec(omega, 0.1, temperature, "mechanical")])
         assert d == pytest.approx(np.diag([0.0, 0.5]), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "bath",
+        [
+            BathSpec(1e9, 1e308, 1e10),  # damping (2 N + 1) overflows: used to give an inf matrix
+            BathSpec(1.0, 0.0, 1e297),  # N ~ 1.3e308, so 2 N + 1 = inf and 0 * inf = NaN
+        ],
+    )
+    def test_weight_beyond_float_range_rejected(self, bath):
+        with pytest.raises(ValidationError, match=r"^bath noise weight .* is not finite"):
+            diffusion_from_baths([bath])
 
     def test_independent_baths_block_diagonal(self):
         d = diffusion_from_baths([
@@ -260,7 +278,7 @@ class TestLyapunovKernel:
 
         del factored[:]
         grid = [0.5, 1.0, 1.5, 2.0, 2.5]
-        covs = sweeps.run_grid(damped, grid)
+        covs = sweeps.run_grid(damped_arrays, grid)
         assert all(cov is not None for cov in covs)
         assert len(factored) == len(grid)
 
@@ -281,7 +299,7 @@ class TestLyapunovKernel:
             steady_state_cov(damped(1.0))
         with pytest.raises(StiffnessError, match="residual nan"):
             converter._thermal_steady_state(*_reference_basis_inputs())
-        assert sweeps.run_grid(damped, [1.0, 2.0]) == [None, None]
+        assert sweeps.run_grid(damped_arrays, [1.0, 2.0]) == [None, None]
 
     def test_schur_failure_is_a_stiffness_error(self, monkeypatch):
         # dgees info > 0: the QR algorithm failed to find the Schur form.
@@ -295,7 +313,7 @@ class TestLyapunovKernel:
         monkeypatch.setattr(lapack, "dgees", fails_on_one_drift)
         with pytest.raises(StiffnessError, match=r"residual nan .*LAPACK dgees info 3\)"):
             steady_state_cov(damped(2.0))
-        covs = sweeps.run_grid(damped, [1.0, 2.0, 3.0])
+        covs = sweeps.run_grid(damped_arrays, [1.0, 2.0, 3.0])
         assert covs[1] is None
         assert np.array_equal(covs[0], steady_state_cov(damped(1.0)))
 

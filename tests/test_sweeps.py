@@ -1,6 +1,7 @@
 """The stacked grid step (order, failed-point marking, error propagation,
-agreement with the single-point gate) and threshold root-finding (accuracy,
-None results, bracket expansion and evaluation counts)."""
+agreement with the single-point gate, checks of the axis values, no record
+built per point) and threshold root-finding (accuracy, None results, bracket
+expansion and evaluation counts)."""
 
 import collections
 import dataclasses
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damped
+from conftest import damped, damped_arrays
 from qradar import eom, oe
 from qradar.converter import steady_state
 from qradar.errors import (
@@ -21,7 +22,7 @@ from qradar.errors import (
     StiffnessError,
     ValidationError,
 )
-from qradar.langevin import LinearLangevinModel
+from qradar.langevin import BathSpec, LinearLangevinModel
 from qradar.presets import eom_reference, oe_reference
 from qradar.sweeps import bisect_threshold, run_grid
 
@@ -83,10 +84,15 @@ FAILING_DRIFTS = {
 }
 
 
+def model(arrays) -> LinearLangevinModel:
+    """The one-mode model made of a grid builder's drift and diffusion."""
+    return LinearLangevinModel(*arrays, ("a",))
+
+
 class TestRunGrid:
     def test_output_follows_grid_order(self):
         grid = [3.0, -1.0, 2.5, 0.0]
-        covs = run_grid(damped, grid)
+        covs = run_grid(damped_arrays, grid)
         assert [cov[0, 0] for cov in covs] == pytest.approx([3.5, 1.5, 3.0, 0.5], rel=1e-12)
         for v, cov in zip(grid, covs):
             assert np.array_equal(cov, steady_state(damped(v)))
@@ -98,16 +104,16 @@ class TestRunGrid:
     def test_converter_failure_yields_none(self, error):
         def build(v):
             if v != 2.0:
-                return damped(v)
+                return damped_arrays(v)
             if isinstance(error, ConvergenceError):
                 raise error
-            return LinearLangevinModel(np.array(FAILING_DRIFTS[type(error)]), np.eye(2), ("a",))
+            return np.array(FAILING_DRIFTS[type(error)]), np.eye(2)
 
         covs = run_grid(build, [1.0, 2.0, 3.0])
         assert covs[1] is None
         assert [cov[0, 0] for cov in covs[::2]] == pytest.approx([1.5, 3.5], rel=1e-12)
         with pytest.raises(type(error)):  # the point alone fails in that way
-            steady_state(build(2.0))
+            steady_state(model(build(2.0)))
 
     def test_validation_error_propagates(self):
         def build(v):
@@ -118,21 +124,39 @@ class TestRunGrid:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            run_grid(damped, [])
+            run_grid(damped_arrays, [])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_point_named(self, which, value):
+        # A non-finite drift or diffusion fails the one finiteness check over
+        # the stack, naming its grid point, as the model constructor rejects it.
+        def build(v):
+            arrays = list(damped_arrays(v))
+            if v == 0.25:
+                arrays[which] = arrays[which].copy()
+                arrays[which][1, 1] = value
+            return tuple(arrays)
+
+        named = r"^grid point 2 \(0\.25\): drift and diffusion must be finite$"
+        with pytest.raises(ValidationError, match=named):
+            run_grid(build, [0.0, 0.5, 0.25, 1.0])
+        with pytest.raises(ValidationError, match="^drift and diffusion must be finite$"):
+            model(build(0.25))
 
     def test_physicality_error_names_the_grid_point(self):
         # A stable drift with D = 0 has V = 0: the residual gate passes it
         # (nothing to scale against) and the physical rule rejects it.
         def build(v):
             if v == 0.25:
-                return LinearLangevinModel(-np.eye(2), np.zeros((2, 2)), ("a",))
-            return damped(v)
+                return -np.eye(2), np.zeros((2, 2))
+            return damped_arrays(v)
 
         named = r"^grid point 2 \(0\.25\): .*positive definite"
         with pytest.raises(PhysicalityError, match=named):
             run_grid(build, [0.0, 0.5, 0.25, 1.0])
         with pytest.raises(PhysicalityError, match="^state invariant"):
-            steady_state(build(0.25))
+            steady_state(model(build(0.25)))
 
 
 def _log_uniform(lo: float, hi: float):
@@ -159,19 +183,20 @@ _OE_DETUNINGS = st.one_of(
 )
 
 
-def assert_grid_matches_points(build, grid):
-    """Each grid covariance equals the single-point gate's, and each None
-    is a point whose own gate fails the way a grid marks."""
+def assert_grid_matches_points(build, point_model, grid):
+    """Each covariance of the grid ``build`` gives equals the single-point
+    gate's on ``point_model`` there, and each None is a point whose own gate
+    fails the way a grid marks."""
     for value, cov in zip(grid, run_grid(build, grid), strict=True):
         if cov is None:
             with pytest.raises((NoSteadyStateError, StiffnessError, ConvergenceError)):
-                steady_state(build(value))
+                steady_state(point_model(value))
         else:
-            assert np.array_equal(cov, steady_state(build(value))), value
+            assert np.array_equal(cov, steady_state(point_model(value))), value
 
 
 class TestGridMatchesPoints:
-    """The stacked grid step and the single-point path stay the same gate."""
+    """The builders the converter grids use and the single-point path stay the same gate."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -180,17 +205,75 @@ class TestGridMatchesPoints:
         grid = data.draw(st.lists(_EOM_AXES[axis], min_size=1, max_size=6))
         base = eom_reference()
 
-        def build(value):
+        def point_model(value):
             if axis == "wavelength":
                 return eom.build_model(base.at_wavelength(value))
             return eom.build_model(dataclasses.replace(base, **{axis: value}))
 
-        assert_grid_matches_points(build, grid)
+        assert_grid_matches_points(eom._grid_point(base, axis), point_model, grid)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_OE_DETUNINGS, min_size=1, max_size=6))
     def test_oe_detuning_grid(self, grid):
         base = oe_reference()
         assert_grid_matches_points(
-            lambda value: oe.build_model(dataclasses.replace(base, delta_eg=value)), grid
+            oe._detuning_point(base),
+            lambda value: oe.build_model(dataclasses.replace(base, delta_eg=value)),
+            grid,
         )
+
+
+# 32-point grids on the shipped presets' ranges.
+_GRIDS = {
+    "wavelength": np.linspace(8.0e-7, 1.6e-6, 32),
+    "gamma_m": np.geomspace(2 * math.pi * 5.0, 2 * math.pi * 1500.0, 32),
+    "delta_eg": np.linspace(-3.0e7, 3.0e7, 32),
+}
+
+
+def _sweep(axis, grid):
+    """The stability marks of the shipped sweep on ``axis``."""
+    if axis == "delta_eg":
+        return [p.stable for p in oe.entanglement_vs_detuning(oe_reference(), grid).points]
+    return [p.stable for p in eom.sweep(eom_reference(), axis, grid)]
+
+
+class TestGridRecords:
+    """A grid checks its axis values once and builds no record per point."""
+
+    @pytest.mark.parametrize("axis", sorted(_GRIDS))
+    def test_no_model_or_bath_built_per_point(self, axis, monkeypatch):
+        built = collections.Counter()
+        for cls in (LinearLangevinModel, BathSpec):
+
+            def counting(self, real=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        assert any(_sweep(axis, _GRIDS[axis]))
+        assert built == {}
+        eom.build_model(eom_reference())  # the count sees the single-point records
+        assert built == {"BathSpec": 3, "LinearLangevinModel": 1}
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("temperature", 10**400, "temperature must be finite"),
+            ("wavelength", 10**400, "lambda_l must be finite"),
+            ("delta_eg", 10**400, "delta_eg must be finite"),
+            ("gamma_m", math.nan, "gamma_m must be finite"),
+            ("temperature", -1.0, "temperature must be non-negative"),
+            ("wavelength", 0.0, "lambda_l must be positive"),
+        ],
+        ids=["temperature-int-1e400", "wavelength-int-1e400", "delta_eg-int-1e400",
+             "gamma_m-nan", "temperature-negative", "wavelength-zero"],
+    )
+    def test_axis_values_meet_their_field_rule(self, axis, value, message):
+        # An int beyond float range used to raise a bare OverflowError from float(v).
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            _sweep(axis, [value])
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValidationError, match="unknown sweep axis 'colour'"):
+            eom.sweep(eom_reference(), "colour", [1.0])
