@@ -22,11 +22,9 @@ from .channels import (
 from .criteria import (
     BipartiteBlocks,
     CriteriaReport,
-    StandardFormParams,
     discord_reports,
     gaussian_discord,
     lambda_sph,
-    standard_form,
     two_eta,
     two_eta_values,
 )
@@ -55,7 +53,6 @@ from .receiver import (
     QiScenario,
     RocCurve,
     ci_baseline,
-    correlation_coefficient,
     roc_curve,
     run_detection,
     tmsv_cm,

@@ -18,20 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NonStandardFormError,
-    NumericalDegeneracyError,
-    ValidationError,
-)
+from .errors import NumericalDegeneracyError, UndefinedQuantityError, ValidationError
 from .gaussian import GaussianState, _member, _symplectic_spectra, _validated_stack, entropy_term
 
 __all__ = [
     "BipartiteBlocks",
-    "StandardFormParams",
     "CriteriaReport",
     "lambda_sph",
     "two_eta",
-    "standard_form",
     "gaussian_discord",
     "discord_reports",
     "two_eta_values",
@@ -75,27 +69,9 @@ class BipartiteBlocks:
             raise ValidationError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
         return cls(cov[:2, :2], cov[2:, 2:], cov[:2, 2:])
 
-    def to_covariance(self) -> np.ndarray:
-        return self.state.cov.copy()
-
     def validate_physical(self, tol: float = 1e-9) -> "BipartiteBlocks":
         self.state.validate_physical(tol)
         return self
-
-
-@dataclass(frozen=True)
-class StandardFormParams:
-    """Two-mode squeezed thermal standard-form parameters.
-
-    ``tau`` and ``eta_param`` follow the printed parametrisation
-    tau = d^2/(b^2 - 1), eta_param = a - b d^2/(b^2 - 1); ``eta_param`` is
-    named to avoid clashing with the symplectic-eigenvalue measure 2eta.
-    """
-
-    a: float
-    b: float
-    tau: float
-    eta_param: float
 
 
 @dataclass(frozen=True)
@@ -137,17 +113,33 @@ def _local_dets(covs: np.ndarray):
     return dets[:, 0, 0], dets[:, 1, 1], dets[:, 0, 1]
 
 
+def _in_range(covs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, one per member of ``covs``, formed under ``np.errstate``
+    from the members' determinants: a finite covariance can have determinants
+    beyond float range, and then :class:`UndefinedQuantityError` names the
+    first such member instead of a NaN or inf score."""
+    finite = np.isfinite(values)
+    if not all(finite.flat):
+        raise UndefinedQuantityError(
+            f"{_member(covs, int(np.argmin(finite)))}covariance invariants beyond "
+            "float range; the criteria are undefined"
+        )
+    return values
+
+
 def _lambda_sph(covs: np.ndarray) -> np.ndarray:
-    det_a, det_b, det_c = _local_dets(covs)
-    a, b, c = _blocks(covs)
-    m = a @ _J @ c @ _J @ b @ _J @ _t(c) @ _J
-    trace_term = m[:, 0, 0] + m[:, 1, 1]
-    return (
-        np.maximum(det_a - 0.25, 0.0) * np.maximum(det_b - 0.25, 0.0)
-        + np.float_power(det_c, 2)
-        - 0.5 * np.abs(det_c)
-        - trace_term
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, det_b, det_c = _local_dets(covs)
+        a, b, c = _blocks(covs)
+        m = a @ _J @ c @ _J @ b @ _J @ _t(c) @ _J
+        trace_term = m[:, 0, 0] + m[:, 1, 1]
+        lam = (
+            np.maximum(det_a - 0.25, 0.0) * np.maximum(det_b - 0.25, 0.0)
+            + np.float_power(det_c, 2)
+            - 0.5 * np.abs(det_c)
+            - trace_term
+        )
+    return _in_range(covs, lam)
 
 
 def lambda_sph(blocks: BipartiteBlocks) -> float:
@@ -162,11 +154,12 @@ def lambda_sph(blocks: BipartiteBlocks) -> float:
 
 
 def _pt_nu_min(covs: np.ndarray) -> np.ndarray:
-    det_a, det_b, det_c = _local_dets(covs)
-    det_v = np.linalg.det(covs)
-    delta_t = det_a + det_b - 2.0 * det_c
-    delta_t2 = np.float_power(delta_t, 2)
-    disc = delta_t2 - 4.0 * det_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, det_b, det_c = _local_dets(covs)
+        det_v = np.linalg.det(covs)
+        delta_t = det_a + det_b - 2.0 * det_c
+        delta_t2 = np.float_power(delta_t, 2)
+        disc = _in_range(covs, delta_t2 - 4.0 * det_v)
     degenerate = disc < -1e-10 * np.maximum(1.0, delta_t2)
     if degenerate.any():
         i = int(degenerate.argmax())
@@ -205,44 +198,6 @@ def _local_normal_form(covs: np.ndarray):
     return a, b, s[:, 0] @ grid[:, 0, 1] @ _t(s[:, 1])
 
 
-def _signed_cross_diagonal(c_n: np.ndarray):
-    """Rotate C_n to diag(c_plus, c_minus) with c_plus >= |c_minus|."""
-    u, s, vt = np.linalg.svd(c_n)
-    sign = np.sign(np.linalg.det(u) * np.linalg.det(vt))
-    return s[:, 0], np.where(sign == 0.0, 1.0, sign) * s[:, 1]
-
-
-def standard_form(blocks: BipartiteBlocks) -> StandardFormParams:
-    """Reduce to the two-mode squeezed thermal standard form (a I, b I, d sigma_z).
-
-    Raises :class:`NonStandardFormError` when the cross block is not
-    (reducible to) proportional to diag(1, -1) within 1e-8.
-    """
-    blocks.validate_physical()
-    a, b, c_n = _local_normal_form(blocks.state.cov[None])
-    c_plus, c_minus = _signed_cross_diagonal(c_n)
-    a, b, c_plus, c_minus = float(a[0]), float(b[0]), float(c_plus[0]), float(c_minus[0])
-    residual = abs(c_plus + c_minus)
-    if residual > 1e-8 * max(1.0, c_plus):
-        raise NonStandardFormError(
-            "blocks are not in two-mode squeezed thermal standard form: "
-            f"diagonalised cross block is ({c_plus:.6e}, {c_minus:.6e}), "
-            f"symmetry residual {residual:.3e}",
-            residuals={"cross_symmetry": residual},
-        )
-    d = 0.5 * (c_plus - c_minus)
-    if b <= 0.5 + 1e-12:
-        return StandardFormParams(a=a, b=b, tau=0.0, eta_param=a)
-    denom = b * b - 1.0
-    if abs(denom) < 1e-12 and d > 1e-12:
-        raise NonStandardFormError(
-            "printed tau = d^2/(b^2 - 1) is singular at b = 1 with d != 0",
-            residuals={"b_squared_minus_one": denom},
-        )
-    tau = 0.0 if d <= 1e-300 else d * d / denom
-    return StandardFormParams(a=a, b=b, tau=tau, eta_param=a - b * tau)
-
-
 def _heterodyne_conditional_nu(a: np.ndarray, b: np.ndarray, c_n: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalue of mode A after heterodyne detection of mode B."""
     cond = a[:, None, None] * np.eye(2) - (c_n @ _t(c_n)) / (b + 0.5)[:, None, None]
@@ -251,7 +206,8 @@ def _heterodyne_conditional_nu(a: np.ndarray, b: np.ndarray, c_n: np.ndarray) ->
 
 def _entropic(covs: np.ndarray, nus: np.ndarray):
     """(discord, classical correlation, mutual information) in bits, from the
-    stack and its symplectic spectra."""
+    stack and its symplectic spectra; run after :func:`_lambda_sph` and
+    :func:`_pt_nu_min`, whose range checks cover the determinants it forms."""
     a, b, c_n = _local_normal_form(covs)
     nu_cond = _heterodyne_conditional_nu(a, b, c_n)
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(

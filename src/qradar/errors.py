@@ -2,6 +2,9 @@
 
 Every error raised on purpose derives from :class:`QradarError`, so callers
 (and the CLI) can separate validation problems from numerical failures.
+Finite inputs whose arithmetic leaves float range raise one where it breaks
+(a pump drive squared, a Wigner exponent, a covariance determinant), not an
+OverflowError, a leaked RuntimeWarning or a NaN result.
 A record declares each numeric field's config unit and sign rule once, with
 :func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`;
 a converter sweep holds its grid values to the axis field's rule once, with
@@ -113,20 +116,14 @@ class ThresholdError(QradarError):
     """Parametric pump at or above the oscillation threshold."""
 
 
-class NonStandardFormError(QradarError):
-    """Blocks are not reducible to the two-mode squeezed thermal standard form."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
-
 class NumericalDegeneracyError(QradarError):
     """A discriminant or pivot fell below its documented tolerance."""
 
 
 class UndefinedQuantityError(QradarError):
-    """A closed-form expression is 0/0 for the given inputs (e.g. n_eff)."""
+    """A closed-form expression is 0/0 for the given inputs (e.g. n_eff), or
+    an invariant it needs lies beyond float range (a covariance determinant
+    in the entanglement criteria)."""
 
 
 class ConfigError(QradarError):

@@ -86,13 +86,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _symmetrised(cov))
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        try:
-            self.validate_physical(tol)
-        except PhysicalityError:
-            return False
-        return True
-
     def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
         _physical_spectra(self.cov, tol)
         return self
@@ -244,6 +237,8 @@ def wigner(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     ``q`` and ``p`` are 1-d coordinate arrays; the result has shape
     (len(q), len(p)).  W = exp(-delta^T V^-1 delta / 2) / (2 pi sqrt(det V)).
+    A grid reaching so far from the mean that the exponent is beyond float
+    range is a :class:`ValidationError`.
     """
     if state.n_modes != 1:
         raise ValidationError("wigner expects a single-mode state")
@@ -255,9 +250,14 @@ def wigner(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     if det < 1e-300:
         raise DegenerateStateError(f"covariance is numerically singular (det = {det:.3e})")
     inv = np.linalg.inv(state.cov)
-    dq = q[:, None] - state.mean[0]
-    dp = p[None, :] - state.mean[1]
-    quad = inv[0, 0] * dq**2 + 2.0 * inv[0, 1] * dq * dp + inv[1, 1] * dp**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        dq = q[:, None] - state.mean[0]
+        dp = p[None, :] - state.mean[1]
+        quad = inv[0, 0] * dq**2 + 2.0 * inv[0, 1] * dq * dp + inv[1, 1] * dp**2
+    if not np.isfinite(quad).all():
+        raise ValidationError(
+            "grid reaches so far from the mean that the exponent is beyond float range"
+        )
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 

@@ -1,6 +1,7 @@
 """Single-junction parametric amplifier: derived circuit parameters,
-displaced-frame pump strength, input-output scattering and gain, two-mode
-squeezed thermal output covariance, and squeezing sweeps.
+displaced-frame pump strength, input-output scattering and gain, and the
+steady-state intracavity covariance whose Wigner fields the ``jpa_wigner``
+scenario writes.
 
 Energies are handled in angular-frequency units (rad/s); ``derived_params``
 accepts the Josephson energy either way and documents the conversion.  This
@@ -18,24 +19,18 @@ import numpy as np
 from scipy import constants
 
 from .converter import _response_roots
-from .criteria import BipartiteBlocks
 from .errors import ThresholdError, ValidationError
-from .gaussian import GaussianState, wigner
 from .langevin import LinearLangevinModel, steady_state_cov
 
 __all__ = [
     "JpaParams",
     "ClassicalField",
-    "SqueezedField",
     "derived_params",
     "classical_field",
     "build_params",
     "scattering_matrix",
     "signal_power_gain",
-    "idler_power_gain",
-    "output_two_mode_cm",
     "intracavity_cov",
-    "wigner_sweep",
 ]
 
 
@@ -75,7 +70,9 @@ def classical_field(
     |alpha|^2 whose real roots are all positive; the smallest (the branch
     continuously connected to zero drive) is returned, with the number of
     coexisting branches reported.  At ``kerr`` = 0 it is the linear response
-    alpha = -j eps / (j (omega0 - omega_p) + kappa/2), one branch.
+    alpha = -j eps / (j (omega0 - omega_p) + kappa/2), one branch.  A drive
+    whose |eps|^2 or intensity root is beyond float range is a
+    :class:`ValidationError`.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
@@ -85,10 +82,14 @@ def classical_field(
     delta = omega0 - omega_p
     kerr_eff = 4.0 * kerr
     # |alpha|^2 [(delta + 4 Lambda |alpha|^2)^2 + kappa^2/4] = |eps|^2
-    roots = _response_roots(0.5 * kappa, delta, -kerr_eff, abs(eps) ** 2)
+    try:
+        drive = abs(eps) ** 2
+    except OverflowError:
+        raise ValidationError(f"|epsilon|^2 is beyond float range (epsilon = {eps})") from None
+    roots = _response_roots(0.5 * kappa, delta, -kerr_eff, drive)
     intensity = roots[0]
-    if not intensity > 0.0:
-        raise ValidationError("no positive intensity root (cubic solve failed)")
+    if not 0.0 < intensity < math.inf:
+        raise ValidationError("no finite positive intensity root (cubic solve failed)")
     alpha = -1j * eps / (1j * (delta + kerr_eff * intensity) + 0.5 * kappa)
     residual = abs(
         alpha * (1j * (delta + kerr_eff * abs(alpha) ** 2) + 0.5 * kappa) + 1j * eps
@@ -178,44 +179,6 @@ def signal_power_gain(params: JpaParams, omega: float = 0.0) -> float:
     return float(abs(scattering_matrix(params, omega)[0, 0]) ** 2)
 
 
-def idler_power_gain(params: JpaParams, omega: float = 0.0) -> float:
-    return float(abs(scattering_matrix(params, omega)[0, 1]) ** 2)
-
-
-def output_two_mode_cm(
-    n1: float,
-    n2: float,
-    d12: float,
-    kappa1: float,
-    kappa2: float,
-    n_in1: float = 0.0,
-    n_in2: float = 0.0,
-) -> BipartiteBlocks:
-    """Two-mode squeezed thermal output blocks from intracavity moments.
-
-    n_o = 2 kappa n + n_in per oscillator and d_o12 = 2 sqrt(kappa1 kappa2)
-    d12; the blocks are a = (n_o1 + 1/2) I, b = (n_o2 + 1/2) I and
-    d_o12 diag(1, -1), already in the global vacuum-1/2 units.
-    """
-    if n1 < 0 or n2 < 0 or kappa1 < 0 or kappa2 < 0 or n_in1 < 0 or n_in2 < 0:
-        raise ValidationError("moments, damping rates and input occupations must be >= 0")
-    bound = n1 * n2 + min(n1, n2)
-    if d12**2 > bound * (1.0 + 1e-12) + 1e-12:
-        raise ValidationError(
-            f"cross-correlation violates physicality: d12^2 = {d12**2:.6e} > "
-            f"n1 n2 + min(n1, n2) = {bound:.6e}"
-        )
-    n_o1 = 2.0 * kappa1 * n1 + n_in1
-    n_o2 = 2.0 * kappa2 * n2 + n_in2
-    d_o12 = 2.0 * math.sqrt(kappa1 * kappa2) * d12
-    blocks = BipartiteBlocks(
-        (n_o1 + 0.5) * np.eye(2),
-        (n_o2 + 0.5) * np.eye(2),
-        d_o12 * np.diag([1.0, -1.0]),
-    )
-    return blocks.validate_physical()
-
-
 def intracavity_cov(g: float) -> np.ndarray:
     """Steady-state intracavity covariance at pump fraction g = |lambda1|/kappa,
     vacuum input.
@@ -232,22 +195,3 @@ def intracavity_cov(g: float) -> np.ndarray:
     diffusion = 0.5 * kappa * np.eye(2)
     model = LinearLangevinModel(drift, diffusion, ("jpa",))
     return steady_state_cov(model)
-
-
-@dataclass(frozen=True, eq=False)
-class SqueezedField:
-    """One squeezing-sweep sample: pump fraction, covariance, Wigner values."""
-
-    g: float
-    cov: np.ndarray
-    w: np.ndarray
-
-
-def wigner_sweep(g_values, q, p) -> list[SqueezedField]:
-    """Steady-state Wigner fields for pump fractions g in [0, 0.5)."""
-    fields = []
-    for g in g_values:
-        cov = intracavity_cov(float(g))
-        state = GaussianState(1, np.zeros(2), cov)
-        fields.append(SqueezedField(float(g), cov, wigner(state, q, p)))
-    return fields

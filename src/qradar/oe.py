@@ -29,10 +29,8 @@ from .sweeps import bisect_threshold, run_grid
 
 __all__ = [
     "OeParams",
-    "PdMaterialSpec",
     "DetuningSweep",
     "DetuningPoint",
-    "coupling_gop",
     "gwp_from_mu_c",
     "operating_point",
     "drift_matrix",
@@ -72,38 +70,6 @@ class OeParams:
 
     def __post_init__(self):
         _require_valid(self)
-
-
-@dataclass(frozen=True)
-class PdMaterialSpec:
-    """Photodetector material constants for the perturbative coupling rate."""
-
-    dipole_moment: float = _param(sign="positive")  # C m
-    density_of_states: float = _param(sign="positive")  # 1/(J m^3), at hbar omega_eg
-    lorentzian_width: float = _param(sign="positive")  # rad/s (half width)
-    mode_volume: float = _param(sign="positive")  # m^3
-
-    def __post_init__(self):
-        _require_valid(self)
-
-
-def coupling_gop(spec: PdMaterialSpec, omega_c: float, omega_eg: float) -> float:
-    """First-order perturbative optical/photodetector coupling rate.
-
-    g_op = (pi omega_c / eps0 V_m) mu^2 g_J(hbar omega_eg) L(omega_eg), with
-    the Lorentzian line shape evaluated on resonance, L = 1/(pi width).
-    """
-    if omega_c <= 0 or omega_eg <= 0:
-        raise ValidationError("frequencies must be positive")
-    lorentzian_peak = 1.0 / (math.pi * spec.lorentzian_width)
-    return (
-        math.pi
-        * omega_c
-        / (constants.epsilon_0 * spec.mode_volume)
-        * spec.dipole_moment**2
-        * spec.density_of_states
-        * lorentzian_peak
-    )
 
 
 def gwp_from_mu_c(

@@ -1,6 +1,6 @@
 """Quantum-illumination signal processing: two-mode squeezed source,
-correlation coefficient, second-order-moment detection, matched-energy
-classical baseline, and ROC curves.
+matched-background return channels, second-order-moment detection, a
+matched-energy classical baseline, and ROC curves.
 
 The digital receiver reduces each decision to the mean of a quadratic form
 over heterodyne-style records of the return and the retained idler, and
@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
-from .errors import DegenerateStateError, ValidationError, _param, _require_valid
+from .errors import ValidationError, _param, _require_valid
 from .gaussian import GaussianState, _cholesky, apply_channel, vacuum_state
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "DetectionSamples",
     "RocCurve",
     "tmsv_cm",
-    "correlation_coefficient",
     "low_signal_channels",
     "run_detection",
     "ci_baseline",
@@ -51,17 +50,6 @@ def tmsv_cm(r: float) -> GaussianState:
         [s2 * _SIGMA_Z, c2 * np.eye(2)],
     ])
     return GaussianState(2, np.zeros(4), cov)
-
-
-def correlation_coefficient(state: GaussianState) -> float:
-    """Cov(x_s, x_i)/sqrt(Var x_s Var x_i) read off the covariance matrix."""
-    if state.n_modes != 2:
-        raise ValidationError("correlation_coefficient expects a two-mode state")
-    var_s = state.cov[0, 0]
-    var_i = state.cov[2, 2]
-    if var_s <= 1e-300 or var_i <= 1e-300:
-        raise DegenerateStateError("zero quadrature variance")
-    return float(state.cov[0, 2] / math.sqrt(var_s * var_i))
 
 
 def low_signal_channels(

@@ -327,20 +327,49 @@ class TestCliCommands:
         assert summary["status"] == "failed"
         assert "Threshold" in summary["reason"]
 
-    def test_bath_occupation_beyond_float_range_fails_the_run(self, tmp_path, monkeypatch):
-        # A positive omega_w so small that hbar w / kB T underflows to 0 used to
-        # end in a ZeroDivisionError traceback.
+    @pytest.mark.parametrize("preset, parameters, reason", [
+        # A positive omega_w so small that hbar w / kB T underflows to 0: a
+        # ZeroDivisionError traceback before.
+        pytest.param(
+            "oe_fig12_detuning", {"oe": {"omega_w_rad_s": 5e-324}},
+            "ValidationError: thermal occupation at omega 5e-324 rad/s and temperature 0.03 K "
+            "exceeds float range",
+            id="oe_sweep-omega_w",
+        ),
+        # A bare OverflowError traceback from |epsilon|^2 before.
+        pytest.param(
+            "jpa_gain", {"epsilon_rad_s": 1.7e308},
+            "ValidationError: |epsilon|^2 is beyond float range (epsilon = (1.7e+308+0j))",
+            id="jpa_gain-epsilon",
+        ),
+        # Exit 0 with a non-finite normalization and leaked RuntimeWarnings before.
+        pytest.param(
+            "jpa_wigner_fig13", {"grid_half_width": 1e300},
+            "ValidationError: grid reaches so far from the mean that the exponent is beyond "
+            "float range",
+            id="jpa_wigner-half_width",
+        ),
+        # Exit 0 with a NaN row marked stable and leaked RuntimeWarnings before.
+        *(
+            pytest.param(
+                "eom_fig2a_temperature", {"grid": [1.0, hot]},
+                "UndefinedQuantityError: stack member 1: covariance invariants beyond float "
+                "range; the criteria are undefined",
+                id=f"eom_sweep-{hot:g}",
+            )
+            for hot in (1e200, 1e300)
+        ),
+    ])
+    def test_value_beyond_float_range_fails_the_run(
+        self, tmp_path, monkeypatch, preset, parameters, reason
+    ):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        parameters = {**SCENARIO_PRESETS["oe_fig12_detuning"]["parameters"], "oe": {"omega_w_rad_s": 5e-324}}
+        config = SCENARIO_PRESETS[preset]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "oe_sweep", "parameters": parameters}))
+        path.write_text(json.dumps({**config, "parameters": {**config["parameters"], **parameters}}))
         assert main(["run", str(path)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["status"] == "failed"
-        assert summary["reason"] == (
-            "ValidationError: thermal occupation at omega 5e-324 rad/s and temperature 0.03 K "
-            "exceeds float range"
-        )
+        assert (summary["status"], summary["reason"]) == ("failed", reason)
 
 
 class TestOeEndToEndFailures:

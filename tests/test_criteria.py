@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qradar.channels import attenuation_channel
 from qradar.criteria import (
@@ -12,16 +14,17 @@ from qradar.criteria import (
     discord_reports,
     gaussian_discord,
     lambda_sph,
-    standard_form,
     two_eta,
     two_eta_values,
 )
-from qradar.errors import NonStandardFormError, PhysicalityError, ValidationError
+from qradar.errors import PhysicalityError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import (
     GaussianState,
     apply_channel,
     entropy_term,
+    partial_transpose,
     symplectic_eigenvalues,
+    von_neumann_entropy,
 )
 
 from conftest import random_physical_two_mode, random_symplectic, tmsv_cov
@@ -71,15 +74,6 @@ class TestBipartiteBlocks:
         assert np.array_equal(blocks.C, cov[:2, 2:])
         with pytest.raises(ValueError, match="read-only"):
             blocks.A[0, 1] = 1.0
-
-    def test_to_covariance_returns_a_copy(self):
-        blocks = tmsv_blocks(0.5)
-        cov = blocks.to_covariance()
-        assert np.array_equal(cov, tmsv_cov(0.5))
-        cov[:] = 7.0
-        assert np.array_equal(blocks.to_covariance(), tmsv_cov(0.5))
-        assert np.array_equal(blocks.A, tmsv_cov(0.5)[:2, :2])
-        assert np.array_equal(blocks.C, tmsv_cov(0.5)[:2, 2:])
 
 
 class TestLambdaSph:
@@ -135,50 +129,6 @@ class TestTwoEta:
             value = two_eta(BipartiteBlocks.from_covariance(lossy.cov))
             assert value >= previous - 1e-12
             previous = value
-
-
-class TestStandardForm:
-    def test_vacuum(self):
-        params = standard_form(vacuum_blocks())
-        assert (params.a, params.b, params.tau, params.eta_param) == (0.5, 0.5, 0.0, 0.5)
-
-    def test_tmsv_plugin_arithmetic(self):
-        params = standard_form(tmsv_blocks(0.5))
-        a = math.cosh(1.0) / 2
-        d = math.sinh(1.0) / 2
-        assert params.a == pytest.approx(a, rel=1e-12)
-        assert params.b == pytest.approx(a, rel=1e-12)
-        # b < 1 here, so the printed tau = d^2/(b^2-1) is negative.
-        assert params.tau == pytest.approx(d**2 / (a**2 - 1.0), rel=1e-9)
-        assert params.eta_param == pytest.approx(a - a * d**2 / (a**2 - 1.0), rel=1e-9)
-
-    def test_two_mode_squeezed_thermal_reduction(self, rng):
-        # Brute-force local-symplectic oracle: scramble a standard-form state
-        # with local symplectics, then recover (a, b, d).
-        n_occ, r = 1.0, 0.5
-        a = b = 1.5 * math.cosh(1.0)
-        d = 1.5 * math.sinh(1.0)
-        cov = np.block([
-            [a * np.eye(2), d * np.diag([1.0, -1.0])],
-            [d * np.diag([1.0, -1.0]), b * np.eye(2)],
-        ])
-        local = np.zeros((4, 4))
-        local[:2, :2] = random_symplectic(rng, 1)
-        local[2:, 2:] = random_symplectic(rng, 1)
-        scrambled = BipartiteBlocks.from_covariance(local @ cov @ local.T)
-        params = standard_form(scrambled)
-        assert params.a == pytest.approx(a, rel=1e-9)
-        assert params.b == pytest.approx(b, rel=1e-9)
-        assert params.tau == pytest.approx(d**2 / (b**2 - 1.0), rel=1e-8)
-
-    def test_non_reducible_blocks_rejected(self):
-        # Distinct |c+| != |c-| cannot reduce to d diag(1, -1).
-        blocks = BipartiteBlocks(
-            2.0 * np.eye(2), 2.0 * np.eye(2), np.diag([0.9, -0.2])
-        )
-        with pytest.raises(NonStandardFormError) as err:
-            standard_form(blocks)
-        assert err.value.residuals
 
 
 class TestGaussianDiscord:
@@ -266,6 +216,23 @@ class TestStackEntryPoints:
                 with pytest.raises(PhysicalityError, match="^state invariant .*not positive"):
                     score(blocks)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("entry", [discord_reports, two_eta_values])
+    def test_invariant_beyond_float_range_named(self, entry, scale):
+        # A finite, physical covariance whose 4x4 (1e80) or 2x2 (1e160)
+        # determinants overflow: typed, never a NaN row or a RuntimeWarning.
+        covs = np.array([tmsv_cov(0.3), scale * np.eye(4)])
+        with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
+            entry(covs)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("score", [lambda_sph, two_eta, gaussian_discord])
+    def test_invariant_beyond_float_range_pair_rejected(self, score, scale):
+        # The single-pair entries run the same range check as the stacks.
+        blocks = BipartiteBlocks.from_covariance(scale * np.eye(4))
+        with pytest.raises(UndefinedQuantityError, match="^covariance invariants beyond float"):
+            score(blocks)
+
     @pytest.mark.parametrize(
         "covs, match",
         [
@@ -280,19 +247,34 @@ class TestStackEntryPoints:
             two_eta_values(covs)
 
 
+def _local_symplectic(rng: np.random.Generator) -> np.ndarray:
+    local = np.zeros((4, 4))
+    local[:2, :2] = random_symplectic(rng, 1)
+    local[2:, 2:] = random_symplectic(rng, 1)
+    return local
+
+
 class TestLocalSymplecticInvariance:
     def test_lambda_and_eta_invariant(self, rng):
         for _ in range(25):
             state = random_physical_two_mode(rng)
             blocks = BipartiteBlocks.from_covariance(state.cov)
-            local = np.zeros((4, 4))
-            local[:2, :2] = random_symplectic(rng, 1)
-            local[2:, 2:] = random_symplectic(rng, 1)
+            local = _local_symplectic(rng)
             moved = BipartiteBlocks.from_covariance(local @ state.cov @ local.T)
             assert lambda_sph(moved) == pytest.approx(
                 lambda_sph(blocks), rel=1e-9, abs=1e-9
             )
             assert two_eta(moved) == pytest.approx(two_eta(blocks), rel=1e-9, abs=1e-9)
+
+    def test_discord_invariant(self, rng):
+        for _ in range(25):
+            cov = random_physical_two_mode(rng).cov
+            local = _local_symplectic(rng)
+            before, after = discord_reports(np.array([cov, local @ cov @ local.T]))
+            for field in ("discord", "classical_corr", "mutual_info"):
+                assert getattr(after, field) == pytest.approx(
+                    getattr(before, field), rel=1e-9, abs=1e-9
+                ), field
 
 
 def test_criterion_agreement_sample(rng):
@@ -300,3 +282,30 @@ def test_criterion_agreement_sample(rng):
         state = random_physical_two_mode(rng)
         blocks = BipartiteBlocks.from_covariance(state.cov)
         assert (lambda_sph(blocks) < 0) == (two_eta(blocks) < 1)
+
+
+def _drawn_state(seed: int) -> GaussianState:
+    return random_physical_two_mode(np.random.default_rng(seed))
+
+
+class TestIndependentOracles:
+    """Kernels against gaussian's definition-level functions, by another route."""
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_two_eta_is_the_partial_transpose_spectrum(self, seed):
+        state = _drawn_state(seed)
+        nu_min = symplectic_eigenvalues(partial_transpose(state, 1))[0]
+        scale = np.abs(state.cov).max()
+        assert two_eta_values(state.cov[None])[0] == pytest.approx(
+            2.0 * nu_min, rel=1e-9, abs=1e-12 * scale
+        )
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_mutual_info_is_the_entropy_balance(self, seed):
+        state = _drawn_state(seed)
+        local = [GaussianState(1, np.zeros(2), state.cov[i:i + 2, i:i + 2]) for i in (0, 2)]
+        balance = sum(map(von_neumann_entropy, local)) - von_neumann_entropy(state)
+        (report,) = discord_reports(state.cov[None])
+        assert report.mutual_info == pytest.approx(balance, rel=1e-9, abs=1e-9)

@@ -19,7 +19,7 @@ from qradar.eom import (
     sweep,
     threshold_temperature,
 )
-from qradar.errors import NoSteadyStateError, ValidationError
+from qradar.errors import NoSteadyStateError, UndefinedQuantityError, ValidationError
 from qradar.langevin import LinearLangevinModel, is_stable
 from qradar.presets import eom_reference
 
@@ -134,6 +134,11 @@ class TestEntanglementReport:
         for pair, report in hot.items():
             assert report.lambda_sph >= 0.0, pair
 
+    def test_temperature_beyond_float_range_rejected(self, reference):
+        # The steady state is finite, its determinants are not.
+        with pytest.raises(UndefinedQuantityError, match="^covariance invariants beyond float"):
+            entanglement_report(dataclasses.replace(reference, temperature=1e200))
+
     def test_millikelvin_vs_kelvin_anchor(self, reference):
         # Entangled at 30 mK, separable by 1200 mK, lambda increasing between.
         cold = entanglement_report(dataclasses.replace(reference, temperature=0.03))
@@ -204,6 +209,12 @@ class TestSweep:
         alone = sweep(reference, "omega_m", grid[4:])
         for point, want in zip(points[4:], alone):
             assert point.reports == want.reports
+
+    @pytest.mark.parametrize("hot", [1e200, 1e300])
+    def test_temperature_beyond_float_range_named(self, reference, hot):
+        # A stable row with lambda_SPH = nan and RuntimeWarnings before.
+        with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
+            sweep(reference, "temperature", [1.0, hot])
 
     def test_unsorted_grid_rejected(self, reference):
         with pytest.raises(ValidationError, match="ascending"):

@@ -84,7 +84,6 @@ class TestSymplecticEigenvalues:
         # definiteness test tells them from a covariance.
         state = GaussianState(1, np.zeros(2), cov)
         assert symplectic_eigenvalues(state)[0] >= 0.5
-        assert not state.is_physical()
         with pytest.raises(PhysicalityError, match="not positive definite"):
             state.validate_physical()
 
@@ -129,17 +128,15 @@ class TestCovarianceRules:
 
     @settings(max_examples=100)
     @given(symmetric_matrices(), st.sampled_from([0.0, 1e-9, 1e-6, 0.1]))
-    def test_is_physical_iff_validate_physical_passes(self, cov, tol):
-        state = GaussianState(len(cov) // 2, np.zeros(len(cov)), cov)
+    def test_validate_physical_rejects_the_negated_covariance(self, cov, tol):
+        # -V has the symplectic spectrum of V but is no covariance.
         try:
-            state.validate_physical(tol)
+            GaussianState(len(cov) // 2, np.zeros(len(cov)), cov).validate_physical(tol)
         except PhysicalityError:
-            valid = False
-        else:
-            valid = True
-        assert state.is_physical(tol) == valid
-        if valid:  # -V has the symplectic spectrum of V but is no covariance
-            assert not GaussianState(state.n_modes, state.mean, -cov).is_physical(tol)
+            return
+        negated = GaussianState(len(cov) // 2, np.zeros(len(cov)), -cov)
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            negated.validate_physical(tol)
 
 
 class TestPartialTranspose:
@@ -238,6 +235,12 @@ class TestWigner:
         with pytest.raises(ValidationError, match="single-mode"):
             wigner(vacuum_state(2), [0.0], [0.0])
 
+    def test_exponent_beyond_float_range_rejected(self):
+        # Finite coordinates whose squared distance overflows: typed, with no
+        # overflow or inf - inf RuntimeWarning on the way.
+        with pytest.raises(ValidationError, match="beyond float range"):
+            wigner(thermal_state(0.7), [-1e300, 0.0, 1e300], [0.0, 1e300])
+
 
 class TestSampling:
     def test_zero_samples_rejected(self):
@@ -301,7 +304,7 @@ class TestApplyChannel:
     def test_output_physical(self, rng):
         state = random_physical_two_mode(rng)
         out = apply_channel(state, attenuation_channel(0.4, 1.0, 1.3).expand(1, 2))
-        assert out.is_physical()
+        out.validate_physical()
 
 
 def test_symplectic_form_properties():

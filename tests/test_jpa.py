@@ -1,5 +1,5 @@
 """Parametric amplifier: derived circuit values, classical pump field,
-scattering/gain, output covariance, and squeezing sweeps."""
+scattering/gain, and the intracavity squeezed covariance."""
 
 import cmath
 import math
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import constants
 
-from qradar.criteria import gaussian_discord, lambda_sph
 from qradar.errors import ThresholdError, ValidationError
 from qradar.gaussian import GaussianState
 from qradar.jpa import (
@@ -16,12 +15,9 @@ from qradar.jpa import (
     build_params,
     classical_field,
     derived_params,
-    idler_power_gain,
     intracavity_cov,
-    output_two_mode_cm,
     scattering_matrix,
     signal_power_gain,
-    wigner_sweep,
 )
 
 
@@ -84,6 +80,16 @@ class TestClassicalField:
         assert linear.residual <= 1e-12
         assert classical_field(1e10, -6e7, kappa, 1e10 - delta, eps).alpha != linear.alpha
 
+    @pytest.mark.parametrize("eps, match", [
+        # A bare OverflowError before.
+        pytest.param(1e200, r"^\|epsilon\|\^2 is beyond float range", id="drive"),
+        # alpha = nan before: the drive is finite, the intensity root is not.
+        pytest.param(1e100, "^no finite positive intensity root", id="intensity"),
+    ])
+    def test_drive_beyond_float_range_rejected(self, eps, match):
+        with pytest.raises(ValidationError, match=match):
+            classical_field(1e10, -6e7, 1e7, 1e10, eps)
+
 
 class TestScattering:
     def test_no_pump_unit_reflection(self):
@@ -118,12 +124,6 @@ class TestScattering:
         assert all(b > a for a, b in zip(gains, gains[1:]))
         assert gains[-1] > 1e4
 
-    def test_idler_gain_is_signal_gain_minus_one(self):
-        params = synthetic_params(1e6, 0.35e6, delta0=0.4e6)
-        assert idler_power_gain(params, 0.2e6) == pytest.approx(
-            signal_power_gain(params, 0.2e6) - 1.0, rel=1e-10
-        )
-
     def test_phase_covariance(self):
         kappa = 1e6
         base = synthetic_params(kappa, 0.3 * kappa)
@@ -153,31 +153,7 @@ class TestScattering:
         assert abs(abs(s[0, 0]) ** 2 - abs(s[0, 1]) ** 2 - 1.0) < 1e-10
 
 
-class TestOutputCovariance:
-    def test_vacuum_moments(self):
-        blocks = output_two_mode_cm(0.0, 0.0, 0.0, 0.5, 0.5)
-        assert np.array_equal(blocks.to_covariance(), 0.5 * np.eye(4))
-
-    def test_uncorrelated_product_no_discord(self):
-        blocks = output_two_mode_cm(0.4, 0.9, 0.0, 0.5, 0.5)
-        report = gaussian_discord(blocks)
-        assert report.discord == pytest.approx(0.0, abs=1e-9)
-
-    def test_tmsv_moments_round_trip(self):
-        # Intracavity TMSV moments with pass-through weights reproduce the
-        # closed-form Simon value.
-        r = 0.5
-        n = math.sinh(r) ** 2
-        d12 = math.sinh(r) * math.cosh(r)
-        blocks = output_two_mode_cm(n, n, d12, 0.5, 0.5)
-        assert lambda_sph(blocks) == pytest.approx((1 - math.cosh(2.0)) / 8.0, abs=1e-12)
-
-    def test_unphysical_moments_rejected(self):
-        with pytest.raises(ValidationError, match="cross-correlation"):
-            output_two_mode_cm(0.1, 0.1, 1.0, 0.5, 0.5)
-
-
-class TestWignerSweep:
+class TestIntracavityCov:
     def test_vacuum_limit(self):
         cov = intracavity_cov(0.0)
         assert cov == pytest.approx(0.5 * np.eye(2), abs=1e-12)
@@ -188,18 +164,9 @@ class TestWignerSweep:
             assert evs[0] == pytest.approx(0.5 / (1 + 2 * g), rel=1e-9)
             assert evs[-1] == pytest.approx(0.5 / (1 - 2 * g), rel=1e-9)
 
-    def test_variance_ordering_and_normalization(self):
-        grid = np.arange(-8.0, 8.0, 0.05)
-        fields = wigner_sweep([0.3, 0.4, 0.45], grid, grid)
-        squeezed = [np.linalg.eigvalsh(f.cov)[0] for f in fields]
-        assert squeezed[0] > squeezed[1] > squeezed[2]
-        for f in fields:
-            assert f.w.sum() * 0.05**2 == pytest.approx(1.0, abs=1e-3)
-
     def test_states_physical(self):
         for g in (0.0, 0.25, 0.49):
-            state = GaussianState(1, np.zeros(2), intracavity_cov(g))
-            assert state.is_physical()
+            GaussianState(1, np.zeros(2), intracavity_cov(g)).validate_physical()
 
     def test_above_threshold_rejected(self):
         with pytest.raises(ThresholdError):

@@ -1,6 +1,5 @@
-"""Detection chain: source covariance, correlation coefficient, Monte-Carlo
-statistics against a record-drawing oracle, ROC construction, and the
-classical baseline."""
+"""Detection chain: source covariance, Monte-Carlo statistics against a
+record-drawing oracle, ROC construction, and the classical baseline."""
 
 import dataclasses
 import math
@@ -19,7 +18,6 @@ from qradar.receiver import (
     _ci_moments,
     _qi_moments,
     ci_baseline,
-    correlation_coefficient,
     low_signal_channels,
     roc_curve,
     run_detection,
@@ -91,25 +89,20 @@ class TestSource:
 
         assert symplectic_eigenvalues(tmsv_cm(r)) == pytest.approx([0.5, 0.5], abs=1e-10)
 
-
-class TestCorrelationCoefficient:
-    def test_vacuum_uncorrelated(self):
-        assert correlation_coefficient(tmsv_cm(0.0)) == 0.0
-
-    def test_tmsv_tanh(self):
-        assert correlation_coefficient(tmsv_cm(0.5)) == pytest.approx(math.tanh(1.0))
-
     def test_through_loss_closed_form(self):
+        # Loss tau with background n_b on the signal arm of a TMSV.
         r, tau, n_b = 0.5, 0.3, 2.0
-        state = tmsv_cm(r)
         lossy = apply_channel(
-            state, attenuation_channel(-0.5 * math.log(tau), 1.0, n_b).expand(0, 2)
-        )
-        expected = (
-            math.sqrt(tau) * math.sinh(2 * r)
-            / math.sqrt(math.cosh(2 * r) * (tau * math.cosh(2 * r) + (1 - tau) * (2 * n_b + 1)))
-        )
-        assert correlation_coefficient(lossy) == pytest.approx(expected, rel=1e-12)
+            tmsv_cm(r), attenuation_channel(-0.5 * math.log(tau), 1.0, n_b).expand(0, 2)
+        ).cov
+        c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
+        signal = 0.5 * (tau * c2 + (1 - tau) * (2 * n_b + 1))
+        cross = 0.5 * math.sqrt(tau) * s2
+        expected = np.block([
+            [signal * np.eye(2), cross * np.diag([1.0, -1.0])],
+            [cross * np.diag([1.0, -1.0]), 0.5 * c2 * np.eye(2)],
+        ])
+        assert lossy == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestRunDetection:
