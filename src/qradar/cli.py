@@ -154,7 +154,7 @@ def _run_jpa_wigner(cfg: ScenarioConfig, outdir: Path) -> dict:
     summary = {"fields": []}
     for g in p["g_values"]:
         cov = jpa.intracavity_cov(float(g))
-        half = p.get("grid_half_width") or 6.0 * math.sqrt(float(np.max(np.diag(cov))))
+        half = 6.0 * math.sqrt(float(np.max(np.diag(cov))))  # +-6 sigma of the widest quadrature
         q = np.linspace(-half, half, n)
         w = wigner(GaussianState(1, np.zeros(2), cov), q, q)
         step = q[1] - q[0]

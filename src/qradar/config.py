@@ -116,7 +116,6 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "jpa_wigner": {
         "g_values": _grid(minimum=0.0, exclusive_maximum=0.5),  # jpa.intracavity_cov's domain
         "grid_points_per_axis": FieldSpec("integer", default=101, minimum=11),
-        "grid_half_width": _num(exclusive_minimum=0.0),
     },
     "channel_neff": {
         "n_in": _num(required=True, **_rule(ThermalProfile, "n_in")),

@@ -192,8 +192,10 @@ def _thermal_steady_state(
 
     def at(temperatures: Sequence[float]) -> np.ndarray:
         weights = _thermal_weights(baths, temperatures)
-        covs = (weights @ v_basis).reshape(-1, *cold.shape)
-        _check_residual(drift, (weights @ d_basis).reshape(covs.shape), covs, (), temperatures)
+        with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
+            covs = (weights @ v_basis).reshape(-1, *cold.shape)
+            diffusions = (weights @ d_basis).reshape(covs.shape)
+        _check_residual(drift, diffusions, covs, (), temperatures)
         return _physical(covs, lambda i: f"temperature {temperatures[i]!r} K")
 
     return at

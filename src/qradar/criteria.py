@@ -176,40 +176,22 @@ def two_eta(blocks: BipartiteBlocks) -> float:
     return float(2.0 * _pt_nu_min(blocks.state.cov[None])[0])
 
 
-def _single_mode_normalizer(m: np.ndarray) -> np.ndarray:
-    """Symplectic S with S m S^T = sqrt(det m) * I for each 2x2 matrix of
-    ``m``, shape (n, k, 2, 2): diagonal blocks of validated covariances, which
-    are positive definite because the covariances are."""
-    lam, rot = np.linalg.eigh(m)
-    flip = np.linalg.det(rot) < 0
-    rot = np.where(flip[..., None, None], rot[..., ::-1], rot)
-    lam = np.where(flip[..., None], lam[..., ::-1], lam)
-    squeeze = np.float_power(lam[..., ::-1] / lam, 0.25)[..., None] * np.eye(2)
-    return squeeze @ _t(rot)
-
-
-def _local_normal_form(covs: np.ndarray):
-    """Reduce (A, B, C) to (a I, b I, C_n) by local symplectics."""
-    grid = _grid(covs)
-    det_a, det_b, _ = _local_dets(covs)
-    s = _single_mode_normalizer(grid[:, [0, 1], [0, 1]])  # S_A and S_B
-    a = np.sqrt(np.maximum(det_a, 0.0))
-    b = np.sqrt(np.maximum(det_b, 0.0))
-    return a, b, s[:, 0] @ grid[:, 0, 1] @ _t(s[:, 1])
-
-
-def _heterodyne_conditional_nu(a: np.ndarray, b: np.ndarray, c_n: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalue of mode A after heterodyne detection of mode B."""
-    cond = a[:, None, None] * np.eye(2) - (c_n @ _t(c_n)) / (b + 0.5)[:, None, None]
-    return np.sqrt(np.maximum(np.linalg.det(cond), 0.0))
-
-
 def _entropic(covs: np.ndarray, nus: np.ndarray):
     """(discord, classical correlation, mutual information) in bits, from the
     stack and its symplectic spectra; run after :func:`_lambda_sph` and
-    :func:`_pt_nu_min`, whose range checks cover the determinants it forms."""
-    a, b, c_n = _local_normal_form(covs)
-    nu_cond = _heterodyne_conditional_nu(a, b, c_n)
+    :func:`_pt_nu_min`, whose range checks cover the products it forms.
+
+    Mode B is measured by heterodyne in its normal frame, where B = b I with
+    b = sqrt(det B): mode A is left with the covariance
+    A - C adj(B) C^T / (b (b + 1/2)), adj(B) = J B J^T, whatever local
+    symplectic brings B to that frame.
+    """
+    det_a, det_b, _ = _local_dets(covs)
+    a_blk, b_blk, c_blk = _blocks(covs)
+    a = np.sqrt(np.maximum(det_a, 0.0))
+    b = np.sqrt(np.maximum(det_b, 0.0))
+    cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ _t(c_blk) / (b * (b + 0.5))[:, None, None]
+    nu_cond = np.sqrt(np.maximum(np.linalg.det(cond), 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
         np.stack((a, b, nu_cond, nus[:, 0], nus[:, 1]))
     )
@@ -236,9 +218,11 @@ def _report(lam: float, eta2: float, discord: float, classical: float, mutual: f
 def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     """Evaluate all criteria, including Gaussian discord, on one mode pair.
 
-    Discord uses the heterodyne Gaussian POVM on the second mode evaluated at
-    the definition level, D = S(B) - S(AB) + S(A|het); for two-mode squeezed
-    thermal states this equals the compact standard-form expression.
+    Discord uses the heterodyne Gaussian POVM on the second mode, taken in its
+    normal frame (B = b I), evaluated at the definition level,
+    D = S(B) - S(AB) + S(A|het), where A|het has the closed-form covariance
+    A - C J B J^T C^T / (b (b + 1/2)) with b = sqrt(det B); for two-mode
+    squeezed thermal states this equals the compact standard-form expression.
     """
     blocks.validate_physical()
     lam = lambda_sph(blocks)

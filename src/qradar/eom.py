@@ -176,9 +176,7 @@ def _baths(params: EomParams) -> list[BathSpec]:
 def build_model(params: EomParams) -> LinearLangevinModel:
     """Drift + bath diffusion as a ready-to-solve Langevin model."""
     op = operating_point(params)
-    return LinearLangevinModel(
-        drift_matrix(params, op), diffusion_from_baths(_baths(params)), ("mr", "oc", "mc")
-    )
+    return LinearLangevinModel(drift_matrix(params, op), diffusion_from_baths(_baths(params)))
 
 
 def _pair_stack(covs: np.ndarray, pair: str) -> np.ndarray:

@@ -193,5 +193,5 @@ def intracavity_cov(g: float) -> np.ndarray:
     lam = g * kappa
     drift = np.array([[-0.5 * kappa, -lam], [-lam, -0.5 * kappa]])
     diffusion = 0.5 * kappa * np.eye(2)
-    model = LinearLangevinModel(drift, diffusion, ("jpa",))
+    model = LinearLangevinModel(drift, diffusion)
     return steady_state_cov(model)

@@ -120,11 +120,10 @@ def _diffusion(modes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearLangevinModel:
-    """Drift matrix, diffusion matrix and mode labels of u' = A u + n(t)."""
+    """Drift matrix and diffusion matrix of u' = A u + n(t)."""
 
     drift: np.ndarray
     diffusion: np.ndarray
-    mode_labels: tuple[str, ...]
 
     def __post_init__(self):
         a = np.asarray(self.drift, dtype=float)
@@ -140,15 +139,8 @@ class LinearLangevinModel:
         d = 0.5 * (d + d.T)
         if np.linalg.eigvalsh(d).min() < -1e-10 * max(1.0, abs(d).max()):
             raise ValidationError("diffusion must be positive semidefinite")
-        if len(self.mode_labels) != a.shape[0] // 2:
-            raise ValidationError("one mode label per mode is required")
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
-        object.__setattr__(self, "mode_labels", tuple(self.mode_labels))
-
-    @property
-    def n_modes(self) -> int:
-        return self.drift.shape[0] // 2
 
 
 class Stability(NamedTuple):
@@ -250,7 +242,8 @@ def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     ||A V + V A^T + D||_inf and whether it is within 1e-9 ||D||_inf (when
     D = 0, whether it is finite; a NaN residual is never within)."""
     d_scale = np.abs(diffusions).max(axis=(-2, -1))
-    residual = np.abs(drifts @ v + v @ drifts.mT + diffusions).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
+        residual = np.abs(drifts @ v + v @ drifts.mT + diffusions).max(axis=(-2, -1))
     return residual, (residual <= 1e-9 * d_scale) | ((d_scale == 0) & np.isfinite(residual))
 
 

@@ -43,13 +43,17 @@ __all__ = [
 ]
 
 
+_OMEGA_W = 2 * math.pi * 10e9  # default microwave mode frequency, rad/s
+_OMEGA_EG = 2.332e15  # default photodetector transition frequency (808 nm), rad/s
+
+
 @dataclass(frozen=True)
 class OeParams:
     """Converter parameters (rates rad/s, temperature kelvin).
 
-    ``mu_c`` is the dimensionless capacitance sensitivity; ``g_wp`` is the
-    microwave/photodetector coupling it generates (see :func:`gwp_from_mu_c`).
-    The absolute frequencies are needed for the bath occupations.
+    ``g_wp`` is the microwave/photodetector coupling, which
+    :func:`gwp_from_mu_c` derives from the capacitance sensitivity.  The
+    absolute frequencies are needed for the bath occupations.
     """
 
     delta_c: float = _param("rad_s")
@@ -60,31 +64,27 @@ class OeParams:
     gamma_p: float = _param("rad_s", "non-negative")
     g_op: float = _param("rad_s", "non-negative")
     g_wp: float = _param("rad_s", "non-negative")
-    mu_c: float = _param("dimensionless", "non-negative")
     temperature: float = _param("k", "non-negative")
     e_c: float = _param("rad_s", "non-negative")
     e_w: float = _param("rad_s", "non-negative")
     omega_c: float = _param("rad_s", "positive", default=2.332e15)  # 808 nm
-    omega_w: float = _param("rad_s", "positive", default=2 * math.pi * 10e9)
-    omega_eg: float = _param("rad_s", "positive", default=2.332e15)
+    omega_w: float = _param("rad_s", "positive", default=_OMEGA_W)
+    omega_eg: float = _param("rad_s", "positive", default=_OMEGA_EG)
 
     def __post_init__(self):
         _require_valid(self)
 
 
-def gwp_from_mu_c(
-    mu_c: float,
-    omega_w: float = 2 * math.pi * 10e9,
-    depletion_width: float = 1e-6,
-    m_eff: float = 0.067 * constants.m_e,
-    omega_eg: float = 2.332e15,
-) -> float:
-    """Microwave/photodetector coupling from the capacitance sensitivity,
-    g_wp = (mu_c omega_w / 2 d) sqrt(hbar / (omega_eg m_eff))."""
+def gwp_from_mu_c(mu_c: float) -> float:
+    """Microwave/photodetector coupling from the dimensionless capacitance
+    sensitivity, g_wp = (mu_c omega_w / 2 d) sqrt(hbar / (omega_eg m_eff)),
+    at the default omega_w and omega_eg, a 1 um depletion width d and
+    m_eff = 0.067 m_e."""
     if mu_c < 0:
         raise ValidationError("mu_c must be non-negative")
-    return mu_c * omega_w / (2.0 * depletion_width) * math.sqrt(
-        constants.hbar / (omega_eg * m_eff)
+    depletion_width, m_eff = 1e-6, 0.067 * constants.m_e
+    return mu_c * _OMEGA_W / (2.0 * depletion_width) * math.sqrt(
+        constants.hbar / (_OMEGA_EG * m_eff)
     )
 
 
@@ -182,9 +182,7 @@ def _detuning_point(params: OeParams) -> Callable[[float], tuple[np.ndarray, np.
 
 def build_model(params: OeParams) -> LinearLangevinModel:
     op = operating_point(params)
-    return LinearLangevinModel(
-        drift_matrix(params, op), diffusion_from_baths(_baths(params)), ("pd", "oc", "mc")
-    )
+    return LinearLangevinModel(drift_matrix(params, op), diffusion_from_baths(_baths(params)))
 
 
 _OC_MC = np.s_[..., 2:6, 2:6]  # the (OC, MC) rows and columns of a steady state or stack

@@ -108,7 +108,6 @@ def oe_reference(mu_c: float = 2e-4, temperature: float = 0.03) -> OeParams:
         gamma_p=2.0 * math.pi * 1e4,
         g_op=g_op,
         g_wp=g_wp,
-        mu_c=mu_c,
         temperature=temperature,
         e_c=a_s_target * math.hypot(om0, kappa_c),
         e_w=c_s_target * math.hypot(om0, kappa_w),

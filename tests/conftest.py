@@ -46,9 +46,7 @@ def tmsv_cov(r: float) -> np.ndarray:
 
 def damped(v: float) -> LinearLangevinModel:
     """A damped oscillator rotating at ``v`` whose steady state is (|v| + 1/2) I."""
-    return LinearLangevinModel(
-        np.array([[-1.0, v], [-v, -1.0]]), (2.0 * abs(v) + 1.0) * np.eye(2), ("a",)
-    )
+    return LinearLangevinModel(np.array([[-1.0, v], [-v, -1.0]]), (2.0 * abs(v) + 1.0) * np.eye(2))
 
 
 def damped_arrays(v: float) -> tuple[np.ndarray, np.ndarray]:

@@ -104,7 +104,7 @@ def test_criterion_04_lyapunov_ode_cross_check():
             a -= (max(float(np.linalg.eigvals(a).real.max()), 0.0) + 0.5) * np.eye(6)
             d = rng.uniform(-1.0, 1.0, (6, 6))
             d = d @ d.T
-            model = LinearLangevinModel(a, d, ("m1", "m2", "m3"))
+            model = LinearLangevinModel(a, d)
             v_ss = steady_state_cov(model)
             t_long = 50.0 / abs(float(np.linalg.eigvals(a).real.max()))
             v_ode = propagate_cov(model, np.zeros((6, 6)), t_long)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qradar
-from qradar import oe, receiver
+from qradar import eom, oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
 from qradar.errors import ConfigError, ValidationError
@@ -306,6 +306,32 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset, parameters, error", [
+        pytest.param(
+            "jpa_wigner_fig13", {"grid_half_width": 1.0},
+            "parameters.grid_half_width: unknown key", id="jpa_wigner-grid_half_width",
+        ),
+        *(
+            pytest.param(
+                preset, {"oe": {"mu_c_dimensionless": 8e-4}},
+                "parameters.oe.mu_c_dimensionless: unknown key", id=f"{kind}-mu_c",
+            )
+            for kind, preset in (("oe_sweep", "oe_fig12_detuning"), ("oe_end_to_end", "fig10"))
+        ),
+    ])
+    def test_retired_key_exits_1_without_artifacts(
+        self, preset, parameters, error, tmp_path, monkeypatch, capsys
+    ):
+        # Settings that no run read: the Wigner window is always +-6 sigma of
+        # the widest quadrature, and g_wp, not mu_c, sets the OE coupling.
+        config = SCENARIO_PRESETS[preset]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": {**config["parameters"], **parameters}}))
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(path)]) == 1
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/cfg.json"]) == 1
 
@@ -342,13 +368,6 @@ class TestCliCommands:
             "ValidationError: |epsilon|^2 is beyond float range (epsilon = (1.7e+308+0j))",
             id="jpa_gain-epsilon",
         ),
-        # Exit 0 with a non-finite normalization and leaked RuntimeWarnings before.
-        pytest.param(
-            "jpa_wigner_fig13", {"grid_half_width": 1e300},
-            "ValidationError: grid reaches so far from the mean that the exponent is beyond "
-            "float range",
-            id="jpa_wigner-half_width",
-        ),
         # Exit 0 with a NaN row marked stable and leaked RuntimeWarnings before.
         *(
             pytest.param(
@@ -358,6 +377,13 @@ class TestCliCommands:
                 id=f"eom_sweep-{hot:g}",
             )
             for hot in (1e200, 1e300)
+        ),
+        # The same exit, but after leaked overflow RuntimeWarnings, before.
+        pytest.param(
+            "eom_fig2a_temperature", {"grid": [1.0, 1e301]},
+            "StiffnessError: Lyapunov residual nan is not within 1e-9 * ||D||_inf at "
+            "temperature 1e+301 K (severely ill-conditioned drift)",
+            id="eom_sweep-1e+301",
         ),
     ])
     def test_value_beyond_float_range_fails_the_run(
@@ -433,7 +459,8 @@ class TestOeEndToEndFailures:
 
 
 class TestConverterOverrides:
-    """Every converter override key reaches the params field it names."""
+    """Every converter override key reaches the params field it names, and
+    that field reaches the model."""
 
     @pytest.mark.parametrize(
         "kind, parameters, table, reference, unset",
@@ -445,6 +472,8 @@ class TestConverterOverrides:
     )
     def test_every_key_sets_its_field(self, kind, parameters, table, reference, unset):
         base = reference()
+        build_model = {"eom": eom.build_model, "oe": oe.build_model}[table]
+        base_model = build_model(base)
         fields = [f.name for f in dataclasses.fields(base)]
         keys = list(PARAMETER_SCHEMAS[kind][table].table)
         seen = set()
@@ -456,6 +485,11 @@ class TestConverterOverrides:
             assert len(changed) == 1, (key, changed)
             assert key.startswith(changed[0] + "_")
             assert getattr(params, changed[0]) == value
+            model = build_model(params)
+            assert not (
+                np.array_equal(model.drift, base_model.drift)
+                and np.array_equal(model.diffusion, base_model.diffusion)
+            ), key
             seen.add(changed[0])
         assert len(seen) == len(keys)
         assert set(fields) - seen == unset

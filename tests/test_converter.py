@@ -293,7 +293,7 @@ class TestTemperatureAffineSteadyState:
         # Damping that outruns its baths' noise leaves V = 0.4995 I, below
         # the vacuum bound by more than the converter's 1e-6.
         baths = [BathSpec(1e10, 0.999, 0.0)] * 3
-        model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths), ("a", "b", "c"))
+        model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths))
         cov_at = _thermal_steady_state(model.drift, baths)
         with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 4.995e-01"):
             cov_at([0.0])

@@ -140,11 +140,17 @@ class TestGaussianDiscord:
         assert report.mutual_info == pytest.approx(0.0, abs=1e-9)
 
     def test_tmsv_matches_definition_level_oracle(self):
-        cov = tmsv_cov(0.5)
-        report = gaussian_discord(BipartiteBlocks.from_covariance(cov))
-        assert report.discord == pytest.approx(definition_level_discord(cov), abs=1e-10)
-        assert report.discord > 0
-        assert report.classical_corr > 0
+        # With B = b I the oracle's heterodyne frame is B's normal frame; the
+        # standard-form states have a != b and C = diag(c1, c2), c1 != -c2.
+        standard = [
+            np.block([[a * np.eye(2), np.diag(c)], [np.diag(c), b * np.eye(2)]])
+            for a, b, c in ((1.2, 0.9, (0.6, -0.4)), (2.0, 1.5, (1.2, 0.3)), (0.8, 3.0, (0.9, -0.2)))
+        ]
+        for cov in (tmsv_cov(0.5), *standard):
+            report = gaussian_discord(BipartiteBlocks.from_covariance(cov))
+            assert report.discord == pytest.approx(definition_level_discord(cov), abs=1e-10)
+            assert report.discord > 0
+            assert report.classical_corr > 0
 
     def test_entangled_implies_discordant(self, rng):
         found = 0

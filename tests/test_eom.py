@@ -95,7 +95,7 @@ class TestDriftMatrix:
 
     def test_reference_drift_stable(self, reference):
         a = drift_matrix(reference, operating_point(reference))
-        model = LinearLangevinModel(a, np.zeros_like(a), ("mr", "oc", "mc"))
+        model = LinearLangevinModel(a, np.zeros_like(a))
         assert is_stable(model).stable
 
 

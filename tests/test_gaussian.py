@@ -94,7 +94,7 @@ SYMMETRIC_4X4_BOUNDARIES = {
     "GaussianState": lambda m: GaussianState(2, np.zeros(4), m),
     "discord_reports": lambda m: discord_reports(np.array([tmsv_cov(0.3), m])),
     "two_eta_values": lambda m: two_eta_values(np.array([tmsv_cov(0.3), m])),
-    "LinearLangevinModel.diffusion": lambda m: LinearLangevinModel(-np.eye(4), m, ("a", "b")),
+    "LinearLangevinModel.diffusion": lambda m: LinearLangevinModel(-np.eye(4), m),
     "GaussianChannel.Y": lambda m: GaussianChannel(np.eye(4), m),
 }
 

@@ -34,8 +34,7 @@ def random_stable_model(rng, dim=6):
     a -= shift * np.eye(dim)
     d = rng.uniform(-1.0, 1.0, (dim, dim))
     d = d @ d.T
-    labels = tuple(f"m{i}" for i in range(dim // 2))
-    return LinearLangevinModel(a, d, labels)
+    return LinearLangevinModel(a, d)
 
 
 class TestThermalOccupation:
@@ -150,13 +149,11 @@ class TestDiffusionFromBaths:
 
 class TestStability:
     def test_damped_identity(self):
-        m = LinearLangevinModel(-np.eye(2), np.zeros((2, 2)), ("a",))
+        m = LinearLangevinModel(-np.eye(2), np.zeros((2, 2)))
         assert is_stable(m).stable
 
     def test_undamped_oscillator_marginal(self):
-        m = LinearLangevinModel(
-            np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)), ("a",)
-        )
+        m = LinearLangevinModel(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)))
         result = is_stable(m)
         assert not result.stable
         assert result.max_real_part == pytest.approx(0.0, abs=1e-12)
@@ -168,21 +165,19 @@ class TestModelValidation:
         d = np.eye(2)
         d[1, 1] = bad
         with pytest.raises(ValidationError, match="finite"):
-            LinearLangevinModel(-np.eye(2), d, ("a",))
+            LinearLangevinModel(-np.eye(2), d)
 
 
 class TestSteadyState:
     def test_diagonal_balance(self):
         # drift -kappa I with D = 2 kappa (n + 1/2) I relaxes to (n + 1/2) I.
         kappa, n = 3.0, 1.7
-        m = LinearLangevinModel(
-            -kappa * np.eye(2), 2 * kappa * (n + 0.5) * np.eye(2), ("a",)
-        )
+        m = LinearLangevinModel(-kappa * np.eye(2), 2 * kappa * (n + 0.5) * np.eye(2))
         assert steady_state_cov(m) == pytest.approx((n + 0.5) * np.eye(2))
 
     def test_zero_diffusion(self, rng):
         m = random_stable_model(rng)
-        m = LinearLangevinModel(m.drift, np.zeros_like(m.drift), m.mode_labels)
+        m = LinearLangevinModel(m.drift, np.zeros_like(m.drift))
         assert abs(steady_state_cov(m)).max() < 1e-12
 
     def test_matches_scipy(self, rng):
@@ -206,7 +201,7 @@ class TestSteadyState:
             assert abs(steady_state_cov(m) - v_ode).max() < 1e-6
 
     def test_unstable_raises_with_eigenvalue(self):
-        m = LinearLangevinModel(np.eye(2), np.eye(2), ("a",))
+        m = LinearLangevinModel(np.eye(2), np.eye(2))
         with pytest.raises(NoSteadyStateError) as err:
             steady_state_cov(m)
         assert err.value.eigenvalue == pytest.approx(1.0)
@@ -332,7 +327,7 @@ class TestPropagation:
 
     def test_pure_decay_closed_form(self):
         kappa = 2.0
-        m = LinearLangevinModel(-kappa * np.eye(2), np.zeros((2, 2)), ("a",))
+        m = LinearLangevinModel(-kappa * np.eye(2), np.zeros((2, 2)))
         v0 = np.array([[2.0, 0.3], [0.3, 1.0]])
         v = propagate_cov(m, v0, 0.7)
         assert v == pytest.approx(math.exp(-2 * kappa * 0.7) * v0, rel=1e-8)
@@ -355,7 +350,7 @@ class TestPropagation:
             [-0.4, 0.0, -0.3, 0.0],
             [0.0, 0.4, 0.0, -0.3],
         ])
-        m = LinearLangevinModel(drift, diffusion_from_baths(baths), ("a", "b"))
+        m = LinearLangevinModel(drift, diffusion_from_baths(baths))
         v = 0.5 * np.eye(4)
         for t in (0.2, 1.0, 5.0):
             v = propagate_cov(m, v, t)

@@ -86,7 +86,7 @@ FAILING_DRIFTS = {
 
 def model(arrays) -> LinearLangevinModel:
     """The one-mode model made of a grid builder's drift and diffusion."""
-    return LinearLangevinModel(*arrays, ("a",))
+    return LinearLangevinModel(*arrays)
 
 
 class TestRunGrid:
