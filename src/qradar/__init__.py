@@ -41,7 +41,6 @@ from .gaussian import (
     wigner,
 )
 from .langevin import (
-    BathSpec,
     LinearLangevinModel,
     diffusion_from_baths,
     is_stable,

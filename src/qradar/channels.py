@@ -244,9 +244,12 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     for name, values in (("mu", mu), ("mu", mu_nested), ("n", n)):
         if not np.all((values >= 0.0) & (values < math.inf)):
             raise ValidationError(f"{name} must be finite and non-negative at every node")
-    before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite absorption fails below
+        before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
+        absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
     total = before[-1]
-    absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
+    if not (total < math.inf and np.isfinite(absorbed).all()):
+        raise UndefinedQuantityError("n_eff is undefined: the absorption integral is beyond float range")
     denom = 1.0 - math.exp(-total)
     if denom < 1e-300:
         raise UndefinedQuantityError("n_eff is 0/0: total absorption vanishes")

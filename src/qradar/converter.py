@@ -11,7 +11,6 @@ of a threshold or temperature grid (:func:`qradar.sweeps.run_grid` the rest).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NoSteadyStateError, ValidationError
 from .gaussian import GaussianState, _physical_spectra, _symmetrised
-from .langevin import BathSpec, LinearLangevinModel, _stability, diffusion_from_baths, is_stable
+from .langevin import LinearLangevinModel, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
 __all__ = ["OperatingPoint", "steady_state"]
@@ -156,20 +155,22 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     return cov
 
 
-def _thermal_weights(baths: Sequence[BathSpec], grid: Sequence[float]) -> np.ndarray:
+def _thermal_weights(baths: Sequence[tuple], grid: Sequence[float]) -> np.ndarray:
     """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
     if len(grid) == 0:
         raise ValidationError("temperature grid must not be empty")
-    return np.array([[2.0 * thermal_occupation(b.omega, t) + 1.0 for b in baths] for t in grid])
+    return np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths] for t in grid])
 
 
 def _thermal_steady_state(
-    drift: np.ndarray, baths: Sequence[BathSpec]
+    drift: np.ndarray, baths: Sequence[tuple]
 ) -> Callable[[Sequence[float]], np.ndarray]:
     """Temperatures -> the (n, d, d) stack of :func:`steady_state` of the
     model with this ``drift`` and every bath at each temperature.
 
-    ``baths`` are the model's baths, one per mode in mode order.  Temperature
+    ``baths`` are the model's (omega, damping, temperature, kind) rows, one
+    per mode in mode order, as :func:`~qradar.langevin.diffusion_from_baths`
+    takes them; their own temperatures are not read.  Temperature
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
@@ -181,7 +182,7 @@ def _thermal_steady_state(
     from it needs only its own physical rule.
     """
     _require_stable(*_stability(drift))
-    cold = diffusion_from_baths([dataclasses.replace(b, temperature=0.0) for b in baths])
+    cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
     # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold

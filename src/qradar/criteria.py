@@ -179,7 +179,9 @@ def two_eta(blocks: BipartiteBlocks) -> float:
 def _entropic(covs: np.ndarray, nus: np.ndarray):
     """(discord, classical correlation, mutual information) in bits, from the
     stack and its symplectic spectra; run after :func:`_lambda_sph` and
-    :func:`_pt_nu_min`, whose range checks cover the products it forms.
+    :func:`_pt_nu_min`, whose range checks cover the products it forms but
+    the heterodyne quotient, which is held to the range rule itself (det B
+    can lose every digit to rounding, and b = 0 then divides by zero).
 
     Mode B is measured by heterodyne in its normal frame, where B = b I with
     b = sqrt(det B): mode A is left with the covariance
@@ -190,8 +192,10 @@ def _entropic(covs: np.ndarray, nus: np.ndarray):
     a_blk, b_blk, c_blk = _blocks(covs)
     a = np.sqrt(np.maximum(det_a, 0.0))
     b = np.sqrt(np.maximum(det_b, 0.0))
-    cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ _t(c_blk) / (b * (b + 0.5))[:, None, None]
-    nu_cond = np.sqrt(np.maximum(np.linalg.det(cond), 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ _t(c_blk) / (b * (b + 0.5))[:, None, None]
+        det_cond = _in_range(covs, np.linalg.det(cond))
+    nu_cond = np.sqrt(np.maximum(det_cond, 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
         np.stack((a, b, nu_cond, nus[:, 0], nus[:, 1]))
     )

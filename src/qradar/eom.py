@@ -24,7 +24,7 @@ from .criteria import gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .errors import _grid_values, _param, _require_valid
 from .gaussian import _physical_spectra
-from .langevin import BathSpec, LinearLangevinModel, _diffusion, diffusion_from_baths
+from .langevin import LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
 from .sweeps import bisect_threshold, run_grid
@@ -157,20 +157,16 @@ def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def _modes(params: EomParams) -> list[tuple]:
+def _baths(params: EomParams) -> list[tuple]:
     """The mechanical, optical and microwave baths, in mode order, each as
-    (omega, damping, temperature, kind)."""
+    (omega, damping, temperature, kind) row of
+    :func:`~qradar.langevin.diffusion_from_baths`."""
     t = params.temperature
     return [
         (params.omega_m, params.gamma_m, t, "mechanical"),
         (params.omega_c, params.kappa_c, t, "cavity"),
         (params.omega_w, params.kappa_w, t, "cavity"),
     ]
-
-
-def _baths(params: EomParams) -> list[BathSpec]:
-    """The baths of :func:`_modes` as records."""
-    return [BathSpec(*mode) for mode in _modes(params)]
 
 
 def build_model(params: EomParams) -> LinearLangevinModel:
@@ -213,14 +209,14 @@ def _axis_field(axis: str) -> str:
 def _grid_point(params: EomParams, axis: str) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The :func:`~qradar.sweeps.run_grid` builder of :func:`sweep` on ``axis``
     (not temperature): a checked axis value -> the drift and diffusion of
-    :func:`build_model` there, with no bath or model record built."""
+    :func:`build_model` there, with no model record built."""
 
     def arrays(value: float) -> tuple[np.ndarray, np.ndarray]:
         if axis == "wavelength":
             point = params.at_wavelength(value)
         else:
             point = dataclasses.replace(params, **{axis: value})
-        return drift_matrix(point, operating_point(point)), _diffusion(_modes(point))
+        return drift_matrix(point, operating_point(point)), diffusion_from_baths(_baths(point))
 
     return arrays
 

@@ -123,7 +123,7 @@ class NumericalDegeneracyError(QradarError):
 class UndefinedQuantityError(QradarError):
     """A closed-form expression is 0/0 for the given inputs (e.g. n_eff), or
     an invariant it needs lies beyond float range (a covariance determinant
-    in the entanglement criteria)."""
+    in the entanglement criteria, a line's absorption integral)."""
 
 
 class ConfigError(QradarError):

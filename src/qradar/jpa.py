@@ -43,7 +43,12 @@ def derived_params(e_j: float, capacitance: float) -> tuple[float, float, float]
     """
     if e_j <= 0 or capacitance <= 0:
         raise ValidationError("Josephson energy and capacitance must be positive")
-    e_c = constants.e**2 / (2.0 * capacitance * constants.hbar)
+    scale = 2.0 * capacitance * constants.hbar
+    if scale == 0.0:  # C below about 1e-290 F underflows it
+        raise ValidationError(
+            f"charging energy e^2/(2 C hbar) is beyond float range (capacitance = {capacitance!r} F)"
+        )
+    e_c = constants.e**2 / scale
     omega0 = math.sqrt(8.0 * e_c * e_j)
     return e_c, omega0, -0.5 * e_c
 

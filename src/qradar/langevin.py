@@ -1,8 +1,9 @@
 """Linear quantum Langevin machinery shared by the converter models.
 
-Assembles diffusion matrices from baths (one diagonal formula, for bath
-records and for a converter grid's plain per-point values alike), decides
-stability, solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
+Assembles diffusion matrices from baths given as (omega, damping,
+temperature, kind) rows (one diagonal formula, for a single model, a
+temperature basis and a converter grid's points alike), decides stability,
+solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
 Bartels-Stewart behind a residual gate, and propagates transient covariances.
 The stability test, the solve and the residual gate each work over one model
 or a stack of drifts alike.
@@ -24,19 +25,19 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import constants
 from scipy.linalg import lapack
 
-from .errors import NoSteadyStateError, StiffnessError, ValidationError, _param, _require_valid
+from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
 from .gaussian import _asymmetric
 
 __all__ = [
-    "BathSpec",
     "LinearLangevinModel",
     "Stability",
     "thermal_occupation",
@@ -47,16 +48,18 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0.
-    :class:`ValidationError` where N exceeds float range, as when
+    :class:`ValidationError` unless omega is positive and temperature
+    non-negative, both finite, and where N exceeds float range, as when
     hbar w / kB T underflows to 0."""
-    if not 0 < omega < math.inf:  # NaN fails this test too
-        raise ValidationError("thermal_occupation requires a finite omega > 0")
-    if not math.isfinite(temperature):
-        raise ValidationError(f"temperature must be finite, got {temperature}")
-    if temperature < 0:
-        raise ValidationError("temperature must be non-negative")
+    # NaN, inf and ints beyond float range fail this test; only then is the rule's message formed.
+    if not (0 < omega <= _FLOAT_MAX and 0 <= temperature <= _FLOAT_MAX):
+        omega = _valid("omega", "positive", omega)
+        temperature = _valid("temperature", "non-negative", temperature)
     thermal_energy = constants.k * temperature
     if thermal_energy == 0.0:
         return 0.0
@@ -72,42 +75,19 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return occupation
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """One dissipative bath: mode frequency, damping rate, and temperature.
-
-    ``kind`` selects the noise structure: a cavity mode receives isotropic
-    input noise on both quadratures, a mechanical mode is Brownian with noise
-    entering on the momentum quadrature only.
-    """
-
-    omega: float = _param(sign="positive")
-    damping: float = _param(sign="non-negative")
-    temperature: float = _param(sign="non-negative")
-    kind: Literal["cavity", "mechanical"] = "cavity"
-
-    def __post_init__(self):
-        _require_valid(self)
-        if self.kind not in ("cavity", "mechanical"):
-            raise ValidationError(f"unknown bath kind {self.kind!r}")
-
-    def occupation(self) -> float:
-        return thermal_occupation(self.omega, self.temperature)
-
-
-def diffusion_from_baths(baths: Sequence[BathSpec]) -> np.ndarray:
-    """Block-diagonal diffusion matrix, one 2x2 block per bath/mode."""
-    return _diffusion([(b.omega, b.damping, b.temperature, b.kind) for b in baths])
-
-
-def _diffusion(modes) -> np.ndarray:
-    """The diagonal diffusion of one bath per mode, each given as (omega,
-    damping, temperature, kind) that meet :class:`BathSpec`'s rules: the
-    weight damping (2 N(omega, T) + 1) on both quadratures of a cavity mode,
-    on the momentum of a mechanical one.  :class:`ValidationError` if a
-    weight is not finite."""
+def diffusion_from_baths(baths: Sequence[tuple]) -> np.ndarray:
+    """The diagonal diffusion of one bath per mode, each an (omega, damping,
+    temperature, kind) row: the weight damping (2 N(omega, T) + 1) on both
+    quadratures of a ``"cavity"`` mode, on the momentum of a ``"mechanical"``
+    one, whose noise is Brownian.  :class:`ValidationError` if a row breaks
+    a rule (omega positive, damping and temperature non-negative, all
+    finite; a known kind) or a weight is not finite."""
     diagonal = []
-    for omega, damping, temperature, kind in modes:
+    for omega, damping, temperature, kind in baths:
+        if kind not in ("cavity", "mechanical"):
+            raise ValidationError(f"unknown bath kind {kind!r}")
+        if not 0 <= damping <= _FLOAT_MAX:  # the same cheap test as thermal_occupation's
+            damping = _valid("damping", "non-negative", damping)
         weight = damping * (2.0 * thermal_occupation(omega, temperature) + 1.0)
         if not math.isfinite(weight):
             raise ValidationError(

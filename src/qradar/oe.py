@@ -24,7 +24,7 @@ from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
 from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid
 from .gaussian import _physical_spectra, _require_cp, apply_channel
-from .langevin import BathSpec, LinearLangevinModel, _diffusion, diffusion_from_baths
+from .langevin import LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
 __all__ = [
@@ -152,9 +152,10 @@ def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:
     ])
 
 
-def _modes(params: OeParams) -> list[tuple]:
+def _baths(params: OeParams) -> list[tuple]:
     """The photodetector, optical and microwave baths, in mode order, each as
-    (omega, damping, temperature, kind)."""
+    (omega, damping, temperature, kind) row of
+    :func:`~qradar.langevin.diffusion_from_baths`."""
     t = params.temperature
     return [
         (params.omega_eg, params.gamma_p, t, "mechanical"),
@@ -163,19 +164,14 @@ def _modes(params: OeParams) -> list[tuple]:
     ]
 
 
-def _baths(params: OeParams) -> list[BathSpec]:
-    """The baths of :func:`_modes` as records."""
-    return [BathSpec(*mode) for mode in _modes(params)]
-
-
 def _detuning_point(params: OeParams) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The :func:`~qradar.sweeps.run_grid` builder of
     :func:`entanglement_vs_detuning`: a checked delta_eg -> the drift and
-    diffusion of :func:`build_model` there, with no bath or model record built."""
+    diffusion of :func:`build_model` there, with no model record built."""
 
     def arrays(delta_eg: float) -> tuple[np.ndarray, np.ndarray]:
         point = dataclasses.replace(params, delta_eg=delta_eg)
-        return drift_matrix(point, operating_point(point)), _diffusion(_modes(point))
+        return drift_matrix(point, operating_point(point)), diffusion_from_baths(_baths(point))
 
     return arrays
 

@@ -43,7 +43,10 @@ def tmsv_cm(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r (signal, idler)."""
     if r < 0:
         raise ValidationError("squeezing parameter must be non-negative")
-    c2 = math.cosh(2.0 * r)
+    try:
+        c2 = math.cosh(2.0 * r)
+    except OverflowError:
+        raise ValidationError(f"two-mode squeezing cosh(2r) is beyond float range (r = {r!r})") from None
     s2 = math.sinh(2.0 * r)
     cov = 0.5 * np.block([
         [c2 * np.eye(2), s2 * _SIGMA_Z],
@@ -67,6 +70,11 @@ def low_signal_channels(
         raise ValidationError("background occupation must be non-negative")
     kappa_r = -0.5 * math.log(transmissivity)  # tau = e^{-2 kappa R}, R = 1
     n_env = n_background / (1.0 - transmissivity) if transmissivity < 1.0 else 0.0
+    if n_env == math.inf:
+        raise ValidationError(
+            f"environment occupation n_B/(1 - tau) is beyond float range "
+            f"(n_B = {n_background!r}, tau = {transmissivity!r})"
+        )
     signal = attenuation_channel(kappa_r, 1.0, n_env)
     background = thermal_background_channel(n_background)
     return signal, background

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,37 @@ class TestCliCommands:
             "ValidationError: |epsilon|^2 is beyond float range (epsilon = (1.7e+308+0j))",
             id="jpa_gain-epsilon",
         ),
+        # A bare ZeroDivisionError traceback from e^2/(2 C hbar) before.
+        pytest.param(
+            "jpa_gain", {"capacitance_f": 5e-324},
+            "ValidationError: charging energy e^2/(2 C hbar) is beyond float range "
+            "(capacitance = 5e-324 F)",
+            id="jpa_gain-capacitance",
+        ),
+        # A bare OverflowError traceback from math.cosh, and no summary.json, before.
+        pytest.param(
+            "qi_roc_low_signal", {"mean_signal_photons": 1.7e308},
+            "ValidationError: two-mode squeezing cosh(2r) is beyond float range "
+            "(r = 355.55656562717405)",
+            id="qi_roc-mean_signal_photons",
+        ),
+        # Exit 2, but after a leaked "invalid value" RuntimeWarning, before.
+        pytest.param(
+            "qi_roc_low_signal", {"n_background": 1.7e308},
+            "ValidationError: environment occupation n_B/(1 - tau) is beyond float range "
+            "(n_B = 1.7e+308, tau = 0.2)",
+            id="qi_roc-n_background",
+        ),
+        # Exit 2 with "n_eff changes by nan", after leaked overflow RuntimeWarnings, before.
+        *(
+            pytest.param(
+                "channel_neff_line", {key: 1.7e308},
+                "UndefinedQuantityError: n_eff is undefined: the absorption integral is "
+                "beyond float range",
+                id=f"channel_neff-{key}",
+            )
+            for key in ("mu_in_per_m", "mu_out_per_m", "length_m")
+        ),
         # Exit 0 with a NaN row marked stable and leaked RuntimeWarnings before.
         *(
             pytest.param(
@@ -430,7 +462,7 @@ class TestOeEndToEndFailures:
         # not positive definite.
         real = oe._baths
         monkeypatch.setattr(
-            oe, "_baths", lambda p: [dataclasses.replace(b, damping=0.0) for b in real(p)]
+            oe, "_baths", lambda p: [(omega, 0.0, t, kind) for omega, _, t, kind in real(p)]
         )
         assert main(["run", str(self._config(tmp_path))]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -530,6 +562,68 @@ class TestOverrideRules:
             assert err.value.errors[0].startswith(f"parameters.{table}.{key}: must be ")
             with pytest.raises(ValidationError, match="must be (positive|non-negative)"):
                 _params(reference(), {key: value})
+
+
+_EXTREMES = (0.0, *(s * v for v in (5e-324, 1e-300, 1e-12, 1e12, 1e300, 1.7e308) for s in (1, -1)))
+
+
+def _one_key_changes(parameters: dict, kind: str):
+    """Each (key, value, parameters) that sets one number key of ``kind``, or
+    one key of an override table, to a value of :data:`_EXTREMES`."""
+    for key, spec in PARAMETER_SCHEMAS[kind].items():
+        for value in _EXTREMES:
+            if spec.kind == "number":
+                yield key, value, {**parameters, key: value}
+            elif spec.kind == "table":
+                for sub in spec.table:
+                    table = {**parameters.get(key, {}), sub: value}
+                    yield f"{key}.{sub}", value, {**parameters, key: table}
+
+
+def _finite_numbers(tree) -> bool:
+    """Whether every float in a summary's nested dicts and lists is finite."""
+    if isinstance(tree, dict):
+        return all(_finite_numbers(value) for value in tree.values())
+    if isinstance(tree, list):
+        return all(_finite_numbers(value) for value in tree)
+    return not isinstance(tree, float) or math.isfinite(tree)
+
+
+class TestOneKeyChanged:
+    """A shipped preset with one number changed to an extreme value either
+    runs, with finite headline numbers, or fails the run typed: exit 2 with
+    a summary.json, never an escaping exception or a leaked warning."""
+
+    @pytest.mark.parametrize("preset", [
+        name for name, config in sorted(SCENARIO_PRESETS.items())
+        if any(_one_key_changes(config["parameters"], config["kind"]))
+    ])
+    def test_runs_or_fails_typed(self, preset, tmp_path):
+        config = SCENARIO_PRESETS[preset]
+        base = config["parameters"]
+        if config["kind"] == "qi_roc":  # the same code paths at a fraction of the samples
+            base = {**base, "samples_per_decision": 20, "n_decisions": 20, "rho_samples": 1000}
+        failures = []
+        for i, (key, value, parameters) in enumerate(_one_key_changes(base, config["kind"])):
+            try:
+                cfg = validate_config({**config, "parameters": parameters})
+            except ConfigError:
+                continue
+            outdir = tmp_path / str(i)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code, summary = run_scenario(dataclasses.replace(cfg, output_dir=str(outdir)))
+                except Exception as exc:
+                    failures.append((key, value, f"{type(exc).__name__}: {exc}"))
+                    continue
+            if caught:
+                failures.append((key, value, [str(w.message) for w in caught]))
+            elif code not in (0, 2) or not (outdir / "summary.json").exists():
+                failures.append((key, value, code))
+            elif code == 0 and not _finite_numbers(summary["summary"]):
+                failures.append((key, value, summary["summary"]))
+        assert failures == [], "\n".join(map(str, failures))
 
 
 class TestArtifacts:

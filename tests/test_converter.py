@@ -18,7 +18,7 @@ from qradar.converter import _physical, _response_roots, _thermal_steady_state, 
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
 from qradar.errors import ValidationError
-from qradar.langevin import BathSpec, LinearLangevinModel, diffusion_from_baths, propagate_cov
+from qradar.langevin import LinearLangevinModel, diffusion_from_baths, propagate_cov
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
 
@@ -292,7 +292,7 @@ class TestTemperatureAffineSteadyState:
     def test_each_temperature_is_held_to_the_physical_rule(self):
         # Damping that outruns its baths' noise leaves V = 0.4995 I, below
         # the vacuum bound by more than the converter's 1e-6.
-        baths = [BathSpec(1e10, 0.999, 0.0)] * 3
+        baths = [(1e10, 0.999, 0.0, "cavity")] * 3
         model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths))
         cov_at = _thermal_steady_state(model.drift, baths)
         with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 4.995e-01"):

@@ -239,6 +239,19 @@ class TestStackEntryPoints:
         with pytest.raises(UndefinedQuantityError, match="^covariance invariants beyond float"):
             score(blocks)
 
+    def test_heterodyne_quotient_beyond_float_range_named(self):
+        # Squeezing B by 1e40 leaves det B = 0 after rounding, so the
+        # heterodyne quotient divided by b = 0: "divide by zero" leaked before.
+        def rotation(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        local = np.zeros((4, 4))
+        local[:2, :2] = rotation(0.3) @ np.diag([1e10, 1e-10]) @ rotation(0.5)
+        local[2:, 2:] = rotation(0.7) @ np.diag([1e40, 1e-40]) @ rotation(1.1)
+        covs = np.array([tmsv_cov(0.3), local @ tmsv_cov(1.0) @ local.T])
+        with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
+            discord_reports(covs)
+
     @pytest.mark.parametrize(
         "covs, match",
         [

@@ -2,7 +2,9 @@
 the Lyapunov steady state (the LAPACK Bartels-Stewart kernel, bit-equal to
 scipy's solver, and the residual gate around it), and transient propagation."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from qradar import converter, eom, langevin, sweeps
 from qradar.errors import NoSteadyStateError, StiffnessError, ValidationError
 from qradar.gaussian import GaussianState
 from qradar.langevin import (
-    BathSpec,
     LinearLangevinModel,
     diffusion_from_baths,
     is_stable,
@@ -60,13 +61,13 @@ class TestThermalOccupation:
 
     def test_nan_omega_rejected(self):
         # omega <= 0 is False for NaN, which used to return NaN.
-        with pytest.raises(ValidationError, match="omega > 0"):
+        with pytest.raises(ValidationError, match="omega must be finite"):
             thermal_occupation(math.nan, 1.0)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.0])
     def test_infinite_omega_rejected(self, temperature):
         # An infinite frequency used to pass as a cold bath (0 photons).
-        with pytest.raises(ValidationError, match="omega > 0"):
+        with pytest.raises(ValidationError, match="omega must be finite"):
             thermal_occupation(math.inf, temperature)
 
     @pytest.mark.parametrize("temperature", [math.inf, math.nan])
@@ -75,12 +76,21 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError, match="temperature must be finite"):
             thermal_occupation(1e9, temperature)
 
+    @pytest.mark.parametrize(
+        "omega, temperature, message",
+        [(1e9, 10**400, "temperature must be finite"), (10**400, 1.0, "omega must be finite")],
+    )
+    def test_int_beyond_float_range_rejected(self, omega, temperature, message):
+        # A bare OverflowError ("int too large to convert to float") before.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            thermal_occupation(omega, temperature)
+
     @pytest.mark.parametrize("omega, temperature", [(1e-300, 1e10), (5e-324, 1e300)])
     def test_occupation_beyond_float_range_rejected(self, omega, temperature):
         # Valid baths whose hbar w / kB T underflows to 0 used to divide by
         # expm1(0) = 0 and raise a bare ZeroDivisionError.
         with pytest.raises(ValidationError, match="thermal occupation .* exceeds float range"):
-            BathSpec(omega, 1.0, temperature).occupation()
+            diffusion_from_baths([(omega, 1.0, temperature, "cavity")])
 
     @settings(max_examples=100)
     @given(
@@ -110,28 +120,50 @@ class TestDiffusionFromBaths:
     def test_bath_field_rules(self, field, value, message):
         # A bath breaking its declared rule never reaches the diffusion matrix.
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            diffusion_from_baths([BathSpec(**{**_BATH, field: value})])
+            diffusion_from_baths([(*{**_BATH, field: value}.values(), "cavity")])
 
     def test_unknown_bath_kind_rejected(self):
         with pytest.raises(ValidationError, match="unknown bath kind 'phonon'"):
-            BathSpec(**_BATH, kind="phonon")
+            diffusion_from_baths([(*_BATH.values(), "phonon")])
+
+    def test_every_row_gives_a_finite_diagonal_or_fails_typed(self):
+        # Every row on the boundary of the rules: a finite diagonal with
+        # entries >= 0, or a ValidationError, and never a warning.
+        values = (0, 5e-324, 1e-300, 1e-12, 1, 1e12, 1e300, 1.7e308, math.inf, math.nan, -1,
+                  -5e-324, 10**400)
+        rows = list(itertools.product(values, values, values, ("cavity", "mechanical", "phonon")))
+        assert len(rows) == 6591
+        failed = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for row in rows:
+                try:
+                    d = diffusion_from_baths([row])
+                except ValidationError:
+                    continue
+                diagonal = np.diag(d)
+                if not (np.isfinite(d).all() and (diagonal >= 0).all()
+                        and np.array_equal(d, np.diag(diagonal))):
+                    failed.append(row)
+        assert failed == []
+        assert [str(w.message) for w in caught] == []
 
     def test_cold_cavity(self):
-        d = diffusion_from_baths([BathSpec(1e9, 1.0, 0.0, "cavity")])
+        d = diffusion_from_baths([(1e9, 1.0, 0.0, "cavity")])
         assert np.array_equal(d, np.eye(2))
 
     def test_mechanical_block(self):
         # gamma (2N + 1) on the momentum diagonal only; N = 2 via temperature.
         omega = 1e9
         temperature = constants.hbar * omega / (constants.k * math.log(1.5))
-        d = diffusion_from_baths([BathSpec(omega, 0.1, temperature, "mechanical")])
+        d = diffusion_from_baths([(omega, 0.1, temperature, "mechanical")])
         assert d == pytest.approx(np.diag([0.0, 0.5]), rel=1e-9)
 
     @pytest.mark.parametrize(
         "bath",
         [
-            BathSpec(1e9, 1e308, 1e10),  # damping (2 N + 1) overflows: used to give an inf matrix
-            BathSpec(1.0, 0.0, 1e297),  # N ~ 1.3e308, so 2 N + 1 = inf and 0 * inf = NaN
+            (1e9, 1e308, 1e10, "cavity"),  # damping (2 N + 1) overflows: used to give an inf matrix
+            (1.0, 0.0, 1e297, "cavity"),  # N ~ 1.3e308, so 2 N + 1 = inf and 0 * inf = NaN
         ],
     )
     def test_weight_beyond_float_range_rejected(self, bath):
@@ -140,8 +172,8 @@ class TestDiffusionFromBaths:
 
     def test_independent_baths_block_diagonal(self):
         d = diffusion_from_baths([
-            BathSpec(1e9, 1.0, 0.0, "cavity"),
-            BathSpec(1e6, 0.5, 0.0, "mechanical"),
+            (1e9, 1.0, 0.0, "cavity"),
+            (1e6, 0.5, 0.0, "mechanical"),
         ])
         assert np.array_equal(d[:2, 2:], np.zeros((2, 2)))
         assert np.array_equal(d[2:, :2], np.zeros((2, 2)))
@@ -341,8 +373,8 @@ class TestPropagation:
 
     def test_physicality_preserved_with_bath_diffusion(self):
         baths = [
-            BathSpec(1e9, 0.8, 0.0, "cavity"),
-            BathSpec(1e9, 0.3, 0.0, "cavity"),
+            (1e9, 0.8, 0.0, "cavity"),
+            (1e9, 0.3, 0.0, "cavity"),
         ]
         drift = np.array([
             [-0.8, 0.0, 0.4, 0.0],
