@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, UndefinedQuantityError, ValidationError, _param, _require_valid
+from .errors import ConvergenceError, UndefinedQuantityError, ValidationError, _param, _require_valid, _valid
 from .gaussian import _asymmetric
 
 __all__ = [
@@ -50,7 +50,7 @@ class GaussianChannel:
         if _asymmetric(y):
             raise ValidationError("channel noise matrix Y must be symmetric")
         object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", 0.5 * (y + y.T))
+        object.__setattr__(self, "Y", 0.5 * y + 0.5 * y.T)  # y + y.T overflows above about 9e307
 
     @property
     def n_modes(self) -> int:
@@ -93,8 +93,9 @@ def attenuation_channel(kappa_atm: float, distance: float, n_env: float = 0.0) -
     hence power transmissivity tau = e^{-2 kappa R}, with thermal injection
     (1 - tau)(n_env + 1/2) per quadrature.
     """
-    if kappa_atm < 0 or distance < 0 or n_env < 0:
-        raise ValidationError("attenuation parameters must be non-negative")
+    _valid("kappa_atm", "non-negative", kappa_atm)
+    _valid("distance", "non-negative", distance)
+    _valid("n_env", "non-negative", n_env)
     tau = math.exp(-2.0 * kappa_atm * distance)
     x = math.sqrt(tau) * np.eye(2)
     y = (1.0 - tau) * (n_env + 0.5) * np.eye(2)
@@ -103,8 +104,9 @@ def attenuation_channel(kappa_atm: float, distance: float, n_env: float = 0.0) -
 
 def target_channel(kappa_t: float, dz_t: float, n_t: float = 0.0) -> GaussianChannel:
     """Target scattering with effective amplitude reflectivity e^{-kappa_t dz_t}."""
-    if kappa_t < 0 or dz_t <= 0 or n_t < 0:
-        raise ValidationError("target parameters must be positive (kappa_t >= 0, dz_t > 0, n_t >= 0)")
+    _valid("kappa_t", "non-negative", kappa_t)
+    _valid("dz_t", "positive", dz_t)
+    _valid("n_t", "non-negative", n_t)
     r_eff = math.exp(-kappa_t * dz_t)
     x = r_eff * np.eye(2)
     y = (1.0 - r_eff**2) * (n_t + 0.5) * np.eye(2)
@@ -113,20 +115,20 @@ def target_channel(kappa_t: float, dz_t: float, n_t: float = 0.0) -> GaussianCha
 
 def amplifier_channel(gain_db: float, added_noise: float = 0.0) -> GaussianChannel:
     """Phase-insensitive amplifier; quantum limited at added_noise = 0."""
-    if gain_db < 0:
+    if _valid("gain_db", None, gain_db) < 0:
         raise ValidationError("gain below unity: use attenuation_channel instead")
-    if added_noise < 0:
-        raise ValidationError("added_noise must be non-negative")
-    g = 10.0 ** (gain_db / 10.0)
-    x = math.sqrt(g) * np.eye(2)
-    y = (g - 1.0) * (added_noise + 0.5) * np.eye(2)
-    return GaussianChannel(x, y, f"amplifier({gain_db:g} dB)")
+    _valid("added_noise", "non-negative", added_noise)
+    try:
+        g = 10.0 ** (gain_db / 10.0)
+    except OverflowError:  # G beyond float range: so is the noise, which fails below
+        g = math.inf
+    noise = _valid("amplifier noise (G - 1)(added_noise + 1/2)", None, (g - 1.0) * (added_noise + 0.5))
+    return GaussianChannel(math.sqrt(g) * np.eye(2), noise * np.eye(2), f"amplifier({gain_db:g} dB)")
 
 
 def thermal_background_channel(n_occupation: float) -> GaussianChannel:
     """Replace the input with a thermal state of the given occupation."""
-    if n_occupation < 0:
-        raise ValidationError("occupation must be non-negative")
+    _valid("n_occupation", "non-negative", n_occupation)
     return GaussianChannel(
         np.zeros((2, 2)),
         (n_occupation + 0.5) * np.eye(2),
@@ -208,8 +210,7 @@ def n_eff_general(
     be passed in ``breakpoints`` to land on a panel edge; one left inside a
     panel fails that check (or, if small, costs accuracy unnoticed).
     """
-    if length <= 0:
-        raise ValidationError("length must be positive")
+    _valid("length", "positive", length)
     if quadrature_points < 1:
         raise ValidationError("quadrature_points must be >= 1")
 
@@ -234,7 +235,8 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     """n_eff by the Gauss-Legendre rule (nodes ``t``, weights ``w``) on each
     panel between ``edges``.  The absorption up to a node is the sum over
     earlier panels plus the same rule mapped onto [panel edge, node]; the
-    weighted integrand is summed exactly rounded (``math.fsum``)."""
+    weighted integrand is summed exactly rounded (``math.fsum``).  Either
+    integral beyond float range is an :class:`UndefinedQuantityError`."""
     left = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
     x = left + half * (t + 1.0)
@@ -244,13 +246,20 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     for name, values in (("mu", mu), ("mu", mu_nested), ("n", n)):
         if not np.all((values >= 0.0) & (values < math.inf)):
             raise ValidationError(f"{name} must be finite and non-negative at every node")
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite absorption fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # an integral beyond float range fails below
         before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
         absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
-    total = before[-1]
+        total = before[-1]
+        weighted = (half * w * mu * n * np.exp(absorbed - total)).ravel()
     if not (total < math.inf and np.isfinite(absorbed).all()):
         raise UndefinedQuantityError("n_eff is undefined: the absorption integral is beyond float range")
     denom = 1.0 - math.exp(-total)
     if denom < 1e-300:
         raise UndefinedQuantityError("n_eff is 0/0: total absorption vanishes")
-    return math.fsum((half * w * mu * n * np.exp(absorbed - total)).ravel()) / denom
+    try:
+        n_eff = math.fsum(weighted) / denom
+    except OverflowError:  # fsum's partial sums left float range
+        n_eff = math.inf
+    if not n_eff < math.inf:
+        raise UndefinedQuantityError("n_eff is undefined: the noise integral is beyond float range")
+    return n_eff

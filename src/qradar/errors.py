@@ -8,7 +8,9 @@ OverflowError, a leaked RuntimeWarning or a NaN result.
 A record declares each numeric field's config unit and sign rule once, with
 :func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`;
 a converter sweep holds its grid values to the axis field's rule once, with
-:func:`_grid_values`.
+:func:`_grid_values`; a function holds each numeric argument, and a number
+it derives where that can leave float range, to its rule with :func:`_valid`
+(sign None: any finite value).
 """
 
 import dataclasses

@@ -26,6 +26,7 @@ from .errors import (
     PhysicalityError,
     UnphysicalChannelError,
     ValidationError,
+    _valid,
 )
 
 if TYPE_CHECKING:  # channels imports the symmetry rule from this module
@@ -120,7 +121,8 @@ def _symmetrised(covs: np.ndarray) -> np.ndarray:
             f"{_member(covs, int(np.argmax(asymmetric)))}"
             "state invariant violated: cov is not symmetric"
         )
-    return 0.5 * (covs + covs.mT)
+    half = 0.5 * covs  # halved first: covs + covs.mT overflows above about 9e307
+    return half + half.mT
 
 
 def _physical_spectra(covs: np.ndarray, tol: float) -> np.ndarray:
@@ -172,8 +174,7 @@ def vacuum_state(n_modes: int = 1) -> GaussianState:
 
 
 def thermal_state(n_occupation: float, n_modes: int = 1) -> GaussianState:
-    if n_occupation < 0:
-        raise ValidationError("thermal occupation must be non-negative")
+    _valid("n_occupation", "non-negative", n_occupation)
     dim = 2 * n_modes
     return GaussianState(n_modes, np.zeros(dim), (n_occupation + 0.5) * np.eye(dim))
 

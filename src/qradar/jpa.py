@@ -19,7 +19,7 @@ import numpy as np
 from scipy import constants
 
 from .converter import _response_roots
-from .errors import ThresholdError, ValidationError
+from .errors import ThresholdError, ValidationError, _valid
 from .langevin import LinearLangevinModel, steady_state_cov
 
 __all__ = [
@@ -41,15 +41,15 @@ def derived_params(e_j: float, capacitance: float) -> tuple[float, float, float]
     ``capacitance`` in farads.  Returns (E_c, omega_0, Lambda) in rad/s with
     E_c = e^2/(2 C hbar), omega_0 = sqrt(8 E_c E_J), Lambda = -E_c/2.
     """
-    if e_j <= 0 or capacitance <= 0:
-        raise ValidationError("Josephson energy and capacitance must be positive")
+    _valid("e_j", "positive", e_j)
+    _valid("capacitance", "positive", capacitance)
     scale = 2.0 * capacitance * constants.hbar
     if scale == 0.0:  # C below about 1e-290 F underflows it
         raise ValidationError(
             f"charging energy e^2/(2 C hbar) is beyond float range (capacitance = {capacitance!r} F)"
         )
     e_c = constants.e**2 / scale
-    omega0 = math.sqrt(8.0 * e_c * e_j)
+    omega0 = _valid("omega0 = sqrt(8 E_c E_J)", None, math.sqrt(8.0 * e_c * e_j))
     return e_c, omega0, -0.5 * e_c
 
 
@@ -79,8 +79,11 @@ def classical_field(
     whose |eps|^2 or intensity root is beyond float range is a
     :class:`ValidationError`.
     """
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
+    _valid("omega0", None, omega0)
+    _valid("kerr", None, kerr)
+    _valid("kappa", "positive", kappa)
+    _valid("omega_p", None, omega_p)
+    _valid("epsilon", None, abs(epsilon))
     eps = complex(epsilon)
     if eps == 0:
         return ClassicalField(0.0 + 0.0j, 1, 0.0)
@@ -136,8 +139,6 @@ def build_params(
     epsilon: complex,
 ) -> JpaParams:
     """Assemble the operating point from circuit values and the pump."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
     e_c, omega0, kerr = derived_params(e_j, capacitance)
     field = classical_field(omega0, kerr, kappa, omega_p, epsilon)
     alpha = field.alpha
@@ -172,7 +173,7 @@ def scattering_matrix(params: JpaParams, omega: float) -> np.ndarray:
     kappa/2, where no steady state exists.
     """
     if not params.below_threshold:
-        ratio = abs(params.lambda1) / (0.5 * params.kappa)
+        ratio = 2.0 * abs(params.lambda1) / params.kappa  # 0.5 * kappa underflows to 0 at 5e-324
         raise ThresholdError(
             f"pump at or above threshold: |lambda1|/(kappa/2) = {ratio:.6f}"
         )

@@ -243,8 +243,7 @@ def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
 
 def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:
     """Integrate dV/dt = A V + V A^T + D from V0 to time t (adaptive, rtol 1e-9)."""
-    if t < 0:
-        raise ValidationError("propagation time must be non-negative")
+    _valid("t", "non-negative", t)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != model.drift.shape:
         raise ValidationError(f"V0 must match the drift shape {model.drift.shape}")

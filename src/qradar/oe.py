@@ -22,7 +22,7 @@ from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
-from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid
+from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid, _valid
 from .gaussian import _physical_spectra, _require_cp, apply_channel
 from .langevin import LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
@@ -80,12 +80,12 @@ def gwp_from_mu_c(mu_c: float) -> float:
     sensitivity, g_wp = (mu_c omega_w / 2 d) sqrt(hbar / (omega_eg m_eff)),
     at the default omega_w and omega_eg, a 1 um depletion width d and
     m_eff = 0.067 m_e."""
-    if mu_c < 0:
-        raise ValidationError("mu_c must be non-negative")
+    _valid("mu_c", "non-negative", mu_c)
     depletion_width, m_eff = 1e-6, 0.067 * constants.m_e
-    return mu_c * _OMEGA_W / (2.0 * depletion_width) * math.sqrt(
+    g_wp = mu_c * _OMEGA_W / (2.0 * depletion_width) * math.sqrt(
         constants.hbar / (_OMEGA_EG * m_eff)
     )
+    return _valid("g_wp", "non-negative", g_wp)  # the rule OeParams holds it to; inf from mu_c ~ 1e300
 
 
 def _equations(params: OeParams, a, c, p, x):

@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
-from .errors import ValidationError, _param, _require_valid
+from .errors import ValidationError, _param, _require_valid, _valid
 from .gaussian import GaussianState, _cholesky, apply_channel, vacuum_state
 
 __all__ = [
@@ -41,10 +41,9 @@ _SIGMA_Z = np.diag([1.0, -1.0])
 
 def tmsv_cm(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r (signal, idler)."""
-    if r < 0:
-        raise ValidationError("squeezing parameter must be non-negative")
+    _valid("r", "non-negative", r)
     try:
-        c2 = math.cosh(2.0 * r)
+        c2 = math.cosh(math.ldexp(r, 1))  # 2r; ldexp, unlike 2.0 * r, raises rather than give inf
     except OverflowError:
         raise ValidationError(f"two-mode squeezing cosh(2r) is beyond float range (r = {r!r})") from None
     s2 = math.sinh(2.0 * r)
@@ -66,8 +65,7 @@ def low_signal_channels(
     """
     if not 0.0 < transmissivity <= 1.0:
         raise ValidationError("transmissivity must be in (0, 1]")
-    if n_background < 0:
-        raise ValidationError("background occupation must be non-negative")
+    _valid("n_background", "non-negative", n_background)
     kappa_r = -0.5 * math.log(transmissivity)  # tau = e^{-2 kappa R}, R = 1
     n_env = n_background / (1.0 - transmissivity) if transmissivity < 1.0 else 0.0
     if n_env == math.inf:

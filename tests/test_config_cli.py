@@ -429,6 +429,31 @@ class TestCliCommands:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert (summary["status"], summary["reason"]) == ("failed", reason)
 
+    # Before: the first two exited 2 on "n_eff changes by nan" after leaked
+    # overflow and invalid-value RuntimeWarnings; the third let a bare
+    # OverflowError from math.fsum escape, with no summary.json.
+    @pytest.mark.parametrize("parameters", [
+        {"n_in": 1e12, "mu_in_per_m": 1e300},
+        {"n_out": 1e12, "mu_out_per_m": 1e300},
+        {"n_out": 1.7e308, "mu_in_per_m": 1e300},
+    ])
+    def test_noise_integral_beyond_float_range_fails_the_run(
+        self, tmp_path, monkeypatch, parameters
+    ):
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        config = SCENARIO_PRESETS["channel_neff_line"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": {**config["parameters"], **parameters}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["status"], summary["reason"]) == (
+            "failed",
+            "UndefinedQuantityError: n_eff is undefined: the noise integral is beyond float range",
+        )
+
 
 class TestOeEndToEndFailures:
     """A converter with no steady state, or an unphysical one, fails the run:

@@ -1,7 +1,8 @@
 """The public surface earns its lines: every function and class a qradar
 module exports, and every public method of an exported class, is called by a
 qradar module, named by the benchmark harness, or kept as a named oracle that
-a test checks a shipped kernel against by another route."""
+a test checks a shipped kernel against by another route.  And no function
+holds an argument to a sign by hand: errors._valid is the one argument rule."""
 
 import ast
 import re
@@ -83,6 +84,48 @@ def _unused_names() -> list[str]:
 def test_every_public_name_is_called_benchmarked_or_an_oracle():
     unused = _unused_names()
     assert not unused, f"no qradar module, benchmark or ORACLES entry uses: {', '.join(unused)}"
+
+
+def _is_sign_test(test: ast.expr, params: set[str]) -> bool:
+    """``<parameter> < 0`` or ``<parameter> <= 0``, or an ``or`` holding one."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        return any(_is_sign_test(value, params) for value in test.values)
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Lt, ast.LtE))
+        and isinstance(test.left, ast.Name)
+        and test.left.id in params
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value == 0
+    )
+
+
+def _hand_written_sign_checks() -> list[str]:
+    """module.function:line of each ``if`` that holds a parameter of its
+    function to a sign by hand and raises."""
+    found = []
+    for module, tree in _modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            found += [
+                f"{module}.{func.name}:{node.lineno}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.If)
+                and _is_sign_test(node.test, params)
+                and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+            ]
+    return found
+
+
+def test_arguments_are_held_to_their_sign_rule_by_errors_valid():
+    # errors._valid is the one argument rule: it also rejects NaN, inf and
+    # integers beyond float range, which a bare `x < 0` lets through.
+    found = _hand_written_sign_checks()
+    assert not found, f"hand-written sign checks (use errors._valid): {', '.join(found)}"
 
 
 def test_each_oracle_is_exported_and_used_by_its_test():
