@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NoSteadyStateError, ValidationError
-from .gaussian import GaussianState, _physical_spectra, _symmetrised
+from .gaussian import GaussianState, _require_physical, _symmetrised
 from .langevin import LinearLangevinModel, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
@@ -124,21 +124,13 @@ def _check_physical(cov: np.ndarray) -> None:
 
 
 def _physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
-    """The structural rule and the physical rule to 1e-6 on a converter steady
-    state or a stack of them, as :func:`_check_physical` applies them to one,
-    without building a state.  Returns it symmetrised.  On a stack, ``name``
-    maps a member's index to the prefix naming it in the error."""
-    try:
-        covs = _symmetrised(covs)
-        _physical_spectra(covs, _PHYSICAL_TOL)
-    except ValidationError:
-        if name is not None:
-            for i, cov in enumerate(covs):  # name the first failing member
-                try:
-                    _physical(cov)
-                except ValidationError as exc:
-                    raise type(exc)(f"{name(i)}: {exc}") from exc
-        raise
+    """The structural rule and the physical rule to 1e-6 on a stack of
+    converter steady states, as :func:`_check_physical` applies them to one,
+    without building a state.  Returns it symmetrised.  ``name`` maps a
+    member's index to the prefix naming it in an error, as
+    :func:`~qradar.gaussian._member` does by default."""
+    covs = _symmetrised(covs, name)
+    _require_physical(covs, _PHYSICAL_TOL, name)
     return covs
 
 
@@ -197,6 +189,6 @@ def _thermal_steady_state(
             covs = (weights @ v_basis).reshape(-1, *cold.shape)
             diffusions = (weights @ d_basis).reshape(covs.shape)
         _check_residual(drift, diffusions, covs, (), temperatures)
-        return _physical(covs, lambda i: f"temperature {temperatures[i]!r} K")
+        return _physical(covs, lambda i: f"temperature {temperatures[i]!r} K: ")
 
     return at

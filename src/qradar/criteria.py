@@ -176,12 +176,12 @@ def two_eta(blocks: BipartiteBlocks) -> float:
     return float(2.0 * _pt_nu_min(blocks.state.cov[None])[0])
 
 
-def _entropic(covs: np.ndarray, nus: np.ndarray):
-    """(discord, classical correlation, mutual information) in bits, from the
-    stack and its symplectic spectra; run after :func:`_lambda_sph` and
-    :func:`_pt_nu_min`, whose range checks cover the products it forms but
-    the heterodyne quotient, which is held to the range rule itself (det B
-    can lose every digit to rounding, and b = 0 then divides by zero).
+def _entropic(covs: np.ndarray):
+    """(discord, classical correlation, mutual information) in bits of the
+    stack; run after :func:`_lambda_sph` and :func:`_pt_nu_min`, whose range
+    checks cover the products it forms but the heterodyne quotient, which is
+    held to the range rule itself (det B can lose every digit to rounding,
+    and b = 0 then divides by zero).
 
     Mode B is measured by heterodyne in its normal frame, where B = b I with
     b = sqrt(det B): mode A is left with the covariance
@@ -197,7 +197,7 @@ def _entropic(covs: np.ndarray, nus: np.ndarray):
         det_cond = _in_range(covs, np.linalg.det(cond))
     nu_cond = np.sqrt(np.maximum(det_cond, 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
-        np.stack((a, b, nu_cond, nus[:, 0], nus[:, 1]))
+        np.stack((a, b, nu_cond, *_symplectic_spectra(covs).T))
     )
     joint = h_minus + h_plus
     return (
@@ -231,8 +231,7 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     blocks.validate_physical()
     lam = lambda_sph(blocks)
     eta2 = two_eta(blocks)
-    covs = blocks.state.cov[None]
-    discord, classical, mutual = _entropic(covs, _symplectic_spectra(covs))
+    discord, classical, mutual = _entropic(blocks.state.cov[None])
     return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
 
 
@@ -241,16 +240,16 @@ def discord_reports(covs) -> list[CriteriaReport]:
     covariances, shape (n, 4, 4), in stack order.
 
     The stack is checked once, as a :class:`BipartiteBlocks` is (finite,
-    symmetric, positive definite, nu_min >= 1/2 - 1e-9); an error about a
-    stack of several names the offending member.
+    symmetric, V + i(1/2 - 1e-9)Omega positive definite, one Cholesky over
+    the stack); an error about a stack of several names the offending
+    member.
     """
-    covs, nus = _validated_stack(covs, 2)
-    columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs, nus))
+    covs = _validated_stack(covs, 2)
+    columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs))
     return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def two_eta_values(covs) -> np.ndarray:
     """:func:`two_eta` of each member of a stack of two-mode covariances,
     shape (n, 4, 4), checked once as :func:`discord_reports` checks it."""
-    covs, _ = _validated_stack(covs, 2)
-    return 2.0 * _pt_nu_min(covs)
+    return 2.0 * _pt_nu_min(_validated_stack(covs, 2))

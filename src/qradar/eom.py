@@ -23,7 +23,7 @@ from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_repo
 from .criteria import gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .errors import _grid_values, _param, _require_valid
-from .gaussian import _physical_spectra
+from .gaussian import _require_physical
 from .langevin import LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
@@ -273,7 +273,7 @@ def threshold_temperature(
 
     def crossing(temperature: float) -> float:
         covs = _pair_stack(cov_at([temperature]), pair)
-        _physical_spectra(covs, 1e-9)
+        _require_physical(covs, 1e-9)
         return float(_lambda_sph(covs)[0])
 
     return bisect_threshold(crossing, lo=0.0, hi=8.0, resolution=resolution)

@@ -7,8 +7,8 @@ Conventions, fixed globally for the whole toolkit:
 Each covariance rule is written once here, over one (d, d) matrix or an
 (n, d, d) stack alike: the structural rule (finite, and symmetric within
 1e-10 of max(1, largest entry), a test the Langevin diffusion and the channel
-noise matrix share) and the physical rule (positive definite, and
-nu_min >= 1/2 - tol).
+noise matrix share) and the physical rule (V + i(1/2 - tol)Omega positive
+definite, one Cholesky over the stack).
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DegenerateStateError,
@@ -88,7 +87,7 @@ class GaussianState:
         object.__setattr__(self, "cov", _symmetrised(cov))
 
     def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
-        _physical_spectra(self.cov, tol)
+        _require_physical(self.cov, tol)
         return self
 
 
@@ -99,73 +98,81 @@ def _asymmetric(covs: np.ndarray) -> np.ndarray:
     return asymmetry > 1e-10 * np.abs(covs).max(axis=(-2, -1), initial=1.0)
 
 
-def _member(covs: np.ndarray, i: int) -> str:
-    """Prefix naming member ``i`` in an error about a stack of several."""
+def _member(covs: np.ndarray, i: int, name: Callable[[int], str] | None = None) -> str:
+    """Prefix naming member ``i`` in an error about a stack of several, or
+    ``name(i)`` when a caller names its members itself."""
+    if name is not None:
+        return name(i)
     return f"stack member {i}: " if covs.ndim > 2 and len(covs) > 1 else ""
 
 
-def _symmetrised(covs: np.ndarray) -> np.ndarray:
+def _symmetrised(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
     """The structural rule on a (d, d) covariance or an (n, d, d) stack: each
     must be finite and not :func:`_asymmetric`.  Returns it symmetrised.
 
-    Python's ``any`` over ``.flat`` reduces the per-member flags (and ``min``
-    the spectra in :func:`_physical_spectra`): on one matrix they are numpy
-    scalars, whose ``.any()`` costs more than the check itself.
+    Python's ``any`` over ``.flat`` reduces the per-member flags: on one
+    matrix they are numpy scalars, whose ``.any()`` costs more than the check
+    itself.
     """
     if not np.isfinite(covs).all():
         i = int(np.argmin(np.isfinite(covs).all(axis=(-2, -1))))
-        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov must be finite")
+        raise ValidationError(f"{_member(covs, i, name)}state invariant violated: cov must be finite")
     asymmetric = _asymmetric(covs)
     if any(asymmetric.flat):
         raise ValidationError(
-            f"{_member(covs, int(np.argmax(asymmetric)))}"
+            f"{_member(covs, int(np.argmax(asymmetric)), name)}"
             "state invariant violated: cov is not symmetric"
         )
     half = 0.5 * covs  # halved first: covs + covs.mT overflows above about 9e307
     return half + half.mT
 
 
-def _physical_spectra(covs: np.ndarray, tol: float) -> np.ndarray:
+def _require_physical(covs: np.ndarray, tol: float, name: Callable[[int], str] | None = None) -> None:
     """The physical rule on a symmetric (2N, 2N) covariance or (n, 2N, 2N)
-    stack: each must be positive definite with nu_min >= 1/2 - ``tol``.
-    Returns the symplectic spectra, ascending along the last axis.
-
-    The symplectic spectrum, taken from |eig(Omega V)|, is the same for V and
-    -V and can pass an indefinite V, so definiteness is tested first, by
-    LAPACK's potrf: ``np.linalg.cholesky`` costs about five times as much on
-    one 4x4 or 6x6 matrix.
+    stack: each V + i(1/2 - tol)Omega must be positive definite, one Cholesky
+    over the stack.  By Williamson's theorem that is nu_min > 1/2 - tol, and
+    it implies V > 0.  A failing stack is factored member by member to name
+    the first that fails (:func:`_member`).
     """
-    for i, cov in enumerate(covs if covs.ndim == 3 else (covs,)):
-        if lapack.dpotrf(cov, lower=1, clean=0)[1]:
-            raise PhysicalityError(
-                f"{_member(covs, i)}state invariant violated: cov is not positive definite"
-            )
-    nus = _symplectic_spectra(covs)
-    if min(nus.flat, default=math.inf) < VACUUM_VARIANCE - tol:
-        nu_min = nus[..., 0]
-        i = int(np.argmax(nu_min < VACUUM_VARIANCE - tol))
-        raise PhysicalityError(
-            f"{_member(covs, i)}state invariant violated: cov + (i/2)Omega not PSD "
-            f"(min symplectic eigenvalue {nu_min.flat[i]:.3e} < 1/2)"
-        )
-    return nus
+    bound = 1j * (VACUUM_VARIANCE - tol) * _omega(covs.shape[-1] // 2)
+    if _factors(covs + bound):
+        return
+    stack = covs if covs.ndim == 3 else covs[None]
+    i = next(i for i, cov in enumerate(stack) if not _factors(cov + bound))
+    prefix = f"{_member(covs, i, name)}state invariant violated: "
+    if not _factors(stack[i]):
+        raise PhysicalityError(f"{prefix}cov is not positive definite")
+    raise PhysicalityError(
+        f"{prefix}cov + (i/2)Omega not PSD "
+        f"(min symplectic eigenvalue {_symplectic_spectra(stack[i])[0]:.3e} < 1/2)"
+    )
 
 
-def _validated_stack(covs, n_modes: int, tol: float = 1e-9):
+def _factors(m: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors ``m``, every member of a stack."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _validated_stack(covs, n_modes: int, tol: float = 1e-9) -> np.ndarray:
     """Check a stack of covariances as :class:`GaussianState` and
-    :meth:`~GaussianState.validate_physical` check one.
+    :meth:`~GaussianState.validate_physical` check one: finite, symmetric,
+    and V + i(1/2 - tol)Omega positive definite, one Cholesky over the stack.
 
     ``covs`` has shape (n, 2N, 2N) with N = ``n_modes``.  Errors name the
     index of the first offending member of a stack of several.  Returns the
-    symmetrised stack and its symplectic spectra, shape (n, N), ascending
-    along the last axis.
+    symmetrised stack.
     """
     dim = 2 * n_modes
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
         raise ValidationError(f"expected a stack of {dim}x{dim} covariances, got {covs.shape}")
     covs = _symmetrised(covs)
-    return covs, _physical_spectra(covs, tol)
+    _require_physical(covs, tol)
+    return covs
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
@@ -279,8 +286,10 @@ def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
     Records carry no added measurement noise: to draw with noise of
     covariance N, sample the state whose covariance is cov + N.
     """
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    limit = np.iinfo(np.intp).max // (16 * state.n_modes)  # the largest (n_samples, 2N) array
+    integer = isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool)
+    if not (integer and 1 <= n_samples <= limit):
+        raise ValidationError(f"n_samples must be an integer from 1 to {limit}")
     state.validate_physical()
     chol = _cholesky(state.cov)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

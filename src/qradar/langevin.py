@@ -116,7 +116,8 @@ class LinearLangevinModel:
             raise ValidationError("drift and diffusion must be finite")
         if _asymmetric(d):
             raise ValidationError("diffusion must be symmetric")
-        d = 0.5 * (d + d.T)
+        half = 0.5 * d  # halved first: d + d.T overflows above about 9e307
+        d = half + half.T
         if np.linalg.eigvalsh(d).min() < -1e-10 * max(1.0, abs(d).max()):
             raise ValidationError("diffusion must be positive semidefinite")
         object.__setattr__(self, "drift", a)
@@ -242,7 +243,8 @@ def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
 
 
 def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:
-    """Integrate dV/dt = A V + V A^T + D from V0 to time t (adaptive, rtol 1e-9)."""
+    """Integrate dV/dt = A V + V A^T + D from V0 to time t (adaptive, rtol 1e-9);
+    an integration that fails or leaves float range is a :class:`StiffnessError`."""
     _valid("t", "non-negative", t)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != model.drift.shape:
@@ -260,12 +262,9 @@ def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.nd
         return (a @ v + v @ a.T + d).ravel()
 
     atol = 1e-12 * max(1.0, abs(v0).max(), abs(d).max())
-    sol = integrate.solve_ivp(
-        rhs, (0.0, t), v0.ravel(), method="DOP853", rtol=1e-9, atol=atol
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"covariance ODE failed ({sol.message}); consider steady_state_cov"
-        )
-    v = sol.y[:, -1].reshape(dim, dim)
-    return 0.5 * (v + v.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end state fails below
+        sol = integrate.solve_ivp(rhs, (0.0, t), v0.ravel(), method="DOP853", rtol=1e-9, atol=atol)
+    half = 0.5 * sol.y[:, -1].reshape(dim, dim)
+    if not (sol.success and np.isfinite(half).all()):
+        raise StiffnessError(f"covariance ODE failed or left float range ({sol.message})")
+    return half + half.T

@@ -23,7 +23,7 @@ from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
 from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid, _valid
-from .gaussian import _physical_spectra, _require_cp, apply_channel
+from .gaussian import _require_cp, _require_physical, apply_channel
 from .langevin import LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
@@ -311,7 +311,7 @@ def threshold_temperature(
     def crossing(temperature: float) -> float:
         pairs = cov_at([temperature])[_OC_MC]
         if backscatter is None:
-            _physical_spectra(pairs, 1e-9)
+            _require_physical(pairs, 1e-9)
             return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0
         return float(two_eta_values(_returned(pairs, backscatter))[0]) - 1.0
 

@@ -68,7 +68,7 @@ def run_grid(
     covs = _solve_lyapunov(drifts, diffusions)[0]
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
-    _physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r})")
+    _physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r}): ")
     for i, cov in zip(index, covs):
         out[i] = cov
     return out

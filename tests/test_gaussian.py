@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel, identity_channel
@@ -18,6 +18,7 @@ from qradar.errors import (
 )
 from qradar.gaussian import (
     GaussianState,
+    _validated_stack,
     apply_channel,
     entropy_term,
     partial_transpose,
@@ -139,6 +140,64 @@ class TestCovarianceRules:
             negated.validate_physical(tol)
 
 
+class TestPhysicalRule:
+    """V + i(1/2 - tol)Omega positive definite, one Cholesky over a stack:
+    by Williamson's theorem, nu_min > 1/2 - tol."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3])
+    def test_boundary_alone_and_as_a_stack_member(self, tol, offset):
+        cov = (0.5 - tol + offset * tol) * np.eye(2)
+        state = GaussianState(1, np.zeros(2), cov)
+        stack = np.array([np.eye(2), cov, np.eye(2)])
+        if offset > 0:
+            state.validate_physical(tol)
+            _validated_stack(stack, 1, tol)
+            return
+        with pytest.raises(PhysicalityError, match=r"^state invariant violated: .*not PSD"):
+            state.validate_physical(tol)
+        with pytest.raises(PhysicalityError, match=r"^stack member 1: state invariant .*not PSD"):
+            _validated_stack(stack, 1, tol)
+
+    def test_a_passing_stack_is_one_cholesky_and_no_eigensolve(self, rng, monkeypatch):
+        stack = np.array([random_physical_two_mode(rng).cov for _ in range(32)])
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("cholesky", "eigvals", "eig", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        _validated_stack(stack, 2)
+        assert calls == ["cholesky"]
+
+    # A stored V lies within about eps * max|V|^2 of its nominal spectrum,
+    # 2.2e-10 at entries of 1e3: the margin 1e-8 is far above that.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.floats(0.05, 4.0),
+        st.sampled_from([1e-9, 1e-6]),
+        st.floats(-8.0, -1.0),
+        st.booleans(),
+    )
+    def test_accepts_exactly_above_the_bound(self, seed, n_modes, scale, tol, log_margin, above):
+        rng = np.random.default_rng(seed)
+        nu_min = 0.5 - tol + (1.0 if above else -1.0) * 10.0**log_margin
+        nus = np.concatenate(([nu_min], nu_min + rng.exponential(0.7, n_modes - 1)))
+        s = random_symplectic(rng, n_modes, scale)
+        cov = s @ np.diag(np.repeat(rng.permutation(nus), 2)) @ s.T
+        assume(np.abs(cov).max() <= 1e3)
+        state = GaussianState(n_modes, np.zeros(2 * n_modes), cov)
+        if above:
+            state.validate_physical(tol)
+        else:
+            with pytest.raises(PhysicalityError):
+                state.validate_physical(tol)
+
+
 class TestPartialTranspose:
     def test_vacuum_invariant(self):
         pt = partial_transpose(vacuum_state(2), 0)
@@ -246,6 +305,14 @@ class TestSampling:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValidationError):
             sample(vacuum_state(1), 0, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [1.5, 1.0, math.nan, True, 10**400])
+    def test_sample_count_is_an_integer_numpy_can_hold(self, n_samples):
+        with pytest.raises(ValidationError, match="n_samples must be an integer"):
+            sample(vacuum_state(1), n_samples, seed=1)
+
+    def test_numpy_integer_sample_count(self):
+        assert sample(vacuum_state(1), np.int64(3), seed=1).shape == (3, 2)
 
     def test_deterministic(self):
         a = sample(tmsv(0.5), 1, seed=99)

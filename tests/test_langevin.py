@@ -200,6 +200,13 @@ class TestModelValidation:
             LinearLangevinModel(-np.eye(2), d)
 
 
+    def test_diffusion_near_float_max_builds_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = LinearLangevinModel(-np.eye(2), 1.7e308 * np.eye(2))
+        assert np.array_equal(model.diffusion, 1.7e308 * np.eye(2))
+
+
 class TestSteadyState:
     def test_diagonal_balance(self):
         # drift -kappa I with D = 2 kappa (n + 1/2) I relaxes to (n + 1/2) I.
@@ -391,3 +398,16 @@ class TestPropagation:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValidationError):
             propagate_cov(random_stable_model(rng), np.eye(6), -1.0)
+
+    @pytest.mark.parametrize(
+        "drift, v0, t",
+        [
+            (-np.eye(2), 1e308 * np.eye(2), 1.0),  # dV/dt = -2 V0 + D overflows at once
+            (np.eye(2), np.eye(2), 1000.0),  # V grows as e^{2t}, past float range
+        ],
+    )
+    def test_leaving_float_range_is_a_stiffness_error(self, drift, v0, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffnessError):
+                propagate_cov(LinearLangevinModel(drift, np.eye(2)), v0, t)

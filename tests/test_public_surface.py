@@ -2,7 +2,8 @@
 module exports, and every public method of an exported class, is called by a
 qradar module, named by the benchmark harness, or kept as a named oracle that
 a test checks a shipped kernel against by another route.  And no function
-holds an argument to a sign by hand: errors._valid is the one argument rule."""
+holds an argument to a sign by hand: errors._valid is the one argument rule;
+nor factors a matrix by Cholesky outside gaussian's np.linalg.cholesky."""
 
 import ast
 import re
@@ -133,3 +134,27 @@ def test_each_oracle_is_exported_and_used_by_its_test():
     for qualified, test_file in ORACLES.items():
         assert qualified in surface, qualified
         assert _uses(_parse(ROOT / "tests" / test_file))[qualified.rsplit(".", 1)[1]], qualified
+
+
+def _cholesky_calls_outside_gaussian() -> list[str]:
+    """module:line callee of each Cholesky factorization a qradar module
+    calls, a LAPACK *potrf or scipy's included, other than gaussian's
+    np.linalg.cholesky."""
+    found = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            name = callee.rsplit(".", 1)[-1]
+            cholesky = name.endswith("potrf") or name in ("cholesky", "cho_factor")
+            if cholesky and (module, callee) != ("gaussian", "np.linalg.cholesky"):
+                found.append(f"{module}:{node.lineno} {callee}")
+    return found
+
+
+def test_one_cholesky_path():
+    # The physical rule and sampling share np.linalg.cholesky in gaussian;
+    # a second factorization route would be a second rule to keep in step.
+    found = _cholesky_calls_outside_gaussian()
+    assert not found, f"Cholesky outside gaussian's np.linalg.cholesky: {', '.join(found)}"
