@@ -31,20 +31,16 @@ from .criteria import (
 from .gaussian import (
     GaussianState,
     apply_channel,
-    partial_transpose,
     sample,
     symplectic_eigenvalues,
     symplectic_form,
-    thermal_state,
     vacuum_state,
-    von_neumann_entropy,
     wigner,
 )
 from .langevin import (
     LinearLangevinModel,
     diffusion_from_baths,
     is_stable,
-    propagate_cov,
     steady_state_cov,
     thermal_occupation,
 )

@@ -19,7 +19,6 @@ from .gaussian import _asymmetric
 __all__ = [
     "GaussianChannel",
     "ThermalProfile",
-    "identity_channel",
     "attenuation_channel",
     "target_channel",
     "amplifier_channel",
@@ -79,11 +78,6 @@ class GaussianChannel:
         x[s, s] = self.X
         y[s, s] = self.Y
         return GaussianChannel(x, y, self.description)
-
-
-def identity_channel(n_modes: int = 1) -> GaussianChannel:
-    dim = 2 * n_modes
-    return GaussianChannel(np.eye(dim), np.zeros((dim, dim)), "identity")
 
 
 def attenuation_channel(kappa_atm: float, distance: float, n_env: float = 0.0) -> GaussianChannel:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDegeneracyError, UndefinedQuantityError, ValidationError
-from .gaussian import GaussianState, _member, _symplectic_spectra, _validated_stack, entropy_term
+from .gaussian import GaussianState, _member, _require_physical, _symmetrised, _symplectic_spectra
+from .gaussian import entropy_term
 
 __all__ = [
     "BipartiteBlocks",
@@ -69,8 +70,8 @@ class BipartiteBlocks:
             raise ValidationError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
         return cls(cov[:2, :2], cov[2:, 2:], cov[:2, 2:])
 
-    def validate_physical(self, tol: float = 1e-9) -> "BipartiteBlocks":
-        self.state.validate_physical(tol)
+    def validate_physical(self) -> "BipartiteBlocks":
+        self.state.validate_physical()
         return self
 
 
@@ -235,6 +236,17 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
 
 
+def _validated_pairs(covs) -> np.ndarray:
+    """The stack check :func:`discord_reports` describes; returns the
+    symmetrised stack."""
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (4, 4):
+        raise ValidationError(f"expected a stack of 4x4 covariances, got {covs.shape}")
+    covs = _symmetrised(covs)
+    _require_physical(covs, 1e-9)
+    return covs
+
+
 def discord_reports(covs) -> list[CriteriaReport]:
     """:func:`gaussian_discord` of each member of a stack of two-mode
     covariances, shape (n, 4, 4), in stack order.
@@ -244,7 +256,7 @@ def discord_reports(covs) -> list[CriteriaReport]:
     the stack); an error about a stack of several names the offending
     member.
     """
-    covs = _validated_stack(covs, 2)
+    covs = _validated_pairs(covs)
     columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs))
     return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
 
@@ -252,4 +264,4 @@ def discord_reports(covs) -> list[CriteriaReport]:
 def two_eta_values(covs) -> np.ndarray:
     """:func:`two_eta` of each member of a stack of two-mode covariances,
     shape (n, 4, 4), checked once as :func:`discord_reports` checks it."""
-    return 2.0 * _pt_nu_min(_validated_stack(covs, 2))
+    return 2.0 * _pt_nu_min(_validated_pairs(covs))

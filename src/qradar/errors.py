@@ -99,10 +99,10 @@ class NoSteadyStateError(QradarError):
 
 
 class StiffnessError(QradarError):
-    """A covariance was not computed accurately: the covariance ODE
-    integration failed, or a Lyapunov solution misses A V + V A^T + D = 0 by
-    more than 1e-9 ||D||_inf (steady states, at one temperature or across
-    the temperatures of a threshold search or a temperature grid)."""
+    """A covariance was not computed accurately: a Lyapunov solution misses
+    A V + V A^T + D = 0 by more than 1e-9 ||D||_inf (steady states, at one
+    temperature or across the temperatures of a threshold search or a
+    temperature grid)."""
 
 
 class ConvergenceError(QradarError):

@@ -181,8 +181,9 @@ def scattering_matrix(params: JpaParams, omega: float) -> np.ndarray:
     return params.kappa * np.linalg.inv(m) - np.eye(2)
 
 
-def signal_power_gain(params: JpaParams, omega: float = 0.0) -> float:
-    return float(abs(scattering_matrix(params, omega)[0, 0]) ** 2)
+def signal_power_gain(params: JpaParams) -> float:
+    """Signal power gain |S_11|^2 on resonance (omega = 0)."""
+    return float(abs(scattering_matrix(params, 0.0)[0, 0]) ** 2)
 
 
 def intracavity_cov(g: float) -> np.ndarray:

@@ -3,10 +3,9 @@
 Assembles diffusion matrices from baths given as (omega, damping,
 temperature, kind) rows (one diagonal formula, for a single model, a
 temperature basis and a converter grid's points alike), decides stability,
-solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
-Bartels-Stewart behind a residual gate, and propagates transient covariances.
-The stability test, the solve and the residual gate each work over one model
-or a stack of drifts alike.
+and solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
+Bartels-Stewart behind a residual gate.  The stability test, the solve and
+the residual gate each work over one model or a stack of drifts alike.
 
 The solve calls LAPACK directly: ``dgees`` for the real Schur form of the
 drift, once per distinct drift, and ``dtrsyl`` for each diffusion, in the
@@ -44,7 +43,6 @@ __all__ = [
     "diffusion_from_baths",
     "is_stable",
     "steady_state_cov",
-    "propagate_cov",
 ]
 
 
@@ -240,31 +238,3 @@ def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
             f"Lyapunov residual {np.ravel(residual)[i]:.3e} is not within 1e-9 * ||D||_inf{at} "
             f"(severely ill-conditioned drift){solver_said}"
         )
-
-
-def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:
-    """Integrate dV/dt = A V + V A^T + D from V0 to time t (adaptive, rtol 1e-9);
-    an integration that fails or leaves float range is a :class:`StiffnessError`."""
-    _valid("t", "non-negative", t)
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != model.drift.shape:
-        raise ValidationError(f"V0 must match the drift shape {model.drift.shape}")
-    if t == 0.0:
-        return v0.copy()
-    from scipy import integrate  # loaded on first use: only this path needs it
-
-    a = model.drift
-    d = model.diffusion
-    dim = a.shape[0]
-
-    def rhs(_t, y):
-        v = y.reshape(dim, dim)
-        return (a @ v + v @ a.T + d).ravel()
-
-    atol = 1e-12 * max(1.0, abs(v0).max(), abs(d).max())
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end state fails below
-        sol = integrate.solve_ivp(rhs, (0.0, t), v0.ravel(), method="DOP853", rtol=1e-9, atol=atol)
-    half = 0.5 * sol.y[:, -1].reshape(dim, dim)
-    if not (sol.success and np.isfinite(half).all()):
-        raise StiffnessError(f"covariance ODE failed or left float range ({sol.message})")
-    return half + half.T

@@ -50,7 +50,7 @@ FIG10_TARGET_THICKNESS = 0.01  # m, reconstructed effective skin thickness
 FIG10_TARGET_OCCUPATION = 0.05  # reconstructed ambient thermal photons at the target
 
 
-def eom_reference(temperature: float = 0.03) -> EomParams:
+def eom_reference() -> EomParams:
     """Reconstructed electro-opto-mechanical reference point.
 
     Red-detuned optical cavity, blue-detuned microwave cavity, mechanical
@@ -77,28 +77,29 @@ def eom_reference(temperature: float = 0.03) -> EomParams:
         g2=g2,
         e_c=1e8,
         e_w=e_w,
-        temperature=temperature,
+        temperature=0.03,
     )
 
 
-def oe_reference(mu_c: float = 2e-4, temperature: float = 0.03) -> OeParams:
-    """Reconstructed opto-electronic reference point.
+def oe_reference() -> OeParams:
+    """Reconstructed opto-electronic reference point, at mu_c = 2e-4.
 
     The photodetector mediates at an optical transition frequency, so its
     bath is empty at kelvin temperatures; the microwave bath sets the
     separability threshold (~0.22 K here, above the EOM reference and rising
-    with mu_c over the reference range).
+    with mu_c over the reference range).  Another mu_c is
+    ``dataclasses.replace(oe_reference(), g_wp=gwp_from_mu_c(mu_c))``: the
+    drives stay sized at the reference, as in the source.
     """
     om0 = _OMEGA_M
     kappa_c = 2.0 * math.pi * 2e5
     kappa_w = 2.0 * math.pi * 1.5e5
-    g_wp = gwp_from_mu_c(mu_c)
+    g_wp = gwp_from_mu_c(2e-4)
     g_op = 100.0
     # Drives sized for effective couplings sqrt(2) g_op |A_s| = 0.3 om0 and
-    # sqrt(2) g_wp |C_s| = 0.08 om0 at the REFERENCE mu_c = 2e-4; they stay
-    # fixed when mu_c varies, so g_wp scales the coupling as in the source.
+    # sqrt(2) g_wp |C_s| = 0.08 om0.
     a_s_target = 0.3 * om0 / (math.sqrt(2.0) * g_op)
-    c_s_target = 0.08 * om0 / (math.sqrt(2.0) * gwp_from_mu_c(2e-4))
+    c_s_target = 0.08 * om0 / (math.sqrt(2.0) * g_wp)
     return OeParams(
         delta_c=om0,
         delta_w=-om0,
@@ -108,20 +109,18 @@ def oe_reference(mu_c: float = 2e-4, temperature: float = 0.03) -> OeParams:
         gamma_p=2.0 * math.pi * 1e4,
         g_op=g_op,
         g_wp=g_wp,
-        temperature=temperature,
+        temperature=0.03,
         e_c=a_s_target * math.hypot(om0, kappa_c),
         e_w=c_s_target * math.hypot(om0, kappa_w),
     )
 
 
-def channel_preset(
-    name: str, n_env: float = 0.0, n_t: float = FIG10_TARGET_OCCUPATION
-) -> GaussianChannel:
+def channel_preset(name: str) -> GaussianChannel:
     """Named single-mode channels for library callers (no scenario key selects one)."""
     if name == "fig10_atmosphere":
-        return attenuation_channel(FIG10_KAPPA_ATM, FIG10_DISTANCE, n_env)
+        return attenuation_channel(FIG10_KAPPA_ATM, FIG10_DISTANCE, 0.0)
     if name == "fig10_target":
-        return target_channel(FIG10_KAPPA_T, FIG10_TARGET_THICKNESS, n_t)
+        return target_channel(FIG10_KAPPA_T, FIG10_TARGET_THICKNESS, FIG10_TARGET_OCCUPATION)
     if name == "quantum_limited_amp":
         return amplifier_channel(10.0, 0.0)
     raise ValidationError(

@@ -1,15 +1,19 @@
 """Shared test helpers: random symplectics and random physical states, a
-damped oscillator model (and its arrays, for grids); and the Hypothesis
-profile every property runs under."""
+damped oscillator model (and its arrays, for grids); the definition-level
+oracles that tests check shipped kernels against by another route (thermal
+states, partial transposition, von Neumann entropy, the identity channel and
+the covariance ODE); and the Hypothesis profile every property runs under."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import integrate
 from scipy.linalg import expm
 
-from qradar.gaussian import GaussianState, symplectic_form
+from qradar.channels import GaussianChannel
+from qradar.gaussian import GaussianState, entropy_term, symplectic_eigenvalues, symplectic_form
 from qradar.langevin import LinearLangevinModel
 
 # Every property, present or future, draws the same examples on every run;
@@ -53,6 +57,45 @@ def damped_arrays(v: float) -> tuple[np.ndarray, np.ndarray]:
     """The drift and diffusion of :func:`damped`, as a grid builder gives them."""
     model = damped(v)
     return model.drift, model.diffusion
+
+
+def thermal_state(n_occupation: float) -> GaussianState:
+    """The one-mode thermal state: covariance (n + 1/2) I."""
+    return GaussianState(1, np.zeros(2), (n_occupation + 0.5) * np.eye(2))
+
+
+def partial_transpose(state: GaussianState, mode_index: int) -> GaussianState:
+    """Sign-flip the p quadrature of one mode (momentum reversal); involutive."""
+    t = np.ones(2 * state.n_modes)
+    t[2 * mode_index + 1] = -1.0
+    return GaussianState(state.n_modes, t * state.mean, t[:, None] * state.cov * t[None, :])
+
+
+def von_neumann_entropy(state: GaussianState) -> float:
+    """Entropy in bits: sum of h over the symplectic spectrum."""
+    return float(entropy_term(symplectic_eigenvalues(state)).sum())
+
+
+def identity_channel(n_modes: int = 1) -> GaussianChannel:
+    dim = 2 * n_modes
+    return GaussianChannel(np.eye(dim), np.zeros((dim, dim)), "identity")
+
+
+def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:
+    """Integrate dV/dt = A V + V A^T + D from V0 to time t (DOP853, rtol 1e-9);
+    an integration that fails or leaves float range fails the calling test."""
+    a, d = model.drift, model.diffusion
+    dim = len(a)
+
+    def rhs(_t, y):
+        v = y.reshape(dim, dim)
+        return (a @ v + v @ a.T + d).ravel()
+
+    atol = 1e-12 * max(1.0, abs(v0).max(), abs(d).max())
+    sol = integrate.solve_ivp(rhs, (0.0, t), v0.ravel(), method="DOP853", rtol=1e-9, atol=atol)
+    half = 0.5 * sol.y[:, -1].reshape(dim, dim)
+    assert sol.success and np.isfinite(half).all(), sol.message
+    return half + half.T
 
 
 @pytest.fixture

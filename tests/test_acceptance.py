@@ -27,7 +27,7 @@ from qradar.config import validate_config
 from qradar.criteria import BipartiteBlocks, gaussian_discord, lambda_sph, two_eta
 from qradar.gaussian import GaussianState, apply_channel, sample, wigner
 from qradar.jpa import JpaParams, intracavity_cov, scattering_matrix, signal_power_gain
-from qradar.langevin import LinearLangevinModel, propagate_cov, steady_state_cov
+from qradar.langevin import LinearLangevinModel, steady_state_cov
 from qradar.presets import (
     SCENARIO_PRESETS,
     channel_preset,
@@ -37,7 +37,7 @@ from qradar.presets import (
 )
 from qradar.receiver import ci_baseline, roc_curve, run_detection, tmsv_cm
 
-from conftest import random_physical_two_mode, tmsv_cov
+from conftest import propagate_cov, random_physical_two_mode, tmsv_cov
 
 
 @contextmanager
@@ -135,9 +135,8 @@ def test_criterion_06_oe_comparative_claims():
         t_oe = oe.threshold_temperature(oe_reference(), resolution=1e-3)
         assert t_oe is not None and t_eom is not None
         assert t_oe > t_eom
-        t_oe_stronger = oe.threshold_temperature(
-            oe_reference(mu_c=2.5e-4), resolution=1e-3
-        )
+        stronger = dataclasses.replace(oe_reference(), g_wp=oe.gwp_from_mu_c(2.5e-4))
+        t_oe_stronger = oe.threshold_temperature(stronger, resolution=1e-3)
         assert t_oe_stronger > t_oe
         atmosphere = channel_preset("fig10_atmosphere")
         target = channel_preset("fig10_target")

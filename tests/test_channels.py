@@ -13,7 +13,6 @@ from qradar.channels import (
     ThermalProfile,
     amplifier_channel,
     attenuation_channel,
-    identity_channel,
     n_eff_closed,
     n_eff_general,
     round_trip,
@@ -24,7 +23,7 @@ from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import GaussianState, apply_channel, vacuum_state
 
-from conftest import tmsv_cov
+from conftest import identity_channel, tmsv_cov
 
 
 _PROFILE = dict(n_in=0.05, n_out=624.0, mu_in=0.5, mu_out=2.0, l0=0.3141, length=1.0)

@@ -177,8 +177,8 @@ def _optimize_and_integrate_loaded_after(code: str, **env) -> str:
 
 class TestCliCommands:
     def test_import_leaves_optimize_and_integrate_unloaded(self):
-        # Only thresholds and propagate_cov use them, and each imports its
-        # module on first use.
+        # No qradar module uses scipy.integrate; thresholds import
+        # scipy.optimize on first use.
         assert _optimize_and_integrate_loaded_after("import sys, qradar.cli") == "[]"
 
     def test_channels_import_leaves_converter_unloaded(self):

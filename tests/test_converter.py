@@ -18,8 +18,10 @@ from qradar.converter import _physical, _response_roots, _thermal_steady_state, 
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
 from qradar.errors import ValidationError
-from qradar.langevin import LinearLangevinModel, diffusion_from_baths, propagate_cov
+from qradar.langevin import LinearLangevinModel, diffusion_from_baths
 from qradar.presets import channel_preset, eom_reference, oe_reference
+
+from conftest import propagate_cov
 
 
 def _record_cubics(model, monkeypatch) -> list:

@@ -22,12 +22,11 @@ from qradar.gaussian import (
     GaussianState,
     apply_channel,
     entropy_term,
-    partial_transpose,
     symplectic_eigenvalues,
-    von_neumann_entropy,
 )
 
-from conftest import random_physical_two_mode, random_symplectic, tmsv_cov
+from conftest import partial_transpose, random_physical_two_mode, random_symplectic, tmsv_cov
+from conftest import von_neumann_entropy
 
 
 def tmsv_blocks(r: float) -> BipartiteBlocks:

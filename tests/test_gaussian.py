@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qradar.channels import GaussianChannel, attenuation_channel, identity_channel
+from qradar.channels import GaussianChannel, attenuation_channel
 from qradar.criteria import discord_reports, two_eta_values
 from qradar.errors import (
     DegenerateStateError,
@@ -18,21 +18,20 @@ from qradar.errors import (
 )
 from qradar.gaussian import (
     GaussianState,
-    _validated_stack,
+    _require_physical,
+    _symmetrised,
     apply_channel,
     entropy_term,
-    partial_transpose,
     sample,
     symplectic_eigenvalues,
     symplectic_form,
-    thermal_state,
     vacuum_state,
-    von_neumann_entropy,
     wigner,
 )
 from qradar.langevin import LinearLangevinModel
 
-from conftest import random_physical_two_mode, random_symplectic, tmsv_cov
+from conftest import identity_channel, partial_transpose, random_physical_two_mode, random_symplectic
+from conftest import thermal_state, tmsv_cov, von_neumann_entropy
 
 
 def tmsv(r: float) -> GaussianState:
@@ -152,12 +151,20 @@ class TestPhysicalRule:
         stack = np.array([np.eye(2), cov, np.eye(2)])
         if offset > 0:
             state.validate_physical(tol)
-            _validated_stack(stack, 1, tol)
+            _require_physical(_symmetrised(stack), tol)
             return
         with pytest.raises(PhysicalityError, match=r"^state invariant violated: .*not PSD"):
             state.validate_physical(tol)
         with pytest.raises(PhysicalityError, match=r"^stack member 1: state invariant .*not PSD"):
-            _validated_stack(stack, 1, tol)
+            _require_physical(_symmetrised(stack), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.5, 10**400], ids=["nan", "-1", "half", "10**400"])
+    def test_tol_is_held_to_its_rule(self, tol):
+        # np.linalg.cholesky factors a NaN matrix without complaint, so a NaN
+        # tol would pass this unphysical state.
+        unphysical = GaussianState(1, np.zeros(2), 0.1 * np.eye(2))
+        with pytest.raises(ValidationError, match="^tol must be"):
+            unphysical.validate_physical(tol)
 
     def test_a_passing_stack_is_one_cholesky_and_no_eigensolve(self, rng, monkeypatch):
         stack = np.array([random_physical_two_mode(rng).cov for _ in range(32)])
@@ -169,7 +176,7 @@ class TestPhysicalRule:
 
         for name in ("cholesky", "eigvals", "eig", "eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, counting(name))
-        _validated_stack(stack, 2)
+        _require_physical(stack, 1e-9)
         assert calls == ["cholesky"]
 
     # A stored V lies within about eps * max|V|^2 of its nominal spectrum,
@@ -220,10 +227,6 @@ class TestPartialTranspose:
         state = random_physical_two_mode(rng)
         pt = partial_transpose(state, 0)
         assert np.linalg.det(pt.cov) == pytest.approx(np.linalg.det(state.cov), rel=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            partial_transpose(vacuum_state(2), 2)
 
 
 class TestEntropy:

@@ -1,6 +1,7 @@
 """Langevin machinery: thermal occupations, diffusion assembly, stability,
 the Lyapunov steady state (the LAPACK Bartels-Stewart kernel, bit-equal to
-scipy's solver, and the residual gate around it), and transient propagation."""
+scipy's solver, and the residual gate around it), and the covariance ODE
+that tests integrate as an independent route to it."""
 
 import itertools
 import math
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import constants
 from scipy.linalg import lapack, solve_continuous_lyapunov
 
-from conftest import damped, damped_arrays
+from conftest import damped, damped_arrays, propagate_cov
 from qradar import converter, eom, langevin, sweeps
 from qradar.errors import NoSteadyStateError, StiffnessError, ValidationError
 from qradar.gaussian import GaussianState
@@ -22,7 +23,6 @@ from qradar.langevin import (
     LinearLangevinModel,
     diffusion_from_baths,
     is_stable,
-    propagate_cov,
     steady_state_cov,
     thermal_occupation,
 )
@@ -395,10 +395,6 @@ class TestPropagation:
             v = propagate_cov(m, v, t)
             GaussianState(2, np.zeros(4), v).validate_physical(1e-8)
 
-    def test_negative_time_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            propagate_cov(random_stable_model(rng), np.eye(6), -1.0)
-
     @pytest.mark.parametrize(
         "drift, v0, t",
         [
@@ -406,8 +402,8 @@ class TestPropagation:
             (np.eye(2), np.eye(2), 1000.0),  # V grows as e^{2t}, past float range
         ],
     )
-    def test_leaving_float_range_is_a_stiffness_error(self, drift, v0, t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(StiffnessError):
-                propagate_cov(LinearLangevinModel(drift, np.eye(2)), v0, t)
+    def test_leaving_float_range_fails_the_calling_test(self, drift, v0, t):
+        # The oracle is only as good as its integration: one that fails must
+        # fail the test that asked for it, not hand back a NaN covariance.
+        with np.errstate(all="ignore"), pytest.raises(AssertionError, match="step size"):
+            propagate_cov(LinearLangevinModel(drift, np.eye(2)), v0, t)

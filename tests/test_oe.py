@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy import constants
 
-from qradar.channels import identity_channel
 from qradar.converter import steady_state
 from qradar.errors import (
     ConvergenceError,
@@ -31,6 +30,8 @@ from qradar.oe import (
     threshold_temperature,
 )
 from qradar.presets import channel_preset, oe_reference
+
+from conftest import identity_channel
 
 
 @pytest.fixture(scope="module")

@@ -1,31 +1,19 @@
 """The public surface earns its lines: every function and class a qradar
 module exports, and every public method of an exported class, is called by a
-qradar module, named by the benchmark harness, or kept as a named oracle that
-a test checks a shipped kernel against by another route.  And no function
-holds an argument to a sign by hand: errors._valid is the one argument rule;
-nor factors a matrix by Cholesky outside gaussian's np.linalg.cholesky."""
+qradar module or named by the benchmark harness, and each of its parameters
+with a default is set by some call there (an oracle a test checks a shipped
+kernel against lives in the tests).  And no function holds an argument to a
+sign by hand: errors._valid is the one argument rule; nor factors a matrix by
+Cholesky outside gaussian's np.linalg.cholesky."""
 
 import ast
+import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# Exported names no qradar module calls, kept for the independent check
-# each gives: name -> the test file that uses it, and what it checks.
-ORACLES = {
-    # 2 nu_min of the transposed covariance against criteria.two_eta_values.
-    "gaussian.partial_transpose": "test_criteria.py",
-    # S(A) + S(B) - S(AB) against criteria.discord_reports' mutual_info.
-    "gaussian.von_neumann_entropy": "test_criteria.py",
-    # Known-answer input: spectrum n + 1/2 and a positive Wigner field.
-    "gaussian.thermal_state": "test_gaussian.py",
-    # oe.end_to_end_report through identity channels equals direct_report.
-    "channels.identity_channel": "test_oe.py",
-    # The covariance ODE integrated to long times against the Lyapunov solve.
-    "langevin.propagate_cov": "test_langevin.py",
-}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -78,13 +66,47 @@ def _unused_names() -> list[str]:
         for qualified, name, node in _public_surface(modules)
         if uses[name] == _uses(node)[name]  # no use outside its own definition
         and not re.search(rf"\b{name}\b", harness)  # tracer.TARGETS names spans as strings
-        and qualified not in ORACLES
     ]
 
 
-def test_every_public_name_is_called_benchmarked_or_an_oracle():
+def test_every_public_name_is_called_or_benchmarked():
     unused = _unused_names()
-    assert not unused, f"no qradar module, benchmark or ORACLES entry uses: {', '.join(unused)}"
+    assert not unused, f"no qradar module or benchmark uses: {', '.join(unused)}"
+
+
+def _unset_defaults() -> list[str]:
+    """``qualified parameter`` of each parameter with a default, of each
+    exported function and public method of an exported class, that no call in
+    a qradar module or the benchmark harness passes, by position or keyword
+    (a call spreading ``*args`` or ``**kwargs`` passes them all).  Callees
+    are matched by bare name, as in :func:`_unused_names`."""
+    modules = _modules()
+    trees = [*modules.values(), *map(_parse, (ROOT / "perfbench").glob("*.py"))]
+    most, keywords = Counter(), set()  # callee -> most positional arguments; (callee, keyword)
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = ast.unparse(call.func).rsplit(".", 1)[-1]
+        spread = any(isinstance(a, ast.Starred) for a in call.args) or None in [k.arg for k in call.keywords]
+        most[name] = max(most[name], math.inf if spread else len(call.args))
+        keywords |= {(name, k.arg) for k in call.keywords}
+    found = []
+    for qualified, name, node in _public_surface(modules):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        bound = qualified.count(".") == 2  # a method: self or cls is not passed
+        defaulted = [(p.arg, i) for i, p in enumerate(positional[first:], first - bound)]
+        defaulted += [(p.arg, sys.maxsize) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        found += [f"{qualified} {p}" for p, i in defaulted if most[name] <= i and (name, p) not in keywords]
+    return found
+
+
+def test_every_default_parameter_is_set_by_a_run():
+    # A default no run overrides is a constant under another name: an option
+    # that only tests reach.
+    unset = _unset_defaults()
+    assert not unset, f"parameters no qradar module or benchmark sets: {', '.join(unset)}"
 
 
 def _is_sign_test(test: ast.expr, params: set[str]) -> bool:
@@ -127,13 +149,6 @@ def test_arguments_are_held_to_their_sign_rule_by_errors_valid():
     # integers beyond float range, which a bare `x < 0` lets through.
     found = _hand_written_sign_checks()
     assert not found, f"hand-written sign checks (use errors._valid): {', '.join(found)}"
-
-
-def test_each_oracle_is_exported_and_used_by_its_test():
-    surface = {qualified for qualified, _, _ in _public_surface(_modules())}
-    for qualified, test_file in ORACLES.items():
-        assert qualified in surface, qualified
-        assert _uses(_parse(ROOT / "tests" / test_file))[qualified.rsplit(".", 1)[1]], qualified
 
 
 def _cholesky_calls_outside_gaussian() -> list[str]:
