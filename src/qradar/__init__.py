@@ -22,7 +22,6 @@ from .channels import (
 from .criteria import (
     BipartiteBlocks,
     CriteriaReport,
-    discord_reports,
     gaussian_discord,
     lambda_sph,
     two_eta,

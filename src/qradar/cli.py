@@ -11,8 +11,7 @@ or non-convergence; the reason lands in summary.json).  The default output
 directory comes from $QRADAR_OUTPUT_DIR when a config has no ``output_dir``.
 Outputs are deterministic for a fixed config and seed; wall time is printed
 to stdout rather than written into summary.json to keep the artifacts
-byte-stable.  Every scenario runs serially; a ``parallelism`` key is
-accepted for compatibility, then dropped, so it never reaches the artifacts.
+byte-stable.  Every scenario runs serially.
 Converter overrides and ``eom_sweep`` axes reach their params fields and
 sweep axes through qradar.config's maps, built from the field declarations.
 """

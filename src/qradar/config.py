@@ -15,8 +15,6 @@ threshold), and no two ``g_values`` name the same artifact.  Field rules come
 from the records' declarations (qradar.errors._param); this module also maps
 each override key to the field it sets and each ``eom_sweep`` axis key to the
 axis it sweeps, which qradar.cli applies.
-A ``parallelism`` key (an integer >= 1) is still accepted so that older
-configs run, but it is neither kept nor hashed: every scenario runs serially.
 """
 
 from __future__ import annotations
@@ -143,7 +141,6 @@ KINDS = tuple(PARAMETER_SCHEMAS)
 _TOP_LEVEL = {
     "kind": FieldSpec("string", required=True, choices=KINDS),
     "seed": FieldSpec("integer", default=0, minimum=0),
-    "parallelism": FieldSpec("integer", minimum=1),  # checked, then dropped
     "output_dir": FieldSpec("string"),
     "parameters": FieldSpec("table"),  # replaced by the kind's schema in validate_config
 }

@@ -114,23 +114,19 @@ def _require_stable(stable: bool, max_re: float) -> None:
         )
 
 
-# A converter steady state may sit this far below the uncertainty bound.
-_PHYSICAL_TOL = 1e-6
-
-
 def _check_physical(cov: np.ndarray) -> None:
     n_modes = cov.shape[0] // 2
-    GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical(_PHYSICAL_TOL)
+    GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical()
 
 
 def _physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
-    """The structural rule and the physical rule to 1e-6 on a stack of
-    converter steady states, as :func:`_check_physical` applies them to one,
-    without building a state.  Returns it symmetrised.  ``name`` maps a
-    member's index to the prefix naming it in an error, as
+    """The structural rule and the physical rule on a stack of converter
+    steady states, as :func:`_check_physical` applies them to one, without
+    building a state.  Returns it symmetrised.  ``name`` maps a member's
+    index to the prefix naming it in an error, as
     :func:`~qradar.gaussian._member` does by default."""
     covs = _symmetrised(covs, name)
-    _require_physical(covs, _PHYSICAL_TOL, name)
+    _require_physical(covs, name)
     return covs
 
 
@@ -139,7 +135,7 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
 
     Raises :class:`NoSteadyStateError` when the drift is unstable and
     :class:`~qradar.errors.PhysicalityError` when the covariance is not
-    positive definite or violates the uncertainty bound by more than 1e-6.
+    positive definite or violates the uncertainty bound by more than 1e-9.
     """
     _require_stable(*is_stable(model))
     cov = steady_state_cov(model)
@@ -169,9 +165,9 @@ def _thermal_steady_state(
     solve on one Schur form of the drift, each held to the residual rule) are
     settled once; a stack of temperatures is then held, as
     :func:`steady_state` holds a solve, to the residual rule against D(T),
-    then to the structural and physical (1e-6) rules, naming the first
-    temperature that fails either, and returned symmetrised.  A pair sliced
-    from it needs only its own physical rule.
+    then to the structural and physical rules, naming the first temperature
+    that fails any of them, and returned symmetrised.  A pair sliced from it
+    needs no check of its own.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
@@ -179,7 +175,7 @@ def _thermal_steady_state(
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
     v_basis, caught = _solve_lyapunov(drift, d_basis)
-    _check_residual(drift, d_basis, v_basis, caught)
+    _check_residual(drift, d_basis, v_basis, caught, lambda b: "")  # a failing V_b fails the model
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = v_basis.reshape(len(baths), -1)
 
@@ -188,7 +184,8 @@ def _thermal_steady_state(
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
             covs = (weights @ v_basis).reshape(-1, *cold.shape)
             diffusions = (weights @ d_basis).reshape(covs.shape)
-        _check_residual(drift, diffusions, covs, (), temperatures)
-        return _physical(covs, lambda i: f"temperature {temperatures[i]!r} K: ")
+        name = lambda i: f"temperature {temperatures[i]!r} K: "  # noqa: E731
+        _check_residual(drift, diffusions, covs, (), name)
+        return _physical(covs, name)
 
     return at

@@ -8,8 +8,8 @@ convention and log base 2.
 
 Each formula is written once, as a kernel over a stack of two-mode
 covariances: the single-pair functions score a stack of one, and
-:func:`discord_reports` / :func:`two_eta_values` score a whole sweep grid's
-pairs in one call.
+:func:`two_eta_values` a whole stack; pairs sliced from checked converter
+steady states are scored unchecked (:func:`_reports`, :func:`_pt_nu_min`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "lambda_sph",
     "two_eta",
     "gaussian_discord",
-    "discord_reports",
     "two_eta_values",
 ]
 
@@ -236,32 +235,21 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
 
 
-def _validated_pairs(covs) -> np.ndarray:
-    """The stack check :func:`discord_reports` describes; returns the
-    symmetrised stack."""
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim != 3 or covs.shape[1:] != (4, 4):
-        raise ValidationError(f"expected a stack of 4x4 covariances, got {covs.shape}")
-    covs = _symmetrised(covs)
-    _require_physical(covs, 1e-9)
-    return covs
-
-
-def discord_reports(covs) -> list[CriteriaReport]:
+def _reports(covs: np.ndarray) -> list[CriteriaReport]:
     """:func:`gaussian_discord` of each member of a stack of two-mode
-    covariances, shape (n, 4, 4), in stack order.
-
-    The stack is checked once, as a :class:`BipartiteBlocks` is (finite,
-    symmetric, V + i(1/2 - 1e-9)Omega positive definite, one Cholesky over
-    the stack); an error about a stack of several names the offending
-    member.
-    """
-    covs = _validated_pairs(covs)
+    covariances, shape (n, 4, 4), in stack order, unchecked: the caller
+    holds the stack, or the states it is sliced from, to the physical rule."""
     columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs))
     return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def two_eta_values(covs) -> np.ndarray:
     """:func:`two_eta` of each member of a stack of two-mode covariances,
-    shape (n, 4, 4), checked once as :func:`discord_reports` checks it."""
-    return 2.0 * _pt_nu_min(_validated_pairs(covs))
+    shape (n, 4, 4), the stack checked once as a :class:`BipartiteBlocks`
+    is; an error about a stack of several names the offending member."""
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (4, 4):
+        raise ValidationError(f"expected a stack of 4x4 covariances, got {covs.shape}")
+    covs = _symmetrised(covs)
+    _require_physical(covs)
+    return 2.0 * _pt_nu_min(covs)

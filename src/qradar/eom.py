@@ -19,11 +19,9 @@ from scipy import constants
 
 from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, _thermal_weights, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, discord_reports
-from .criteria import gaussian_discord
+from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, _reports, gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .errors import _grid_values, _param, _require_valid
-from .gaussian import _require_physical
 from .langevin import LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
@@ -228,7 +226,8 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     Each stable point's report equals :func:`entanglement_report` there (to
     rounding on a temperature grid, which weighs one Lyapunov basis and so is
     stable at every point or at none); other axes take one stacked
-    :func:`~qradar.sweeps.run_grid` step.  Pairs are scored one stack each.
+    :func:`~qradar.sweeps.run_grid` step.  Each steady state is checked
+    once, there; its pairs are scored unchecked, one stack each.
     """
     grid = _grid_values(EomParams, _axis_field(axis), grid)
     if sorted(grid) != grid:
@@ -244,7 +243,7 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
         else:
             covs = list(cov_at(grid))
     stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
-    by_pair = [discord_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
+    by_pair = [_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
     reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))
     return [
         SweepPoint(v, None, False) if cov is None else SweepPoint(v, next(reports), True)
@@ -260,10 +259,9 @@ def threshold_temperature(
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
     The operating point and the Lyapunov basis are solved once; each
-    evaluation forms the gated steady state at its temperature, holds the
-    pair sliced from it to the physical rule at 1e-9, as
-    :func:`~qradar.criteria.lambda_sph` would, and scores lambda_SPH on that
-    pair alone, with no state or blocks built.  Returns None when the pair
+    evaluation forms the gated steady state at its temperature and scores
+    lambda_SPH on the pair sliced from it, which meets the physical rule as
+    the state does, with no state or blocks built.  Returns None when the pair
     is already separable at zero temperature; the bracket starts at
     [0, 8] K and expands as :func:`~qradar.sweeps.bisect_threshold` does.
     """
@@ -272,8 +270,6 @@ def threshold_temperature(
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
 
     def crossing(temperature: float) -> float:
-        covs = _pair_stack(cov_at([temperature]), pair)
-        _require_physical(covs, 1e-9)
-        return float(_lambda_sph(covs)[0])
+        return float(_lambda_sph(_pair_stack(cov_at([temperature]), pair))[0])
 
     return bisect_threshold(crossing, lo=0.0, hi=8.0, resolution=resolution)

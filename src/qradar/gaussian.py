@@ -7,8 +7,8 @@ Conventions, fixed globally for the whole toolkit:
 Each covariance rule is written once here, over one (d, d) matrix or an
 (n, d, d) stack alike: the structural rule (finite, and symmetric within
 1e-10 of max(1, largest entry), a test the Langevin diffusion and the channel
-noise matrix share) and the physical rule (V + i(1/2 - tol)Omega positive
-definite, one Cholesky over the stack).
+noise matrix share) and the physical rule (V + i(1/2 - 1e-9)Omega positive
+definite, one tolerance for every state; one Cholesky over the stack).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     PhysicalityError,
     UnphysicalChannelError,
     ValidationError,
-    _valid,
 )
 
 if TYPE_CHECKING:  # channels imports the symmetry rule from this module
@@ -83,12 +82,9 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _symmetrised(cov))
 
-    def validate_physical(self, tol: float = 1e-9) -> "GaussianState":
-        """The physical rule (:func:`_require_physical`) at 0 <= tol < 1/2."""
-        if not 0 <= tol < VACUUM_VARIANCE:  # NaN fails too; only then is the message formed
-            _valid("tol", "non-negative", tol)
-            raise ValidationError("tol must be below 1/2")
-        _require_physical(self.cov, tol)
+    def validate_physical(self) -> "GaussianState":
+        """The physical rule (:func:`_require_physical`)."""
+        _require_physical(self.cov)
         return self
 
 
@@ -128,18 +124,20 @@ def _symmetrised(covs: np.ndarray, name: Callable[[int], str] | None = None) -> 
     return half + half.mT
 
 
-def _require_physical(covs: np.ndarray, tol: float, name: Callable[[int], str] | None = None) -> None:
+def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> None:
     """The physical rule on a symmetric (2N, 2N) covariance or (n, 2N, 2N)
-    stack: each V + i(1/2 - tol)Omega must be positive definite, one Cholesky
-    over the stack.  By Williamson's theorem that is nu_min > 1/2 - tol, and
-    it implies V > 0.  A failing stack is factored member by member to name
-    the first that fails (:func:`_member`).
+    stack: each V + i(1/2 - 1e-9)Omega must be positive definite, one
+    Cholesky over the stack.  By Williamson's theorem that is
+    nu_min > 1/2 - 1e-9, and it implies V > 0; a mode pair of a passing
+    state passes too (a principal submatrix), so it needs no second check.
+    A failing stack is factored member by member to name the first that
+    fails (:func:`_member`).
 
     Near the bound, the verdict and the quoted nu_min are decided at rounding
     resolution, roughly eps * max|V|^2: on physical fig10 stacks with entries
     near 1e300, ``eigvals`` gives nu_min 1.229e-02.
     """
-    bound = 1j * (VACUUM_VARIANCE - tol) * _omega(covs.shape[-1] // 2)
+    bound = 1j * (VACUUM_VARIANCE - 1e-9) * _omega(covs.shape[-1] // 2)
     if _factors(covs + bound):
         return
     stack = covs if covs.ndim == 3 else covs[None]

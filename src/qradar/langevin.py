@@ -34,7 +34,7 @@ from scipy import constants
 from scipy.linalg import lapack
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
-from .gaussian import _asymmetric
+from .gaussian import _asymmetric, _member
 
 __all__ = [
     "LinearLangevinModel",
@@ -226,15 +226,14 @@ def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     return residual, (residual <= 1e-9 * d_scale) | ((d_scale == 0) & np.isfinite(residual))
 
 
-def _check_residual(drift, diffusion, v, caught=(), temperatures=None) -> None:
+def _check_residual(drift, diffusion, v, caught=(), name=None) -> None:
     """:class:`StiffnessError` if ``v``, or a member of a stack, fails :func:`_residual_gate`,
-    quoting the ``caught`` solver warnings and the first failing member's ``temperatures``."""
+    quoting the ``caught`` solver warnings and naming the first failing member (:func:`_member`)."""
     residual, accurate = _residual_gate(drift, diffusion, v)
     if not accurate.all():
         i = int(np.argmin(accurate))
-        at = "" if temperatures is None else f" at temperature {temperatures[i]!r} K"
         solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
-            f"Lyapunov residual {np.ravel(residual)[i]:.3e} is not within 1e-9 * ||D||_inf{at} "
-            f"(severely ill-conditioned drift){solver_said}"
+            f"{_member(v, i, name)}Lyapunov residual {np.ravel(residual)[i]:.3e} is not within "
+            f"1e-9 * ||D||_inf (severely ill-conditioned drift){solver_said}"
         )

@@ -23,7 +23,7 @@ from .converter import OperatingPoint, _gated_point, _response_roots
 from .converter import _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
 from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid, _valid
-from .gaussian import _require_cp, _require_physical, apply_channel
+from .gaussian import _require_cp, apply_channel
 from .langevin import LinearLangevinModel, diffusion_from_baths
 from .sweeps import bisect_threshold, run_grid
 
@@ -225,14 +225,14 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     """2eta(OC-MC) versus photodetector detuning, with instability markers.
 
     The grid values are held once to delta_eg's rule; the grid's steady
-    states come from one stacked :func:`~qradar.sweeps.run_grid` step, and
-    the stable points' OC-MC pairs are scored in one
-    :func:`~qradar.criteria.two_eta_values` call.
+    states come from one stacked :func:`~qradar.sweeps.run_grid` step, which
+    checks each once, and the stable points' OC-MC pairs are scored as one
+    unchecked stack.
     """
     grid = _grid_values(OeParams, "delta_eg", delta_eg_grid)
     covs = run_grid(_detuning_point(params), grid)
     stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
-    values = iter(two_eta_values(stable).tolist())
+    values = iter((2.0 * _pt_nu_min(stable)).tolist())
     points = [
         DetuningPoint(v, None, False) if cov is None else DetuningPoint(v, next(values), True)
         for v, cov in zip(grid, covs)
@@ -271,14 +271,15 @@ def end_to_end_vs_temperature(
     The steady states are one gated stack from one Lyapunov basis
     (:func:`~qradar.converter._thermal_steady_state`), and raise where the
     converter has none, as its thresholds do.  The round-trip channel is
-    built and CP-checked once; the direct and returned pairs are scored as two
-    stacks, one :func:`~qradar.criteria.two_eta_values` call each.
+    built and CP-checked once; the direct pairs are scored unchecked, as
+    slices of checked states, and the returned pairs, which are not, in one
+    :func:`~qradar.criteria.two_eta_values` call.
     """
     backscatter = _backscatter(channel_spec, target_spec)
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
     pairs = cov_at([float(t) for t in temperature_grid])[_OC_MC]
     _require_cp(backscatter)
-    return two_eta_values(pairs), two_eta_values(_returned(pairs, backscatter))
+    return 2.0 * _pt_nu_min(pairs), two_eta_values(_returned(pairs, backscatter))
 
 
 def threshold_temperature(
@@ -294,10 +295,10 @@ def threshold_temperature(
     The operating point, the Lyapunov basis and the round-trip channel are
     built once, and the channel checked completely positive once; each
     evaluation forms the gated steady state at its temperature and scores
-    2eta only, on the (OC, MC) pair sliced from it, held to the physical rule
-    at 1e-9, or on the returned pair, held to the structural and physical
-    rules at 1e-9, as :func:`~qradar.criteria.two_eta` would hold them, with
-    no state or blocks built.  The bracket starts at [1e-4, 8] K and expands
+    2eta only, with no state or blocks built: on the (OC, MC) pair sliced
+    from it, which meets the physical rule as the state does, or on the
+    returned pair, held to the structural and physical rules by
+    :func:`~qradar.criteria.two_eta_values`.  The bracket starts at [1e-4, 8] K and expands
     as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if (channel_spec is None) != (target_spec is None):
@@ -311,7 +312,6 @@ def threshold_temperature(
     def crossing(temperature: float) -> float:
         pairs = cov_at([temperature])[_OC_MC]
         if backscatter is None:
-            _require_physical(pairs, 1e-9)
             return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0
         return float(two_eta_values(_returned(pairs, backscatter))[0]) - 1.0
 

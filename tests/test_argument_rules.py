@@ -42,10 +42,6 @@ def vacuum_sample(n_samples):
     return gaussian.sample(gaussian.vacuum_state(), n_samples, seed=0)
 
 
-def vacuum_validate_physical(tol):
-    return gaussian.vacuum_state().validate_physical(tol)
-
-
 # Each entry point with reference keyword arguments, all of which it accepts.
 REFERENCE = [
     (channels.attenuation_channel, {"kappa_atm": 1e-3, "distance": 1e3, "n_env": 1.0}),
@@ -54,7 +50,6 @@ REFERENCE = [
     (channels.thermal_background_channel, {"n_occupation": 1.0}),
     (constant_line_n_eff, {"length": 1.0}),
     (vacuum_sample, {"n_samples": 1}),
-    (vacuum_validate_physical, {"tol": 1e-9}),
     (jpa.derived_params, {"e_j": _E_J, "capacitance": _C}),
     (jpa.classical_field, {"omega0": _OMEGA0, "kerr": _KERR, **_JPA}),
     (jpa.build_params, {"e_j": _E_J, "capacitance": _C, **_JPA}),

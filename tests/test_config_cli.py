@@ -28,7 +28,6 @@ class TestParsing:
     def test_minimal_qi_roc_defaults_filled(self):
         cfg = parse_config(json.dumps({"kind": "qi_roc", "parameters": {}}))
         assert cfg.seed == 0
-        assert "parallelism" not in cfg.normalized()
         assert cfg.parameters["mean_signal_photons"] == 0.01
         assert cfg.parameters["n_background"] == 10.0
         assert cfg.parameters["detector"] == "covariance_detector"
@@ -413,8 +412,8 @@ class TestCliCommands:
         # The same exit, but after leaked overflow RuntimeWarnings, before.
         pytest.param(
             "eom_fig2a_temperature", {"grid": [1.0, 1e301]},
-            "StiffnessError: Lyapunov residual nan is not within 1e-9 * ||D||_inf at "
-            "temperature 1e+301 K (severely ill-conditioned drift)",
+            "StiffnessError: temperature 1e+301 K: Lyapunov residual nan is not within "
+            "1e-9 * ||D||_inf (severely ill-conditioned drift)",
             id="eom_sweep-1e+301",
         ),
     ])
@@ -650,6 +649,26 @@ class TestOneKeyChanged:
                 failures.append((key, value, summary["summary"]))
         assert failures == [], "\n".join(map(str, failures))
 
+    # At omega_m = 1e12 rad/s a steady state of the grid sits below the
+    # vacuum bound by more than 1e-9 but less than 1e-6.  The one physical
+    # rule rejects it where the grid is solved and names its grid value;
+    # before, a 1e-6 gate let it through, and the second check, of the pairs,
+    # named only its place among the stable points ("stack member 1").
+    @pytest.mark.parametrize("preset, point", [
+        ("eom_fig2b_wavelength", "grid point 1 (9e-07)"),
+        ("eom_fig2d_gamma_m", "grid point 2 (314.1592653589793)"),
+    ])
+    def test_unphysical_point_names_its_grid_value(self, preset, point, tmp_path):
+        config = SCENARIO_PRESETS[preset]
+        parameters = {**config["parameters"], "eom": {"omega_m_rad_s": 1e12}}
+        cfg = validate_config({**config, "parameters": parameters, "output_dir": str(tmp_path)})
+        code, summary = run_scenario(cfg)
+        assert (code, summary["reason"]) == (
+            2,
+            f"PhysicalityError: {point}: state invariant violated: cov + (i/2)Omega not PSD "
+            "(min symplectic eigenvalue 5.000e-01 < 1/2)",
+        )
+
 
 class TestArtifacts:
     def test_eom_sweep_csv_shape(self, tmp_path):
@@ -754,17 +773,17 @@ class TestArtifacts:
             else:
                 assert outputs[0][name] == outputs[1][name]
 
-    def test_parallelism_is_ignored(self, tmp_path):
-        # Accepted and range-checked, then dropped: not in the inputs, not
-        # hashed, so every artifact's bytes match the run without the key.
-        base = {**SCENARIO_PRESETS["eom_fig2d_gamma_m"], "output_dir": str(tmp_path)}
-        with pytest.raises(ConfigError, match="parallelism: must be >= 1"):
-            validate_config({**base, "parallelism": 0})
-        outputs = []
-        for extra in ({}, {"parallelism": 8}):
-            assert run_scenario(validate_config({**base, **extra}))[0] == 0
-            outputs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
-        assert outputs[0] == outputs[1]
+    def test_parallelism_is_an_unknown_key(self, tmp_path, monkeypatch):
+        # Retired: no run read it, so a config that sets it fails validation
+        # as any unknown key does.
+        config = {**SCENARIO_PRESETS["eom_fig2d_gamma_m"], "parallelism": 8}
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert err.value.errors == ["parallelism: unknown key"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(path)]) == 1
 
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "env_out"))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qradar import converter, eom, gaussian, langevin, oe, sweeps
-from qradar.converter import _physical, _response_roots, _thermal_steady_state, steady_state
+from qradar.converter import _response_roots, _thermal_steady_state, steady_state
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
 from qradar.errors import ValidationError
@@ -145,6 +145,54 @@ def _count_cp_checks(monkeypatch) -> list:
     return calls
 
 
+def _count_choleskies(monkeypatch) -> list:
+    """Collects the shape of every np.linalg.cholesky call from now on: the
+    physical rule factors each stack it checks once."""
+    calls = []
+    factor = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or factor(m))
+    return calls
+
+
+class TestEachStateCheckedOnce:
+    """A converter steady state is held to the physical rule once, with its
+    grid or temperature stack; the mode pairs sliced from it are scored with
+    no second check.  Only the backscattered pair, which is no slice of a
+    checked state, is factored again."""
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
+        ("temperature", np.linspace(1e-3, 0.351, 32)),
+    ])
+    def test_eom_sweep(self, axis, grid, monkeypatch):
+        calls = _count_choleskies(monkeypatch)
+        points = eom.sweep(eom_reference(), axis, grid)
+        assert any(point.stable for point in points)
+        assert calls == [(32, 6, 6)]
+
+    def test_oe_detuning_sweep(self, monkeypatch):
+        calls = _count_choleskies(monkeypatch)
+        result = oe.entanglement_vs_detuning(oe_reference(), np.linspace(-3e7, 3e7, 32))
+        stable = sum(point.stable for point in result.points)
+        assert stable and calls == [(stable, 6, 6)]
+
+    def test_oe_end_to_end_grid(self, monkeypatch):
+        atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        calls = _count_choleskies(monkeypatch)
+        oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, np.linspace(0.01, 0.33, 9))
+        assert calls == [(9, 6, 6), (9, 4, 4)]
+
+    @pytest.mark.parametrize("model, params, kwargs", _thresholds())
+    def test_threshold_step(self, model, params, kwargs, monkeypatch):
+        captured = []
+        monkeypatch.setattr(model, "bisect_threshold", lambda fn, **_: captured.append(fn))
+        model.threshold_temperature(params, **kwargs)
+        (crossing,) = captured
+        calls = _count_choleskies(monkeypatch)
+        crossing(0.1)
+        assert calls == [(1, 6, 6)] + ([(1, 4, 4)] if "channel_spec" in kwargs else [])
+
+
 class TestThresholdSolvesOnce:
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
     def test_one_operating_point_per_threshold(self, model, params, kwargs, monkeypatch):
@@ -197,17 +245,14 @@ class TestThresholdSolvesOnce:
             assert crossing(float(temperature)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
-    def test_step_holds_the_pair_to_its_own_rule(self, model, params, kwargs, monkeypatch):
-        # nu_min = 1/2 - 1e-7 on every mode passes the converter's 1e-6 gate
-        # but not the 1e-9 rule of the scored pair (or, behind the channel,
-        # of the returned pair, whose OC mode the channel leaves alone).
-        cov = (0.5 - 1e-7) * np.eye(6)
-
-        def stack(temperatures):
-            return _physical(np.array([cov] * len(temperatures)))
-
-        monkeypatch.setattr(model, "_thermal_steady_state", lambda *_: stack)
-        with pytest.raises(PhysicalityError, match="min symplectic eigenvalue"):
+    def test_step_holds_the_state_to_the_one_rule(self, model, params, kwargs, monkeypatch):
+        # Damping that outruns its baths' noise leaves V = (1/2 - 1e-7) I at
+        # the bracket's cold end: the step's steady state fails the one
+        # physical rule (1/2 - 1e-9), so no pair sliced from it is scored.
+        baths = [(1e10, 1.0 - 2e-7, 0.0, "cavity")] * 3
+        cov_at = _thermal_steady_state(-np.eye(6), baths)
+        monkeypatch.setattr(model, "_thermal_steady_state", lambda *_: cov_at)
+        with pytest.raises(PhysicalityError, match=r"^temperature .* K: .*eigenvalue 5.000e-01"):
             model.threshold_temperature(params, **kwargs)
 
     @pytest.mark.parametrize(
@@ -293,11 +338,11 @@ def _cov_at(model, params):
 class TestTemperatureAffineSteadyState:
     def test_each_temperature_is_held_to_the_physical_rule(self):
         # Damping that outruns its baths' noise leaves V = 0.4995 I, below
-        # the vacuum bound by more than the converter's 1e-6.
+        # the vacuum bound by more than the physical rule's 1e-9.
         baths = [(1e10, 0.999, 0.0, "cavity")] * 3
         model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths))
         cov_at = _thermal_steady_state(model.drift, baths)
-        with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 4.995e-01"):
+        with pytest.raises(PhysicalityError, match="^temperature 0.0 K: .*eigenvalue 4.995e-01"):
             cov_at([0.0])
 
     @settings(max_examples=100, deadline=None)
@@ -406,7 +451,7 @@ class TestTemperatureGrids:
             return residual, accurate & (np.arange(len(covs)) != 1)
 
         monkeypatch.setattr(langevin, "_residual_gate", second_fails)
-        with pytest.raises(StiffnessError, match=r"\|\|D\|\|_inf at temperature 0.2 K"):
+        with pytest.raises(StiffnessError, match=r"^temperature 0.2 K: Lyapunov residual"):
             cov_at([0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("model", [eom, oe])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qradar.channels import attenuation_channel
 from qradar.criteria import (
     BipartiteBlocks,
-    discord_reports,
+    _reports,
     gaussian_discord,
     lambda_sph,
     two_eta,
@@ -181,7 +181,7 @@ def _with_non_positive_definite_member():
 class TestStackEntryPoints:
     def test_rows_match_the_single_pair_functions(self, rng):
         covs = np.array([random_physical_two_mode(rng).cov for _ in range(60)])
-        reports = discord_reports(covs)
+        reports = _reports(covs)
         values = two_eta_values(covs)
         assert len(reports) == len(values) == len(covs)
         for cov, report, value in zip(covs, reports, values):
@@ -197,22 +197,18 @@ class TestStackEntryPoints:
                 ), field
 
     def test_empty_stack(self):
-        assert discord_reports(np.empty((0, 4, 4))) == []
+        assert _reports(np.empty((0, 4, 4))) == []
         assert two_eta_values(np.empty((0, 4, 4))).shape == (0,)
 
-    @pytest.mark.parametrize("entry", [discord_reports, two_eta_values])
-    def test_unphysical_member_named(self, entry):
+    def test_unphysical_member_named(self):
         covs = np.array([tmsv_cov(0.3), tmsv_cov(0.5), 0.4 * np.eye(4)])
         with pytest.raises(PhysicalityError, match="stack member 2:"):
-            entry(covs)
+            two_eta_values(covs)
 
     def test_non_positive_definite_member_named(self):
         for covs in _with_non_positive_definite_member():
-            for entry in (discord_reports, two_eta_values):
-                with pytest.raises(
-                    PhysicalityError, match="stack member 1: .*not positive definite"
-                ):
-                    entry(covs)
+            with pytest.raises(PhysicalityError, match="stack member 1: .*not positive definite"):
+                two_eta_values(covs)
 
     def test_non_positive_definite_pair_rejected(self):
         for covs in _with_non_positive_definite_member():
@@ -222,7 +218,7 @@ class TestStackEntryPoints:
                     score(blocks)
 
     @pytest.mark.parametrize("scale", [1e80, 1e160])
-    @pytest.mark.parametrize("entry", [discord_reports, two_eta_values])
+    @pytest.mark.parametrize("entry", [_reports, two_eta_values])
     def test_invariant_beyond_float_range_named(self, entry, scale):
         # A finite, physical covariance whose 4x4 (1e80) or 2x2 (1e160)
         # determinants overflow: typed, never a NaN row or a RuntimeWarning.
@@ -249,7 +245,7 @@ class TestStackEntryPoints:
         local[2:, 2:] = rotation(0.7) @ np.diag([1e40, 1e-40]) @ rotation(1.1)
         covs = np.array([tmsv_cov(0.3), local @ tmsv_cov(1.0) @ local.T])
         with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
-            discord_reports(covs)
+            _reports(covs)
 
     @pytest.mark.parametrize(
         "covs, match",
@@ -288,7 +284,7 @@ class TestLocalSymplecticInvariance:
         for _ in range(25):
             cov = random_physical_two_mode(rng).cov
             local = _local_symplectic(rng)
-            before, after = discord_reports(np.array([cov, local @ cov @ local.T]))
+            before, after = _reports(np.array([cov, local @ cov @ local.T]))
             for field in ("discord", "classical_corr", "mutual_info"):
                 assert getattr(after, field) == pytest.approx(
                     getattr(before, field), rel=1e-9, abs=1e-9
@@ -325,5 +321,5 @@ class TestIndependentOracles:
         state = _drawn_state(seed)
         local = [GaussianState(1, np.zeros(2), state.cov[i:i + 2, i:i + 2]) for i in (0, 2)]
         balance = sum(map(von_neumann_entropy, local)) - von_neumann_entropy(state)
-        (report,) = discord_reports(state.cov[None])
+        (report,) = _reports(state.cov[None])
         assert report.mutual_info == pytest.approx(balance, rel=1e-9, abs=1e-9)

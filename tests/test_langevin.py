@@ -393,7 +393,7 @@ class TestPropagation:
         v = 0.5 * np.eye(4)
         for t in (0.2, 1.0, 5.0):
             v = propagate_cov(m, v, t)
-            GaussianState(2, np.zeros(4), v).validate_physical(1e-8)
+            GaussianState(2, np.zeros(4), v).validate_physical()
 
     @pytest.mark.parametrize(
         "drift, v0, t",
