@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, UndefinedQuantityError, ValidationError, _param, _require_valid, _valid
-from .gaussian import _asymmetric
+from .gaussian import _asymmetric, _symmetric_part
 
 __all__ = [
     "GaussianChannel",
@@ -49,11 +49,16 @@ class GaussianChannel:
         if _asymmetric(y):
             raise ValidationError("channel noise matrix Y must be symmetric")
         object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", 0.5 * y + 0.5 * y.T)  # y + y.T overflows above about 9e307
+        object.__setattr__(self, "Y", _symmetric_part(y))
 
     @property
     def n_modes(self) -> int:
         return self.X.shape[0] // 2
+
+    def act(self, covs: np.ndarray) -> np.ndarray:
+        """The action on a covariance V, or on each member of an (n, d, d)
+        stack: X V X^T + Y, unchecked."""
+        return self.X @ covs @ self.X.T + self.Y
 
     def then(self, other: "GaussianChannel") -> "GaussianChannel":
         """Composite channel equivalent to applying ``self`` first, then ``other``."""
@@ -61,10 +66,8 @@ class GaussianChannel:
             raise ValidationError(
                 f"cannot compose channels of shape {self.X.shape} and {other.X.shape}"
             )
-        x = other.X @ self.X
-        y = other.X @ self.Y @ other.X.T + other.Y
         desc = " -> ".join(d for d in (self.description, other.description) if d)
-        return GaussianChannel(x, y, desc)
+        return GaussianChannel(other.X @ self.X, other.act(self.Y), desc)
 
     def expand(self, mode: int, n_modes: int) -> "GaussianChannel":
         """Embed a single-mode channel on ``mode`` of an ``n_modes`` register."""

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NoSteadyStateError, ValidationError
-from .gaussian import GaussianState, _require_physical, _symmetrised
-from .langevin import LinearLangevinModel, _stability, diffusion_from_baths, is_stable
+from .errors import ConvergenceError
+from .gaussian import GaussianState, _require_physical, _symmetric_part
+from .langevin import LinearLangevinModel, _require_stable, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
 __all__ = ["OperatingPoint", "steady_state"]
@@ -106,36 +106,18 @@ def _gated_point(a, c, p, x, branches: int, equations) -> OperatingPoint:
     return OperatingPoint(a, c, p, x, residual, branches)
 
 
-def _require_stable(stable: bool, max_re: float) -> None:
-    if not stable:
-        raise NoSteadyStateError(
-            f"converter drift is unstable at these parameters (max Re {max_re:.3e})",
-            eigenvalue=max_re,
-        )
-
-
 def _check_physical(cov: np.ndarray) -> None:
     n_modes = cov.shape[0] // 2
     GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical()
 
 
-def _physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
-    """The structural rule and the physical rule on a stack of converter
-    steady states, as :func:`_check_physical` applies them to one, without
-    building a state.  Returns it symmetrised.  ``name`` maps a member's
-    index to the prefix naming it in an error, as
-    :func:`~qradar.gaussian._member` does by default."""
-    covs = _symmetrised(covs, name)
-    _require_physical(covs, name)
-    return covs
-
-
 def steady_state(model: LinearLangevinModel) -> np.ndarray:
     """Steady-state covariance of a converter model, checked physical.
 
-    Raises :class:`NoSteadyStateError` when the drift is unstable and
-    :class:`~qradar.errors.PhysicalityError` when the covariance is not
-    positive definite or violates the uncertainty bound by more than 1e-9.
+    Raises :class:`~qradar.errors.NoSteadyStateError` when the drift is
+    unstable and :class:`~qradar.errors.PhysicalityError` when the covariance
+    is not positive definite or violates the uncertainty bound by more than
+    1e-9.
     """
     _require_stable(*is_stable(model))
     cov = steady_state_cov(model)
@@ -145,8 +127,6 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
 
 def _thermal_weights(baths: Sequence[tuple], grid: Sequence[float]) -> np.ndarray:
     """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
-    if len(grid) == 0:
-        raise ValidationError("temperature grid must not be empty")
     return np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths] for t in grid])
 
 
@@ -163,29 +143,33 @@ def _thermal_steady_state(
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
     solve on one Schur form of the drift, each held to the residual rule) are
-    settled once; a stack of temperatures is then held, as
-    :func:`steady_state` holds a solve, to the residual rule against D(T),
-    then to the structural and physical rules, naming the first temperature
-    that fails any of them, and returned symmetrised.  A pair sliced from it
-    needs no check of its own.
+    settled once; each D_b is solved scaled by a power of two to a largest
+    entry in [1/2, 1), which is exact and keeps 1e-9 ||D_b|| from underflowing
+    for a subnormal damping.  A stack of temperatures is then held, as
+    :func:`steady_state` holds a solve, symmetrised, to the residual rule
+    against D(T) and to the physical rule, naming the first temperature that
+    fails either.  A pair sliced from it needs no check of its own.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
     # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
     mode = np.arange(len(cold)) // 2
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
-    v_basis, caught = _solve_lyapunov(drift, d_basis)
-    _check_residual(drift, d_basis, v_basis, caught, lambda b: "")  # a failing V_b fails the model
+    exponents = np.frexp(np.abs(d_basis).max(axis=(1, 2)))[1][:, None, None]
+    d_unit = np.ldexp(d_basis, -exponents)
+    v_unit, caught = _solve_lyapunov(drift, d_unit)
+    _check_residual(drift, d_unit, v_unit, caught, lambda b: "")  # a failing V_b fails the model
     d_basis = d_basis.reshape(len(baths), -1)
-    v_basis = v_basis.reshape(len(baths), -1)
+    v_basis = np.ldexp(v_unit, exponents).reshape(len(baths), -1)
 
     def at(temperatures: Sequence[float]) -> np.ndarray:
         weights = _thermal_weights(baths, temperatures)
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
-            covs = (weights @ v_basis).reshape(-1, *cold.shape)
+            covs = _symmetric_part((weights @ v_basis).reshape(-1, *cold.shape))
             diffusions = (weights @ d_basis).reshape(covs.shape)
         name = lambda i: f"temperature {temperatures[i]!r} K: "  # noqa: E731
         _check_residual(drift, diffusions, covs, (), name)
-        return _physical(covs, name)
+        _require_physical(covs, name)
+        return covs
 
     return at

@@ -97,10 +97,6 @@ def _blocks(covs: np.ndarray):
     return covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
 
 
-def _t(m: np.ndarray) -> np.ndarray:
-    return m.swapaxes(-1, -2)
-
-
 def _grid(covs: np.ndarray) -> np.ndarray:
     """(n, 2, 2, 2, 2) view whose [:, i, j] is 2x2 block (i, j) of each
     member: A = [:, 0, 0], B = [:, 1, 1], C = [:, 0, 1]."""
@@ -131,7 +127,7 @@ def _lambda_sph(covs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = _local_dets(covs)
         a, b, c = _blocks(covs)
-        m = a @ _J @ c @ _J @ b @ _J @ _t(c) @ _J
+        m = a @ _J @ c @ _J @ b @ _J @ c.mT @ _J
         trace_term = m[:, 0, 0] + m[:, 1, 1]
         lam = (
             np.maximum(det_a - 0.25, 0.0) * np.maximum(det_b - 0.25, 0.0)
@@ -193,7 +189,7 @@ def _entropic(covs: np.ndarray):
     a = np.sqrt(np.maximum(det_a, 0.0))
     b = np.sqrt(np.maximum(det_b, 0.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ _t(c_blk) / (b * (b + 0.5))[:, None, None]
+        cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ c_blk.mT / (b * (b + 0.5))[:, None, None]
         det_cond = _in_range(covs, np.linalg.det(cond))
     nu_cond = np.sqrt(np.maximum(det_cond, 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(

@@ -7,8 +7,10 @@ Conventions, fixed globally for the whole toolkit:
 Each covariance rule is written once here, over one (d, d) matrix or an
 (n, d, d) stack alike: the structural rule (finite, and symmetric within
 1e-10 of max(1, largest entry), a test the Langevin diffusion and the channel
-noise matrix share) and the physical rule (V + i(1/2 - 1e-9)Omega positive
-definite, one tolerance for every state; one Cholesky over the stack).
+noise matrix share), the symmetric part (M + M^T)/2 that states, the
+diffusion, the channel noise and each Lyapunov solve are stored as, and the
+physical rule (V + i(1/2 - 1e-9)Omega positive definite, one tolerance for
+every state; one Cholesky over the stack).
 """
 
 from __future__ import annotations
@@ -103,7 +105,14 @@ def _member(covs: np.ndarray, i: int, name: Callable[[int], str] | None = None) 
     return f"stack member {i}: " if covs.ndim > 2 and len(covs) > 1 else ""
 
 
-def _symmetrised(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2 of a (..., d, d) matrix or stack, exactly symmetric.  Halved
+    first: M + M^T overflows above about 9e307."""
+    half = 0.5 * m
+    return half + half.mT
+
+
+def _symmetrised(covs: np.ndarray) -> np.ndarray:
     """The structural rule on a (d, d) covariance or an (n, d, d) stack: each
     must be finite and not :func:`_asymmetric`.  Returns it symmetrised.
 
@@ -113,29 +122,28 @@ def _symmetrised(covs: np.ndarray, name: Callable[[int], str] | None = None) -> 
     """
     if not np.isfinite(covs).all():
         i = int(np.argmin(np.isfinite(covs).all(axis=(-2, -1))))
-        raise ValidationError(f"{_member(covs, i, name)}state invariant violated: cov must be finite")
+        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov must be finite")
     asymmetric = _asymmetric(covs)
     if any(asymmetric.flat):
         raise ValidationError(
-            f"{_member(covs, int(np.argmax(asymmetric)), name)}"
-            "state invariant violated: cov is not symmetric"
+            f"{_member(covs, int(np.argmax(asymmetric)))}state invariant violated: cov is not symmetric"
         )
-    half = 0.5 * covs  # halved first: covs + covs.mT overflows above about 9e307
-    return half + half.mT
+    return _symmetric_part(covs)
 
 
 def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> None:
-    """The physical rule on a symmetric (2N, 2N) covariance or (n, 2N, 2N)
-    stack: each V + i(1/2 - 1e-9)Omega must be positive definite, one
-    Cholesky over the stack.  By Williamson's theorem that is
-    nu_min > 1/2 - 1e-9, and it implies V > 0; a mode pair of a passing
-    state passes too (a principal submatrix), so it needs no second check.
-    A failing stack is factored member by member to name the first that
-    fails (:func:`_member`).
+    """The physical rule on a finite symmetric (2N, 2N) covariance or
+    (n, 2N, 2N) stack (:func:`_symmetrised`, or a gated Lyapunov solve):
+    each V + i(1/2 - 1e-9)Omega must be positive definite, one Cholesky over
+    the stack.  By Williamson's theorem that is nu_min > 1/2 - 1e-9, and it
+    implies V > 0; a mode pair of a passing state passes too (a principal
+    submatrix), so it needs no second check.  A failing stack is factored
+    member by member to name the first that fails (:func:`_member`).
 
-    Near the bound, the verdict and the quoted nu_min are decided at rounding
-    resolution, roughly eps * max|V|^2: on physical fig10 stacks with entries
-    near 1e300, ``eigvals`` gives nu_min 1.229e-02.
+    A failing state's message quotes its miss 1/2 - nu_min.  Near the bound,
+    the verdict and the quoted miss are decided at rounding resolution,
+    roughly eps * max|V|^2: on physical fig10 stacks with entries near 1e300,
+    ``eigvals`` gives nu_min 1.229e-02.
     """
     bound = 1j * (VACUUM_VARIANCE - 1e-9) * _omega(covs.shape[-1] // 2)
     if _factors(covs + bound):
@@ -145,9 +153,9 @@ def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None
     prefix = f"{_member(covs, i, name)}state invariant violated: "
     if not _factors(stack[i]):
         raise PhysicalityError(f"{prefix}cov is not positive definite")
+    miss = VACUUM_VARIANCE - _symplectic_spectra(stack[i])[0]
     raise PhysicalityError(
-        f"{prefix}cov + (i/2)Omega not PSD "
-        f"(min symplectic eigenvalue {_symplectic_spectra(stack[i])[0]:.3e} < 1/2)"
+        f"{prefix}cov + (i/2)Omega not PSD (min symplectic eigenvalue {miss:.3e} below 1/2)"
     )
 
 
@@ -282,6 +290,4 @@ def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianSta
             f"channel acts on {channel.n_modes} modes but state has {state.n_modes}"
         )
     _require_cp(channel)
-    mean = channel.X @ state.mean
-    cov = channel.X @ state.cov @ channel.X.T + channel.Y
-    return GaussianState(state.n_modes, mean, cov)
+    return GaussianState(state.n_modes, channel.X @ state.mean, channel.act(state.cov))

@@ -34,7 +34,7 @@ from scipy import constants
 from scipy.linalg import lapack
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
-from .gaussian import _asymmetric, _member
+from .gaussian import _asymmetric, _member, _symmetric_part
 
 __all__ = [
     "LinearLangevinModel",
@@ -114,8 +114,7 @@ class LinearLangevinModel:
             raise ValidationError("drift and diffusion must be finite")
         if _asymmetric(d):
             raise ValidationError("diffusion must be symmetric")
-        half = 0.5 * d  # halved first: d + d.T overflows above about 9e307
-        d = half + half.T
+        d = _symmetric_part(d)
         if np.linalg.eigvalsh(d).min() < -1e-10 * max(1.0, abs(d).max()):
             raise ValidationError("diffusion must be positive semidefinite")
         object.__setattr__(self, "drift", a)
@@ -141,8 +140,19 @@ def is_stable(model: LinearLangevinModel) -> Stability:
     return Stability(bool(stable), float(max_re))
 
 
+def _require_stable(stable: bool, max_re: float) -> None:
+    """:class:`NoSteadyStateError` unless the drift passed the Hurwitz test
+    (:func:`is_stable` or :func:`_stability` of one drift)."""
+    if not stable:
+        raise NoSteadyStateError(
+            f"drift is unstable: max Re eigenvalue {max_re:.3e} is not below -1e-12",
+            eigenvalue=max_re,
+        )
+
+
 def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
-    """Unique steady-state covariance of a stable model.
+    """Unique steady-state covariance of a stable model; an unstable one
+    raises :class:`NoSteadyStateError` (:func:`_require_stable`).
 
     Solves A V + V A^T + D = 0 by Bartels-Stewart with LAPACK ``dgees`` (real
     Schur form of A) and ``dtrsyl`` (the quasi-triangular Sylvester equation),
@@ -152,12 +162,7 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
     warning, decides: warnings raised by the solve are kept out of the
     caller's warning stream and quoted in the :class:`StiffnessError` message.
     """
-    stable, max_re = is_stable(model)
-    if not stable:
-        raise NoSteadyStateError(
-            f"drift is not strictly stable (max Re eigenvalue {max_re:.6e})",
-            eigenvalue=max_re,
-        )
+    _require_stable(*is_stable(model))
     v, caught = _solve_lyapunov(model.drift, model.diffusion)
     _check_residual(model.drift, model.diffusion, v, caught)
     return v
@@ -175,7 +180,7 @@ def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray):
         else:
             v = [_bartels_stewart(a, d) for a, d in zip(drifts, diffusions)]
             v = np.array(v).reshape(diffusions.shape)  # (0, d, d) for an empty stack
-    return 0.5 * (v + v.mT), caught
+    return _symmetric_part(v), caught
 
 
 @functools.cache
@@ -218,12 +223,13 @@ def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     """The steady-state rule over (..., d, d) stacks: per member, the residual
-    ||A V + V A^T + D||_inf and whether it is within 1e-9 ||D||_inf (when
-    D = 0, whether it is finite; a NaN residual is never within)."""
+    ||A V + V A^T + D||_inf and whether it is finite and within 1e-9 ||D||_inf
+    (any finite residual when D = 0).  An admitted V is finite: a non-finite
+    entry of V makes its whole column of A V, so of the residual, non-finite."""
     d_scale = np.abs(diffusions).max(axis=(-2, -1))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
         residual = np.abs(drifts @ v + v @ drifts.mT + diffusions).max(axis=(-2, -1))
-    return residual, (residual <= 1e-9 * d_scale) | ((d_scale == 0) & np.isfinite(residual))
+    return residual, np.isfinite(residual) & ((residual <= 1e-9 * d_scale) | (d_scale == 0))
 
 
 def _check_residual(drift, diffusion, v, caught=(), name=None) -> None:

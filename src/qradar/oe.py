@@ -195,13 +195,6 @@ def _backscatter(channel_spec: GaussianChannel, target_spec: GaussianChannel) ->
     return round_trip(channel_spec, target_spec, channel_spec).expand(mode=1, n_modes=2)
 
 
-def _returned(pairs: np.ndarray, backscatter: GaussianChannel) -> np.ndarray:
-    """(OC, c_b) covariances: a stack of (OC, MC) pairs after the
-    :func:`_backscatter` channel, X V X^T + Y, once the caller has checked the
-    channel with :func:`~qradar.gaussian._require_cp`."""
-    return backscatter.X @ pairs @ backscatter.X.T + backscatter.Y
-
-
 def direct_report(params: OeParams) -> CriteriaReport:
     """Criteria between the intracavity OC and MC modes."""
     return gaussian_discord(_oc_mc_blocks(params))
@@ -268,18 +261,20 @@ def end_to_end_vs_temperature(
     """2eta of the direct (OC, MC) pair and of the backscattered (OC, c_b)
     pair at each temperature, both from one steady state.
 
-    The steady states are one gated stack from one Lyapunov basis
+    The grid values are held once to temperature's rule.  The steady states
+    are one gated stack from one Lyapunov basis
     (:func:`~qradar.converter._thermal_steady_state`), and raise where the
     converter has none, as its thresholds do.  The round-trip channel is
     built and CP-checked once; the direct pairs are scored unchecked, as
     slices of checked states, and the returned pairs, which are not, in one
     :func:`~qradar.criteria.two_eta_values` call.
     """
+    grid = _grid_values(OeParams, "temperature", temperature_grid)
     backscatter = _backscatter(channel_spec, target_spec)
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
-    pairs = cov_at([float(t) for t in temperature_grid])[_OC_MC]
+    pairs = cov_at(grid)[_OC_MC]
     _require_cp(backscatter)
-    return 2.0 * _pt_nu_min(pairs), two_eta_values(_returned(pairs, backscatter))
+    return 2.0 * _pt_nu_min(pairs), two_eta_values(backscatter.act(pairs))
 
 
 def threshold_temperature(
@@ -313,6 +308,6 @@ def threshold_temperature(
         pairs = cov_at([temperature])[_OC_MC]
         if backscatter is None:
             return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0
-        return float(two_eta_values(_returned(pairs, backscatter))[0]) - 1.0
+        return float(two_eta_values(backscatter.act(pairs))[0]) - 1.0
 
     return bisect_threshold(crossing, lo=1e-4, hi=8.0, resolution=resolution)

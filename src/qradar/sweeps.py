@@ -3,13 +3,15 @@ root-finding (Brent).
 
 A grid on any axis but temperature (which weighs the thresholds' Lyapunov
 basis instead) checks its axis values once, against their field's declared
-rule, where the converter takes the grid.  Its builder then gives each
-point's drift and diffusion as arrays, with no bath or model record; the
-stack is checked finite once, stability is decided with one eigensolve over
-the drifts, each stable member's Lyapunov equation is solved, and the
-residual and physical rules are applied once over the stack, as
-:func:`qradar.converter.steady_state` does for one model.  Points run
-serially: GIL-bound 6x6 algebra gains only dispatch cost from threads.
+rule and for emptiness, where the converter takes the grid.  Its builder
+then gives each point's drift and diffusion as arrays, with no bath or model
+record; the stack is checked finite once, stability is decided with one
+eigensolve over the drifts, each stable member's Lyapunov equation is
+solved, and the residual and physical rules are applied once over the stack,
+as :func:`qradar.converter.steady_state` does for one model.  A solve the
+residual rule admits is finite and comes out symmetric, so it takes no
+structural check.  Points run serially: GIL-bound 6x6 algebra gains only
+dispatch cost from threads.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .converter import _physical
 from .errors import ConvergenceError, ValidationError
+from .gaussian import _require_physical
 from .langevin import _residual_gate, _solve_lyapunov, _stability
 
 __all__ = ["run_grid", "bisect_threshold"]
@@ -45,8 +47,6 @@ def run_grid(
     grid point.
     """
     grid = list(grid)
-    if not grid:
-        raise ValidationError("sweep grid must not be empty")
     points = {}
     for i, value in enumerate(grid):
         try:
@@ -68,7 +68,7 @@ def run_grid(
     covs = _solve_lyapunov(drifts, diffusions)[0]
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
-    _physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r}): ")
+    _require_physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r}): ")
     for i, cov in zip(index, covs):
         out[i] = cov
     return out

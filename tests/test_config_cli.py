@@ -476,8 +476,7 @@ class TestOeEndToEndFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "NoSteadyStateError: converter drift is unstable at these parameters "
-            "(max Re 4.067e+05)"
+            "NoSteadyStateError: drift is unstable: max Re eigenvalue 4.067e+05 is not below -1e-12"
         )
 
     def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
@@ -653,12 +652,13 @@ class TestOneKeyChanged:
     # vacuum bound by more than 1e-9 but less than 1e-6.  The one physical
     # rule rejects it where the grid is solved and names its grid value;
     # before, a 1e-6 gate let it through, and the second check, of the pairs,
-    # named only its place among the stable points ("stack member 1").
-    @pytest.mark.parametrize("preset, point", [
-        ("eom_fig2b_wavelength", "grid point 1 (9e-07)"),
-        ("eom_fig2d_gamma_m", "grid point 2 (314.1592653589793)"),
+    # named only its place among the stable points ("stack member 1").  The
+    # message quotes the miss 1/2 - nu_min, which "5.000e-01 < 1/2" hid.
+    @pytest.mark.parametrize("preset, point, miss", [
+        ("eom_fig2b_wavelength", "grid point 1 (9e-07)", "4.177e-08"),
+        ("eom_fig2d_gamma_m", "grid point 2 (314.1592653589793)", "1.589e-09"),
     ])
-    def test_unphysical_point_names_its_grid_value(self, preset, point, tmp_path):
+    def test_unphysical_point_names_its_grid_value(self, preset, point, miss, tmp_path):
         config = SCENARIO_PRESETS[preset]
         parameters = {**config["parameters"], "eom": {"omega_m_rad_s": 1e12}}
         cfg = validate_config({**config, "parameters": parameters, "output_dir": str(tmp_path)})
@@ -666,7 +666,7 @@ class TestOneKeyChanged:
         assert (code, summary["reason"]) == (
             2,
             f"PhysicalityError: {point}: state invariant violated: cov + (i/2)Omega not PSD "
-            "(min symplectic eigenvalue 5.000e-01 < 1/2)",
+            f"(min symplectic eigenvalue {miss} below 1/2)",
         )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qradar import converter, eom, gaussian, langevin, oe, sweeps
+from qradar import converter, criteria, eom, gaussian, langevin, oe, sweeps
 from qradar.converter import _response_roots, _thermal_steady_state, steady_state
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
@@ -145,6 +145,23 @@ def _count_cp_checks(monkeypatch) -> list:
     return calls
 
 
+def _count_gaussian_calls(monkeypatch, *names) -> dict:
+    """Counts the calls of each named gaussian function from now on, in every
+    qradar module that imported it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(gaussian, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (gaussian, converter, criteria, sweeps, eom, oe):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _count_choleskies(monkeypatch) -> list:
     """Collects the shape of every np.linalg.cholesky call from now on: the
     physical rule factors each stack it checks once."""
@@ -181,6 +198,18 @@ class TestEachStateCheckedOnce:
         calls = _count_choleskies(monkeypatch)
         oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, np.linspace(0.01, 0.33, 9))
         assert calls == [(9, 6, 6), (9, 4, 4)]
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
+        ("temperature", np.linspace(1e-3, 0.351, 32)),
+    ])
+    def test_a_gated_solve_takes_no_structural_check(self, axis, grid, monkeypatch):
+        # A solve the residual gate admits is finite, and the solve or the
+        # temperature weighting stores it symmetric: only the physical rule
+        # checks the stack.  Before, the structural rule ran on it again.
+        calls = _count_gaussian_calls(monkeypatch, "_symmetrised", "_require_physical")
+        eom.sweep(eom_reference(), axis, grid)
+        assert calls == {"_symmetrised": 0, "_require_physical": 1}
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
     def test_threshold_step(self, model, params, kwargs, monkeypatch):
@@ -252,7 +281,7 @@ class TestThresholdSolvesOnce:
         baths = [(1e10, 1.0 - 2e-7, 0.0, "cavity")] * 3
         cov_at = _thermal_steady_state(-np.eye(6), baths)
         monkeypatch.setattr(model, "_thermal_steady_state", lambda *_: cov_at)
-        with pytest.raises(PhysicalityError, match=r"^temperature .* K: .*eigenvalue 5.000e-01"):
+        with pytest.raises(PhysicalityError, match=r"^temperature .* K: .*eigenvalue 1.000e-07 below"):
             model.threshold_temperature(params, **kwargs)
 
     @pytest.mark.parametrize(
@@ -342,7 +371,7 @@ class TestTemperatureAffineSteadyState:
         baths = [(1e10, 0.999, 0.0, "cavity")] * 3
         model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths))
         cov_at = _thermal_steady_state(model.drift, baths)
-        with pytest.raises(PhysicalityError, match="^temperature 0.0 K: .*eigenvalue 4.995e-01"):
+        with pytest.raises(PhysicalityError, match="^temperature 0.0 K: .*eigenvalue 5.000e-04 below"):
             cov_at([0.0])
 
     @settings(max_examples=100, deadline=None)
@@ -426,6 +455,9 @@ class TestTemperatureGrids:
             ([-0.1, 0.1], "must be non-negative"),
             ([0.1, math.inf], "must be finite"),
             ([math.nan], "must be finite"),
+            # Before, oe.end_to_end_vs_temperature let float() raise a bare
+            # OverflowError here.
+            ([0.1, 10**400], "must be finite"),
         ],
     )
     def test_bad_grid_rejected(self, model, grid, message):
@@ -439,6 +471,17 @@ class TestTemperatureGrids:
         assert [p.stable for p in eom.sweep(wild, "temperature", [0.1, 0.2])] == [False] * 2
         with pytest.raises(ValidationError):
             eom.sweep(wild, "temperature", grid)
+
+    def test_subnormal_bath_damping(self):
+        # 1e-9 ||D_b|| of a bath with damping 5e-324 underflows to 0, so its
+        # unscaled basis solve failed the residual rule (StiffnessError);
+        # solved scaled by a power of two, it matches the solve at each
+        # temperature.
+        params = dataclasses.replace(oe_reference(), gamma_p=5e-324)
+        cov_at = _thermal_steady_state(oe.build_model(params).drift, oe._baths(params))
+        for temperature in (0.0, 0.1):
+            solved = steady_state(oe.build_model(dataclasses.replace(params, temperature=temperature)))
+            assert abs(cov_at([temperature])[0] - solved).max() <= 1e-9 * abs(solved).max()
 
     def test_inaccurate_member_names_its_temperature(self, monkeypatch):
         params = eom_reference()
@@ -467,6 +510,37 @@ class TestTemperatureGrids:
             t_end = 40.0 / abs(np.linalg.eigvals(hot.drift).real.max())
             integrated = propagate_cov(hot, 0.5 * np.eye(6), t_end)
             assert abs(integrated - cov).max() <= 1e-5 * abs(cov).max(), temperature
+
+
+def _grid_entry_points():
+    """(axis field, call on a grid) of each converter grid entry point."""
+    atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+    return [
+        pytest.param(
+            "lambda_l", lambda grid: eom.sweep(eom_reference(), "wavelength", grid), id="eom-wavelength"
+        ),
+        pytest.param(
+            "temperature", lambda grid: eom.sweep(eom_reference(), "temperature", grid), id="eom-temperature"
+        ),
+        pytest.param(
+            "delta_eg", lambda grid: oe.entanglement_vs_detuning(oe_reference(), grid), id="oe-detuning"
+        ),
+        pytest.param(
+            "temperature",
+            lambda grid: oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, grid),
+            id="oe-end-to-end",
+        ),
+    ]
+
+
+class TestGridEntryPoints:
+    """Every converter grid is held non-empty where the converter takes it,
+    with its values (:func:`qradar.errors._grid_values`)."""
+
+    @pytest.mark.parametrize("field, run", _grid_entry_points())
+    def test_empty_grid_rejected(self, field, run):
+        with pytest.raises(ValidationError, match=f"^{field} grid must not be empty$"):
+            run([])
 
 
 def _dc_equations(model, q, op):

@@ -4,7 +4,9 @@ qradar module or named by the benchmark harness, and each of its parameters
 with a default is set by some call there (an oracle a test checks a shipped
 kernel against lives in the tests).  And no function holds an argument to a
 sign by hand: errors._valid is the one argument rule; nor factors a matrix by
-Cholesky outside gaussian's np.linalg.cholesky."""
+Cholesky outside gaussian's np.linalg.cholesky; nor writes the symmetric part
+(M + M^T)/2 outside gaussian, or a channel action X V X^T + Y outside
+channels."""
 
 import ast
 import math
@@ -12,6 +14,8 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -173,3 +177,73 @@ def test_one_cholesky_path():
     # a second factorization route would be a second rule to keep in step.
     found = _cholesky_calls_outside_gaussian()
     assert not found, f"Cholesky outside gaussian's np.linalg.cholesky: {', '.join(found)}"
+
+
+def _transposed(node: ast.expr) -> str | None:
+    """``M`` of ``M.T`` or ``M.mT``, unparsed; None for any other node."""
+    if isinstance(node, ast.Attribute) and node.attr in ("T", "mT"):
+        return ast.unparse(node.value)
+    return None
+
+
+def _unscaled(node: ast.expr) -> ast.expr:
+    """``M`` of ``c * M`` or ``M * c`` for a constant c; else ``node``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        if isinstance(node.left, ast.Constant):
+            return node.right
+        if isinstance(node.right, ast.Constant):
+            return node.left
+    return node
+
+
+def _matmul_factors(node: ast.expr) -> list[ast.expr]:
+    """The factors of a chain ``F1 @ F2 @ ...``; ``[node]`` for any other node."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _matmul_factors(node.left) + _matmul_factors(node.right)
+    return [node]
+
+
+def _rule_copies(tree: ast.AST) -> list[tuple[str, int]]:
+    """(rule, line) of each sum in ``tree`` that writes the symmetric part
+    M + M^T (halved before or after the sum) or a channel action
+    X @ ... @ X^T + Y."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            continue
+        left, right = _unscaled(node.left), _unscaled(node.right)
+        if ast.unparse(left) == _transposed(right) or ast.unparse(right) == _transposed(left):
+            found.append(("symmetric part", node.lineno))
+        for side in (node.left, node.right):
+            factors = _matmul_factors(side)
+            if len(factors) >= 3 and _transposed(factors[-1]) == ast.unparse(factors[0]):
+                found.append(("channel action", node.lineno))
+    return found
+
+
+_RULE_HOME = {"symmetric part": "gaussian", "channel action": "channels"}
+
+
+@pytest.mark.parametrize("source, rule", [
+    ("0.5 * (v + v.mT)", "symmetric part"),
+    ("half + half.T", "symmetric part"),
+    ("0.5 * y + 0.5 * y.T", "symmetric part"),
+    ("(m.T + m) / 2", "symmetric part"),
+    ("b.X @ pairs @ b.X.T + b.Y", "channel action"),
+    ("y + x @ v @ w @ x.mT", "channel action"),
+])
+def test_rule_copies_are_seen(source, rule):
+    assert [r for r, _ in _rule_copies(ast.parse(source))] == [rule]
+
+
+def test_one_copy_of_each_covariance_rule():
+    # The symmetric part lives in gaussian (states, the diffusion, the
+    # channel noise and each Lyapunov solve call it) and the channel action
+    # in channels (GaussianChannel.act); a second copy could drift from it.
+    found = [
+        f"{module}:{line} {rule}"
+        for module, tree in _modules().items()
+        for rule, line in _rule_copies(tree)
+        if module != _RULE_HOME[rule]
+    ]
+    assert not found, f"covariance rules written outside their module: {', '.join(found)}"

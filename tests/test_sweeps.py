@@ -122,10 +122,6 @@ class TestRunGrid:
         with pytest.raises(ValidationError, match="bad input"):
             run_grid(build, [1.0])
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            run_grid(damped_arrays, [])
-
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_point_named(self, which, value):
