@@ -167,10 +167,15 @@ def _baths(params: EomParams) -> list[tuple]:
     ]
 
 
+def _arrays(params: EomParams) -> tuple[np.ndarray, np.ndarray]:
+    """The drift at the operating point and the bath diffusion: the arrays of
+    :func:`build_model`, and of each point of a non-temperature :func:`sweep` grid."""
+    return drift_matrix(params, operating_point(params)), diffusion_from_baths(_baths(params))
+
+
 def build_model(params: EomParams) -> LinearLangevinModel:
     """Drift + bath diffusion as a ready-to-solve Langevin model."""
-    op = operating_point(params)
-    return LinearLangevinModel(drift_matrix(params, op), diffusion_from_baths(_baths(params)))
+    return LinearLangevinModel(*_arrays(params))
 
 
 def _pair_stack(covs: np.ndarray, pair: str) -> np.ndarray:
@@ -206,17 +211,10 @@ def _axis_field(axis: str) -> str:
 
 def _grid_point(params: EomParams, axis: str) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The :func:`~qradar.sweeps.run_grid` builder of :func:`sweep` on ``axis``
-    (not temperature): a checked axis value -> the drift and diffusion of
-    :func:`build_model` there, with no model record built."""
-
-    def arrays(value: float) -> tuple[np.ndarray, np.ndarray]:
-        if axis == "wavelength":
-            point = params.at_wavelength(value)
-        else:
-            point = dataclasses.replace(params, **{axis: value})
-        return drift_matrix(point, operating_point(point)), diffusion_from_baths(_baths(point))
-
-    return arrays
+    (not temperature): a checked axis value -> :func:`_arrays` there."""
+    if axis == "wavelength":
+        return lambda value: _arrays(params.at_wavelength(value))
+    return lambda value: _arrays(dataclasses.replace(params, **{axis: value}))
 
 
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:

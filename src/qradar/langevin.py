@@ -10,7 +10,8 @@ the residual gate each work over one model or a stack of drifts alike.
 The solve calls LAPACK directly: ``dgees`` for the real Schur form of the
 drift, once per distinct drift, and ``dtrsyl`` for each diffusion, in the
 operation order of scipy.linalg's continuous Lyapunov solver, so the result
-is bit-identical to it.  That wrapper's own overhead (a second ``gees`` call
+is bit-identical to it wherever ``dtrsyl`` does not scale the solution down
+(:func:`_schur_solve`).  That wrapper's own overhead (a second ``gees`` call
 per solve to size the workspace, finiteness checks of validated inputs, n-d
 batching) costs about three times the two LAPACK calls on a 6x6 model.
 
@@ -209,7 +210,9 @@ def _bartels_stewart(drift: np.ndarray, diffusions: np.ndarray) -> np.ndarray:
 
 def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """V = U Y U^T with T Y + Y T^T = U^T (-D) U (``dtrsyl``), warning as scipy
-    does when it had to perturb T."""
+    does when it had to perturb T.  ``dtrsyl`` scales Y down only where it
+    would overflow: that solution is a NaN, which the residual gate rejects,
+    quoting the warning."""
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     if info == 1:
         warnings.warn(
@@ -217,7 +220,10 @@ def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
             "zero. The solution is obtained via perturbing the coefficients.",
             RuntimeWarning,
         )
-    y *= scale
+    if scale != 1.0:
+        warnings.warn(f"Lyapunov solution beyond float range (LAPACK dtrsyl scale {scale:.3e})",
+                      RuntimeWarning)
+        return np.full(d.shape, np.nan)
     return u.dot(y).dot(u.T)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import constants
@@ -164,21 +163,14 @@ def _baths(params: OeParams) -> list[tuple]:
     ]
 
 
-def _detuning_point(params: OeParams) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """The :func:`~qradar.sweeps.run_grid` builder of
-    :func:`entanglement_vs_detuning`: a checked delta_eg -> the drift and
-    diffusion of :func:`build_model` there, with no model record built."""
-
-    def arrays(delta_eg: float) -> tuple[np.ndarray, np.ndarray]:
-        point = dataclasses.replace(params, delta_eg=delta_eg)
-        return drift_matrix(point, operating_point(point)), diffusion_from_baths(_baths(point))
-
-    return arrays
+def _arrays(params: OeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The drift at the operating point and the bath diffusion: the arrays of
+    :func:`build_model`, and of each point of a detuning grid."""
+    return drift_matrix(params, operating_point(params)), diffusion_from_baths(_baths(params))
 
 
 def build_model(params: OeParams) -> LinearLangevinModel:
-    op = operating_point(params)
-    return LinearLangevinModel(drift_matrix(params, op), diffusion_from_baths(_baths(params)))
+    return LinearLangevinModel(*_arrays(params))
 
 
 _OC_MC = np.s_[..., 2:6, 2:6]  # the (OC, MC) rows and columns of a steady state or stack
@@ -223,7 +215,7 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     unchecked stack.
     """
     grid = _grid_values(OeParams, "delta_eg", delta_eg_grid)
-    covs = run_grid(_detuning_point(params), grid)
+    covs = run_grid(lambda v: _arrays(dataclasses.replace(params, delta_eg=v)), grid)
     stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
     values = iter((2.0 * _pt_nu_min(stable)).tolist())
     points = [

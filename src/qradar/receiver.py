@@ -2,11 +2,16 @@
 matched-background return channels, second-order-moment detection, a
 matched-energy classical baseline, and ROC curves.
 
-The digital receiver reduces each decision to the mean of a quadratic form
-over heterodyne-style records of the return and the retained idler, and
-samples that statistic exactly: a Gaussian quadratic form is a weighted sum
-of independent noncentral chi-square variables (Imhof, Biometrika 48, 1961),
-so a decision costs a fixed number of draws whatever its record length.
+Both illuminations build their records by one step: a two-mode source
+(the squeezed vacuum for QI, the coherent tone beside its recorded reference
+for CI) has its mode 0 sent through the target channel (H1) or the
+background channel (H0) while mode 1 is retained.  The digital receiver
+reduces each decision to the mean of a quadratic form over heterodyne-style
+records of the return and the retained arm, and samples that statistic
+exactly: a Gaussian quadratic form is a weighted sum of independent
+noncentral chi-square variables (Imhof, Biometrika 48, 1961), so a decision
+costs a fixed number of draws whatever its record length.  A statistic
+beyond float range raises :class:`UndefinedQuantityError`.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Literal
 import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
-from .errors import ValidationError, _param, _require_valid, _valid
-from .gaussian import GaussianState, _cholesky, apply_channel, vacuum_state
+from .errors import UndefinedQuantityError, ValidationError, _param, _require_valid, _valid
+from .gaussian import GaussianState, _cholesky, apply_channel
 
 __all__ = [
     "DETECTORS",
@@ -120,44 +125,6 @@ class DetectionSamples:
     h1: np.ndarray
 
 
-def _measured(cov: np.ndarray, heterodyne: bool) -> np.ndarray:
-    return cov + (0.5 * np.eye(cov.shape[0]) if heterodyne else 0.0)
-
-
-def _joint(ret: GaussianState, ref_mean, ref_cov, heterodyne: bool):
-    """(mean, cov) of a (return, reference) record whose two arms are
-    uncorrelated: the return ``ret`` beside a retained arm of moments
-    (``ref_mean``, ``ref_cov``)."""
-    mean = np.concatenate([ret.mean, ref_mean])
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = ret.cov
-    cov[2:, 2:] = ref_cov
-    return mean, _measured(cov, heterodyne)
-
-
-def _qi_moments(scenario: QiScenario):
-    """(mean, cov) under H1 and H0 for the (return, idler) record."""
-    source = tmsv_cm(scenario.r)
-    h1 = apply_channel(source, scenario.signal_channel.expand(0, 2))
-    ret0 = apply_channel(vacuum_state(1), scenario.background_channel)
-    return (
-        (h1.mean, _measured(h1.cov, scenario.heterodyne)),
-        _joint(ret0, np.zeros(2), source.cov[2:, 2:], scenario.heterodyne),
-    )
-
-
-def _ci_moments(scenario: QiScenario):
-    """CI analogue: coherent signal of the same mean photon number, with the
-    idler record replaced by a recorded reference of the transmitted tone."""
-    alpha = math.sinh(scenario.r)
-    sig_in = GaussianState(1, [math.sqrt(2.0) * alpha, 0.0], 0.5 * np.eye(2))
-    ret1 = apply_channel(sig_in, scenario.signal_channel)
-    ret0 = apply_channel(vacuum_state(1), scenario.background_channel)
-    ref_mean = np.array([math.sqrt(2.0) * alpha, 0.0])
-    ref_cov = 0.5 * np.eye(2)
-    return tuple(_joint(ret, ref_mean, ref_cov, scenario.heterodyne) for ret in (ret1, ret0))
-
-
 def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
     """n exact draws of (1/k) sum_i x_i^T A x_i with x_i ~ N(mean, cov) i.i.d.
 
@@ -169,19 +136,30 @@ def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
     chol = _cholesky(cov)
     lam, u = np.linalg.eigh(chol.T @ form @ chol)
     c = u.T @ np.linalg.solve(chol, mean)
-    return rng.noncentral_chisquare(k, k * c**2, size=(n, lam.size)) @ lam / k
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails below
+        stat = rng.noncentral_chisquare(k, k * c**2, size=(n, lam.size)) @ lam / k
+    if not np.isfinite(stat).all():
+        raise UndefinedQuantityError("the decision statistic is beyond float range")
+    return stat
 
 
-def _run(scenario: QiScenario, moments, conjugate: bool) -> DetectionSamples:
+def _run(scenario: QiScenario, source: GaussianState, conjugate: bool) -> DetectionSamples:
+    """Both hypotheses' statistics of the measured (return, retained) record
+    of a two-mode ``source``: its mode 0 sent through the target channel (H1)
+    or the background channel (H0), mode 1 kept, and heterodyne noise 1/2
+    added to every quadrature variance when the scenario measures it."""
     if scenario.detector == "energy_detector":
         form = np.diag([1.0, 1.0, 0.0, 0.0])
     else:
         form = np.zeros((4, 4))
         form[0, 2] = form[2, 0] = 0.5
         form[1, 3] = form[3, 1] = -0.5 if conjugate else 0.5
+    channels = (scenario.signal_channel, scenario.background_channel)
+    records = [apply_channel(source, channel.expand(0, 2)) for channel in channels]
+    noise = 0.5 * np.eye(4) if scenario.heterodyne else 0.0
     rng = np.random.default_rng(scenario.seed)
     k, n = scenario.samples_per_decision, scenario.n_decisions
-    h1, h0 = (_sample_statistic(rng, mean, cov, form, k, n) for mean, cov in moments)
+    h1, h0 = (_sample_statistic(rng, state.mean, state.cov + noise, form, k, n) for state in records)
     return DetectionSamples(h0=h0, h1=h1)
 
 
@@ -192,7 +170,7 @@ def run_detection(scenario: QiScenario) -> DetectionSamples:
     the target channel; under H0 the return is replaced by the thermal
     background while the idler is still recorded.  Deterministic per seed.
     """
-    return _run(scenario, _qi_moments(scenario), conjugate=True)
+    return _run(scenario, tmsv_cm(scenario.r), conjugate=True)
 
 
 def ci_baseline(scenario: QiScenario) -> DetectionSamples:
@@ -204,7 +182,9 @@ def ci_baseline(scenario: QiScenario) -> DetectionSamples:
     treatment).  The correlation detector pairs quadratures positively, as a
     classical cross-correlator does.
     """
-    return _run(scenario, _ci_moments(scenario), conjugate=False)
+    amplitude = math.sqrt(2.0) * math.sinh(scenario.r)
+    tone = GaussianState(2, [amplitude, 0.0, amplitude, 0.0], 0.5 * np.eye(4))
+    return _run(scenario, tone, conjugate=False)
 
 
 @dataclass(frozen=True, eq=False)

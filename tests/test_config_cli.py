@@ -382,6 +382,13 @@ class TestCliCommands:
             "(r = 355.55656562717405)",
             id="qi_roc-mean_signal_photons",
         ),
+        # An uncaught "overflow encountered in matmul" RuntimeWarning, and no
+        # summary.json, before.
+        pytest.param(
+            "qi_roc_low_signal", {"mean_signal_photons": 5e307},
+            "UndefinedQuantityError: the decision statistic is beyond float range",
+            id="qi_roc-mean_signal_photons-5e307",
+        ),
         # Exit 2, but after a leaked "invalid value" RuntimeWarning, before.
         pytest.param(
             "qi_roc_low_signal", {"n_background": 1.7e308},

@@ -3,6 +3,7 @@ the Lyapunov steady state (the LAPACK Bartels-Stewart kernel, bit-equal to
 scipy's solver, and the residual gate around it), and the covariance ODE
 that tests integrate as an independent route to it."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -350,6 +351,17 @@ class TestLyapunovKernel:
         covs = sweeps.run_grid(damped_arrays, [1.0, 2.0, 3.0])
         assert covs[1] is None
         assert np.array_equal(covs[0], steady_state_cov(damped(1.0)))
+
+    def test_scaled_solution_is_a_stiffness_error(self):
+        # dtrsyl scales its solution down only where it would overflow.  The
+        # scaled solution, taken as V, failed the residual gate before, which
+        # then blamed an ill-conditioned drift (residual 7.855e+306).
+        hot = dataclasses.replace(eom_reference(), temperature=1e300)
+        with pytest.raises(StiffnessError, match=(
+            r"^Lyapunov residual nan .*; solver warning: Lyapunov solution beyond float range "
+            r"\(LAPACK dtrsyl scale \d\.\d{3}e-\d+\)$"
+        )):
+            eom.entanglement_report(hot)
 
 
 def _reference_basis_inputs():

@@ -1,5 +1,6 @@
-"""Detection chain: source covariance, Monte-Carlo statistics against a
-record-drawing oracle, ROC construction, and the classical baseline."""
+"""Detection chain: source covariance, the measured records against their
+closed form, Monte-Carlo statistics against a record-drawing oracle, ROC
+construction, and the classical baseline."""
 
 import dataclasses
 import math
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qradar.channels import attenuation_channel, thermal_background_channel
-from qradar.errors import DegenerateStateError, ValidationError
+from qradar import receiver
+from qradar.errors import DegenerateStateError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import apply_channel
 from qradar.receiver import (
     QiScenario,
-    _ci_moments,
-    _qi_moments,
     ci_baseline,
     low_signal_channels,
     roc_curve,
@@ -25,8 +25,12 @@ from qradar.receiver import (
 )
 
 
+# The background and transmissivity of make_scenario's channels.
+N_B, TAU = 10.0, 0.2
+
+
 def make_scenario(**overrides) -> QiScenario:
-    signal, background = low_signal_channels(n_background=10.0, transmissivity=0.2)
+    signal, background = low_signal_channels(n_background=N_B, transmissivity=TAU)
     defaults = dict(
         r=math.asinh(0.1),
         signal_channel=signal,
@@ -37,6 +41,37 @@ def make_scenario(**overrides) -> QiScenario:
     )
     defaults.update(overrides)
     return QiScenario(**defaults)
+
+
+def _record_moments(illumination: str, r: float, heterodyne: bool, n_b=N_B, tau=TAU):
+    """Closed-form (mean, cov) of the measured (return, retained) record under
+    H1 and under H0, behind ``low_signal_channels(n_b, tau)``.
+
+    Both hypotheses' returns carry the background n_b + 1/2 per quadrature;
+    under H1 the return also keeps tau of the signal arm's excess over vacuum
+    and sqrt(tau) of its mean and of its correlation with the retained arm.
+    QI retains the idler of a two-mode squeezed vacuum; CI retains a recorded
+    reference, in vacuum noise, of a coherent tone of sinh^2 r photons.
+    """
+    sigma_z = np.diag([1.0, -1.0])
+    measured = 0.5 * np.eye(4) if heterodyne else np.zeros((4, 4))
+    if illumination == "qi":
+        c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
+        signal, idler, cross = 0.5 * c2, 0.5 * c2, 0.5 * s2 * sigma_z
+        mean = np.zeros(4)
+    else:
+        signal, idler, cross = 0.5, 0.5, np.zeros((2, 2))
+        amplitude = math.sqrt(2.0) * math.sinh(r)
+        mean = np.array([amplitude, 0.0, amplitude, 0.0])
+    out = []
+    for kept in (tau, 0.0):
+        ret = kept * signal + n_b + 0.5 * (1.0 - kept)
+        cov = np.block([
+            [ret * np.eye(2), math.sqrt(kept) * cross],
+            [math.sqrt(kept) * cross.T, idler * np.eye(2)],
+        ])
+        out.append((mean * [math.sqrt(kept), 1.0, 1.0, 1.0], cov + measured))
+    return out
 
 
 def _record_statistics(scenario: QiScenario, moments, conjugate: bool):
@@ -68,9 +103,62 @@ def _form(detector: str, conjugate: bool) -> np.ndarray:
 
 
 _ILLUMINATIONS = {
-    "qi": (run_detection, _qi_moments, True),
-    "ci": (ci_baseline, _ci_moments, False),
+    "qi": (run_detection, True),
+    "ci": (ci_baseline, False),
 }
+
+
+class TestRecords:
+    """The measured records both illuminations sample, against their closed form."""
+
+    @pytest.mark.parametrize("n_b, tau", [(N_B, TAU), (0.0, 1.0), (3.0, 0.7)])
+    @pytest.mark.parametrize("heterodyne", [True, False])
+    @pytest.mark.parametrize("illumination", ["qi", "ci"])
+    def test_closed_form(self, monkeypatch, illumination, heterodyne, n_b, tau):
+        sampled = []
+
+        def recording(rng, mean, cov, form, k, n):
+            sampled.append((mean, cov))
+            return np.zeros(n)
+
+        monkeypatch.setattr(receiver, "_sample_statistic", recording)
+        signal, background = low_signal_channels(n_b, tau)
+        r = math.asinh(0.7)
+        scenario = make_scenario(
+            r=r, signal_channel=signal, background_channel=background, heterodyne=heterodyne,
+        )
+        _ILLUMINATIONS[illumination][0](scenario)
+        expected = _record_moments(illumination, r, heterodyne, n_b, tau)
+        assert len(sampled) == 2  # H1, then H0
+        for (mean, cov), (mean_cf, cov_cf) in zip(sampled, expected):
+            assert mean == pytest.approx(mean_cf, rel=1e-12, abs=1e-15)
+            assert cov == pytest.approx(cov_cf, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("run", [run_detection, ci_baseline])
+    def test_one_two_mode_channel_step_per_hypothesis(self, monkeypatch, run):
+        # Both illuminations send a two-mode source through each hypothesis'
+        # channel once, keeping the retained arm.
+        modes = []
+
+        def counting(state, channel):
+            modes.append(state.n_modes)
+            return apply_channel(state, channel)
+
+        monkeypatch.setattr(receiver, "apply_channel", counting)
+        run(make_scenario(n_decisions=5))
+        assert modes == [2, 2]
+
+    # At 5e307 photons the statistic overflowed inside the matmul, and a
+    # tone of sinh^2(354) photons overflowed in k c^2: each leaked a
+    # RuntimeWarning and gave inf or NaN statistics.
+    @pytest.mark.parametrize("run, r", [
+        (run_detection, math.asinh(math.sqrt(5e307))),
+        (ci_baseline, 354.0),
+    ])
+    def test_statistic_beyond_float_range_raises(self, run, r):
+        scenario = make_scenario(r=r, n_decisions=50, seed=1)
+        with pytest.raises(UndefinedQuantityError, match="^the decision statistic is beyond float range$"):
+            run(scenario)
 
 
 class TestSource:
@@ -163,10 +251,9 @@ class TestRunDetection:
         # The per-record second moments match the measured H1 covariance,
         # every entry within 4 standard errors at 1e5 samples.
         from qradar.gaussian import GaussianState, sample
-        from qradar.receiver import _qi_moments
 
         scenario = make_scenario()
-        (mean1, cov1), _ = _qi_moments(scenario)
+        (mean1, cov1), _ = _record_moments("qi", scenario.r, scenario.heterodyne)
         n = 100_000
         draws = sample(GaussianState(2, mean1, cov1), n, seed=13)
         empirical = np.cov(draws, rowvar=False, ddof=1)
@@ -182,29 +269,32 @@ class TestExactStatistic:
     @pytest.mark.parametrize("detector", ["covariance_detector", "energy_detector"])
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_matches_record_oracle(self, k, detector, illumination, hypothesis):
-        run, moments, conjugate = _ILLUMINATIONS[illumination]
+        run, conjugate = _ILLUMINATIONS[illumination]
         scenario = make_scenario(
             r=math.asinh(0.5), samples_per_decision=k, n_decisions=3000, detector=detector,
         )
         exact = getattr(run(scenario), hypothesis)
         oracle = _record_statistics(
             dataclasses.replace(scenario, seed=scenario.seed + 1),
-            moments(scenario), conjugate,
+            _record_moments(illumination, scenario.r, scenario.heterodyne), conjugate,
         )[hypothesis == "h1"]
         assert stats.ks_2samp(exact, oracle).pvalue > 0.01
 
+    @pytest.mark.parametrize("heterodyne", [True, False])
     @pytest.mark.parametrize("illumination", ["qi", "ci"])
     @pytest.mark.parametrize("detector", ["covariance_detector", "energy_detector"])
-    def test_moments_match_isserlis(self, detector, illumination):
+    def test_moments_match_isserlis(self, detector, illumination, heterodyne):
         # mean tr(A S) + m^T A m, variance (2 tr(A S A S) + 4 m^T A S A m)/k
-        run, moments, conjugate = _ILLUMINATIONS[illumination]
+        run, conjugate = _ILLUMINATIONS[illumination]
         k, n = 2000, 4000
         scenario = make_scenario(
             r=math.asinh(1.0), samples_per_decision=k, n_decisions=n, detector=detector,
+            heterodyne=heterodyne,
         )
         samples = run(scenario)
         form = _form(detector, conjugate)
-        for values, (mean, cov) in zip((samples.h1, samples.h0), moments(scenario)):
+        moments = _record_moments(illumination, scenario.r, heterodyne)
+        for values, (mean, cov) in zip((samples.h1, samples.h0), moments):
             a_s = form @ cov
             mu = np.trace(a_s) + mean @ form @ mean
             var = (2.0 * np.trace(a_s @ a_s) + 4.0 * mean @ a_s @ form @ mean) / k

@@ -213,7 +213,7 @@ class TestGridMatchesPoints:
     def test_oe_detuning_grid(self, grid):
         base = oe_reference()
         assert_grid_matches_points(
-            oe._detuning_point(base),
+            lambda value: oe._arrays(dataclasses.replace(base, delta_eg=value)),
             lambda value: oe.build_model(dataclasses.replace(base, delta_eg=value)),
             grid,
         )
