@@ -25,7 +25,6 @@ from .criteria import (
     gaussian_discord,
     lambda_sph,
     two_eta,
-    two_eta_values,
 )
 from .gaussian import (
     GaussianState,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, UndefinedQuantityError, ValidationError, _param, _require_valid, _valid
-from .gaussian import _asymmetric, _symmetric_part
+from .errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
+from .errors import _param, _require_valid, _valid
+from .gaussian import _asymmetric, _symmetric_part, symplectic_form
 
 __all__ = [
     "GaussianChannel",
@@ -31,25 +32,40 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """Affine covariance map (scaling matrix X, additive noise matrix Y)."""
+    """Affine covariance map (scaling matrix X, additive noise matrix Y), read-only, completely positive."""
 
     X: np.ndarray
     Y: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.X, dtype=float))
+        x = np.atleast_2d(np.array(self.X, dtype=float))
         y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if x.shape != y.shape or x.shape[0] != x.shape[1] or x.shape[0] % 2:
+        if x.shape != y.shape or x.shape[0] != x.shape[1] or x.shape[0] % 2 or not x.size:
             raise ValidationError(
-                f"channel matrices must be square 2N x 2N and equal shape, got {x.shape} and {y.shape}"
+                f"channel matrices must be square 2N x 2N, N >= 1, equal shape; got {x.shape} and {y.shape}"
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValidationError("channel matrices must be finite")
         if _asymmetric(y):
             raise ValidationError("channel noise matrix Y must be symmetric")
+        y = _symmetric_part(y)
+        x.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", _symmetric_part(y))
+        object.__setattr__(self, "Y", y)
+        omega = symplectic_form(self.n_modes)
+        with np.errstate(over="ignore", invalid="ignore"):  # X Omega X^T beyond float range fails below
+            m = y + 0.5j * (omega - x @ omega @ x.T)
+        scale = np.abs(m).max()
+        finite = np.isfinite(scale)
+        defect = float(np.linalg.eigvalsh(m).min()) if finite else -math.inf
+        # CP is M = Y + (i/2)(Omega - X Omega X^T) >= 0, less eigvalsh's rounding, within p(d) eps ||M||_2
+        # <= p(d) d eps max|M| (LAPACK Users' Guide, sec. 4.7): 32 allows p(d) <= 8 at d <= 4.
+        if not finite or defect < -max(1e-9, 32 * np.finfo(float).eps * scale):
+            raise UnphysicalChannelError(
+                f"channel violates complete positivity (defect {defect:.3e}): {self.description!r}"
+            )
 
     @property
     def n_modes(self) -> int:

@@ -125,6 +125,11 @@ def steady_state(model: LinearLangevinModel) -> np.ndarray:
     return cov
 
 
+def _at_temperatures(temperatures: Sequence[float]) -> Callable[[int], str]:
+    """Names member i of a stack over ``temperatures`` in an error by its temperature."""
+    return lambda i: f"temperature {temperatures[i]!r} K: "
+
+
 def _thermal_weights(baths: Sequence[tuple], grid: Sequence[float]) -> np.ndarray:
     """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
     return np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths] for t in grid])
@@ -167,7 +172,7 @@ def _thermal_steady_state(
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
             covs = _symmetric_part((weights @ v_basis).reshape(-1, *cold.shape))
             diffusions = (weights @ d_basis).reshape(covs.shape)
-        name = lambda i: f"temperature {temperatures[i]!r} K: "  # noqa: E731
+        name = _at_temperatures(temperatures)
         _check_residual(drift, diffusions, covs, (), name)
         _require_physical(covs, name)
         return covs

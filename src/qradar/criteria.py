@@ -7,20 +7,21 @@ mutual-information companions.  All quantities use the global vacuum-1/2
 convention and log base 2.
 
 Each formula is written once, as a kernel over a stack of two-mode
-covariances: the single-pair functions score a stack of one, and
-:func:`two_eta_values` a whole stack; pairs sliced from checked converter
-steady states are scored unchecked (:func:`_reports`, :func:`_pt_nu_min`).
+covariances: the single-pair functions score a stack of one; pairs sliced
+from checked converter steady states, or sent through a channel, which is
+completely positive, are scored unchecked (:func:`_reports`,
+:func:`_pt_nu_min`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError, UndefinedQuantityError, ValidationError
-from .gaussian import GaussianState, _member, _require_physical, _symmetrised, _symplectic_spectra
-from .gaussian import entropy_term
+from .gaussian import GaussianState, _member, _symplectic_spectra, entropy_term
 
 __all__ = [
     "BipartiteBlocks",
@@ -28,7 +29,6 @@ __all__ = [
     "lambda_sph",
     "two_eta",
     "gaussian_discord",
-    "two_eta_values",
 ]
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -109,21 +109,21 @@ def _local_dets(covs: np.ndarray):
     return dets[:, 0, 0], dets[:, 1, 1], dets[:, 0, 1]
 
 
-def _in_range(covs: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _in_range(covs: np.ndarray, values: np.ndarray, name: Callable[[int], str] | None) -> np.ndarray:
     """``values``, one per member of ``covs``, formed under ``np.errstate``
     from the members' determinants: a finite covariance can have determinants
     beyond float range, and then :class:`UndefinedQuantityError` names the
-    first such member instead of a NaN or inf score."""
+    first such member (by ``name``, if given) instead of a NaN or inf score."""
     finite = np.isfinite(values)
     if not all(finite.flat):
         raise UndefinedQuantityError(
-            f"{_member(covs, int(np.argmin(finite)))}covariance invariants beyond "
+            f"{_member(covs, int(np.argmin(finite)), name)}covariance invariants beyond "
             "float range; the criteria are undefined"
         )
     return values
 
 
-def _lambda_sph(covs: np.ndarray) -> np.ndarray:
+def _lambda_sph(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = _local_dets(covs)
         a, b, c = _blocks(covs)
@@ -135,7 +135,7 @@ def _lambda_sph(covs: np.ndarray) -> np.ndarray:
             - 0.5 * np.abs(det_c)
             - trace_term
         )
-    return _in_range(covs, lam)
+    return _in_range(covs, lam, name)
 
 
 def lambda_sph(blocks: BipartiteBlocks) -> float:
@@ -149,18 +149,18 @@ def lambda_sph(blocks: BipartiteBlocks) -> float:
     return float(_lambda_sph(blocks.state.cov[None])[0])
 
 
-def _pt_nu_min(covs: np.ndarray) -> np.ndarray:
+def _pt_nu_min(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = _local_dets(covs)
         det_v = np.linalg.det(covs)
         delta_t = det_a + det_b - 2.0 * det_c
         delta_t2 = np.float_power(delta_t, 2)
-        disc = _in_range(covs, delta_t2 - 4.0 * det_v)
+        disc = _in_range(covs, delta_t2 - 4.0 * det_v, name)
     degenerate = disc < -1e-10 * np.maximum(1.0, delta_t2)
     if degenerate.any():
         i = int(degenerate.argmax())
         raise NumericalDegeneracyError(
-            f"{_member(covs, i)}PPT discriminant negative beyond tolerance ({disc[i]:.3e})"
+            f"{_member(covs, i, name)}PPT discriminant negative beyond tolerance ({disc[i]:.3e})"
         )
     nu2 = 0.5 * (delta_t - np.sqrt(np.maximum(disc, 0.0)))
     return np.sqrt(np.maximum(nu2, 0.0))
@@ -172,7 +172,7 @@ def two_eta(blocks: BipartiteBlocks) -> float:
     return float(2.0 * _pt_nu_min(blocks.state.cov[None])[0])
 
 
-def _entropic(covs: np.ndarray):
+def _entropic(covs: np.ndarray, name: Callable[[int], str] | None = None):
     """(discord, classical correlation, mutual information) in bits of the
     stack; run after :func:`_lambda_sph` and :func:`_pt_nu_min`, whose range
     checks cover the products it forms but the heterodyne quotient, which is
@@ -190,7 +190,7 @@ def _entropic(covs: np.ndarray):
     b = np.sqrt(np.maximum(det_b, 0.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = a_blk - c_blk @ _J @ b_blk @ _J.T @ c_blk.mT / (b * (b + 0.5))[:, None, None]
-        det_cond = _in_range(covs, np.linalg.det(cond))
+        det_cond = _in_range(covs, np.linalg.det(cond), name)
     nu_cond = np.sqrt(np.maximum(det_cond, 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
         np.stack((a, b, nu_cond, *_symplectic_spectra(covs).T))
@@ -231,21 +231,10 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
 
 
-def _reports(covs: np.ndarray) -> list[CriteriaReport]:
+def _reports(covs: np.ndarray, name: Callable[[int], str] | None = None) -> list[CriteriaReport]:
     """:func:`gaussian_discord` of each member of a stack of two-mode
     covariances, shape (n, 4, 4), in stack order, unchecked: the caller
     holds the stack, or the states it is sliced from, to the physical rule."""
-    columns = (_lambda_sph(covs), 2.0 * _pt_nu_min(covs), *_entropic(covs))
+    columns = (_lambda_sph(covs, name), 2.0 * _pt_nu_min(covs, name), *_entropic(covs, name))
     return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
 
-
-def two_eta_values(covs) -> np.ndarray:
-    """:func:`two_eta` of each member of a stack of two-mode covariances,
-    shape (n, 4, 4), the stack checked once as a :class:`BipartiteBlocks`
-    is; an error about a stack of several names the offending member."""
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim != 3 or covs.shape[1:] != (4, 4):
-        raise ValidationError(f"expected a stack of 4x4 covariances, got {covs.shape}")
-    covs = _symmetrised(covs)
-    _require_physical(covs)
-    return 2.0 * _pt_nu_min(covs)

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import constants
 
 from .converter import OperatingPoint, _gated_point, _response_roots
-from .converter import _thermal_steady_state, _thermal_weights, steady_state
+from .converter import _at_temperatures, _thermal_steady_state, _thermal_weights, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, _reports, gaussian_discord
 from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
 from .errors import _grid_values, _param, _require_valid
-from .langevin import LinearLangevinModel, diffusion_from_baths
+from .langevin import C_LIGHT, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
 from .langevin import steady_state_cov  # noqa: F401
-from .sweeps import bisect_threshold, run_grid
+from .sweeps import _at_grid_points, bisect_threshold, run_grid
 
 __all__ = [
     "EomParams",
@@ -79,7 +78,7 @@ class EomParams:
         drive rate carry the 1/sqrt(omega_c) zero-point scaling.
         """
         _require_valid(self, {"lambda_l": lambda_l})  # before dividing by it
-        omega_new = 2.0 * math.pi * constants.c / lambda_l
+        omega_new = 2.0 * math.pi * C_LIGHT / lambda_l
         scale = math.sqrt(self.omega_c / omega_new)
         return dataclasses.replace(
             self,
@@ -240,8 +239,9 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
             covs = [None] * len(_thermal_weights(_baths(params), grid))  # still checks the grid
         else:
             covs = list(cov_at(grid))
-    stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
-    by_pair = [_reports(_pair_stack(stable, pair)) for pair in PAIR_NAMES]
+    index = [i for i, cov in enumerate(covs) if cov is not None]
+    stable = np.array([covs[i] for i in index]).reshape(-1, 6, 6)
+    by_pair = [_reports(_pair_stack(stable, pair), _at_grid_points(grid, index)) for pair in PAIR_NAMES]
     reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))
     return [
         SweepPoint(v, None, False) if cov is None else SweepPoint(v, next(reports), True)
@@ -268,6 +268,7 @@ def threshold_temperature(
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
 
     def crossing(temperature: float) -> float:
-        return float(_lambda_sph(_pair_stack(cov_at([temperature]), pair))[0])
+        at = [temperature]
+        return float(_lambda_sph(_pair_stack(cov_at(at), pair), _at_temperatures(at))[0])
 
     return bisect_threshold(crossing, lo=0.0, hi=8.0, resolution=resolution)

@@ -18,19 +18,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateStateError,
-    PhysicalityError,
-    UnphysicalChannelError,
-    ValidationError,
-)
-
-if TYPE_CHECKING:  # channels imports the symmetry rule from this module
-    from .channels import GaussianChannel
+from .errors import DegenerateStateError, PhysicalityError, ValidationError
 
 __all__ = [
     "GaussianState",
@@ -125,9 +117,8 @@ def _symmetrised(covs: np.ndarray) -> np.ndarray:
         raise ValidationError(f"{_member(covs, i)}state invariant violated: cov must be finite")
     asymmetric = _asymmetric(covs)
     if any(asymmetric.flat):
-        raise ValidationError(
-            f"{_member(covs, int(np.argmax(asymmetric)))}state invariant violated: cov is not symmetric"
-        )
+        i = int(np.argmax(asymmetric))
+        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov is not symmetric")
     return _symmetric_part(covs)
 
 
@@ -267,27 +258,14 @@ def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
     return state.mean[None, :] + z @ chol.T
 
 
-def _require_cp(channel: GaussianChannel) -> None:
-    """:class:`UnphysicalChannelError` unless ``channel`` meets the
-    complete-positivity bound Y + (i/2)(Omega - X Omega X^T) >= 0 within 1e-9."""
-    omega = symplectic_form(channel.n_modes)
-    m = channel.Y + 0.5j * (omega - channel.X @ omega @ channel.X.T)
-    defect = float(np.linalg.eigvalsh(m).min())
-    if defect < -1e-9:
-        raise UnphysicalChannelError(
-            f"channel violates complete positivity (defect {defect:.3e}): {channel.description!r}"
-        )
-
-
-def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
+def apply_channel(state: GaussianState, channel) -> GaussianState:
     """Gaussian channel action: mean -> X mean, cov -> X cov X^T + Y.
 
-    The channel is checked against the complete-positivity bound
-    (:func:`_require_cp`) before application.
+    ``channel`` is a :class:`~qradar.channels.GaussianChannel`, completely
+    positive since it was made, so it is applied unchecked.
     """
     if channel.X.shape[0] != 2 * state.n_modes:
         raise ValidationError(
             f"channel acts on {channel.n_modes} modes but state has {state.n_modes}"
         )
-    _require_cp(channel)
     return GaussianState(state.n_modes, channel.X @ state.mean, channel.act(state.cov))

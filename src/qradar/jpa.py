@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .converter import _response_roots
 from .errors import ThresholdError, ValidationError, _valid
-from .langevin import LinearLangevinModel, steady_state_cov
+from .langevin import E_CHARGE, HBAR, LinearLangevinModel, steady_state_cov
 
 __all__ = [
     "JpaParams",
@@ -43,12 +42,12 @@ def derived_params(e_j: float, capacitance: float) -> tuple[float, float, float]
     """
     _valid("e_j", "positive", e_j)
     _valid("capacitance", "positive", capacitance)
-    scale = 2.0 * capacitance * constants.hbar
+    scale = 2.0 * capacitance * HBAR
     if scale == 0.0:  # C below about 1e-290 F underflows it
         raise ValidationError(
             f"charging energy e^2/(2 C hbar) is beyond float range (capacitance = {capacitance!r} F)"
         )
-    e_c = constants.e**2 / scale
+    e_c = E_CHARGE**2 / scale
     omega0 = _valid("omega0 = sqrt(8 E_c E_J)", None, math.sqrt(8.0 * e_c * e_j))
     return e_c, omega0, -0.5 * e_c
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import constants
 from scipy.linalg import lapack
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
@@ -49,6 +48,13 @@ __all__ = [
 
 _FLOAT_MAX = sys.float_info.max
 
+# SI literals, so that no result follows the installed scipy's CODATA edition; m_e is CODATA 2022.
+C_LIGHT = 299792458.0  # m/s
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s; h is exact, divided as scipy divides it
+E_CHARGE = 1.602176634e-19  # C
+K_B = 1.380649e-23  # J/K
+M_E = 9.1093837139e-31  # kg
+
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number N = 1/(exp(hbar w / kB T) - 1); 0 at T = 0.
@@ -59,10 +65,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if not (0 < omega <= _FLOAT_MAX and 0 <= temperature <= _FLOAT_MAX):
         omega = _valid("omega", "positive", omega)
         temperature = _valid("temperature", "non-negative", temperature)
-    thermal_energy = constants.k * temperature
+    thermal_energy = K_B * temperature
     if thermal_energy == 0.0:
         return 0.0
-    x = constants.hbar * omega / thermal_energy
+    x = HBAR * omega / thermal_energy
     if x > 60.0:
         return math.exp(-x) if x < 700.0 else 0.0
     occupation = 1.0 / math.expm1(x) if x else math.inf  # x = 0: hbar w / kB T underflowed

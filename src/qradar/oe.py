@@ -15,16 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .channels import GaussianChannel, round_trip
 from .converter import OperatingPoint, _gated_point, _response_roots
-from .converter import _thermal_steady_state, steady_state
-from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord, two_eta_values
+from .converter import _at_temperatures, _thermal_steady_state, steady_state
+from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord
 from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid, _valid
-from .gaussian import _require_cp, apply_channel
-from .langevin import LinearLangevinModel, diffusion_from_baths
-from .sweeps import bisect_threshold, run_grid
+from .gaussian import _symmetric_part, apply_channel
+from .langevin import HBAR, M_E, LinearLangevinModel, diffusion_from_baths
+from .sweeps import _at_grid_points, bisect_threshold, run_grid
 
 __all__ = [
     "OeParams",
@@ -80,9 +79,9 @@ def gwp_from_mu_c(mu_c: float) -> float:
     at the default omega_w and omega_eg, a 1 um depletion width d and
     m_eff = 0.067 m_e."""
     _valid("mu_c", "non-negative", mu_c)
-    depletion_width, m_eff = 1e-6, 0.067 * constants.m_e
+    depletion_width, m_eff = 1e-6, 0.067 * M_E
     g_wp = mu_c * _OMEGA_W / (2.0 * depletion_width) * math.sqrt(
-        constants.hbar / (_OMEGA_EG * m_eff)
+        HBAR / (_OMEGA_EG * m_eff)
     )
     return _valid("g_wp", "non-negative", g_wp)  # the rule OeParams holds it to; inf from mu_c ~ 1e300
 
@@ -216,8 +215,9 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
     """
     grid = _grid_values(OeParams, "delta_eg", delta_eg_grid)
     covs = run_grid(lambda v: _arrays(dataclasses.replace(params, delta_eg=v)), grid)
-    stable = np.array([cov[_OC_MC] for cov in covs if cov is not None]).reshape(-1, 4, 4)
-    values = iter((2.0 * _pt_nu_min(stable)).tolist())
+    index = [i for i, cov in enumerate(covs) if cov is not None]
+    stable = np.array([covs[i][_OC_MC] for i in index]).reshape(-1, 4, 4)
+    values = iter((2.0 * _pt_nu_min(stable, _at_grid_points(grid, index))).tolist())
     points = [
         DetuningPoint(v, None, False) if cov is None else DetuningPoint(v, next(values), True)
         for v, cov in zip(grid, covs)
@@ -257,16 +257,16 @@ def end_to_end_vs_temperature(
     are one gated stack from one Lyapunov basis
     (:func:`~qradar.converter._thermal_steady_state`), and raise where the
     converter has none, as its thresholds do.  The round-trip channel is
-    built and CP-checked once; the direct pairs are scored unchecked, as
-    slices of checked states, and the returned pairs, which are not, in one
-    :func:`~qradar.criteria.two_eta_values` call.
+    built once.  Both stacks are scored unchecked: the direct pairs are
+    slices of checked states, and the returned pairs X V X^T + Y are their
+    images under a completely positive channel, symmetrised.  An error names
+    its temperature.
     """
     grid = _grid_values(OeParams, "temperature", temperature_grid)
     backscatter = _backscatter(channel_spec, target_spec)
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
-    pairs = cov_at(grid)[_OC_MC]
-    _require_cp(backscatter)
-    return 2.0 * _pt_nu_min(pairs), two_eta_values(backscatter.act(pairs))
+    pairs, name = cov_at(grid)[_OC_MC], _at_temperatures(grid)
+    return 2.0 * _pt_nu_min(pairs, name), 2.0 * _pt_nu_min(_symmetric_part(backscatter.act(pairs)), name)
 
 
 def threshold_temperature(
@@ -280,26 +280,24 @@ def threshold_temperature(
     With a channel/target pair the threshold of the backscattered mode c_b is
     located instead; giving only one of the two is a :class:`ValidationError`.
     The operating point, the Lyapunov basis and the round-trip channel are
-    built once, and the channel checked completely positive once; each
+    built once (a channel is completely positive from when it is made); each
     evaluation forms the gated steady state at its temperature and scores
     2eta only, with no state or blocks built: on the (OC, MC) pair sliced
     from it, which meets the physical rule as the state does, or on the
-    returned pair, held to the structural and physical rules by
-    :func:`~qradar.criteria.two_eta_values`.  The bracket starts at [1e-4, 8] K and expands
-    as :func:`~qradar.sweeps.bisect_threshold` does.
+    returned pair, its symmetrised image under the channel, as
+    :func:`end_to_end_vs_temperature` scores it.  The bracket starts at
+    [1e-4, 8] K and expands as :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
-    backscatter = None
-    if channel_spec is not None:
-        backscatter = _backscatter(channel_spec, target_spec)
-        _require_cp(backscatter)
+    backscatter = None if channel_spec is None else _backscatter(channel_spec, target_spec)
 
     def crossing(temperature: float) -> float:
-        pairs = cov_at([temperature])[_OC_MC]
-        if backscatter is None:
-            return float(2.0 * _pt_nu_min(pairs)[0]) - 1.0
-        return float(two_eta_values(backscatter.act(pairs))[0]) - 1.0
+        at = [temperature]
+        pairs = cov_at(at)[_OC_MC]
+        if backscatter is not None:
+            pairs = _symmetric_part(backscatter.act(pairs))
+        return float(2.0 * _pt_nu_min(pairs, _at_temperatures(at))[0]) - 1.0
 
     return bisect_threshold(crossing, lo=1e-4, hi=8.0, resolution=resolution)

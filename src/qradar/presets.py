@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import constants
-
 from .channels import (
     GaussianChannel,
     amplifier_channel,
@@ -23,6 +21,7 @@ from .channels import (
 )
 from .eom import EomParams
 from .errors import ValidationError
+from .langevin import C_LIGHT
 from .oe import OeParams, gwp_from_mu_c
 from .receiver import QiScenario, low_signal_channels
 
@@ -65,7 +64,7 @@ def eom_reference() -> EomParams:
     c_s_target = 0.3 * wm / (math.sqrt(2.0) * g2 * wm)
     e_w = c_s_target * math.hypot(1.045 * wm, kappa_w)
     return EomParams(
-        omega_c=2.0 * math.pi * constants.c / 1064e-9,
+        omega_c=2.0 * math.pi * C_LIGHT / 1064e-9,
         omega_m=wm,
         omega_w=2.0 * math.pi * 10e9,
         kappa_c=2.0 * math.pi * 2e5,

@@ -182,6 +182,8 @@ def ci_baseline(scenario: QiScenario) -> DetectionSamples:
     treatment).  The correlation detector pairs quadratures positively, as a
     classical cross-correlator does.
     """
+    if scenario.r > 710.1292864836639:  # the largest r whose sqrt(2) sinh(r) is finite
+        raise ValidationError(f"tone amplitude sqrt(2) sinh(r) is beyond float range (r = {scenario.r!r})")
     amplitude = math.sqrt(2.0) * math.sinh(scenario.r)
     tone = GaussianState(2, [amplitude, 0.0, amplitude, 0.0], 0.5 * np.eye(4))
     return _run(scenario, tone, conjugate=False)

@@ -61,17 +61,22 @@ def run_grid(
     diffusions = np.array([diffusion for _, diffusion in points.values()])
     finite = np.isfinite(drifts).all(axis=(1, 2)) & np.isfinite(diffusions).all(axis=(1, 2))
     if not finite.all():
-        i = index[np.argmin(finite)]
-        raise ValidationError(f"grid point {i} ({grid[i]!r}): drift and diffusion must be finite")
+        name = _at_grid_points(grid, index)
+        raise ValidationError(f"{name(int(np.argmin(finite)))}drift and diffusion must be finite")
     stable = _stability(drifts)[0]
     index, drifts, diffusions = index[stable], drifts[stable], diffusions[stable]
     covs = _solve_lyapunov(drifts, diffusions)[0]
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
-    _require_physical(covs, lambda k: f"grid point {index[k]} ({grid[index[k]]!r}): ")
+    _require_physical(covs, _at_grid_points(grid, index))
     for i, cov in zip(index, covs):
         out[i] = cov
     return out
+
+
+def _at_grid_points(grid: Sequence[float], index: Sequence[int]) -> Callable[[int], str]:
+    """Names member k of a stack over the points ``index`` of ``grid`` in an error."""
+    return lambda k: f"grid point {index[k]} ({grid[index[k]]!r}): "
 
 
 def bisect_threshold(

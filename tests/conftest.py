@@ -2,7 +2,8 @@
 damped oscillator model (and its arrays, for grids); the definition-level
 oracles that tests check shipped kernels against by another route (thermal
 states, partial transposition, von Neumann entropy, the identity channel and
-the covariance ODE); and the Hypothesis profile every property runs under."""
+the covariance ODE); a checked stack score built from the library's rules;
+and the Hypothesis profile every property runs under."""
 
 import math
 
@@ -13,7 +14,9 @@ from scipy import integrate
 from scipy.linalg import expm
 
 from qradar.channels import GaussianChannel
-from qradar.gaussian import GaussianState, entropy_term, symplectic_eigenvalues, symplectic_form
+from qradar.criteria import _pt_nu_min
+from qradar.gaussian import GaussianState, _require_physical, _symmetrised, entropy_term
+from qradar.gaussian import symplectic_eigenvalues, symplectic_form
 from qradar.langevin import LinearLangevinModel
 
 # Every property, present or future, draws the same examples on every run;
@@ -79,6 +82,15 @@ def von_neumann_entropy(state: GaussianState) -> float:
 def identity_channel(n_modes: int = 1) -> GaussianChannel:
     dim = 2 * n_modes
     return GaussianChannel(np.eye(dim), np.zeros((dim, dim)), "identity")
+
+
+def two_eta_values(covs) -> np.ndarray:
+    """2eta of each member of an (n, 4, 4) stack of unchecked covariances,
+    the stack held once to the structural and physical rules, as a
+    :class:`~qradar.criteria.BipartiteBlocks` is: errors name the member."""
+    covs = _symmetrised(np.asarray(covs, dtype=float))
+    _require_physical(covs)
+    return 2.0 * _pt_nu_min(covs)
 
 
 def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.ndarray:

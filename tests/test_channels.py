@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from qradar.channels import (
+    GaussianChannel,
     ThermalProfile,
     amplifier_channel,
     attenuation_channel,
@@ -20,7 +21,7 @@ from qradar.channels import (
     thermal_background_channel,
 )
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
-from qradar.errors import ConvergenceError, UndefinedQuantityError, ValidationError
+from qradar.errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
 from qradar.gaussian import GaussianState, apply_channel, vacuum_state
 
 from conftest import identity_channel, tmsv_cov
@@ -281,6 +282,12 @@ class TestRoundTrip:
                 previous = value
 
 
+def _cp_defect(ch: GaussianChannel) -> float:
+    """The smallest eigenvalue of Y + (i/2)(Omega - X Omega X^T)."""
+    omega = np.kron(np.eye(ch.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.linalg.eigvalsh(ch.Y + 0.5j * (omega - ch.X @ omega @ ch.X.T)).min())
+
+
 def test_every_constructor_is_completely_positive():
     for ch in (
         attenuation_channel(0.2, 3.0, 0.7),
@@ -289,4 +296,44 @@ def test_every_constructor_is_completely_positive():
         thermal_background_channel(2.0),
         identity_channel(),
     ):
-        apply_channel(vacuum_state(1), ch)  # raises if CP is violated
+        assert _cp_defect(ch) >= -1e-12
+
+
+class TestCompletePositivity:
+    """A channel is held to the complete-positivity bound once, where it is
+    made, within the eigensolver's rounding."""
+
+    @pytest.mark.parametrize("added_noise", [0.0, 0.3])
+    def test_amplifier_at_every_gain_is_made_and_applied(self, added_noise):
+        # Quantum-limited, the defect is 0 exactly, and eigvalsh rounds it by
+        # up to about 4 eps max|M|; an absolute -1e-9 bound rejected 54 of
+        # these gains, the first at 130 dB.
+        for gain_db in np.arange(0.0, 3001.0, 10.0):
+            out = apply_channel(vacuum_state(1), amplifier_channel(float(gain_db), added_noise))
+            g = 10.0 ** (gain_db / 10.0)
+            assert out.cov[0, 0] == pytest.approx(0.5 * g + (g - 1.0) * (added_noise + 0.5), rel=1e-12)
+
+    def test_below_the_quantum_limit_rejected(self):
+        # Gain 4 needs added noise of at least (G - 1)/2 = 1.5 per quadrature.
+        with pytest.raises(UnphysicalChannelError, match=r"defect -1\.500e-06"):
+            GaussianChannel(2 * np.eye(2), 1.5 * (1 - 1e-6) * np.eye(2))
+
+    def test_matrices_are_read_only_copies(self):
+        # A caller's array changed after construction could make the channel
+        # non-CP behind the one check; the channel holds its own copies.
+        x, y = math.sqrt(0.5) * np.eye(2), 0.25 * np.eye(2)
+        ch = GaussianChannel(x, y, "half loss")
+        x *= 4.0
+        assert np.array_equal(ch.X, math.sqrt(0.5) * np.eye(2))
+        for m in (ch.X, ch.Y):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 4.0
+
+    @pytest.mark.parametrize("x", [1e160 * np.eye(2), np.full((2, 2), 1e160)])
+    def test_cp_matrix_beyond_float_range_rejected(self, x):
+        # X Omega X^T overflows to inf; an inf (or NaN) max|M| made a bound
+        # that no defect fell below.  A finite X Omega X^T is checked as
+        # usual: diag(1e160, 1e-160) is symplectic, so with Y = I it is CP.
+        with pytest.raises(UnphysicalChannelError, match="defect -inf"):
+            GaussianChannel(x, np.eye(2))
+        GaussianChannel(np.diag([1e160, 1e-160]), np.eye(2))

@@ -406,12 +406,14 @@ class TestCliCommands:
             )
             for key in ("mu_in_per_m", "mu_out_per_m", "length_m")
         ),
-        # Exit 0 with a NaN row marked stable and leaked RuntimeWarnings before.
+        # Exit 0 with a NaN row marked stable and leaked RuntimeWarnings before;
+        # then the error named "stack member 1", the point's place among the
+        # stable points, not its grid value.
         *(
             pytest.param(
                 "eom_fig2a_temperature", {"grid": [1.0, hot]},
-                "UndefinedQuantityError: stack member 1: covariance invariants beyond float "
-                "range; the criteria are undefined",
+                f"UndefinedQuantityError: grid point 1 ({hot!r}): covariance invariants beyond "
+                "float range; the criteria are undefined",
                 id=f"eom_sweep-{hot:g}",
             )
             for hot in (1e200, 1e300)

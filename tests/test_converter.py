@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qradar import converter, criteria, eom, gaussian, langevin, oe, sweeps
+from qradar.channels import GaussianChannel
 from qradar.converter import _response_roots, _thermal_steady_state, steady_state
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, NoSteadyStateError, PhysicalityError, StiffnessError
@@ -131,17 +132,26 @@ def _public_crossing(model, params, kwargs, temperature):
     return oe.direct_report(params).two_eta - 1.0
 
 
+def _count_inits(monkeypatch, cls) -> list:
+    """Collects every instance of ``cls`` made from now on."""
+    made = []
+    init = cls.__post_init__
+
+    def counted(instance):
+        made.append(instance)
+        return init(instance)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return made
+
+
 def _count_cp_checks(monkeypatch) -> list:
-    """Collects the channel of every complete-positivity check from now on."""
+    """Collects the matrix of every complete-positivity check from now on: a
+    channel is checked by one np.linalg.eigvalsh as it is made, and no other
+    step of a converter threshold or grid calls it."""
     calls = []
-    check = gaussian._require_cp
-
-    def counted(channel):
-        calls.append(channel)
-        return check(channel)
-
-    for module in (gaussian, oe):
-        monkeypatch.setattr(module, "_require_cp", counted)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
     return calls
 
 
@@ -197,7 +207,7 @@ class TestEachStateCheckedOnce:
         atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
         calls = _count_choleskies(monkeypatch)
         oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, np.linspace(0.01, 0.33, 9))
-        assert calls == [(9, 6, 6), (9, 4, 4)]
+        assert calls == [(9, 6, 6)]  # the returned pairs, images under a CP channel, are not checked
 
     @pytest.mark.parametrize("axis, grid", [
         ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
@@ -219,7 +229,7 @@ class TestEachStateCheckedOnce:
         (crossing,) = captured
         calls = _count_choleskies(monkeypatch)
         crossing(0.1)
-        assert calls == [(1, 6, 6)] + ([(1, 4, 4)] if "channel_spec" in kwargs else [])
+        assert calls == [(1, 6, 6)]  # a returned pair, an image under a CP channel, is not checked
 
 
 class TestThresholdSolvesOnce:
@@ -237,28 +247,30 @@ class TestThresholdSolvesOnce:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
-    def test_steps_build_no_blocks_and_check_the_channel_once(
-        self, model, params, kwargs, monkeypatch
-    ):
-        built = []
-        init = BipartiteBlocks.__post_init__
-
-        def counted(blocks):
-            built.append(blocks)
-            return init(blocks)
-
-        monkeypatch.setattr(BipartiteBlocks, "__post_init__", counted)
+    def test_steps_build_no_blocks_and_no_channels(self, model, params, kwargs, monkeypatch):
+        # The round trip's channels (two compositions and the expansion onto
+        # the (OC, MC) register) are made, and so checked completely
+        # positive, once, before the bisection; no step builds blocks or
+        # makes or checks a channel.
+        blocks = _count_inits(monkeypatch, BipartiteBlocks)
+        channels = _count_inits(monkeypatch, GaussianChannel)
         cp_checks = _count_cp_checks(monkeypatch)
-        assert model.threshold_temperature(params, **kwargs) is not None
-        assert built == []
-        assert len(cp_checks) == (1 if "channel_spec" in kwargs else 0)
+        captured = []
+        monkeypatch.setattr(model, "bisect_threshold", lambda fn, **bracket: captured.append((fn, bracket)))
+        model.threshold_temperature(params, **kwargs)
+        made = 3 if "channel_spec" in kwargs else 0
+        assert [len(channels), len(cp_checks)] == [made, made]
+        ((crossing, bracket),) = captured
+        assert sweeps.bisect_threshold(crossing, **bracket) is not None
+        assert [len(blocks), len(channels), len(cp_checks)] == [0, made, made]
 
-    def test_grid_checks_the_channel_once(self, monkeypatch):
-        cp_checks = _count_cp_checks(monkeypatch)
+    def test_grid_makes_the_channels_once(self, monkeypatch):
         atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        channels = _count_inits(monkeypatch, GaussianChannel)
+        cp_checks = _count_cp_checks(monkeypatch)
         grid = np.linspace(0.0, 1.0, 5)
         direct, returned = oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, grid)
-        assert len(cp_checks) == 1
+        assert [len(channels), len(cp_checks)] == [3, 3]  # the round trip, not one per point
         assert direct.shape == returned.shape == grid.shape
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())

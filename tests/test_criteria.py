@@ -15,7 +15,6 @@ from qradar.criteria import (
     gaussian_discord,
     lambda_sph,
     two_eta,
-    two_eta_values,
 )
 from qradar.errors import PhysicalityError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import (
@@ -26,7 +25,7 @@ from qradar.gaussian import (
 )
 
 from conftest import partial_transpose, random_physical_two_mode, random_symplectic, tmsv_cov
-from conftest import von_neumann_entropy
+from conftest import two_eta_values, von_neumann_entropy
 
 
 def tmsv_blocks(r: float) -> BipartiteBlocks:
@@ -250,7 +249,6 @@ class TestStackEntryPoints:
     @pytest.mark.parametrize(
         "covs, match",
         [
-            (np.eye(4), "stack of 4x4"),
             (np.array([np.eye(4), np.diag([1.0, 1.0, np.nan, 1.0])]), "member 1: .*finite"),
             (np.array([np.eye(4), np.eye(4) + np.triu(np.ones((4, 4)), 1)]),
              "member 1: .*symmetric"),

@@ -3,11 +3,13 @@ steady-state entanglement, and sweeps."""
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from qradar import eom
 from qradar.converter import steady_state
 from qradar.eom import (
     PAIR_NAMES,
@@ -212,9 +214,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("hot", [1e200, 1e300])
     def test_temperature_beyond_float_range_named(self, reference, hot):
-        # A stable row with lambda_SPH = nan and RuntimeWarnings before.
-        with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
+        # A stable row with lambda_SPH = nan and RuntimeWarnings before; then
+        # "stack member 1", its place in the stack, not its temperature.
+        with pytest.raises(UndefinedQuantityError, match=rf"^grid point 1 \({re.escape(repr(hot))}\): "):
             sweep(reference, "temperature", [1.0, hot])
+
+    def test_grid_point_beyond_float_range_named(self, reference):
+        # At 1e200 K the covariance invariants of every stable point leave
+        # float range.  The first four points are unstable, so the first
+        # failing point is grid point 4, which was named "stack member 0".
+        grid = np.geomspace(1e5, 1e8, 8)
+        hot = dataclasses.replace(reference, temperature=1e200)
+        with pytest.raises(UndefinedQuantityError, match=rf"^grid point 4 \({float(grid[4])!r}\): "):
+            sweep(hot, "omega_m", grid)
 
     def test_unsorted_grid_rejected(self, reference):
         with pytest.raises(ValidationError, match="ascending"):
@@ -234,6 +246,15 @@ class TestThreshold:
     # The reference thresholds are about 0.144 K (oc_mc), 0.016 K (oc_mr)
     # and 0.032 K (mr_mc).
     BOUNDS = {"oc_mc": (0.05, 0.5), "oc_mr": (0.005, 0.05), "mr_mc": (0.01, 0.1)}
+
+    def test_step_beyond_float_range_named(self, reference, monkeypatch):
+        # The step Brent evaluates names its temperature; before, a failing
+        # step, alone in its stack, was named by nothing.
+        captured = []
+        monkeypatch.setattr(eom, "bisect_threshold", lambda fn, **_: captured.append(fn))
+        threshold_temperature(reference)
+        with pytest.raises(UndefinedQuantityError, match=r"^temperature 1e\+200 K: "):
+            captured[0](1e200)
 
     def test_threshold_exists_and_is_resolved(self, reference):
         # The default pair is oc_mc.

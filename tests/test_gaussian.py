@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel
-from qradar.criteria import two_eta_values
 from qradar.errors import (
     DegenerateStateError,
     PhysicalityError,
@@ -92,7 +91,6 @@ class TestSymplecticEigenvalues:
 # rule: asymmetric by more than 1e-10 * max(1, largest entry) is rejected.
 SYMMETRIC_4X4_BOUNDARIES = {
     "GaussianState": lambda m: GaussianState(2, np.zeros(4), m),
-    "two_eta_values": lambda m: two_eta_values(np.array([tmsv_cov(0.3), m])),
     "LinearLangevinModel.diffusion": lambda m: LinearLangevinModel(-np.eye(4), m),
     "GaussianChannel.Y": lambda m: GaussianChannel(np.eye(4), m),
 }
@@ -354,11 +352,17 @@ class TestApplyChannel:
         with pytest.raises(ValidationError, match="modes"):
             apply_channel(vacuum_state(2), attenuation_channel(0.1, 1.0))
 
+    @pytest.mark.parametrize("x_shape, y_shape", [((0, 0), (0, 0)), ((3, 3), (3, 3)), ((2, 2), (4, 4))])
+    def test_malformed_channel_rejected(self, x_shape, y_shape):
+        # 0 x 0 matrices raised a bare ValueError from the symmetry test before.
+        with pytest.raises(ValidationError, match="square 2N x 2N, N >= 1"):
+            GaussianChannel(np.zeros(x_shape), np.zeros(y_shape))
+
     def test_unphysical_channel_rejected(self):
-        # Pure loss with negative noise cannot be completely positive.
-        bad = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)), "bogus loss")
-        with pytest.raises(UnphysicalChannelError):
-            apply_channel(vacuum_state(1), bad)
+        # Pure loss with no added noise cannot be completely positive: it is
+        # rejected where it is made, so no such channel reaches apply_channel.
+        with pytest.raises(UnphysicalChannelError, match="bogus loss"):
+            GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)), "bogus loss")
 
     def test_output_physical(self, rng):
         state = random_physical_two_mode(rng)

@@ -39,6 +39,19 @@ def random_stable_model(rng, dim=6):
     return LinearLangevinModel(a, d)
 
 
+def test_physical_constants_agree_with_scipy():
+    # Written out in langevin so that results do not follow the installed
+    # scipy's CODATA edition.  c, e, k and h are exact SI values in every
+    # edition scipy carries, and hbar = h / 2 pi.  m_e is not compared: it
+    # moved in its 9th significant digit between CODATA 2018 (9.1093837015e-31,
+    # which older scipy releases carry) and 2022, and is pinned to 2022 here.
+    pairs = [(langevin.C_LIGHT, constants.c), (langevin.HBAR, constants.hbar),
+             (langevin.E_CHARGE, constants.e), (langevin.K_B, constants.k)]
+    for ours, theirs in pairs:
+        assert ours == pytest.approx(theirs, rel=1e-15)
+    assert langevin.M_E == 9.1093837139e-31
+
+
 class TestThermalOccupation:
     def test_zero_temperature(self):
         assert thermal_occupation(1e9, 0.0) == 0.0

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import constants
 
 from qradar.converter import steady_state
 from qradar.errors import (
@@ -29,6 +28,8 @@ from qradar.oe import (
     operating_point,
     threshold_temperature,
 )
+from qradar.channels import attenuation_channel
+from qradar.langevin import HBAR, M_E
 from qradar.presets import channel_preset, oe_reference
 
 from conftest import identity_channel
@@ -44,8 +45,8 @@ class TestGwpFromMuC:
         assert gwp_from_mu_c(4e-4) == pytest.approx(2 * gwp_from_mu_c(2e-4), rel=1e-12)
 
     def test_published_formula(self):
-        mu_c, omega_w, d, m_eff, omega_eg = 2e-4, 2 * math.pi * 10e9, 1e-6, 0.067 * constants.m_e, 2.332e15
-        expected = mu_c * omega_w / (2 * d) * math.sqrt(constants.hbar / (omega_eg * m_eff))
+        mu_c, omega_w, d, m_eff, omega_eg = 2e-4, 2 * math.pi * 10e9, 1e-6, 0.067 * M_E, 2.332e15
+        expected = mu_c * omega_w / (2 * d) * math.sqrt(HBAR / (omega_eg * m_eff))
         assert gwp_from_mu_c(mu_c) == pytest.approx(expected, rel=1e-12)
 
 
@@ -154,6 +155,13 @@ class TestDetuningSweep:
         with pytest.raises(StiffnessError, match="solver warning: .*eigenvalue pair"):
             steady_state(build_model(params))
 
+    def test_grid_point_beyond_float_range_named(self, reference):
+        # At 1e200 K the stable point's covariance invariants leave float
+        # range; alone in the stable stack, it was named by nothing before.
+        hot = dataclasses.replace(reference, temperature=1e200)
+        with pytest.raises(UndefinedQuantityError, match=r"^grid point 1 \(10000000\.0\): "):
+            entanglement_vs_detuning(hot, [-1e7, 1e7])
+
     def test_continuity_away_from_instability(self, reference):
         # No jumps larger than 10x the local grid slope on a stable segment.
         om0 = 2 * math.pi * 1e6
@@ -207,8 +215,19 @@ class TestEndToEnd:
         # RuntimeWarnings from the criteria kernels' determinants before.
         atmosphere = channel_preset("fig10_atmosphere")
         target = channel_preset("fig10_target")
-        with pytest.raises(UndefinedQuantityError, match="^stack member 1: .*beyond float range"):
+        with pytest.raises(UndefinedQuantityError, match=r"^temperature 1e\+200 K: .*beyond float range"):
             end_to_end_vs_temperature(reference, atmosphere, target, [0.01, 1e200])
+
+    def test_returned_pair_beyond_float_range_named(self, reference):
+        # Environment noise near 1e300 puts the returned pair's determinants
+        # beyond float range at every temperature.  The grid named it "stack
+        # member 0" before, and the threshold step named nothing.
+        hot_line = attenuation_channel(2e-6, 20.0, 1e300)
+        target = channel_preset("fig10_target")
+        with pytest.raises(UndefinedQuantityError, match=r"^temperature 0\.01 K: .*beyond float range"):
+            end_to_end_vs_temperature(reference, hot_line, target, [0.01, 0.1])
+        with pytest.raises(UndefinedQuantityError, match=r"^temperature 0\.0001 K: .*beyond float range"):
+            threshold_temperature(reference, channel_spec=hot_line, target_spec=target)
 
     def test_cross_module_consistency_with_manual_channel(self, reference):
         # Applying the composed round-trip channel by hand reproduces the

@@ -6,7 +6,8 @@ kernel against lives in the tests).  And no function holds an argument to a
 sign by hand: errors._valid is the one argument rule; nor factors a matrix by
 Cholesky outside gaussian's np.linalg.cholesky; nor writes the symmetric part
 (M + M^T)/2 outside gaussian, or a channel action X V X^T + Y outside
-channels."""
+channels; nor raises UnphysicalChannelError outside channels, where a channel
+is made; nor imports scipy.constants."""
 
 import ast
 import math
@@ -247,3 +248,59 @@ def test_one_copy_of_each_covariance_rule():
         if module != _RULE_HOME[rule]
     ]
     assert not found, f"covariance rules written outside their module: {', '.join(found)}"
+
+
+def _raises_of(name: str) -> list[str]:
+    """module:line of each ``raise`` of the exception class ``name`` in a qradar module."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and _uses(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)[name]
+    ]
+
+
+def test_complete_positivity_is_decided_where_a_channel_is_made():
+    # GaussianChannel holds every channel to the bound once, as it is made;
+    # a second check would re-validate a channel that cannot fail it.
+    found = [site for site in _raises_of("UnphysicalChannelError") if not site.startswith("channels:")]
+    assert _raises_of("UnphysicalChannelError"), "no raise of UnphysicalChannelError seen"
+    assert not found, f"UnphysicalChannelError raised outside channels: {', '.join(found)}"
+
+
+def _scipy_constants_imports(tree: ast.AST) -> list[int]:
+    """The line of each import in ``tree`` of scipy.constants or of a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.constants" or n.startswith("scipy.constants.") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.constants",
+    "import scipy.constants as sc",
+    "from scipy import constants",
+    "from scipy.constants import hbar",
+])
+def test_scipy_constants_imports_are_seen(source):
+    assert _scipy_constants_imports(ast.parse(source)) == [1]
+
+
+def test_physical_constants_come_from_langevin():
+    # The physical constants are literals in langevin: scipy.constants would
+    # tie every result to the installed scipy's CODATA edition.
+    found = [
+        f"{module}:{line}"
+        for module, tree in _modules().items()
+        for line in _scipy_constants_imports(tree)
+    ]
+    assert not found, f"scipy.constants imported in src: {', '.join(found)}"

@@ -374,6 +374,14 @@ class TestCiBaseline:
             gaps[name] = qi - ci
         assert gaps["strong"] < gaps["low"]
 
+    @pytest.mark.parametrize("r", [710.3, 800.0])
+    def test_tone_beyond_float_range_is_a_validation_error(self, r):
+        # At r = 800 math.sinh raised a bare OverflowError; at 710.3 sinh is
+        # finite but sqrt(2) sinh(r) is not, and the tone's mean failed
+        # without naming r.
+        with pytest.raises(ValidationError, match=rf"sinh\(r\) is beyond float range \(r = {r!r}\)"):
+            ci_baseline(make_scenario(r=r))
+
     def test_matched_seed_decisions(self):
         scenario = make_scenario(n_decisions=50)
         qi = run_detection(scenario)
