@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
 from .errors import _param, _require_valid, _valid
-from .gaussian import _asymmetric, _symmetric_part, symplectic_form
+from .gaussian import _asymmetric, _eigvalsh_rounding, _symmetric_part, symplectic_form
 
 __all__ = [
     "GaussianChannel",
@@ -57,12 +57,11 @@ class GaussianChannel:
         omega = symplectic_form(self.n_modes)
         with np.errstate(over="ignore", invalid="ignore"):  # X Omega X^T beyond float range fails below
             m = y + 0.5j * (omega - x @ omega @ x.T)
-        scale = np.abs(m).max()
-        finite = np.isfinite(scale)
+        rounding = _eigvalsh_rounding(m)
+        finite = np.isfinite(rounding)
         defect = float(np.linalg.eigvalsh(m).min()) if finite else -math.inf
-        # CP is M = Y + (i/2)(Omega - X Omega X^T) >= 0, less eigvalsh's rounding, within p(d) eps ||M||_2
-        # <= p(d) d eps max|M| (LAPACK Users' Guide, sec. 4.7): 32 allows p(d) <= 8 at d <= 4.
-        if not finite or defect < -max(1e-9, 32 * np.finfo(float).eps * scale):
+        # CP is M = Y + (i/2)(Omega - X Omega X^T) >= 0, less eigvalsh's rounding.
+        if not finite or defect < -max(1e-9, rounding):
             raise UnphysicalChannelError(
                 f"channel violates complete positivity (defect {defect:.3e}): {self.description!r}"
             )

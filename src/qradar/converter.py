@@ -5,8 +5,9 @@ Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
 DC equations to the radiation-pressure bistability cubics, whose real roots
 this module supplies, and hands the terms of its four DC equations to the
 operating point's residual gate; this module also gates the steady state, at
-one temperature or, through one Lyapunov basis per bath, at every temperature
-of a threshold or temperature grid (:func:`qradar.sweeps.run_grid` the rest).
+one temperature or, through one Lyapunov basis per bath whose physicality is
+decided once, at every temperature of a threshold or temperature grid
+(:func:`qradar.sweeps.run_grid` the rest).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .gaussian import GaussianState, _require_physical, _symmetric_part
+from .errors import ConvergenceError, StiffnessError
+from .gaussian import GaussianState, _eigvalsh_rounding, _require_physical, _symmetric_part
 from .langevin import LinearLangevinModel, _require_stable, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
@@ -150,10 +151,27 @@ def _thermal_steady_state(
     solve on one Schur form of the drift, each held to the residual rule) are
     settled once; each D_b is solved scaled by a power of two to a largest
     entry in [1/2, 1), which is exact and keeps 1e-9 ||D_b|| from underflowing
-    for a subnormal damping.  A stack of temperatures is then held, as
-    :func:`steady_state` holds a solve, symmetrised, to the residual rule
-    against D(T) and to the physical rule, naming the first temperature that
-    fails either.  A pair sliced from it needs no check of its own.
+    for a subnormal damping.
+
+    Physicality too is settled once.  The exact V_b, the integral of e^{At}
+    D_b e^{A^T t} over t >= 0, is positive semidefinite, so a V_b with an
+    eigenvalue below eigvalsh's rounding
+    (:func:`~qradar.gaussian._eigvalsh_rounding`) is an inaccurate solve, a
+    :class:`StiffnessError` naming its bath.  V(0), formed as any V(T) is, is
+    held to the physical rule ("temperature 0.0 K: ...").  Then V(T) - V(0) =
+    sum_b (w_b - 1) V_b >= 0, with w_b = 2 N_b(T) + 1 >= 1, makes every V(T)
+    pass, up to the V_b's rounding allowance and the weighted sum's own
+    rounding: together within about 100 eps max|V(T)| (a positive semidefinite
+    matrix's largest entry is on its diagonal, where the w_b V_b add), the
+    order of the Cholesky's own backward error, so V(T) is decided at the
+    rule's own resolution, about eps max|V|^2
+    (:func:`~qradar.gaussian._require_physical`).  The residual rule is not
+    settled once: the V_b's residuals add up within 1e-9 ||D(T)|| only if each
+    is within 1e-9 ||D_b|| over the number of baths, a gate that some points
+    passing at every temperature fail.  So a stack of temperatures is one
+    weighted sum, symmetrised, held to the residual rule against D(T), naming
+    the first temperature that fails.  A pair sliced from it needs no check of
+    its own.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
@@ -164,6 +182,15 @@ def _thermal_steady_state(
     d_unit = np.ldexp(d_basis, -exponents)
     v_unit, caught = _solve_lyapunov(drift, d_unit)
     _check_residual(drift, d_unit, v_unit, caught, lambda b: "")  # a failing V_b fails the model
+    lowest = np.linalg.eigvalsh(v_unit)[:, 0]
+    inaccurate = lowest < -_eigvalsh_rounding(v_unit)
+    if inaccurate.any():
+        b = int(np.argmax(inaccurate))
+        raise StiffnessError(
+            f"bath {b} ({baths[b][3]}, omega {baths[b][0]!r} rad/s): Lyapunov basis covariance V_b "
+            f"has eigenvalue {lowest[b] / np.abs(v_unit[b]).max():.3e} max|V_b|, below its rounding "
+            "(inaccurate solve)"
+        )
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = np.ldexp(v_unit, exponents).reshape(len(baths), -1)
 
@@ -172,9 +199,8 @@ def _thermal_steady_state(
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
             covs = _symmetric_part((weights @ v_basis).reshape(-1, *cold.shape))
             diffusions = (weights @ d_basis).reshape(covs.shape)
-        name = _at_temperatures(temperatures)
-        _check_residual(drift, diffusions, covs, (), name)
-        _require_physical(covs, name)
+        _check_residual(drift, diffusions, covs, (), _at_temperatures(temperatures))
         return covs
 
+    _require_physical(at([0.0]), _at_temperatures([0.0]))
     return at

@@ -224,7 +224,8 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     rounding on a temperature grid, which weighs one Lyapunov basis and so is
     stable at every point or at none); other axes take one stacked
     :func:`~qradar.sweeps.run_grid` step.  Each steady state is checked
-    once, there; its pairs are scored unchecked, one stack each.
+    once, there (a temperature grid's through its basis's 0 K state); its
+    pairs are scored unchecked, one stack each.
     """
     grid = _grid_values(EomParams, _axis_field(axis), grid)
     if sorted(grid) != grid:
@@ -256,12 +257,13 @@ def threshold_temperature(
 ) -> float | None:
     """Temperature where lambda_SPH for ``pair`` crosses zero, to ``resolution``/2.
 
-    The operating point and the Lyapunov basis are solved once; each
-    evaluation forms the gated steady state at its temperature and scores
-    lambda_SPH on the pair sliced from it, which meets the physical rule as
-    the state does, with no state or blocks built.  Returns None when the pair
-    is already separable at zero temperature; the bracket starts at
-    [0, 8] K and expands as :func:`~qradar.sweeps.bisect_threshold` does.
+    The operating point and the Lyapunov basis, which decides physicality
+    for every temperature, are solved once; each evaluation forms the steady
+    state at its temperature, held to the residual rule only, and scores
+    lambda_SPH on the pair sliced from it, with no state or blocks built.
+    Returns None when the pair is already separable at zero temperature; the
+    bracket starts at [0, 8] K and expands as
+    :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")

@@ -106,7 +106,8 @@ class StiffnessError(QradarError):
     """A covariance was not computed accurately: a Lyapunov solution misses
     A V + V A^T + D = 0 by more than 1e-9 ||D||_inf (steady states, at one
     temperature or across the temperatures of a threshold search or a
-    temperature grid)."""
+    temperature grid), or a temperature basis covariance V_b, positive
+    semidefinite in exact arithmetic, has an eigenvalue below its rounding."""
 
 
 class ConvergenceError(QradarError):

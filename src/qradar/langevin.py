@@ -14,6 +14,8 @@ is bit-identical to it wherever ``dtrsyl`` does not scale the solution down
 (:func:`_schur_solve`).  That wrapper's own overhead (a second ``gees`` call
 per solve to size the workspace, finiteness checks of validated inputs, n-d
 batching) costs about three times the two LAPACK calls on a 6x6 model.
+scipy's LAPACK module is imported on the first solve, so a run that solves
+none, such as a channel or receiver scenario, loads no scipy.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
 a lone cavity block gets D = kappa (2 N + 1) I and relaxes to variance
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
 from .gaussian import _asymmetric, _member, _symmetric_part
@@ -194,6 +195,8 @@ def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray):
 def _gees_lwork(n: int) -> int:
     """The optimal ``dgees`` workspace for an n x n matrix (one LAPACK query;
     it depends on n only)."""
+    from scipy.linalg import lapack  # loaded on first use: only a Lyapunov solve needs it
+
     return int(lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
@@ -205,6 +208,8 @@ def _bartels_stewart(drift: np.ndarray, diffusions: np.ndarray) -> np.ndarray:
     """scipy.linalg's Lyapunov solution for (drift, -D), step for step, for a
     (d, d) diffusion D or each member of an (n, d, d) stack, with one real
     Schur factorization A = U T U^T of the drift."""
+    from scipy.linalg import lapack
+
     t, _, _, _, u, _, info = lapack.dgees(_no_sort, drift, lwork=_gees_lwork(len(drift)))
     if info > 0:  # a NaN solution, which the residual gate rejects, quoting this warning
         warnings.warn(f"no real Schur form of the drift (LAPACK dgees info {info})", RuntimeWarning)
@@ -219,6 +224,8 @@ def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     does when it had to perturb T.  ``dtrsyl`` scales Y down only where it
     would overflow: that solution is a NaN, which the residual gate rejects,
     quoting the warning."""
+    from scipy.linalg import lapack
+
     y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
     if info == 1:
         warnings.warn(

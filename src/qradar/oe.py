@@ -254,11 +254,12 @@ def end_to_end_vs_temperature(
     pair at each temperature, both from one steady state.
 
     The grid values are held once to temperature's rule.  The steady states
-    are one gated stack from one Lyapunov basis
+    are one stack, held to the residual rule, from one Lyapunov basis that
+    decides physicality for every temperature
     (:func:`~qradar.converter._thermal_steady_state`), and raise where the
     converter has none, as its thresholds do.  The round-trip channel is
     built once.  Both stacks are scored unchecked: the direct pairs are
-    slices of checked states, and the returned pairs X V X^T + Y are their
+    slices of physical states, and the returned pairs X V X^T + Y are their
     images under a completely positive channel, symmetrised.  An error names
     its temperature.
     """
@@ -280,13 +281,14 @@ def threshold_temperature(
     With a channel/target pair the threshold of the backscattered mode c_b is
     located instead; giving only one of the two is a :class:`ValidationError`.
     The operating point, the Lyapunov basis and the round-trip channel are
-    built once (a channel is completely positive from when it is made); each
-    evaluation forms the gated steady state at its temperature and scores
-    2eta only, with no state or blocks built: on the (OC, MC) pair sliced
-    from it, which meets the physical rule as the state does, or on the
-    returned pair, its symmetrised image under the channel, as
-    :func:`end_to_end_vs_temperature` scores it.  The bracket starts at
-    [1e-4, 8] K and expands as :func:`~qradar.sweeps.bisect_threshold` does.
+    built once (the basis decides physicality for every temperature, and a
+    channel is completely positive from when it is made); each evaluation
+    forms the steady state at its temperature, held to the residual rule
+    only, and scores 2eta only, with no state or blocks built: on the
+    (OC, MC) pair sliced from it, or on the returned pair, its symmetrised
+    image under the channel, as :func:`end_to_end_vs_temperature` scores it.
+    The bracket starts at [1e-4, 8] K and expands as
+    :func:`~qradar.sweeps.bisect_threshold` does.
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")

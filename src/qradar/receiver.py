@@ -200,11 +200,17 @@ class RocCurve:
 
 
 def roc_curve(h0_samples, h1_samples) -> RocCurve:
-    """Threshold sweep over the pooled sample range; larger statistic => H1."""
-    h0 = np.sort(np.asarray(h0_samples, dtype=float))
-    h1 = np.sort(np.asarray(h1_samples, dtype=float))
+    """Threshold sweep over the pooled sample range; larger statistic => H1.
+    Each sample set must be non-empty and finite."""
+    try:
+        h0 = np.sort(np.asarray(h0_samples, dtype=float))
+        h1 = np.sort(np.asarray(h1_samples, dtype=float))
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError("hypothesis samples must be finite") from None
     if h0.size == 0 or h1.size == 0:
         raise ValidationError("both hypothesis sample sets must be non-empty")
+    if not (np.isfinite(h0).all() and np.isfinite(h1).all()):
+        raise ValidationError("hypothesis samples must be finite")
     thresholds = np.unique(np.concatenate([h0, h1]))
     # P(stat >= t) via right-side ranks of the sorted samples.
     pfa = 1.0 - np.searchsorted(h0, thresholds, side="left") / h0.size

@@ -42,6 +42,11 @@ def vacuum_sample(n_samples):
     return gaussian.sample(gaussian.vacuum_state(), n_samples, seed=0)
 
 
+def one_sample_auc(h0, h1):
+    """The AUC of one sample per hypothesis: a curve's thresholds hold +-inf by design."""
+    return receiver.roc_curve([h0], [h1]).auc
+
+
 # Each entry point with reference keyword arguments, all of which it accepts.
 REFERENCE = [
     (channels.attenuation_channel, {"kappa_atm": 1e-3, "distance": 1e3, "n_env": 1.0}),
@@ -57,6 +62,7 @@ REFERENCE = [
     (undriven_jpa_gain, {"e_j": _E_J, "capacitance": _C, "kappa": 2.0e7, "omega_p": _OMEGA0}),
     (receiver.tmsv_cm, {"r": 0.5}),
     (receiver.low_signal_channels, {"n_background": 1.0, "transmissivity": 0.5}),
+    (one_sample_auc, {"h0": 0.0, "h1": 1.0}),
     (oe.gwp_from_mu_c, {"mu_c": 2e-4}),
     (langevin.thermal_occupation, {"omega": 3.14e10, "temperature": 0.1}),
 ]

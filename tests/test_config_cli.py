@@ -162,10 +162,10 @@ class TestParsing:
         assert cfg.parameters["distance_m"] == 20.0
 
 
-def _optimize_and_integrate_loaded_after(code: str, **env) -> str:
-    """Which of scipy.optimize and scipy.integrate a fresh interpreter has
-    loaded after running ``code``."""
-    code += "; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+def _loaded_after(code: str, modules=("scipy.optimize", "scipy.integrate"), **env) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``code``."""
+    code += f"; print([m for m in {modules!r} if m in sys.modules])"
     src = str(Path(qradar.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": src}
     done = subprocess.run(
@@ -178,12 +178,12 @@ class TestCliCommands:
     def test_import_leaves_optimize_and_integrate_unloaded(self):
         # No qradar module uses scipy.integrate; thresholds import
         # scipy.optimize on first use.
-        assert _optimize_and_integrate_loaded_after("import sys, qradar.cli") == "[]"
+        assert _loaded_after("import sys, qradar.cli") == "[]"
 
     def test_channels_import_leaves_converter_unloaded(self):
         # The record rules live in qradar.errors, below every model.
         code = "import sys, qradar.channels; assert 'qradar.converter' not in sys.modules"
-        assert _optimize_and_integrate_loaded_after(code) == "[]"
+        assert _loaded_after(code) == "[]"
 
     def test_channel_preset_leaves_optimize_and_integrate_unloaded(self, tmp_path):
         code = (
@@ -192,8 +192,19 @@ class TestCliCommands:
             "from qradar.presets import SCENARIO_PRESETS; "
             "assert run_scenario(validate_config(SCENARIO_PRESETS['channel_neff_line']))[0] == 0"
         )
-        loaded = _optimize_and_integrate_loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path))
+        loaded = _loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path))
         assert loaded == "[]"
+        assert (tmp_path / "channel_neff.csv").exists()
+
+    def test_channel_preset_loads_no_scipy(self, tmp_path):
+        # Constants are literals and langevin imports LAPACK on its first
+        # solve, so a run that solves no Lyapunov equation loads no scipy.
+        code = (
+            "import sys, qradar.cli; from qradar.config import validate_config; "
+            "from qradar.presets import SCENARIO_PRESETS; "
+            "assert qradar.cli.run_scenario(validate_config(SCENARIO_PRESETS['channel_neff_line']))[0] == 0"
+        )
+        assert _loaded_after(code, ("scipy",), QRADAR_OUTPUT_DIR=str(tmp_path)) == "[]"
         assert (tmp_path / "channel_neff.csv").exists()
 
     def test_presets_list(self, capsys):
@@ -491,7 +502,8 @@ class TestOeEndToEndFailures:
     def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         # Undamped baths inject no noise: the steady state is V = 0, which is
-        # not positive definite.
+        # not positive definite; the basis's 0 K state is refused before any
+        # grid temperature is formed.
         real = oe._baths
         monkeypatch.setattr(
             oe, "_baths", lambda p: [(omega, 0.0, t, kind) for omega, _, t, kind in real(p)]
@@ -500,7 +512,7 @@ class TestOeEndToEndFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "PhysicalityError: temperature 0.01 K: state invariant violated: "
+            "PhysicalityError: temperature 0.0 K: state invariant violated: "
             "cov is not positive definite"
         )
 

@@ -147,11 +147,13 @@ def _count_inits(monkeypatch, cls) -> list:
 
 def _count_cp_checks(monkeypatch) -> list:
     """Collects the matrix of every complete-positivity check from now on: a
-    channel is checked by one np.linalg.eigvalsh as it is made, and no other
-    step of a converter threshold or grid calls it."""
+    channel is checked by one np.linalg.eigvalsh of its complex M as it is
+    made.  The temperature basis's real V_b check is not counted."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda m: np.iscomplexobj(m) and calls.append(m) or eigvalsh(m)
+    )
     return calls
 
 
@@ -183,19 +185,20 @@ def _count_choleskies(monkeypatch) -> list:
 
 class TestEachStateCheckedOnce:
     """A converter steady state is held to the physical rule once, with its
-    grid or temperature stack; the mode pairs sliced from it are scored with
-    no second check.  Only the backscattered pair, which is no slice of a
-    checked state, is factored again."""
+    grid stack, or, on a temperature stack, through the one factorisation of
+    its basis's 0 K state; the mode pairs sliced from it, and the
+    backscattered pairs, images under a CP channel, are scored with no
+    second check."""
 
-    @pytest.mark.parametrize("axis, grid", [
-        ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
-        ("temperature", np.linspace(1e-3, 0.351, 32)),
+    @pytest.mark.parametrize("axis, grid, factored", [
+        ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32), [(32, 6, 6)]),
+        ("temperature", np.linspace(1e-3, 0.351, 32), [(1, 6, 6)]),  # the basis's 0 K state
     ])
-    def test_eom_sweep(self, axis, grid, monkeypatch):
+    def test_eom_sweep(self, axis, grid, factored, monkeypatch):
         calls = _count_choleskies(monkeypatch)
         points = eom.sweep(eom_reference(), axis, grid)
         assert any(point.stable for point in points)
-        assert calls == [(32, 6, 6)]
+        assert calls == factored
 
     def test_oe_detuning_sweep(self, monkeypatch):
         calls = _count_choleskies(monkeypatch)
@@ -207,7 +210,7 @@ class TestEachStateCheckedOnce:
         atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
         calls = _count_choleskies(monkeypatch)
         oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, np.linspace(0.01, 0.33, 9))
-        assert calls == [(9, 6, 6)]  # the returned pairs, images under a CP channel, are not checked
+        assert calls == [(1, 6, 6)]  # the basis's 0 K state, and no grid point
 
     @pytest.mark.parametrize("axis, grid", [
         ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
@@ -229,7 +232,7 @@ class TestEachStateCheckedOnce:
         (crossing,) = captured
         calls = _count_choleskies(monkeypatch)
         crossing(0.1)
-        assert calls == [(1, 6, 6)]  # a returned pair, an image under a CP channel, is not checked
+        assert calls == []  # the basis decided physicality for every temperature
 
 
 class TestThresholdSolvesOnce:
@@ -286,14 +289,16 @@ class TestThresholdSolvesOnce:
             assert crossing(float(temperature)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
-    def test_step_holds_the_state_to_the_one_rule(self, model, params, kwargs, monkeypatch):
-        # Damping that outruns its baths' noise leaves V = (1/2 - 1e-7) I at
-        # the bracket's cold end: the step's steady state fails the one
-        # physical rule (1/2 - 1e-9), so no pair sliced from it is scored.
+    def test_basis_holds_the_cold_state_to_the_one_rule(self, model, params, kwargs, monkeypatch):
+        # Damping that outruns its baths' noise leaves V(0) = (1/2 - 1e-7) I:
+        # it fails the one physical rule (1/2 - 1e-9) when the basis is
+        # built, so no step is taken.
         baths = [(1e10, 1.0 - 2e-7, 0.0, "cavity")] * 3
-        cov_at = _thermal_steady_state(-np.eye(6), baths)
-        monkeypatch.setattr(model, "_thermal_steady_state", lambda *_: cov_at)
-        with pytest.raises(PhysicalityError, match=r"^temperature .* K: .*eigenvalue 1.000e-07 below"):
+        monkeypatch.setattr(
+            model, "_thermal_steady_state", lambda *_: _thermal_steady_state(-np.eye(6), baths)
+        )
+        monkeypatch.setattr(model, "bisect_threshold", lambda *_, **__: pytest.fail("a step was taken"))
+        with pytest.raises(PhysicalityError, match=r"^temperature 0.0 K: .*eigenvalue 1.000e-07 below"):
             model.threshold_temperature(params, **kwargs)
 
     @pytest.mark.parametrize(
@@ -376,15 +381,52 @@ def _cov_at(model, params):
         return None
 
 
+def _basis_with_solve_error(error, monkeypatch):
+    """The basis of three unit-damped cold cavities under A = -I, with
+    ``error`` added to entry (0, 0) of the solved V_1.  Each V_b is D_b / 2
+    on its own mode (1/4 at unit scale) and exactly 0 elsewhere, so a
+    negative error is V_1's lowest eigenvalue; its residual, 2 |error|, is
+    within the residual rule's 1e-9 ||D_1|| = 5e-10.  V(0) = I / 2 is
+    physical."""
+    solve = converter._solve_lyapunov
+
+    def inaccurate(drift, diffusions):
+        v, caught = solve(drift, diffusions)
+        v[1, 0, 0] += error
+        return v, caught
+
+    monkeypatch.setattr(converter, "_solve_lyapunov", inaccurate)
+    return _thermal_steady_state(-np.eye(6), [(1e10, 1.0, 0.0, "cavity")] * 3)
+
+
 class TestTemperatureAffineSteadyState:
-    def test_each_temperature_is_held_to_the_physical_rule(self):
-        # Damping that outruns its baths' noise leaves V = 0.4995 I, below
-        # the vacuum bound by more than the physical rule's 1e-9.
+    def test_cold_state_is_held_to_the_physical_rule(self):
+        # Damping that outruns its baths' noise leaves V(0) = 0.4995 I, below
+        # the vacuum bound by more than the physical rule's 1e-9: the basis
+        # is refused when it is built.
         baths = [(1e10, 0.999, 0.0, "cavity")] * 3
         model = LinearLangevinModel(-np.eye(6), diffusion_from_baths(baths))
-        cov_at = _thermal_steady_state(model.drift, baths)
         with pytest.raises(PhysicalityError, match="^temperature 0.0 K: .*eigenvalue 5.000e-04 below"):
-            cov_at([0.0])
+            _thermal_steady_state(model.drift, baths)
+
+    def test_inaccurate_basis_covariance_names_its_bath(self, monkeypatch):
+        # -1e-12 is below eigvalsh's rounding, 32 eps max|V_1| = 1.8e-15.
+        with pytest.raises(StiffnessError, match=r"^bath 1 \(cavity, omega 10000000000.0 rad/s\): "
+                                                  r"Lyapunov basis covariance V_b has eigenvalue -4.000e-12 "):
+            _basis_with_solve_error(-1e-12, monkeypatch)
+
+    def test_basis_covariance_within_rounding_passes(self, monkeypatch):
+        cov_at = _basis_with_solve_error(-(2.0**-53), monkeypatch)
+        assert cov_at([0.0])[0] == pytest.approx(0.5 * np.eye(6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_points, _temperatures)
+    def test_every_temperature_passes_the_physical_rule(self, point, temperature):
+        # The oracle for the check the basis no longer makes per step: a
+        # basis that was built, so whose V(0) passed, gives a physical V(T).
+        cov_at = _cov_at(*point)
+        if cov_at is not None:
+            gaussian._require_physical(cov_at([temperature]))
 
     @settings(max_examples=100, deadline=None)
     @given(_models, _factors, _temperatures)

@@ -334,6 +334,20 @@ class TestRocCurve:
         with pytest.raises(ValidationError):
             roc_curve([], [1.0])
 
+    # Before, NaN and +-inf gave a finite AUC (0.5 and 1.0 for the first two,
+    # where the finite samples give 1.0), and an integer beyond float range
+    # leaked a bare OverflowError.
+    @pytest.mark.parametrize("h0, h1", [
+        ([math.nan, 0.1], [1.0, 2.0]),
+        ([1.0, 2.0], [math.nan]),
+        ([-math.inf, 0.0], [1.0]),
+        ([0.0], [math.inf]),
+        ([10**400, 0.0], [1.0]),
+    ])
+    def test_non_finite_samples_rejected(self, h0, h1):
+        with pytest.raises(ValidationError, match="^hypothesis samples must be finite$"):
+            roc_curve(h0, h1)
+
     @settings(max_examples=200, deadline=None)
     @given(
         h0=st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
