@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
 from .errors import _param, _require_valid, _valid
-from .gaussian import _asymmetric, _eigvalsh_rounding, _symmetric_part, symplectic_form
+from .gaussian import _eigvalsh_rounding, _square, _symmetrised, symplectic_form
 
 __all__ = [
     "GaussianChannel",
@@ -39,17 +39,8 @@ class GaussianChannel:
     description: str = ""
 
     def __post_init__(self):
-        x = np.atleast_2d(np.array(self.X, dtype=float))
-        y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if x.shape != y.shape or x.shape[0] != x.shape[1] or x.shape[0] % 2 or not x.size:
-            raise ValidationError(
-                f"channel matrices must be square 2N x 2N, N >= 1, equal shape; got {x.shape} and {y.shape}"
-            )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValidationError("channel matrices must be finite")
-        if _asymmetric(y):
-            raise ValidationError("channel noise matrix Y must be symmetric")
-        y = _symmetric_part(y)
+        x = _square(self.X, "channel matrix X")
+        y = _symmetrised(self.Y, "channel noise matrix Y", len(x))
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", x)

@@ -131,6 +131,11 @@ def _at_temperatures(temperatures: Sequence[float]) -> Callable[[int], str]:
     return lambda i: f"temperature {temperatures[i]!r} K: "
 
 
+def _at_baths(baths: Sequence[tuple]) -> Callable[[int], str]:
+    """Names member b of a stack over ``baths`` in an error by its bath's kind and frequency."""
+    return lambda b: f"bath {b} ({baths[b][3]}, omega {baths[b][0]!r} rad/s): "
+
+
 def _thermal_weights(baths: Sequence[tuple], grid: Sequence[float]) -> np.ndarray:
     """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
     return np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths] for t in grid])
@@ -148,10 +153,10 @@ def _thermal_steady_state(
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
-    solve on one Schur form of the drift, each held to the residual rule) are
-    settled once; each D_b is solved scaled by a power of two to a largest
-    entry in [1/2, 1), which is exact and keeps 1e-9 ||D_b|| from underflowing
-    for a subnormal damping.
+    solve on one Schur form of the drift, each held to the residual rule, a
+    :class:`StiffnessError` naming its bath) are settled once; each D_b is
+    solved scaled by a power of two to a largest entry in [1/2, 1), which is
+    exact and keeps 1e-9 ||D_b|| from underflowing for a subnormal damping.
 
     Physicality too is settled once.  The exact V_b, the integral of e^{At}
     D_b e^{A^T t} over t >= 0, is positive semidefinite, so a V_b with an
@@ -181,14 +186,15 @@ def _thermal_steady_state(
     exponents = np.frexp(np.abs(d_basis).max(axis=(1, 2)))[1][:, None, None]
     d_unit = np.ldexp(d_basis, -exponents)
     v_unit, caught = _solve_lyapunov(drift, d_unit)
-    _check_residual(drift, d_unit, v_unit, caught, lambda b: "")  # a failing V_b fails the model
+    bath = _at_baths(baths)
+    _check_residual(drift, d_unit, v_unit, caught, bath)  # a failing V_b fails the model
     lowest = np.linalg.eigvalsh(v_unit)[:, 0]
     inaccurate = lowest < -_eigvalsh_rounding(v_unit)
     if inaccurate.any():
         b = int(np.argmax(inaccurate))
         raise StiffnessError(
-            f"bath {b} ({baths[b][3]}, omega {baths[b][0]!r} rad/s): Lyapunov basis covariance V_b "
-            f"has eigenvalue {lowest[b] / np.abs(v_unit[b]).max():.3e} max|V_b|, below its rounding "
+            f"{bath(b)}Lyapunov basis covariance V_b has eigenvalue "
+            f"{lowest[b] / np.abs(v_unit[b]).max():.3e} max|V_b|, below its rounding "
             "(inaccurate solve)"
         )
     d_basis = d_basis.reshape(len(baths), -1)

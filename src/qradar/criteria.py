@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError, UndefinedQuantityError, ValidationError
-from .gaussian import GaussianState, _member, _symplectic_spectra, entropy_term
+from .errors import NumericalDegeneracyError, UndefinedQuantityError
+from .gaussian import GaussianState, _member, _square, _symplectic_spectra, entropy_term
 
 __all__ = [
     "BipartiteBlocks",
@@ -38,9 +38,9 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 class BipartiteBlocks:
     """2x2 blocks (A, B, C) of a two-mode covariance matrix [A, C; C^T, B].
 
-    The blocks are assembled once into ``state``, a validated zero-mean
-    :class:`GaussianState`; ``A``, ``B`` and ``C`` are read-only views of its
-    covariance.
+    The blocks are assembled once into ``state``, a zero-mean
+    :class:`GaussianState` whose covariance is held to the structural rule of
+    every state, and ``A``, ``B`` and ``C`` are read-only views of it.
     """
 
     A: np.ndarray
@@ -49,13 +49,12 @@ class BipartiteBlocks:
     state: GaussianState = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.B, dtype=float)
-        c = np.asarray(self.C, dtype=float)
-        for name, m in (("A", a), ("B", b), ("C", c)):
-            if m.shape != (2, 2):
-                raise ValidationError(f"block {name} must be 2x2, got {m.shape}")
-        state = GaussianState(2, np.zeros(4), np.block([[a, c], [c.T, b]]))
+        a, b, c = (_square(m, f"block {n}", 2) for n, m in zip("ABC", (self.A, self.B, self.C)))
+        self._hold(np.block([[a, c], [c.T, b]]))
+
+    def _hold(self, cov) -> None:
+        """Holds the zero-mean state of the 4x4 ``cov`` and its blocks as views."""
+        state = GaussianState(2, np.zeros(4), cov)
         state.cov.setflags(write=False)  # validated once, so it must not change
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "A", state.cov[:2, :2])
@@ -64,10 +63,12 @@ class BipartiteBlocks:
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> "BipartiteBlocks":
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (4, 4):
-            raise ValidationError(f"expected a 4x4 two-mode covariance, got {cov.shape}")
-        return cls(cov[:2, :2], cov[2:, 2:], cov[:2, 2:])
+        """The blocks of a 4x4 two-mode covariance, held whole, once, to the
+        structural rule of a state (its lower-left block must be C^T); made
+        without ``__init__``, which would check the blocks again."""
+        blocks = cls.__new__(cls)
+        blocks._hold(cov)
+        return blocks
 
     def validate_physical(self) -> "BipartiteBlocks":
         self.state.validate_physical()

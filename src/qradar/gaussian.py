@@ -4,14 +4,14 @@ Conventions, fixed globally for the whole toolkit:
     x = (a + a^dag)/sqrt(2),  p = -i(a - a^dag)/sqrt(2),  hbar = 1,
     vacuum variance 1/2, quadrature ordering (x1, p1, x2, p2, ...).
 
-Each covariance rule is written once here, over one (d, d) matrix or an
-(n, d, d) stack alike: the structural rule (finite, and symmetric within
-1e-10 of max(1, largest entry), a test the Langevin diffusion and the channel
-noise matrix share), the symmetric part (M + M^T)/2 that states, the
-diffusion, the channel noise and each Lyapunov solve are stored as, and the
-physical rule (V + i(1/2 - 1e-9)Omega positive definite, one tolerance for
-every state; one Cholesky over the stack).  The rounding allowance of
-``eigvalsh`` is written once too: a channel's complete-positivity matrix and
+One rule holds every matrix handed to the library: square 2N x 2N, N >= 1
+(or the one size its caller fixes), and finite (:func:`_square`); a
+covariance, diffusion or channel noise matrix is also symmetric within 1e-10
+of max(1, largest entry) and is stored as its symmetric part (M + M^T)/2, as
+each Lyapunov solve is (:func:`_symmetrised`).  The physical rule
+(V + i(1/2 - 1e-9)Omega positive definite, one tolerance for every state; one
+Cholesky over an (n, d, d) stack) is written once here too, and so is the
+rounding allowance of ``eigvalsh``: a channel's complete-positivity matrix and
 a converter's temperature basis covariances are positive semidefinite within
 it.
 """
@@ -68,16 +68,13 @@ class GaussianState:
         if self.n_modes < 1:
             raise ValidationError("n_modes must be a positive integer")
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
         dim = 2 * self.n_modes
         if mean.shape != (dim,):
             raise ValidationError(f"mean must have length {dim}, got {mean.shape}")
-        if cov.shape != (dim, dim):
-            raise ValidationError(f"cov must be {dim}x{dim}, got {cov.shape}")
         if not np.isfinite(mean).all():
             raise ValidationError("state invariant violated: mean must be finite")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _symmetrised(cov))
+        object.__setattr__(self, "cov", _symmetrised(self.cov, "state invariant violated: cov", dim))
 
     def validate_physical(self) -> "GaussianState":
         """The physical rule (:func:`_require_physical`)."""
@@ -85,11 +82,26 @@ class GaussianState:
         return self
 
 
-def _asymmetric(covs: np.ndarray) -> np.ndarray:
-    """Per member of a finite (..., d, d) array: asymmetric by more than 1e-10
-    of its largest entry (and of 1)."""
-    asymmetry = np.abs(covs - covs.mT).max(axis=(-2, -1))
-    return asymmetry > 1e-10 * np.abs(covs).max(axis=(-2, -1), initial=1.0)
+def _square(m, what: str, dim: int | None = None) -> np.ndarray:
+    """A new finite float array of the matrix ``m`` handed in as ``what``,
+    which must be square 2N x 2N with N >= 1, and dim x dim when ``dim`` is
+    given; else :class:`ValidationError`."""
+    out = np.array(m, dtype=float)
+    n = out.shape[0] if out.ndim == 2 else 0
+    if out.shape != (n, n) or n % 2 or not n or dim not in (None, n):
+        rule = "square 2N x 2N, N >= 1"
+        if dim is not None:
+            rule = f"{dim}x{dim} ({rule})"
+        raise ValidationError(f"{what} must be {rule}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{what} must be finite")
+    return out
+
+
+def _asymmetric(m: np.ndarray) -> bool:
+    """Whether a finite (d, d) matrix is asymmetric by more than 1e-10 of its
+    largest entry (and of 1)."""
+    return np.abs(m - m.T).max() > 1e-10 * np.abs(m).max(initial=1.0)
 
 
 def _member(covs: np.ndarray, i: int, name: Callable[[int], str] | None = None) -> str:
@@ -107,27 +119,18 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
     return half + half.mT
 
 
-def _symmetrised(covs: np.ndarray) -> np.ndarray:
-    """The structural rule on a (d, d) covariance or an (n, d, d) stack: each
-    must be finite and not :func:`_asymmetric`.  Returns it symmetrised.
-
-    Python's ``any`` over ``.flat`` reduces the per-member flags: on one
-    matrix they are numpy scalars, whose ``.any()`` costs more than the check
-    itself.
-    """
-    if not np.isfinite(covs).all():
-        i = int(np.argmin(np.isfinite(covs).all(axis=(-2, -1))))
-        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov must be finite")
-    asymmetric = _asymmetric(covs)
-    if any(asymmetric.flat):
-        i = int(np.argmax(asymmetric))
-        raise ValidationError(f"{_member(covs, i)}state invariant violated: cov is not symmetric")
-    return _symmetric_part(covs)
+def _symmetrised(m, what: str, dim: int | None = None) -> np.ndarray:
+    """The symmetric part of a :func:`_square` matrix handed in as ``what``
+    that is not :func:`_asymmetric`; else :class:`ValidationError`."""
+    out = _square(m, what, dim)
+    if _asymmetric(out):
+        raise ValidationError(f"{what} is not symmetric")
+    return _symmetric_part(out)
 
 
 def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None) -> None:
     """The physical rule on a finite symmetric (2N, 2N) covariance or
-    (n, 2N, 2N) stack (:func:`_symmetrised`, or a gated Lyapunov solve):
+    (n, 2N, 2N) stack (a state's, or a gated Lyapunov solve):
     each V + i(1/2 - 1e-9)Omega must be positive definite, one Cholesky over
     the stack.  By Williamson's theorem that is nu_min > 1/2 - 1e-9, and it
     implies V > 0; a mode pair of a passing state passes too (a principal
@@ -179,15 +182,11 @@ def symplectic_eigenvalues(state: GaussianState | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending, length N.
 
     The eigenvalues of Omega V come in +-(i nu) pairs; the magnitudes are
-    collected, sorted, and the pairing halved.  A bare covariance is checked
-    by wrapping it in a zero-mean :class:`GaussianState`.
+    collected, sorted, and the pairing halved.  A bare covariance is held to
+    the rule of a state's (:func:`_symmetrised`).
     """
-    if not isinstance(state, GaussianState):
-        cov = np.asarray(state, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
-            raise ValidationError(f"covariance must be square 2N x 2N, N >= 1, got {cov.shape}")
-        state = GaussianState(cov.shape[0] // 2, np.zeros(cov.shape[0]), cov)
-    return _symplectic_spectra(state.cov)
+    cov = state.cov if isinstance(state, GaussianState) else _symmetrised(state, "covariance")
+    return _symplectic_spectra(cov)
 
 
 def _symplectic_spectra(covs: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
-from .gaussian import _asymmetric, _member, _symmetric_part
+from .gaussian import _member, _square, _symmetric_part, _symmetrised
 
 __all__ = [
     "LinearLangevinModel",
@@ -106,23 +106,17 @@ def diffusion_from_baths(baths: Sequence[tuple]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearLangevinModel:
-    """Drift matrix and diffusion matrix of u' = A u + n(t)."""
+    """Drift matrix and diffusion matrix of u' = A u + n(t): the drift is
+    held to the rule of every matrix handed in (:func:`~qradar.gaussian._square`),
+    the diffusion to a covariance's, at the drift's size
+    (:func:`~qradar.gaussian._symmetrised`), and to be positive semidefinite."""
 
     drift: np.ndarray
     diffusion: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.drift, dtype=float)
-        d = np.asarray(self.diffusion, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-            raise ValidationError(f"drift must be square 2N x 2N, got {a.shape}")
-        if d.shape != a.shape:
-            raise ValidationError("diffusion shape must match drift")
-        if not (np.isfinite(a).all() and np.isfinite(d).all()):
-            raise ValidationError("drift and diffusion must be finite")
-        if _asymmetric(d):
-            raise ValidationError("diffusion must be symmetric")
-        d = _symmetric_part(d)
+        a = _square(self.drift, "drift")
+        d = _symmetrised(self.diffusion, "diffusion", len(a))
         if np.linalg.eigvalsh(d).min() < -1e-10 * max(1.0, abs(d).max()):
             raise ValidationError("diffusion must be positive semidefinite")
         object.__setattr__(self, "drift", a)

@@ -86,9 +86,11 @@ def identity_channel(n_modes: int = 1) -> GaussianChannel:
 
 def two_eta_values(covs) -> np.ndarray:
     """2eta of each member of an (n, 4, 4) stack of unchecked covariances,
-    the stack held once to the structural and physical rules, as a
-    :class:`~qradar.criteria.BipartiteBlocks` is: errors name the member."""
-    covs = _symmetrised(np.asarray(covs, dtype=float))
+    each member held to the structural rule and the stack once to the
+    physical rule, as a :class:`~qradar.criteria.BipartiteBlocks` is: errors
+    name the member."""
+    checked = [_symmetrised(cov, f"stack member {i}: cov", 4) for i, cov in enumerate(covs)]
+    covs = np.array(checked).reshape(-1, 4, 4)
     _require_physical(covs)
     return 2.0 * _pt_nu_min(covs)
 

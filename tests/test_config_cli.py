@@ -516,6 +516,19 @@ class TestOeEndToEndFailures:
             "cov is not positive definite"
         )
 
+    def test_inaccurate_basis_solve_names_its_bath(self, tmp_path, monkeypatch):
+        # A photodetector damping of 1e12 rad/s leaves the optical bath's
+        # Lyapunov basis covariance outside the residual rule; the reason
+        # named no bath before.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(self._config(tmp_path, {"gamma_p_rad_s": 1e12}))]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["reason"] == (
+            "StiffnessError: bath 1 (cavity, omega 2332000000000000.0 rad/s): Lyapunov residual "
+            "1.804e-07 is not within 1e-9 * ||D||_inf (severely ill-conditioned drift)"
+        )
+
     def test_one_operating_point_per_grid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         monkeypatch.setattr(oe, "threshold_temperature", lambda *args, **kwargs: None)

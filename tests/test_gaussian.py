@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel
+from qradar.criteria import BipartiteBlocks
 from qradar.errors import (
     DegenerateStateError,
     PhysicalityError,
@@ -18,7 +19,6 @@ from qradar.errors import (
 from qradar.gaussian import (
     GaussianState,
     _require_physical,
-    _symmetrised,
     apply_channel,
     entropy_term,
     sample,
@@ -57,11 +57,6 @@ class TestSymplecticEigenvalues:
                 symplectic_eigenvalues(state), rel=1e-9, abs=1e-11
             )
 
-    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (4,)])
-    def test_rejects_malformed_covariance(self, shape):
-        with pytest.raises(ValidationError, match="square 2N x 2N"):
-            symplectic_eigenvalues(np.zeros(shape))
-
     def test_rejects_asymmetric(self):
         cov = np.eye(2)
         cov[0, 1] = 1e-3
@@ -93,7 +88,52 @@ SYMMETRIC_4X4_BOUNDARIES = {
     "GaussianState": lambda m: GaussianState(2, np.zeros(4), m),
     "LinearLangevinModel.diffusion": lambda m: LinearLangevinModel(-np.eye(4), m),
     "GaussianChannel.Y": lambda m: GaussianChannel(np.eye(4), m),
+    "BipartiteBlocks.from_covariance": BipartiteBlocks.from_covariance,
 }
+
+# Every entry point that takes a matrix: (call on the matrix, the size it
+# fixes or None, whether the matrix must be symmetric).  A drift or an X sets
+# the size of its partner, which is given that size.
+MATRIX_ENTRY_POINTS = {
+    "GaussianState": (lambda m: GaussianState(2, np.zeros(4), m), 4, True),
+    "LinearLangevinModel.drift": (lambda m: LinearLangevinModel(m, np.eye(len(m))), None, False),
+    "LinearLangevinModel.diffusion": (lambda m: LinearLangevinModel(-np.eye(4), m), 4, True),
+    "GaussianChannel.X": (lambda m: GaussianChannel(m, np.eye(len(m))), None, False),
+    "GaussianChannel.Y": (lambda m: GaussianChannel(np.eye(4), m), 4, True),
+    "BipartiteBlocks.A": (lambda m: BipartiteBlocks(m, np.eye(2), np.zeros((2, 2))), 2, True),
+    "BipartiteBlocks.C": (lambda m: BipartiteBlocks(np.eye(2), np.eye(2), m), 2, False),
+    "BipartiteBlocks.from_covariance": (BipartiteBlocks.from_covariance, 4, True),
+    "symplectic_eigenvalues": (symplectic_eigenvalues, None, True),
+}
+
+
+def _with_entry(dim: int, index: tuple[int, int], value: float) -> np.ndarray:
+    m = np.eye(dim)
+    m[index] += value
+    return m
+
+
+# Malformed matrices, each made for the size an entry point fixes (4 if
+# none), and the rule text it fails.  The asymmetric entry is in the top-right
+# corner, in block C of a 4x4 two-mode covariance.
+MALFORMED_MATRICES = {
+    "0x0": (lambda dim: np.zeros((0, 0)), "square 2N x 2N, N >= 1"),
+    "3x3": (lambda dim: np.eye(3), "square 2N x 2N, N >= 1"),
+    "2x4": (lambda dim: np.zeros((2, 4)), "square 2N x 2N, N >= 1"),
+    "vector": (lambda dim: np.zeros(4), "square 2N x 2N, N >= 1"),
+    "wrong size": (lambda dim: np.eye(dim + 2), "square 2N x 2N, N >= 1"),
+    "NaN": (lambda dim: _with_entry(dim, (1, 1), math.nan), "must be finite"),
+    "inf": (lambda dim: _with_entry(dim, (0, 0), math.inf), "must be finite"),
+    "asymmetric": (lambda dim: _with_entry(dim, (0, dim - 1), 1e-3), "not symmetric"),
+}
+
+
+def _malformed_cases():
+    for entry, (_, dim, symmetric) in MATRIX_ENTRY_POINTS.items():
+        for case in MALFORMED_MATRICES:
+            if (case == "wrong size" and dim is None) or (case == "asymmetric" and not symmetric):
+                continue
+            yield pytest.param(entry, case, id=f"{entry}-{case}")
 
 
 @st.composite
@@ -110,6 +150,15 @@ def symmetric_matrices(draw):
 
 
 class TestCovarianceRules:
+    @pytest.mark.parametrize("entry, case", _malformed_cases())
+    def test_every_matrix_entry_point_rejects_a_malformed_matrix(self, entry, case):
+        # One rule at every entry: a 0x0 drift raised a bare ValueError, and
+        # from_covariance dropped the lower-left block, so its asymmetry passed.
+        call, dim, _ = MATRIX_ENTRY_POINTS[entry]
+        make, rule = MALFORMED_MATRICES[case]
+        with pytest.raises(ValidationError, match=rule):
+            call(make(dim or 4))
+
     @pytest.mark.parametrize("scale", [0.75, 1e3])
     @pytest.mark.parametrize("boundary", list(SYMMETRIC_4X4_BOUNDARIES))
     def test_one_symmetry_tolerance_at_every_boundary(self, boundary, scale):
@@ -147,12 +196,12 @@ class TestPhysicalRule:
         stack = np.array([np.eye(2), cov, np.eye(2)])
         if offset > 0:
             state.validate_physical()
-            _require_physical(_symmetrised(stack))
+            _require_physical(stack)
             return
         with pytest.raises(PhysicalityError, match=r"^state invariant violated: .*not PSD"):
             state.validate_physical()
         with pytest.raises(PhysicalityError, match=r"^stack member 1: state invariant .*not PSD"):
-            _require_physical(_symmetrised(stack))
+            _require_physical(stack)
 
     def test_a_passing_stack_is_one_cholesky_and_no_eigensolve(self, rng, monkeypatch):
         stack = np.array([random_physical_two_mode(rng).cov for _ in range(32)])
@@ -351,12 +400,6 @@ class TestApplyChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="modes"):
             apply_channel(vacuum_state(2), attenuation_channel(0.1, 1.0))
-
-    @pytest.mark.parametrize("x_shape, y_shape", [((0, 0), (0, 0)), ((3, 3), (3, 3)), ((2, 2), (4, 4))])
-    def test_malformed_channel_rejected(self, x_shape, y_shape):
-        # 0 x 0 matrices raised a bare ValueError from the symmetry test before.
-        with pytest.raises(ValidationError, match="square 2N x 2N, N >= 1"):
-            GaussianChannel(np.zeros(x_shape), np.zeros(y_shape))
 
     def test_unphysical_channel_rejected(self):
         # Pure loss with no added noise cannot be completely positive: it is

@@ -6,8 +6,10 @@ kernel against lives in the tests).  And no function holds an argument to a
 sign by hand: errors._valid is the one argument rule; nor factors a matrix by
 Cholesky outside gaussian's np.linalg.cholesky; nor writes the symmetric part
 (M + M^T)/2 outside gaussian, or a channel action X V X^T + Y outside
-channels; nor raises UnphysicalChannelError outside channels, where a channel
-is made; nor imports scipy.constants."""
+channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
+writes its shape rule ("2N x 2N") outside gaussian; nor raises
+UnphysicalChannelError outside channels, where a channel is made; nor imports
+scipy.constants."""
 
 import ast
 import math
@@ -248,6 +250,43 @@ def test_one_copy_of_each_covariance_rule():
         if module != _RULE_HOME[rule]
     ]
     assert not found, f"covariance rules written outside their module: {', '.join(found)}"
+
+
+def _matrix_rule_copies(tree: ast.AST) -> list[tuple[str, int]]:
+    """(rule, line) of each call of the symmetry test ``_asymmetric`` and each
+    string that writes the shape rule "2N x 2N" in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _uses(node.func)["_asymmetric"]:
+            found.append(("symmetry test", node.lineno))
+        elif isinstance(node, ast.Constant) and "2N x 2N" in str(node.value):
+            found.append(("shape rule", node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("source, rule", [
+    ("if _asymmetric(d): pass", "symmetry test"),
+    ("gaussian._asymmetric(y)", "symmetry test"),
+    ('f"drift must be square 2N x 2N, got {a.shape}"', "shape rule"),
+    ('raise ValidationError("channel matrices must be square 2N x 2N")', "shape rule"),
+])
+def test_matrix_rule_copies_are_seen(source, rule):
+    assert [r for r, _ in _matrix_rule_copies(ast.parse(source))] == [rule]
+
+
+def test_one_matrix_boundary():
+    # gaussian._square and gaussian._symmetrised hold every matrix handed to
+    # the library to one shape, finiteness and symmetry rule; a second copy
+    # drifted from it (a 0x0 drift raised a bare ValueError, and a two-mode
+    # covariance's lower-left block went unchecked).
+    found = [
+        f"{module}:{line} {rule}"
+        for module, tree in _modules().items()
+        for rule, line in _matrix_rule_copies(tree)
+        if module != "gaussian"
+    ]
+    assert _matrix_rule_copies(_modules()["gaussian"]), "no matrix rule seen in gaussian"
+    assert not found, f"matrix rules written outside gaussian: {', '.join(found)}"
 
 
 def _raises_of(name: str) -> list[str]:

@@ -126,7 +126,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_point_named(self, which, value):
         # A non-finite drift or diffusion fails the one finiteness check over
-        # the stack, naming its grid point, as the model constructor rejects it.
+        # the stack, naming its grid point, as the model constructor rejects
+        # the matrix itself.
         def build(v):
             arrays = list(damped_arrays(v))
             if v == 0.25:
@@ -137,7 +138,7 @@ class TestRunGrid:
         named = r"^grid point 2 \(0\.25\): drift and diffusion must be finite$"
         with pytest.raises(ValidationError, match=named):
             run_grid(build, [0.0, 0.5, 0.25, 1.0])
-        with pytest.raises(ValidationError, match="^drift and diffusion must be finite$"):
+        with pytest.raises(ValidationError, match=f"^{('drift', 'diffusion')[which]} must be finite$"):
             model(build(0.25))
 
     def test_physicality_error_names_the_grid_point(self):
