@@ -9,6 +9,7 @@ a larger register, and ``then`` composes channels left to right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ class GaussianChannel:
         y.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
+        object.__setattr__(self, "_embeddings", {})  # expand's memo; no field, so out of repr
         omega = symplectic_form(self.n_modes)
         with np.errstate(over="ignore", invalid="ignore"):  # X Omega X^T beyond float range fails below
             m = y + 0.5j * (omega - x @ omega @ x.T)
@@ -76,17 +78,30 @@ class GaussianChannel:
         return GaussianChannel(other.X @ self.X, other.act(self.Y), desc)
 
     def expand(self, mode: int, n_modes: int) -> "GaussianChannel":
-        """Embed a single-mode channel on ``mode`` of an ``n_modes`` register."""
+        """Embed a single-mode channel on ``mode`` of an ``n_modes`` register.
+
+        The channel is frozen and its X and Y are read-only, so each embedding
+        is built, and decided completely positive, once: later calls with the
+        same ``mode`` and ``n_modes`` return the same channel.
+        """
         if self.n_modes != 1:
             raise ValidationError("expand only applies to single-mode channels")
+        try:  # 0.0 would find the embedding made for 0
+            key = (operator.index(mode), operator.index(n_modes))
+        except TypeError:
+            raise ValidationError(
+                f"mode index {mode!r} and mode count {n_modes!r} must be integers"
+            ) from None
         if not 0 <= mode < n_modes:
             raise ValidationError(f"mode index {mode} out of range for {n_modes} modes")
-        x = np.eye(2 * n_modes)
-        y = np.zeros((2 * n_modes, 2 * n_modes))
-        s = slice(2 * mode, 2 * mode + 2)
-        x[s, s] = self.X
-        y[s, s] = self.Y
-        return GaussianChannel(x, y, self.description)
+        if key not in self._embeddings:
+            x = np.eye(2 * n_modes)
+            y = np.zeros((2 * n_modes, 2 * n_modes))
+            s = slice(2 * mode, 2 * mode + 2)
+            x[s, s] = self.X
+            y[s, s] = self.Y
+            self._embeddings[key] = GaussianChannel(x, y, self.description)
+        return self._embeddings[key]
 
 
 def attenuation_channel(kappa_atm: float, distance: float, n_env: float = 0.0) -> GaussianChannel:
@@ -249,6 +264,12 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     for name, values in (("mu", mu), ("mu", mu_nested), ("n", n)):
         if not np.all((values >= 0.0) & (values < math.inf)):
             raise ValidationError(f"{name} must be finite and non-negative at every node")
+    # Occupations all below 1/2 are scaled up by an exact power of two, so a
+    # subnormal one keeps its significant bits in the products below; the
+    # result is scaled back.  Larger ones are not scaled down: mu n beyond
+    # float range is how a profile too stiff for the nodes fails.
+    exponent = min(0, int(np.frexp(np.max(n))[1]))
+    n = np.ldexp(n, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # an integral beyond float range fails below
         before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
         absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
@@ -260,7 +281,7 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     if denom < 1e-300:
         raise UndefinedQuantityError("n_eff is 0/0: total absorption vanishes")
     try:
-        n_eff = math.fsum(weighted) / denom
+        n_eff = math.ldexp(math.fsum(weighted) / denom, exponent)
     except OverflowError:  # fsum's partial sums left float range
         n_eff = math.inf
     if not n_eff < math.inf:

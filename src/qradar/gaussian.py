@@ -5,7 +5,7 @@ Conventions, fixed globally for the whole toolkit:
     vacuum variance 1/2, quadrature ordering (x1, p1, x2, p2, ...).
 
 One rule holds every matrix handed to the library: square 2N x 2N, N >= 1
-(or the one size its caller fixes), and finite (:func:`_square`); a
+(or the one size its caller fixes), real and finite (:func:`_square`); a
 covariance, diffusion or channel noise matrix is also symmetric within 1e-10
 of max(1, largest entry) and is stored as its symmetric part (M + M^T)/2, as
 each Lyapunov solve is (:func:`_symmetrised`).  The physical rule
@@ -83,10 +83,16 @@ class GaussianState:
 
 
 def _square(m, what: str, dim: int | None = None) -> np.ndarray:
-    """A new finite float array of the matrix ``m`` handed in as ``what``,
-    which must be square 2N x 2N with N >= 1, and dim x dim when ``dim`` is
-    given; else :class:`ValidationError`."""
-    out = np.array(m, dtype=float)
+    """A new finite float array of the real matrix ``m`` handed in as
+    ``what``, which must be square 2N x 2N with N >= 1, and dim x dim when
+    ``dim`` is given; else :class:`ValidationError`."""
+    raw = np.asarray(m)
+    if raw.dtype.kind == "c":  # float() would drop the imaginary part
+        raise ValidationError(f"{what} must be real")
+    try:
+        out = np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError(f"{what} must be finite") from None
     n = out.shape[0] if out.ndim == 2 else 0
     if out.shape != (n, n) or n % 2 or not n or dim not in (None, n):
         rule = "square 2N x 2N, N >= 1"

@@ -10,8 +10,12 @@ reduces each decision to the mean of a quadratic form over heterodyne-style
 records of the return and the retained arm, and samples that statistic
 exactly: a Gaussian quadratic form is a weighted sum of independent
 noncentral chi-square variables (Imhof, Biometrika 48, 1961), so a decision
-costs a fixed number of draws whatever its record length.  A statistic
-beyond float range raises :class:`UndefinedQuantityError`.
+costs a fixed number of draws whatever its record length.  A zero-mean
+record (every QI record: the squeezed vacuum keeps zero mean through a
+phase-insensitive channel) draws central chi-squares, which numpy's
+noncentral sampler returns itself at zero noncentrality: the same draws
+from the same generator stream.  A statistic beyond float range raises
+:class:`UndefinedQuantityError`.
 """
 
 from __future__ import annotations
@@ -137,7 +141,12 @@ def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
     lam, u = np.linalg.eigh(chol.T @ form @ chol)
     c = u.T @ np.linalg.solve(chol, mean)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails below
-        stat = rng.noncentral_chisquare(k, k * c**2, size=(n, lam.size)) @ lam / k
+        noncentrality = k * c**2
+        if noncentrality.any():
+            draws = rng.noncentral_chisquare(k, noncentrality, size=(n, lam.size))
+        else:  # the same draws and stream: numpy's noncentral sampler at 0 calls this one
+            draws = rng.chisquare(k, size=(n, lam.size))
+        stat = draws @ lam / k
     if not np.isfinite(stat).all():
         raise UndefinedQuantityError("the decision statistic is beyond float range")
     return stat
@@ -211,13 +220,18 @@ def roc_curve(h0_samples, h1_samples) -> RocCurve:
         raise ValidationError("both hypothesis sample sets must be non-empty")
     if not (np.isfinite(h0).all() and np.isfinite(h1).all()):
         raise ValidationError("hypothesis samples must be finite")
-    thresholds = np.unique(np.concatenate([h0, h1]))
-    # P(stat >= t) via right-side ranks of the sorted samples.
-    pfa = 1.0 - np.searchsorted(h0, thresholds, side="left") / h0.size
-    pd = 1.0 - np.searchsorted(h1, thresholds, side="left") / h1.size
-    pfa = np.concatenate([[1.0], pfa, [0.0]])
-    pd = np.concatenate([[1.0], pd, [0.0]])
-    thresholds = np.concatenate([[-np.inf], thresholds, [np.inf]])
+    # One stable merge of the two sorted sets: the samples below each distinct
+    # value t are those before its first place, and a running count of H1
+    # members among them splits that into P(stat >= t) under each hypothesis.
+    pooled = np.concatenate([h0, h1])
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    first = np.flatnonzero(np.concatenate([[True], pooled[1:] != pooled[:-1]]))
+    is_h1 = order >= h0.size
+    h1_below = (np.cumsum(is_h1) - is_h1)[first]
+    thresholds = np.concatenate([[-np.inf], pooled[first], [np.inf]])
+    pfa = np.concatenate([[1.0], 1.0 - (first - h1_below) / h0.size, [0.0]])
+    pd = np.concatenate([[1.0], 1.0 - h1_below / h1.size, [0.0]])
     # Trapezoid over the parametric curve.  Both rates fall as the threshold
     # rises, so reversed they ascend in (pfa, pd) order: ties in pfa traverse
     # vertical segments in ascending pd and contribute zero width.

@@ -1,9 +1,9 @@
 """Shared test helpers: random symplectics and random physical states, a
 damped oscillator model (and its arrays, for grids); the definition-level
 oracles that tests check shipped kernels against by another route (thermal
-states, partial transposition, von Neumann entropy, the identity channel and
-the covariance ODE); a checked stack score built from the library's rules;
-and the Hypothesis profile every property runs under."""
+states, partial transposition, von Neumann entropy, the identity channel, the
+covariance ODE and the ROC by ranks); a checked stack score built from the
+library's rules; and the Hypothesis profile every property runs under."""
 
 import math
 
@@ -18,6 +18,7 @@ from qradar.criteria import _pt_nu_min
 from qradar.gaussian import GaussianState, _require_physical, _symmetrised, entropy_term
 from qradar.gaussian import symplectic_eigenvalues, symplectic_form
 from qradar.langevin import LinearLangevinModel
+from qradar.receiver import RocCurve
 
 # Every property, present or future, draws the same examples on every run;
 # each still sets its own max_examples (and deadline, where it needs one).
@@ -110,6 +111,23 @@ def propagate_cov(model: LinearLangevinModel, v0: np.ndarray, t: float) -> np.nd
     half = 0.5 * sol.y[:, -1].reshape(dim, dim)
     assert sol.success and np.isfinite(half).all(), sol.message
     return half + half.T
+
+
+def roc_by_ranks(h0_samples, h1_samples) -> RocCurve:
+    """The ROC of two non-empty finite sample sets by ranks: the distinct
+    pooled values as thresholds (``np.unique``), and the samples of each set
+    below each threshold by ``np.searchsorted``."""
+    h0 = np.sort(np.asarray(h0_samples, dtype=float))
+    h1 = np.sort(np.asarray(h1_samples, dtype=float))
+    thresholds = np.unique(np.concatenate([h0, h1]))
+    # P(stat >= t) via right-side ranks of the sorted samples.
+    pfa = 1.0 - np.searchsorted(h0, thresholds, side="left") / h0.size
+    pd = 1.0 - np.searchsorted(h1, thresholds, side="left") / h1.size
+    pfa = np.concatenate([[1.0], pfa, [0.0]])
+    pd = np.concatenate([[1.0], pd, [0.0]])
+    thresholds = np.concatenate([[-np.inf], thresholds, [np.inf]])
+    auc = float(np.trapezoid(pd[::-1], pfa[::-1]))
+    return RocCurve(pfa=pfa, pd=pd, thresholds=thresholds, auc=auc)
 
 
 @pytest.fixture

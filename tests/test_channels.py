@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -22,7 +22,8 @@ from qradar.channels import (
 )
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
 from qradar.errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
-from qradar.gaussian import GaussianState, apply_channel, vacuum_state
+from qradar import channels
+from qradar.gaussian import GaussianState, _eigvalsh_rounding, apply_channel, vacuum_state
 
 from conftest import identity_channel, tmsv_cov
 
@@ -173,6 +174,10 @@ class TestNeffGeneral:
 
     @settings(max_examples=100, deadline=None)
     @given(_smooth_absorption(), st.floats(0.0, 1e3), st.floats(0.1, 5.0))
+    # Subnormal occupations lost their low bits in the weighted products:
+    # 3.8e-11 off for the first, 2% for the second.
+    @example((lambda x: 1.3, lambda x: 1.3 * x), 2.225073858507e-311, 2.0)
+    @example((lambda x: 1.3, lambda x: 1.3 * x), 5e-320, 2.0)
     def test_uniform_occupation_is_returned(self, mu, n, length):
         assert abs(n_eff_general(mu[0], lambda x: n, length) - n) <= 1e-12 * n
 
@@ -337,3 +342,32 @@ class TestCompletePositivity:
         with pytest.raises(UnphysicalChannelError, match="defect -inf"):
             GaussianChannel(x, np.eye(2))
         GaussianChannel(np.diag([1e160, 1e-160]), np.eye(2))
+
+    def test_each_embedding_is_made_and_decided_once(self, monkeypatch):
+        # A channel is frozen with read-only X and Y, so expand hands back the
+        # embedding it made, and decided CP, the first time.
+        decisions = []
+
+        def counting(m):
+            decisions.append(m.shape)
+            return _eigvalsh_rounding(m)
+
+        ch = attenuation_channel(0.2, 3.0, 0.7)
+        monkeypatch.setattr(channels, "_eigvalsh_rounding", counting)
+        assert ch.expand(0, 2) is ch.expand(0, 2)
+        assert ch.expand(1, 2) is not ch.expand(0, 2)
+        assert decisions == [(4, 4), (4, 4)]
+        assert "embeddings" not in repr(ch)
+
+    def test_a_bad_embedding_raises_on_every_call(self):
+        # A float mode raised a bare TypeError from the slice before, and
+        # would find the embedding kept for mode 0.
+        ch = attenuation_channel(0.2, 3.0, 0.7)
+        two_mode = ch.expand(0, 2)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="mode index 2 out of range for 2 modes"):
+                ch.expand(2, 2)
+            with pytest.raises(ValidationError, match="mode index 0.0 and mode count 2 must be integers"):
+                ch.expand(0.0, 2)
+            with pytest.raises(ValidationError, match="only applies to single-mode channels"):
+                two_mode.expand(0, 2)

@@ -124,6 +124,13 @@ MALFORMED_MATRICES = {
     "wrong size": (lambda dim: np.eye(dim + 2), "square 2N x 2N, N >= 1"),
     "NaN": (lambda dim: _with_entry(dim, (1, 1), math.nan), "must be finite"),
     "inf": (lambda dim: _with_entry(dim, (0, 0), math.inf), "must be finite"),
+    # A bare OverflowError, and an imaginary part dropped behind a
+    # ComplexWarning, before.
+    "integer beyond float range": (
+        lambda dim: [[10**400 if i == j == 0 else int(i == j) for j in range(dim)] for i in range(dim)],
+        "must be finite",
+    ),
+    "complex": (lambda dim: np.eye(dim) * (1 + 1j), "must be real"),
     "asymmetric": (lambda dim: _with_entry(dim, (0, dim - 1), 1e-3), "not symmetric"),
 }
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,6 +23,8 @@ from qradar.receiver import (
     run_detection,
     tmsv_cm,
 )
+
+from conftest import roc_by_ranks
 
 
 # The background and transmissivity of make_scenario's channels.
@@ -280,6 +282,17 @@ class TestExactStatistic:
         )[hypothesis == "h1"]
         assert stats.ks_2samp(exact, oracle).pvalue > 0.01
 
+    @pytest.mark.parametrize("k", [1, 16, 2000])
+    def test_central_draws_are_the_noncentral_sampler_at_zero(self, k):
+        # A zero-mean record's statistic is drawn by chisquare; numpy's
+        # noncentral sampler at zero noncentrality gives the same draws and
+        # leaves the generator in the same state.
+        central, noncentral = np.random.default_rng(3), np.random.default_rng(3)
+        draws = central.chisquare(k, size=(50, 4))
+        reference = noncentral.noncentral_chisquare(k, np.zeros(4), size=(50, 4))
+        assert np.array_equal(draws.view(np.int64), reference.view(np.int64))
+        assert central.bit_generator.state == noncentral.bit_generator.state
+
     @pytest.mark.parametrize("heterodyne", [True, False])
     @pytest.mark.parametrize("illumination", ["qi", "ci"])
     @pytest.mark.parametrize("detector", ["covariance_detector", "energy_detector"])
@@ -300,6 +313,10 @@ class TestExactStatistic:
             var = (2.0 * np.trace(a_s @ a_s) + 4.0 * mean @ a_s @ form @ mean) / k
             assert abs(values.mean() - mu) < 5.0 * math.sqrt(var / n)
             assert abs(values.var(ddof=1) / var - 1.0) < 5.0 * math.sqrt(2.0 / (n - 1))
+
+
+# Heavily tied samples: small integers, short floats and both signed zeros.
+_TIED_SAMPLES = st.integers(-3, 3) | st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
 
 
 class TestRocCurve:
@@ -350,8 +367,29 @@ class TestRocCurve:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        h0=st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
-        h1=st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
+        h0=st.lists(_TIED_SAMPLES, min_size=1, max_size=40),
+        h1=st.lists(_TIED_SAMPLES, min_size=1, max_size=40),
+    )
+    @example(h0=[0.0], h1=[-0.0])
+    @example(h0=[-0.0, -0.0], h1=[2, 1, 1])
+    @example(h0=[1, 1, -0.0], h1=[0.0])
+    def test_bit_equal_to_the_rank_oracle(self, h0, h1):
+        # One stable merge of the sorted sets gives the rank oracle's rates,
+        # thresholds and AUC bit for bit.  Which zero np.unique keeps of a tie
+        # between -0.0 and 0.0 is numpy's own choice (a hash table's order, or
+        # an unstable sort's), so where both occur the zero is compared by value.
+        roc, oracle = roc_curve(h0, h1), roc_by_ranks(h0, h1)
+        zeros = np.signbit([x for x in h0 + h1 if x == 0])
+        both_zeros = zeros.any() and not zeros.all()
+        thresholds = [t + 0.0 if both_zeros else t for t in (roc.thresholds, oracle.thresholds)]
+        for new, old in ((roc.pfa, oracle.pfa), (roc.pd, oracle.pd), thresholds):
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        assert np.float64(roc.auc).view(np.int64) == np.float64(oracle.auc).view(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h0=st.lists(_TIED_SAMPLES, min_size=1, max_size=40),
+        h1=st.lists(_TIED_SAMPLES, min_size=1, max_size=40),
     )
     def test_auc_equals_the_lexsorted_trapezoid(self, h0, h1):
         # Heavily tied samples give runs of equal pfa and of equal pd; the
