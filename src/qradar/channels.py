@@ -221,18 +221,22 @@ def n_eff_general(
     the profile at each (finite and non-negative), or one uniform scalar.
 
     The integrals are fixed-order composite Gauss-Legendre on
-    ``quadrature_points`` equal panels, split further at ``breakpoints``;
-    the result at 16 points per panel is returned once it agrees with the
+    ``quadrature_points`` (an integer >= 1) equal panels, split further at
+    ``breakpoints``; the result at 16 points per panel is returned once it agrees with the
     result at 8 to 1e-6 max(1, |n_eff|), else :class:`ConvergenceError`.
     A fixed rule sees a profile only at its nodes, so a discontinuity must
     be passed in ``breakpoints`` to land on a panel edge; one left inside a
     panel fails that check (or, if small, costs accuracy unnoticed).
     """
     _valid("length", "positive", length)
-    if quadrature_points < 1:
-        raise ValidationError("quadrature_points must be >= 1")
+    try:
+        panels = operator.index(quadrature_points)
+    except TypeError:
+        panels = 0
+    if panels < 1:
+        raise ValidationError(f"quadrature_points must be an integer >= 1, got {quadrature_points!r}")
 
-    edges = np.linspace(0.0, length, quadrature_points + 1)
+    edges = np.linspace(0.0, length, panels + 1)
     inside = [float(b) for b in breakpoints if 0.0 < b < length]
     if inside:
         edges = np.unique(np.concatenate([edges, inside]))

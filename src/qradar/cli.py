@@ -48,7 +48,7 @@ def _run_eom_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
     params = _params(eom_reference(), p["eom"])
     axis = p["axis"]
-    points = eom.sweep(params, EOM_AXES[axis][0], p["grid"])
+    points = eom.sweep(params, EOM_AXES[axis], p["grid"])
     columns = {axis: [pt.axis_value for pt in points]}
     for pair in eom.PAIR_NAMES:
         columns[f"lambda_sph_{pair}"] = [

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .channels import ThermalProfile
-from .eom import EomParams
+from .eom import EomParams, _axis_field
 from .errors import ConfigError, _finite, _rules
 from .oe import OeParams
 from .receiver import DETECTORS
@@ -73,13 +73,8 @@ _OVERRIDES = {
     for cls, keys in OVERRIDE_FIELDS.items()
 }
 
-# Each eom_sweep axis key: the eom.sweep axis it names, and the params field
-# whose rule its grid values meet.
-EOM_AXES = {
-    "temperature_k": ("temperature", "temperature"),
-    "wavelength_m": ("wavelength", "lambda_l"),
-    "gamma_m_rad_s": ("gamma_m", "gamma_m"),
-}
+# Each eom_sweep axis key: the eom.sweep axis it names.
+EOM_AXES = {"temperature_k": "temperature", "wavelength_m": "wavelength", "gamma_m_rad_s": "gamma_m"}
 
 PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "eom_sweep": {
@@ -291,7 +286,7 @@ def validate_config(obj) -> ScenarioConfig:
     top = _check_table("", schema, obj, errors)
     parameters = top.get("parameters", {})
     if kind == "eom_sweep" and parameters.get("axis") in EOM_AXES and "grid" in parameters:
-        _, name = EOM_AXES[parameters["axis"]]
+        name = _axis_field(EOM_AXES[parameters["axis"]])
         _check_grid_bounds("parameters.grid", _num(**_rule(EomParams, name)), parameters["grid"], errors)
     if kind == "channel_neff" and "l0_grid_m" in parameters:
         l0 = FieldSpec("grid", maximum=parameters.get("length_m"), **_rule(ThermalProfile, "l0"))

@@ -136,11 +136,6 @@ def _at_baths(baths: Sequence[tuple]) -> Callable[[int], str]:
     return lambda b: f"bath {b} ({baths[b][3]}, omega {baths[b][0]!r} rad/s): "
 
 
-def _thermal_weights(baths: Sequence[tuple], grid: Sequence[float]) -> np.ndarray:
-    """The (n, len(baths)) weights 2 N_b(T) + 1 of a valid temperature grid."""
-    return np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths] for t in grid])
-
-
 def _thermal_steady_state(
     drift: np.ndarray, baths: Sequence[tuple]
 ) -> Callable[[Sequence[float]], np.ndarray]:
@@ -201,7 +196,8 @@ def _thermal_steady_state(
     v_basis = np.ldexp(v_unit, exponents).reshape(len(baths), -1)
 
     def at(temperatures: Sequence[float]) -> np.ndarray:
-        weights = _thermal_weights(baths, temperatures)
+        weights = np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths]
+                            for t in temperatures])
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
             covs = _symmetric_part((weights @ v_basis).reshape(-1, *cold.shape))
             diffusions = (weights @ d_basis).reshape(covs.shape)

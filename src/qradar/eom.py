@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .converter import OperatingPoint, _gated_point, _response_roots
-from .converter import _at_temperatures, _thermal_steady_state, _thermal_weights, steady_state
+from .converter import _at_temperatures, _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, _reports, gaussian_discord
-from .errors import ConvergenceError, NoSteadyStateError, StiffnessError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .errors import _grid_values, _param, _require_valid
 from .langevin import C_LIGHT, LinearLangevinModel, diffusion_from_baths
 # Kept for perfbench/test_perfbench.py, which checks the tracer wraps this binding.
@@ -217,29 +217,23 @@ def _grid_point(params: EomParams, axis: str) -> Callable[[float], tuple[np.ndar
 
 
 def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
-    """One entanglement report per grid point; instabilities are marked, not fatal.
+    """One entanglement report per grid point, each equal to
+    :func:`entanglement_report` there (to rounding on a temperature grid).
 
-    The grid values are held once to the rule of the field ``axis`` sets.
-    Each stable point's report equals :func:`entanglement_report` there (to
-    rounding on a temperature grid, which weighs one Lyapunov basis and so is
-    stable at every point or at none); other axes take one stacked
-    :func:`~qradar.sweeps.run_grid` step.  Each steady state is checked
-    once, there (a temperature grid's through its basis's 0 K state); its
-    pairs are scored unchecked, one stack each.
+    The grid is held once, by :func:`~qradar.errors._grid_values`, to the
+    rule of the field ``axis`` sets.  A temperature grid weighs the Lyapunov
+    basis of :func:`threshold_temperature`, so it is stable at every point
+    or raises what that threshold raises; other axes take one stacked
+    :func:`~qradar.sweeps.run_grid` step, which marks a point with no steady
+    state unstable.  Each steady state is checked once, there (a temperature
+    grid's through its basis's 0 K state); its pairs are scored unchecked,
+    one stack each.
     """
     grid = _grid_values(EomParams, _axis_field(axis), grid)
-    if sorted(grid) != grid:
-        raise ValidationError("sweep grid must be ascending")
-    if axis != "temperature":
-        covs = run_grid(_grid_point(params, axis), grid)
+    if axis == "temperature":
+        covs = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))(grid)
     else:
-        try:
-            drift = drift_matrix(params, operating_point(params))
-            cov_at = _thermal_steady_state(drift, _baths(params))
-        except (ConvergenceError, NoSteadyStateError, StiffnessError):
-            covs = [None] * len(_thermal_weights(_baths(params), grid))  # still checks the grid
-        else:
-            covs = list(cov_at(grid))
+        covs = run_grid(_grid_point(params, axis), grid)
     index = [i for i, cov in enumerate(covs) if cov is not None]
     stable = np.array([covs[i] for i in index]).reshape(-1, 6, 6)
     by_pair = [_reports(_pair_stack(stable, pair), _at_grid_points(grid, index)) for pair in PAIR_NAMES]

@@ -8,9 +8,9 @@ OverflowError, a leaked RuntimeWarning or a NaN result.
 A record declares each numeric field's config unit and sign rule once, with
 :func:`_param`, and its ``__post_init__`` checks them with :func:`_require_valid`;
 a converter grid holds its values to the axis field's rule once, and itself
-non-empty, with :func:`_grid_values`; a function holds each numeric argument,
-and a number it derives where that can leave float range, to its rule with
-:func:`_valid` (sign None: any finite value).
+non-empty and ascending, with :func:`_grid_values`; a function holds each
+numeric argument, and a number it derives where that can leave float range,
+to its rule with :func:`_valid` (sign None: any finite value).
 """
 
 import dataclasses
@@ -73,12 +73,15 @@ def _require_valid(record, values: dict | None = None) -> None:
 
 def _grid_values(cls, name: str, grid) -> list[float]:
     """A grid for the declared field ``name`` of ``cls``: each value as a
-    float, held once to the field's rule; an empty grid is a
-    :class:`ValidationError`."""
+    float, held once to the field's rule; an empty or a descending grid is
+    a :class:`ValidationError`.  Every converter grid entry point takes its
+    grid through here, so each holds the rules qradar.config applies."""
     sign = dict(_rules(cls))[name]
     values = [_valid(name, sign, value) for value in grid]
     if not values:
         raise ValidationError(f"{name} grid must not be empty")
+    if sorted(values) != values:
+        raise ValidationError(f"{name} grid must be ascending")
     return values
 
 

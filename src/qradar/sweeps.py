@@ -3,11 +3,11 @@ root-finding (Brent).
 
 A grid on any axis but temperature (which weighs the thresholds' Lyapunov
 basis instead) checks its axis values once, against their field's declared
-rule and for emptiness, where the converter takes the grid.  Its builder
-then gives each point's drift and diffusion as arrays, with no bath or model
-record; the stack is checked finite once, stability is decided with one
-eigensolve over the drifts, each stable member's Lyapunov equation is
-solved, and the residual and physical rules are applied once over the stack,
+rule and for emptiness and order, where the converter takes the grid.  Its
+builder then gives each point's drift and diffusion as arrays, with no bath
+or model record; the stack is checked finite once, stability is decided
+with one eigensolve over the drifts, each stable member's Lyapunov equation
+is solved, and the residual and physical rules are applied once over the stack,
 as :func:`qradar.converter.steady_state` does for one model.  A solve the
 residual rule admits is finite and comes out symmetric, so it takes no
 structural check.  Points run serially: GIL-bound 6x6 algebra gains only
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _valid
 from .gaussian import _require_physical
 from .langevin import _residual_gate, _solve_lyapunov, _stability
 
@@ -88,6 +88,8 @@ def bisect_threshold(
     """A sign change of ``fn`` from negative to >= 0, located to within
     resolution/2.
 
+    ``resolution`` must be finite, and resolution/2 positive, else
+    :class:`ValidationError`; it is checked before ``fn`` is evaluated.
     ``fn(lo)`` must be negative (else None is returned).  The bracket upper
     end doubles, at most 12 times, while ``fn(hi)`` is still negative;
     returns None if no sign change is found by then.  Brent's method then
@@ -95,6 +97,7 @@ def bisect_threshold(
     """
     from scipy import optimize  # loaded on first use: only thresholds need it
 
+    xtol = _valid("resolution / 2", "positive", _valid("resolution", None, resolution) / 2)
     fn = functools.cache(fn)
     if fn(lo) >= 0.0:
         return None
@@ -104,4 +107,4 @@ def bisect_threshold(
         hi *= 2.0
     else:
         return None
-    return optimize.brentq(fn, lo, hi, xtol=resolution / 2)
+    return optimize.brentq(fn, lo, hi, xtol=xtol)

@@ -11,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qradar import channels, gaussian, jpa, langevin, oe, receiver
+from qradar import channels, eom, gaussian, jpa, langevin, oe, receiver
 from qradar.errors import QradarError
+from qradar.presets import eom_reference, oe_reference
 
 EXTREMES = (
     math.nan, math.inf, -math.inf, -1.0, -5e-324, 0.0, 5e-324, 1e-300,
@@ -42,6 +43,14 @@ def vacuum_sample(n_samples):
     return gaussian.sample(gaussian.vacuum_state(), n_samples, seed=0)
 
 
+def eom_threshold(resolution):
+    return eom.threshold_temperature(eom_reference(), resolution=resolution)
+
+
+def oe_threshold(resolution):
+    return oe.threshold_temperature(oe_reference(), resolution=resolution)
+
+
 def one_sample_auc(h0, h1):
     """The AUC of one sample per hypothesis: a curve's thresholds hold +-inf by design."""
     return receiver.roc_curve([h0], [h1]).auc
@@ -65,6 +74,10 @@ REFERENCE = [
     (one_sample_auc, {"h0": 0.0, "h1": 1.0}),
     (oe.gwp_from_mu_c, {"mu_c": 2e-4}),
     (langevin.thermal_occupation, {"omega": 3.14e10, "temperature": 0.1}),
+    # A bare scipy ValueError at 0 and below, and a misleading "temperature
+    # must be finite" at NaN, before.
+    (eom_threshold, {"resolution": 1e-3}),
+    (oe_threshold, {"resolution": 1e-3}),
 ]
 
 

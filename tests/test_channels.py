@@ -160,6 +160,12 @@ class TestNeffGeneral:
                 breakpoints=(0.5,),
             )
 
+    # The first three raised a bare TypeError from np.linspace before.
+    @pytest.mark.parametrize("points", [2.5, math.nan, "8", 0])
+    def test_quadrature_points_must_be_a_positive_integer(self, points):
+        with pytest.raises(ValidationError, match=r"^quadrature_points must be an integer >= 1, got "):
+            n_eff_general(lambda x: 1.3, lambda x: 0.9, 2.0, quadrature_points=points)
+
     @settings(max_examples=100, deadline=None)
     @given(_smooth_absorption(), _quadratic_occupation(), st.floats(0.1, 5.0))
     def test_smooth_profile_matches_adaptive_reference(self, mu, n, length):

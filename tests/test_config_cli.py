@@ -474,6 +474,24 @@ class TestCliCommands:
         )
 
 
+class TestEomTemperatureGridFailures:
+    def test_unstable_converter_fails_the_run(self, tmp_path, monkeypatch):
+        # An overdriven microwave drive: the drift is unstable at every
+        # temperature, so the grid fails as its threshold does.  Before, the
+        # run exited 0 with every row marked unstable.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        config = SCENARIO_PRESETS["eom_fig2a_temperature"]
+        parameters = {**config["parameters"], "eom": {"e_w_rad_s": 3.0 * eom_reference().e_w}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": parameters}))
+        assert main(["run", str(path)]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["reason"] == (
+            "NoSteadyStateError: drift is unstable: max Re eigenvalue 1.194e+06 is not below -1e-12"
+        )
+
+
 class TestOeEndToEndFailures:
     """A converter with no steady state, or an unphysical one, fails the run:
     temperature moves neither, so the grid has one for every point or none."""

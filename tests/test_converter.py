@@ -480,6 +480,14 @@ def _temperature_grid(model, params, grid):
     return oe.end_to_end_vs_temperature(params, atmosphere, target, grid)
 
 
+def _threshold(model, params):
+    """The threshold :func:`_temperature_grid` pairs with, on the same channels."""
+    if model is eom:
+        return eom.threshold_temperature(params)
+    atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+    return oe.threshold_temperature(params, channel_spec=atmosphere, target_spec=target)
+
+
 class TestTemperatureGrids:
     @pytest.mark.parametrize("model", [eom, oe])
     def test_one_operating_point_and_basis_per_grid(self, model, monkeypatch):
@@ -518,13 +526,38 @@ class TestTemperatureGrids:
         with pytest.raises(ValidationError, match=message):
             _temperature_grid(model, _REFERENCE[model], grid)
 
-    @pytest.mark.parametrize("grid", [[], [-0.1, 0.1]])
+    @pytest.mark.parametrize("grid", [[], [-0.1, 0.1], [0.2, 0.1]])
     def test_bad_grid_rejected_without_a_steady_state(self, grid):
-        # An overdriven microwave drive has no steady state at any temperature.
+        # An overdriven microwave drive has no steady state at any
+        # temperature, which a good grid raises as the threshold does (it
+        # marked both rows unstable before); a bad grid is refused first.
         wild = dataclasses.replace(eom_reference(), e_w=3.0 * eom_reference().e_w)
-        assert [p.stable for p in eom.sweep(wild, "temperature", [0.1, 0.2])] == [False] * 2
+        with pytest.raises(NoSteadyStateError, match="^drift is unstable"):
+            eom.sweep(wild, "temperature", [0.1, 0.2])
         with pytest.raises(ValidationError):
             eom.sweep(wild, "temperature", grid)
+
+    @pytest.mark.parametrize(
+        "model, changes, error",
+        [
+            (eom, {"e_w": 3.0 * eom_reference().e_w}, NoSteadyStateError),
+            (eom, {"kappa_c": 0.0, "delta_c": 0.0}, ConvergenceError),  # P_s diverges
+            (eom, {"gamma_m": 1e12}, StiffnessError),  # the optical bath's basis solve
+            (oe, {"delta_c": -oe_reference().delta_c}, NoSteadyStateError),
+            (oe, {"delta_eg": 0.0}, ConvergenceError),
+            (oe, {"gamma_p": 1e12}, StiffnessError),
+        ],
+    )
+    def test_grid_fails_as_its_threshold_does(self, model, changes, error):
+        # Both weigh the same basis of the same model, so a failing model
+        # fails both alike; an eom temperature grid marked every row unstable
+        # before, while its threshold raised.
+        params = dataclasses.replace(_REFERENCE[model], **changes)
+        with pytest.raises(error) as threshold:
+            _threshold(model, params)
+        with pytest.raises(error) as grid:
+            _temperature_grid(model, params, [0.1, 0.2])
+        assert str(grid.value) == str(threshold.value)
 
     def test_subnormal_bath_damping(self):
         # 1e-9 ||D_b|| of a bath with damping 5e-324 underflows to 0, so its
@@ -588,13 +621,20 @@ def _grid_entry_points():
 
 
 class TestGridEntryPoints:
-    """Every converter grid is held non-empty where the converter takes it,
-    with its values (:func:`qradar.errors._grid_values`)."""
+    """Every converter grid is held non-empty and ascending where the
+    converter takes it, with its values (:func:`qradar.errors._grid_values`)."""
 
     @pytest.mark.parametrize("field, run", _grid_entry_points())
     def test_empty_grid_rejected(self, field, run):
         with pytest.raises(ValidationError, match=f"^{field} grid must not be empty$"):
             run([])
+
+    @pytest.mark.parametrize("field, run", _grid_entry_points())
+    def test_descending_grid_rejected(self, field, run):
+        # Before, only eom.sweep held a grid ascending, with its own message.
+        descending = {"lambda_l": [1.6e-6, 8e-7], "delta_eg": [3e7, -3e7]}.get(field, [0.2, 0.1])
+        with pytest.raises(ValidationError, match=f"^{field} grid must be ascending$"):
+            run(descending)
 
 
 def _dc_equations(model, q, op):

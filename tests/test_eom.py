@@ -192,9 +192,16 @@ class TestSweep:
 
     def test_unstable_points_marked_not_fatal(self, reference):
         # A strongly overdriven microwave drive destabilizes the converter.
+        # On a gamma_m grid each point is its own model, so each is marked.
+        # A temperature grid has one model for every point: it raises what
+        # threshold_temperature raises (it marked both rows before).
         wild = dataclasses.replace(reference, e_w=reference.e_w * 3.0)
-        points = sweep(wild, "temperature", [0.01, 0.02])
+        points = sweep(wild, "gamma_m", [2 * math.pi * g for g in (5.0, 50.0, 500.0)])
         assert all(not p.stable and p.reports is None for p in points)
+        with pytest.raises(NoSteadyStateError) as threshold:
+            threshold_temperature(wild)
+        with pytest.raises(NoSteadyStateError, match=f"^{re.escape(str(threshold.value))}$"):
+            sweep(wild, "temperature", [0.01, 0.02])
 
     def test_diverging_operating_points_marked_unstable(self, reference):
         # Below about 3e6 rad/s the operating point exists but the drift is
@@ -229,7 +236,7 @@ class TestSweep:
             sweep(hot, "omega_m", grid)
 
     def test_unsorted_grid_rejected(self, reference):
-        with pytest.raises(ValidationError, match="ascending"):
+        with pytest.raises(ValidationError, match="^temperature grid must be ascending$"):
             sweep(reference, "temperature", [0.2, 0.1])
 
     def test_unknown_axis_rejected(self, reference):
