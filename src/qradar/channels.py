@@ -208,6 +208,11 @@ def n_eff_closed(profile: ThermalProfile) -> float:
     return profile.n_in * w_in + profile.n_out * w_out
 
 
+# The most panels n_eff_general takes: its nested node array holds panels x 16
+# x 16 floats at the 16-point rule, 8 MiB at this cap.
+_MAX_QUADRATURE_POINTS = 4096
+
+
 def n_eff_general(
     mu_fn, n_fn, length: float, quadrature_points: int = 64, breakpoints=()
 ) -> float:
@@ -221,8 +226,8 @@ def n_eff_general(
     the profile at each (finite and non-negative), or one uniform scalar.
 
     The integrals are fixed-order composite Gauss-Legendre on
-    ``quadrature_points`` (an integer >= 1) equal panels, split further at
-    ``breakpoints``; the result at 16 points per panel is returned once it agrees with the
+    ``quadrature_points`` (an integer from 1 to 4096) equal panels, split
+    further at ``breakpoints``; the result at 16 points per panel is returned once it agrees with the
     result at 8 to 1e-6 max(1, |n_eff|), else :class:`ConvergenceError`.
     A fixed rule sees a profile only at its nodes, so a discontinuity must
     be passed in ``breakpoints`` to land on a panel edge; one left inside a
@@ -235,6 +240,8 @@ def n_eff_general(
         panels = 0
     if panels < 1:
         raise ValidationError(f"quadrature_points must be an integer >= 1, got {quadrature_points!r}")
+    if panels > _MAX_QUADRATURE_POINTS:
+        raise ValidationError(f"quadrature_points must be <= {_MAX_QUADRATURE_POINTS}, got {panels!r}")
 
     edges = np.linspace(0.0, length, panels + 1)
     inside = [float(b) for b in breakpoints if 0.0 < b < length]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -261,7 +262,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[int, dict]:
     return 0, base
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qradar",
         description="Microwave quantum radar simulation scenarios",
@@ -276,8 +279,11 @@ def main(argv=None) -> int:
     pre_sub.add_parser("list", help="list preset names")
     show_p = pre_sub.add_parser("show", help="print a preset config")
     show_p.add_argument("name")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "presets":
         if args.preset_command == "list":

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .channels import ThermalProfile
+from .channels import _MAX_QUADRATURE_POINTS, ThermalProfile
 from .eom import EomParams, _axis_field
 from .errors import ConfigError, _finite, _rules
 from .oe import OeParams
@@ -117,7 +117,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "mu_out_per_m": _num(required=True, **_rule(ThermalProfile, "mu_out")),
         "length_m": _num(required=True, **_rule(ThermalProfile, "length")),
         "l0_grid_m": _grid(),  # checked against l0's rule and length_m in validate_config
-        "quadrature_points": FieldSpec("integer", default=64, minimum=1),
+        "quadrature_points": FieldSpec("integer", default=64, minimum=1, maximum=_MAX_QUADRATURE_POINTS),
     },
     "qi_roc": {
         "mean_signal_photons": _num(default=0.01, exclusive_minimum=0.0),
@@ -186,8 +186,7 @@ def _check_value(path: str, spec: FieldSpec, value, errors: list):
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{path}: expected an integer, got {type(value).__name__}")
             return None
-        if spec.minimum is not None and value < spec.minimum:
-            errors.append(f"{path}: must be >= {int(spec.minimum)}, got {value}")
+        _check_bounds(path, spec, value, errors)
         return value
     if spec.kind == "string":
         if not isinstance(value, str):

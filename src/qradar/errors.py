@@ -115,7 +115,8 @@ class StiffnessError(QradarError):
 
 class ConvergenceError(QradarError):
     """No operating point (delta_eg = 0, no finite root, or a DC residual
-    above its gate), or a quadrature that did not converge."""
+    above its gate), a quadrature that did not converge, or a threshold
+    search that met a NaN or ran out of iterations."""
 
     def __init__(self, message: str, residual=None):
         super().__init__(message)

@@ -1,5 +1,5 @@
 """Converter grids as one stacked steady-state step, and threshold
-root-finding (Brent).
+root-finding (Brent's method, step for step as scipy's ``brentq``).
 
 A grid on any axis but temperature (which weighs the thresholds' Lyapunov
 basis instead) checks its axis values once, against their field's declared
@@ -12,11 +12,17 @@ as :func:`qradar.converter.steady_state` does for one model.  A solve the
 residual rule admits is finite and comes out symmetric, so it takes no
 structural check.  Points run serially: GIL-bound 6x6 algebra gains only
 dispatch cost from threads.
+
+A threshold brackets its sign change, then runs Brent's method (Brent 1973,
+ch. 4) in Python floats, step for step as scipy's ``brentq.c`` at its
+defaults: importing ``scipy.optimize`` for that loop would cost more start-up
+time and memory than a whole threshold.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,21 +96,80 @@ def bisect_threshold(
 
     ``resolution`` must be finite, and resolution/2 positive, else
     :class:`ValidationError`; it is checked before ``fn`` is evaluated.
-    ``fn(lo)`` must be negative (else None is returned).  The bracket upper
-    end doubles, at most 12 times, while ``fn(hi)`` is still negative;
-    returns None if no sign change is found by then.  Brent's method then
-    locates a sign change inside [lo, hi]; each distinct x is evaluated once.
+    ``fn`` takes and returns a float.  ``fn(lo)`` must be negative (else None
+    is returned).  The bracket upper end doubles, at most 12 times, while
+    ``fn(hi)`` is still negative; returns None if no sign change is found by
+    then.  Brent's method, with xtol resolution/2, then locates a sign change
+    inside [lo, hi], each iterate bit for bit the one ``scipy.optimize.brentq``
+    evaluates; each distinct x is evaluated once.  A NaN value of ``fn``, or
+    Brent's method still short of xtol after 100 iterations, raises
+    :class:`ConvergenceError` naming x.
     """
-    from scipy import optimize  # loaded on first use: only thresholds need it
-
     xtol = _valid("resolution / 2", "positive", _valid("resolution", None, resolution) / 2)
-    fn = functools.cache(fn)
-    if fn(lo) >= 0.0:
+    f_lo = _value(fn, lo)
+    if f_lo >= 0.0:
         return None
     for _ in range(12):
-        if fn(hi) >= 0.0:
+        f_hi = _value(fn, hi)
+        if f_hi >= 0.0:
             break
         hi *= 2.0
     else:
         return None
-    return optimize.brentq(fn, lo, hi, xtol=xtol)
+    return _brent(fn, lo, hi, f_lo, f_hi, xtol)
+
+
+_RTOL = 4.0 * sys.float_info.epsilon  # brentq's default and least rtol
+_MAXITER = 100  # brentq's default
+
+
+def _value(fn: Callable[[float], float], x: float) -> float:
+    """``fn(x)`` as a float, or :class:`ConvergenceError` naming x if NaN."""
+    value = float(fn(x))
+    if value != value:
+        raise ConvergenceError(f"threshold function is NaN at x={x!r}")
+    return value
+
+
+def _brent(
+    fn: Callable[[float], float], xpre: float, xcur: float, fpre: float, fcur: float, xtol: float
+) -> float:
+    """A root of ``fn`` in the bracket [xpre, xcur], whose values fpre and
+    fcur the caller has evaluated (fpre nonzero, fcur zero or of the other
+    sign, neither NaN): scipy's ``brentq.c``, step for step, so each x
+    evaluated and the result are bit for bit brentq's at rtol 4 eps (fcur
+    zero returns xcur at the first convergence test, as brentq does before
+    its loop).  :class:`ConvergenceError` after :data:`_MAXITER` iterations."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)  # 0 where tiny f values underflow
+                # C divides by 0 to inf or NaN, which the step test refuses.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(fn, xcur)
+    raise ConvergenceError(
+        f"Brent's method did not reach xtol {xtol!r} in {_MAXITER} iterations; last x={xcur!r}"
+    )

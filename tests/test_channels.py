@@ -2,6 +2,7 @@
 scattering, amplifiers, and round-trip composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,26 @@ class TestNeffGeneral:
     def test_quadrature_points_must_be_a_positive_integer(self, points):
         with pytest.raises(ValidationError, match=r"^quadrature_points must be an integer >= 1, got "):
             n_eff_general(lambda x: 1.3, lambda x: 0.9, 2.0, quadrature_points=points)
+
+    @pytest.mark.parametrize("points", [10**20, channels._MAX_QUADRATURE_POINTS + 1], ids=["1e20", "cap+1"])
+    def test_quadrature_points_above_the_cap_rejected_before_allocating(self, points):
+        # 10**20 raised a bare ValueError from np.linspace; a smaller huge
+        # value would have tried to allocate panels x 16 x 16 nested nodes.
+        def profile(x):
+            raise AssertionError("the profile was evaluated")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"^quadrature_points must be <= 4096, got {points}$"):
+                n_eff_general(profile, profile, 2.0, quadrature_points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_quadrature_points_at_the_cap_accepted(self):
+        cap = channels._MAX_QUADRATURE_POINTS
+        assert n_eff_general(lambda x: 1.3, lambda x: 0.9, 2.0, quadrature_points=cap) == pytest.approx(0.9)
 
     @settings(max_examples=100, deadline=None)
     @given(_smooth_absorption(), _quadratic_occupation(), st.floats(0.1, 5.0))

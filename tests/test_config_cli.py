@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qradar
-from qradar import eom, oe, receiver
+from qradar import channels, eom, oe, receiver
 from qradar.cli import _params, main, run_scenario
 from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
 from qradar.errors import ConfigError, ValidationError
@@ -176,9 +176,23 @@ def _loaded_after(code: str, modules=("scipy.optimize", "scipy.integrate"), **en
 
 class TestCliCommands:
     def test_import_leaves_optimize_and_integrate_unloaded(self):
-        # No qradar module uses scipy.integrate; thresholds import
-        # scipy.optimize on first use.
+        # No qradar module uses scipy.integrate or scipy.optimize.
         assert _loaded_after("import sys, qradar.cli") == "[]"
+
+    @pytest.mark.parametrize("preset, threshold", [
+        ("eom_fig2a_temperature", "threshold_temperature_k"),
+        ("fig10", "threshold_backscatter_k"),
+    ])
+    def test_threshold_preset_leaves_optimize_and_integrate_unloaded(self, preset, threshold, tmp_path):
+        # Thresholds run Brent's method in qradar.sweeps, not scipy's brentq.
+        code = (
+            "import sys; from qradar.cli import run_scenario; "
+            "from qradar.config import validate_config; "
+            "from qradar.presets import SCENARIO_PRESETS; "
+            f"code, summary = run_scenario(validate_config(SCENARIO_PRESETS[{preset!r}])); "
+            f"assert code == 0 and summary['summary'][{threshold!r}] > 0"
+        )
+        assert _loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path)) == "[]"
 
     def test_channels_import_leaves_converter_unloaded(self):
         # The record rules live in qradar.errors, below every model.
@@ -314,6 +328,25 @@ class TestCliCommands:
         ))
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("points", [10**20, channels._MAX_QUADRATURE_POINTS + 1], ids=["1e20", "cap+1"])
+    def test_quadrature_points_above_the_cap_exit_1_without_a_run(
+        self, points, tmp_path, monkeypatch, capsys
+    ):
+        # The config holds the key to n_eff_general's cap, so nothing is run
+        # or allocated for it.
+        def n_eff_general(*args, **kwargs):
+            raise AssertionError("n_eff_general was called")
+
+        monkeypatch.setattr(channels, "n_eff_general", n_eff_general)
+        config = SCENARIO_PRESETS["channel_neff_line"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": {**config["parameters"], "quadrature_points": points}}))
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(path)]) == 1
+        error = f"parameters.quadrature_points: must be <= 4096, got {points}"
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "out").exists()
 

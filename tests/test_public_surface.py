@@ -9,7 +9,7 @@ Cholesky outside gaussian's np.linalg.cholesky; nor writes the symmetric part
 channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
 writes its shape rule ("2N x 2N") outside gaussian; nor raises
 UnphysicalChannelError outside channels, where a channel is made; nor imports
-scipy.constants."""
+scipy.constants or scipy.optimize."""
 
 import ast
 import math
@@ -309,8 +309,9 @@ def test_complete_positivity_is_decided_where_a_channel_is_made():
     assert not found, f"UnphysicalChannelError raised outside channels: {', '.join(found)}"
 
 
-def _scipy_constants_imports(tree: ast.AST) -> list[int]:
-    """The line of each import in ``tree`` of scipy.constants or of a name from it."""
+def _scipy_imports(tree: ast.AST, module: str) -> list[int]:
+    """The line of each import in ``tree`` of ``module`` (a scipy submodule)
+    or of a name from it."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -319,27 +320,41 @@ def _scipy_constants_imports(tree: ast.AST) -> list[int]:
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.constants" or n.startswith("scipy.constants.") for n in names):
+        if any(n == module or n.startswith(f"{module}.") for n in names):
             found.append(node.lineno)
     return found
 
 
+@pytest.mark.parametrize("module", ["scipy.constants", "scipy.optimize"])
 @pytest.mark.parametrize("source", [
-    "import scipy.constants",
-    "import scipy.constants as sc",
-    "from scipy import constants",
-    "from scipy.constants import hbar",
+    "import {module}",
+    "import {module} as sc",
+    "from scipy import {name}",
+    "from {module} import hbar",
 ])
-def test_scipy_constants_imports_are_seen(source):
-    assert _scipy_constants_imports(ast.parse(source)) == [1]
+def test_scipy_imports_are_seen(source, module):
+    tree = ast.parse(source.format(module=module, name=module.split(".")[1]))
+    assert _scipy_imports(tree, module) == [1]
+
+
+def _imports_in_src(module: str) -> list[str]:
+    """module:line of each import of ``module`` in src."""
+    return [
+        f"{name}:{line}"
+        for name, tree in _modules().items()
+        for line in _scipy_imports(tree, module)
+    ]
 
 
 def test_physical_constants_come_from_langevin():
     # The physical constants are literals in langevin: scipy.constants would
     # tie every result to the installed scipy's CODATA edition.
-    found = [
-        f"{module}:{line}"
-        for module, tree in _modules().items()
-        for line in _scipy_constants_imports(tree)
-    ]
+    found = _imports_in_src("scipy.constants")
     assert not found, f"scipy.constants imported in src: {', '.join(found)}"
+
+
+def test_thresholds_import_no_scipy_optimize():
+    # Thresholds run Brent's method in sweeps: importing scipy.optimize for
+    # brentq cost more start-up time and memory than a whole threshold.
+    found = _imports_in_src("scipy.optimize")
+    assert not found, f"scipy.optimize imported in src: {', '.join(found)}"

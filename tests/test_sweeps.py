@@ -1,7 +1,8 @@
 """The stacked grid step (order, failed-point marking, error propagation,
 agreement with the single-point gate, checks of the axis values, no record
 built per point) and threshold root-finding (accuracy, None results, bracket
-expansion and evaluation counts)."""
+expansion, evaluation counts, typed failures, and Brent's iterates bit for bit
+scipy.optimize.brentq's)."""
 
 import collections
 import dataclasses
@@ -9,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from conftest import damped, damped_arrays
 from qradar import eom, oe
@@ -24,7 +26,7 @@ from qradar.errors import (
 )
 from qradar.langevin import LinearLangevinModel
 from qradar.presets import eom_reference, oe_reference
-from qradar.sweeps import bisect_threshold, run_grid
+from qradar.sweeps import _brent, bisect_threshold, run_grid
 
 
 def counting(fn):
@@ -75,6 +77,30 @@ class TestBisectThreshold:
         bisect_threshold(fn, lo=0.0, hi=8.0, resolution=1e-3)
         assert calls
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "fn, x",
+        [
+            (lambda t: math.nan if 0.0 < t < 8.0 else t - 1.0, "1.0"),
+            (lambda t: math.nan, "0.0"),
+            (lambda t: math.nan if t == 8.0 else t - 20.0, "8.0"),
+        ],
+        ids=["inside", "at-lo", "while-expanding"],
+    )
+    def test_nan_value_raises_naming_x(self, fn, x):
+        # scipy's brentq raised a bare ValueError inside the bracket or at lo;
+        # a NaN at hi counted as negative and the bracket kept doubling.
+        with pytest.raises(ConvergenceError, match=rf"^threshold function is NaN at x={x}$"):
+            bisect_threshold(fn, lo=0.0, hi=8.0, resolution=1e-3)
+
+    def test_iteration_limit_raises(self):
+        # A step at 1e-300 leaves Brent bisecting from [0, 1], about 1000
+        # halvings from xtol 5e-324; scipy's brentq raised a RuntimeError.
+        fn, calls = counting(lambda t: -1.0 if t < 1e-300 else 1.0)
+        message = r"^Brent's method did not reach xtol 5e-324 in 100 iterations; last x="
+        with pytest.raises(ConvergenceError, match=message):
+            bisect_threshold(fn, lo=0.0, hi=1.0, resolution=1e-323)
+        assert sum(calls.values()) == 2 + 100
 
 
 # Drifts that fail in each way a grid marks a point from its model.
@@ -269,3 +295,85 @@ class TestGridRecords:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError, match="unknown sweep axis 'colour'"):
             eom.sweep(eom_reference(), "colour", [1.0])
+
+
+# Shapes a threshold's crossing function takes, each of (x, root): smooth and
+# odd, flat then steep (lambda_SPH against T), saturating, a step (on which
+# Brent falls back to bisection) and falling (-(x - root) is -0.0 at the root).
+_SHAPES = {
+    "linear": lambda x, r: x - r,
+    "falling": lambda x, r: -(x - r),
+    "cubic": lambda x, r: (x - r) ** 3,
+    "quartic": lambda x, r: (x / r) ** 4 - 1.0,
+    "tanh": lambda x, r: math.tanh(x - r),
+    "expm1": lambda x, r: math.expm1(x - r),
+    "step": lambda x, r: -1.0 if x < r else 1.0,
+}
+
+
+@st.composite
+def _brackets(draw):
+    """(shape, root, scale, a, b, xtol): scale * shape(x, root) on [a, b]."""
+    root = draw(st.floats(min_value=-10.0, max_value=10.0))
+    below, above = draw(_log_uniform(1e-6, 1e2)), draw(_log_uniform(1e-6, 1e2))
+    return (
+        draw(st.sampled_from(sorted(_SHAPES))),
+        root,
+        draw(st.one_of(_log_uniform(1e-3, 1e3), _log_uniform(1e-320, 1e-290))),  # tiny: f underflows
+        root - below,
+        root + above,
+        draw(st.one_of(st.just(5e-324), _log_uniform(1e-300, 1.0))),
+    )
+
+
+def _traced(fn):
+    """``fn`` and the list of each x it is evaluated at, in order."""
+    seen = []
+
+    def traced(x):
+        seen.append(x)
+        return fn(x)
+
+    return traced, seen
+
+
+class TestBrentMatchesScipy:
+    """``_brent`` is scipy's brentq.c step for step: the same result and the
+    same x evaluated, in the same order, bit for bit."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_brackets())
+    @example(("linear", 1.0, 1.0, 0.0, 1.0, 5e-4))  # f(hi) == 0
+    @example(("linear", 1e-4, 1.0, 0.0, 8.0, 5e-4))  # a root at 1e-4
+    @example(("falling", 1.0, 1.0, 0.0, 2.0, 5e-4))  # the first step lands on f = -0.0
+    @example(("falling", 1.0, 1.0, 0.0, 1.0, 5e-4))  # f(hi) == -0.0
+    @example(("expm1", 0.3, 1.0, -2.0, 5.0, 5e-324))  # xtol the least subnormal
+    @example(("quartic", 0.144, 1.0, 0.0, 8.0, 5e-4))  # the steep quartic
+    @example(("step", 1e-300, 1.0, 0.0, 1.0, 5e-324))  # 100 iterations short of xtol
+    @example(("quartic", 2.25, 1.0, 1.25, 3.25, 1.0))  # xtol sets the bound 3|sbis| - delta
+    # f so small that the inverse-quadratic denominator underflows to 0
+    @example(("cubic", 2.7813628108832393, 4.420741654411141e-295, 2.7813467809618646, 2.901281056513291, 5e-324))
+    def test_iterates_and_result_bit_for_bit(self, case):
+        shape, root, scale, a, b, xtol = case
+        assume(shape != "quartic" or abs(root) > 1e-3)  # (x / root)^4 in float range
+
+        def fn(x):
+            return scale * _SHAPES[shape](x, root)
+
+        fa, fb = fn(a), fn(b)
+        assume(fa != 0.0 and (fb == 0.0 or (fa < 0.0) != (fb < 0.0)))
+        expected, expected_xs = _traced(fn)
+        try:
+            expected_root = optimize.brentq(expected, a, b, xtol=xtol)
+        except RuntimeError:  # out of iterations
+            expected_root = None
+        ours, xs = _traced(fn)
+        try:
+            root_found = _brent(ours, a, b, fa, fb, xtol)
+        except ConvergenceError:
+            root_found = None
+        assert [x.hex() for x in [a, b, *xs]] == [x.hex() for x in expected_xs]
+        if expected_root is None:
+            assert root_found is None
+        else:
+            assert root_found.hex() == expected_root.hex()
