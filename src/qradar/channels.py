@@ -232,6 +232,16 @@ def n_eff_general(
     A fixed rule sees a profile only at its nodes, so a discontinuity must
     be passed in ``breakpoints`` to land on a panel edge; one left inside a
     panel fails that check (or, if small, costs accuracy unnoticed).
+
+    A panel too opaque for the rule is a :class:`ConvergenceError` too (after
+    the float-range checks), since both rules can agree there and be wrong.
+    Its optical depth tau (the integral of mu over it) is held to at most
+    25: where mu is uniform on a panel, the rule integrates
+    g(t) = K e^{tau (1 + t)/2} on t in [-1, 1], with 16-point Gauss-Legendre
+    error c (tau/2)^32 g(xi), c = 2^33 (16!)^4 / (33 (32!)^3) = 2.74e-45;
+    relative to the panel's integral 2K (e^tau - 1)/tau that is at most
+    c (tau/2)^33 / (1 - e^{-tau}), which reaches 1e-8 at tau = 25.6.  Each
+    panel's share of n_eff is non-negative, so n_eff keeps that bound.
     """
     _valid("length", "positive", length)
     try:
@@ -247,7 +257,12 @@ def n_eff_general(
     inside = [float(b) for b in breakpoints if 0.0 < b < length]
     if inside:
         edges = np.unique(np.concatenate([edges, inside]))
-    coarse, fine = (_n_eff_gauss_legendre(mu_fn, n_fn, edges, *rule) for rule in _RULES)
+    (coarse, _), (fine, depth) = (_n_eff_gauss_legendre(mu_fn, n_fn, edges, *rule) for rule in _RULES)
+    if depth > _MAX_PANEL_DEPTH:
+        raise ConvergenceError(
+            f"a panel's optical depth {depth:.3e} exceeds {_MAX_PANEL_DEPTH}, where the 16-point "
+            "rule's error may pass 1e-8: use more quadrature_points"
+        )
     diff = abs(fine - coarse)
     if not diff <= 1e-6 * max(1.0, abs(fine)):
         raise ConvergenceError(
@@ -256,16 +271,19 @@ def n_eff_general(
     return fine
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] at 8 and 16 points per panel.
+# Gauss-Legendre nodes and weights on [-1, 1] at 8 and 16 points per panel,
+# and the largest optical depth of a panel n_eff_general integrates.
 _RULES = tuple(np.polynomial.legendre.leggauss(m) for m in (8, 16))
+_MAX_PANEL_DEPTH = 25.0
 
 
-def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.ndarray) -> float:
-    """n_eff by the Gauss-Legendre rule (nodes ``t``, weights ``w``) on each
-    panel between ``edges``.  The absorption up to a node is the sum over
-    earlier panels plus the same rule mapped onto [panel edge, node]; the
-    weighted integrand is summed exactly rounded (``math.fsum``).  Either
-    integral beyond float range is an :class:`UndefinedQuantityError`."""
+def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """(n_eff, the largest panel's optical depth) by the Gauss-Legendre rule
+    (nodes ``t``, weights ``w``) on each panel between ``edges``.  The
+    absorption up to a node is the sum over earlier panels plus the same
+    rule mapped onto [panel edge, node]; the weighted integrand is summed
+    exactly rounded (``math.fsum``).  Either integral beyond float range is
+    an :class:`UndefinedQuantityError`."""
     left = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
     x = left + half * (t + 1.0)
@@ -282,7 +300,8 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
     exponent = min(0, int(np.frexp(np.max(n))[1]))
     n = np.ldexp(n, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # an integral beyond float range fails below
-        before = np.concatenate(([0.0], np.cumsum((half * w * mu).sum(axis=1))))
+        depths = (half * w * mu).sum(axis=1)
+        before = np.concatenate(([0.0], np.cumsum(depths)))
         absorbed = before[:-1, None] + span * (mu_nested * w).sum(axis=-1)
         total = before[-1]
         weighted = (half * w * mu * n * np.exp(absorbed - total)).ravel()
@@ -297,4 +316,4 @@ def _n_eff_gauss_legendre(mu_fn, n_fn, edges: np.ndarray, t: np.ndarray, w: np.n
         n_eff = math.inf
     if not n_eff < math.inf:
         raise UndefinedQuantityError("n_eff is undefined: the noise integral is beyond float range")
-    return n_eff
+    return n_eff, float(depths.max())

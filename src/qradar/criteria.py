@@ -124,9 +124,9 @@ def _in_range(covs: np.ndarray, values: np.ndarray, name: Callable[[int], str] |
     return values
 
 
-def _lambda_sph(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
+def _lambda_sph(covs: np.ndarray, name: Callable[[int], str] | None = None, dets=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        det_a, det_b, det_c = _local_dets(covs)
+        det_a, det_b, det_c = _local_dets(covs) if dets is None else dets
         a, b, c = _blocks(covs)
         m = a @ _J @ c @ _J @ b @ _J @ c.mT @ _J
         trace_term = m[:, 0, 0] + m[:, 1, 1]
@@ -150,9 +150,9 @@ def lambda_sph(blocks: BipartiteBlocks) -> float:
     return float(_lambda_sph(blocks.state.cov[None])[0])
 
 
-def _pt_nu_min(covs: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
+def _pt_nu_min(covs: np.ndarray, name: Callable[[int], str] | None = None, dets=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        det_a, det_b, det_c = _local_dets(covs)
+        det_a, det_b, det_c = _local_dets(covs) if dets is None else dets
         det_v = np.linalg.det(covs)
         delta_t = det_a + det_b - 2.0 * det_c
         delta_t2 = np.float_power(delta_t, 2)
@@ -173,19 +173,20 @@ def two_eta(blocks: BipartiteBlocks) -> float:
     return float(2.0 * _pt_nu_min(blocks.state.cov[None])[0])
 
 
-def _entropic(covs: np.ndarray, name: Callable[[int], str] | None = None):
+def _entropic(covs: np.ndarray, name: Callable[[int], str] | None, dets):
     """(discord, classical correlation, mutual information) in bits of the
-    stack; run after :func:`_lambda_sph` and :func:`_pt_nu_min`, whose range
-    checks cover the products it forms but the heterodyne quotient, which is
-    held to the range rule itself (det B can lose every digit to rounding,
-    and b = 0 then divides by zero).
+    stack, whose :func:`_local_dets` are ``dets``; run after
+    :func:`_lambda_sph` and :func:`_pt_nu_min`, whose range checks cover the
+    products it forms but the heterodyne quotient, which is held to the
+    range rule itself (det B can lose every digit to rounding, and b = 0
+    then divides by zero).
 
     Mode B is measured by heterodyne in its normal frame, where B = b I with
     b = sqrt(det B): mode A is left with the covariance
     A - C adj(B) C^T / (b (b + 1/2)), adj(B) = J B J^T, whatever local
     symplectic brings B to that frame.
     """
-    det_a, det_b, _ = _local_dets(covs)
+    det_a, det_b, _ = dets
     a_blk, b_blk, c_blk = _blocks(covs)
     a = np.sqrt(np.maximum(det_a, 0.0))
     b = np.sqrt(np.maximum(det_b, 0.0))
@@ -205,15 +206,7 @@ def _entropic(covs: np.ndarray, name: Callable[[int], str] | None = None):
 
 
 def _report(lam: float, eta2: float, discord: float, classical: float, mutual: float):
-    return CriteriaReport(
-        lambda_sph=lam,
-        two_eta=eta2,
-        discord=discord,
-        classical_corr=classical,
-        mutual_info=mutual,
-        entangled_by_sph=lam < 0.0,
-        entangled_by_ppt=eta2 < 1.0,
-    )
+    return CriteriaReport(lam, eta2, discord, classical, mutual, lam < 0.0, eta2 < 1.0)
 
 
 def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
@@ -228,14 +221,22 @@ def gaussian_discord(blocks: BipartiteBlocks) -> CriteriaReport:
     blocks.validate_physical()
     lam = lambda_sph(blocks)
     eta2 = two_eta(blocks)
-    discord, classical, mutual = _entropic(blocks.state.cov[None])
+    cov = blocks.state.cov[None]
+    discord, classical, mutual = _entropic(cov, None, _local_dets(cov))
     return _report(lam, eta2, float(discord[0]), float(classical[0]), float(mutual[0]))
 
 
 def _reports(covs: np.ndarray, name: Callable[[int], str] | None = None) -> list[CriteriaReport]:
     """:func:`gaussian_discord` of each member of a stack of two-mode
     covariances, shape (n, 4, 4), in stack order, unchecked: the caller
-    holds the stack, or the states it is sliced from, to the physical rule."""
-    columns = (_lambda_sph(covs, name), 2.0 * _pt_nu_min(covs, name), *_entropic(covs, name))
+    holds the stack, or the states it is sliced from, to the physical rule.
+    The local determinants are computed once, for all three criteria; a
+    grid's pairs come as one stack (:func:`~qradar.eom.sweep`), whose members
+    stacked det, eigvals and matmul score bit for bit as they would alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = _local_dets(covs)
+    columns = (
+        _lambda_sph(covs, name, dets), 2.0 * _pt_nu_min(covs, name, dets), *_entropic(covs, name, dets)
+    )
     return [_report(*row) for row in zip(*(col.tolist() for col in columns))]
 

@@ -227,7 +227,8 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     :func:`~qradar.sweeps.run_grid` step, which marks a point with no steady
     state unstable.  Each steady state is checked once, there (a temperature
     grid's through its basis's 0 K state); its pairs are scored unchecked,
-    one stack each.
+    all as one stack, with determinants computed once
+    (:func:`~qradar.criteria._reports`).
     """
     grid = _grid_values(EomParams, _axis_field(axis), grid)
     if axis == "temperature":
@@ -236,8 +237,9 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
         covs = run_grid(_grid_point(params, axis), grid)
     index = [i for i, cov in enumerate(covs) if cov is not None]
     stable = np.array([covs[i] for i in index]).reshape(-1, 6, 6)
-    by_pair = [_reports(_pair_stack(stable, pair), _at_grid_points(grid, index)) for pair in PAIR_NAMES]
-    reports = (dict(zip(PAIR_NAMES, point)) for point in zip(*by_pair))
+    pairs = np.concatenate([_pair_stack(stable, pair) for pair in PAIR_NAMES])
+    scored = _reports(pairs, _at_grid_points(grid, index * len(PAIR_NAMES)))
+    reports = (dict(zip(PAIR_NAMES, scored[k::len(index)])) for k in range(len(index)))
     return [
         SweepPoint(v, None, False) if cov is None else SweepPoint(v, next(reports), True)
         for v, cov in zip(grid, covs)

@@ -258,16 +258,17 @@ def end_to_end_vs_temperature(
     decides physicality for every temperature
     (:func:`~qradar.converter._thermal_steady_state`), and raise where the
     converter has none, as its thresholds do.  The round-trip channel is
-    built once.  Both stacks are scored unchecked: the direct pairs are
-    slices of physical states, and the returned pairs X V X^T + Y are their
-    images under a completely positive channel, symmetrised.  An error names
-    its temperature.
+    built once.  Both stacks are scored unchecked, as one stack in one call:
+    the direct pairs are slices of physical states, and the returned pairs
+    X V X^T + Y are their images under a completely positive channel,
+    symmetrised.  An error names its temperature.
     """
     grid = _grid_values(OeParams, "temperature", temperature_grid)
     backscatter = _backscatter(channel_spec, target_spec)
     cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
-    pairs, name = cov_at(grid)[_OC_MC], _at_temperatures(grid)
-    return 2.0 * _pt_nu_min(pairs, name), 2.0 * _pt_nu_min(_symmetric_part(backscatter.act(pairs)), name)
+    pairs = cov_at(grid)[_OC_MC]
+    both = np.concatenate((pairs, _symmetric_part(backscatter.act(pairs))))
+    return tuple(np.split(2.0 * _pt_nu_min(both, _at_temperatures(grid * 2)), 2))
 
 
 def threshold_temperature(

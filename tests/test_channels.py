@@ -22,7 +22,8 @@ from qradar.channels import (
     thermal_background_channel,
 )
 from qradar.criteria import BipartiteBlocks, lambda_sph, two_eta
-from qradar.errors import ConvergenceError, UndefinedQuantityError, UnphysicalChannelError, ValidationError
+from qradar.errors import ConvergenceError, QradarError, UndefinedQuantityError, UnphysicalChannelError
+from qradar.errors import ValidationError
 from qradar import channels
 from qradar.gaussian import GaussianState, _eigvalsh_rounding, apply_channel, vacuum_state
 
@@ -137,6 +138,35 @@ class TestNeffGeneral:
             n_eff_general(p.absorption_at, p.occupation_at, p.length)
         general = n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
         assert general == pytest.approx(n_eff_closed(p), rel=1e-14)
+
+    @pytest.mark.parametrize("mu_in", [1e300, 1e6])
+    def test_panel_too_opaque_for_the_rule_fails(self, mu_in):
+        # The 8- and 16-point rules agreed and were both wrong: 624.0 at
+        # 1e300 and 394.443 at 1e6, against the closed form's 394.811.
+        p = ThermalProfile(n_in=1.0, n_out=624.0, mu_in=mu_in, mu_out=2.0, l0=0.5, length=1.0)
+        with pytest.raises(ConvergenceError, match=r"^a panel's optical depth .* exceeds 25\.0"):
+            n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
+
+    def test_opaque_panel_within_the_bound_matches_closed_form(self):
+        # 1e3 / 64 panels: an optical depth of 15.6 per panel, under the bound.
+        p = ThermalProfile(n_in=1.0, n_out=624.0, mu_in=1e3, mu_out=2.0, l0=0.5, length=1.0)
+        general = n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
+        assert abs(general - n_eff_closed(p)) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+        *[st.floats(math.log(1e-3), math.log(1e300)).map(math.exp)] * 2,
+        st.floats(0.01, 0.99),
+    )
+    def test_step_profile_agrees_or_fails_typed(self, n_in, n_out, mu_in, mu_out, l0):
+        # Absorption up to 1e300 per metre: never a wrong finite value.
+        p = ThermalProfile(n_in=n_in, n_out=n_out, mu_in=mu_in, mu_out=mu_out, l0=l0, length=1.0)
+        try:
+            general = n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
+        except QradarError:
+            return
+        assert abs(general - n_eff_closed(p)) <= 1e-8 * n_eff_closed(p)
 
     def test_nan_absorption_raises(self):
         # An invalid profile value, caught at the nodes before any quadrature.

@@ -637,6 +637,87 @@ class TestGridEntryPoints:
             run(descending)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Collects the positional arguments of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# EOM grids on each axis of the presets: temperatures 0-2 K, lambda_L
+# 0.8-1.6 um (the long end has no steady state) and gamma_m 2 pi (5-1500) rad/s.
+_eom_axis_grids = st.one_of(
+    st.tuples(st.just("temperature"), st.lists(_temperatures, min_size=1, max_size=6)),
+    st.tuples(
+        st.just("wavelength"), st.lists(st.floats(min_value=0.8e-6, max_value=1.6e-6), min_size=1, max_size=6)
+    ),
+    st.tuples(
+        st.just("gamma_m"),
+        st.lists(_log_uniform(2 * math.pi * 5, 2 * math.pi * 1500), min_size=1, max_size=6),
+    ),
+)
+
+
+class TestOneCriteriaPassPerGrid:
+    """A converter grid scores its pairs in one criteria pass, one stacked
+    call, which computes the stack's local determinants once; each score is
+    bit for bit the one its pair's stack scored alone gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_factors, _eom_axis_grids)
+    def test_eom_sweep_scores_each_pair_as_alone(self, factors, axis_grid):
+        axis, grid = axis_grid[0], sorted(axis_grid[1])
+        params = _jittered(eom, factors)
+        points = eom.sweep(params, axis, grid)
+        if axis == "temperature":
+            covs = _cov_at(eom, params)(grid)
+        else:
+            covs = sweeps.run_grid(eom._grid_point(params, axis), grid)
+        stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
+        alone = {pair: criteria._reports(eom._pair_stack(stable, pair)) for pair in eom.PAIR_NAMES}
+        scored = [point.reports for point in points if point.stable]
+        assert len(scored) == len(stable)
+        for k, reports in enumerate(scored):
+            for pair in eom.PAIR_NAMES:
+                assert dataclasses.astuple(reports[pair]) == dataclasses.astuple(alone[pair][k]), (k, pair)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_factors, st.lists(_temperatures, min_size=1, max_size=6))
+    def test_oe_end_to_end_grid_scores_each_stack_as_alone(self, factors, grid):
+        grid = sorted(grid)
+        params = _jittered(oe, factors)
+        atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        direct, returned = oe.end_to_end_vs_temperature(params, atmosphere, target, grid)
+        pairs = _cov_at(oe, params)(grid)[oe._OC_MC]
+        backscattered = gaussian._symmetric_part(oe._backscatter(atmosphere, target).act(pairs))
+        assert direct.tolist() == (2.0 * criteria._pt_nu_min(pairs)).tolist()
+        assert returned.tolist() == (2.0 * criteria._pt_nu_min(backscattered)).tolist()
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("temperature", np.linspace(1e-3, 0.351, 8)),
+        ("wavelength", np.linspace(0.8e-6, 2e-6, 8)),  # the last points have no steady state
+        ("gamma_m", 2 * math.pi * np.geomspace(5.0, 1500.0, 8)),
+    ])
+    def test_eom_sweep_makes_one_pass(self, axis, grid, monkeypatch):
+        reports = _count_calls(monkeypatch, eom, "_reports")
+        dets = _count_calls(monkeypatch, criteria, "_local_dets")
+        stable = sum(point.stable for point in eom.sweep(eom_reference(), axis, grid))
+        assert stable and len(reports) == 1 and len(dets) == 1
+        assert reports[0][0].shape == (3 * stable, 4, 4)
+
+    def test_oe_end_to_end_grid_makes_one_pass(self, monkeypatch):
+        atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        calls = _count_calls(monkeypatch, oe, "_pt_nu_min")
+        oe.end_to_end_vs_temperature(oe_reference(), atmosphere, target, np.linspace(0.01, 0.33, 9))
+        assert [args[0].shape for args in calls] == [(18, 4, 4)]
+
+
 def _dc_equations(model, q, op):
     """The terms of each DC equation at ``op``, written out independently of
     the models' own ``_equations``."""

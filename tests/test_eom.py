@@ -11,6 +11,7 @@ import pytest
 
 from qradar import eom
 from qradar.converter import steady_state
+from qradar.criteria import _reports
 from qradar.eom import (
     PAIR_NAMES,
     EomParams,
@@ -234,6 +235,23 @@ class TestSweep:
         hot = dataclasses.replace(reference, temperature=1e200)
         with pytest.raises(UndefinedQuantityError, match=rf"^grid point 4 \({float(grid[4])!r}\): "):
             sweep(hot, "omega_m", grid)
+
+    def test_grid_point_beyond_float_range_named_in_the_last_pair(self, reference):
+        # At 1.7e76 K only the mr_mc pair of the middle point leaves float
+        # range: the one failing member of the sweep's single stack sits at
+        # 2n + 1 = 7, in the mr_mc slice, and is named by its own grid point.
+        hot = dataclasses.replace(reference, temperature=1.7e76)
+        grid = [-1e7, -9.6e6, -6e6]
+        for delta_w in grid:
+            cov = steady_state(build_model(dataclasses.replace(hot, delta_w=delta_w)))
+            for pair in PAIR_NAMES:
+                if (delta_w, pair) == (-9.6e6, "mr_mc"):
+                    with pytest.raises(UndefinedQuantityError):
+                        _reports(eom._pair_stack(cov, pair)[None])
+                else:
+                    _reports(eom._pair_stack(cov, pair)[None])
+        with pytest.raises(UndefinedQuantityError, match=r"^grid point 1 \(-9600000\.0\): "):
+            sweep(hot, "delta_w", grid)
 
     def test_unsorted_grid_rejected(self, reference):
         with pytest.raises(ValidationError, match="^temperature grid must be ascending$"):
