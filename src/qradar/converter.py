@@ -1,13 +1,14 @@
 """Operating-point solver and steady-state gate shared by the converter models.
 
 Both converters (:mod:`qradar.eom`, :mod:`qradar.oe`) have four DC unknowns
-(A_s, C_s, P_s, X_s) and a linearized Langevin model.  Each model reduces its
-DC equations to the radiation-pressure bistability cubics, whose real roots
-this module supplies, and hands the terms of its four DC equations to the
-operating point's residual gate; this module also gates the steady state, at
-one temperature or, through one Lyapunov basis per bath whose physicality is
-decided once, at every temperature of a threshold or temperature grid
-(:func:`qradar.sweeps.run_grid` the rest).
+(A_s, C_s, P_s, X_s) and a linearized Langevin model of one three-mode layout,
+whose drift and baths this module writes from each model's rates.  Each model
+reduces its DC equations to the radiation-pressure bistability cubics, whose
+real roots this module supplies, and hands the terms of its four DC equations
+to the operating point's residual gate; this module also gates the steady
+state, at one temperature or, through one Lyapunov basis per bath whose
+physicality is decided once, at every temperature of a threshold or
+temperature grid (:func:`qradar.sweeps.run_grid` the rest).
 """
 
 from __future__ import annotations
@@ -107,6 +108,34 @@ def _gated_point(a, c, p, x, branches: int, equations) -> OperatingPoint:
     return OperatingPoint(a, c, p, x, residual, branches)
 
 
+# Mode order of the drift and the baths: mediator ("mr": eom's resonator, oe's photodetector), OC, MC.
+_MODE_INDEX = {"mr": 0, "oc": 1, "mc": 2}
+_OC_MC = np.s_[..., 2:6, 2:6]  # the (OC, MC) rows and columns of a steady state or stack
+
+
+def _drift(omega_x, gamma_x, g_c, kappa_c, delta_c, g_w, kappa_w, delta_w) -> np.ndarray:
+    """The 6x6 drift in (q_x, p_x, X_c, Y_c, X_w, Y_w) order, the optical coupling g_c on
+    its (q_x, X_c)/(Y_c, p_x) entries and the microwave coupling g_w on (p_x, X_w)/(Y_w, q_x)."""
+    return np.array([
+        [0.0, omega_x, g_c, 0.0, 0.0, 0.0],
+        [-omega_x, -gamma_x, 0.0, 0.0, g_w, 0.0],
+        [0.0, 0.0, -kappa_c, delta_c, 0.0, 0.0],
+        [0.0, -g_c, -delta_c, -kappa_c, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -kappa_w, delta_w],
+        [g_w, 0.0, 0.0, 0.0, -delta_w, -kappa_w],
+    ])
+
+
+def _bath_rows(temperature, omega_x, gamma_x, omega_c, kappa_c, omega_w, kappa_w) -> list[tuple]:
+    """The three modes' baths at ``temperature``, in mode order, as (omega, damping,
+    temperature, kind) rows of :func:`~qradar.langevin.diffusion_from_baths`."""
+    return [
+        (omega_x, gamma_x, temperature, "mechanical"),
+        (omega_c, kappa_c, temperature, "cavity"),
+        (omega_w, kappa_w, temperature, "cavity"),
+    ]
+
+
 def _check_physical(cov: np.ndarray) -> None:
     n_modes = cov.shape[0] // 2
     GaussianState(n_modes, np.zeros(2 * n_modes), cov).validate_physical()
@@ -143,8 +172,8 @@ def _thermal_steady_state(
     model with this ``drift`` and every bath at each temperature.
 
     ``baths`` are the model's (omega, damping, temperature, kind) rows, one
-    per mode in mode order, as :func:`~qradar.langevin.diffusion_from_baths`
-    takes them; their own temperatures are not read.  Temperature
+    per mode in the drift's mode order, as :func:`_bath_rows` writes them for
+    the converters' layout; their own temperatures are not read.  Temperature
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .converter import OperatingPoint, _gated_point, _response_roots
+from .converter import _MODE_INDEX, OperatingPoint, _bath_rows, _drift, _gated_point, _response_roots
 from .converter import _at_temperatures, _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _lambda_sph, _reports, gaussian_discord
 from .errors import ConvergenceError, ValidationError
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 PAIR_NAMES = ("oc_mc", "oc_mr", "mr_mc")
-_MODE_INDEX = {"mr": 0, "oc": 1, "mc": 2}
 
 
 @dataclass(frozen=True)
@@ -129,41 +128,24 @@ def operating_point(params: EomParams) -> OperatingPoint:
 def drift_matrix(params: EomParams, op_point: OperatingPoint) -> np.ndarray:
     """Linearized 6x6 drift in (q_x, p_x, X_c, Y_c, X_w, Y_w) order.
 
-    The MC frame phase is chosen so C_s is real and positive, which zeroes
-    the G11 composite.  The mechanics/microwave coupling pair is placed on
-    the (p_x, X_w)/(Y_w, q_x) entries as required by the converter's own
-    linearized fluctuation equations (Hamiltonian consistency).
+    The MC frame phase makes C_s real and positive, which zeroes the G11
+    composite -sqrt(2) j2 Im{C_s}.  The mechanics/microwave coupling pair is
+    placed on the (p_x, X_w)/(Y_w, q_x) entries as required by the converter's
+    own linearized fluctuation equations (Hamiltonian consistency).
     """
-    dc = params.delta_c
     dw = params.delta_w
-    c_s = abs(op_point.c_s)
     j2 = params.g2 * dw
     g1s2 = math.sqrt(2.0) * params.g1
-    g11 = 0.0                        # -sqrt(2) j2 Im{C_s}, zero by phase convention
-    g22 = math.sqrt(2.0) * j2 * c_s  # sqrt(2) j2 Re{C_s}
-    kappa_w1 = params.kappa_w        # + j2 Im{X_s}, X_s real
+    g22 = math.sqrt(2.0) * j2 * abs(op_point.c_s)  # sqrt(2) j2 Re{C_s}
+    kappa_w1 = params.kappa_w                      # + j2 Im{X_s}, X_s real
     delta_w1 = dw * (1.0 - params.g2 * op_point.x_s)
-    wm = params.omega_m
-    return np.array([
-        [0.0, wm, g1s2, 0.0, 0.0, 0.0],
-        [-wm, -params.gamma_m, 0.0, 0.0, g22, -g11],
-        [0.0, 0.0, -params.kappa_c, dc, 0.0, 0.0],
-        [0.0, -g1s2, -dc, -params.kappa_c, 0.0, 0.0],
-        [g11, 0.0, 0.0, 0.0, -kappa_w1, delta_w1],
-        [g22, 0.0, 0.0, 0.0, -delta_w1, -kappa_w1],
-    ])
+    return _drift(params.omega_m, params.gamma_m, g1s2, params.kappa_c, params.delta_c, g22, kappa_w1, delta_w1)
 
 
 def _baths(params: EomParams) -> list[tuple]:
-    """The mechanical, optical and microwave baths, in mode order, each as
-    (omega, damping, temperature, kind) row of
-    :func:`~qradar.langevin.diffusion_from_baths`."""
-    t = params.temperature
-    return [
-        (params.omega_m, params.gamma_m, t, "mechanical"),
-        (params.omega_c, params.kappa_c, t, "cavity"),
-        (params.omega_w, params.kappa_w, t, "cavity"),
-    ]
+    """The mechanical, optical and microwave baths (:func:`~qradar.converter._bath_rows`)."""
+    return _bath_rows(params.temperature, params.omega_m, params.gamma_m,
+                      params.omega_c, params.kappa_c, params.omega_w, params.kappa_w)
 
 
 def _arrays(params: EomParams) -> tuple[np.ndarray, np.ndarray]:
@@ -201,9 +183,13 @@ class SweepPoint:
 
 
 def _axis_field(axis: str) -> str:
-    """The params field a sweep axis sets (lambda_l on the wavelength axis)."""
+    """The params field a sweep axis sets (lambda_l on the wavelength axis).
+
+    ``lambda_l`` is no axis of its own: it only records the wavelength, which
+    the ``wavelength`` axis moves through :meth:`EomParams.at_wavelength`.
+    """
     field = "lambda_l" if axis == "wavelength" else axis
-    if field not in {f.name for f in dataclasses.fields(EomParams)}:
+    if axis == "lambda_l" or field not in {f.name for f in dataclasses.fields(EomParams)}:
         raise ValidationError(f"unknown sweep axis {axis!r}")
     return field
 

@@ -10,12 +10,14 @@ A record declares each numeric field's config unit and sign rule once, with
 a converter grid holds its values to the axis field's rule once, and itself
 non-empty and ascending, with :func:`_grid_values`; a function holds each
 numeric argument, and a number it derives where that can leave float range,
-to its rule with :func:`_valid` (sign None: any finite value).
+to its rule with :func:`_valid` (sign None: any finite value), and a count
+or a seed to its range with :func:`_integer`.
 """
 
 import dataclasses
 import functools
 import math
+import numbers
 
 
 class QradarError(Exception):
@@ -57,6 +59,15 @@ def _valid(name: str, sign: str | None, value) -> float:
     if sign == "positive" and number <= 0 or sign == "non-negative" and number < 0:
         raise ValidationError(f"{name} must be {sign}")
     return number
+
+
+def _integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """:class:`ValidationError` naming ``name`` unless ``value`` is an integer
+    (a bool is not one) from ``lo`` to ``hi`` (None: of any size)."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and lo <= value and (hi is None or value <= hi)):
+        bound = f">= {lo}" if hi is None else f"from {lo} to {hi}"
+        raise ValidationError(f"{name} must be an integer {bound}")
 
 
 def _require_valid(record, values: dict | None = None) -> None:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateStateError, PhysicalityError, ValidationError
+from .errors import DegenerateStateError, PhysicalityError, ValidationError, _integer
 
 __all__ = [
     "GaussianState",
@@ -264,9 +264,7 @@ def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
     covariance N, sample the state whose covariance is cov + N.
     """
     limit = np.iinfo(np.intp).max // (16 * state.n_modes)  # the largest (n_samples, 2N) array
-    integer = isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool)
-    if not (integer and 1 <= n_samples <= limit):
-        raise ValidationError(f"n_samples must be an integer from 1 to {limit}")
+    _integer("n_samples", n_samples, 1, limit)
     state.validate_physical()
     chol = _cholesky(state.cov)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GaussianChannel, round_trip
-from .converter import OperatingPoint, _gated_point, _response_roots
+from .converter import _OC_MC, OperatingPoint, _bath_rows, _drift, _gated_point, _response_roots
 from .converter import _at_temperatures, _thermal_steady_state, steady_state
 from .criteria import BipartiteBlocks, CriteriaReport, _pt_nu_min, gaussian_discord
 from .errors import ConvergenceError, ValidationError, _grid_values, _param, _require_valid, _valid
@@ -133,33 +133,17 @@ def drift_matrix(params: OeParams, op_point: OperatingPoint) -> np.ndarray:
     detunings carry the operating-point shifts delta_c + g_op P_s and
     delta_w - g_wp X_s.
     """
-    a_s = abs(op_point.a_s)
-    c_s = abs(op_point.c_s)
-    ga = math.sqrt(2.0) * params.g_op * a_s
-    gc = math.sqrt(2.0) * params.g_wp * c_s
+    ga = math.sqrt(2.0) * params.g_op * abs(op_point.a_s)
+    gc = math.sqrt(2.0) * params.g_wp * abs(op_point.c_s)
     dc1 = params.delta_c + params.g_op * op_point.p_s
     dw1 = params.delta_w - params.g_wp * op_point.x_s
-    deg = params.delta_eg
-    return np.array([
-        [0.0, deg, ga, 0.0, 0.0, 0.0],
-        [-deg, -params.gamma_p, 0.0, 0.0, gc, 0.0],
-        [0.0, 0.0, -params.kappa_c, dc1, 0.0, 0.0],
-        [0.0, -ga, -dc1, -params.kappa_c, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -params.kappa_w, dw1],
-        [gc, 0.0, 0.0, 0.0, -dw1, -params.kappa_w],
-    ])
+    return _drift(params.delta_eg, params.gamma_p, ga, params.kappa_c, dc1, gc, params.kappa_w, dw1)
 
 
 def _baths(params: OeParams) -> list[tuple]:
-    """The photodetector, optical and microwave baths, in mode order, each as
-    (omega, damping, temperature, kind) row of
-    :func:`~qradar.langevin.diffusion_from_baths`."""
-    t = params.temperature
-    return [
-        (params.omega_eg, params.gamma_p, t, "mechanical"),
-        (params.omega_c, params.kappa_c, t, "cavity"),
-        (params.omega_w, params.kappa_w, t, "cavity"),
-    ]
+    """The photodetector, optical and microwave baths (:func:`~qradar.converter._bath_rows`)."""
+    return _bath_rows(params.temperature, params.omega_eg, params.gamma_p,
+                      params.omega_c, params.kappa_c, params.omega_w, params.kappa_w)
 
 
 def _arrays(params: OeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +154,6 @@ def _arrays(params: OeParams) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(params: OeParams) -> LinearLangevinModel:
     return LinearLangevinModel(*_arrays(params))
-
-
-_OC_MC = np.s_[..., 2:6, 2:6]  # the (OC, MC) rows and columns of a steady state or stack
 
 
 def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:

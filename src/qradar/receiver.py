@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
-from .errors import UndefinedQuantityError, ValidationError, _param, _require_valid, _valid
+from .errors import UndefinedQuantityError, ValidationError, _integer, _param, _require_valid, _valid
 from .gaussian import GaussianState, _cholesky, apply_channel
 
 __all__ = [
@@ -100,6 +100,9 @@ class QiScenario:
     Each decision averages ``samples_per_decision`` records; the
     ``n_decisions`` statistics of both hypotheses come from one generator
     seeded with ``seed``, so a scenario always yields the same samples.
+    All three are integers: both counts positive, at most float range
+    (``samples_per_decision``) and the largest (n_decisions, 4) array, and
+    the seed non-negative, of any size.
     """
 
     r: float = _param(sign="non-negative")
@@ -113,8 +116,9 @@ class QiScenario:
 
     def __post_init__(self):
         _require_valid(self)
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        _integer("samples_per_decision", self.samples_per_decision, 1)
+        _integer("n_decisions", self.n_decisions, 1, np.iinfo(np.intp).max // 32)  # an (n, 4) array
+        _integer("seed", self.seed, 0)
         if self.signal_channel.n_modes != 1 or self.background_channel.n_modes != 1:
             raise ValidationError("scenario channels must be single-mode")
         if self.detector not in DETECTORS:

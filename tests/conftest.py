@@ -2,8 +2,9 @@
 damped oscillator model (and its arrays, for grids); the definition-level
 oracles that tests check shipped kernels against by another route (thermal
 states, partial transposition, von Neumann entropy, the identity channel, the
-covariance ODE and the ROC by ranks); a checked stack score built from the
-library's rules; and the Hypothesis profile every property runs under."""
+covariance ODE, the ROC by ranks and each converter's drift as a hand-written
+literal); a checked stack score built from the library's rules; and the
+Hypothesis profile every property runs under."""
 
 import math
 
@@ -133,3 +134,47 @@ def roc_by_ranks(h0_samples, h1_samples) -> RocCurve:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def eom_drift_literal(params, op_point) -> np.ndarray:
+    """The electro-opto-mechanical drift written out entry by entry, as
+    eom.drift_matrix wrote it before both converters shared the layout
+    template converter._drift.  Its (p_x, Y_w) entry is -G11, so -0.0."""
+    dc = params.delta_c
+    dw = params.delta_w
+    c_s = abs(op_point.c_s)
+    j2 = params.g2 * dw
+    g1s2 = math.sqrt(2.0) * params.g1
+    g11 = 0.0                        # -sqrt(2) j2 Im{C_s}, zero by phase convention
+    g22 = math.sqrt(2.0) * j2 * c_s  # sqrt(2) j2 Re{C_s}
+    kappa_w1 = params.kappa_w        # + j2 Im{X_s}, X_s real
+    delta_w1 = dw * (1.0 - params.g2 * op_point.x_s)
+    wm = params.omega_m
+    return np.array([
+        [0.0, wm, g1s2, 0.0, 0.0, 0.0],
+        [-wm, -params.gamma_m, 0.0, 0.0, g22, -g11],
+        [0.0, 0.0, -params.kappa_c, dc, 0.0, 0.0],
+        [0.0, -g1s2, -dc, -params.kappa_c, 0.0, 0.0],
+        [g11, 0.0, 0.0, 0.0, -kappa_w1, delta_w1],
+        [g22, 0.0, 0.0, 0.0, -delta_w1, -kappa_w1],
+    ])
+
+
+def oe_drift_literal(params, op_point) -> np.ndarray:
+    """The opto-electronic drift written out entry by entry, as oe.drift_matrix
+    wrote it before both converters shared the layout template converter._drift."""
+    a_s = abs(op_point.a_s)
+    c_s = abs(op_point.c_s)
+    ga = math.sqrt(2.0) * params.g_op * a_s
+    gc = math.sqrt(2.0) * params.g_wp * c_s
+    dc1 = params.delta_c + params.g_op * op_point.p_s
+    dw1 = params.delta_w - params.g_wp * op_point.x_s
+    deg = params.delta_eg
+    return np.array([
+        [0.0, deg, ga, 0.0, 0.0, 0.0],
+        [-deg, -params.gamma_p, 0.0, 0.0, gc, 0.0],
+        [0.0, 0.0, -params.kappa_c, dc1, 0.0, 0.0],
+        [0.0, -ga, -dc1, -params.kappa_c, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -params.kappa_w, dw1],
+        [gc, 0.0, 0.0, 0.0, -dw1, -params.kappa_w],
+    ])

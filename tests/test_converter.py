@@ -1,5 +1,6 @@
 """Shared converter pipeline: the closed-form operating point, reached
 through both converter models, its residual gate and failure report; the
+three-mode drift template against each converter's hand-written literal; the
 temperature-affine steady state the thresholds bisect and the temperature
 grids stack, its properties, an integrated oracle for it, and the checks each
 threshold step and grid still makes on it."""
@@ -22,7 +23,7 @@ from qradar.errors import ValidationError
 from qradar.langevin import LinearLangevinModel, diffusion_from_baths
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
-from conftest import propagate_cov
+from conftest import eom_drift_literal, oe_drift_literal, propagate_cov
 
 
 def _record_cubics(model, monkeypatch) -> list:
@@ -110,6 +111,48 @@ def test_zero_coupling_is_linear(model, changes):
         assert op.p_s == 0.0 and op.branches == 1
     if params.g_wp == 0.0:
         assert op.x_s == pytest.approx(-params.gamma_p * op.p_s / params.delta_eg, rel=1e-15)
+
+
+def _drawn(data, record):
+    """``record`` with each float or complex field scaled by a drawn factor in
+    [1/2, 2], of a drawn sign for the detunings delta_c, delta_w and delta_eg."""
+    changes = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, (float, complex)):
+            factor = data.draw(st.floats(min_value=0.5, max_value=2.0), label=field.name)
+            if field.name in ("delta_c", "delta_w", "delta_eg") and data.draw(st.booleans()):
+                factor = -factor
+            changes[field.name] = value * factor
+    return dataclasses.replace(record, **changes)
+
+
+class TestDriftTemplate:
+    # The rates and the operating point are drawn around the references, not
+    # solved for, so every draw reaches the drift, stable or not.
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_oe_drift_is_its_literal_bit_for_bit(self, data):
+        params = _drawn(data, oe_reference())
+        op = _drawn(data, oe.operating_point(oe_reference()))
+        drift, literal = oe.drift_matrix(params, op), oe_drift_literal(params, op)
+        assert np.array_equal(drift.view(np.int64), literal.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_eom_drift_is_its_literal_bit_for_bit_but_one_zero(self, data):
+        params = _drawn(data, eom_reference())
+        op = _drawn(data, eom.operating_point(eom_reference()))
+        drift, literal = eom.drift_matrix(params, op), eom_drift_literal(params, op)
+        # The literal's (p_x, Y_w) entry is -G11 = -0.0 and the template's a
+        # plain 0.0: equal as values, and the Lyapunov solves on the two
+        # drifts give the same bits.
+        diffusion = diffusion_from_baths(eom._baths(params))
+        solves = [langevin._solve_lyapunov(a, diffusion)[0] for a in (drift, literal)]
+        assert np.array_equal(*(v.view(np.int64) for v in solves))
+        assert drift[1, 5] == literal[1, 5] == 0.0
+        drift[1, 5] = literal[1, 5]
+        assert np.array_equal(drift.view(np.int64), literal.view(np.int64))
 
 
 def _thresholds():

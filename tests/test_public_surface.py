@@ -8,8 +8,9 @@ Cholesky outside gaussian's np.linalg.cholesky; nor writes the symmetric part
 (M + M^T)/2 outside gaussian, or a channel action X V X^T + Y outside
 channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
 writes its shape rule ("2N x 2N") outside gaussian; nor raises
-UnphysicalChannelError outside channels, where a channel is made; nor imports
-scipy.constants or scipy.optimize."""
+UnphysicalChannelError outside channels, where a channel is made; nor writes
+a converter's 6-row drift literal or a bath row outside converter, where the
+three-mode layout lives; nor imports scipy.constants or scipy.optimize."""
 
 import ast
 import math
@@ -287,6 +288,51 @@ def test_one_matrix_boundary():
     ]
     assert _matrix_rule_copies(_modules()["gaussian"]), "no matrix rule seen in gaussian"
     assert not found, f"matrix rules written outside gaussian: {', '.join(found)}"
+
+
+def _layout_copies(tree: ast.AST) -> list[tuple[str, int]]:
+    """(part, line) of each ``np.array`` call on a 6-row list literal and each
+    4-field tuple or list literal ending in the bath kind "cavity" or
+    "mechanical" in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.array", "numpy.array"):
+            rows = node.args[0] if node.args else None
+            if isinstance(rows, ast.List) and len(rows.elts) == 6:
+                found.append(("drift literal", node.lineno))
+        elif isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 4:
+            kind = node.elts[-1]
+            if isinstance(kind, ast.Constant) and kind.value in ("cavity", "mechanical"):
+                found.append(("bath row", node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("source, parts", [
+    ("np.array([[0.0] * 6, [1.0] * 6, [2.0] * 6, [3.0] * 6, [4.0] * 6, [5.0] * 6])", ["drift literal"]),
+    ("numpy.array([r0, r1, r2, r3, r4, r5])", ["drift literal"]),
+    ("baths = [(w, g, t, 'mechanical'), (w, k, t, 'cavity')]", ["bath row", "bath row"]),
+    ("[omega, kappa, 0.0, 'cavity']", ["bath row"]),
+    ("np.array([[1.0, 0.0], [0.0, 1.0]])", []),
+    ("if kind not in ('cavity', 'mechanical'): pass", []),
+    ("(omega, damping, 0.0, kind)", []),
+])
+def test_layout_copies_are_seen(source, parts):
+    assert [part for part, _ in _layout_copies(ast.parse(source))] == parts
+
+
+def test_one_converter_layout():
+    # converter._drift and converter._bath_rows write the three-mode layout
+    # both converters share, in its one mode order; a converter that wrote
+    # its own drift or baths could drift from that order, on which the
+    # temperature basis's one bath per mode relies.
+    found = [
+        f"{module}:{line} {part}"
+        for module, tree in _modules().items()
+        for part, line in _layout_copies(tree)
+        if module != "converter"
+    ]
+    assert _layout_copies(_modules()["converter"]), "no layout seen in converter"
+    assert not found, f"converter layout written outside converter: {', '.join(found)}"
 
 
 def _raises_of(name: str) -> list[str]:

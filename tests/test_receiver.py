@@ -454,13 +454,32 @@ class TestScenarioValidation:
             ({"r": -0.1}, "r must be non-negative"),
             ({"samples_per_decision": 0}, "samples_per_decision must be positive"),
             ({"n_decisions": 0}, "n_decisions must be positive"),
-            ({"seed": -1}, "seed must be non-negative"),
+            ({"seed": -1}, "seed must be an integer >= 0"),
         ],
     )
     def test_field_rules(self, changes, message):
         # Rejected at construction, with no RuntimeWarning (an error here).
         with pytest.raises(ValidationError, match=f"^{message}$"):
             make_scenario(**changes)
+
+    @pytest.mark.parametrize("name", ["samples_per_decision", "n_decisions", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True, np.float64(3.0)])
+    def test_counts_and_seed_are_integers(self, name, value):
+        # A fractional n_decisions or seed used to reach numpy as a bare
+        # TypeError, and a fractional samples_per_decision drew chi-squares
+        # with fractional degrees of freedom, which no mean over records has.
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer "):
+            make_scenario(**{name: value})
+
+    def test_decision_count_is_one_numpy_can_hold(self):
+        limit = np.iinfo(np.intp).max // 32  # the largest (n, 4) float array
+        with pytest.raises(ValidationError, match=f"^n_decisions must be an integer from 1 to {limit}$"):
+            make_scenario(n_decisions=limit + 1)
+
+    @pytest.mark.parametrize("name", ["samples_per_decision", "n_decisions", "seed"])
+    def test_numpy_integers_accepted(self, name):
+        scenario = make_scenario(**{name: np.int64(3)}, r=0.1)
+        assert run_detection(scenario).h0.shape == (scenario.n_decisions,)
 
     def test_seed_beyond_float_range_accepted(self):
         assert make_scenario(seed=10**400).seed == 10**400

@@ -292,9 +292,13 @@ class TestGridRecords:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             _sweep(axis, [value])
 
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValidationError, match="unknown sweep axis 'colour'"):
-            eom.sweep(eom_reference(), "colour", [1.0])
+    # lambda_l only records the wavelength: swept bare, it left omega_c, g1
+    # and e_c as they were, the same steady state at every point.  The
+    # wavelength axis moves them.
+    @pytest.mark.parametrize("axis", ["colour", "lambda_l"])
+    def test_unknown_axis_rejected(self, axis):
+        with pytest.raises(ValidationError, match=f"^unknown sweep axis '{axis}'$"):
+            eom.sweep(eom_reference(), axis, [1e-6])
 
 
 # Shapes a threshold's crossing function takes, each of (x, root): smooth and
