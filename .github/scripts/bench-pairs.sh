@@ -11,6 +11,10 @@
 # the pairs the working tree wins (ties count for neither), and whether a
 # gain holds: at least nine tenths of the pairs won, and the medians apart,
 # in the better direction, by more than the base runs' interquartile range.
+# Then, for each op kind, it prints each side's median over the pairs of the
+# per-run median time run.py reports for that kind, divided by that run's
+# machine-speed factor as work_per_s is, so a change shows which kind its
+# gain lands on.
 # Report only: the exit status is 0 whenever every run succeeds.
 #
 #   .github/scripts/bench-pairs.sh <base-revision> <workload> [pairs=10] [seconds=12] [seed=1]
@@ -32,7 +36,8 @@ cp -r "$root/perfbench" "$root/BENCHMARK.json" "$work/base-checkout/"
 
 run() {  # <checkout> <side> <pair>
   (cd "$1" && python3 perfbench/run.py --workload "$workload" --seed $((seed + $3)) \
-    --seconds "$seconds" --trace 0) | tail -n 1 > "$work/$2-$3.json"
+    --seconds "$seconds" --trace 0) > "$work/$2-$3.out"
+  tail -n 1 "$work/$2-$3.out" > "$work/$2-$3.json"
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -46,7 +51,7 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 python3 - "$work" "$root/BENCHMARK.json" "$pairs" "$workload" "$base" <<'PY'
-import json, statistics, sys
+import json, re, statistics, sys
 from pathlib import Path
 
 work, benchmark, pairs, workload, base = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3]), *sys.argv[4:]
@@ -77,4 +82,20 @@ for metric in json.loads(benchmark.read_text())["end_to_end"]:
           f" base {a2:.6g} [{a1:.6g}, {a3:.6g}], head {b2:.6g} [{b1:.6g}, {b3:.6g}],"
           f" medians {change:+.2%}, head wins {wins}/{pairs},"
           f" gain rule {'holds' if holds else 'does not hold'}")
+
+# run.py's per-kind lines, "#   <kind>: median <seconds> s over <n> ops, ...",
+# at nominal speed: over the "machine <factor>x slower than nominal" it reports.
+kind_line = re.compile(r"^#   (\S+): median (\S+) s over ")
+speed_line = re.compile(r"machine (\S+)x slower than nominal")
+kinds = {side: {} for side in results}
+for side in kinds:
+    for i in range(pairs):
+        output = (work / f"{side}-{i}.out").read_text()
+        speed = float(speed_line.search(output)[1])
+        for match in map(kind_line.match, output.splitlines()):
+            if match:
+                kinds[side].setdefault(match[1], []).append(float(match[2]) / speed)
+for kind, times in kinds["base"].items():
+    a, b = statistics.median(times), statistics.median(kinds["head"].get(kind, [float("nan")]))
+    print(f"  op kind {kind}: base median {a:.6g} s, head median {b:.6g} s, medians {(b - a) / a:+.2%}")
 PY

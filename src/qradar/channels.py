@@ -46,7 +46,9 @@ class GaussianChannel:
         y.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "_embeddings", {})  # expand's memo; no field, so out of repr
+        # expand's and then's memos; no fields, so out of repr
+        object.__setattr__(self, "_embeddings", {})
+        object.__setattr__(self, "_composites", {})
         omega = symplectic_form(self.n_modes)
         with np.errstate(over="ignore", invalid="ignore"):  # X Omega X^T beyond float range fails below
             m = y + 0.5j * (omega - x @ omega @ x.T)
@@ -65,17 +67,28 @@ class GaussianChannel:
 
     def act(self, covs: np.ndarray) -> np.ndarray:
         """The action on a covariance V, or on each member of an (n, d, d)
-        stack: X V X^T + Y, unchecked."""
-        return self.X @ covs @ self.X.T + self.Y
+        stack: X V X^T + Y, unchecked.  An image beyond float range comes back
+        non-finite, with no warning, for the caller's finiteness check."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.X @ covs @ self.X.T + self.Y
 
     def then(self, other: "GaussianChannel") -> "GaussianChannel":
-        """Composite channel equivalent to applying ``self`` first, then ``other``."""
+        """Composite channel equivalent to applying ``self`` first, then ``other``.
+
+        Both channels are frozen with read-only X and Y, so each composite is
+        built, and decided completely positive, once: later calls with the
+        same ``other`` object return the same channel.
+        """
         if other.X.shape != self.X.shape:
             raise ValidationError(
                 f"cannot compose channels of shape {self.X.shape} and {other.X.shape}"
             )
-        desc = " -> ".join(d for d in (self.description, other.description) if d)
-        return GaussianChannel(other.X @ self.X, other.act(self.Y), desc)
+        if other not in self._composites:
+            desc = " -> ".join(d for d in (self.description, other.description) if d)
+            with np.errstate(over="ignore", invalid="ignore"):  # a product beyond float range fails below
+                x = other.X @ self.X
+            self._composites[other] = GaussianChannel(x, other.act(self.Y), desc)
+        return self._composites[other]
 
     def expand(self, mode: int, n_modes: int) -> "GaussianChannel":
         """Embed a single-mode channel on ``mode`` of an ``n_modes`` register.

@@ -282,4 +282,6 @@ def apply_channel(state: GaussianState, channel) -> GaussianState:
         raise ValidationError(
             f"channel acts on {channel.n_modes} modes but state has {state.n_modes}"
         )
-    return GaussianState(state.n_modes, channel.X @ state.mean, channel.act(state.cov))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite image fails as a state
+        mean = channel.X @ state.mean
+    return GaussianState(state.n_modes, mean, channel.act(state.cov))

@@ -5,7 +5,10 @@ matched-energy classical baseline, and ROC curves.
 Both illuminations build their records by one step: a two-mode source
 (the squeezed vacuum for QI, the coherent tone beside its recorded reference
 for CI) has its mode 0 sent through the target channel (H1) or the
-background channel (H0) while mode 1 is retained.  The digital receiver
+background channel (H0) while mode 1 is retained.  The two records are
+channel images of a checked source under completely positive channels, so
+they are formed as one (2, 4, 4) stack held to finiteness only, and one
+stacked Cholesky, eigh and solve decompose both.  The digital receiver
 reduces each decision to the mean of a quadratic form over heterodyne-style
 records of the return and the retained arm, and samples that statistic
 exactly: a Gaussian quadratic form is a weighted sum of independent
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channels import GaussianChannel, attenuation_channel, thermal_background_channel
 from .errors import UndefinedQuantityError, ValidationError, _integer, _param, _require_valid, _valid
-from .gaussian import GaussianState, _cholesky, apply_channel
+from .gaussian import GaussianState, _cholesky, _symmetric_part
 
 __all__ = [
     "DETECTORS",
@@ -45,9 +48,6 @@ __all__ = [
 # The per-decision statistics a QiScenario can select.
 DETECTORS = ("covariance_detector", "energy_detector")
 
-_SIGMA_Z = np.diag([1.0, -1.0])
-
-
 def tmsv_cm(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r (signal, idler)."""
     _valid("r", "non-negative", r)
@@ -55,10 +55,13 @@ def tmsv_cm(r: float) -> GaussianState:
         c2 = math.cosh(math.ldexp(r, 1))  # 2r; ldexp, unlike 2.0 * r, raises rather than give inf
     except OverflowError:
         raise ValidationError(f"two-mode squeezing cosh(2r) is beyond float range (r = {r!r})") from None
-    s2 = math.sinh(2.0 * r)
-    cov = 0.5 * np.block([
-        [c2 * np.eye(2), s2 * _SIGMA_Z],
-        [s2 * _SIGMA_Z, c2 * np.eye(2)],
+    c, s = 0.5 * c2, 0.5 * math.sinh(2.0 * r)
+    z = 0.0 * s  # the zeros of the sinh(2r) sigma_z blocks: -0.0 at r = -0.0
+    cov = np.array([
+        [c, 0.0, s, z],
+        [0.0, c, z, -s],
+        [s, z, c, 0.0],
+        [z, -s, 0.0, c],
     ])
     return GaussianState(2, np.zeros(4), cov)
 
@@ -133,46 +136,63 @@ class DetectionSamples:
     h1: np.ndarray
 
 
-def _sample_statistic(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
-    """n exact draws of (1/k) sum_i x_i^T A x_i with x_i ~ N(mean, cov) i.i.d.
+def _sample_statistics(rng, means, covs, form, k: int, n: int) -> list[np.ndarray]:
+    """n exact draws of (1/k) sum_i x_i^T A x_i with x_i ~ N(mean, cov) i.i.d.,
+    for each (mean, cov) of an (h, 4) and an (h, 4, 4) stack, drawn in stack
+    order.
 
     With cov = L L^T and L^T A L = U diag(lam) U^T, one record is
     x^T A x = sum_j lam_j (w_j + c_j)^2 for w ~ N(0, I) and c = U^T L^-1 mean,
     so over k records the j-th square sums to a noncentral chi-square variable
-    with k degrees of freedom and noncentrality k c_j^2.
+    with k degrees of freedom and noncentrality k c_j^2.  One Cholesky, eigh
+    and solve serve the whole stack.
     """
-    chol = _cholesky(cov)
-    lam, u = np.linalg.eigh(chol.T @ form @ chol)
-    c = u.T @ np.linalg.solve(chol, mean)
+    chol = _cholesky(covs)
+    lam, u = np.linalg.eigh(chol.mT @ form @ chol)
+    c = (u.mT @ np.linalg.solve(chol, means[..., None]))[..., 0]
+    stats = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails below
-        noncentrality = k * c**2
-        if noncentrality.any():
-            draws = rng.noncentral_chisquare(k, noncentrality, size=(n, lam.size))
-        else:  # the same draws and stream: numpy's noncentral sampler at 0 calls this one
-            draws = rng.chisquare(k, size=(n, lam.size))
-        stat = draws @ lam / k
-    if not np.isfinite(stat).all():
+        for weights, noncentrality in zip(lam, k * c**2):
+            if noncentrality.any():
+                draws = rng.noncentral_chisquare(k, noncentrality, size=(n, weights.size))
+            else:  # the same draws and stream: numpy's noncentral sampler at 0 calls this one
+                draws = rng.chisquare(k, size=(n, weights.size))
+            stats.append(draws @ weights / k)
+    if not all(np.isfinite(stat).all() for stat in stats):
         raise UndefinedQuantityError("the decision statistic is beyond float range")
-    return stat
+    return stats
 
 
-def _run(scenario: QiScenario, source: GaussianState, conjugate: bool) -> DetectionSamples:
+def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray, conjugate: bool) -> DetectionSamples:
     """Both hypotheses' statistics of the measured (return, retained) record
-    of a two-mode ``source``: its mode 0 sent through the target channel (H1)
-    or the background channel (H0), mode 1 kept, and heterodyne noise 1/2
-    added to every quadrature variance when the scenario measures it."""
+    of a two-mode source of ``mean`` and ``cov``: its mode 0 sent through the
+    target channel (H1) or the background channel (H0), mode 1 kept, and
+    heterodyne noise 1/2 added to every quadrature variance when the
+    scenario measures it.
+
+    The two records are channel images of a checked source, so they are
+    formed as one (2, 4, 4) stack, stored symmetrised as a state stores its
+    covariance and held to finiteness only, H1's before H0's; a channel is
+    completely positive from when it is made, so they are physical.
+    """
     if scenario.detector == "energy_detector":
         form = np.diag([1.0, 1.0, 0.0, 0.0])
     else:
         form = np.zeros((4, 4))
         form[0, 2] = form[2, 0] = 0.5
         form[1, 3] = form[3, 1] = -0.5 if conjugate else 0.5
-    channels = (scenario.signal_channel, scenario.background_channel)
-    records = [apply_channel(source, channel.expand(0, 2)) for channel in channels]
+    channels = [ch.expand(0, 2) for ch in (scenario.signal_channel, scenario.background_channel)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
+        means = np.array([ch.X @ mean for ch in channels])
+    covs = _symmetric_part(np.array([ch.act(cov) for ch in channels]))
+    for record_mean, record_cov in zip(means, covs):
+        for what, values in (("mean", record_mean), ("cov", record_cov)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"state invariant violated: {what} must be finite")
     noise = 0.5 * np.eye(4) if scenario.heterodyne else 0.0
     rng = np.random.default_rng(scenario.seed)
     k, n = scenario.samples_per_decision, scenario.n_decisions
-    h1, h0 = (_sample_statistic(rng, state.mean, state.cov + noise, form, k, n) for state in records)
+    h1, h0 = _sample_statistics(rng, means, covs + noise, form, k, n)
     return DetectionSamples(h0=h0, h1=h1)
 
 
@@ -183,7 +203,8 @@ def run_detection(scenario: QiScenario) -> DetectionSamples:
     the target channel; under H0 the return is replaced by the thermal
     background while the idler is still recorded.  Deterministic per seed.
     """
-    return _run(scenario, tmsv_cm(scenario.r), conjugate=True)
+    source = tmsv_cm(scenario.r)
+    return _run(scenario, source.mean, source.cov, conjugate=True)
 
 
 def ci_baseline(scenario: QiScenario) -> DetectionSamples:
@@ -198,8 +219,7 @@ def ci_baseline(scenario: QiScenario) -> DetectionSamples:
     if scenario.r > 710.1292864836639:  # the largest r whose sqrt(2) sinh(r) is finite
         raise ValidationError(f"tone amplitude sqrt(2) sinh(r) is beyond float range (r = {scenario.r!r})")
     amplitude = math.sqrt(2.0) * math.sinh(scenario.r)
-    tone = GaussianState(2, [amplitude, 0.0, amplitude, 0.0], 0.5 * np.eye(4))
-    return _run(scenario, tone, conjugate=False)
+    return _run(scenario, np.array([amplitude, 0.0, amplitude, 0.0]), 0.5 * np.eye(4), conjugate=False)
 
 
 @dataclass(frozen=True, eq=False)

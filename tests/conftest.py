@@ -2,9 +2,10 @@
 damped oscillator model (and its arrays, for grids); the definition-level
 oracles that tests check shipped kernels against by another route (thermal
 states, partial transposition, von Neumann entropy, the identity channel, the
-covariance ODE, the ROC by ranks and each converter's drift as a hand-written
-literal); a checked stack score built from the library's rules; and the
-Hypothesis profile every property runs under."""
+covariance ODE, the ROC by ranks, each converter's drift as a hand-written
+literal and both illuminations' statistics one hypothesis at a time); a
+checked stack score built from the library's rules; and the Hypothesis
+profile every property runs under."""
 
 import math
 
@@ -16,10 +17,11 @@ from scipy.linalg import expm
 
 from qradar.channels import GaussianChannel
 from qradar.criteria import _pt_nu_min
-from qradar.gaussian import GaussianState, _require_physical, _symmetrised, entropy_term
-from qradar.gaussian import symplectic_eigenvalues, symplectic_form
+from qradar.errors import UndefinedQuantityError
+from qradar.gaussian import GaussianState, _cholesky, _require_physical, _symmetrised, apply_channel
+from qradar.gaussian import entropy_term, symplectic_eigenvalues, symplectic_form
 from qradar.langevin import LinearLangevinModel
-from qradar.receiver import RocCurve
+from qradar.receiver import DetectionSamples, RocCurve
 
 # Every property, present or future, draws the same examples on every run;
 # each still sets its own max_examples (and deadline, where it needs one).
@@ -129,6 +131,51 @@ def roc_by_ranks(h0_samples, h1_samples) -> RocCurve:
     thresholds = np.concatenate([[-np.inf], thresholds, [np.inf]])
     auc = float(np.trapezoid(pd[::-1], pfa[::-1]))
     return RocCurve(pfa=pfa, pd=pd, thresholds=thresholds, auc=auc)
+
+
+def detection_oracle(scenario, illumination: str) -> DetectionSamples:
+    """The statistics of ``run_detection`` (illumination "qi") or
+    ``ci_baseline`` ("ci") one hypothesis at a time, as the receiver drew them
+    before it stacked the two: the source and each record a GaussianState
+    (the record made by apply_channel), and each statistic from its own
+    Cholesky factor, eigh and solve, H1 first, then H0."""
+    if illumination == "qi":
+        source = GaussianState(2, np.zeros(4), tmsv_cov(scenario.r))
+        form = np.zeros((4, 4))
+        form[0, 2] = form[2, 0] = 0.5
+        form[1, 3] = form[3, 1] = -0.5
+    else:
+        amplitude = math.sqrt(2.0) * math.sinh(scenario.r)
+        source = GaussianState(2, [amplitude, 0.0, amplitude, 0.0], 0.5 * np.eye(4))
+        form = np.zeros((4, 4))
+        form[0, 2] = form[2, 0] = form[1, 3] = form[3, 1] = 0.5
+    if scenario.detector == "energy_detector":
+        form = np.diag([1.0, 1.0, 0.0, 0.0])
+    channels = (scenario.signal_channel, scenario.background_channel)
+    records = [apply_channel(source, channel.expand(0, 2)) for channel in channels]
+    noise = 0.5 * np.eye(4) if scenario.heterodyne else 0.0
+    rng = np.random.default_rng(scenario.seed)
+    k, n = scenario.samples_per_decision, scenario.n_decisions
+    h1, h0 = (_statistic_oracle(rng, state.mean, state.cov + noise, form, k, n) for state in records)
+    return DetectionSamples(h0=h0, h1=h1)
+
+
+def _statistic_oracle(rng, mean, cov, form, k: int, n: int) -> np.ndarray:
+    """n exact draws of (1/k) sum_i x_i^T A x_i with x_i ~ N(mean, cov) i.i.d.,
+    as noncentral chi-squares weighted by the eigenvalues of L^T A L."""
+    chol = _cholesky(cov)
+    lam, u = np.linalg.eigh(chol.T @ form @ chol)
+    c = u.T @ np.linalg.solve(chol, mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noncentrality = k * c**2
+        if noncentrality.any():
+            draws = rng.noncentral_chisquare(k, noncentrality, size=(n, lam.size))
+        else:
+            draws = rng.chisquare(k, size=(n, lam.size))
+        stat = draws @ lam / k
+    if not np.isfinite(stat).all():
+        raise UndefinedQuantityError("the decision statistic is beyond float range")
+    return stat
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Propagation channels: effective thermal occupation, attenuation, target
 scattering, amplifiers, and round-trip composition."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from qradar.errors import ConvergenceError, QradarError, UndefinedQuantityError,
 from qradar.errors import ValidationError
 from qradar import channels
 from qradar.gaussian import GaussianState, _eigvalsh_rounding, apply_channel, vacuum_state
+from qradar.receiver import tmsv_cm
 
 from conftest import identity_channel, tmsv_cov
 
@@ -428,3 +430,47 @@ class TestCompletePositivity:
                 ch.expand(0.0, 2)
             with pytest.raises(ValidationError, match="only applies to single-mode channels"):
                 two_mode.expand(0, 2)
+
+    def test_each_composite_is_made_and_decided_once(self, monkeypatch):
+        # As expand keeps its embeddings, then keeps the composite it made
+        # for each other channel, so a reused round trip is composed once.
+        decisions = []
+
+        def counting(m):
+            decisions.append(m.shape)
+            return _eigvalsh_rounding(m)
+
+        a, b = attenuation_channel(0.2, 3.0, 0.7), target_channel(1.0, 0.5, 2.0)
+        monkeypatch.setattr(channels, "_eigvalsh_rounding", counting)
+        assert a.then(b) is a.then(b)
+        assert a.then(a) is not a.then(b)
+        assert b.then(a) is not a.then(b)
+        assert decisions == [(2, 2)] * 3
+        assert round_trip(a, b, a) is round_trip(a, b, a)
+        assert decisions == [(2, 2)] * 4  # (a then b) then a, once
+        assert [f.name for f in dataclasses.fields(a)] == ["X", "Y", "description"]
+        assert "composites" not in repr(a)
+
+    def test_a_mismatched_composite_raises_on_every_call(self):
+        ch = attenuation_channel(0.2, 3.0, 0.7)
+        mismatch = r"cannot compose channels of shape \(2, 2\) and \(4, 4\)"
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=mismatch):
+                ch.then(ch.expand(0, 2))
+
+    def test_a_composite_beyond_float_range_fails_typed(self):
+        # The composite noise of two 2000 dB amplifiers, G Y G^T + Y, is
+        # beyond float range: its product leaked an overflow RuntimeWarning
+        # before the typed error.
+        with pytest.raises(ValidationError, match="^channel noise matrix Y must be finite$"):
+            amplifier_channel(2000.0).then(amplifier_channel(2000.0))
+
+    @pytest.mark.parametrize("state, what", [
+        (tmsv_cm(200.0), "cov"),
+        (GaussianState(2, [1e300, 0.0, 0.0, 0.0], 0.5 * np.eye(4)), "mean"),
+    ])
+    def test_an_image_beyond_float_range_fails_typed(self, state, what):
+        # The image's X V X^T (or X m) overflowed, with overflow and invalid
+        # value RuntimeWarnings, before the state's typed error.
+        with pytest.raises(ValidationError, match=f"^state invariant violated: {what} must be finite$"):
+            apply_channel(state, amplifier_channel(3000.0).expand(0, 2))

@@ -319,6 +319,15 @@ class TestThresholdSolvesOnce:
         assert [len(channels), len(cp_checks)] == [3, 3]  # the round trip, not one per point
         assert direct.shape == returned.shape == grid.shape
 
+    def test_a_reused_round_trip_is_made_once(self, monkeypatch):
+        # then keeps its composites and expand its embeddings, so thresholds
+        # on the same channel objects share one round trip.
+        atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
+        channels = _count_inits(monkeypatch, GaussianChannel)
+        for _ in range(2):
+            assert oe.threshold_temperature(oe_reference(), channel_spec=atmosphere, target_spec=target)
+        assert len(channels) == 3
+
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
     def test_step_scores_the_public_value(self, model, params, kwargs, monkeypatch):
         # The function each threshold hands to Brent, captured, equals the

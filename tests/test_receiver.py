@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qradar.channels import attenuation_channel, thermal_background_channel
+from qradar.channels import GaussianChannel, amplifier_channel, attenuation_channel
+from qradar.channels import thermal_background_channel
 from qradar import receiver
 from qradar.errors import DegenerateStateError, UndefinedQuantityError, ValidationError
-from qradar.gaussian import apply_channel
+from qradar.gaussian import GaussianState, apply_channel
 from qradar.receiver import (
+    DETECTORS,
     QiScenario,
     ci_baseline,
     low_signal_channels,
@@ -24,7 +26,7 @@ from qradar.receiver import (
     tmsv_cm,
 )
 
-from conftest import roc_by_ranks
+from conftest import detection_oracle, roc_by_ranks, tmsv_cov
 
 
 # The background and transmissivity of make_scenario's channels.
@@ -119,11 +121,11 @@ class TestRecords:
     def test_closed_form(self, monkeypatch, illumination, heterodyne, n_b, tau):
         sampled = []
 
-        def recording(rng, mean, cov, form, k, n):
-            sampled.append((mean, cov))
-            return np.zeros(n)
+        def recording(rng, means, covs, form, k, n):
+            sampled.extend(zip(means, covs))
+            return [np.zeros(n) for _ in means]
 
-        monkeypatch.setattr(receiver, "_sample_statistic", recording)
+        monkeypatch.setattr(receiver, "_sample_statistics", recording)
         signal, background = low_signal_channels(n_b, tau)
         r = math.asinh(0.7)
         scenario = make_scenario(
@@ -140,15 +142,16 @@ class TestRecords:
     def test_one_two_mode_channel_step_per_hypothesis(self, monkeypatch, run):
         # Both illuminations send a two-mode source through each hypothesis'
         # channel once, keeping the retained arm.
-        modes = []
+        images = []
+        act = GaussianChannel.act
 
-        def counting(state, channel):
-            modes.append(state.n_modes)
-            return apply_channel(state, channel)
+        def counting(channel, covs):
+            images.append((channel.n_modes, covs.shape))
+            return act(channel, covs)
 
-        monkeypatch.setattr(receiver, "apply_channel", counting)
+        monkeypatch.setattr(GaussianChannel, "act", counting)
         run(make_scenario(n_decisions=5))
-        assert modes == [2, 2]
+        assert images == [(2, (4, 4)), (2, (4, 4))]
 
     # At 5e307 photons the statistic overflowed inside the matmul, and a
     # tone of sinh^2(354) photons overflowed in k c^2: each leaked a
@@ -162,10 +165,90 @@ class TestRecords:
         with pytest.raises(UndefinedQuantityError, match="^the decision statistic is beyond float range$"):
             run(scenario)
 
+    @pytest.mark.parametrize("run, r, what", [(run_detection, 200.0, "cov"), (ci_baseline, 500.0, "mean")])
+    def test_record_beyond_float_range_is_a_validation_error(self, run, r, what):
+        # The H1 record's X V X^T (or the tone's X m) overflowed, with
+        # RuntimeWarnings, before the typed error.
+        scenario = make_scenario(r=r, signal_channel=amplifier_channel(3000.0))
+        with pytest.raises(ValidationError, match=f"^state invariant violated: {what} must be finite$"):
+            run(scenario)
+
+
+def _outcome(run, *args):
+    """The bytes of both hypotheses' statistics, or the error's type and message."""
+    try:
+        samples = run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return samples.h0.tobytes(), samples.h1.tobytes()
+
+
+class TestStackedRecords:
+    """Both hypotheses' records formed and decomposed as one stack give, bit
+    for bit, the statistics and errors of one record at a time
+    (``conftest.detection_oracle``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(0.0, 15.0),
+        n_b=st.floats(0.0, 50.0),
+        tau=st.floats(1e-3, 1.0),
+        detector=st.sampled_from(DETECTORS),
+        heterodyne=st.booleans(),
+        k=st.integers(1, 5000),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**63),
+    )
+    @example(r=0.0, n_b=N_B, tau=TAU, detector="covariance_detector", heterodyne=True, k=20, n=10, seed=3)
+    @example(r=-0.0, n_b=N_B, tau=TAU, detector="covariance_detector", heterodyne=False, k=20, n=10, seed=3)
+    @example(r=0.5, n_b=0.0, tau=1.0, detector="covariance_detector", heterodyne=True, k=20, n=10, seed=3)
+    @example(r=0.5, n_b=N_B, tau=TAU, detector="energy_detector", heterodyne=False, k=20, n=10, seed=3)
+    def test_bit_equal_to_the_one_record_oracle(self, r, n_b, tau, detector, heterodyne, k, n, seed):
+        signal, background = low_signal_channels(n_b, tau)
+        scenario = make_scenario(
+            r=r, signal_channel=signal, background_channel=background, detector=detector,
+            heterodyne=heterodyne, samples_per_decision=k, n_decisions=n, seed=seed,
+        )
+        for illumination, (run, _) in _ILLUMINATIONS.items():
+            assert _outcome(run, scenario) == _outcome(detection_oracle, scenario, illumination)
+
+    # X V X^T of a non-diagonal X is not exactly symmetric; for these, its
+    # lower triangle (all the Cholesky factor reads) changes when it is
+    # symmetrised, as a state's covariance is.
+    @pytest.mark.parametrize("x", [[[0.9, 0.3], [-0.4, 1.1]], [[0.9, -0.4], [0.3, 0.7]]])
+    @pytest.mark.parametrize("r", [0.3, 1.7])
+    def test_bit_equal_through_a_twisting_channel(self, x, r):
+        signal = GaussianChannel(np.array(x), 2.0 * np.eye(2), "twisted")
+        scenario = make_scenario(r=r, signal_channel=signal, n_decisions=20)
+        for illumination, (run, _) in _ILLUMINATIONS.items():
+            assert _outcome(run, scenario) == _outcome(detection_oracle, scenario, illumination)
+
+    # The unfactorable record of TestRunDetection and both statistics of
+    # TestRecords beyond float range.
+    @pytest.mark.parametrize("illumination, r, heterodyne, n_b, tau, error", [
+        ("qi", 12.0, False, 0.0, 1.0, DegenerateStateError),
+        ("qi", math.asinh(math.sqrt(5e307)), True, N_B, TAU, UndefinedQuantityError),
+        ("ci", 354.0, True, N_B, TAU, UndefinedQuantityError),
+    ])
+    def test_failures_keep_their_type_and_message(self, illumination, r, heterodyne, n_b, tau, error):
+        signal, background = low_signal_channels(n_b, tau)
+        scenario = make_scenario(
+            r=r, signal_channel=signal, background_channel=background, heterodyne=heterodyne,
+            n_decisions=50, seed=1,
+        )
+        got = _outcome(_ILLUMINATIONS[illumination][0], scenario)
+        assert got == _outcome(detection_oracle, scenario, illumination)
+        assert got[0] is error
+
 
 class TestSource:
     def test_r_zero_is_vacuum(self):
         assert np.array_equal(tmsv_cm(0.0).cov, 0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("r", [0.0, -0.0, 1e-310, 0.3, 5.0, 300.0])
+    def test_bit_equal_to_the_block_layout(self, r):
+        # Signed zeros included: at r = -0.0 the sinh(2r) blocks' zeros are -0.0.
+        assert tmsv_cm(r).cov.tobytes() == GaussianState(2, np.zeros(4), tmsv_cov(r)).cov.tobytes()
 
     def test_structure_at_r_half(self):
         state = tmsv_cm(0.5)
