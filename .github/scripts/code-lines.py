@@ -5,7 +5,9 @@ A code line holds part of a token other than a comment, a docstring or a line
 break, so blank, comment-only and docstring-only lines do not count; a line
 of a multi-line statement or string counts.  A docstring is the string
 literal that opens a module, class or function body.  Prints each revision's
-count, then the net change from the first revision to the last.
+count, then the net change from the first revision to the last, then each
+file whose count changed between them, with both counts (0 where a revision
+has no such file).
 
     python3 .github/scripts/code-lines.py <base-revision> <revision>
 """
@@ -39,16 +41,22 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout
 
 
-def src_code_lines(revision: str) -> int:
+def src_code_lines(revision: str) -> dict[str, int]:
+    """The code lines of each Python file under src/ at ``revision``."""
     paths = git("ls-tree", "-r", "--name-only", revision, "--", "src/").split()
-    return sum(code_lines(git("show", f"{revision}:{path}")) for path in paths if path.endswith(".py"))
+    return {path: code_lines(git("show", f"{revision}:{path}")) for path in paths if path.endswith(".py")}
 
 
 def main(revisions: list[str]) -> None:
     counts = [src_code_lines(revision) for revision in revisions]
-    for revision, count in zip(revisions, counts):
-        print(f"src/ code lines at {revision}: {count}")
-    print(f"src/ code lines: net {counts[-1] - counts[0]:+d}")
+    for revision, files in zip(revisions, counts):
+        print(f"src/ code lines at {revision}: {sum(files.values())}")
+    first, last = counts[0], counts[-1]
+    print(f"src/ code lines: net {sum(last.values()) - sum(first.values()):+d}")
+    for path in sorted(first.keys() | last.keys()):
+        before, after = first.get(path, 0), last.get(path, 0)
+        if before != after:
+            print(f"  {path}: {before} -> {after} ({after - before:+d})")
 
 
 if __name__ == "__main__":

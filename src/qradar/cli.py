@@ -112,10 +112,8 @@ def _run_oe_end_to_end(cfg: ScenarioConfig, outdir: Path) -> dict:
 
 def _run_jpa_gain(cfg: ScenarioConfig, outdir: Path) -> dict:
     p = cfg.parameters
-    e_c, omega0, _ = jpa.derived_params(p["e_j_rad_s"], p["capacitance_f"])
-    omega_p = p.get("omega_p_rad_s", omega0)
     params = jpa.build_params(
-        p["e_j_rad_s"], p["capacitance_f"], p["kappa_rad_s"], omega_p, p["epsilon_rad_s"]
+        p["e_j_rad_s"], p["capacitance_f"], p["kappa_rad_s"], p.get("omega_p_rad_s"), p["epsilon_rad_s"]
     )
     omega = p["omega_grid_rad_s"]
     s = [jpa.scattering_matrix(params, w) for w in omega]
@@ -139,8 +137,8 @@ def _run_jpa_gain(cfg: ScenarioConfig, outdir: Path) -> dict:
         ],
     })
     return {
-        "omega0_rad_s": omega0,
-        "e_c_rad_s": e_c,
+        "omega0_rad_s": params.omega0,
+        "e_c_rad_s": params.e_c,
         "abs_lambda1_rad_s": float(abs(params.lambda1)),
         "delta0_rad_s": params.delta0,
         "below_threshold": params.below_threshold,

@@ -11,10 +11,11 @@ valid.  Numbers and grid values must be finite, and grids ascending; a
 grid's values meet the rule of the model they feed (an ``eom_sweep`` grid,
 that of its axis's field; ``l0_grid_m``, ``ThermalProfile.l0``'s and <=
 ``length_m``; ``g_values`` [0, 0.5) and ``pump_fraction_grid`` (-1, 1), below
-threshold), and no two ``g_values`` name the same artifact.  Field rules come
-from the records' declarations (qradar.errors._param); this module also maps
-each override key to the field it sets and each ``eom_sweep`` axis key to the
-axis it sweeps, which qradar.cli applies.
+threshold), no two ``g_values`` name the same artifact, and each count that
+sizes a run's arrays is capped so that the run fits in about 1 GiB.  Field
+rules come from the records' declarations (qradar.errors._param); this module
+also maps each override key to the field it sets and each ``eom_sweep`` axis
+key to the axis it sweeps, which qradar.cli applies.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ _OVERRIDES = {
     for cls, keys in OVERRIDE_FIELDS.items()
 }
 
+# The largest counts that size a run's arrays, each keeping the run's peak
+# RSS under 1 GiB (measured on a 2-vCPU x86-64 Linux VM, numpy 2.x):
+# - grid_points_per_axis n gives each Wigner field n^2 CSV rows, 18 MB per
+#   float column and 158 MB of CSV text at 1500; 734 MiB peak with 3 fields.
+# - n_decisions n gives (n, 4) draws per hypothesis and two ROC CSVs of
+#   2n + 2 rows, 16 MB and about 70 MB each at 500 000; 548 MiB peak.
+# - rho_samples n gives (n, 4) normal draws and records, 160 MB each at
+#   5 000 000; 498 MiB peak, 633 MiB with n_decisions at its cap too.
+_MAX_GRID_POINTS_PER_AXIS = 1500
+_MAX_DECISIONS = 500_000
+_MAX_RHO_SAMPLES = 5_000_000
+
 # Each eom_sweep axis key: the eom.sweep axis it names.
 EOM_AXES = {"temperature_k": "temperature", "wavelength_m": "wavelength", "gamma_m_rad_s": "gamma_m"}
 
@@ -108,7 +121,7 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "jpa_wigner": {
         "g_values": _grid(minimum=0.0, exclusive_maximum=0.5),  # jpa.intracavity_cov's domain
-        "grid_points_per_axis": FieldSpec("integer", default=101, minimum=11),
+        "grid_points_per_axis": FieldSpec("integer", default=101, minimum=11, maximum=_MAX_GRID_POINTS_PER_AXIS),
     },
     "channel_neff": {
         "n_in": _num(required=True, **_rule(ThermalProfile, "n_in")),
@@ -124,10 +137,10 @@ PARAMETER_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "n_background": _num(default=10.0, minimum=0.0),
         "transmissivity": _num(default=0.2, exclusive_minimum=0.0, maximum=1.0),
         "samples_per_decision": FieldSpec("integer", default=2000, minimum=1),
-        "n_decisions": FieldSpec("integer", default=2000, minimum=1),
+        "n_decisions": FieldSpec("integer", default=2000, minimum=1, maximum=_MAX_DECISIONS),
         "detector": FieldSpec("string", default="covariance_detector", choices=DETECTORS),
         "heterodyne": FieldSpec("boolean", default=True),
-        "rho_samples": FieldSpec("integer", default=100_000, minimum=1000),
+        "rho_samples": FieldSpec("integer", default=100_000, minimum=1000, maximum=_MAX_RHO_SAMPLES),
     },
 }
 

@@ -106,21 +106,20 @@ def classical_field(
 
 @dataclass(frozen=True)
 class JpaParams:
-    """Derived operating point of a pumped single-junction amplifier.
+    """Operating point of a pumped single-junction amplifier: the fields a
+    run reads.
 
-    All energies/rates in rad/s.  ``delta0`` is the Kerr-shifted detuning
-    omega_0 + 4 |alpha|^2 Lambda - omega_p and ``lambda1 = 2 alpha^2 Lambda``
-    the effective parametric pump strength.
+    All energies/rates in rad/s.  ``e_c`` and ``omega0`` are the charging
+    energy and bare resonance of :func:`derived_params`; ``delta0`` is the
+    Kerr-shifted detuning omega_0 + 4 |alpha|^2 Lambda - omega_p and
+    ``lambda1 = 2 alpha^2 Lambda`` the effective parametric pump strength,
+    with alpha the low-amplitude :func:`classical_field` branch, one of
+    ``branch_count`` coexisting branches.
     """
 
-    e_j: float
     e_c: float
     omega0: float
-    kerr: float
     kappa: float
-    omega_p: float
-    epsilon: complex
-    alpha: complex
     delta0: float
     lambda1: complex
     branch_count: int
@@ -134,34 +133,22 @@ def build_params(
     e_j: float,
     capacitance: float,
     kappa: float,
-    omega_p: float,
+    omega_p: float | None,
     epsilon: complex,
 ) -> JpaParams:
-    """Assemble the operating point from circuit values and the pump."""
+    """Assemble the operating point from circuit values and the pump.
+
+    The circuit is solved once by :func:`derived_params`; ``omega_p`` None
+    pumps at its bare resonance omega_0.
+    """
     e_c, omega0, kerr = derived_params(e_j, capacitance)
+    omega_p = omega0 if omega_p is None else omega_p
     field = classical_field(omega0, kerr, kappa, omega_p, epsilon)
     alpha = field.alpha
     return JpaParams(
-        e_j=e_j,
-        e_c=e_c,
-        omega0=omega0,
-        kerr=kerr,
-        kappa=kappa,
-        omega_p=omega_p,
-        epsilon=complex(epsilon),
-        alpha=alpha,
-        delta0=omega0 + 4.0 * abs(alpha) ** 2 * kerr - omega_p,
-        lambda1=2.0 * alpha**2 * kerr,
-        branch_count=field.branch_count,
+        e_c=e_c, omega0=omega0, kappa=kappa, branch_count=field.branch_count,
+        delta0=omega0 + 4.0 * abs(alpha) ** 2 * kerr - omega_p, lambda1=2.0 * alpha**2 * kerr,
     )
-
-
-def _system_matrix(params: JpaParams, omega: float) -> np.ndarray:
-    half_k = 0.5 * params.kappa
-    return np.array([
-        [-1j * (omega + params.delta0) + half_k, 1j * params.lambda1],
-        [-1j * np.conj(params.lambda1), 1j * (omega - params.delta0) + half_k],
-    ])
 
 
 def scattering_matrix(params: JpaParams, omega: float) -> np.ndarray:
@@ -176,7 +163,11 @@ def scattering_matrix(params: JpaParams, omega: float) -> np.ndarray:
         raise ThresholdError(
             f"pump at or above threshold: |lambda1|/(kappa/2) = {ratio:.6f}"
         )
-    m = _system_matrix(params, omega)
+    half_k = 0.5 * params.kappa
+    m = np.array([
+        [-1j * (omega + params.delta0) + half_k, 1j * params.lambda1],
+        [-1j * np.conj(params.lambda1), 1j * (omega - params.delta0) + half_k],
+    ])
     return params.kappa * np.linalg.inv(m) - np.eye(2)
 
 

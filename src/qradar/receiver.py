@@ -19,6 +19,11 @@ phase-insensitive channel) draws central chi-squares, which numpy's
 noncentral sampler returns itself at zero noncentrality: the same draws
 from the same generator stream.  A statistic beyond float range raises
 :class:`UndefinedQuantityError`.
+
+The covariance detector scores both illuminations with one form,
+mean(x_R x_I - p_R p_I).  A CI reference has zero p mean, covariance
+proportional to I and no correlation with the return, so p_I -> -p_I keeps
+its record and maps the form onto x_R x_I + p_R p_I: the same statistics.
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ class QiScenario:
     """One source -> channel -> receiver experiment.
 
     ``detector`` selects the per-decision statistic: ``covariance_detector``
-    pairs the return with the retained idler through the phase-conjugate
-    combination mean(x_R x_I - p_R p_I); ``energy_detector`` uses the return
+    pairs the return with the retained arm through the combination
+    mean(x_R x_I - p_R p_I); ``energy_detector`` uses the return
     energy alone.
     ``heterodyne`` adds 1/2 to every measured quadrature variance (digital
     I/Q receiver emulation).
@@ -163,7 +168,7 @@ def _sample_statistics(rng, means, covs, form, k: int, n: int) -> list[np.ndarra
     return stats
 
 
-def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray, conjugate: bool) -> DetectionSamples:
+def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray) -> DetectionSamples:
     """Both hypotheses' statistics of the measured (return, retained) record
     of a two-mode source of ``mean`` and ``cov``: its mode 0 sent through the
     target channel (H1) or the background channel (H0), mode 1 kept, and
@@ -180,7 +185,7 @@ def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray, conjugate: boo
     else:
         form = np.zeros((4, 4))
         form[0, 2] = form[2, 0] = 0.5
-        form[1, 3] = form[3, 1] = -0.5 if conjugate else 0.5
+        form[1, 3] = form[3, 1] = -0.5
     channels = [ch.expand(0, 2) for ch in (scenario.signal_channel, scenario.background_channel)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
         means = np.array([ch.X @ mean for ch in channels])
@@ -204,7 +209,7 @@ def run_detection(scenario: QiScenario) -> DetectionSamples:
     background while the idler is still recorded.  Deterministic per seed.
     """
     source = tmsv_cm(scenario.r)
-    return _run(scenario, source.mean, source.cov, conjugate=True)
+    return _run(scenario, source.mean, source.cov)
 
 
 def ci_baseline(scenario: QiScenario) -> DetectionSamples:
@@ -213,13 +218,14 @@ def ci_baseline(scenario: QiScenario) -> DetectionSamples:
     The source is a coherent tone of sinh^2(r) photons; the retained arm is a
     recorded reference of that tone (carrying its intrinsic vacuum
     fluctuation plus the configured measurement noise, mirroring the idler
-    treatment).  The correlation detector pairs quadratures positively, as a
-    classical cross-correlator does.
+    treatment).  The correlation detector scores it with QI's form
+    x_R x_I - p_R p_I, which for this record gives the statistics of a
+    classical cross-correlator's x_R x_I + p_R p_I (see the module notes).
     """
     if scenario.r > 710.1292864836639:  # the largest r whose sqrt(2) sinh(r) is finite
         raise ValidationError(f"tone amplitude sqrt(2) sinh(r) is beyond float range (r = {scenario.r!r})")
     amplitude = math.sqrt(2.0) * math.sinh(scenario.r)
-    return _run(scenario, np.array([amplitude, 0.0, amplitude, 0.0]), 0.5 * np.eye(4), conjugate=False)
+    return _run(scenario, np.array([amplitude, 0.0, amplitude, 0.0]), 0.5 * np.eye(4))
 
 
 @dataclass(frozen=True, eq=False)

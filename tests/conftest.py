@@ -138,7 +138,9 @@ def detection_oracle(scenario, illumination: str) -> DetectionSamples:
     ``ci_baseline`` ("ci") one hypothesis at a time, as the receiver drew them
     before it stacked the two: the source and each record a GaussianState
     (the record made by apply_channel), and each statistic from its own
-    Cholesky factor, eigh and solve, H1 first, then H0."""
+    Cholesky factor, eigh and solve, H1 first, then H0.  CI keeps the
+    cross-correlator's x_R x_I + p_R p_I that ci_baseline scored before it
+    took QI's x_R x_I - p_R p_I."""
     if illumination == "qi":
         source = GaussianState(2, np.zeros(4), tmsv_cov(scenario.r))
         form = np.zeros((4, 4))

@@ -153,9 +153,7 @@ def test_criterion_07_jpa_scattering():
 
         def params(lambda1, delta0=0.0):
             return JpaParams(
-                e_j=1.0, e_c=1.0, omega0=1.0, kerr=-0.5, kappa=kappa, omega_p=1.0,
-                epsilon=0.0, alpha=0.0, delta0=delta0, lambda1=lambda1,
-                branch_count=1,
+                e_c=1.0, omega0=1.0, kappa=kappa, delta0=delta0, lambda1=lambda1, branch_count=1,
             )
 
         rng = np.random.default_rng(7)

@@ -377,10 +377,18 @@ class TestCompletePositivity:
             g = 10.0 ** (gain_db / 10.0)
             assert out.cov[0, 0] == pytest.approx(0.5 * g + (g - 1.0) * (added_noise + 0.5), rel=1e-12)
 
-    def test_below_the_quantum_limit_rejected(self):
+    @pytest.mark.parametrize("x, y, defect", [
         # Gain 4 needs added noise of at least (G - 1)/2 = 1.5 per quadrature.
-        with pytest.raises(UnphysicalChannelError, match=r"defect -1\.500e-06"):
-            GaussianChannel(2 * np.eye(2), 1.5 * (1 - 1e-6) * np.eye(2))
+        (2 * np.eye(2), 1.5 * (1 - 1e-6) * np.eye(2), r"-1\.500e-06"),
+        # A defect of 1e-7, below the absolute floor 1e-9 but inside a 1e-6 one.
+        (np.zeros((2, 2)), (0.5 - 1e-7) * np.eye(2), r"-1\.000e-07"),
+        # A defect of 1e-3 past the rounding band 32 eps max|M| = 7.1e-5, but
+        # inside a band 100 times as wide.
+        (np.zeros((2, 2)), np.diag([1e10, 1 / 4e10 - 1e-3]), r"-1\.000e-03"),
+    ], ids=["amplifier", "floor", "rounding-band"])
+    def test_below_the_quantum_limit_rejected(self, x, y, defect):
+        with pytest.raises(UnphysicalChannelError, match=f"defect {defect}"):
+            GaussianChannel(x, y)
 
     def test_matrices_are_read_only_copies(self):
         # A caller's array changed after construction could make the channel

@@ -350,6 +350,20 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset, key, cap", [
+        ("jpa_wigner_fig13", "grid_points_per_axis", 1500),
+        ("qi_roc_low_signal", "n_decisions", 500_000),
+        ("qi_roc_low_signal", "rho_samples", 5_000_000),
+    ])
+    def test_count_above_its_cap_is_invalid(self, preset, key, cap, tmp_path, capsys):
+        # Uncapped, each count let a valid config die in numpy's untyped
+        # MemoryError with no summary.json: 1e6 grid points asked for 7.28 TiB.
+        config = SCENARIO_PRESETS[preset]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": {**config["parameters"], key: cap + 1}}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: parameters.{key}: must be <= {cap}, got {cap + 1}\n"
+
     @pytest.mark.parametrize("preset, parameters, error", [
         pytest.param(
             "jpa_wigner_fig13", {"grid_half_width": 1.0},

@@ -23,9 +23,7 @@ from qradar.jpa import (
 
 def synthetic_params(kappa: float, lambda1: complex, delta0: float = 0.0) -> JpaParams:
     return JpaParams(
-        e_j=1.0, e_c=1.0, omega0=1.0, kerr=-0.5, kappa=kappa, omega_p=1.0,
-        epsilon=0.0, alpha=0.0, delta0=delta0, lambda1=lambda1,
-        branch_count=1,
+        e_c=1.0, omega0=1.0, kappa=kappa, delta0=delta0, lambda1=lambda1, branch_count=1,
     )
 
 
@@ -142,15 +140,25 @@ class TestScattering:
 
     def test_build_params_pipeline(self):
         e_j, cap = 2 * math.pi * 50e9, 1e-12
-        _, omega0, _ = derived_params(e_j, cap)
-        params = build_params(e_j, cap, 2e7, omega0, 1.8e6)
+        kappa, eps = 2e7, 1.8e6
+        e_c, omega0, kerr = derived_params(e_j, cap)
+        omega_p = omega0 - 3e6  # detuned, so delta0 carries omega_0 - omega_p
+        params = build_params(e_j, cap, kappa, omega_p, eps)
+        alpha = classical_field(omega0, kerr, kappa, omega_p, eps).alpha
+        assert (params.e_c, params.omega0) == (e_c, omega0)
         assert params.below_threshold
-        assert params.lambda1 == pytest.approx(2 * params.alpha**2 * params.kerr)
-        assert params.delta0 == pytest.approx(
-            params.omega0 + 4 * abs(params.alpha) ** 2 * params.kerr - params.omega_p
-        )
+        assert params.lambda1 == pytest.approx(2 * alpha**2 * kerr)
+        assert params.delta0 == pytest.approx(omega0 + 4 * abs(alpha) ** 2 * kerr - omega_p)
         s = scattering_matrix(params, 0.0)
         assert abs(abs(s[0, 0]) ** 2 - abs(s[0, 1]) ** 2 - 1.0) < 1e-10
+
+    def test_no_pump_frequency_pumps_at_the_bare_resonance(self):
+        # omega_p None is omega_0 of the circuit build_params solves, bit for
+        # bit: a float's repr round-trips it, -0.0 apart from 0.0.
+        e_j, cap = 2 * math.pi * 50e9, 1e-12
+        _, omega0, _ = derived_params(e_j, cap)
+        at_none, at_omega0 = (build_params(e_j, cap, 2e7, w, 1.8e6) for w in (None, omega0))
+        assert repr(at_none) == repr(at_omega0)
 
 
 class TestIntracavityCov:

@@ -186,7 +186,9 @@ def _outcome(run, *args):
 class TestStackedRecords:
     """Both hypotheses' records formed and decomposed as one stack give, bit
     for bit, the statistics and errors of one record at a time
-    (``conftest.detection_oracle``)."""
+    (``conftest.detection_oracle``).  The oracle scores CI with the
+    cross-correlator's x_R x_I + p_R p_I, the receiver with QI's
+    x_R x_I - p_R p_I: equal bits show the sign changes nothing."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,13 +214,18 @@ class TestStackedRecords:
         for illumination, (run, _) in _ILLUMINATIONS.items():
             assert _outcome(run, scenario) == _outcome(detection_oracle, scenario, illumination)
 
-    # X V X^T of a non-diagonal X is not exactly symmetric; for these, its
-    # lower triangle (all the Cholesky factor reads) changes when it is
-    # symmetrised, as a state's covariance is.
-    @pytest.mark.parametrize("x", [[[0.9, 0.3], [-0.4, 1.1]], [[0.9, -0.4], [0.3, 0.7]]])
+    # X V X^T of a non-diagonal X is not exactly symmetric; for the twisting
+    # channels, its lower triangle (all the Cholesky factor reads) changes
+    # when it is symmetrised, as a state's covariance is.  The amplifier and
+    # the non-isotropic noise give CI returns unlike an attenuator's.
+    @pytest.mark.parametrize("signal", [
+        GaussianChannel(np.array([[0.9, 0.3], [-0.4, 1.1]]), 2.0 * np.eye(2), "twisted"),
+        GaussianChannel(np.array([[0.9, -0.4], [0.3, 0.7]]), 2.0 * np.eye(2), "twisted"),
+        amplifier_channel(6.0, 0.2),
+        GaussianChannel(np.array([[0.9, 0.3], [-0.4, 1.1]]), np.array([[3.0, 0.4], [0.4, 1.5]]), "skewed"),
+    ], ids=["twisted", "twisted-shear", "amplifier", "skewed-noise"])
     @pytest.mark.parametrize("r", [0.3, 1.7])
-    def test_bit_equal_through_a_twisting_channel(self, x, r):
-        signal = GaussianChannel(np.array(x), 2.0 * np.eye(2), "twisted")
+    def test_bit_equal_through_a_twisting_channel(self, signal, r):
         scenario = make_scenario(r=r, signal_channel=signal, n_decisions=20)
         for illumination, (run, _) in _ILLUMINATIONS.items():
             assert _outcome(run, scenario) == _outcome(detection_oracle, scenario, illumination)
