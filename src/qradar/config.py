@@ -77,11 +77,11 @@ _OVERRIDES = {
 # The largest counts that size a run's arrays, each keeping the run's peak
 # RSS under 1 GiB (measured on a 2-vCPU x86-64 Linux VM, numpy 2.x):
 # - grid_points_per_axis n gives each Wigner field n^2 CSV rows, 18 MB per
-#   float column and 158 MB of CSV text at 1500; 734 MiB peak with 3 fields.
-# - n_decisions n gives (n, 4) draws per hypothesis and two ROC CSVs of
-#   2n + 2 rows, 16 MB and about 70 MB each at 500 000; 548 MiB peak.
+#   float column and 158 MB of CSV text at 1500; 156 MiB peak with 3 fields.
+# - n_decisions n gives up to (n, 4) draws per hypothesis and two ROC CSVs
+#   of 2n + 2 rows, 16 MB and about 70 MB each at 500 000; 186 MiB peak.
 # - rho_samples n gives (n, 4) normal draws and records, 160 MB each at
-#   5 000 000; 498 MiB peak, 633 MiB with n_decisions at its cap too.
+#   5 000 000; 498 MiB peak, 627 MiB with n_decisions at its cap too.
 _MAX_GRID_POINTS_PER_AXIS = 1500
 _MAX_DECISIONS = 500_000
 _MAX_RHO_SAMPLES = 5_000_000

@@ -813,6 +813,34 @@ class TestArtifacts:
         })
         assert run_scenario(cfg)[0] == 0
 
+    # Any JSON integer up to float range is a samples_per_decision.  The
+    # receiver merges squares of one weight into one draw only while that
+    # draw stays in float range, so each run ends as one draw per eigenvalue
+    # ends it: the energy detector's preset statistic overflows, noiseless
+    # channels' does not.
+    @pytest.mark.parametrize("parameters, status", [
+        ({"samples_per_decision": 10**308}, "ok"),
+        ({"samples_per_decision": 10**308, "detector": "energy_detector"}, "failed"),
+        ({"samples_per_decision": int(1.7e308), "detector": "energy_detector",
+          "n_background": 0.0, "transmissivity": 1.0, "heterodyne": False}, "ok"),
+    ], ids=["covariance", "energy", "energy-noiseless"])
+    def test_qi_roc_samples_per_decision_near_float_range(self, parameters, status, tmp_path):
+        raw = {
+            **SCENARIO_PRESETS["qi_roc_low_signal"],
+            "output_dir": str(tmp_path),
+            "parameters": {
+                **SCENARIO_PRESETS["qi_roc_low_signal"]["parameters"],
+                "n_decisions": 20, "rho_samples": 1000, **parameters,
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == (0 if status == "ok" else 2)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == status
+        if status == "failed":
+            assert summary["reason"] == "UndefinedQuantityError: the decision statistic is beyond float range"
+
     def test_qi_roc_preset_csvs_pinned(self, tmp_path):
         raw = {**SCENARIO_PRESETS["qi_roc_low_signal"], "output_dir": str(tmp_path)}
         path = tmp_path / "cfg.json"

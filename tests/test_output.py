@@ -1,4 +1,5 @@
-"""The column-wise CSV writer against the per-cell rule it replaced."""
+"""The column-wise CSV writer against the per-cell rule it replaced, and its
+row blocks against one block."""
 
 import math
 import struct
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qradar import output
 from qradar.errors import ValidationError
 from qradar.output import write_csv
 
@@ -69,10 +71,15 @@ def assert_matches_oracle(x, y, flag):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(floats, floats, st.booleans()), max_size=40))
-def test_random_bit_patterns_match_oracle(rows):
+@given(
+    st.lists(st.tuples(floats, floats, st.booleans()), max_size=40),
+    st.sampled_from([output._BLOCK_ROWS, 1, 2, 3, 7]),
+)
+def test_random_bit_patterns_match_oracle(rows, block_rows):
     x, y, flag = ([row[i] for row in rows] for i in range(3))
-    assert_matches_oracle(x, y, flag)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(output, "_BLOCK_ROWS", block_rows)
+        assert_matches_oracle(x, y, flag)
 
 
 def test_special_values_match_oracle():
@@ -109,3 +116,29 @@ def test_header_only_for_empty_columns():
 def test_bad_columns_rejected(columns):
     with pytest.raises(ValidationError):
         written(columns)
+
+
+@pytest.mark.parametrize(
+    "columns", [{"a": [1.0, 2.0], "b": [1.0]}, {"a": np.zeros((2, 2))}], ids=["unequal", "2-d"],
+)
+def test_rejected_before_the_file_is_opened(columns, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValidationError):
+        write_csv(path, columns)
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_blocks_byte_identical_to_one_block(monkeypatch):
+    # Three blocks, the last of 3 rows; values repeat across blocks, so each
+    # block formats its own distinct values.
+    rows = 2 * output._BLOCK_ROWS + 3
+    columns = {
+        "x": np.tile([0.5, -0.0, 1e-300, math.nan], rows // 4 + 1)[:rows],
+        "y": np.random.default_rng(7).standard_normal(rows),
+        "flag": np.arange(rows) % 3 == 0,
+    }
+    blocks = written(columns)
+    monkeypatch.setattr(output, "_BLOCK_ROWS", rows)
+    assert blocks == written(columns)
+    assert blocks.count(b"\n") == rows + 1
