@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ class GaussianChannel:
         y.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
-        # expand's and then's memos; no fields, so out of repr
+        # expand's and then's memos; no fields, so out of repr.  A composite
+        # is kept only while the other channel lives too.
         object.__setattr__(self, "_embeddings", {})
-        object.__setattr__(self, "_composites", {})
+        object.__setattr__(self, "_composites", weakref.WeakKeyDictionary())
         omega = symplectic_form(self.n_modes)
         with np.errstate(over="ignore", invalid="ignore"):  # X Omega X^T beyond float range fails below
             m = y + 0.5j * (omega - x @ omega @ x.T)
@@ -77,7 +79,8 @@ class GaussianChannel:
 
         Both channels are frozen with read-only X and Y, so each composite is
         built, and decided completely positive, once: later calls with the
-        same ``other`` object return the same channel.
+        same ``other`` object return the same channel, for as long as both
+        channels live.
         """
         if other.X.shape != self.X.shape:
             raise ValidationError(

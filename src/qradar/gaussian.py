@@ -267,8 +267,7 @@ def sample(state: GaussianState, n_samples: int, seed) -> np.ndarray:
     _integer("n_samples", n_samples, 1, limit)
     state.validate_physical()
     chol = _cholesky(state.cov)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, 2 * state.n_modes))
+    z = np.random.default_rng(seed).standard_normal((n_samples, 2 * state.n_modes))
     return state.mean[None, :] + z @ chol.T
 
 

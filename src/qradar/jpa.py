@@ -1,13 +1,14 @@
 """Single-junction parametric amplifier: derived circuit parameters,
 displaced-frame pump strength, input-output scattering and gain, and the
-steady-state intracavity covariance whose Wigner fields the ``jpa_wigner``
-scenario writes.
+steady-state intracavity covariance, written in closed form, whose Wigner
+fields the ``jpa_wigner`` scenario writes.
 
 Energies are handled in angular-frequency units (rad/s); ``derived_params``
 accepts the Josephson energy either way and documents the conversion.  This
 module uses the sqrt(kappa) input-noise convention of its own input-output
-relation a_out = sqrt(kappa) a - a_in, so a lone cavity has drift -kappa/2
-and diffusion kappa (N + 1/2) I.
+relation a_out = sqrt(kappa) a - a_in, which fixes the scattering matrix
+kappa M^-1 - I; a lone cavity has drift -kappa/2 and diffusion
+kappa (N + 1/2) I.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .converter import _response_roots
 from .errors import ThresholdError, ValidationError, _valid
-from .langevin import E_CHARGE, HBAR, LinearLangevinModel, steady_state_cov
+from .langevin import E_CHARGE, HBAR
 
 __all__ = [
     "JpaParams",
@@ -178,17 +179,18 @@ def signal_power_gain(params: JpaParams) -> float:
 
 def intracavity_cov(g: float) -> np.ndarray:
     """Steady-state intracavity covariance at pump fraction g = |lambda1|/kappa,
-    vacuum input.
+    vacuum input, in closed form.
 
-    Solved through the Langevin machinery with the sqrt(kappa) noise
-    convention; the squeezed/anti-squeezed variances are 1/(2(1 +- 2g)) on
-    axes rotated 45 degrees, independent of kappa.
+    In the sqrt(kappa) convention the cavity's Langevin model has drift
+    -kappa (I/2 + g sigma_x) and diffusion kappa I/2, so the solution of
+    A V + V A^T + D = 0 is diagonal on the axes rotated 45 degrees, with
+    variances v_+- = 1/(2(1 +- 2g)), independent of kappa: squeezed on
+    (x + p)/sqrt(2), down to the 3 dB intracavity limit 1/4 at threshold
+    (Collett & Gardiner, PRA 30, 1386, 1984).  Rotated back,
+    V = [[v_+ + v_-, v_+ - v_-], [v_+ - v_-, v_+ + v_-]] / 2.
     """
     if not 0.0 <= g < 0.5:
         raise ThresholdError(f"pump fraction g = {g} outside [0, 0.5)")
-    kappa = 1.0
-    lam = g * kappa
-    drift = np.array([[-0.5 * kappa, -lam], [-lam, -0.5 * kappa]])
-    diffusion = 0.5 * kappa * np.eye(2)
-    model = LinearLangevinModel(drift, diffusion)
-    return steady_state_cov(model)
+    v_plus, v_minus = 0.5 / (1.0 + 2.0 * g), 0.5 / (1.0 - 2.0 * g)
+    var, cov = 0.5 * (v_plus + v_minus), 0.5 * (v_plus - v_minus)
+    return np.array([[var, cov], [cov, var]])

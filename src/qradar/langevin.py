@@ -14,13 +14,13 @@ is bit-identical to it wherever ``dtrsyl`` does not scale the solution down
 (:func:`_schur_solve`).  That wrapper's own overhead (a second ``gees`` call
 per solve to size the workspace, finiteness checks of validated inputs, n-d
 batching) costs about three times the two LAPACK calls on a 6x6 model.
-scipy's LAPACK module is imported on the first solve, so a run that solves
-none, such as a channel or receiver scenario, loads no scipy.
+scipy's LAPACK module is imported on the first solve, and only the
+converters solve, so a run that solves none, such as a channel, receiver or
+JPA scenario, loads no scipy.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
 a lone cavity block gets D = kappa (2 N + 1) I and relaxes to variance
-N + 1/2.  (The parametric-amplifier module uses the sqrt(kappa) convention of
-its own input-output relation and builds its diffusion directly.)
+N + 1/2.
 """
 
 from __future__ import annotations

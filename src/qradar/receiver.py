@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+import types
 from dataclasses import dataclass
 from typing import Literal
 
@@ -54,8 +55,15 @@ __all__ = [
     "roc_curve",
 ]
 
-# The per-decision statistics a QiScenario can select.
-DETECTORS = ("covariance_detector", "energy_detector")
+# The form over (x_R, p_R, x_I, p_I) whose mean each detector a QiScenario can
+# select takes: x_R x_I - p_R p_I, or the return's energy x_R^2 + p_R^2.
+_FORMS = types.MappingProxyType({
+    "covariance_detector": np.array([[0, 0, 0.5, 0], [0, 0, 0, -0.5], [0.5, 0, 0, 0], [0, -0.5, 0, 0]]),
+    "energy_detector": np.diag([1.0, 1.0, 0.0, 0.0]),
+})
+for _form in _FORMS.values():
+    _form.setflags(write=False)
+DETECTORS = tuple(_FORMS)
 
 def tmsv_cm(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r (signal, idler)."""
@@ -225,12 +233,6 @@ def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray) -> DetectionSa
     covariance and held to finiteness only, H1's before H0's; a channel is
     completely positive from when it is made, so they are physical.
     """
-    if scenario.detector == "energy_detector":
-        form = np.diag([1.0, 1.0, 0.0, 0.0])
-    else:
-        form = np.zeros((4, 4))
-        form[0, 2] = form[2, 0] = 0.5
-        form[1, 3] = form[3, 1] = -0.5
     channels = [ch.expand(0, 2) for ch in (scenario.signal_channel, scenario.background_channel)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails below
         means = np.array([ch.X @ mean for ch in channels])
@@ -242,7 +244,7 @@ def _run(scenario: QiScenario, mean: np.ndarray, cov: np.ndarray) -> DetectionSa
     noise = 0.5 * np.eye(4) if scenario.heterodyne else 0.0
     rng = np.random.default_rng(scenario.seed)
     k, n = scenario.samples_per_decision, scenario.n_decisions
-    h1, h0 = _sample_statistics(rng, means, covs + noise, form, k, n)
+    h1, h0 = _sample_statistics(rng, means, covs + noise, _FORMS[scenario.detector], k, n)
     return DetectionSamples(h0=h0, h1=h1)
 
 

@@ -2,8 +2,10 @@
 scattering, amplifiers, and round-trip composition."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +142,16 @@ class TestNeffGeneral:
             n_eff_general(p.absorption_at, p.occupation_at, p.length)
         general = n_eff_general(p.absorption_at, p.occupation_at, p.length, breakpoints=(p.l0,))
         assert general == pytest.approx(n_eff_closed(p), rel=1e-14)
+
+    def test_a_small_step_inside_a_panel_fails_the_order_check(self):
+        # A 1% step left inside the one panel moves the 8- and 16-point
+        # results apart by 3.8e-5 of n_eff, past the 1e-6 agreement; on a
+        # panel edge it is integrated to rounding.
+        n_fn = lambda x: 1.0 + 0.01 * (np.asarray(x) > 0.3)
+        with pytest.raises(ConvergenceError, match=r"changes by 3\.81.e-05 between the 8- and 16-point rules"):
+            n_eff_general(lambda x: 0.5, n_fn, 1.0, quadrature_points=1)
+        general = n_eff_general(lambda x: 0.5, n_fn, 1.0, quadrature_points=1, breakpoints=(0.3,))
+        assert general == pytest.approx(1.0 + 0.01 * (1.0 - math.exp(-0.35)) / (1.0 - math.exp(-0.5)), rel=1e-14)
 
     @pytest.mark.parametrize("mu_in", [1e300, 1e6])
     def test_panel_too_opaque_for_the_rule_fails(self, mu_in):
@@ -458,6 +470,18 @@ class TestCompletePositivity:
         assert decisions == [(2, 2)] * 4  # (a then b) then a, once
         assert [f.name for f in dataclasses.fields(a)] == ["X", "Y", "description"]
         assert "composites" not in repr(a)
+
+    def test_a_composite_lives_only_while_both_channels_do(self):
+        # then's memo holds the other channel weakly: one channel composed
+        # with 20,000 fresh ones kept all 20,000 composites before.
+        a, b = attenuation_channel(0.2, 3.0, 0.7), target_channel(1.0, 0.5, 2.0)
+        composite = a.then(b)
+        assert a.then(b) is composite
+        kept = weakref.ref(composite)
+        del b, composite
+        gc.collect()
+        assert kept() is None
+        assert len(a._composites) == 0
 
     def test_a_mismatched_composite_raises_on_every_call(self):
         ch = attenuation_channel(0.2, 3.0, 0.7)

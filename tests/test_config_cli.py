@@ -15,7 +15,7 @@ import pytest
 import qradar
 from qradar import channels, eom, oe, receiver
 from qradar.cli import _params, main, run_scenario
-from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config
+from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config, wigner_file
 from qradar.errors import ConfigError, ValidationError
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
@@ -199,27 +199,27 @@ class TestCliCommands:
         code = "import sys, qradar.channels; assert 'qradar.converter' not in sys.modules"
         assert _loaded_after(code) == "[]"
 
-    def test_channel_preset_leaves_optimize_and_integrate_unloaded(self, tmp_path):
-        code = (
-            "import sys; from qradar.cli import run_scenario; "
-            "from qradar.config import validate_config; "
-            "from qradar.presets import SCENARIO_PRESETS; "
-            "assert run_scenario(validate_config(SCENARIO_PRESETS['channel_neff_line']))[0] == 0"
-        )
-        loaded = _loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path))
-        assert loaded == "[]"
-        assert (tmp_path / "channel_neff.csv").exists()
-
-    def test_channel_preset_loads_no_scipy(self, tmp_path):
-        # Constants are literals and langevin imports LAPACK on its first
-        # solve, so a run that solves no Lyapunov equation loads no scipy.
+    @pytest.mark.parametrize("preset, artifacts", [
+        pytest.param("channel_neff_line", ["channel_neff.csv"], id="channel_neff_line"),
+        pytest.param("jpa_gain", ["jpa_gain_vs_omega.csv", "jpa_gain_vs_pump.csv"], id="jpa_gain"),
+        pytest.param(
+            "jpa_wigner_fig13",
+            [wigner_file(g) for g in SCENARIO_PRESETS["jpa_wigner_fig13"]["parameters"]["g_values"]],
+            id="jpa_wigner_fig13",
+        ),
+        pytest.param("qi_roc_low_signal", ["roc_ci.csv", "roc_qi.csv"], id="qi_roc_low_signal"),
+    ])
+    def test_non_converter_preset_loads_no_scipy(self, preset, artifacts, tmp_path):
+        # Constants are literals, the JPA's covariance is in closed form and
+        # langevin imports LAPACK on its first solve, which only a converter
+        # makes: a run that solves no Lyapunov equation loads no scipy.
         code = (
             "import sys, qradar.cli; from qradar.config import validate_config; "
             "from qradar.presets import SCENARIO_PRESETS; "
-            "assert qradar.cli.run_scenario(validate_config(SCENARIO_PRESETS['channel_neff_line']))[0] == 0"
+            f"assert qradar.cli.run_scenario(validate_config(SCENARIO_PRESETS[{preset!r}]))[0] == 0"
         )
         assert _loaded_after(code, ("scipy",), QRADAR_OUTPUT_DIR=str(tmp_path)) == "[]"
-        assert (tmp_path / "channel_neff.csv").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*artifacts, "summary.json"])
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0

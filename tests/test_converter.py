@@ -63,6 +63,17 @@ def test_inexact_root_raises_with_residual(model, params, monkeypatch):
     assert 1e-12 < info.value.residual < 1e-6
 
 
+@pytest.mark.parametrize("imbalance, accepted", [(1e-13, True), (1e-11, False)])
+def test_the_operating_point_gate_is_1e_12(imbalance, accepted):
+    # One DC equation whose two terms cancel to 1e-13 or 1e-11 of the larger.
+    equations = [[1.0, imbalance - 1.0]]
+    if accepted:
+        assert converter._gated_point(0.0, 0.0, 0.0, 0.0, 1, equations).residual == pytest.approx(imbalance, rel=1e-3)
+    else:
+        with pytest.raises(ConvergenceError, match=r"relative residual 1\.000e-11"):
+            converter._gated_point(0.0, 0.0, 0.0, 0.0, 1, equations)
+
+
 def test_non_finite_residual_raises_at_once(monkeypatch):
     # e_w^2 overflows to inf: the gate reports the NaN residual after one
     # cubic solve, with no RuntimeWarning on the way.

@@ -297,6 +297,13 @@ class TestEntropy:
     def test_entropy_term_nonnegative(self, x):
         assert entropy_term(x) >= 0.0
 
+    @pytest.mark.parametrize("excess", [1e-11, 1e-10, 1e-9])
+    def test_entropy_term_just_above_the_purity_band(self, excess):
+        # Only nu within 1e-12 of 1/2 is taken as pure; above that band h
+        # follows its formula, about 3.8e-10 at nu = 1/2 + 1e-11.
+        expected = (1.0 + excess) * math.log2(1.0 + excess) - excess * math.log2(excess)
+        assert entropy_term(0.5 + excess) == pytest.approx(expected, rel=1e-4)
+
     def test_entropy_term_elementwise(self):
         nus = np.array([0.3, 0.5, 0.5 + 1e-13, 1.5, 40.0, np.nan])
         values = entropy_term(nus)
@@ -364,6 +371,12 @@ class TestSampling:
         a = sample(tmsv(0.5), 1, seed=99)
         b = sample(tmsv(0.5), 1, seed=99)
         assert np.array_equal(a, b)
+
+    def test_a_generator_seed_is_drawn_from_as_is(self):
+        # Its stream continues: two calls give the two halves of one draw.
+        rng = np.random.default_rng(99)
+        halves = [sample(tmsv(0.5), 2, seed=rng) for _ in range(2)]
+        assert np.array_equal(np.concatenate(halves), sample(tmsv(0.5), 4, seed=99))
 
     def test_vacuum_variances(self):
         draws = sample(vacuum_state(1), 100_000, seed=5)

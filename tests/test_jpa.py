@@ -19,6 +19,9 @@ from qradar.jpa import (
     scattering_matrix,
     signal_power_gain,
 )
+from qradar.langevin import LinearLangevinModel, steady_state_cov
+
+EPS = np.finfo(float).eps
 
 
 def synthetic_params(kappa: float, lambda1: complex, delta0: float = 0.0) -> JpaParams:
@@ -166,11 +169,30 @@ class TestIntracavityCov:
         cov = intracavity_cov(0.0)
         assert cov == pytest.approx(0.5 * np.eye(2), abs=1e-12)
 
-    def test_squeezed_variances_closed_form(self):
-        for g in (0.1, 0.3, 0.4999):
-            evs = np.linalg.eigvalsh(intracavity_cov(g))
-            assert evs[0] == pytest.approx(0.5 / (1 + 2 * g), rel=1e-9)
-            assert evs[-1] == pytest.approx(0.5 / (1 - 2 * g), rel=1e-9)
+    @pytest.mark.parametrize("g", [0.0, 0.1, 0.3, 0.45, 0.4999])
+    def test_solves_the_langevin_model_it_replaces(self, g):
+        # The cavity's model in the sqrt(kappa) convention at kappa = 1:
+        # drift -I/2 - g sigma_x, diffusion I/2.  The closed form solves its
+        # Lyapunov equation to rounding (at most 1.0 eps max|V| over 5,000
+        # uniform g), and the converters' solver agrees with it to its own
+        # forward error, which grows with the condition 1/(1 - 2g) (at most
+        # 3.8 eps/(1 - 2g) over the same draws).  A flipped off-diagonal
+        # sign, which leaves the eigenvalues alone, fails both.
+        drift = -0.5 * np.eye(2) - g * np.array([[0.0, 1.0], [1.0, 0.0]])
+        diffusion = 0.5 * np.eye(2)
+        cov = intracavity_cov(g)
+        scale = np.abs(cov).max()
+        assert np.abs(drift @ cov + cov @ drift.T + diffusion).max() <= 4 * EPS * scale
+        solved = steady_state_cov(LinearLangevinModel(drift, diffusion))
+        assert np.abs(cov - solved).max() <= 16 * EPS / (1 - 2 * g) * scale
+
+    def test_near_threshold(self):
+        # At g = 0.5 - 1e-8 the Lyapunov solve failed its residual gate
+        # (StiffnessError); the closed form still gives the squeezed state.
+        g = 0.5 - 1e-8
+        cov = intracavity_cov(g)
+        assert np.linalg.eigvalsh(cov) == pytest.approx([0.5 / (1 + 2 * g), 0.5 / (1 - 2 * g)], rel=1e-6)
+        GaussianState(1, np.zeros(2), cov).validate_physical()
 
     def test_states_physical(self):
         for g in (0.0, 0.25, 0.49):

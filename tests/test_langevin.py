@@ -205,6 +205,14 @@ class TestStability:
         assert result.max_real_part == pytest.approx(0.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("rate, stable", [(2e-12, True), (1e-12, False), (1e-13, False)])
+    def test_the_margin_is_1e_12(self, rate, stable):
+        # A mode decaying at 1e-13 is marginal, not stable: strict Hurwitz
+        # with every real part below -1e-12.
+        m = LinearLangevinModel(np.diag([-rate, -1.0]), np.zeros((2, 2)))
+        assert is_stable(m).stable is stable
+
+
 class TestModelValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_diffusion(self, bad):
@@ -329,6 +337,14 @@ class TestLyapunovKernel:
         covs = sweeps.run_grid(damped_arrays, grid)
         assert all(cov is not None for cov in covs)
         assert len(factored) == len(grid)
+
+    @pytest.mark.parametrize("excess, accurate", [(0.9e-9, True), (2e-9, False)])
+    def test_the_gate_is_1e_9_of_the_diffusion(self, excess, accurate):
+        # V = (1 + e) D/2 leaves the residual A V + V A^T + D = -e D at A = -I.
+        d = 1e3 * np.eye(2)
+        residual, admitted = langevin._residual_gate(-np.eye(2), d, 0.5 * (1.0 + excess) * d)
+        assert residual == pytest.approx(excess * 1e3, rel=1e-6)
+        assert admitted == accurate
 
     def test_non_finite_residual_fails_the_gate(self):
         # A NaN residual compares False with any bound; it must still fail.

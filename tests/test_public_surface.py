@@ -10,7 +10,8 @@ channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
 writes its shape rule ("2N x 2N") outside gaussian; nor raises
 UnphysicalChannelError outside channels, where a channel is made; nor writes
 a converter's 6-row drift literal or a bath row outside converter, where the
-three-mode layout lives; nor imports scipy.constants or scipy.optimize."""
+three-mode layout lives; and scipy is imported only as langevin's LAPACK
+module."""
 
 import ast
 import math
@@ -355,52 +356,45 @@ def test_complete_positivity_is_decided_where_a_channel_is_made():
     assert not found, f"UnphysicalChannelError raised outside channels: {', '.join(found)}"
 
 
-def _scipy_imports(tree: ast.AST, module: str) -> list[int]:
-    """The line of each import in ``tree`` of ``module`` (a scipy submodule)
-    or of a name from it."""
+def _scipy_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """The line and text of each import in ``tree`` of scipy, of a scipy
+    submodule or of a name from one, at any depth (a function's import too)."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
         else:
             continue
-        if any(n == module or n.startswith(f"{module}.") for n in names):
-            found.append(node.lineno)
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append((node.lineno, ast.unparse(node)))
     return found
 
 
-@pytest.mark.parametrize("module", ["scipy.constants", "scipy.optimize"])
-@pytest.mark.parametrize("source", [
-    "import {module}",
-    "import {module} as sc",
-    "from scipy import {name}",
-    "from {module} import hbar",
+@pytest.mark.parametrize("source, seen", [
+    ("import scipy", True),
+    ("import scipy.optimize", True),
+    ("import scipy.constants as sc", True),
+    ("import numpy, scipy.linalg", True),
+    ("from scipy import optimize", True),
+    ("from scipy.constants import hbar", True),
+    ("from scipy.linalg import lapack", True),
+    ("import scipyx", False),
+    ("from .scipy import lapack", False),
+    ("from numpy import linalg", False),
 ])
-def test_scipy_imports_are_seen(source, module):
-    tree = ast.parse(source.format(module=module, name=module.split(".")[1]))
-    assert _scipy_imports(tree, module) == [1]
+def test_scipy_imports_are_seen(source, seen):
+    tree = ast.parse(f"def solve():\n    {source}")
+    assert _scipy_imports(tree) == ([(2, source)] if seen else [])
 
 
-def _imports_in_src(module: str) -> list[str]:
-    """module:line of each import of ``module`` in src."""
-    return [
-        f"{name}:{line}"
-        for name, tree in _modules().items()
-        for line in _scipy_imports(tree, module)
-    ]
-
-
-def test_physical_constants_come_from_langevin():
-    # The physical constants are literals in langevin: scipy.constants would
-    # tie every result to the installed scipy's CODATA edition.
-    found = _imports_in_src("scipy.constants")
-    assert not found, f"scipy.constants imported in src: {', '.join(found)}"
-
-
-def test_thresholds_import_no_scipy_optimize():
-    # Thresholds run Brent's method in sweeps: importing scipy.optimize for
-    # brentq cost more start-up time and memory than a whole threshold.
-    found = _imports_in_src("scipy.optimize")
-    assert not found, f"scipy.optimize imported in src: {', '.join(found)}"
+def test_src_imports_scipy_only_as_langevins_lapack():
+    # Only the converters' Lyapunov solve needs scipy: langevin calls LAPACK
+    # from it directly, so a run that solves none loads no scipy.  The
+    # physical constants are literals in langevin: scipy.constants would tie
+    # every result to the installed scipy's CODATA edition.  Thresholds run
+    # Brent's method in sweeps: importing scipy.optimize for brentq cost more
+    # start-up time and memory than a whole threshold.
+    found = {f"{name}: {text}" for name, tree in _modules().items() for _, text in _scipy_imports(tree)}
+    assert found == {"langevin: from scipy.linalg import lapack"}

@@ -366,6 +366,14 @@ class TestRunDetection:
         with pytest.raises(DegenerateStateError):
             run_detection(scenario)
 
+    def test_detector_forms_are_read_only(self):
+        # Every run shares the one table, so no caller may change a form.
+        with pytest.raises(TypeError):
+            receiver._FORMS["energy_detector"] = np.eye(4)
+        for form in receiver._FORMS.values():
+            with pytest.raises(ValueError, match="read-only"):
+                form[0, 0] = 2.0
+
     def test_energy_detector_ignores_idler(self):
         scenario = make_scenario(detector="energy_detector", n_decisions=200)
         samples = run_detection(scenario)
