@@ -69,6 +69,13 @@ SITES = [
     Site("purity-band", "gaussian.py", "pure = lo < 1e-12", "pure = lo < 1e-9",
          ("test_gaussian.py", "test_criteria.py")),
     Site("n-eff-agreement", "channels.py", "if not diff <= 1e-6 *", "if not diff <= 1e-4 *", ("test_channels.py",)),
+    # The Lyapunov system: the right-hand side -vech D, and one term of the
+    # coefficient index table (A_il where j = k < l, from A V).
+    Site("lyapunov-rhs-sign", "langevin.py", "rhs = -diffusions", "rhs = diffusions", ("test_langevin.py",)),
+    Site("lyapunov-index-term", "langevin.py", "(j == k) & (k < l), i * d + l", "(j == k) & (k < l), i * d + k",
+         ("test_langevin.py",)),
+    # The PPT discriminant's cut, lowered to the 4x4 determinant's own rounding.
+    Site("discriminant-cut", "criteria.py", "_DISC_CUT = 1e-6", "_DISC_CUT = 1e-16", ("test_criteria.py",)),
     # The intracavity covariance's off-diagonal; its eigenvalues do not see it.
     Site("jpa-off-diagonal-sign", "jpa.py", "0.5 * (v_plus - v_minus)", "0.5 * (v_minus - v_plus)",
          ("test_jpa.py",)),

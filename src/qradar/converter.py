@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, StiffnessError
-from .gaussian import GaussianState, _eigvalsh_rounding, _require_physical, _symmetric_part
+from .gaussian import GaussianState, _eigvalsh_rounding, _require_physical
 from .langevin import LinearLangevinModel, _require_stable, _stability, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
@@ -177,10 +177,11 @@ def _thermal_steady_state(
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
     with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
-    solve on one Schur form of the drift, each held to the residual rule, a
-    :class:`StiffnessError` naming its bath) are settled once; each D_b is
-    solved scaled by a power of two to a largest entry in [1/2, 1), which is
-    exact and keeps 1e-9 ||D_b|| from underflowing for a subnormal damping.
+    LU of the drift's system with a right-hand side per bath, each V_b held
+    to the residual rule, a :class:`StiffnessError` naming its bath) are
+    settled once; each D_b is solved scaled by a power of two to a largest
+    entry in [1/2, 1), which is exact and keeps 1e-9 ||D_b|| from
+    underflowing for a subnormal damping.
 
     Physicality too is settled once.  The exact V_b, the integral of e^{At}
     D_b e^{A^T t} over t >= 0, is positive semidefinite, so a V_b with an
@@ -198,9 +199,9 @@ def _thermal_steady_state(
     settled once: the V_b's residuals add up within 1e-9 ||D(T)|| only if each
     is within 1e-9 ||D_b|| over the number of baths, a gate that some points
     passing at every temperature fail.  So a stack of temperatures is one
-    weighted sum, symmetrised, held to the residual rule against D(T), naming
-    the first temperature that fails.  A pair sliced from it needs no check of
-    its own.
+    weighted sum, symmetric as each V_b is, held to the residual rule against
+    D(T), naming the first temperature that fails.  A pair sliced from it
+    needs no check of its own.
     """
     _require_stable(*_stability(drift))
     cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
@@ -209,9 +210,9 @@ def _thermal_steady_state(
     d_basis = (mode == np.arange(len(baths))[:, None])[:, :, None] * cold
     exponents = np.frexp(np.abs(d_basis).max(axis=(1, 2)))[1][:, None, None]
     d_unit = np.ldexp(d_basis, -exponents)
-    v_unit, caught = _solve_lyapunov(drift, d_unit)
+    v_unit = _solve_lyapunov(drift, d_unit)
     bath = _at_baths(baths)
-    _check_residual(drift, d_unit, v_unit, caught, bath)  # a failing V_b fails the model
+    _check_residual(drift, d_unit, v_unit, bath)  # a failing V_b fails the model
     lowest = np.linalg.eigvalsh(v_unit)[:, 0]
     inaccurate = lowest < -_eigvalsh_rounding(v_unit)
     if inaccurate.any():
@@ -228,9 +229,9 @@ def _thermal_steady_state(
         weights = np.array([[2.0 * thermal_occupation(omega, t) + 1.0 for omega, *_ in baths]
                             for t in temperatures])
         with np.errstate(over="ignore", invalid="ignore"):  # the residual gate fails a non-finite sum
-            covs = _symmetric_part((weights @ v_basis).reshape(-1, *cold.shape))
+            covs = (weights @ v_basis).reshape(-1, *cold.shape)
             diffusions = (weights @ d_basis).reshape(covs.shape)
-        _check_residual(drift, diffusions, covs, (), _at_temperatures(temperatures))
+        _check_residual(drift, diffusions, covs, _at_temperatures(temperatures))
         return covs
 
     _require_physical(at([0.0]), _at_temperatures([0.0]))

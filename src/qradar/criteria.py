@@ -124,17 +124,21 @@ def _in_range(covs: np.ndarray, values: np.ndarray, name: Callable[[int], str] |
     return values
 
 
+def _trace_term(covs: np.ndarray) -> np.ndarray:
+    """tr(A J C J B J C^T J) of each member."""
+    a, b, c = _blocks(covs)
+    m = a @ _J @ c @ _J @ b @ _J @ c.mT @ _J
+    return m[:, 0, 0] + m[:, 1, 1]
+
+
 def _lambda_sph(covs: np.ndarray, name: Callable[[int], str] | None = None, dets=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = _local_dets(covs) if dets is None else dets
-        a, b, c = _blocks(covs)
-        m = a @ _J @ c @ _J @ b @ _J @ c.mT @ _J
-        trace_term = m[:, 0, 0] + m[:, 1, 1]
         lam = (
             np.maximum(det_a - 0.25, 0.0) * np.maximum(det_b - 0.25, 0.0)
             + np.float_power(det_c, 2)
             - 0.5 * np.abs(det_c)
-            - trace_term
+            - _trace_term(covs)
         )
     return _in_range(covs, lam, name)
 
@@ -150,13 +154,38 @@ def lambda_sph(blocks: BipartiteBlocks) -> float:
     return float(_lambda_sph(blocks.state.cov[None])[0])
 
 
+# The discriminant cut of _pt_nu_min.  Delta~^2 - 4 det V carries a rounding
+# error delta ~ k eps Delta~^2 (k small: det V by LU, at most Delta~^2 / 4 on a
+# physical state), which its square root turns into delta / (2 sqrt(disc))
+# where disc >> delta, but into sqrt(delta) ~ sqrt(eps) Delta~ where disc ~
+# delta.  At disc >= c Delta~^2 the first bound is k eps Delta~ / (2 sqrt c),
+# 500 k eps Delta~ at c = 1e-6.  Below the cut the discriminant is formed again
+# from the blocks (_block_discriminant), which loses no digits there but more
+# than the 4x4 form at large squeezing; so only those members pay for it.
+_DISC_CUT = 1e-6
+
+
+def _block_discriminant(covs: np.ndarray, det_a, det_b, det_c) -> np.ndarray:
+    """Delta~^2 - 4 det V of each member from its blocks, as (det A - det B)^2
+    - 4 det C (det A + det B) + 4 tr(A J C J B J C^T J), with no difference of
+    terms of the scale Delta~^2: on a product state (C = 0) it is
+    (det A - det B)^2 to its own rounding, and 0 when det A = det B."""
+    return (
+        np.float_power(det_a - det_b, 2) - 4.0 * det_c * (det_a + det_b) + 4.0 * _trace_term(covs)
+    )
+
+
 def _pt_nu_min(covs: np.ndarray, name: Callable[[int], str] | None = None, dets=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = _local_dets(covs) if dets is None else dets
         det_v = np.linalg.det(covs)
         delta_t = det_a + det_b - 2.0 * det_c
         delta_t2 = np.float_power(delta_t, 2)
-        disc = _in_range(covs, delta_t2 - 4.0 * det_v, name)
+        disc = delta_t2 - 4.0 * det_v
+        near = disc < _DISC_CUT * delta_t2
+        if near.any():
+            disc[near] = _block_discriminant(covs[near], det_a[near], det_b[near], det_c[near])
+        disc = _in_range(covs, disc, name)
     degenerate = disc < -1e-10 * np.maximum(1.0, delta_t2)
     if degenerate.any():
         i = int(degenerate.argmax())

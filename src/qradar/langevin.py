@@ -3,20 +3,19 @@
 Assembles diffusion matrices from baths given as (omega, damping,
 temperature, kind) rows (one diagonal formula, for a single model, a
 temperature basis and a converter grid's points alike), decides stability,
-and solves the steady-state Lyapunov equation A V + V A^T + D = 0 by
-Bartels-Stewart behind a residual gate.  The stability test, the solve and
-the residual gate each work over one model or a stack of drifts alike.
+and solves the steady-state Lyapunov equation A V + V A^T + D = 0 behind a
+residual gate.  The stability test, the solve and the residual gate each
+work over one model or a stack of drifts alike.
 
-The solve calls LAPACK directly: ``dgees`` for the real Schur form of the
-drift, once per distinct drift, and ``dtrsyl`` for each diffusion, in the
-operation order of scipy.linalg's continuous Lyapunov solver, so the result
-is bit-identical to it wherever ``dtrsyl`` does not scale the solution down
-(:func:`_schur_solve`).  That wrapper's own overhead (a second ``gees`` call
-per solve to size the workspace, finiteness checks of validated inputs, n-d
-batching) costs about three times the two LAPACK calls on a 6x6 model.
-scipy's LAPACK module is imported on the first solve, and only the
-converters solve, so a run that solves none, such as a channel, receiver or
-JPA scenario, loads no scipy.
+The solve is numpy's: A V + V A^T = -D is linear in V, and V is symmetric,
+so it is a system of d(d+1)/2 equations in V's upper triangle (21 for the
+converters' 6x6 models), whose coefficients are gathered from A through one
+index table per size (:func:`_vech_system`).  A stack of drifts is one
+batched LU solve, and one drift with several diffusions (a temperature
+basis) one LU with a right-hand side each.  On the converters' stiff points
+it is within about 4e-12 max|V| of the exact solution, where a Schur-form
+(Bartels-Stewart) solve was off by up to 1.65 max|V|.  It needs nothing
+beyond numpy, so a converter run loads no more than any other run.
 
 Noise normalisation: this module uses the sqrt(2 kappa) input convention, so
 a lone cavity block gets D = kappa (2 N + 1) I and relaxes to variance
@@ -28,14 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NoSteadyStateError, StiffnessError, ValidationError, _valid
-from .gaussian import _member, _square, _symmetric_part, _symmetrised
+from .gaussian import _member, _square, _symmetrised
 
 __all__ = [
     "LinearLangevinModel",
@@ -49,9 +47,9 @@ __all__ = [
 
 _FLOAT_MAX = sys.float_info.max
 
-# SI literals, so that no result follows the installed scipy's CODATA edition; m_e is CODATA 2022.
+# SI literals, so that no result follows a library's CODATA edition; m_e is CODATA 2022.
 C_LIGHT = 299792458.0  # m/s
-HBAR = 6.62607015e-34 / (2 * math.pi)  # J s; h is exact, divided as scipy divides it
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s; h is exact, divided as SciPy's constants divide it
 E_CHARGE = 1.602176634e-19  # C
 K_B = 1.380649e-23  # J/K
 M_E = 9.1093837139e-31  # kg
@@ -156,82 +154,70 @@ def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:
     """Unique steady-state covariance of a stable model; an unstable one
     raises :class:`NoSteadyStateError` (:func:`_require_stable`).
 
-    Solves A V + V A^T + D = 0 by Bartels-Stewart with LAPACK ``dgees`` (real
-    Schur form of A) and ``dtrsyl`` (the quasi-triangular Sylvester equation),
-    called directly to skip scipy's wrapper overhead, and raises
-    :class:`StiffnessError` when the Schur form is not found or the residual
-    is not finite or exceeds 1e-9 ||D||_inf.  The residual gate, not a solver
-    warning, decides: warnings raised by the solve are kept out of the
-    caller's warning stream and quoted in the :class:`StiffnessError` message.
+    Solves A V + V A^T + D = 0 as a linear system in the upper triangle of V
+    (:func:`_solve_lyapunov`) and raises :class:`StiffnessError` when the
+    residual is not finite or exceeds 1e-9 ||D||_inf.
     """
     _require_stable(*is_stable(model))
-    v, caught = _solve_lyapunov(model.drift, model.diffusion)
-    _check_residual(model.drift, model.diffusion, v, caught)
+    v = _solve_lyapunov(model.drift, model.diffusion)
+    _check_residual(model.drift, model.diffusion, v)
     return v
 
 
-def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray):
-    """The symmetrised solution V of A V + V A^T + D = 0 for each (A, D) pair
-    of (n, d, d) stacks, or for one (d, d) drift and one (d, d) diffusion or
-    each of an (n, d, d) stack (the drift factored once), and the warnings the
-    solves raised, kept out of the caller's warning stream."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if drifts.ndim == 2:
-            v = _bartels_stewart(drifts, diffusions)
-        else:
-            v = [_bartels_stewart(a, d) for a, d in zip(drifts, diffusions)]
-            v = np.array(v).reshape(diffusions.shape)  # (0, d, d) for an empty stack
-    return _symmetric_part(v), caught
-
-
 @functools.cache
-def _gees_lwork(n: int) -> int:
-    """The optimal ``dgees`` workspace for an n x n matrix (one LAPACK query;
-    it depends on n only)."""
-    from scipy.linalg import lapack  # loaded on first use: only a Lyapunov solve needs it
+def _vech_system(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index tables of A V + V A^T = -D as d(d+1)/2 equations (i, j),
+    i <= j, in as many unknowns V_kl, k <= l, both in the row-major order of
+    the upper triangle; then the flat indices of that triangle and of its
+    mirror in a d x d matrix.
 
-    return int(lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
-
-
-def _no_sort(wr, wi):  # dgees requires a select callback; sort_t=0 never calls it
-    return 0
-
-
-def _bartels_stewart(drift: np.ndarray, diffusions: np.ndarray) -> np.ndarray:
-    """scipy.linalg's Lyapunov solution for (drift, -D), step for step, for a
-    (d, d) diffusion D or each member of an (n, d, d) stack, with one real
-    Schur factorization A = U T U^T of the drift."""
-    from scipy.linalg import lapack
-
-    t, _, _, _, u, _, info = lapack.dgees(_no_sort, drift, lwork=_gees_lwork(len(drift)))
-    if info > 0:  # a NaN solution, which the residual gate rejects, quoting this warning
-        warnings.warn(f"no real Schur form of the drift (LAPACK dgees info {info})", RuntimeWarning)
-        return np.full(diffusions.shape, np.nan)
-    if diffusions.ndim == 2:
-        return _schur_solve(t, u, diffusions)
-    return np.array([_schur_solve(t, u, d) for d in diffusions])
+    Coefficient ((i, j), (k, l)) is the sum of two drift entries, the one at
+    ``left[(i, j), (k, l)]`` from A V (A_ik where j = l, A_il where j = k < l)
+    and the one at ``right`` from V A^T (A_jl where i = k, A_jk where
+    i = l > k): flat indices into A, with d*d standing for an absent term (0).
+    The two cases of each are exclusive, as k < l."""
+    rows, cols = np.triu_indices(d)
+    i, j, k, l = rows[:, None], cols[:, None], rows, cols
+    absent = d * d
+    left = np.where(j == l, i * d + k, np.where((j == k) & (k < l), i * d + l, absent))
+    right = np.where(i == k, j * d + l, np.where((i == l) & (k < l), j * d + k, absent))
+    return left, right, rows * d + cols, cols * d + rows
 
 
-def _schur_solve(t: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """V = U Y U^T with T Y + Y T^T = U^T (-D) U (``dtrsyl``), warning as scipy
-    does when it had to perturb T.  ``dtrsyl`` scales Y down only where it
-    would overflow: that solution is a NaN, which the residual gate rejects,
-    quoting the warning."""
-    from scipy.linalg import lapack
+def _solve_lyapunov(drifts: np.ndarray, diffusions: np.ndarray) -> np.ndarray:
+    """The solution V of A V + V A^T + D = 0 for each (A, D) pair of (n, d, d)
+    stacks, or for one (d, d) drift and one (d, d) diffusion or each of an
+    (n, d, d) stack (one LU of the drift's system, with a right-hand side per
+    diffusion).  V is solved for in its upper triangle (:func:`_vech_system`,
+    one batched ``np.linalg.solve``) and written to both, so it is symmetric
+    by construction.  A singular system gives NaN for its member alone, and a
+    solution beyond float range inf or NaN: the residual gate rejects both."""
+    d = diffusions.shape[-1]
+    left, right, upper, lower = _vech_system(d)
+    flat = drifts.reshape(*drifts.shape[:-2], d * d)
+    padded = np.concatenate((flat, np.zeros((*flat.shape[:-1], 1))), axis=-1)
+    with np.errstate(over="ignore"):  # 2 A_ij may leave float range
+        coefficients = padded.take(left, axis=-1) + padded.take(right, axis=-1)
+    rhs = -diffusions.reshape(*diffusions.shape[:-2], d * d).take(upper, axis=-1)
+    if drifts.ndim == 2:  # one system, one right-hand side per diffusion
+        x = _solve_or_nan(coefficients, rhs.T).T
+    else:
+        x = _solve_or_nan(coefficients, rhs[..., None])[..., 0]
+    v = np.empty(rhs.shape[:-1] + (d * d,))
+    v[..., upper] = x
+    v[..., lower] = x
+    return v.reshape(diffusions.shape)
 
-    y, scale, info = lapack.dtrsyl(t, t, u.T.dot((-d).dot(u)), tranb="T")
-    if info == 1:
-        warnings.warn(
-            'Input "a" has an eigenvalue pair whose sum is very close to or exactly '
-            "zero. The solution is obtained via perturbing the coefficients.",
-            RuntimeWarning,
-        )
-    if scale != 1.0:
-        warnings.warn(f"Lyapunov solution beyond float range (LAPACK dtrsyl scale {scale:.3e})",
-                      RuntimeWarning)
-        return np.full(d.shape, np.nan)
-    return u.dot(y).dot(u.T)
+
+def _solve_or_nan(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of a system or stack of systems; a singular one,
+    which numpy refuses, gives NaN for its member alone."""
+    try:
+        return np.linalg.solve(coefficients, rhs)
+    except np.linalg.LinAlgError:
+        if coefficients.ndim == 2:
+            return np.full(rhs.shape, np.nan)
+        return np.array([_solve_or_nan(c, b) for c, b in zip(coefficients, rhs)])
 
 
 def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +231,13 @@ def _residual_gate(drifts, diffusions, v) -> tuple[np.ndarray, np.ndarray]:
     return residual, np.isfinite(residual) & ((residual <= 1e-9 * d_scale) | (d_scale == 0))
 
 
-def _check_residual(drift, diffusion, v, caught=(), name=None) -> None:
-    """:class:`StiffnessError` if ``v``, or a member of a stack, fails :func:`_residual_gate`,
-    quoting the ``caught`` solver warnings and naming the first failing member (:func:`_member`)."""
+def _check_residual(drift, diffusion, v, name=None) -> None:
+    """:class:`StiffnessError` if ``v``, or a member of a stack, fails
+    :func:`_residual_gate`, naming the first failing member (:func:`_member`)."""
     residual, accurate = _residual_gate(drift, diffusion, v)
     if not accurate.all():
         i = int(np.argmin(accurate))
-        solver_said = "".join(f"; solver warning: {w.message}" for w in caught)
         raise StiffnessError(
             f"{_member(v, i, name)}Lyapunov residual {np.ravel(residual)[i]:.3e} is not within "
-            f"1e-9 * ||D||_inf (severely ill-conditioned drift){solver_said}"
+            "1e-9 * ||D||_inf (severely ill-conditioned drift)"
         )

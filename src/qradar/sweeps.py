@@ -1,5 +1,5 @@
 """Converter grids as one stacked steady-state step, and threshold
-root-finding (Brent's method, step for step as scipy's ``brentq``).
+root-finding (Brent's method, step for step as SciPy's ``brentq``).
 
 A grid on any axis but temperature (which weighs the thresholds' Lyapunov
 basis instead) checks its axis values once, against their field's declared
@@ -14,8 +14,8 @@ structural check.  Points run serially: GIL-bound 6x6 algebra gains only
 dispatch cost from threads.
 
 A threshold brackets its sign change, then runs Brent's method (Brent 1973,
-ch. 4) in Python floats, step for step as scipy's ``brentq.c`` at its
-defaults: importing ``scipy.optimize`` for that loop would cost more start-up
+ch. 4) in Python floats, step for step as SciPy's ``brentq.c`` at its
+defaults: importing SciPy's optimizers for that loop would cost more start-up
 time and memory than a whole threshold.
 """
 
@@ -71,7 +71,7 @@ def run_grid(
         raise ValidationError(f"{name(int(np.argmin(finite)))}drift and diffusion must be finite")
     stable = _stability(drifts)[0]
     index, drifts, diffusions = index[stable], drifts[stable], diffusions[stable]
-    covs = _solve_lyapunov(drifts, diffusions)[0]
+    covs = _solve_lyapunov(drifts, diffusions)
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
     _require_physical(covs, _at_grid_points(grid, index))
@@ -100,7 +100,7 @@ def bisect_threshold(
     is returned).  The bracket upper end doubles, at most 12 times, while
     ``fn(hi)`` is still negative; returns None if no sign change is found by
     then.  Brent's method, with xtol resolution/2, then locates a sign change
-    inside [lo, hi], each iterate bit for bit the one ``scipy.optimize.brentq``
+    inside [lo, hi], each iterate bit for bit the one SciPy's ``brentq``
     evaluates; each distinct x is evaluated once.  A NaN value of ``fn``, or
     Brent's method still short of xtol after 100 iterations, raises
     :class:`ConvergenceError` naming x.
@@ -136,7 +136,7 @@ def _brent(
 ) -> float:
     """A root of ``fn`` in the bracket [xpre, xcur], whose values fpre and
     fcur the caller has evaluated (fpre nonzero, fcur zero or of the other
-    sign, neither NaN): scipy's ``brentq.c``, step for step, so each x
+    sign, neither NaN): SciPy's ``brentq.c``, step for step, so each x
     evaluated and the result are bit for bit brentq's at rtol 4 eps (fcur
     zero returns xcur at the first convergence test, as brentq does before
     its loop).  :class:`ConvergenceError` after :data:`_MAXITER` iterations."""

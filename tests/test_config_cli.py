@@ -19,6 +19,8 @@ from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config, wign
 from qradar.errors import ConfigError, ValidationError
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
+from conftest import lyapunov_exact, physical_exact
+
 
 def read_csv(path: Path):
     return np.genfromtxt(path, delimiter=",", names=True)
@@ -162,64 +164,54 @@ class TestParsing:
         assert cfg.parameters["distance_m"] == 20.0
 
 
-def _loaded_after(code: str, modules=("scipy.optimize", "scipy.integrate"), **env) -> str:
-    """Which of ``modules`` a fresh interpreter has loaded after running
-    ``code``."""
-    code += f"; print([m for m in {modules!r} if m in sys.modules])"
+def _loads_scipy(code: str, **env) -> bool:
+    """Whether a fresh interpreter has loaded scipy, or any part of it, after
+    running ``code``."""
+    code += "\nprint('scipy' in sys.modules)"
     src = str(Path(qradar.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    return done.stdout.strip()
+    return done.stdout.strip() == "True"
+
+
+_PRESET_ARTIFACTS = {
+    "channel_neff_line": ["channel_neff.csv"],
+    "eom_fig2a_temperature": ["eom_sweep.csv"],
+    "eom_fig2b_wavelength": ["eom_sweep.csv"],
+    "eom_fig2d_gamma_m": ["eom_sweep.csv"],
+    "fig10": ["oe_end_to_end.csv"],
+    "jpa_gain": ["jpa_gain_vs_omega.csv", "jpa_gain_vs_pump.csv"],
+    "jpa_wigner_fig13": [wigner_file(g) for g in SCENARIO_PRESETS["jpa_wigner_fig13"]["parameters"]["g_values"]],
+    "oe_fig12_detuning": ["oe_sweep.csv"],
+    "qi_roc_low_signal": ["roc_ci.csv", "roc_qi.csv"],
+}
 
 
 class TestCliCommands:
-    def test_import_leaves_optimize_and_integrate_unloaded(self):
-        # No qradar module uses scipy.integrate or scipy.optimize.
-        assert _loaded_after("import sys, qradar.cli") == "[]"
-
-    @pytest.mark.parametrize("preset, threshold", [
-        ("eom_fig2a_temperature", "threshold_temperature_k"),
-        ("fig10", "threshold_backscatter_k"),
-    ])
-    def test_threshold_preset_leaves_optimize_and_integrate_unloaded(self, preset, threshold, tmp_path):
-        # Thresholds run Brent's method in qradar.sweeps, not scipy's brentq.
-        code = (
-            "import sys; from qradar.cli import run_scenario; "
-            "from qradar.config import validate_config; "
-            "from qradar.presets import SCENARIO_PRESETS; "
-            f"code, summary = run_scenario(validate_config(SCENARIO_PRESETS[{preset!r}])); "
-            f"assert code == 0 and summary['summary'][{threshold!r}] > 0"
-        )
-        assert _loaded_after(code, QRADAR_OUTPUT_DIR=str(tmp_path)) == "[]"
-
     def test_channels_import_leaves_converter_unloaded(self):
         # The record rules live in qradar.errors, below every model.
         code = "import sys, qradar.channels; assert 'qradar.converter' not in sys.modules"
-        assert _loaded_after(code) == "[]"
+        assert not _loads_scipy(code)
 
-    @pytest.mark.parametrize("preset, artifacts", [
-        pytest.param("channel_neff_line", ["channel_neff.csv"], id="channel_neff_line"),
-        pytest.param("jpa_gain", ["jpa_gain_vs_omega.csv", "jpa_gain_vs_pump.csv"], id="jpa_gain"),
-        pytest.param(
-            "jpa_wigner_fig13",
-            [wigner_file(g) for g in SCENARIO_PRESETS["jpa_wigner_fig13"]["parameters"]["g_values"]],
-            id="jpa_wigner_fig13",
-        ),
-        pytest.param("qi_roc_low_signal", ["roc_ci.csv", "roc_qi.csv"], id="qi_roc_low_signal"),
-    ])
-    def test_non_converter_preset_loads_no_scipy(self, preset, artifacts, tmp_path):
-        # Constants are literals, the JPA's covariance is in closed form and
-        # langevin imports LAPACK on its first solve, which only a converter
-        # makes: a run that solves no Lyapunov equation loads no scipy.
+    def test_presets_load_no_scipy(self, tmp_path):
+        # Constants are literals, the JPA's covariance is in closed form, the
+        # Lyapunov steady state is numpy's linear solve and thresholds run
+        # Brent's method in qradar.sweeps: no run loads scipy.  All nine run
+        # in one fresh interpreter, which reports the first that loads it.
         code = (
             "import sys, qradar.cli; from qradar.config import validate_config; "
-            "from qradar.presets import SCENARIO_PRESETS; "
-            f"assert qradar.cli.run_scenario(validate_config(SCENARIO_PRESETS[{preset!r}]))[0] == 0"
+            "from qradar.presets import SCENARIO_PRESETS\n"
+            f"for name in {sorted(_PRESET_ARTIFACTS)!r}:\n"
+            f"    config = {{**SCENARIO_PRESETS[name], 'output_dir': {str(tmp_path)!r} + '/' + name}}\n"
+            "    assert qradar.cli.run_scenario(validate_config(config))[0] == 0, name\n"
+            "    assert 'scipy' not in sys.modules, name"
         )
-        assert _loaded_after(code, ("scipy",), QRADAR_OUTPUT_DIR=str(tmp_path)) == "[]"
-        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*artifacts, "summary.json"])
+        assert not _loads_scipy(code)
+        for preset, artifacts in _PRESET_ARTIFACTS.items():
+            written = sorted(path.name for path in (tmp_path / preset).iterdir())
+            assert written == sorted([*artifacts, "summary.json"]), preset
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0
@@ -581,18 +573,35 @@ class TestOeEndToEndFailures:
             "cov is not positive definite"
         )
 
-    def test_inaccurate_basis_solve_names_its_bath(self, tmp_path, monkeypatch):
-        # A photodetector damping of 1e12 rad/s leaves the optical bath's
-        # Lyapunov basis covariance outside the residual rule; the reason
-        # named no bath before.
+    def test_unphysical_cold_state_fails_the_run(self, tmp_path, monkeypatch):
+        # A photodetector damping of 1e12 rad/s leaves the exact steady state
+        # at 0 K below the vacuum bound (nu_min - 1/2 = -5.57e-6; see
+        # test_converter.py, test_cold_state_is_unphysical_exactly).  The
+        # LAPACK Schur solve missed the optical bath's basis covariance by
+        # more than the residual rule allows, so this run failed with a
+        # StiffnessError naming that bath.
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         assert main(["run", str(self._config(tmp_path, {"gamma_p_rad_s": 1e12}))]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "StiffnessError: bath 1 (cavity, omega 2332000000000000.0 rad/s): Lyapunov residual "
-            "1.804e-07 is not within 1e-9 * ||D||_inf (severely ill-conditioned drift)"
+            "PhysicalityError: temperature 0.0 K: state invariant violated: cov + (i/2)Omega not PSD "
+            "(min symplectic eigenvalue 5.573e-06 below 1/2)"
         )
+
+    @pytest.mark.parametrize("overrides, changes", [
+        ({"delta_eg_rad_s": 1e12}, {"delta_eg": 1e12}),
+        ({"delta_eg_rad_s": -1e12}, {"delta_eg": -1e12}),
+        ({"g_op_rad_s": 1e12}, {"g_op": 1e12}),
+    ])
+    def test_stiff_converter_runs(self, overrides, changes, tmp_path, monkeypatch):
+        # The LAPACK Schur solve missed the mechanical bath's basis
+        # covariance by more than the residual rule allows (StiffnessError,
+        # exit 2); the exact steady state at 0 K is physical.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(self._config(tmp_path, overrides))]) == 0
+        cold = oe._arrays(dataclasses.replace(oe_reference(), temperature=0.0, **changes))
+        assert physical_exact(lyapunov_exact(*cold), 1e-9)
 
     def test_one_operating_point_per_grid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
@@ -747,26 +756,24 @@ class TestOneKeyChanged:
                 failures.append((key, value, summary["summary"]))
         assert failures == [], "\n".join(map(str, failures))
 
-    # At omega_m = 1e12 rad/s a steady state of the grid sits below the
-    # vacuum bound by more than 1e-9 but less than 1e-6.  The one physical
-    # rule rejects it where the grid is solved and names its grid value;
-    # before, a 1e-6 gate let it through, and the second check, of the pairs,
-    # named only its place among the stable points ("stack member 1").  The
-    # message quotes the miss 1/2 - nu_min, which "5.000e-01 < 1/2" hid.
-    @pytest.mark.parametrize("preset, point, miss", [
-        ("eom_fig2b_wavelength", "grid point 1 (9e-07)", "4.177e-08"),
-        ("eom_fig2d_gamma_m", "grid point 2 (314.1592653589793)", "1.589e-09"),
+    # At omega_m = 1e12 rad/s the LAPACK Schur solve missed a grid point's
+    # steady state by 2.5e-7 (900 nm) and 1.2e-7 (gamma_m = 100 pi) of
+    # max|V|, enough to put it 4.2e-8 and 1.6e-9 below the vacuum bound, and
+    # the run failed with a PhysicalityError naming the point.  The exact
+    # steady states are physical (nu_min - 1/2 = +7.0e-13 and +9.7e-13).
+    @pytest.mark.parametrize("preset, index, build", [
+        ("eom_fig2b_wavelength", 1, lambda params, value: params.at_wavelength(value)),
+        ("eom_fig2d_gamma_m", 2, lambda params, value: dataclasses.replace(params, gamma_m=value)),
     ])
-    def test_unphysical_point_names_its_grid_value(self, preset, point, miss, tmp_path):
+    def test_fast_mechanics_grid_runs(self, preset, index, build, tmp_path):
         config = SCENARIO_PRESETS[preset]
         parameters = {**config["parameters"], "eom": {"omega_m_rad_s": 1e12}}
         cfg = validate_config({**config, "parameters": parameters, "output_dir": str(tmp_path)})
         code, summary = run_scenario(cfg)
-        assert (code, summary["reason"]) == (
-            2,
-            f"PhysicalityError: {point}: state invariant violated: cov + (i/2)Omega not PSD "
-            f"(min symplectic eigenvalue {miss} below 1/2)",
-        )
+        assert (code, summary["status"]) == (0, "ok")
+        assert read_csv(tmp_path / "eom_sweep.csv")["stable"][index] == 1
+        params = build(dataclasses.replace(eom_reference(), omega_m=1e12), parameters["grid"][index])
+        assert physical_exact(lyapunov_exact(*eom._arrays(params)))
 
 
 class TestArtifacts:

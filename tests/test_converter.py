@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qradar import converter, criteria, eom, gaussian, langevin, oe, sweeps
@@ -23,7 +23,7 @@ from qradar.errors import ValidationError
 from qradar.langevin import LinearLangevinModel, diffusion_from_baths
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
-from conftest import eom_drift_literal, oe_drift_literal, propagate_cov
+from conftest import eom_drift_literal, lyapunov_exact, oe_drift_literal, physical_exact, propagate_cov
 
 
 def _record_cubics(model, monkeypatch) -> list:
@@ -159,7 +159,7 @@ class TestDriftTemplate:
         # plain 0.0: equal as values, and the Lyapunov solves on the two
         # drifts give the same bits.
         diffusion = diffusion_from_baths(eom._baths(params))
-        solves = [langevin._solve_lyapunov(a, diffusion)[0] for a in (drift, literal)]
+        solves = [langevin._solve_lyapunov(a, diffusion) for a in (drift, literal)]
         assert np.array_equal(*(v.view(np.int64) for v in solves))
         assert drift[1, 5] == literal[1, 5] == 0.0
         drift[1, 5] = literal[1, 5]
@@ -454,9 +454,9 @@ def _basis_with_solve_error(error, monkeypatch):
     solve = converter._solve_lyapunov
 
     def inaccurate(drift, diffusions):
-        v, caught = solve(drift, diffusions)
+        v = solve(drift, diffusions)
         v[1, 0, 0] += error
-        return v, caught
+        return v
 
     monkeypatch.setattr(converter, "_solve_lyapunov", inaccurate)
     return _thermal_steady_state(-np.eye(6), [(1e10, 1.0, 0.0, "cavity")] * 3)
@@ -477,6 +477,13 @@ class TestTemperatureAffineSteadyState:
         with pytest.raises(StiffnessError, match=r"^bath 1 \(cavity, omega 10000000000.0 rad/s\): "
                                                   r"Lyapunov basis covariance V_b has eigenvalue -4.000e-12 "):
             _basis_with_solve_error(-1e-12, monkeypatch)
+
+    def test_inaccurate_basis_solve_names_its_bath(self, monkeypatch):
+        # A residual 2e-6 above 1e-9 ||D_1|| = 5e-10 fails the basis; the
+        # error names the bath, as it names a temperature of a stack.
+        with pytest.raises(StiffnessError, match=r"^bath 1 \(cavity, omega 10000000000.0 rad/s\): "
+                                                  r"Lyapunov residual 2.000e-06 is not within"):
+            _basis_with_solve_error(1e-6, monkeypatch)
 
     def test_basis_covariance_within_rounding_passes(self, monkeypatch):
         cov_at = _basis_with_solve_error(-(2.0**-53), monkeypatch)
@@ -518,6 +525,11 @@ class TestTemperatureAffineSteadyState:
 
     @settings(max_examples=100, deadline=None)
     @given(_points, _temperatures)
+    # The exact steady state has lambda_SPH = +1.7e-37 and 2eta = 1.  The
+    # solved pair's lambda_SPH is -5.9e-39, exactly so for its float
+    # entries; the 4x4 determinant in the PPT discriminant put its 2eta at
+    # 1 + 1.6e-9, outside the band below.
+    @example((oe, dataclasses.replace(_jittered(oe, [1.00390625, 1.0, 1.0, 1.0]), delta_eg=-math.exp(2.375))), 0.0)
     def test_sph_and_ppt_agree(self, point, temperature):
         # For two modes, Simon's criterion and the partial-transpose
         # symplectic eigenvalue are the same test: lambda_SPH < 0 iff 2eta < 1.
@@ -605,10 +617,10 @@ class TestTemperatureGrids:
         [
             (eom, {"e_w": 3.0 * eom_reference().e_w}, NoSteadyStateError),
             (eom, {"kappa_c": 0.0, "delta_c": 0.0}, ConvergenceError),  # P_s diverges
-            (eom, {"gamma_m": 1e12}, StiffnessError),  # the optical bath's basis solve
+            (eom, {"gamma_m": 1e12}, PhysicalityError),  # V(0) is unphysical
             (oe, {"delta_c": -oe_reference().delta_c}, NoSteadyStateError),
             (oe, {"delta_eg": 0.0}, ConvergenceError),
-            (oe, {"gamma_p": 1e12}, StiffnessError),
+            (oe, {"gamma_p": 1e12}, PhysicalityError),
         ],
     )
     def test_grid_fails_as_its_threshold_does(self, model, changes, error):
@@ -621,6 +633,22 @@ class TestTemperatureGrids:
         with pytest.raises(error) as grid:
             _temperature_grid(model, params, [0.1, 0.2])
         assert str(grid.value) == str(threshold.value)
+
+    @pytest.mark.parametrize("model, changes, miss", [
+        (eom, {"gamma_m": 1e12}, "3.072e-05"),
+        (oe, {"gamma_p": 1e12}, "5.573e-06"),
+    ])
+    def test_cold_state_is_unphysical_exactly(self, model, changes, miss):
+        # The exact steady state at 0 K misses the vacuum bound by 3.07e-5
+        # (EOM) and 5.57e-6 (OE), beyond the physical rule's 1e-9.  The
+        # LAPACK Schur solve missed the optical bath's basis covariance by
+        # more than the residual rule allows, and both raised that rule's
+        # StiffnessError for bath 1 instead.
+        params = dataclasses.replace(_REFERENCE[model], **changes)
+        with pytest.raises(PhysicalityError, match=rf"^temperature 0.0 K: .*eigenvalue {miss} below 1/2"):
+            _threshold(model, params)
+        cold = model._arrays(dataclasses.replace(params, temperature=0.0))
+        assert not physical_exact(lyapunov_exact(*cold), 1e-9)
 
     def test_subnormal_bath_damping(self):
         # 1e-9 ||D_b|| of a bath with damping 5e-324 underflows to 0, so its

@@ -117,6 +117,22 @@ class TestTwoEta:
         blocks = BipartiteBlocks(1.5 * np.eye(2), 1.5 * np.eye(2), np.zeros((2, 2)))
         assert two_eta(blocks) == pytest.approx(3.0, abs=1e-12)
 
+    def test_degenerate_partial_transpose_spectrum_is_exact(self):
+        # The partial transpose of 2.5 I has the double eigenvalue 2.5, so the
+        # discriminant Delta~^2 - 4 det V is 0; formed with the 4x4
+        # determinant, its rounding, lifted by the square root, put 2eta at
+        # 4.99999997.
+        assert two_eta(BipartiteBlocks.from_covariance(2.5 * np.eye(4))) == 5.0
+
+    def test_product_states_are_separable_by_both_criteria(self):
+        # (n + 1/2) I is a product state: lambda_SPH = 0 and 2eta = 1 + 2n.
+        # 2eta came out as 0.9999999985 at n = 2.98e-9 (PPT-entangled, SPH-
+        # separable), and below 1 on 5 of these 400 n.
+        n = np.append(np.geomspace(1e-12, 1e-3, 400), 2.9763514416313133e-09)
+        reports = _reports((n[:, None, None] + 0.5) * np.eye(4))
+        assert [r.entangled_by_ppt for r in reports] == [r.entangled_by_sph for r in reports] == [False] * len(n)
+        assert [r.two_eta for r in reports] == pytest.approx(2.0 * (n + 0.5), rel=4 * np.finfo(float).eps)
+
     def test_loss_monotonicity(self):
         source = GaussianState(2, np.zeros(4), tmsv_cov(0.8))
         previous = -np.inf

@@ -1,12 +1,13 @@
 """Langevin machinery: thermal occupations, diffusion assembly, stability,
-the Lyapunov steady state (the LAPACK Bartels-Stewart kernel, bit-equal to
-scipy's solver, and the residual gate around it), and the covariance ODE
+the Lyapunov steady state (the symmetric Kronecker kernel, held to the exact
+rational solution, and the residual gate around it), and the covariance ODE
 that tests integrate as an independent route to it."""
 
 import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import constants
-from scipy.linalg import lapack, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 
-from conftest import damped, damped_arrays, propagate_cov
-from qradar import converter, eom, langevin, sweeps
-from qradar.errors import NoSteadyStateError, StiffnessError, ValidationError
+from conftest import damped, damped_arrays, lyapunov_exact, propagate_cov
+from qradar import converter, eom, langevin, oe, sweeps
+from qradar.errors import NoSteadyStateError, StiffnessError, UndefinedQuantityError, ValidationError
 from qradar.gaussian import GaussianState
 from qradar.langevin import (
     LinearLangevinModel,
@@ -27,7 +28,7 @@ from qradar.langevin import (
     steady_state_cov,
     thermal_occupation,
 )
-from qradar.presets import eom_reference
+from qradar.presets import eom_reference, oe_reference
 
 
 def random_stable_model(rng, dim=6):
@@ -299,44 +300,82 @@ def _lyapunov_inputs(draw):
     return draw(_hurwitz(dim)), np.array([draw(_psd(dim, dim - 1)) for _ in range(n)])
 
 
-def _scipy_solution(drift, diffusion):
-    v = solve_continuous_lyapunov(drift, -diffusion)
-    return 0.5 * (v + v.T)
+def _solved_alone(drifts, diffusions) -> np.ndarray:
+    """Each member of a layout solved on its own, one drift and one diffusion at a time."""
+    if drifts.ndim == 3:
+        return np.array([langevin._solve_lyapunov(a, d) for a, d in zip(drifts, diffusions)])
+    if diffusions.ndim == 3:
+        return np.array([langevin._solve_lyapunov(drifts, d) for d in diffusions])
+    return langevin._solve_lyapunov(drifts, diffusions)
+
+
+def _accuracy_points():
+    """(name, drift, diffusion) at the two references and at the points whose
+    verdicts the solver's error used to decide: OE detunings within 40 rad/s
+    of resonance, EOM at omega_m = 1e12 rad/s on two preset grid points, and
+    the cold state of the EOM with gamma_m = 1e12 and of the OE with
+    gamma_p = 1e12 rad/s."""
+    eom_ref, oe_ref = eom_reference(), oe_reference()
+    states = {"eom reference": eom._arrays(eom_ref), "oe reference": oe._arrays(oe_ref)}
+    for delta_eg in (-40.0, -20.0, -10.0, 10.0):
+        states[f"oe delta_eg {delta_eg}"] = oe._arrays(dataclasses.replace(oe_ref, delta_eg=delta_eg))
+    fast = dataclasses.replace(eom_ref, omega_m=1e12)
+    states["eom omega_m 1e12, 900 nm"] = eom._arrays(fast.at_wavelength(9e-7))
+    states["eom omega_m 1e12, gamma_m 100 pi"] = eom._arrays(dataclasses.replace(fast, gamma_m=314.1592653589793))
+    states["eom gamma_m 1e12, 0 K"] = eom._arrays(dataclasses.replace(eom_ref, gamma_m=1e12, temperature=0.0))
+    states["oe gamma_p 1e12, 0 K"] = oe._arrays(dataclasses.replace(oe_ref, gamma_p=1e12, temperature=0.0))
+    return [pytest.param(*arrays, id=name) for name, arrays in states.items()]
 
 
 class TestLyapunovKernel:
+    @pytest.mark.parametrize("drift, diffusion", _accuracy_points())
+    def test_within_1e_10_of_the_exact_solution(self, drift, diffusion):
+        # The worst of these points is off by 4e-12 max|V| (OE, delta_eg = 10
+        # rad/s); the LAPACK Schur solve this kernel replaced was off by 1.65
+        # max|V| there and by 2.5e-7 at omega_m = 1e12 rad/s.
+        exact = np.array(lyapunov_exact(drift, diffusion), dtype=object)
+        v = langevin._solve_lyapunov(drift, diffusion)
+        error = max(abs(Fraction(x) - y) for x, y in zip(v.flat, exact.flat))
+        assert float(error) <= 1e-10 * float(np.abs(exact).max())
+
     @settings(max_examples=150, deadline=None)
     @given(_lyapunov_inputs())
-    def test_bit_equal_to_scipy(self, inputs):
+    def test_every_layout_solves_each_member(self, inputs):
+        # A stack of drifts is each member's own solve, bit for bit (so a
+        # grid point equals its single-point steady state); a drift shared by
+        # several diffusions is one LU with a right-hand side each, which
+        # rounds apart from the single solve by a few ulps.  Each V is
+        # symmetric bit for bit and agrees with scipy's Schur solve.
         drifts, diffusions = inputs
-        v, caught = langevin._solve_lyapunov(drifts, diffusions)
+        v = langevin._solve_lyapunov(drifts, diffusions)
+        alone = _solved_alone(drifts, diffusions)
         if drifts.ndim == 3:
-            expected = [_scipy_solution(a, d) for a, d in zip(drifts, diffusions)]
-        elif diffusions.ndim == 3:
-            expected = [_scipy_solution(drifts, d) for d in diffusions]
+            assert np.array_equal(v, alone)
         else:
-            expected = _scipy_solution(drifts, diffusions)
-        assert np.array_equal(v, np.array(expected))
-        assert not caught
+            assert np.allclose(v, alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+        assert np.array_equal(v, v.mT)
+        members = v.reshape(-1, *v.shape[-2:])
+        for a, d, member in zip(np.broadcast_to(drifts, members.shape), diffusions.reshape(members.shape), members):
+            reference = solve_continuous_lyapunov(a, -d)
+            assert np.abs(member - reference).max() <= 1e-9 * max(1.0, np.abs(reference).max())
 
-    def test_one_factorization_per_distinct_drift(self, monkeypatch):
-        factored, real = [], lapack.dgees
+    def test_one_solve_per_stack_and_per_basis(self, monkeypatch):
+        systems, real = [], np.linalg.solve
 
-        def counting(select, a, lwork):
-            if lwork != -1:  # a workspace query factors nothing
-                factored.append(a)
-            return real(select, a, lwork=lwork)
+        def counting(a, b):
+            systems.append(a.shape)
+            return real(a, b)
 
         drift, baths = _reference_basis_inputs()
-        monkeypatch.setattr(lapack, "dgees", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting)
         converter._thermal_steady_state(drift, baths)
-        assert len(factored) == 1  # three baths, one Schur form
+        assert systems == [(21, 21)]  # three baths, one system
 
-        del factored[:]
+        del systems[:]
         grid = [0.5, 1.0, 1.5, 2.0, 2.5]
         covs = sweeps.run_grid(damped_arrays, grid)
         assert all(cov is not None for cov in covs)
-        assert len(factored) == len(grid)
+        assert systems == [(len(grid), 3, 3)]
 
     @pytest.mark.parametrize("excess, accurate", [(0.9e-9, True), (2e-9, False)])
     def test_the_gate_is_1e_9_of_the_diffusion(self, excess, accurate):
@@ -355,7 +394,7 @@ class TestLyapunovKernel:
 
     def test_non_finite_solution_rejected_on_every_path(self, monkeypatch):
         def nan_solve(drifts, diffusions):
-            return np.full(np.broadcast_shapes(drifts.shape, diffusions.shape), math.nan), []
+            return np.full(np.broadcast_shapes(drifts.shape, diffusions.shape), math.nan)
 
         for module in (langevin, converter, sweeps):
             monkeypatch.setattr(module, "_solve_lyapunov", nan_solve)
@@ -365,31 +404,42 @@ class TestLyapunovKernel:
             converter._thermal_steady_state(*_reference_basis_inputs())
         assert sweeps.run_grid(damped_arrays, [1.0, 2.0]) == [None, None]
 
-    def test_schur_failure_is_a_stiffness_error(self, monkeypatch):
-        # dgees info > 0: the QR algorithm failed to find the Schur form.
-        real = lapack.dgees
-        failing = damped(2.0).drift
+    @pytest.mark.parametrize("member, drift, diffusion", [
+        # Eigenvalues +-1 pair to a zero eigenvalue of the system: numpy
+        # refuses it as singular.
+        (1, np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)),
+        # V = D / 2e-10 = 5e309 is beyond float range.
+        (2, -1e-10 * np.eye(2), 1e300 * np.eye(2)),
+    ])
+    def test_failed_member_is_a_stiffness_error_naming_it(self, member, drift, diffusion):
+        drifts = np.array([damped(1.0).drift, damped(2.0).drift, damped(3.0).drift])
+        diffusions = np.array([damped(1.0).diffusion, damped(2.0).diffusion, damped(3.0).diffusion])
+        drifts[member], diffusions[member] = drift, diffusion
+        v = langevin._solve_lyapunov(drifts, diffusions)
+        for i in {0, 1, 2} - {member}:
+            assert np.array_equal(v[i], steady_state_cov(damped(i + 1.0)))
+        with pytest.raises(StiffnessError, match=rf"^stack member {member}: Lyapunov residual (nan|inf) "):
+            langevin._check_residual(drifts, diffusions, v)
 
-        def fails_on_one_drift(select, a, lwork):
-            out = real(select, a, lwork=lwork)
-            return (*out[:-1], 3) if lwork != -1 and np.array_equal(a, failing) else out
+    def test_singular_and_overflowing_members_leave_the_grid_solved(self, monkeypatch):
+        # The stability test would refuse the singular drift; let it through
+        # to reach the solve, which marks that point and the overflowing one.
+        singular = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        overflowing = (-1e-10 * np.eye(2), 1e300 * np.eye(2))
+        builds = {1.0: singular, 3.0: overflowing}
+        monkeypatch.setattr(sweeps, "_stability", lambda drifts: (np.ones(len(drifts), bool), None))
+        covs = sweeps.run_grid(lambda v: builds.get(v) or damped_arrays(v), [1.0, 2.0, 3.0, 4.0])
+        assert covs[0] is None and covs[2] is None
+        assert np.array_equal(covs[1], steady_state_cov(damped(2.0)))
+        assert np.array_equal(covs[3], steady_state_cov(damped(4.0)))
 
-        monkeypatch.setattr(lapack, "dgees", fails_on_one_drift)
-        with pytest.raises(StiffnessError, match=r"residual nan .*LAPACK dgees info 3\)"):
-            steady_state_cov(damped(2.0))
-        covs = sweeps.run_grid(damped_arrays, [1.0, 2.0, 3.0])
-        assert covs[1] is None
-        assert np.array_equal(covs[0], steady_state_cov(damped(1.0)))
-
-    def test_scaled_solution_is_a_stiffness_error(self):
-        # dtrsyl scales its solution down only where it would overflow.  The
-        # scaled solution, taken as V, failed the residual gate before, which
-        # then blamed an ill-conditioned drift (residual 7.855e+306).
+    def test_hot_steady_state_is_solved(self):
+        # At 1e300 K the LAPACK Sylvester solve scaled its solution down, for
+        # fear of overflow, and the report failed with a StiffnessError; the
+        # steady state is finite, and the criteria of its pairs are what
+        # leave float range.
         hot = dataclasses.replace(eom_reference(), temperature=1e300)
-        with pytest.raises(StiffnessError, match=(
-            r"^Lyapunov residual nan .*; solver warning: Lyapunov solution beyond float range "
-            r"\(LAPACK dtrsyl scale \d\.\d{3}e-\d+\)$"
-        )):
+        with pytest.raises(UndefinedQuantityError, match="^covariance invariants beyond float range"):
             eom.entanglement_report(hot)
 
 

@@ -389,12 +389,12 @@ def test_scipy_imports_are_seen(source, seen):
     assert _scipy_imports(tree) == ([(2, source)] if seen else [])
 
 
-def test_src_imports_scipy_only_as_langevins_lapack():
-    # Only the converters' Lyapunov solve needs scipy: langevin calls LAPACK
-    # from it directly, so a run that solves none loads no scipy.  The
-    # physical constants are literals in langevin: scipy.constants would tie
-    # every result to the installed scipy's CODATA edition.  Thresholds run
-    # Brent's method in sweeps: importing scipy.optimize for brentq cost more
-    # start-up time and memory than a whole threshold.
+def test_src_imports_no_scipy():
+    # No run needs scipy: the Lyapunov steady state is numpy's linear solve
+    # (langevin), so a run loads no scipy.  The physical constants are
+    # literals in langevin: scipy.constants would tie every result to the
+    # installed scipy's CODATA edition.  Thresholds run Brent's method in
+    # sweeps: importing scipy.optimize for brentq cost more start-up time and
+    # memory than a whole threshold.
     found = {f"{name}: {text}" for name, tree in _modules().items() for _, text in _scipy_imports(tree)}
-    assert found == {"langevin: from scipy.linalg import lapack"}
+    assert found == set()
