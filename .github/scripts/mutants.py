@@ -56,6 +56,8 @@ SITES = [
          ("test_receiver.py",)),
     Site("tone-bound", "receiver.py", "scenario.r > 710.1292864836639", "scenario.r > 710.5",
          ("test_receiver.py",)),
+    # The draws summed scaled by 2^-e, so a sum near k times the statistic stays in range.
+    Site("statistic-scale", "receiver.py", "e = math.frexp(k)[1]", "e = 0", ("test_receiver.py",)),
     Site("eigvalsh-rounding", "gaussian.py", "return 32 * np.finfo(float).eps", "return 3200 * np.finfo(float).eps",
          ("test_gaussian.py", "test_channels.py")),
     Site("cp-floor", "channels.py", "-max(1e-9, rounding)", "-max(1e-6, rounding)", ("test_channels.py",)),
@@ -76,6 +78,9 @@ SITES = [
          ("test_langevin.py",)),
     # The PPT discriminant's cut, lowered to the 4x4 determinant's own rounding.
     Site("discriminant-cut", "criteria.py", "_DISC_CUT = 1e-6", "_DISC_CUT = 1e-16", ("test_criteria.py",)),
+    # A Wigner field's normalization within 1e-3 of 1, acceptance criterion 8's bound.
+    Site("wigner-normalization", "cli.py", "abs(normalization - 1.0) <= 1e-3", "abs(normalization - 1.0) <= 1e-2",
+         ("test_config_cli.py",)),
     # The intracavity covariance's off-diagonal; its eigenvalues do not see it.
     Site("jpa-off-diagonal-sign", "jpa.py", "0.5 * (v_plus - v_minus)", "0.5 * (v_minus - v_plus)",
          ("test_jpa.py",)),

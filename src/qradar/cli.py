@@ -32,7 +32,7 @@ import numpy as np
 
 from . import channels, eom, jpa, oe, receiver
 from .config import EOM_AXES, OVERRIDE_FIELDS, ScenarioConfig, parse_config, wigner_file
-from .errors import ConfigError, QradarError
+from .errors import ConfigError, ConvergenceError, QradarError
 from .gaussian import GaussianState, sample, wigner
 from .output import FORMAT_VERSION, config_hash, write_csv, write_json
 from .presets import SCENARIO_PRESETS, eom_reference, oe_reference
@@ -156,12 +156,18 @@ def _run_jpa_wigner(cfg: ScenarioConfig, outdir: Path) -> dict:
         q = np.linspace(-half, half, n)
         w = wigner(GaussianState(1, np.zeros(2), cov), q, q)
         step = q[1] - q[0]
+        normalization = float(w.sum() * step * step)
+        if not abs(normalization - 1.0) <= 1e-3:  # the bound a resolved field meets (acceptance criterion 8)
+            raise ConvergenceError(
+                f"Wigner field at g={float(g)!r} is under-resolved: normalization {normalization!r} "
+                f"misses 1 by more than 1e-3 at grid_points_per_axis={n}"
+            )
         name = wigner_file(g)
         write_csv(outdir / name, {"q": np.repeat(q, n), "p": np.tile(q, n), "w": w.ravel()})
         summary["fields"].append({
             "g": float(g),
             "file": name,
-            "normalization": float(w.sum() * step * step),
+            "normalization": normalization,
             "squeezed_variance": float(np.linalg.eigvalsh(cov).min()),
         })
     return summary

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,6 +159,12 @@ def build_model(params: EomParams) -> LinearLangevinModel:
     return LinearLangevinModel(*_arrays(params))
 
 
+def _basis(params: EomParams) -> Callable[[Sequence[float]], np.ndarray]:
+    """Temperatures -> the steady states at ``params``' operating point, from
+    one Lyapunov basis (:func:`~qradar.converter._thermal_steady_state`)."""
+    return _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+
+
 def _pair_stack(covs: np.ndarray, pair: str) -> np.ndarray:
     """The 4x4 covariance of ``pair`` (first mode first) in a steady state or a stack."""
     i, j = (_MODE_INDEX[mode] for mode in pair.split("_"))
@@ -212,24 +218,20 @@ def sweep(params: EomParams, axis: str, grid) -> list[SweepPoint]:
     or raises what that threshold raises; other axes take one stacked
     :func:`~qradar.sweeps.run_grid` step, which marks a point with no steady
     state unstable.  Each steady state is checked once, there (a temperature
-    grid's through its basis's 0 K state); its pairs are scored unchecked,
-    all as one stack, with determinants computed once
-    (:func:`~qradar.criteria._reports`).
+    grid's through its basis's 0 K state); the stack of them is scored
+    unchecked, all pairs as one stack, with determinants computed once
+    (:func:`~qradar.criteria._reports`), and each point's reports placed by
+    its grid position.
     """
     grid = _grid_values(EomParams, _axis_field(axis), grid)
     if axis == "temperature":
-        covs = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))(grid)
+        index, covs = range(len(grid)), _basis(params)(grid)
     else:
-        covs = run_grid(_grid_point(params, axis), grid)
-    index = [i for i, cov in enumerate(covs) if cov is not None]
-    stable = np.array([covs[i] for i in index]).reshape(-1, 6, 6)
-    pairs = np.concatenate([_pair_stack(stable, pair) for pair in PAIR_NAMES])
-    scored = _reports(pairs, _at_grid_points(grid, index * len(PAIR_NAMES)))
-    reports = (dict(zip(PAIR_NAMES, scored[k::len(index)])) for k in range(len(index)))
-    return [
-        SweepPoint(v, None, False) if cov is None else SweepPoint(v, next(reports), True)
-        for v, cov in zip(grid, covs)
-    ]
+        index, covs = run_grid(_grid_point(params, axis), grid)
+    pairs = np.concatenate([_pair_stack(covs.reshape(-1, 6, 6), pair) for pair in PAIR_NAMES])
+    scored = _reports(pairs, _at_grid_points(grid, [*index] * len(PAIR_NAMES)))
+    kept = {i: dict(zip(PAIR_NAMES, scored[k::len(index)])) for k, i in enumerate(index)}
+    return [SweepPoint(v, kept.get(i), i in kept) for i, v in enumerate(grid)]
 
 
 def threshold_temperature(
@@ -249,7 +251,7 @@ def threshold_temperature(
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"pair must be one of {PAIR_NAMES}")
-    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+    cov_at = _basis(params)
 
     def crossing(temperature: float) -> float:
         at = [temperature]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -156,6 +157,12 @@ def build_model(params: OeParams) -> LinearLangevinModel:
     return LinearLangevinModel(*_arrays(params))
 
 
+def _basis(params: OeParams) -> Callable[[Sequence[float]], np.ndarray]:
+    """Temperatures -> the steady states at ``params``' operating point, from
+    one Lyapunov basis (:func:`~qradar.converter._thermal_steady_state`)."""
+    return _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+
+
 def _oc_mc_blocks(params: OeParams) -> BipartiteBlocks:
     """Steady-state two-mode (OC, MC) reduced blocks."""
     return BipartiteBlocks.from_covariance(steady_state(build_model(params))[_OC_MC])
@@ -191,23 +198,16 @@ def entanglement_vs_detuning(params: OeParams, delta_eg_grid) -> DetuningSweep:
 
     The grid values are held once to delta_eg's rule; the grid's steady
     states come from one stacked :func:`~qradar.sweeps.run_grid` step, which
-    checks each once, and the stable points' OC-MC pairs are scored as one
-    unchecked stack.
+    checks each once, and their OC-MC pairs are scored as one unchecked
+    stack, each value placed by its grid position.
     """
     grid = _grid_values(OeParams, "delta_eg", delta_eg_grid)
-    covs = run_grid(lambda v: _arrays(dataclasses.replace(params, delta_eg=v)), grid)
-    index = [i for i, cov in enumerate(covs) if cov is not None]
-    stable = np.array([covs[i][_OC_MC] for i in index]).reshape(-1, 4, 4)
-    values = iter((2.0 * _pt_nu_min(stable, _at_grid_points(grid, index))).tolist())
-    points = [
-        DetuningPoint(v, None, False) if cov is None else DetuningPoint(v, next(values), True)
-        for v, cov in zip(grid, covs)
-    ]
-    stable_pts = [p for p in points if p.stable]
-    if stable_pts:
-        best = min(stable_pts, key=lambda p: p.two_eta)
-        return DetuningSweep(points, best.delta_eg, best.two_eta)
-    return DetuningSweep(points, None, None)
+    index, covs = run_grid(lambda v: _arrays(dataclasses.replace(params, delta_eg=v)), grid)
+    values = (2.0 * _pt_nu_min(covs.reshape(-1, 6, 6)[_OC_MC], _at_grid_points(grid, index))).tolist()
+    kept = dict(zip(index.tolist(), values))
+    points = [DetuningPoint(v, kept.get(i), i in kept) for i, v in enumerate(grid)]
+    best = min(kept, key=kept.get, default=None)  # the first smallest value's position
+    return DetuningSweep(points, None if best is None else grid[best], kept.get(best))
 
 
 def end_to_end_report(
@@ -246,7 +246,7 @@ def end_to_end_vs_temperature(
     """
     grid = _grid_values(OeParams, "temperature", temperature_grid)
     backscatter = _backscatter(channel_spec, target_spec)
-    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+    cov_at = _basis(params)
     pairs = cov_at(grid)[_OC_MC]
     both = np.concatenate((pairs, _symmetric_part(backscatter.act(pairs))))
     return tuple(np.split(2.0 * _pt_nu_min(both, _at_temperatures(grid * 2)), 2))
@@ -274,7 +274,7 @@ def threshold_temperature(
     """
     if (channel_spec is None) != (target_spec is None):
         raise ValidationError("channel_spec and target_spec must be given together")
-    cov_at = _thermal_steady_state(drift_matrix(params, operating_point(params)), _baths(params))
+    cov_at = _basis(params)
     backscatter = None if channel_spec is None else _backscatter(channel_spec, target_spec)
 
     def crossing(temperature: float) -> float:

@@ -21,7 +21,9 @@ On matched-background channels the weights are -lam_-, -lam_-, lam_+, lam_+
 (lam_+ X - lam_- Y)/k with X, Y ~ chi^2_2k.  A zero-mean column (every QI record: the squeezed
 vacuum keeps zero mean through a phase-insensitive channel) draws a central
 chi-square.  A statistic beyond float range raises
-:class:`UndefinedQuantityError`.
+:class:`UndefinedQuantityError`; the weighted sum of a decision's draws,
+about k times its statistic, is formed scaled by a power of two, so that
+sum alone does not.
 
 The covariance detector scores both illuminations with one form,
 mean(x_R x_I - p_R p_I).  A CI reference has zero p mean, covariance
@@ -205,6 +207,9 @@ def _sample_statistics(rng, means, covs, form, k: int, n: int) -> list[np.ndarra
     chol = _cholesky(covs)
     lam, u = np.linalg.eigh(chol.mT @ form @ chol)
     c = (u.mT @ np.linalg.solve(chol, means[..., None]))[..., 0]
+    # Draws and k scaled by 2^-e (exact) keep the weighted sum of draws, about
+    # k times the statistic, in float range wherever the statistic is.
+    e = math.frexp(k)[1]
     stats = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic fails below
         for weights, noncentralities in zip(lam.tolist(), (k * c**2).tolist()):
@@ -215,7 +220,7 @@ def _sample_statistics(rng, means, covs, form, k: int, n: int) -> list[np.ndarra
                     draws[:, j] = rng.noncentral_chisquare(df, noncentrality, n)
                 else:
                     draws[:, j] = rng.chisquare(df, n)
-            stats.append(draws @ [weight for weight, _, _ in columns] / k)
+            stats.append(np.ldexp(draws, -e) @ [weight for weight, _, _ in columns] / math.ldexp(k, -e))
     if not all(np.isfinite(stat).all() for stat in stats):
         raise UndefinedQuantityError("the decision statistic is beyond float range")
     return stats

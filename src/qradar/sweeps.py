@@ -10,8 +10,10 @@ with one eigensolve over the drifts, each stable member's Lyapunov equation
 is solved, and the residual and physical rules are applied once over the stack,
 as :func:`qradar.converter.steady_state` does for one model.  A solve the
 residual rule admits is finite and comes out symmetric, so it takes no
-structural check.  Points run serially: GIL-bound 6x6 algebra gains only
-dispatch cost from threads.
+structural check.  The grid hands on the positions that kept a steady state
+and one stack of those states; the converter scores the stack and places
+each record by its position.  Points run serially: GIL-bound 6x6 algebra
+gains only dispatch cost from threads.
 
 A threshold brackets its sign change, then runs Brent's method (Brent 1973,
 ch. 4) in Python floats, step for step as SciPy's ``brentq.c`` at its
@@ -36,19 +38,21 @@ __all__ = ["run_grid", "bisect_threshold"]
 
 def run_grid(
     build: Callable[[float], tuple[np.ndarray, np.ndarray]], grid: Sequence[float]
-) -> list[np.ndarray | None]:
-    """The steady-state covariance of the drift and diffusion ``build(value)``
-    returns at each grid value, in grid order, each equal to
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid positions that have a steady state, ascending, and the
+    (m, d, d) stack of their steady-state covariances for the drift and
+    diffusion ``build(value)`` returns there, each equal to
     :func:`~qradar.converter.steady_state` of the model made of them.
 
     ``build`` gives a (d, d) drift and a diagonal, non-negative (d, d)
     diffusion; the stack of them is checked finite once, and a point that
     is not raises :class:`ValidationError` naming the grid point.  A point
-    yields None where it has no operating point (``build`` raises
+    is left out where it has no operating point (``build`` raises
     :class:`ConvergenceError`: delta_eg = 0, or no finite root), no steady
     state (a drift eigenvalue with real part >= -1e-12) or no accurate
-    Lyapunov solution (residual above 1e-9 ||D||_inf).  Any other error
-    propagates; an unphysical steady state raises the
+    Lyapunov solution (residual above 1e-9 ||D||_inf); where every point
+    is, the stack is empty, (0, d, d), or (0, 0, 0) if no point built.  Any
+    other error propagates; an unphysical steady state raises the
     :class:`~qradar.errors.PhysicalityError` of the physical rule, naming the
     grid point.
     """
@@ -59,10 +63,9 @@ def run_grid(
             points[i] = build(value)
         except ConvergenceError:
             pass
-    out = [None] * len(grid)
+    index = np.array(list(points), dtype=int)
     if not points:
-        return out
-    index = np.array(list(points))
+        return index, np.empty((0, 0, 0))
     drifts = np.array([drift for drift, _ in points.values()])
     diffusions = np.array([diffusion for _, diffusion in points.values()])
     finite = np.isfinite(drifts).all(axis=(1, 2)) & np.isfinite(diffusions).all(axis=(1, 2))
@@ -75,9 +78,7 @@ def run_grid(
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
     _require_physical(covs, _at_grid_points(grid, index))
-    for i, cov in zip(index, covs):
-        out[i] = cov
-    return out
+    return index, covs
 
 
 def _at_grid_points(grid: Sequence[float], index: Sequence[int]) -> Callable[[int], str]:

@@ -439,7 +439,7 @@ def _cov_at(model, params):
     """The temperature-affine steady state of ``params``; None where the
     point has no steady state."""
     try:
-        return _thermal_steady_state(model.build_model(params).drift, model._baths(params))
+        return model._basis(params)
     except (ConvergenceError, NoSteadyStateError, StiffnessError):
         return None
 
@@ -502,7 +502,7 @@ class TestTemperatureAffineSteadyState:
     @given(_models, _factors, _temperatures)
     def test_matches_the_solve_at_that_temperature(self, model, factors, temperature):
         params = _jittered(model, factors)
-        cov_at = _thermal_steady_state(model.build_model(params).drift, model._baths(params))
+        cov_at = model._basis(params)
         hot = dataclasses.replace(params, temperature=temperature)
         solved = steady_state(model.build_model(hot))
         assert abs(cov_at([temperature])[0] - solved).max() <= 1e-9 * abs(solved).max()
@@ -656,15 +656,14 @@ class TestTemperatureGrids:
         # solved scaled by a power of two, it matches the solve at each
         # temperature.
         params = dataclasses.replace(oe_reference(), gamma_p=5e-324)
-        cov_at = _thermal_steady_state(oe.build_model(params).drift, oe._baths(params))
+        cov_at = oe._basis(params)
         for temperature in (0.0, 0.1):
             solved = steady_state(oe.build_model(dataclasses.replace(params, temperature=temperature)))
             assert abs(cov_at([temperature])[0] - solved).max() <= 1e-9 * abs(solved).max()
 
     def test_inaccurate_member_names_its_temperature(self, monkeypatch):
         params = eom_reference()
-        drift = eom.drift_matrix(params, eom.operating_point(params))
-        cov_at = _thermal_steady_state(drift, eom._baths(params))
+        cov_at = eom._basis(params)
         gate = langevin._residual_gate
 
         def second_fails(drift, diffusions, covs):
@@ -681,8 +680,7 @@ class TestTemperatureGrids:
         # the vacuum for 40 decay times of the slowest mode.
         params = _REFERENCE[model]
         temperatures = [1e-3, 0.03, 0.3]
-        drift = model.drift_matrix(params, model.operating_point(params))
-        covs = _thermal_steady_state(drift, model._baths(params))(temperatures)
+        covs = model._basis(params)(temperatures)
         for temperature, cov in zip(temperatures, covs):
             hot = model.build_model(dataclasses.replace(params, temperature=temperature))
             t_end = 40.0 / abs(np.linalg.eigvals(hot.drift).real.max())
@@ -769,8 +767,8 @@ class TestOneCriteriaPassPerGrid:
         if axis == "temperature":
             covs = _cov_at(eom, params)(grid)
         else:
-            covs = sweeps.run_grid(eom._grid_point(params, axis), grid)
-        stable = np.array([cov for cov in covs if cov is not None]).reshape(-1, 6, 6)
+            covs = sweeps.run_grid(eom._grid_point(params, axis), grid)[1]
+        stable = covs.reshape(-1, 6, 6)
         alone = {pair: criteria._reports(eom._pair_stack(stable, pair)) for pair in eom.PAIR_NAMES}
         scored = [point.reports for point in points if point.stable]
         assert len(scored) == len(stable)

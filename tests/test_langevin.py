@@ -373,8 +373,8 @@ class TestLyapunovKernel:
 
         del systems[:]
         grid = [0.5, 1.0, 1.5, 2.0, 2.5]
-        covs = sweeps.run_grid(damped_arrays, grid)
-        assert all(cov is not None for cov in covs)
+        index, _ = sweeps.run_grid(damped_arrays, grid)
+        assert index.tolist() == list(range(len(grid)))
         assert systems == [(len(grid), 3, 3)]
 
     @pytest.mark.parametrize("excess, accurate", [(0.9e-9, True), (2e-9, False)])
@@ -402,7 +402,8 @@ class TestLyapunovKernel:
             steady_state_cov(damped(1.0))
         with pytest.raises(StiffnessError, match="residual nan"):
             converter._thermal_steady_state(*_reference_basis_inputs())
-        assert sweeps.run_grid(damped_arrays, [1.0, 2.0]) == [None, None]
+        index, covs = sweeps.run_grid(damped_arrays, [1.0, 2.0])
+        assert index.size == 0 and covs.shape == (0, 2, 2)
 
     @pytest.mark.parametrize("member, drift, diffusion", [
         # Eigenvalues +-1 pair to a zero eigenvalue of the system: numpy
@@ -428,10 +429,10 @@ class TestLyapunovKernel:
         overflowing = (-1e-10 * np.eye(2), 1e300 * np.eye(2))
         builds = {1.0: singular, 3.0: overflowing}
         monkeypatch.setattr(sweeps, "_stability", lambda drifts: (np.ones(len(drifts), bool), None))
-        covs = sweeps.run_grid(lambda v: builds.get(v) or damped_arrays(v), [1.0, 2.0, 3.0, 4.0])
-        assert covs[0] is None and covs[2] is None
-        assert np.array_equal(covs[1], steady_state_cov(damped(2.0)))
-        assert np.array_equal(covs[3], steady_state_cov(damped(4.0)))
+        index, covs = sweeps.run_grid(lambda v: builds.get(v) or damped_arrays(v), [1.0, 2.0, 3.0, 4.0])
+        assert index.tolist() == [1, 3]
+        assert np.array_equal(covs[0], steady_state_cov(damped(2.0)))
+        assert np.array_equal(covs[1], steady_state_cov(damped(4.0)))
 
     def test_hot_steady_state_is_solved(self):
         # At 1e300 K the LAPACK Sylvester solve scaled its solution down, for

@@ -138,6 +138,12 @@ class TestDetuningSweep:
         result = entanglement_vs_detuning(reference, [0.0, 0.9 * om0])
         assert not result.points[0].stable
         assert result.points[1].stable
+        assert (result.argmin_delta_eg, result.min_two_eta) == (0.9 * om0, result.points[1].two_eta)
+
+    def test_no_steady_state_anywhere_has_no_minimum(self, reference):
+        result = entanglement_vs_detuning(reference, [0.0, 0.0])
+        assert [(p.two_eta, p.stable) for p in result.points] == [(None, False)] * 2
+        assert (result.argmin_delta_eg, result.min_two_eta) == (None, None)
 
     def test_near_resonance_points_are_physical_steady_states(self, reference):
         # Within a few tens of rad/s of delta_eg = 0 the drift is stiff.  The

@@ -159,15 +159,31 @@ class TestRecords:
         run(make_scenario(n_decisions=5))
         assert images == [(2, (4, 4)), (2, (4, 4))]
 
-    # At 5e307 photons the statistic overflowed inside the matmul, and a
-    # tone of sinh^2(354) photons overflowed in k c^2: each leaked a
-    # RuntimeWarning and gave inf or NaN statistics.
-    @pytest.mark.parametrize("run, r", [
-        (run_detection, math.asinh(math.sqrt(5e307))),
-        (ci_baseline, 354.0),
+    def test_statistic_near_float_range_is_sampled(self):
+        # At 5e307 photons the weighted sum of 500 records' draws, near
+        # 2.2e310, overflowed inside the matmul, and the run raised, though
+        # the statistic, near 4.5e307, is in float range.  The draws are
+        # summed scaled by a power of two, so it is sampled about its mean.
+        r = math.asinh(math.sqrt(5e307))
+        samples = run_detection(make_scenario(r=r, n_decisions=50, seed=1))
+        (mean, cov), _ = _record_moments("qi", r, True)
+        form = _form("covariance_detector", _ILLUMINATIONS["qi"][1])
+        ratio = samples.h1 / (np.trace(form @ cov) + mean @ form @ mean)
+        assert abs(ratio.mean() - 1.0) <= 5.0 * ratio.std() / math.sqrt(len(ratio))
+        assert np.isfinite(samples.h0).all()
+
+    # The energy statistic behind a background of 1e308 photons, near 2e308,
+    # is beyond float range; a tone of sinh^2(354) photons overflows in k c^2.
+    # Each leaked a RuntimeWarning and gave inf or NaN statistics before.
+    @pytest.mark.parametrize("run, r, n_b, tau, detector", [
+        (run_detection, 1.0, 1e308, 0.01, "energy_detector"),
+        (ci_baseline, 354.0, N_B, TAU, "covariance_detector"),
     ])
-    def test_statistic_beyond_float_range_raises(self, run, r):
-        scenario = make_scenario(r=r, n_decisions=50, seed=1)
+    def test_statistic_beyond_float_range_raises(self, run, r, n_b, tau, detector):
+        signal, background = low_signal_channels(n_b, tau)
+        scenario = make_scenario(
+            r=r, signal_channel=signal, background_channel=background, detector=detector, n_decisions=50, seed=1,
+        )
         with pytest.raises(UndefinedQuantityError, match="^the decision statistic is beyond float range$"):
             run(scenario)
 
@@ -264,16 +280,16 @@ class TestStackedRecords:
 
     # The unfactorable record of TestRunDetection and both statistics of
     # TestRecords beyond float range.
-    @pytest.mark.parametrize("illumination, r, heterodyne, n_b, tau, error", [
-        ("qi", 12.0, False, 0.0, 1.0, DegenerateStateError),
-        ("qi", math.asinh(math.sqrt(5e307)), True, N_B, TAU, UndefinedQuantityError),
-        ("ci", 354.0, True, N_B, TAU, UndefinedQuantityError),
+    @pytest.mark.parametrize("illumination, r, heterodyne, n_b, tau, detector, error", [
+        ("qi", 12.0, False, 0.0, 1.0, "covariance_detector", DegenerateStateError),
+        ("qi", 1.0, True, 1e308, 0.01, "energy_detector", UndefinedQuantityError),
+        ("ci", 354.0, True, N_B, TAU, "covariance_detector", UndefinedQuantityError),
     ])
-    def test_failures_keep_their_type_and_message(self, illumination, r, heterodyne, n_b, tau, error):
+    def test_failures_keep_their_type_and_message(self, illumination, r, heterodyne, n_b, tau, detector, error):
         signal, background = low_signal_channels(n_b, tau)
         scenario = make_scenario(
             r=r, signal_channel=signal, background_channel=background, heterodyne=heterodyne,
-            n_decisions=50, seed=1,
+            detector=detector, n_decisions=50, seed=1,
         )
         got = _outcome(_ILLUMINATIONS[illumination][0], scenario)
         assert got == _outcome(detection_oracle, scenario, illumination)
@@ -558,17 +574,19 @@ class TestSpectralDraws:
     # samples_per_decision may be any integer up to float range.  A merged
     # draw has k m degrees of freedom, which can leave float range (an
     # untyped OverflowError), and its weighted value can overflow where one
-    # draw per weight cancels in the sum.  Such weights keep a draw each, so
-    # each outcome is the one-draw-per-eigenvalue sampler's.
+    # draw per weight cancels in the sum.  Such weights keep a draw each.
+    # Their weighted sum, near k times the statistic, left float range too,
+    # and those runs raised; the draws are summed scaled by a power of two,
+    # so only a CI tone's noncentrality k c^2 still overflows.
     @pytest.mark.parametrize("illumination, detector, k, noiseless, fails", [
-        ("qi", "covariance_detector", int(1.7e308), False, True),
-        ("ci", "covariance_detector", int(1.7e308), False, True),
-        ("qi", "energy_detector", int(1.7e308), False, True),
-        ("ci", "energy_detector", int(1.7e308), False, True),
+        ("qi", "covariance_detector", int(1.7e308), False, False),
+        ("ci", "covariance_detector", int(1.7e308), False, False),
+        ("qi", "energy_detector", int(1.7e308), False, False),
+        ("ci", "energy_detector", int(1.7e308), False, False),
         ("qi", "covariance_detector", 10**308, False, False),
         ("ci", "covariance_detector", 10**308, False, False),
-        ("qi", "energy_detector", 10**308, False, True),
-        ("ci", "energy_detector", 10**308, False, True),
+        ("qi", "energy_detector", 10**308, False, False),
+        ("ci", "energy_detector", 10**308, False, False),
         ("qi", "covariance_detector", 6 * 10**307, False, False),
         ("ci", "covariance_detector", 6 * 10**307, False, False),
         ("qi", "covariance_detector", int(1.7e308), True, False),

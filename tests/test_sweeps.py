@@ -118,16 +118,17 @@ def model(arrays) -> LinearLangevinModel:
 class TestRunGrid:
     def test_output_follows_grid_order(self):
         grid = [3.0, -1.0, 2.5, 0.0]
-        covs = run_grid(damped_arrays, grid)
-        assert [cov[0, 0] for cov in covs] == pytest.approx([3.5, 1.5, 3.0, 0.5], rel=1e-12)
-        for v, cov in zip(grid, covs):
+        index, covs = run_grid(damped_arrays, grid)
+        assert index.tolist() == [0, 1, 2, 3]
+        assert covs[:, 0, 0].tolist() == pytest.approx([3.5, 1.5, 3.0, 0.5], rel=1e-12)
+        for v, cov in zip(grid, covs, strict=True):
             assert np.array_equal(cov, steady_state(damped(v)))
 
     @pytest.mark.parametrize(
         "error",
         [NoSteadyStateError("unstable"), ConvergenceError("stalled"), StiffnessError("stiff")],
     )
-    def test_converter_failure_yields_none(self, error):
+    def test_converter_failure_leaves_the_point_out(self, error):
         def build(v):
             if v != 2.0:
                 return damped_arrays(v)
@@ -135,9 +136,9 @@ class TestRunGrid:
                 raise error
             return np.array(FAILING_DRIFTS[type(error)]), np.eye(2)
 
-        covs = run_grid(build, [1.0, 2.0, 3.0])
-        assert covs[1] is None
-        assert [cov[0, 0] for cov in covs[::2]] == pytest.approx([1.5, 3.5], rel=1e-12)
+        index, covs = run_grid(build, [1.0, 2.0, 3.0])
+        assert index.tolist() == [0, 2]
+        assert covs[:, 0, 0].tolist() == pytest.approx([1.5, 3.5], rel=1e-12)
         with pytest.raises(type(error)):  # the point alone fails in that way
             steady_state(model(build(2.0)))
 
@@ -147,6 +148,13 @@ class TestRunGrid:
 
         with pytest.raises(ValidationError, match="bad input"):
             run_grid(build, [1.0])
+
+    def test_no_operating_point_anywhere_is_an_empty_stack(self):
+        def build(v):
+            raise ConvergenceError("stalled")
+
+        index, covs = run_grid(build, [1.0, 2.0])
+        assert index.size == 0 and covs.shape == (0, 0, 0)
 
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -207,15 +215,19 @@ _OE_DETUNINGS = st.one_of(
 
 
 def assert_grid_matches_points(build, point_model, grid):
-    """Each covariance of the grid ``build`` gives equals the single-point
-    gate's on ``point_model`` there, and each None is a point whose own gate
-    fails the way a grid marks."""
-    for value, cov in zip(grid, run_grid(build, grid), strict=True):
-        if cov is None:
+    """The grid ``build`` gives keeps ascending positions, one covariance
+    each; each equals the single-point gate's on ``point_model`` there, and
+    each position left out is a point whose own gate fails the way a grid
+    marks."""
+    index, covs = run_grid(build, grid)
+    assert index.tolist() == sorted(set(index.tolist())) and len(covs) == len(index)
+    kept = dict(zip(index.tolist(), covs))
+    for i, value in enumerate(grid):
+        if i in kept:
+            assert np.array_equal(kept[i], steady_state(point_model(value))), value
+        else:
             with pytest.raises((NoSteadyStateError, StiffnessError, ConvergenceError)):
                 steady_state(point_model(value))
-        else:
-            assert np.array_equal(cov, steady_state(point_model(value))), value
 
 
 class TestGridMatchesPoints:
