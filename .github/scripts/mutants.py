@@ -81,6 +81,12 @@ SITES = [
     # A Wigner field's normalization within 1e-3 of 1, acceptance criterion 8's bound.
     Site("wigner-normalization", "cli.py", "abs(normalization - 1.0) <= 1e-3", "abs(normalization - 1.0) <= 1e-2",
          ("test_config_cli.py",)),
+    # The two-mode spectrum's sign patterns: the self-dual part of K = L^T Omega L
+    # (its norm nu_+ + nu_-) and the anti-self-dual part (nu_+ - nu_-).
+    Site("spectrum-self-dual-sign", "gaussian.py", "(k01 + k23) ** 2", "(k01 - k23) ** 2",
+         ("test_gaussian.py", "test_criteria.py")),
+    Site("spectrum-anti-self-dual-sign", "gaussian.py", "(k02 - k13) ** 2", "(k02 + k13) ** 2",
+         ("test_gaussian.py", "test_criteria.py")),
     # The intracavity covariance's off-diagonal; its eigenvalues do not see it.
     Site("jpa-off-diagonal-sign", "jpa.py", "0.5 * (v_plus - v_minus)", "0.5 * (v_minus - v_plus)",
          ("test_jpa.py",)),

@@ -10,7 +10,10 @@ Each formula is written once, as a kernel over a stack of two-mode
 covariances: the single-pair functions score a stack of one; pairs sliced
 from checked converter steady states, or sent through a channel, which is
 completely positive, are scored unchecked (:func:`_reports`,
-:func:`_pt_nu_min`).
+:func:`_pt_nu_min`).  No criterion runs an eigensolver: each is formed from
+determinants and matrix products, and discord's joint entropy from the
+symplectic spectrum read off one Cholesky factor per stack
+(:func:`~qradar.gaussian._two_mode_spectra`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalDegeneracyError, UndefinedQuantityError
-from .gaussian import GaussianState, _member, _square, _symplectic_spectra, entropy_term
+from .gaussian import GaussianState, _member, _square, _two_mode_spectra, entropy_term
 
 __all__ = [
     "BipartiteBlocks",
@@ -208,7 +211,11 @@ def _entropic(covs: np.ndarray, name: Callable[[int], str] | None, dets):
     :func:`_lambda_sph` and :func:`_pt_nu_min`, whose range checks cover the
     products it forms but the heterodyne quotient, which is held to the
     range rule itself (det B can lose every digit to rounding, and b = 0
-    then divides by zero).
+    then divides by zero).  The joint entropy S(AB) = h(nu_-) + h(nu_+)
+    takes the spectrum from :func:`~qradar.gaussian._two_mode_spectra`, one
+    Cholesky factor for the whole stack; the squares it sums are at most
+    (nu_+ + nu_-)^2 <= 2 (det A + det B + 2 det C), in range once those
+    checks pass.
 
     Mode B is measured by heterodyne in its normal frame, where B = b I with
     b = sqrt(det B): mode A is left with the covariance
@@ -224,7 +231,7 @@ def _entropic(covs: np.ndarray, name: Callable[[int], str] | None, dets):
         det_cond = _in_range(covs, np.linalg.det(cond), name)
     nu_cond = np.sqrt(np.maximum(det_cond, 0.0))
     h_a, h_b, h_cond, h_minus, h_plus = entropy_term(
-        np.stack((a, b, nu_cond, *_symplectic_spectra(covs).T))
+        np.stack((a, b, nu_cond, *_two_mode_spectra(covs)))
     )
     joint = h_minus + h_plus
     return (

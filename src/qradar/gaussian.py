@@ -14,6 +14,12 @@ Cholesky over an (n, d, d) stack) is written once here too, and so is the
 rounding allowance of ``eigvalsh``: a channel's complete-positivity matrix and
 a converter's temperature basis covariances are positive semidefinite within
 it.
+
+The symplectic spectrum has two forms.  Of any N-mode covariance, it is the
+magnitudes of the eigenvalues of Omega V (:func:`symplectic_eigenvalues`,
+and the miss the physical rule quotes on failure).  Of a stack of two-mode
+covariances, which the criteria score, it is read from one Cholesky factor
+per stack with no eigensolve (:func:`_two_mode_spectra`).
 """
 
 from __future__ import annotations
@@ -199,6 +205,27 @@ def _symplectic_spectra(covs: np.ndarray) -> np.ndarray:
     """Symplectic spectra of a (..., 2N, 2N) stack, ascending along the last axis."""
     eigs = np.linalg.eigvals(_omega(covs.shape[-1] // 2) @ covs)
     return np.sort(np.abs(eigs), axis=-1)[..., ::2]
+
+
+def _two_mode_spectra(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu_-, nu_+) of each member of an (n, 4, 4) stack of covariances, from
+    one Cholesky factor V = L L^T (:func:`_cholesky`).
+
+    K = L^T Omega L is antisymmetric with eigenvalues +-i nu_-, +-i nu_+.  Its
+    self-dual and anti-self-dual parts have norms nu_+ + nu_- and
+    nu_+ - nu_-, each a root of a sum of squares, and its Pfaffian is
+    det L = nu_- nu_+.  So nu_+ is half the sum of the two roots, and nu_-
+    is det L / nu_+: no step subtracts terms of the scale nu_+, which the
+    half-difference would (it loses digits where nu_+ >> nu_-).  The entries
+    of K are at most nu_+ (K is normal).
+    """
+    chol = _cholesky(covs)
+    k = chol.mT @ _omega(2) @ chol
+    (k01, k02, k03), (k12, k13), k23 = k[:, 0, 1:].T, k[:, 1, 2:].T, k[:, 2, 3]
+    total = np.sqrt((k01 + k23) ** 2 + (k02 - k13) ** 2 + (k03 + k12) ** 2)
+    gap = np.sqrt((k01 - k23) ** 2 + (k02 + k13) ** 2 + (k03 - k12) ** 2)
+    nu_plus = 0.5 * (total + gap)
+    return np.diagonal(chol, axis1=-2, axis2=-1).prod(axis=-1) / nu_plus, nu_plus
 
 
 def entropy_term(nu):

@@ -4,9 +4,9 @@ oracles that tests check shipped kernels against by another route (thermal
 states, partial transposition, von Neumann entropy, the identity channel, the
 covariance ODE, the ROC by ranks, each converter's drift as a hand-written
 literal and both illuminations' statistics one hypothesis at a time); the
-exact rational Lyapunov solve and physical rule of ``exact``, re-exported; a
-checked stack score built from the library's rules; and the Hypothesis
-profile every property runs under."""
+exact Lyapunov solve, physical rule and two-mode spectrum of ``exact``,
+re-exported; a checked stack score built from the library's rules; and the
+Hypothesis profile every property runs under."""
 
 import math
 
@@ -16,7 +16,7 @@ from hypothesis import settings
 from scipy import integrate
 from scipy.linalg import expm
 
-from exact import lyapunov_exact, physical_exact  # noqa: F401  (re-exported)
+from exact import lyapunov_exact, physical_exact, two_mode_spectrum_exact  # noqa: F401  (re-exported)
 from qradar.channels import GaussianChannel
 from qradar.criteria import _pt_nu_min
 from qradar.errors import UndefinedQuantityError

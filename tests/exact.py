@@ -1,15 +1,19 @@
-"""An exact reference for the Lyapunov steady state and the physical rule,
-in rational arithmetic only (Python integers and ``fractions.Fraction``).
+"""An exact reference for the Lyapunov steady state, the physical rule and
+the two-mode symplectic spectrum, in rational arithmetic (Python integers
+and ``fractions.Fraction``) up to the spectrum's square roots, which are
+taken in ``decimal`` at 50 digits.
 
 A float is an exact rational, so a float drift and diffusion define one exact
 steady state, and the sign of an exact quantity decides a verdict that
 rounding can only blur.  Written apart from ``src/``: the system is set up
 entry by entry from its definition, and nothing here calls numpy's algebra.
-Both routines eliminate fraction-free (Bareiss, Math. Comp. 22, 565, 1968):
-on integer rows every division is exact, so no step needs a gcd.
+The Lyapunov solve and the physical rule eliminate fraction-free (Bareiss,
+Math. Comp. 22, 565, 1968): on integer rows every division is exact, so no
+step needs a gcd.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -117,3 +121,39 @@ def physical_exact(v, tol=0):
     embedding += [[c * omega[i][j] for j in range(d)] + v[i] for i in range(d)]
     scale = math.lcm(*(x.denominator for row in embedding for x in row))
     return _positive_definite([[int(x * scale) for x in row] for row in embedding])
+
+
+def _det2(m, rows, cols):
+    (i, j), (k, l) = rows, cols
+    return m[i][k] * m[j][l] - m[i][l] * m[j][k]
+
+
+def two_mode_spectrum_exact(cov):
+    """(nu_-, nu_+) of the symmetric positive definite 4x4 covariance
+    ``cov`` (floats or Fractions), as Decimals to 50 digits.
+
+    The invariants Delta = det A + det B + 2 det C and det V (Serafini,
+    Illuminati & De Siena, J. Phys. B 37, L21, 2004) are exact rationals,
+    det V by Laplace expansion along the first two rows, and so is
+    Delta^2 - 4 det V = (nu_+^2 - nu_-^2)^2.  Only the square roots round:
+    nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2, and nu_- = sqrt(det V) /
+    nu_+, so no step subtracts.  ``ValueError`` unless ``cov`` is symmetric
+    positive definite."""
+    v = [[Fraction(x) if isinstance(x, Fraction) else Fraction(float(x)) for x in row] for row in cov]
+    scale = math.lcm(*(x.denominator for row in v for x in row))
+    if any(v[i][j] != v[j][i] for i in range(4) for j in range(i)) or \
+            not _positive_definite([[int(x * scale) for x in row] for row in v]):
+        raise ValueError("not a symmetric positive definite 4x4 matrix")
+    delta = _det2(v, (0, 1), (0, 1)) + _det2(v, (2, 3), (2, 3)) + 2 * _det2(v, (0, 1), (2, 3))
+    det_v = Fraction(0)
+    for cols in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        rest = tuple(c for c in range(4) if c not in cols)
+        det_v += (-1) ** (1 + sum(cols)) * _det2(v, (0, 1), cols) * _det2(v, (2, 3), rest)
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def decimal(x):
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        nu_plus = ((decimal(delta) + decimal(delta * delta - 4 * det_v).sqrt()) / 2).sqrt()
+        return decimal(det_v).sqrt() / nu_plus, nu_plus

@@ -229,11 +229,13 @@ def _count_gaussian_calls(monkeypatch, *names) -> dict:
 
 
 def _count_choleskies(monkeypatch) -> list:
-    """Collects the shape of every np.linalg.cholesky call from now on: the
-    physical rule factors each stack it checks once."""
+    """Collects the shape of every matrix the physical rule factors from now
+    on (``gaussian._factors``): it factors each stack it checks once.  The
+    factor a symplectic spectrum is read from is no check, and is not
+    counted here."""
     calls = []
-    factor = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or factor(m))
+    factors = gaussian._factors
+    monkeypatch.setattr(gaussian, "_factors", lambda m: calls.append(m.shape) or factors(m))
     return calls
 
 
@@ -253,6 +255,20 @@ class TestEachStateCheckedOnce:
         points = eom.sweep(eom_reference(), axis, grid)
         assert any(point.stable for point in points)
         assert calls == factored
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("wavelength", np.linspace(0.8e-6, 1.6e-6, 32)),
+        ("temperature", np.linspace(1e-3, 0.351, 32)),
+    ])
+    def test_one_spectrum_factor_per_report_stack(self, axis, grid, monkeypatch):
+        # The three pairs of all 32 points are one (96, 4, 4) stack, whose
+        # symplectic spectra come from one Cholesky factor.
+        calls = []
+        factor = gaussian._cholesky
+        monkeypatch.setattr(gaussian, "_cholesky", lambda m: calls.append(m.shape) or factor(m))
+        points = eom.sweep(eom_reference(), axis, grid)
+        assert all(point.stable for point in points)
+        assert calls == [(96, 4, 4)]
 
     def test_oe_detuning_sweep(self, monkeypatch):
         calls = _count_choleskies(monkeypatch)

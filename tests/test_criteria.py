@@ -1,7 +1,9 @@
 """Entanglement criteria and Gaussian discord against closed-form and
 definition-level oracles."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +250,23 @@ class TestStackEntryPoints:
         blocks = BipartiteBlocks.from_covariance(scale * np.eye(4))
         with pytest.raises(UndefinedQuantityError, match="^covariance invariants beyond float"):
             score(blocks)
+
+    @pytest.mark.parametrize("scale", [1e70, 1e76, 1e77, 2e77, 1e78, 1e150, 1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("state", ["tmsv", "thermal split"])
+    def test_det_v_range_edge(self, state, scale):
+        # det V leaves float range between entries of 1e77 and 2e77.  Below,
+        # every value is finite, the spectrum's sums of squares included (at
+        # most 2 Delta); above, the determinant checks raise before the
+        # spectrum is formed.  No RuntimeWarning either way.
+        cov = scale * tmsv_cov(0.3) if state == "tmsv" else np.diag([0.5, 0.5, scale, scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if scale <= 1e77:
+                (report,) = _reports(cov[None])
+                assert all(math.isfinite(v) for v in dataclasses.astuple(report))
+            else:
+                with pytest.raises(UndefinedQuantityError, match="beyond float range"):
+                    _reports(cov[None])
 
     def test_heterodyne_quotient_beyond_float_range_named(self):
         # Squeezing B by 1e40 leaves det B = 0 after rounding, so the

@@ -1,13 +1,16 @@
-"""The exact rational reference (``exact``) against closed forms: the
-Lyapunov solve on a thermal cavity and on a two-mode squeezed state it was
-built from, and the physical rule on either side of the vacuum bound."""
+"""The exact reference (``exact``) against closed forms: the Lyapunov solve
+on a thermal cavity and on a two-mode squeezed state it was built from, the
+physical rule on either side of the vacuum bound, and the two-mode
+symplectic spectrum of product, passively mixed, pure and locally squeezed
+states."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import lyapunov_exact, physical_exact
+from conftest import lyapunov_exact, physical_exact, two_mode_spectrum_exact
 
 # A two-mode squeezed vacuum with cosh 2r = 5/4, sinh 2r = 3/4: its entries
 # are exact binary fractions and cosh^2 - sinh^2 = 1 exactly, so it is pure,
@@ -74,3 +77,33 @@ class TestPhysicalExact:
     def test_squeezed_below_the_bound_is_refused(self):
         # Variances 1/4 and 1/2: nu = sqrt(1/8) < 1/2, though both are positive.
         assert not physical_exact(np.diag([0.25, 0.5]), 1e-9)
+
+
+class TestTwoModeSpectrumExact:
+    # Every entry below is an exact binary fraction, and so is each nu.
+    @pytest.mark.parametrize("cov, nus", [
+        (np.diag([0.5, 0.5, 1.75, 1.75]), (0.5, 1.75)),  # a product of thermal states
+        (np.diag([3.0, 3.0, 0.75, 0.75]), (0.75, 3.0)),  # nu_- need not be mode 1's
+        (1.5 * np.eye(4), (1.5, 1.5)),  # a degenerate spectrum
+        # Thermal nu = 1 and 3 mixed by a 45 degree beam splitter: V is
+        # [[2, 1], [1, 2]] (x) I, and nu are the eigenvalues of [[2, 1], [1, 2]].
+        (np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2)), (1.0, 3.0)),
+        (_TMSV, (0.5, 0.5)),
+        (np.diag([2.0, 0.125, 4.0, 0.0625]), (0.5, 0.5)),  # locally squeezed vacua
+        (np.diag([6.0, 0.375, 0.5, 0.5]), (0.5, 1.5)),  # a squeezed thermal state
+    ])
+    def test_closed_forms(self, cov, nus):
+        assert two_mode_spectrum_exact(cov) == tuple(Decimal(nu) for nu in nus)
+
+    def test_fractions_are_taken_as_given_and_rounded_at_50_digits(self):
+        # (1/3) I, no float: nu = 1/3 twice, to 50 digits.
+        third = Fraction(1, 3)
+        cov = [[third if i == j else Fraction(0) for j in range(4)] for i in range(4)]
+        assert two_mode_spectrum_exact(cov) == (Decimal("0." + "3" * 50),) * 2
+
+    @pytest.mark.parametrize("cov", [
+        np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros((4, 4)), np.triu(np.ones((4, 4))),
+    ])
+    def test_not_symmetric_positive_definite_is_refused(self, cov):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            two_mode_spectrum_exact(cov)

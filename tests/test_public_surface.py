@@ -10,8 +10,8 @@ channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
 writes its shape rule ("2N x 2N") outside gaussian; nor raises
 UnphysicalChannelError outside channels, where a channel is made; nor writes
 a converter's 6-row drift literal or a bath row outside converter, where the
-three-mode layout lives; and scipy is imported only as langevin's LAPACK
-module."""
+three-mode layout lives; nor does criteria run an eigensolver; and scipy is
+imported by no qradar module."""
 
 import ast
 import math
@@ -398,3 +398,39 @@ def test_src_imports_no_scipy():
     # memory than a whole threshold.
     found = {f"{name}: {text}" for name, tree in _modules().items() for _, text in _scipy_imports(tree)}
     assert found == set()
+
+
+_EIGENSOLVERS = ("eigvals", "eig", "eigvalsh", "eigh", "_symplectic_spectra", "symplectic_eigenvalues")
+
+
+def _eigensolves(tree: ast.AST) -> list[tuple[int, str]]:
+    """The line and callee of each call in ``tree`` of a numpy eigensolver,
+    or of gaussian's spectrum by eigensolve."""
+    return [
+        (node.lineno, callee)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (callee := ast.unparse(node.func)).rsplit(".", 1)[-1] in _EIGENSOLVERS
+    ]
+
+
+@pytest.mark.parametrize("source, seen", [
+    ("np.linalg.eigvals(m)", True),
+    ("linalg.eigh(m)", True),
+    ("eigvals(m)", True),
+    ("gaussian._symplectic_spectra(covs)", True),
+    ("_two_mode_spectra(covs)", False),
+    ("np.linalg.det(m)", False),
+])
+def test_eigensolves_are_seen(source, seen):
+    tree = ast.parse(f"def score(m, covs):\n    return {source}")
+    assert _eigensolves(tree) == ([(2, source.split("(")[0])] if seen else [])
+
+
+def test_criteria_runs_no_eigensolver():
+    # Every criterion is a closed form in determinants and matrix products,
+    # and the symplectic spectrum discord needs comes from one Cholesky
+    # factor per stack (gaussian._two_mode_spectra): the eigvals of each
+    # pair's Omega V it replaced was about a fifth of an EOM sweep.
+    found = [f"criteria:{line} {callee}" for line, callee in _eigensolves(_modules()["criteria"])]
+    assert not found, f"eigensolver called in criteria: {', '.join(found)}"
