@@ -62,14 +62,23 @@ SITES = [
          ("test_gaussian.py", "test_channels.py")),
     Site("cp-floor", "channels.py", "-max(1e-9, rounding)", "-max(1e-6, rounding)", ("test_channels.py",)),
     Site("eigh-band", "receiver.py", "_EIGH_BAND = 64 *", "_EIGH_BAND = 6400 *", ("test_receiver.py",)),
-    Site("stability-margin", "langevin.py", "return max_re < -1e-12, max_re", "return max_re < 0.0, max_re",
+    # The one-model chain's Hurwitz margin (is_stable); grids and bases take no such test.
+    Site("stability-margin", "langevin.py", "Stability(max_re < -1e-12, max_re)", "Stability(max_re < 0.0, max_re)",
          ("test_langevin.py", "test_sweeps.py")),
+    # A steady state only where the Lyapunov solution is positive definite: a
+    # grid that keeps every member, and a basis that takes any V(0).
+    Site("grid-positive-definite", "gaussian.py", "[:, 0] > 0.0", "[:, 0] > -np.inf", ("test_sweeps.py",)),
+    Site("basis-positive-definite", "converter.py", "if not _positive_definite(cold_state)[0]:", "if not True:",
+         ("test_converter.py",)),
     Site("operating-point-residual", "converter.py", "if not residual <= 1e-12:", "if not residual <= 1e-10:",
          ("test_converter.py", "test_eom.py", "test_oe.py")),
     Site("asymmetry", "gaussian.py", "> 1e-10 * np.abs(m).max(initial=1.0)", "> 1e-8 * np.abs(m).max(initial=1.0)",
          ("test_gaussian.py",)),
     Site("purity-band", "gaussian.py", "pure = lo < 1e-12", "pure = lo < 1e-9",
          ("test_gaussian.py", "test_criteria.py")),
+    # h(nu)'s second term (nu - 1/2) log(1 + 1/(nu - 1/2)), with the 1 dropped.
+    Site("entropy-log1p", "gaussian.py", "lo * np.log1p(1.0 / lo)", "lo * np.log(1.0 / lo)",
+         ("test_gaussian.py",)),
     Site("n-eff-agreement", "channels.py", "if not diff <= 1e-6 *", "if not diff <= 1e-4 *", ("test_channels.py",)),
     # The Lyapunov system: the right-hand side -vech D, and one term of the
     # coefficient index table (A_il where j = k < l, from A V).

@@ -7,8 +7,9 @@ reduces its DC equations to the radiation-pressure bistability cubics, whose
 real roots this module supplies, and hands the terms of its four DC equations
 to the operating point's residual gate; this module also gates the steady
 state, at one temperature or, through one Lyapunov basis per bath whose
-physicality is decided once, at every temperature of a threshold or
-temperature grid (:func:`qradar.sweeps.run_grid` the rest).
+stability and physicality are decided once, from its solution, at every
+temperature of a threshold or temperature grid (:func:`qradar.sweeps.run_grid`
+the rest).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, StiffnessError
-from .gaussian import GaussianState, _eigvalsh_rounding, _require_physical
-from .langevin import LinearLangevinModel, _require_stable, _stability, diffusion_from_baths, is_stable
+from .errors import ConvergenceError, NoSteadyStateError, StiffnessError
+from .gaussian import GaussianState, _eigvalsh_rounding, _positive_definite, _require_physical
+from .langevin import LinearLangevinModel, _require_stable, diffusion_from_baths, is_stable
 from .langevin import _check_residual, _solve_lyapunov, steady_state_cov, thermal_occupation
 
 __all__ = ["OperatingPoint", "steady_state"]
@@ -176,16 +177,22 @@ def _thermal_steady_state(
     the converters' layout; their own temperatures are not read.  Temperature
     enters only through their weights, D(T) = sum_b (2 N_b(T) + 1) D_b, and
     the Lyapunov equation is linear in D, so V(T) = sum_b (2 N_b(T) + 1) V_b
-    with A V_b + V_b A^T + D_b = 0.  The drift's stability and the V_b (one
-    LU of the drift's system with a right-hand side per bath, each V_b held
-    to the residual rule, a :class:`StiffnessError` naming its bath) are
-    settled once; each D_b is solved scaled by a power of two to a largest
-    entry in [1/2, 1), which is exact and keeps 1e-9 ||D_b|| from
-    underflowing for a subnormal damping.
+    with A V_b + V_b A^T + D_b = 0.  The V_b (one LU of the drift's system
+    with a right-hand side per bath, each V_b held to the residual rule, a
+    :class:`StiffnessError` naming its bath) are solved once; each D_b is
+    solved scaled by a power of two to a largest entry in [1/2, 1), which is
+    exact and keeps 1e-9 ||D_b|| from underflowing for a subnormal damping.
 
-    Physicality too is settled once.  The exact V_b, the integral of e^{At}
-    D_b e^{A^T t} over t >= 0, is positive semidefinite, so a V_b with an
-    eigenvalue below eigvalsh's rounding
+    Stability is settled once, from the solve and with no eigensolve of the
+    drift (Lyapunov's theorem, :mod:`qradar.langevin`).  A system numpy finds
+    singular (lambda_i + lambda_j = 0) has no steady state, and nor does a
+    drift whose V(0) = sum_b V_b is not positive definite: both raise
+    :class:`~qradar.errors.NoSteadyStateError`.  A V(0) that is positive
+    definite certifies the drift Hurwitz.
+
+    Physicality too is settled once.  The exact V_b of a Hurwitz drift, the
+    integral of e^{At} D_b e^{A^T t} over t >= 0, is positive semidefinite,
+    so a V_b with an eigenvalue below eigvalsh's rounding
     (:func:`~qradar.gaussian._eigvalsh_rounding`) is an inaccurate solve, a
     :class:`StiffnessError` naming its bath.  V(0), formed as any V(T) is, is
     held to the physical rule ("temperature 0.0 K: ...").  Then V(T) - V(0) =
@@ -203,7 +210,6 @@ def _thermal_steady_state(
     D(T), naming the first temperature that fails.  A pair sliced from it
     needs no check of its own.
     """
-    _require_stable(*_stability(drift))
     cold = diffusion_from_baths([(omega, damping, 0.0, kind) for omega, damping, _, kind in baths])
     # D_b: the rows of D(0) that belong to bath b's mode (D is block diagonal).
     mode = np.arange(len(cold)) // 2
@@ -211,17 +217,10 @@ def _thermal_steady_state(
     exponents = np.frexp(np.abs(d_basis).max(axis=(1, 2)))[1][:, None, None]
     d_unit = np.ldexp(d_basis, -exponents)
     v_unit = _solve_lyapunov(drift, d_unit)
+    if np.isnan(v_unit).all():  # numpy found the system singular (_solve_or_nan)
+        raise NoSteadyStateError("no steady state: the drift's Lyapunov system is singular")
     bath = _at_baths(baths)
     _check_residual(drift, d_unit, v_unit, bath)  # a failing V_b fails the model
-    lowest = np.linalg.eigvalsh(v_unit)[:, 0]
-    inaccurate = lowest < -_eigvalsh_rounding(v_unit)
-    if inaccurate.any():
-        b = int(np.argmax(inaccurate))
-        raise StiffnessError(
-            f"{bath(b)}Lyapunov basis covariance V_b has eigenvalue "
-            f"{lowest[b] / np.abs(v_unit[b]).max():.3e} max|V_b|, below its rounding "
-            "(inaccurate solve)"
-        )
     d_basis = d_basis.reshape(len(baths), -1)
     v_basis = np.ldexp(v_unit, exponents).reshape(len(baths), -1)
 
@@ -234,5 +233,19 @@ def _thermal_steady_state(
         _check_residual(drift, diffusions, covs, _at_temperatures(temperatures))
         return covs
 
-    _require_physical(at([0.0]), _at_temperatures([0.0]))
+    cold_state = at([0.0])
+    if not _positive_definite(cold_state)[0]:
+        raise NoSteadyStateError(
+            "temperature 0.0 K: no steady state: the Lyapunov solution V(0) is not positive definite"
+        )
+    lowest = np.linalg.eigvalsh(v_unit)[:, 0]
+    inaccurate = lowest < -_eigvalsh_rounding(v_unit)
+    if inaccurate.any():
+        b = int(np.argmax(inaccurate))
+        raise StiffnessError(
+            f"{bath(b)}Lyapunov basis covariance V_b has eigenvalue "
+            f"{lowest[b] / np.abs(v_unit[b]).max():.3e} max|V_b|, below its rounding "
+            "(inaccurate solve)"
+        )
+    _require_physical(cold_state, _at_temperatures([0.0]))
     return at

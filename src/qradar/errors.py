@@ -109,19 +109,21 @@ class UnphysicalChannelError(ValidationError):
 
 
 class NoSteadyStateError(QradarError):
-    """The drift matrix is not strictly stable; carries the offending eigenvalue."""
-
-    def __init__(self, message: str, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
+    """A converter has no steady state, by what was measured: one model's
+    drift fails the strict Hurwitz test of its eigenvalues (the message
+    quotes the largest real part), or a converter grid's or temperature
+    basis's Lyapunov system is singular or its solution is not positive
+    definite, so no solution certifies the drift Hurwitz (Lyapunov's
+    theorem; a grid leaves such a point out)."""
 
 
 class StiffnessError(QradarError):
     """A covariance was not computed accurately: a Lyapunov solution misses
     A V + V A^T + D = 0 by more than 1e-9 ||D||_inf (steady states, at one
     temperature or across the temperatures of a threshold search or a
-    temperature grid), or a temperature basis covariance V_b, positive
-    semidefinite in exact arithmetic, has an eigenvalue below its rounding."""
+    temperature grid), or a temperature basis covariance V_b has an
+    eigenvalue below its rounding, where V(0) > 0 has certified the drift
+    Hurwitz, so that the exact V_b is positive semidefinite."""
 
 
 class ConvergenceError(QradarError):

@@ -13,7 +13,10 @@ each Lyapunov solve is (:func:`_symmetrised`).  The physical rule
 Cholesky over an (n, d, d) stack) is written once here too, and so is the
 rounding allowance of ``eigvalsh``: a channel's complete-positivity matrix and
 a converter's temperature basis covariances are positive semidefinite within
-it.
+it.  A converter's Lyapunov solution certifies a steady state where it is
+positive definite, which the physical rule implies; where a stack fails that
+rule, one ``eigvalsh`` over it tells apart the members that are not
+(:func:`_positive_definite`).
 
 The symplectic spectrum has two forms.  Of any N-mode covariance, it is the
 magnitudes of the eigenvalues of Omega V (:func:`symplectic_eigenvalues`,
@@ -154,11 +157,10 @@ def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None
     roughly eps * max|V|^2: on physical fig10 stacks with entries near 1e300,
     ``eigvals`` gives nu_min 1.229e-02.
     """
-    bound = 1j * (VACUUM_VARIANCE - 1e-9) * _omega(covs.shape[-1] // 2)
-    if _factors(covs + bound):
+    if _physical(covs):
         return
     stack = covs if covs.ndim == 3 else covs[None]
-    i = next(i for i, cov in enumerate(stack) if not _factors(cov + bound))
+    i = next(i for i, cov in enumerate(stack) if not _physical(cov))
     prefix = f"{_member(covs, i, name)}state invariant violated: "
     if not _factors(stack[i]):
         raise PhysicalityError(f"{prefix}cov is not positive definite")
@@ -166,6 +168,19 @@ def _require_physical(covs: np.ndarray, name: Callable[[int], str] | None = None
     raise PhysicalityError(
         f"{prefix}cov + (i/2)Omega not PSD (min symplectic eigenvalue {miss:.3e} below 1/2)"
     )
+
+
+def _physical(covs: np.ndarray) -> bool:
+    """Whether every member of a finite symmetric (..., 2N, 2N) stack passes
+    the physical rule (:func:`_require_physical`): one Cholesky over the stack."""
+    return _factors(covs + 1j * (VACUUM_VARIANCE - 1e-9) * _omega(covs.shape[-1] // 2))
+
+
+def _positive_definite(covs: np.ndarray) -> np.ndarray:
+    """Whether each member of a finite symmetric (n, d, d) stack is positive
+    definite, its lowest ``eigvalsh`` eigenvalue above 0: one eigensolve over
+    the stack tells the members apart, where factoring each would be a loop."""
+    return np.linalg.eigvalsh(covs)[:, 0] > 0.0
 
 
 def _eigvalsh_rounding(m: np.ndarray) -> np.ndarray:
@@ -234,13 +249,15 @@ def entropy_term(nu):
     Elementwise on arrays; a scalar argument gives a float.  Arguments are
     clamped to [1/2, inf); values within 1e-12 of 1/2 are treated as exactly
     pure (floating-point eigenvalues dip microscopically below the vacuum
-    bound).
+    bound).  Evaluated as log2(x+1/2) + (x-1/2) log2(1 + 1/(x-1/2)), with
+    ``log1p``: a sum of two non-negative terms, so no digits cancel, where
+    the definition's two terms, each about x log2 x, would cancel to about
+    log2(e x).
     """
     lo = np.maximum(np.asarray(nu, dtype=float), 0.5) - 0.5
     pure = lo < 1e-12
-    lo = np.where(pure, 0.5, lo)  # any point where log2 is finite; masked below
-    hi = lo + 1.0
-    h = np.where(pure, 0.0, hi * np.log2(hi) - lo * np.log2(lo))
+    lo = np.where(pure, 0.5, lo)  # any point where the form is finite; masked below
+    h = np.where(pure, 0.0, (np.log1p(lo) + lo * np.log1p(1.0 / lo)) / math.log(2.0))
     return float(h) if h.ndim == 0 else h
 
 

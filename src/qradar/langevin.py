@@ -2,10 +2,17 @@
 
 Assembles diffusion matrices from baths given as (omega, damping,
 temperature, kind) rows (one diagonal formula, for a single model, a
-temperature basis and a converter grid's points alike), decides stability,
-and solves the steady-state Lyapunov equation A V + V A^T + D = 0 behind a
-residual gate.  The stability test, the solve and the residual gate each
-work over one model or a stack of drifts alike.
+temperature basis and a converter grid's points alike), decides one model's
+stability with a strict Hurwitz test of its drift's eigenvalues, and solves
+the steady-state Lyapunov equation A V + V A^T + D = 0 behind a residual
+gate.  The solve and the residual gate work over one model or a stack of
+drifts alike.  A stack takes no eigensolve of its drifts: with D positive
+semidefinite, a positive definite solution V certifies every eigenvalue of
+A at Re <= 0 (Lyapunov's theorem; Khalil, *Nonlinear Systems*, 3rd ed.,
+Thm 4.6), and a system the solve did not find singular has no pair with
+lambda_i + lambda_j = 0, so none on the imaginary axis: A is Hurwitz.  So a
+converter grid and a temperature basis solve first and decide from V
+(:func:`qradar.sweeps.run_grid`, :func:`qradar.converter._thermal_steady_state`).
 
 The solve is numpy's: A V + V A^T = -D is linear in V, and V is symmetric,
 so it is a system of d(d+1)/2 equations in V's upper triangle (21 for the
@@ -126,28 +133,18 @@ class Stability(NamedTuple):
     max_real_part: float
 
 
-def _stability(drifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The strict Hurwitz test over a (..., d, d) drift or stack of drifts:
-    whether every eigenvalue has real part < -1e-12, and the largest real
-    part, per member."""
-    max_re = np.linalg.eigvals(drifts).real.max(axis=-1)
-    return max_re < -1e-12, max_re
-
-
 def is_stable(model: LinearLangevinModel) -> Stability:
-    """Strict Hurwitz test: every drift eigenvalue has real part < -1e-12."""
-    stable, max_re = _stability(model.drift)
-    return Stability(bool(stable), float(max_re))
+    """Strict Hurwitz test: every drift eigenvalue has real part < -1e-12.
+    The one-model chain's test; a stack of steady states (a converter grid or
+    temperature basis) is decided by its Lyapunov solutions instead."""
+    max_re = float(np.linalg.eigvals(model.drift).real.max())
+    return Stability(max_re < -1e-12, max_re)
 
 
 def _require_stable(stable: bool, max_re: float) -> None:
-    """:class:`NoSteadyStateError` unless the drift passed the Hurwitz test
-    (:func:`is_stable` or :func:`_stability` of one drift)."""
+    """:class:`NoSteadyStateError` unless the drift passed :func:`is_stable`."""
     if not stable:
-        raise NoSteadyStateError(
-            f"drift is unstable: max Re eigenvalue {max_re:.3e} is not below -1e-12",
-            eigenvalue=max_re,
-        )
+        raise NoSteadyStateError(f"drift is unstable: max Re eigenvalue {max_re:.3e} is not below -1e-12")
 
 
 def steady_state_cov(model: LinearLangevinModel) -> np.ndarray:

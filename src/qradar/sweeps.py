@@ -5,12 +5,15 @@ A grid on any axis but temperature (which weighs the thresholds' Lyapunov
 basis instead) checks its axis values once, against their field's declared
 rule and for emptiness and order, where the converter takes the grid.  Its
 builder then gives each point's drift and diffusion as arrays, with no bath
-or model record; the stack is checked finite once, stability is decided
-with one eigensolve over the drifts, each stable member's Lyapunov equation
-is solved, and the residual and physical rules are applied once over the stack,
-as :func:`qradar.converter.steady_state` does for one model.  A solve the
-residual rule admits is finite and comes out symmetric, so it takes no
-structural check.  The grid hands on the positions that kept a steady state
+or model record; the stack is checked finite once, every member's Lyapunov
+equation is solved, and the residual rule, then positive definiteness, then
+the physical rule are applied once over the stack.  No drift eigensolve
+decides stability: a positive definite solution is itself the certificate
+that the drift is Hurwitz (Lyapunov's theorem, :mod:`qradar.langevin`), and
+the physical rule's one Cholesky over the stack implies it, so a stack with
+no failing member pays for one factorization.  A solve the residual rule
+admits is finite and comes out symmetric, so it takes no structural check.
+The grid hands on the positions that kept a steady state
 and one stack of those states; the converter scores the stack and places
 each record by its position.  Points run serially: GIL-bound 6x6 algebra
 gains only dispatch cost from threads.
@@ -30,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError, _valid
-from .gaussian import _require_physical
-from .langevin import _residual_gate, _solve_lyapunov, _stability
+from .gaussian import _physical, _positive_definite, _require_physical
+from .langevin import _residual_gate, _solve_lyapunov
 
 __all__ = ["run_grid", "bisect_threshold"]
 
@@ -48,13 +51,17 @@ def run_grid(
     diffusion; the stack of them is checked finite once, and a point that
     is not raises :class:`ValidationError` naming the grid point.  A point
     is left out where it has no operating point (``build`` raises
-    :class:`ConvergenceError`: delta_eg = 0, or no finite root), no steady
-    state (a drift eigenvalue with real part >= -1e-12) or no accurate
-    Lyapunov solution (residual above 1e-9 ||D||_inf); where every point
-    is, the stack is empty, (0, d, d), or (0, 0, 0) if no point built.  Any
-    other error propagates; an unphysical steady state raises the
+    :class:`ConvergenceError`: delta_eg = 0, or no finite root), no accurate
+    Lyapunov solution (residual above 1e-9 ||D||_inf, or not finite, as
+    where numpy finds the system singular: lambda_i + lambda_j = 0) or no
+    steady state (a solution that is not positive definite, so no
+    certificate that the drift is Hurwitz); where every point is, the stack
+    is empty, (0, d, d), or (0, 0, 0) if no point built.  Any other error
+    propagates; a positive definite but unphysical steady state raises the
     :class:`~qradar.errors.PhysicalityError` of the physical rule, naming the
-    grid point.
+    grid point.  A drift whose eigenvalues the one-model chain's test reads
+    at rounding level (:func:`~qradar.langevin.is_stable`) is decided here
+    by its solution alone.
     """
     grid = list(grid)
     points = {}
@@ -72,12 +79,13 @@ def run_grid(
     if not finite.all():
         name = _at_grid_points(grid, index)
         raise ValidationError(f"{name(int(np.argmin(finite)))}drift and diffusion must be finite")
-    stable = _stability(drifts)[0]
-    index, drifts, diffusions = index[stable], drifts[stable], diffusions[stable]
     covs = _solve_lyapunov(drifts, diffusions)
     accurate = _residual_gate(drifts, diffusions, covs)[1]
     index, covs = index[accurate], covs[accurate]
-    _require_physical(covs, _at_grid_points(grid, index))
+    if not _physical(covs):
+        steady = _positive_definite(covs)
+        index, covs = index[steady], covs[steady]
+        _require_physical(covs, _at_grid_points(grid, index))
     return index, covs
 
 

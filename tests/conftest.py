@@ -16,7 +16,8 @@ from hypothesis import settings
 from scipy import integrate
 from scipy.linalg import expm
 
-from exact import lyapunov_exact, physical_exact, two_mode_spectrum_exact  # noqa: F401  (re-exported)
+from exact import entropy_term_exact, lyapunov_exact, physical_exact, positive_definite_exact  # noqa: F401
+from exact import two_mode_spectrum_exact  # noqa: F401  (re-exported)
 from qradar.channels import GaussianChannel
 from qradar.criteria import _pt_nu_min
 from qradar.errors import UndefinedQuantityError

@@ -1,7 +1,8 @@
-"""An exact reference for the Lyapunov steady state, the physical rule and
-the two-mode symplectic spectrum, in rational arithmetic (Python integers
-and ``fractions.Fraction``) up to the spectrum's square roots, which are
-taken in ``decimal`` at 50 digits.
+"""An exact reference for the Lyapunov steady state, positive definiteness,
+the physical rule, the two-mode symplectic spectrum and the entropy term
+h(nu), in rational arithmetic (Python integers and ``fractions.Fraction``)
+up to the spectrum's square roots and h's logarithms, which are taken in
+``decimal`` to 50 digits.
 
 A float is an exact rational, so a float drift and diffusion define one exact
 steady state, and the sign of an exact quantity decides a verdict that
@@ -103,6 +104,15 @@ def _positive_definite(m):
     return True
 
 
+def positive_definite_exact(v):
+    """Whether the symmetric matrix ``v`` (floats or Fractions) is positive
+    definite, decided exactly: the certificate, by Lyapunov's theorem, that a
+    Lyapunov solution's drift is Hurwitz."""
+    v = [[Fraction(x) if isinstance(x, Fraction) else Fraction(float(x)) for x in row] for row in v]
+    scale = math.lcm(*(x.denominator for row in v for x in row))
+    return _positive_definite([[int(x * scale) for x in row] for row in v])
+
+
 def physical_exact(v, tol=0):
     """Whether the covariance ``v`` (floats or Fractions) passes the physical
     rule exactly: V + i(1/2 - tol) Omega positive definite, that is every
@@ -157,3 +167,18 @@ def two_mode_spectrum_exact(cov):
 
         nu_plus = ((decimal(delta) + decimal(delta * delta - 4 * det_v).sqrt()) / 2).sqrt()
         return decimal(det_v).sqrt() / nu_plus, nu_plus
+
+
+def entropy_term_exact(nu):
+    """h(nu) = (nu + 1/2) log2(nu + 1/2) - (nu - 1/2) log2(nu - 1/2) of the
+    float ``nu`` > 1/2, as a Decimal to 50 digits.  The two terms, each about
+    nu log2 nu, cancel to about log2(e nu), so they are formed with 60
+    digits more than nu has before its point; nu and nu -+ 1/2 are exact."""
+    x = Decimal(float(nu))
+    with localcontext() as ctx:
+        ctx.prec = 60 + max(0, x.adjusted())
+        hi, lo = x + Decimal("0.5"), x - Decimal("0.5")
+        h = (hi * hi.ln() - lo * lo.ln()) / Decimal(2).ln()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return +h

@@ -19,7 +19,7 @@ from qradar.config import PARAMETER_SCHEMAS, parse_config, validate_config, wign
 from qradar.errors import ConfigError, ValidationError
 from qradar.presets import SCENARIO_PRESETS, eom_reference, oe_reference
 
-from conftest import lyapunov_exact, physical_exact
+from conftest import lyapunov_exact, physical_exact, positive_definite_exact
 
 
 def read_csv(path: Path):
@@ -517,7 +517,10 @@ class TestEomTemperatureGridFailures:
     def test_unstable_converter_fails_the_run(self, tmp_path, monkeypatch):
         # An overdriven microwave drive: the drift is unstable at every
         # temperature, so the grid fails as its threshold does.  Before, the
-        # run exited 0 with every row marked unstable.
+        # run exited 0 with every row marked unstable.  The basis's V(0) is
+        # not positive definite (its lowest eigenvalue is -0.65 max|V|), so
+        # no steady state is certified; the drift's largest real part,
+        # +1.194e6 rad/s, is no longer computed.
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         config = SCENARIO_PRESETS["eom_fig2a_temperature"]
         parameters = {**config["parameters"], "eom": {"e_w_rad_s": 3.0 * eom_reference().e_w}}
@@ -527,8 +530,31 @@ class TestEomTemperatureGridFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "NoSteadyStateError: drift is unstable: max Re eigenvalue 1.194e+06 is not below -1e-12"
+            "NoSteadyStateError: temperature 0.0 K: no steady state: "
+            "the Lyapunov solution V(0) is not positive definite"
         )
+
+
+    def test_solve_too_inaccurate_to_decide_fails_the_run(self, tmp_path, monkeypatch):
+        # At delta_c = -1.7e308 rad/s the exact V(0) is not positive definite
+        # (tests/exact.py), so the drift has no steady state; but the basis
+        # solve of the optical bath misses its equation by 9.5e285 ||D_b||,
+        # too far to read V from, and the run fails on that.  Before, an
+        # eigensolve with rounding near 1e292 read max Re lambda +2.659e289
+        # and called the drift unstable.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        config = SCENARIO_PRESETS["eom_fig2a_temperature"]
+        parameters = {**config["parameters"], "eom": {"delta_c_rad_s": -1.7e308}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "parameters": parameters}))
+        assert main(["run", str(path)]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["reason"] == (
+            "StiffnessError: bath 1 (cavity, omega 1770349217395538.5 rad/s): Lyapunov residual "
+            "9.517e+285 is not within 1e-9 * ||D||_inf (severely ill-conditioned drift)"
+        )
+        params = dataclasses.replace(eom_reference(), delta_c=-1.7e308, temperature=0.0)
+        assert not positive_definite_exact(lyapunov_exact(*eom._arrays(params)))
 
 
 class TestOeEndToEndFailures:
@@ -547,20 +573,24 @@ class TestOeEndToEndFailures:
 
     def test_unstable_converter_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        # A blue-detuned optical cavity: the drift is unstable at every temperature.
+        # A blue-detuned optical cavity: the drift is unstable at every
+        # temperature (max Re lambda +4.067e5 rad/s), and the basis's V(0) is
+        # not positive definite (lowest eigenvalue -1.01 max|V|).
         path = self._config(tmp_path, {"delta_c_rad_s": -oe_reference().delta_c})
         assert main(["run", str(path)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "NoSteadyStateError: drift is unstable: max Re eigenvalue 4.067e+05 is not below -1e-12"
+            "NoSteadyStateError: temperature 0.0 K: no steady state: "
+            "the Lyapunov solution V(0) is not positive definite"
         )
 
-    def test_physicality_error_fails_the_run(self, tmp_path, monkeypatch):
+    def test_noise_free_converter_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
-        # Undamped baths inject no noise: the steady state is V = 0, which is
-        # not positive definite; the basis's 0 K state is refused before any
-        # grid temperature is formed.
+        # Undamped baths inject no noise: the Lyapunov solution is V = 0,
+        # which is not positive definite, so it certifies no steady state;
+        # the basis's 0 K state is refused before any grid temperature is
+        # formed.  (Before, the physical rule refused V = 0 as a state.)
         real = oe._baths
         monkeypatch.setattr(
             oe, "_baths", lambda p: [(omega, 0.0, t, kind) for omega, _, t, kind in real(p)]
@@ -569,8 +599,8 @@ class TestOeEndToEndFailures:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert summary["reason"] == (
-            "PhysicalityError: temperature 0.0 K: state invariant violated: "
-            "cov is not positive definite"
+            "NoSteadyStateError: temperature 0.0 K: no steady state: "
+            "the Lyapunov solution V(0) is not positive definite"
         )
 
     def test_unphysical_cold_state_fails_the_run(self, tmp_path, monkeypatch):
@@ -601,6 +631,33 @@ class TestOeEndToEndFailures:
         monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
         assert main(["run", str(self._config(tmp_path, overrides))]) == 0
         cold = oe._arrays(dataclasses.replace(oe_reference(), temperature=0.0, **changes))
+        assert physical_exact(lyapunov_exact(*cold), 1e-9)
+
+    @pytest.mark.parametrize("delta_eg", [1e300, -1e300])
+    def test_far_detuned_photodetector_runs(self, delta_eg, tmp_path, monkeypatch):
+        # The photodetector's eigenvalues -gamma_p +- 1e300 i have a real part
+        # far below an eigensolve's rounding, which read it as 0.000e+00 and
+        # failed the run "drift is unstable".  The exact V(0) is positive
+        # definite and physical (tests/exact.py, about 3.5 s, so not run
+        # here), and so is the solved one: the run exits 0.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(self._config(tmp_path, {"delta_eg_rad_s": delta_eg}))]) == 0
+        assert read_csv(tmp_path / "out" / "oe_end_to_end.csv")["stable"].tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("delta_eg", [1e-12, -1e-12])
+    def test_near_resonant_photodetector_is_stiff(self, delta_eg, tmp_path, monkeypatch):
+        # An eigensolve read max Re lambda 0.000e+00 (1e-12) and 1.234e-22
+        # (-1e-12) and failed the run "drift is unstable"; the exact V(0) is
+        # positive definite and physical, so the steady state exists, and
+        # the run fails on the basis solve that misses it.
+        monkeypatch.setenv("QRADAR_OUTPUT_DIR", str(tmp_path / "out"))
+        assert main(["run", str(self._config(tmp_path, {"delta_eg_rad_s": delta_eg}))]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["reason"] == (
+            "StiffnessError: bath 2 (cavity, omega 62831853071.79586 rad/s): Lyapunov residual "
+            "1.074e+09 is not within 1e-9 * ||D||_inf (severely ill-conditioned drift)"
+        )
+        cold = oe._arrays(dataclasses.replace(oe_reference(), temperature=0.0, delta_eg=delta_eg))
         assert physical_exact(lyapunov_exact(*cold), 1e-9)
 
     def test_one_operating_point_per_grid(self, tmp_path, monkeypatch):
@@ -777,6 +834,22 @@ class TestOneKeyChanged:
             elif code == 0 and not _finite_numbers(summary["summary"]):
                 failures.append((key, value, summary["summary"]))
         assert failures == [], "\n".join(map(str, failures))
+
+    def test_blue_detuning_at_1e300_leaves_every_point_out(self, tmp_path):
+        # Each grid point's exact steady state is not positive semidefinite:
+        # the drift has none.  An eigensolve, with rounding near 1e284, read
+        # max Re lambda -3.9e4 and passed the drift, and the run exited 2 with
+        # "PhysicalityError: grid point 0 (8e-07): ... cov is not positive
+        # definite".  The solved V is not positive definite either, so each
+        # point is left out and the run exits 0 with every row unstable.
+        config = SCENARIO_PRESETS["eom_fig2b_wavelength"]
+        parameters = {**config["parameters"], "eom": {"delta_c_rad_s": -1e300}}
+        cfg = validate_config({**config, "parameters": parameters, "output_dir": str(tmp_path)})
+        code, summary = run_scenario(cfg)
+        assert (code, summary["status"]) == (0, "ok")
+        assert read_csv(tmp_path / "eom_sweep.csv")["stable"].tolist() == [0] * len(parameters["grid"])
+        params = dataclasses.replace(eom_reference(), delta_c=-1e300).at_wavelength(parameters["grid"][0])
+        assert not positive_definite_exact(lyapunov_exact(*eom._arrays(params)))
 
     # At omega_m = 1e12 rad/s the LAPACK Schur solve missed a grid point's
     # steady state by 2.5e-7 (900 nm) and 1.2e-7 (gamma_m = 100 pi) of

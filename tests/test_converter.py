@@ -23,7 +23,8 @@ from qradar.errors import ValidationError
 from qradar.langevin import LinearLangevinModel, diffusion_from_baths
 from qradar.presets import channel_preset, eom_reference, oe_reference
 
-from conftest import eom_drift_literal, lyapunov_exact, oe_drift_literal, physical_exact, propagate_cov
+from conftest import eom_drift_literal, lyapunov_exact, oe_drift_literal, physical_exact, positive_definite_exact
+from conftest import propagate_cov
 
 
 def _record_cubics(model, monkeypatch) -> list:
@@ -271,10 +272,17 @@ class TestEachStateCheckedOnce:
         assert calls == [(96, 4, 4)]
 
     def test_oe_detuning_sweep(self, monkeypatch):
+        # Points with no steady state fail the one factorisation of the whole
+        # stack; an eigensolve tells them apart, and the rest, the steady
+        # states, are factored once more to be held to the rule.
         calls = _count_choleskies(monkeypatch)
         result = oe.entanglement_vs_detuning(oe_reference(), np.linspace(-3e7, 3e7, 32))
         stable = sum(point.stable for point in result.points)
-        assert stable and calls == [(stable, 6, 6)]
+        assert 0 < stable < 32 and calls == [(32, 6, 6), (stable, 6, 6)]
+        calls.clear()
+        kept = [point.delta_eg for point in result.points if point.stable]
+        oe.entanglement_vs_detuning(oe_reference(), kept)
+        assert calls == [(stable, 6, 6)]  # a stack of steady states alone: one factorisation
 
     def test_oe_end_to_end_grid(self, monkeypatch):
         atmosphere, target = channel_preset("fig10_atmosphere"), channel_preset("fig10_target")
@@ -290,9 +298,9 @@ class TestEachStateCheckedOnce:
         # A solve the residual gate admits is finite, and the solve or the
         # temperature weighting stores it symmetric: only the physical rule
         # checks the stack.  Before, the structural rule ran on it again.
-        calls = _count_gaussian_calls(monkeypatch, "_symmetrised", "_require_physical")
+        calls = _count_gaussian_calls(monkeypatch, "_symmetrised", "_physical")
         eom.sweep(eom_reference(), axis, grid)
-        assert calls == {"_symmetrised": 0, "_require_physical": 1}
+        assert calls == {"_symmetrised": 0, "_physical": 1}
 
     @pytest.mark.parametrize("model, params, kwargs", _thresholds())
     def test_threshold_step(self, model, params, kwargs, monkeypatch):
@@ -303,6 +311,74 @@ class TestEachStateCheckedOnce:
         calls = _count_choleskies(monkeypatch)
         crossing(0.1)
         assert calls == []  # the basis decided physicality for every temperature
+
+
+# An undamped mechanical mode (gamma_m = 0), damped only through a weak
+# optical coupling, g1 = 1e-3 rad/s, with g2 = 1e-30: its decay rate is far
+# below an eigensolve's rounding of eps |A| ~ 1.4e-9 rad/s.
+_WEAKLY_DAMPED = dataclasses.replace(eom_reference(), gamma_m=0.0, g1=1e-3, g2=1e-30)
+
+
+class TestStabilityFromTheSolve:
+    """A converter grid or temperature basis decides a steady state from its
+    Lyapunov solution (Lyapunov's theorem), not from the drift's eigenvalues;
+    the one-model chain keeps its eigenvalue test."""
+
+    def test_weakly_damped_drift_is_hurwitz_exactly(self):
+        # The exact system is regular (lyapunov_exact raises on a singular
+        # one) and its solution is positive definite and physical: the drift
+        # is Hurwitz.  An eigensolve reads max Re lambda +4.66e-10 instead,
+        # so the one-model chain refuses it.
+        drift, diffusion = eom._arrays(_WEAKLY_DAMPED)
+        exact = lyapunov_exact(drift, diffusion)
+        assert positive_definite_exact(exact) and physical_exact(exact, 1e-9)
+        assert float(exact[0][0]) == pytest.approx(0.51, rel=1e-9)
+        stability = langevin.is_stable(LinearLangevinModel(drift, diffusion))
+        assert not stability.stable and stability.max_real_part == pytest.approx(4.657e-10, rel=1e-3)
+        with pytest.raises(NoSteadyStateError, match="^drift is unstable"):
+            steady_state(LinearLangevinModel(drift, diffusion))
+
+    def test_weakly_damped_drift_is_certified_on_the_stacked_paths(self):
+        # The gated solve is positive definite, so a grid point and the basis
+        # both reach the physical rule, where an eigensolve had marked the
+        # point unstable and failed the basis.  That solve is off, though:
+        # its residual passes the gate, but the mechanical variances miss the
+        # exact 0.51 by about 4% (0.490 with OpenBLAS 0.3.31), below the
+        # vacuum bound, so the physical rule refuses it.  The verdict is the
+        # exact one; the state is the residual gate's miss.
+        drift, diffusion = eom._arrays(_WEAKLY_DAMPED)
+        v = langevin._solve_lyapunov(drift, diffusion)
+        assert langevin._residual_gate(drift, diffusion, v)[1]
+        assert gaussian._positive_definite(v[None]).all()
+        with pytest.raises(PhysicalityError, match=r"^grid point 0 \(0\.0\): .* below 1/2\)$"):
+            eom.sweep(_WEAKLY_DAMPED, "gamma_m", [0.0])
+        with pytest.raises(PhysicalityError, match=r"^temperature 0\.0 K: .* below 1/2\)$"):
+            eom.threshold_temperature(_WEAKLY_DAMPED)
+
+    @pytest.mark.parametrize("model, params", [
+        (eom, dataclasses.replace(eom_reference(), e_w=3.0 * eom_reference().e_w)),
+        (oe, dataclasses.replace(oe_reference(), delta_c=-oe_reference().delta_c)),
+    ])
+    def test_unstable_basis_is_not_positive_definite_exactly(self, model, params):
+        # The basis refuses these drifts because its solved V(0) is not
+        # positive definite; nor is the exact one.
+        with pytest.raises(NoSteadyStateError, match=r"V\(0\) is not positive definite$"):
+            model._basis(params)
+        cold = model._arrays(dataclasses.replace(params, temperature=0.0))
+        assert not positive_definite_exact(lyapunov_exact(*cold))
+
+    def test_inaccurate_basis_is_no_verdict_on_stability(self):
+        # g2 = 1e12: every exact V_b is positive definite, so the drift is
+        # Hurwitz, and the basis fails on accuracy alone.  Its V(0) misses
+        # the residual rule (the solved V_3 also has an eigenvalue -2.2e-11
+        # max|V_3| below its rounding, which the basis used to report first).
+        params = dataclasses.replace(eom_reference(), g2=1e12)
+        with pytest.raises(StiffnessError, match=r"^temperature 0\.0 K: Lyapunov residual 3\.\d+e\+01 "):
+            eom._basis(params)
+        drift = eom.drift_matrix(params, eom.operating_point(params))
+        cold = np.diag(diffusion_from_baths([(o, d, 0.0, k) for o, d, _, k in eom._baths(params)]))
+        basis = [np.diag(np.where(np.arange(6) // 2 == b, cold, 0.0)) for b in range(3)]
+        assert all(positive_definite_exact(v) for v in lyapunov_exact(drift, *basis))
 
 
 class TestThresholdSolvesOnce:
@@ -389,7 +465,10 @@ class TestThresholdSolvesOnce:
         ],
     )
     def test_unstable_drift_has_no_threshold(self, model, params):
-        with pytest.raises(NoSteadyStateError, match="unstable"):
+        # The basis's V(0) is not positive definite: Lyapunov's theorem
+        # leaves the drift no steady state, with no eigensolve of the drift.
+        message = r"^temperature 0\.0 K: no steady state: the Lyapunov solution V\(0\) is not positive definite$"
+        with pytest.raises(NoSteadyStateError, match=message):
             model.threshold_temperature(params)
 
 
@@ -623,7 +702,7 @@ class TestTemperatureGrids:
         # temperature, which a good grid raises as the threshold does (it
         # marked both rows unstable before); a bad grid is refused first.
         wild = dataclasses.replace(eom_reference(), e_w=3.0 * eom_reference().e_w)
-        with pytest.raises(NoSteadyStateError, match="^drift is unstable"):
+        with pytest.raises(NoSteadyStateError, match="^temperature 0.0 K: no steady state"):
             eom.sweep(wild, "temperature", [0.1, 0.2])
         with pytest.raises(ValidationError):
             eom.sweep(wild, "temperature", grid)

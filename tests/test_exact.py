@@ -1,16 +1,18 @@
 """The exact reference (``exact``) against closed forms: the Lyapunov solve
-on a thermal cavity and on a two-mode squeezed state it was built from, the
-physical rule on either side of the vacuum bound, and the two-mode
-symplectic spectrum of product, passively mixed, pure and locally squeezed
-states."""
+on a thermal cavity and on a two-mode squeezed state it was built from,
+positive definiteness at and beside singularity, the physical rule on either
+side of the vacuum bound, the two-mode symplectic spectrum of product,
+passively mixed, pure and locally squeezed states, and the entropy term
+where it is a rational number of bits or log2(e nu) to 50 digits."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import lyapunov_exact, physical_exact, two_mode_spectrum_exact
+from conftest import entropy_term_exact, lyapunov_exact, physical_exact, positive_definite_exact
+from conftest import two_mode_spectrum_exact
 
 # A two-mode squeezed vacuum with cosh 2r = 5/4, sinh 2r = 3/4: its entries
 # are exact binary fractions and cosh^2 - sinh^2 = 1 exactly, so it is pure,
@@ -57,6 +59,18 @@ class TestLyapunovExact:
         # Eigenvalues +-1 of A pair to a zero eigenvalue of the system.
         with pytest.raises(ZeroDivisionError):
             lyapunov_exact(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+
+
+class TestPositiveDefiniteExact:
+    @pytest.mark.parametrize("v, positive", [
+        (np.diag([1.0, 5e-324]), True),  # the least positive float is positive
+        (np.diag([1.0, 0.0]), False),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), False),  # singular, positive semidefinite
+        (np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]), True),  # det 2^-52
+        (np.diag([-0.5, 0.25]), False),
+    ])
+    def test_closed_forms(self, v, positive):
+        assert positive_definite_exact(v) is positive
 
 
 class TestPhysicalExact:
@@ -107,3 +121,31 @@ class TestTwoModeSpectrumExact:
     def test_not_symmetric_positive_definite_is_refused(self, cov):
         with pytest.raises(ValueError, match="symmetric positive definite"):
             two_mode_spectrum_exact(cov)
+
+
+class TestEntropyTermExact:
+    @pytest.mark.parametrize("nu, bits", [
+        (1.5, "2"),  # 2 log2 2 - 1 log2 1
+        (2.5, None),  # 3 log2 3 - 2 log2 2
+        (0.75, None),  # (5/4) log2(5/4) - (1/4) log2(1/4)
+    ])
+    def test_closed_forms(self, nu, bits):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            hi, lo = Decimal(nu) + Decimal("0.5"), Decimal(nu) - Decimal("0.5")
+            want = (hi * hi.ln() - lo * lo.ln()) / Decimal(2).ln()
+            ctx.prec = 50
+            want = +want
+        assert entropy_term_exact(nu) == want
+        if bits is not None:
+            assert entropy_term_exact(nu) == Decimal(bits)
+
+    @pytest.mark.parametrize("nu", [1e16, 1e300])
+    def test_large_nu_is_log2_of_e_nu(self, nu):
+        # h(nu) = (ln nu + 1 - 1/(24 nu^2)) / ln 2 + O(nu^-4): the remainder
+        # is about 1e-65 at 1e16, below the 50th digit of h = 54.6.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(nu)
+            want = (x.ln() + 1 - 1 / (24 * x * x)) / Decimal(2).ln()
+        assert abs(entropy_term_exact(nu) - want) <= Decimal("1e-47") * want

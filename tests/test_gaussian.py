@@ -7,11 +7,11 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qradar.channels import GaussianChannel, attenuation_channel
-from qradar.criteria import BipartiteBlocks
+from qradar.criteria import BipartiteBlocks, _reports
 from qradar.errors import (
     DegenerateStateError,
     PhysicalityError,
@@ -36,7 +36,7 @@ from qradar.presets import eom_reference
 from qradar.sweeps import run_grid
 
 from conftest import identity_channel, partial_transpose, random_physical_two_mode, random_symplectic
-from conftest import thermal_state, tmsv_cov, two_mode_spectrum_exact, von_neumann_entropy
+from conftest import entropy_term_exact, thermal_state, tmsv_cov, two_mode_spectrum_exact, von_neumann_entropy
 
 
 def tmsv(r: float) -> GaussianState:
@@ -446,6 +446,30 @@ class TestEntropy:
         # follows its formula, about 3.8e-10 at nu = 1/2 + 1e-11.
         expected = (1.0 + excess) * math.log2(1.0 + excess) - excess * math.log2(excess)
         assert entropy_term(0.5 + excess) == pytest.approx(expected, rel=1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=1e-12, max_value=1e3).map(lambda excess: 0.5 + excess),
+        st.floats(min_value=1e3, max_value=1e300),
+    ))
+    @example(0.5 + 1.0001e-12)  # just above the purity band
+    @example(1e16)  # where the difference form returned 0.0
+    @example(1e300)
+    def test_entropy_term_matches_the_exact_one(self, nu):
+        # Within 4 eps relative of the 50-digit h(nu) from nu just above the
+        # purity band to 1e300 (worst of 8,000 log-uniform draws: 1.21 eps).
+        # The difference form it replaced was off by 1.6e-4 at 1e12.
+        assume(nu - 0.5 >= 1e-12)  # 1/2 + 1e-12 itself rounds into the band
+        exact = entropy_term_exact(nu)
+        assert abs(Decimal(entropy_term(nu)) - exact) <= 4 * Decimal(np.finfo(float).eps) * exact
+
+    def test_mutual_information_of_a_scaled_state(self):
+        # 1e70 x a two-mode squeezed vacuum: nu_A = nu_B = 1e70 cosh(2r) / 2,
+        # nu_- = nu_+ = 1e70 / 2, so I = 2 log2 cosh(2r) up to O(1e-140).
+        # The four entropy terms, each about 232.5 bits, cancel to 0.49;
+        # the difference form lost them all and gave 0.0.
+        (report,) = _reports((1e70 * tmsv_cov(0.3))[None])
+        assert report.mutual_info == pytest.approx(2 * math.log2(math.cosh(0.6)), rel=1e-12)
 
     def test_entropy_term_elementwise(self):
         nus = np.array([0.3, 0.5, 0.5 + 1e-13, 1.5, 40.0, np.nan])

@@ -264,9 +264,8 @@ class TestSteadyState:
 
     def test_unstable_raises_with_eigenvalue(self):
         m = LinearLangevinModel(np.eye(2), np.eye(2))
-        with pytest.raises(NoSteadyStateError) as err:
+        with pytest.raises(NoSteadyStateError, match=r"^drift is unstable: max Re eigenvalue 1\.000e\+00 "):
             steady_state_cov(m)
-        assert err.value.eigenvalue == pytest.approx(1.0)
 
 
 @st.composite
@@ -393,11 +392,13 @@ class TestLyapunovKernel:
             langevin._check_residual(-np.eye(2), np.zeros((2, 2)), np.full((2, 2), math.nan))
 
     def test_non_finite_solution_rejected_on_every_path(self, monkeypatch):
-        def nan_solve(drifts, diffusions):
-            return np.full(np.broadcast_shapes(drifts.shape, diffusions.shape), math.nan)
+        # A solution beyond float range; an all-NaN one is how numpy reports
+        # a singular system (see test_singular_basis_has_no_steady_state).
+        def inf_solve(drifts, diffusions):
+            return np.full(np.broadcast_shapes(drifts.shape, diffusions.shape), math.inf)
 
         for module in (langevin, converter, sweeps):
-            monkeypatch.setattr(module, "_solve_lyapunov", nan_solve)
+            monkeypatch.setattr(module, "_solve_lyapunov", inf_solve)
         with pytest.raises(StiffnessError, match="residual nan"):
             steady_state_cov(damped(1.0))
         with pytest.raises(StiffnessError, match="residual nan"):
@@ -422,17 +423,25 @@ class TestLyapunovKernel:
         with pytest.raises(StiffnessError, match=rf"^stack member {member}: Lyapunov residual (nan|inf) "):
             langevin._check_residual(drifts, diffusions, v)
 
-    def test_singular_and_overflowing_members_leave_the_grid_solved(self, monkeypatch):
-        # The stability test would refuse the singular drift; let it through
-        # to reach the solve, which marks that point and the overflowing one.
+    def test_singular_and_overflowing_members_leave_the_grid_solved(self):
+        # No stability test stands before the solve: it marks the singular
+        # point (NaN) and the overflowing one (inf), and the residual gate
+        # leaves both out.
         singular = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
         overflowing = (-1e-10 * np.eye(2), 1e300 * np.eye(2))
         builds = {1.0: singular, 3.0: overflowing}
-        monkeypatch.setattr(sweeps, "_stability", lambda drifts: (np.ones(len(drifts), bool), None))
         index, covs = sweeps.run_grid(lambda v: builds.get(v) or damped_arrays(v), [1.0, 2.0, 3.0, 4.0])
         assert index.tolist() == [1, 3]
         assert np.array_equal(covs[0], steady_state_cov(damped(2.0)))
         assert np.array_equal(covs[1], steady_state_cov(damped(4.0)))
+
+    def test_singular_basis_has_no_steady_state(self):
+        # An undamped drift: its eigenvalues +-i pair to lambda_i + lambda_j
+        # = 0, so numpy finds the basis's system singular.  Before, the NaN
+        # it gives failed the residual rule ("residual nan").
+        undamped = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NoSteadyStateError, match="^no steady state: the drift's Lyapunov system is singular"):
+            converter._thermal_steady_state(undamped, [(1e10, 1.0, 0.0, "cavity")] * 3)
 
     def test_hot_steady_state_is_solved(self):
         # At 1e300 K the LAPACK Sylvester solve scaled its solution down, for

@@ -10,8 +10,9 @@ channels; nor tests a matrix handed in for symmetry (``_asymmetric``) or
 writes its shape rule ("2N x 2N") outside gaussian; nor raises
 UnphysicalChannelError outside channels, where a channel is made; nor writes
 a converter's 6-row drift literal or a bath row outside converter, where the
-three-mode layout lives; nor does criteria run an eigensolver; and scipy is
-imported by no qradar module."""
+three-mode layout lives; nor does criteria run an eigensolver, nor a
+converter grid or temperature basis a stability test of its drifts; and scipy
+is imported by no qradar module."""
 
 import ast
 import math
@@ -434,3 +435,41 @@ def test_criteria_runs_no_eigensolver():
     # pair's Omega V it replaced was about a fifth of an EOM sweep.
     found = [f"criteria:{line} {callee}" for line, callee in _eigensolves(_modules()["criteria"])]
     assert not found, f"eigensolver called in criteria: {', '.join(found)}"
+
+
+def _stability_tests(tree: ast.AST) -> list[str]:
+    """Each call in ``tree`` of an eigensolver or of a Hurwitz test of drift
+    eigenvalues (``is_stable``, or the stacked ``_stability`` there was), as
+    written."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] in (*_EIGENSOLVERS, "is_stable", "_stability")
+    ]
+
+
+@pytest.mark.parametrize("source, seen", [
+    ("np.linalg.eigvals(drifts).real.max(axis=-1)", ["np.linalg.eigvals(drifts)"]),
+    ("langevin.is_stable(model)", ["langevin.is_stable(model)"]),
+    ("_stability(drifts)[0]", ["_stability(drifts)"]),
+    ("_solve_lyapunov(drifts, diffusions)", []),
+    ("_positive_definite(covs)", []),
+])
+def test_stability_tests_are_seen(source, seen):
+    assert _stability_tests(ast.parse(f"def grid(drifts, diffusions, covs, model):\n    return {source}")) == seen
+
+
+def test_stacked_steady_states_take_no_drift_eigensolve():
+    # A converter grid and a temperature basis solve every drift's Lyapunov
+    # equation and decide a steady state from the solution (Lyapunov's
+    # theorem): the eigvals of each drift cost more than the solve itself
+    # (221 us against 188 us on a 32-point grid), and misjudged drifts whose
+    # eigenvalues it could not resolve.  The basis keeps one eigensolve, of
+    # its V_b, for their rounding check; run_grid tells its failing members
+    # apart through gaussian._positive_definite.
+    modules = _modules()
+    basis = next(node for node in ast.walk(modules["converter"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_thermal_steady_state")
+    assert _stability_tests(modules["sweeps"]) == []
+    assert _stability_tests(basis) == ["np.linalg.eigvalsh(v_unit)"]

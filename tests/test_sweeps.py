@@ -7,6 +7,7 @@ scipy.optimize.brentq's)."""
 import collections
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import damped, damped_arrays
+from conftest import damped, damped_arrays, lyapunov_exact
 from qradar import eom, oe
 from qradar.converter import steady_state
 from qradar.errors import (
@@ -24,7 +25,7 @@ from qradar.errors import (
     StiffnessError,
     ValidationError,
 )
-from qradar.langevin import LinearLangevinModel
+from qradar.langevin import LinearLangevinModel, _solve_lyapunov
 from qradar.presets import eom_reference, oe_reference
 from qradar.sweeps import _brent, bisect_threshold, run_grid
 
@@ -103,10 +104,16 @@ class TestBisectThreshold:
         assert sum(calls.values()) == 2 + 100
 
 
-# Drifts that fail in each way a grid marks a point from its model.
+# Drifts that fail in each way a grid leaves a point out (with D = I), and
+# the error the one-model chain raises for each.
 FAILING_DRIFTS = {
-    NoSteadyStateError: [[0.0, 1.0], [-1.0, 0.0]],  # undamped: Re lambda = 0
-    StiffnessError: [[-1.0, 1e12], [0.0, -1.0]],  # residual far above 1e-9 ||D||
+    # Undamped, Re lambda = 0: eigenvalues +-i pair to lambda_i + lambda_j =
+    # 0, so numpy finds the system singular, and its NaN fails the residual rule.
+    "undamped": (NoSteadyStateError, [[0.0, 1.0], [-1.0, 0.0]]),
+    # A saddle, eigenvalues 1 and -2: the system is regular, and its exact
+    # solution diag(-1/2, 1/4) is not positive definite.
+    "saddle": (NoSteadyStateError, [[1.0, 0.0], [0.0, -2.0]]),
+    "stiff": (StiffnessError, [[-1.0, 1e12], [0.0, -1.0]]),  # residual far above 1e-9 ||D||
 }
 
 
@@ -124,23 +131,30 @@ class TestRunGrid:
         for v, cov in zip(grid, covs, strict=True):
             assert np.array_equal(cov, steady_state(damped(v)))
 
-    @pytest.mark.parametrize(
-        "error",
-        [NoSteadyStateError("unstable"), ConvergenceError("stalled"), StiffnessError("stiff")],
-    )
-    def test_converter_failure_leaves_the_point_out(self, error):
+    @pytest.mark.parametrize("failure", [*FAILING_DRIFTS, "stalled"])
+    def test_converter_failure_leaves_the_point_out(self, failure):
+        error, drift = FAILING_DRIFTS.get(failure, (ConvergenceError, None))
+
         def build(v):
             if v != 2.0:
                 return damped_arrays(v)
-            if isinstance(error, ConvergenceError):
-                raise error
-            return np.array(FAILING_DRIFTS[type(error)]), np.eye(2)
+            if drift is None:
+                raise error("stalled")
+            return np.array(drift), np.eye(2)
 
         index, covs = run_grid(build, [1.0, 2.0, 3.0])
         assert index.tolist() == [0, 2]
         assert covs[:, 0, 0].tolist() == pytest.approx([1.5, 3.5], rel=1e-12)
-        with pytest.raises(type(error)):  # the point alone fails in that way
+        with pytest.raises(error):  # the point alone fails in that way
             steady_state(model(build(2.0)))
+
+    def test_saddle_is_solved_and_not_positive_definite(self):
+        # The saddle reaches the solve, which is accurate: V is not positive
+        # definite exactly, as the exact reference confirms.
+        drift, diffusion = np.array(FAILING_DRIFTS["saddle"][1]), np.eye(2)
+        v = _solve_lyapunov(drift, diffusion)
+        assert np.array_equal(v, np.diag([-0.5, 0.25]))
+        assert lyapunov_exact(drift, diffusion) == [[Fraction(-1, 2), 0], [0, Fraction(1, 4)]]
 
     def test_validation_error_propagates(self):
         def build(v):
@@ -176,18 +190,40 @@ class TestRunGrid:
             model(build(0.25))
 
     def test_physicality_error_names_the_grid_point(self):
-        # A stable drift with D = 0 has V = 0: the residual gate passes it
-        # (nothing to scale against) and the physical rule rejects it.
+        # Damping that outruns its noise: D = 0.998 I under A = -I relaxes to
+        # V = 0.499 I, positive definite and 1e-3 below the vacuum bound.
         def build(v):
             if v == 0.25:
-                return -np.eye(2), np.zeros((2, 2))
+                return -np.eye(2), 0.998 * np.eye(2)
             return damped_arrays(v)
 
-        named = r"^grid point 2 \(0\.25\): .*positive definite"
+        named = r"^grid point 2 \(0\.25\): .*1\.000e-03 below 1/2"
         with pytest.raises(PhysicalityError, match=named):
             run_grid(build, [0.0, 0.5, 0.25, 1.0])
         with pytest.raises(PhysicalityError, match="^state invariant"):
             steady_state(model(build(0.25)))
+
+    @pytest.mark.parametrize("failing", [[2], [0, 2, 3]])
+    def test_noise_free_point_is_left_out(self, failing):
+        # A stable drift with D = 0 has V = 0: the residual gate passes it
+        # (nothing to scale against), and a V that is not positive definite
+        # certifies no steady state, so the point is left out, whichever
+        # other points fail with it.  The one-model chain's physical rule
+        # refuses V = 0 as a state.  (Before, the grid raised that error.)
+        grid = [0.0, 0.5, 0.25, 1.0]
+
+        def build(v):
+            if grid.index(v) in failing:
+                return -np.eye(2), np.zeros((2, 2))
+            return damped_arrays(v)
+
+        index, covs = run_grid(build, grid)
+        kept = [i for i in range(4) if i not in failing]
+        assert index.tolist() == kept
+        for i, cov in zip(kept, covs, strict=True):
+            assert np.array_equal(cov, steady_state(model(build(grid[i]))))
+        with pytest.raises(PhysicalityError, match="^state invariant violated: cov is not positive definite"):
+            steady_state(model(build(grid[failing[0]])))
 
 
 def _log_uniform(lo: float, hi: float):
